@@ -49,44 +49,6 @@ func hash2(key []byte) (uint64, uint64) {
 	return h1, h2
 }
 
-// remix derives a double-hashing pair from a precomputed 64-bit key using a
-// splitmix64 finalizer, so callers that already hold a hash (FishStore's
-// property signatures) skip the byte-wise FNV pass.
-func remix(key uint64) (uint64, uint64) {
-	z := key + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h1 := z ^ (z >> 31)
-	h2 := h1>>33 | h1<<31
-	h2 |= 1 // ensure odd stride
-	return h1, h2
-}
-
-// AddHash inserts a precomputed 64-bit key.
-func (f *Filter) AddHash(key uint64) {
-	h, d := remix(key)
-	n := uint64(len(f.bits) * 64)
-	for i := 0; i < f.k; i++ {
-		bit := h % n
-		f.bits[bit/64] |= 1 << (bit % 64)
-		h += d
-	}
-}
-
-// MayContainHash reports whether a key inserted with AddHash may be present.
-func (f *Filter) MayContainHash(key uint64) bool {
-	h, d := remix(key)
-	n := uint64(len(f.bits) * 64)
-	for i := 0; i < f.k; i++ {
-		bit := h % n
-		if f.bits[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-		h += d
-	}
-	return true
-}
-
 // Add inserts key.
 func (f *Filter) Add(key []byte) {
 	h, d := hash2(key)
@@ -112,9 +74,6 @@ func (f *Filter) MayContain(key []byte) bool {
 	}
 	return true
 }
-
-// Bytes returns the filter's in-memory footprint in bytes.
-func (f *Filter) Bytes() int { return len(f.bits) * 8 }
 
 // Marshal serializes the filter.
 func (f *Filter) Marshal() []byte {

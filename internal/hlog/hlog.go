@@ -71,15 +71,6 @@ type Config struct {
 	// error (nil on success). Used by the store's flight recorder to keep a
 	// trace of durability progress leading up to a crash.
 	OnFlush func(page uint64, err error)
-	// OnPageSealed, if set, is called from the background flush path after a
-	// complete page has been serialized and sealed, with the page number and
-	// the sealed staging bytes exactly as they reached the device. The
-	// callback runs on the flush goroutine before the flush is reported
-	// complete; it must not retain buf. Partial tail flushes (FlushTail) do
-	// not trigger it — their pages are still in memory and will be sealed
-	// and re-flushed in full later. Used by the store to build per-page PSF
-	// membership summaries.
-	OnPageSealed func(page uint64, buf []byte)
 	// Tracer, if set, gives every page flush (background and FlushTail) its
 	// own span. nil disables flush spans.
 	Tracer *trace.Tracer
@@ -126,15 +117,14 @@ type Log struct {
 	device storage.Device
 	epoch  *epoch.Manager
 
-	flushMu      sync.Mutex
-	flushedPgs   map[uint64]uint64 // sealed page -> its end address, pending contiguous advance
-	failedPgs    map[uint64]bool   // sealed pages whose flush failed; retryable
-	flushErr     error
-	flushWG      sync.WaitGroup
-	onFlush      func(page uint64, err error)
-	onPageSealed func(page uint64, buf []byte)
-	tracer       *trace.Tracer
-	flushLbls    bool
+	flushMu    sync.Mutex
+	flushedPgs map[uint64]uint64 // sealed page -> its end address, pending contiguous advance
+	failedPgs  map[uint64]bool   // sealed pages whose flush failed; retryable
+	flushErr   error
+	flushWG    sync.WaitGroup
+	onFlush    func(page uint64, err error)
+	tracer     *trace.Tracer
+	flushLbls  bool
 
 	closed atomic.Bool
 }
@@ -155,20 +145,19 @@ func New(cfg Config) (*Log, error) {
 		dev = storage.NewNull()
 	}
 	l := &Log{
-		pageBits:     cfg.PageBits,
-		pageSize:     1 << cfg.PageBits,
-		pageWords:    1 << (cfg.PageBits - 3),
-		memPages:     cfg.MemPages,
-		frames:       make([][]uint64, cfg.MemPages),
-		frameOwner:   make([]atomic.Int64, cfg.MemPages),
-		device:       dev,
-		epoch:        cfg.Epoch,
-		flushedPgs:   make(map[uint64]uint64),
-		failedPgs:    make(map[uint64]bool),
-		onFlush:      cfg.OnFlush,
-		onPageSealed: cfg.OnPageSealed,
-		tracer:       cfg.Tracer,
-		flushLbls:    cfg.ProfileLabels,
+		pageBits:   cfg.PageBits,
+		pageSize:   1 << cfg.PageBits,
+		pageWords:  1 << (cfg.PageBits - 3),
+		memPages:   cfg.MemPages,
+		frames:     make([][]uint64, cfg.MemPages),
+		frameOwner: make([]atomic.Int64, cfg.MemPages),
+		device:     dev,
+		epoch:      cfg.Epoch,
+		flushedPgs: make(map[uint64]uint64),
+		failedPgs:  make(map[uint64]bool),
+		onFlush:    cfg.OnFlush,
+		tracer:     cfg.Tracer,
+		flushLbls:  cfg.ProfileLabels,
 	}
 	l.frameFreeFor = make([]atomic.Uint64, cfg.MemPages)
 	for i := range l.frames {
@@ -431,9 +420,6 @@ func (l *Log) flushPage(page uint64) error {
 	}
 	l.sealPageRecords(page, frame, buf, l.pageWords)
 	_, err := l.device.WriteAt(buf, int64(l.address(page, 0)))
-	if err == nil && l.onPageSealed != nil {
-		l.onPageSealed(page, buf)
-	}
 	return err
 }
 

@@ -168,7 +168,6 @@ type ScanDecision struct {
 	ReadBytes      int64   `json:"read_bytes"`
 	PrefetchHits   int64   `json:"prefetch_hits"`
 	PageCacheHits  int64   `json:"page_cache_hits"`
-	BloomSkips     int64   `json:"bloom_skipped_pages"`
 	Stopped        bool    `json:"stopped"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }

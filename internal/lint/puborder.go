@@ -12,7 +12,7 @@ import (
 // atomicfield. atomicfield catches a *single location* accessed both
 // atomically and plainly; puborder reasons about the *objects around* an
 // atomic publication — the exact shape of FishStore's latch-free structures
-// (hotchain entries, pagecache fills, chain splices, §4.2), where a payload
+// (pagecache fills, chain splices, §4.2), where a payload
 // is built with plain writes, published with one atomic store/CAS, and from
 // that instant shared with readers that acquire it through the matching
 // atomic load.

@@ -2,6 +2,7 @@ package psf
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -236,6 +237,9 @@ func TestWorkersObserveMetaAfterRefresh(t *testing.T) {
 	// The worker must observe the new meta immediately after the current
 	// pointer swap, even before refreshing.
 	for len(r.CurrentMeta().PSFs) == 0 {
+		// Yield: Apply may be spinning in epoch.WaitForSafe on the only
+		// other core, and two busy loops can starve each other.
+		runtime.Gosched()
 	}
 	// Apply blocks until the worker refreshes.
 	select {

@@ -301,32 +301,26 @@ func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSn
 func (s *Store) PSFStatus() psf.RegistryStatus { return s.registry.Status() }
 
 // CacheSnapshot is the read-path cache view served at /debug/fishstore/cache:
-// the page cache over immutable on-device log pages, the per-page PSF
-// membership summaries built at flush time, and the hot-chain memoization.
-// Disabled layers report Enabled=false with zeroed stats.
+// the page cache over immutable on-device log pages. A disabled cache
+// reports PageCacheEnabled=false with zeroed stats.
 type CacheSnapshot struct {
 	PageCache        pagecache.Stats `json:"page_cache"`
 	PageCacheEnabled bool            `json:"page_cache_enabled"`
-	Summaries        SummaryStats    `json:"page_summaries"`
-	SummariesEnabled bool            `json:"page_summaries_enabled"`
-	HotChains        HotChainStats   `json:"hot_chains"`
-	HotChainsEnabled bool            `json:"hot_chains_enabled"`
+
+	// Summaries and HotChains are always zero. The mechanisms they counted
+	// (per-page bloom summaries, the hot-chain cache) are gone; the fields
+	// stay only because benchmark/layers.go reads them, and go when a
+	// benchmark PR drops summaries.skipped_page_ratio and hotchain.hit_ratio.
+	Summaries struct{ Probes, Skips int64 } `json:"-"`
+	HotChains struct{ Hits, Misses int64 }  `json:"-"`
 }
 
-// CacheStats returns a point-in-time snapshot of the read-path caches.
+// CacheStats returns a point-in-time snapshot of the read-path cache.
 func (s *Store) CacheStats() CacheSnapshot {
 	var cs CacheSnapshot
 	if s.pcache != nil {
 		cs.PageCacheEnabled = true
 		cs.PageCache = s.pcache.Stats()
-	}
-	if s.summaries != nil {
-		cs.SummariesEnabled = true
-		cs.Summaries = s.summaries.stats()
-	}
-	if s.hotchain != nil {
-		cs.HotChainsEnabled = true
-		cs.HotChains = s.hotchain.stats()
 	}
 	return cs
 }
@@ -367,7 +361,6 @@ func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st
 		ReadBytes:          st.ReadBytes,
 		PrefetchHits:       st.PrefetchHits,
 		PageCacheHits:      st.PageCacheHits,
-		BloomSkips:         st.BloomSkippedPages,
 		Stopped:            st.Stopped,
 		ElapsedSeconds:     elapsed.Seconds(),
 	}

@@ -125,17 +125,6 @@ type Options struct {
 	// pre-cache behaviour). Cached pages are invalidated by TruncateUntil.
 	PageCachePages int
 
-	// HotChainEntries bounds the hot-chain cache: chains probed repeatedly
-	// (the same property scanned again with no interleaving truncation) have
-	// their on-device link layout memoized so re-probes skip the pointer
-	// chase entirely. 0 means the default (128 chains); negative disables it.
-	HotChainEntries int
-
-	// DisablePageSummaries turns off the per-page PSF membership summaries
-	// (bloom filters built at page-flush time) that let index-complete scans
-	// skip on-device pages containing no matching key pointers.
-	DisablePageSummaries bool
-
 	// DisableTelemetry turns off the workload-attribution layer (per-op
 	// latency sketches, PSF / property / tenant heavy hitters,
 	// /debug/fishstore/workload). Telemetry is on by default — its hot-path
@@ -266,9 +255,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.PageCachePages == 0 {
 		out.PageCachePages = 64
-	}
-	if out.HotChainEntries == 0 {
-		out.HotChainEntries = 128
 	}
 	if out.Limits != nil {
 		if out.Limits.MaxInFlightIngestBytes < 0 || out.Limits.MaxConcurrentScans < 0 {

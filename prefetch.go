@@ -67,7 +67,7 @@ type chainReader struct {
 	recsSeen  int64
 	ios       int64
 	bytesRead int64
-	hits      int64 // fetches served without a device read (buffer or cache)
+	hits      int64 // hops resolved without a device read (buffer or cache)
 	cacheHits int64 // subset of hits served by the shared page cache
 
 	// Observed fixed cost per device I/O (seconds, EWMA): elapsed wall time
@@ -204,12 +204,41 @@ func (cr *chainReader) effMaxWin() int {
 }
 
 // record reads the record containing the key pointer at kptAddr and returns
-// its view and base address.
+// its view and base address. One call is one chain hop: the hop is a hit when
+// the reader issued no device read for it, a miss otherwise.
 func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
+	ios := cr.ios
+	var v record.View
+	var base uint64
+	var err error
 	if cr.cache != nil {
-		return cr.recordViaCache(kptAddr)
+		v, base, err = cr.recordViaCache(kptAddr)
+	} else {
+		v, base, err = cr.recordRaw(kptAddr)
 	}
+	if err != nil {
+		return record.View{}, 0, err
+	}
+	hit := cr.ios == ios
+	if hit {
+		cr.hits++
+		if cr.cache != nil {
+			cr.cacheHits++
+		}
+	}
+	if m := cr.met; m != nil {
+		if hit {
+			m.prefetchHits.Inc()
+		} else {
+			m.prefetchMisses.Inc()
+		}
+	}
+	return v, base, nil
+}
 
+// recordRaw resolves the record with byte-granular device reads, through the
+// speculation buffer: the key pointer, then the header, then the record.
+func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 	// 1. The key pointer's first word tells us where the record starts.
 	kw, err := cr.fetch(kptAddr, 16)
 	if err != nil {
@@ -276,15 +305,10 @@ func (cr *chainReader) recordViaCache(kptAddr uint64) (record.View, uint64, erro
 // same page share one fill.
 func (cr *chainReader) pageWords(page uint64) ([]uint64, error) {
 	if w := cr.cache.Get(page); w != nil {
-		cr.hits++
-		cr.cacheHits++
-		if cr.met != nil {
-			cr.met.prefetchHits.Inc()
-		}
 		return w, nil
 	}
 	pageSize := int(cr.log.PageSize())
-	w, shared, err := cr.cache.GetOrLoad(page, func() ([]uint64, error) {
+	w, _, err := cr.cache.GetOrLoad(page, func() ([]uint64, error) {
 		var iosp *trace.Span
 		if cr.sp != nil {
 			iosp = cr.sp.Child("scan.io")
@@ -303,19 +327,7 @@ func (cr *chainReader) pageWords(page uint64) ([]uint64, error) {
 		cr.bytesRead += int64(pageSize)
 		return words, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		cr.hits++
-		cr.cacheHits++
-		if cr.met != nil {
-			cr.met.prefetchHits.Inc()
-		}
-	} else if cr.met != nil {
-		cr.met.prefetchMisses.Inc()
-	}
-	return w, nil
+	return w, err
 }
 
 // adapt updates the locality estimate after reading the record at base.
@@ -369,15 +381,8 @@ func (cr *chainReader) adapt(base uint64, size int) {
 // possible.
 func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
 	if addr >= cr.bufStart && addr+uint64(n) <= cr.bufEnd {
-		cr.hits++
-		if cr.met != nil {
-			cr.met.prefetchHits.Inc()
-		}
 		off := addr - cr.bufStart
 		return cr.buf[off : off+uint64(n)], nil
-	}
-	if cr.met != nil {
-		cr.met.prefetchMisses.Inc()
 	}
 	start, end := addr, addr+uint64(n)
 	if win := cr.window; cr.useAP && win > int(end-start) {

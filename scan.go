@@ -71,7 +71,8 @@ type ScanOptions struct {
 	// Mode selects the execution strategy.
 	Mode ScanMode
 	// Parallelism > 1 splits full-scan segments page-wise across that many
-	// goroutines (Appendix F). Callback invocations are serialized.
+	// goroutines and walks the shard chains of a sharded PSF concurrently
+	// (Appendix F). Callback invocations are serialized.
 	Parallelism int
 	// Priority orders scans for load shedding: while the SLO watchdog
 	// reports a breach and Limits.ShedScansOnBreach is set, scans with a
@@ -107,10 +108,6 @@ type ScanStats struct {
 	// from the read-through page cache (a subset of PrefetchHits on chain
 	// walks, plus full-scan pages served without touching the device).
 	PageCacheHits int64
-	// BloomSkippedPages counts on-device pages the scan skipped entirely
-	// because their per-page PSF membership summary proved the property
-	// cannot occur on them.
-	BloomSkippedPages int64
 	// Quarantined counts device-fetched records this scan skipped because
 	// their checksum failed (Options.VerifyOnRead). Such records are never
 	// delivered to the callback and their chain links are not followed.
@@ -132,8 +129,8 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 
 // ScanContext is Scan with deadline/cancellation propagation: ctx aborts a
 // governor admission wait, is polled at page and chain-hop boundaries on
-// every execution path (serial, parallel, fast pointer-match, paged chain
-// walk), and is threaded into device reads so retry backoff waits abort too.
+// every execution path (page walker, serial or parallel; chain walk), and is
+// threaded into device reads so retry backoff waits abort too.
 // A cancelled scan returns ctx's error with the stats accumulated so far;
 // epochs, the page cache, and prefetch state are left consistent.
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
@@ -374,152 +371,202 @@ func (s *Store) planScan(id psf.ID, from, to uint64, mode ScanMode) []Segment {
 
 // ---- full scan ----
 
-// fullScanSegment walks every record in [from, to), parses the PSF's fields
-// of interest, evaluates the PSF, and emits matches. Over ranges where the
-// PSF's index is guaranteed complete, it switches to the pointer-matching
-// fast path (identical results, no parsing, summary-driven page skips).
+// recordMatcher decides whether the record at addr carries the scanned
+// property and, if so, returns the Record to deliver. A matcher belongs to
+// one worker (the parse matcher owns a parser session).
+type recordMatcher func(addr uint64, v record.View) (Record, bool)
+
+// fullScanSegment walks every record in [from, to) and emits the matches.
+// Where the PSF's index is complete over the whole range, records are
+// matched by their ingest-time key pointers (no parsing); elsewhere each
+// record is parsed and the PSF re-evaluated. Over an index-complete range
+// the two matchers give identical answers: a record whose parse failed at
+// ingest got no pointer and fails the scan-side parse too, and indirect
+// index records are skipped by both.
 func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Property, def psf.Definition, canon []byte,
-	from, to uint64, parallelism int, emit func(Record) bool, st *ScanStats) (bool, error) {
+	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	st.FullScanBytes += int64(to - from)
-	if s.rangeIndexComplete(prop.PSF, from, to) {
-		return s.fastFullScanSegment(ctx, g, prop, canon, from, to, parallelism, emit, st)
-	}
+	// Pointer-match scans count as full-scan work in the workload view: the
+	// operator's question is "how much of the read path bypassed the index",
+	// not "which matcher ran".
 	if tele := s.tele; tele != nil {
-		// The fast pointer-match path times itself (fastFullScanSegment);
-		// this covers the parse-and-evaluate slow paths below.
 		start := time.Now()
 		defer func() { tele.RecordOp(telemetry.OpFullScan, time.Since(start)) }()
 	}
-	if parallelism > 1 {
-		return s.parallelFullScan(ctx, def, canon, from, to, parallelism, emit, st)
+	byPointer := s.rangeIndexComplete(prop.PSF, from, to)
+	newMatcher := func() (recordMatcher, error) {
+		if byPointer {
+			return func(addr uint64, v record.View) (Record, bool) {
+				return s.matchByPointer(prop, canon, addr, v)
+			}, nil
+		}
+		psess, err := s.pf.NewSession(def.Fields)
+		if err != nil {
+			return nil, err
+		}
+		return func(addr uint64, v record.View) (Record, bool) {
+			payload := v.Payload()
+			parsed, err := psess.Parse(payload)
+			if err != nil || !bytes.Equal(psf.CanonicalValue(def.Evaluate(parsed)), canon) {
+				return Record{}, false
+			}
+			return Record{Address: addr, Payload: payload}, true
+		}, nil
 	}
-	psess, err := s.pf.NewSession(def.Fields)
-	if err != nil {
-		return false, err
-	}
-	stopped := false
-	err = s.visitRange(ctx, g, from, to, &st.Quarantined, &st.PageCacheHits, func(addr uint64, v record.View) bool {
-		st.Visited++
-		payload := v.Payload()
-		parsed, perr := psess.Parse(payload)
-		if perr != nil {
-			return true
-		}
-		val := def.Evaluate(parsed)
-		if !bytes.Equal(psf.CanonicalValue(val), canon) {
-			return true
-		}
-		if !emit(Record{Address: addr, Payload: payload}) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	return stopped, err
+	return s.scanPages(ctx, g, from, to, workers, newMatcher, emit, st)
 }
 
-// parallelFullScan distributes pages of [from, to) across workers
-// (Appendix F). Matches are emitted through a mutex, in arbitrary order.
-func (s *Store) parallelFullScan(ctx context.Context, def psf.Definition, canon []byte,
-	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
+// rangeIndexComplete reports whether the PSF's index is guaranteed complete
+// over every address in [from, to): within such a range, ingest-time
+// evaluation produced a key pointer for exactly the records the PSF matches,
+// so scanning key pointers and re-evaluating the PSF over parsed payloads
+// give identical answers.
+func (s *Store) rangeIndexComplete(id psf.ID, from, to uint64) bool {
+	cur := from
+	for _, iv := range s.registry.Intervals(id) {
+		if cur < iv.From {
+			return false // gap before this interval
+		}
+		if cur < iv.To {
+			cur = iv.To
+		}
+		if cur >= to {
+			return true
+		}
+	}
+	return cur >= to
+}
+
+// matchByPointer checks whether the record at addr carries a key pointer
+// for prop with the queried value, returning the emitted record on a match.
+// Indirect (historical index) records never match — the parse matcher skips
+// them too.
+//
+//fishlint:hotpath per-record subset-scan match
+func (s *Store) matchByPointer(prop Property, canon []byte, addr uint64, v record.View) (Record, bool) {
+	h := v.Header()
+	if h.Indirect {
+		return Record{}, false
+	}
+	for i := 0; i < h.NumPtrs; i++ {
+		kp := v.KeyPointerAt(i)
+		if kp.PSFID != prop.PSF {
+			continue
+		}
+		// At most one pointer per PSF per record: this is the decision.
+		if bytes.Equal(v.ValueBytes(kp), canon) {
+			return Record{Address: addr, Payload: v.Payload()}, true
+		}
+		return Record{}, false
+	}
+	return Record{}, false
+}
+
+// scanPages is the page driver of every full scan: workers claim the pages
+// of [from, to) in ascending order from a shared counter and walk each
+// through visitRange with a matcher of their own. With workers <= 1 the one
+// worker runs on the caller's goroutine under the caller's guard, so matches
+// are delivered in ascending address order and emit is called without a
+// lock. With more (Appendix F) each worker holds its own guard, emit is
+// serialized by a mutex — and never called again once it returned false —
+// and delivery order is arbitrary.
+func (s *Store) scanPages(ctx context.Context, g *epoch.Guard, from, to uint64, workers int,
+	newMatcher func() (recordMatcher, error), emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	pageSize := s.log.PageSize()
-	firstPage := s.log.PageOf(from)
 	lastPage := s.log.PageOf(to - 1)
 	var nextPage atomic.Uint64
-	nextPage.Store(firstPage)
+	nextPage.Store(s.log.PageOf(from))
 
-	var mu sync.Mutex
-	var stopped atomic.Bool
-	var visited atomic.Int64
-	var quarantined, cacheHits int64 // updated atomically by visitRange across workers
-	var firstErr error
-	var errMu sync.Mutex
+	var (
+		mu       sync.Mutex // with workers > 1: guards emit, st and firstErr
+		stopped  atomic.Bool
+		firstErr error
+	)
+	deliver := emit
+	if workers > 1 {
+		deliver = serializeEmit(&mu, &stopped, emit)
+	}
+	work := func(g *epoch.Guard) {
+		var visited, quarantined, cacheHits int64
+		var err error
+		defer func() {
+			mu.Lock()
+			st.Visited += visited
+			st.Quarantined += quarantined
+			st.PageCacheHits += cacheHits
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}()
+		var match recordMatcher
+		if match, err = newMatcher(); err != nil {
+			return
+		}
+		visit := func(addr uint64, v record.View) bool {
+			visited++
+			if r, ok := match(addr, v); ok && !deliver(r) {
+				stopped.Store(true)
+				return false
+			}
+			return true
+		}
+		for err == nil && !stopped.Load() {
+			p := nextPage.Add(1) - 1
+			if p > lastPage {
+				return
+			}
+			lo, hi := max(p*pageSize, from), min((p+1)*pageSize, to)
+			err = s.visitRange(ctx, g, lo, hi, &quarantined, &cacheHits, visit)
+		}
+	}
+
+	if workers <= 1 {
+		work(g)
+		return stopped.Load(), firstErr
+	}
 	var wg sync.WaitGroup
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			wg2 := s.epoch.Acquire()
 			defer wg2.Release()
-			psess, err := s.pf.NewSession(def.Fields)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			for !stopped.Load() {
-				if err := ctxErr(ctx); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				p := nextPage.Add(1) - 1
-				if p > lastPage {
-					return
-				}
-				lo := p * pageSize
-				if lo < from {
-					lo = from
-				}
-				hi := (p + 1) * pageSize
-				if hi > to {
-					hi = to
-				}
-				err := s.visitRange(ctx, wg2, lo, hi, &quarantined, &cacheHits, func(addr uint64, v record.View) bool {
-					visited.Add(1)
-					payload := v.Payload()
-					parsed, perr := psess.Parse(payload)
-					if perr != nil {
-						return true
-					}
-					val := def.Evaluate(parsed)
-					if !bytes.Equal(psf.CanonicalValue(val), canon) {
-						return true
-					}
-					mu.Lock()
-					ok := emit(Record{Address: addr, Payload: payload})
-					mu.Unlock()
-					if !ok {
-						stopped.Store(true)
-						return false
-					}
-					return true
-				})
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
+			work(wg2)
 		}()
 	}
+	// The workers hold their own guards; don't pin the safe epoch waiting.
+	g.Unprotect()
 	wg.Wait()
-	st.Visited += visited.Load()
-	st.Quarantined += atomic.LoadInt64(&quarantined)
-	st.PageCacheHits += atomic.LoadInt64(&cacheHits)
+	g.Protect()
 	return stopped.Load(), firstErr
 }
 
-// visitRange walks all visible records in [from, to) in address order,
-// reading pages from memory or storage as appropriate. from and to must be
-// record boundaries. With Options.VerifyOnRead, records on device-resident
-// pages are checksum-validated and quarantined on failure: skipped (counted
-// into quarantined, when non-nil, with an atomic add — parallel scan workers
-// share the counter) rather than delivered. In-memory pages are exempt:
-// their records are sealed only at flush time. cacheHits, when non-nil,
-// counts page reads served by the read-through page cache (atomic add).
+// serializeEmit wraps emit for concurrent scan workers: calls are serialized
+// by mu, and once emit has returned false — recorded in stopped — it is never
+// called again.
+func serializeEmit(mu *sync.Mutex, stopped *atomic.Bool, emit func(Record) bool) func(Record) bool {
+	return func(r Record) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped.Load() || !emit(r) {
+			stopped.Store(true)
+			return false
+		}
+		return true
+	}
+}
+
+// visitRange is the page walker: it visits all visible records in [from, to)
+// in address order, taking each page from its memory frame, the page cache
+// or the device as appropriate. from and to must be record boundaries. With
+// Options.VerifyOnRead, records on device-resident pages are
+// checksum-validated and quarantined on failure: skipped (counted into
+// quarantined, when non-nil) rather than delivered. In-memory pages are
+// exempt: their records are sealed only at flush time. cacheHits, when
+// non-nil, counts page reads served by the read-through page cache.
 func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64, quarantined, cacheHits *int64,
 	visit func(addr uint64, v record.View) bool) error {
 	pageSize := s.log.PageSize()
@@ -552,7 +599,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 				return fmt.Errorf("fishstore: full scan read at %d: %w", addr, err)
 			}
 			if hit && cacheHits != nil {
-				atomic.AddInt64(cacheHits, 1)
+				*cacheHits++
 			}
 			words = w
 			if s.opts.VerifyOnRead {
@@ -597,16 +644,6 @@ func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint
 	}
 	off := s.log.OffsetOf(addr) / 8
 	return pw[off : off+uint64(n)], hit, nil
-}
-
-// scanCache returns the page cache chain walks should read through: only
-// adaptive (useAP) walks use it — the no-prefetch baseline, the verifier,
-// and the chain samplers measure the raw device path.
-func (s *Store) scanCache(useAP bool) *pagecache.Cache {
-	if !useAP {
-		return nil
-	}
-	return s.pcache
 }
 
 // quarantineRecord accounts for a device-fetched record whose checksum (or
@@ -658,8 +695,8 @@ func walkRecords(words []uint64, baseAddr, limit uint64, visit func(addr uint64,
 
 // indexScanSegment retrieves matching records in [from, to) through the
 // subset hash index. For sharded PSFs (Appendix F) every shard chain is
-// traversed; with opts-level parallelism the shards run concurrently with
-// serialized emission.
+// traversed; with parallelism > 1 the shard chains are walked concurrently
+// with serialized emission. A single chain is always walked serially.
 func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Property, canon []byte,
 	from, to uint64, useAP bool, parallelism int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
@@ -670,7 +707,7 @@ func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Prope
 		if !ok {
 			return false, nil
 		}
-		return s.walkChain(ctx, g, slot.Address(), prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		return s.walkChain(ctx, g, slot.Address(), prop, canon, from, to, useAP, sp, emit, st)
 	}
 	var heads []uint64
 	for shard := 0; shard < shards; shard++ {
@@ -680,13 +717,13 @@ func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Prope
 		}
 	}
 	if parallelism > 1 && len(heads) > 1 {
-		return s.parallelChainWalk(ctx, heads, prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		return s.parallelChainWalk(ctx, heads, prop, canon, from, to, useAP, sp, emit, st)
 	}
 	for _, head := range heads {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		stopped, err := s.walkChain(ctx, g, head, prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		stopped, err := s.walkChain(ctx, g, head, prop, canon, from, to, useAP, sp, emit, st)
 		if err != nil || stopped {
 			return stopped, err
 		}
@@ -695,16 +732,15 @@ func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Prope
 }
 
 // parallelChainWalk traverses shard chains concurrently (Appendix F's
-// parallel index scan), serializing emission.
+// parallel index scan), one goroutine per chain, serializing emission.
 func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Property, canon []byte,
-	from, to uint64, useAP bool, parallelism int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
-	_ = parallelism // shards already run concurrently; chains walk serially within each
+	from, to uint64, useAP bool, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
-	var mu sync.Mutex // guards emit and st
+	var mu sync.Mutex // guards emit, st and firstErr
 	var stopped atomic.Bool
 	var firstErr error
-	var errMu sync.Mutex
 	var wg sync.WaitGroup
+	serial := serializeEmit(&mu, &stopped, emit)
 	for _, head := range heads {
 		wg.Add(1)
 		go func(head uint64) {
@@ -712,33 +748,17 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 			wg2 := s.epoch.Acquire()
 			defer wg2.Release()
 			var local ScanStats
-			wrapped := func(r Record) bool {
-				if stopped.Load() {
-					return false
-				}
-				mu.Lock()
-				ok := emit(r)
-				mu.Unlock()
-				if !ok {
-					stopped.Store(true)
-				}
-				return ok
-			}
-			if _, err := s.walkChain(ctx, wg2, head, prop, canon, from, to, useAP, 1, sp, wrapped, &local); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
+			_, err := s.walkChain(ctx, wg2, head, prop, canon, from, to, useAP, sp, serial, &local)
 			mu.Lock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 			st.Visited += local.Visited
 			st.IndexHops += local.IndexHops
 			st.IOs += local.IOs
 			st.ReadBytes += local.ReadBytes
 			st.PrefetchHits += local.PrefetchHits
 			st.PageCacheHits += local.PageCacheHits
-			st.BloomSkippedPages += local.BloomSkippedPages
 			st.Quarantined += local.Quarantined
 			mu.Unlock()
 		}(head)
@@ -755,21 +775,9 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 // terminates, or a link drops below floor (links below the floor are never
 // resolved — on a truncated log their records may be gone). I/O accounting
 // is added to st; when sp is a live span, each device read the chain reader
-// issues becomes a scan.io child under it. Index scans and the log
-// verifier's chain phase both walk chains through this one path.
+// issues becomes a scan.io child under it. Index scans, the chain sampler
+// and the log verifier's chain phase all walk chains through this one path.
 func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
-	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
-	return s.forEachChainLinkHooked(ctx, g, head, floor, useAP, sp, st, nil, fn)
-}
-
-// forEachChainLinkHooked is forEachChainLink with an optional deviceCross
-// hook: it fires once, with the first link that must be resolved from the
-// device, *before* that resolution happens. Returning false stops the
-// generic walk there (without error), letting the caller take over the
-// on-device suffix — the hot-chain cache and the paged chain walk hang off
-// this point.
-func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
-	deviceCross func(kptAddr uint64) bool,
 	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
 
 	cur := head
@@ -804,15 +812,15 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 			}
 			view, base = v, b
 		} else {
-			if deviceCross != nil {
-				ok := deviceCross(cur)
-				deviceCross = nil // fires at most once
-				if !ok {
-					return nil
-				}
-			}
 			if cr == nil {
-				cr = newChainReader(ctx, s.log, useAP, s.scanCache(useAP), s.metrics, sp)
+				// Only adaptive walks read through the page cache: the
+				// no-prefetch baseline, the verifier and the chain sampler
+				// measure the raw device path.
+				var cache *pagecache.Cache
+				if useAP {
+					cache = s.pcache
+				}
+				cr = newChainReader(ctx, s.log, useAP, cache, s.metrics, sp)
 			}
 			// Device reads target the immutable on-disk log; drop epoch
 			// protection for their duration so page recycling can proceed.
@@ -841,7 +849,7 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 		st.IndexHops++
 		st.Visited++
 
-		ptrIndex := (int(s.offsetWordsOf(view, cur, base)) - record.HeaderWords) / record.WordsPerPointer
+		ptrIndex := (int((cur-base)/8) - record.HeaderWords) / record.WordsPerPointer
 		kp := view.KeyPointerAt(ptrIndex)
 		if !fn(cur, view, base, kp) {
 			return nil
@@ -854,125 +862,37 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 // walkChain follows one hash chain from head, emitting matching records
 // whose address lies in [from, to). Entries above `to` are skipped (but
 // still traversed); traversal stops below `from`.
-//
-// At the point where the walk crosses from the in-memory prefix onto the
-// device it consults the hot-chain cache: a chain probed repeatedly replays
-// its memoized on-device links (skipping every non-matching hop), and a
-// parallel walk with a page cache hands the suffix to the two-phase paged
-// walk. A completed generic walk installs (or arms) the memoization for the
-// next probe.
 func (s *Store) walkChain(ctx context.Context, g *epoch.Guard, head uint64, prop Property, canon []byte,
-	from, to uint64, useAP bool, par int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
+	from, to uint64, useAP bool, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
-	sig := prop.hash()
-	useHot := useAP && s.hotchain != nil
-	usePaged := useAP && par > 1 && s.pcache != nil && !s.opts.VerifyOnRead
-
-	var (
-		crossAddr uint64   // first on-device key pointer of the walk
-		hotLinks  []uint64 // memoized links to replay instead of walking
-		paged     bool     // hand the on-device suffix to the paged walk
-		collected []uint64 // matching on-device links seen by this walk
-		lastPrev  uint64   // PrevAddress behind the last processed link
-		stopped   bool
-		cbErr     error
-	)
-	lastPrev = head
-	qBefore := st.Quarantined
-
-	var hook func(cur uint64) bool
-	if useHot || usePaged {
-		hook = func(cur uint64) bool {
-			crossAddr = cur
-			if useHot {
-				if links, ok := s.hotchain.lookup(cur, sig, from); ok {
-					hotLinks = links
-					return false
-				}
+	var stopped bool
+	var cbErr error
+	err := s.forEachChainLink(ctx, g, head, from, useAP, sp, st,
+		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
+			h := view.Header()
+			if !h.Visible || h.Invalid || kp.PSFID != prop.PSF || !bytes.Equal(view.ValueBytes(kp), canon) {
+				return true
 			}
-			if usePaged {
-				paged = true
+			rec, merr := s.materialize(ctx, g, view, base, st)
+			if errors.Is(merr, errQuarantined) {
+				return true // indirect target corrupt: skip, keep walking
+			}
+			if merr != nil {
+				cbErr = merr
 				return false
 			}
-			return true
-		}
-	}
-
-	err := s.forEachChainLinkHooked(ctx, g, head, from, useAP, sp, st, hook,
-		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
-			lastPrev = kp.PrevAddress
-			h := view.Header()
-			match := h.Visible && !h.Invalid && kp.PSFID == prop.PSF &&
-				bytes.Equal(view.ValueBytes(kp), canon)
-			if match && crossAddr != 0 {
-				// Below the crossing the chain is immutable: remember the
-				// matching links for memoized replay.
-				collected = append(collected, cur)
-			}
-			if match {
-				rec, merr := s.materialize(ctx, g, view, base, st)
-				if errors.Is(merr, errQuarantined) {
-					return true // indirect target corrupt: skip, keep walking
-				}
-				if merr != nil {
-					cbErr = merr
-					return false
-				}
-				// For indirect (historical) index records the range check
-				// applies to the referenced data record's address.
-				if rec.Address >= from && rec.Address < to {
-					if !emit(rec) {
-						stopped = true
-						return false
-					}
-				}
+			// For indirect (historical) index records the range check
+			// applies to the referenced data record's address.
+			if rec.Address >= from && rec.Address < to && !emit(rec) {
+				stopped = true
+				return false
 			}
 			return true
 		})
 	if err == nil {
 		err = cbErr
 	}
-	if err != nil {
-		return stopped, err
-	}
-
-	if hotLinks != nil {
-		return s.resolveChainLinks(ctx, g, hotLinks, prop, canon, from, to, par, sp, emit, st)
-	}
-	if paged {
-		pStopped, cands, pLast, pErr := s.pagedDeviceChainWalk(ctx, g, crossAddr, prop, canon, from, to, par, sp, emit, st)
-		if pErr == nil && !pStopped && useHot && st.Quarantined == qBefore {
-			s.maybeInstallHotChain(crossAddr, sig, cands, pLast, from)
-		}
-		return pStopped, pErr
-	}
-
-	// A generic walk that covered the whole on-device suffix (chain end, or
-	// everything down to `from`) without stopping early arms or installs the
-	// hot-chain memoization.
-	if useHot && !stopped && crossAddr != 0 && st.Quarantined == qBefore &&
-		(lastPrev == 0 || lastPrev < from) {
-		s.maybeInstallHotChain(crossAddr, sig, collected, lastPrev, from)
-	}
-	return stopped, nil
-}
-
-// maybeInstallHotChain records a completed walk in the hot-chain cache: the
-// first completed walk arms the key (placeholder), the second installs the
-// memoized links. lastPrev 0 means the chain end was reached, so the entry
-// covers any From; otherwise it only covers From >= the walk's floor.
-func (s *Store) maybeInstallHotChain(crossAddr, sig uint64, links []uint64, lastPrev, from uint64) {
-	if !s.hotchain.shouldInstall(crossAddr, sig) {
-		return
-	}
-	floorCovered := from
-	if lastPrev == 0 {
-		floorCovered = 0
-	}
-	// Copy: links aliases a walk-local slice that may keep growing.
-	installed := make([]uint64, len(links))
-	copy(installed, links)
-	s.hotchain.install(crossAddr, sig, installed, floorCovered)
+	return stopped, err
 }
 
 // inMemoryRecordAt resolves the record containing the key pointer at
@@ -988,11 +908,6 @@ func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, error) {
 		return record.View{}, 0, fmt.Errorf("fishstore: empty header at %d", base)
 	}
 	return record.View{Words: s.log.WordsAt(base, h.SizeWords)}, base, nil
-}
-
-// offsetWordsOf recovers the key pointer's offset within its record.
-func (s *Store) offsetWordsOf(v record.View, kptAddr, base uint64) uint64 {
-	return (kptAddr - base) / 8
 }
 
 // materialize turns a matched view into a Record, resolving historical

@@ -1,11 +1,15 @@
 package fishstore
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
 )
@@ -169,6 +173,15 @@ func countScan(t testing.TB, s *Store, id psf.ID, opts ScanOptions) (int, ScanSt
 func TestScanSpeculationHitAccounting(t *testing.T) {
 	s, id, want := buildDeviceStore(t, Options{}, 1200)
 
+	// A hit is a chain hop served without a device read, so no walk can
+	// report more hits than hops — whichever way it resolves device records.
+	checkHits := func(name string, st ScanStats) {
+		t.Helper()
+		if st.IndexHops == 0 || st.PrefetchHits > st.IndexHops {
+			t.Fatalf("%s: %d prefetch hits over %d hops: %+v", name, st.PrefetchHits, st.IndexHops, st)
+		}
+	}
+
 	// Cold adaptive index scan: device hops, correctness, and the IO ledger.
 	got, st := countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
 	if got != want {
@@ -177,6 +190,7 @@ func TestScanSpeculationHitAccounting(t *testing.T) {
 	if st.IOs == 0 || st.ReadBytes == 0 {
 		t.Fatalf("on-device scan reported no I/O: %+v", st)
 	}
+	checkHits("cold", st)
 
 	// Warm scan: the page cache holds the chain's pages now, so hops resolve
 	// without device reads and the hits surface in the stats.
@@ -190,6 +204,7 @@ func TestScanSpeculationHitAccounting(t *testing.T) {
 	if st.PageCacheHits == 0 {
 		t.Fatalf("warm scan recorded no page-cache hits: %+v", st)
 	}
+	checkHits("warm", st)
 
 	// The no-prefetch baseline must not touch the cache accounting.
 	got, st = countScan(t, s, id, ScanOptions{Mode: ScanIndexNoPrefetch})
@@ -199,6 +214,19 @@ func TestScanSpeculationHitAccounting(t *testing.T) {
 	if st.PageCacheHits != 0 {
 		t.Fatalf("no-prefetch scan used the page cache: %+v", st)
 	}
+	checkHits("no-prefetch", st)
+
+	// Without a page cache the adaptive walk resolves each hop with up to
+	// three reads of the speculation buffer; that is still one hop.
+	raw, id2, want2 := buildDeviceStore(t, Options{PageCachePages: -1}, 1200)
+	got, st = countScan(t, raw, id2, ScanOptions{Mode: ScanForceIndex})
+	if got != want2 {
+		t.Fatalf("cacheless scan matched %d, want %d", got, want2)
+	}
+	if st.PrefetchHits == 0 {
+		t.Fatalf("cacheless adaptive scan served no hop from its speculation buffer: %+v", st)
+	}
+	checkHits("cacheless", st)
 }
 
 func TestScanFaultDeviceInjectedLatency(t *testing.T) {
@@ -209,7 +237,7 @@ func TestScanFaultDeviceInjectedLatency(t *testing.T) {
 	// near the profile floor, so the clamp must stay inert and adaptive
 	// prefetching must still return exactly the right records.
 	dev := storage.NewFaultDevice(nil, storage.FaultConfig{ReadDelay: 200 * time.Microsecond})
-	s, id, want := buildDeviceStore(t, Options{Device: dev, PageCachePages: -1, HotChainEntries: -1}, 600)
+	s, id, want := buildDeviceStore(t, Options{Device: dev, PageCachePages: -1}, 600)
 
 	got, st := countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
 	if got != want {
@@ -252,7 +280,7 @@ func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 		}()
 	}
 	// Ratchet the truncation point forward while scans run: every step drops
-	// cached pages and hot chains below the floor.
+	// cached pages below the floor.
 	span := tail - begin
 	for i := 1; i <= 8; i++ {
 		if err := s.TruncateUntil(begin + span*uint64(i)/16); err != nil {
@@ -276,169 +304,181 @@ func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 	}
 }
 
-func TestHotChainReplayCorrectness(t *testing.T) {
-	s, id, want := buildDeviceStore(t, Options{}, 1200)
+// sparkID extracts the generator index from a genEvent payload.
+func sparkID(t testing.TB, payload []byte) int {
+	t.Helper()
+	var ev struct {
+		ID   int `json:"id"`
+		Repo struct {
+			Name string `json:"name"`
+		} `json:"repo"`
+	}
+	if err := json.Unmarshal(payload, &ev); err != nil {
+		t.Fatalf("delivered payload is not a generated event: %v", err)
+	}
+	if ev.Repo.Name != "spark" {
+		t.Fatalf("delivered record %d has repo %q, want spark", ev.ID, ev.Repo.Name)
+	}
+	return ev.ID
+}
 
-	// Repeated probes: first arms the placeholder, second installs, third
-	// replays from the memoized links. Results must never change.
-	for i := 0; i < 5; i++ {
-		got, _ := countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
-		if got != want {
-			t.Fatalf("scan %d matched %d, want %d", i, got, want)
-		}
-	}
-	if s.hotchain == nil {
-		t.Fatal("hot-chain cache disabled in default options")
-	}
-	hs := s.hotchain.stats()
-	if hs.Installs == 0 {
-		t.Fatalf("no hot-chain installs after repeated probes: %+v", hs)
-	}
-	if hs.Hits == 0 {
-		t.Fatalf("no hot-chain replays after repeated probes: %+v", hs)
-	}
-
-	// Truncating must drop below-floor links from replays too.
-	mid := s.BeginAddress() + (s.TailAddress()-s.BeginAddress())/2
-	if err := s.TruncateUntil(mid); err != nil {
-		t.Fatal(err)
-	}
-	floor := s.TruncatedUntil()
-	for i := 0; i < 3; i++ {
-		got := 0
-		if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
-			if r.Address < floor {
-				t.Fatalf("replayed record %d below floor %d", r.Address, floor)
+// TestFullScanEquivalence drives the one page driver with both matchers
+// (key-pointer match over an index-complete log, parse + PSF re-evaluation
+// over a half-indexed one), serial and page-parallel, with and without the
+// page cache and VerifyOnRead. Every row must deliver exactly the records
+// the generator made match, agree with the index on the indexed part, and —
+// on the parallel rows — honour early stop and cancellation.
+func TestFullScanEquivalence(t *testing.T) {
+	const n = 900
+	for _, late := range []bool{false, true} {
+		for _, workers := range []int{0, 4} {
+			for _, noCache := range []bool{false, true} {
+				for _, verify := range []bool{false, true} {
+					name := fmt.Sprintf("late=%v/par=%d/nocache=%v/verify=%v", late, workers, noCache, verify)
+					t.Run(name, func(t *testing.T) { testFullScanEquivalence(t, n, late, workers, noCache, verify) })
+				}
 			}
-			got++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got >= want {
-			t.Fatalf("post-truncation scan matched %d, want fewer than %d", got, want)
 		}
 	}
 }
 
-func TestFastFullScanEquivalence(t *testing.T) {
-	// The PSF is registered before any ingestion, so its index covers the
-	// whole log and ScanForceFull takes the pointer-matching fast path. Its
-	// results must be identical to the index scan and to the parse-based
-	// full scan over the residual (index-incomplete) store.
-	s, id, want := buildDeviceStore(t, Options{}, 900)
-
-	if !s.rangeIndexComplete(id, s.BeginAddress(), s.TailAddress()) {
-		t.Fatal("index not complete over the whole log")
+// testFullScanEquivalence is one row: latePSF registers the PSF after half of
+// the n records, so the full scan runs the parse matcher.
+func testFullScanEquivalence(t *testing.T, n int, latePSF bool, workers int, noCache, verify bool) {
+	opts := Options{Device: storage.NewMem(), PageBits: 13, MemPages: 2, VerifyOnRead: verify}
+	if noCache {
+		opts.PageCachePages = -1
 	}
-
-	fullAddrs := map[uint64]bool{}
-	gotFull, st := 0, ScanStats{}
-	st, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull}, func(r Record) bool {
-		gotFull++
-		fullAddrs[r.Address] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFull != want {
-		t.Fatalf("fast full scan matched %d, want %d", gotFull, want)
-	}
-	if st.Visited == 0 {
-		t.Fatalf("fast full scan visited nothing: %+v", st)
-	}
-
-	gotIdx := 0
-	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
-		gotIdx++
-		if !fullAddrs[r.Address] {
-			t.Fatalf("index scan surfaced %d, absent from full scan", r.Address)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if gotIdx != gotFull {
-		t.Fatalf("index scan matched %d, full scan %d", gotIdx, gotFull)
-	}
-
-	// Parallel fast path agrees with the serial one.
-	gotPar := 0
-	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull, Parallelism: 4}, func(r Record) bool {
-		gotPar++
-		if !fullAddrs[r.Address] {
-			t.Fatalf("parallel full scan surfaced %d, absent from serial scan", r.Address)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if gotPar != gotFull {
-		t.Fatalf("parallel full scan matched %d, serial %d", gotPar, gotFull)
-	}
-
-	// A store whose PSF was registered mid-stream exercises the parse path
-	// over the uncovered prefix; counts must match a store-independent
-	// expectation (every record is visible, so: same generator, same count).
-	s2 := openTestStore(t, Options{Device: storage.NewMem(), PageBits: 13, MemPages: 2})
+	s := openTestStore(t, opts)
 	var batch [][]byte
-	want2 := 0
-	for i := 0; i < 900; i++ {
+	for i := 0; i < n; i++ {
 		repo := "spark"
 		if i%3 != 0 {
 			repo = fmt.Sprintf("other%d", i%7)
-		} else {
-			want2++
 		}
 		batch = append(batch, genEvent(i, "PushEvent", repo))
 	}
-	half := len(batch) / 2
-	ingestAll(t, s2, batch[:half])
-	id2, _, err := s2.RegisterPSF(psf.Projection("repo.name"))
+	firstIndexed := 0 // generator index of the first record the PSF saw
+	if latePSF {
+		firstIndexed = n / 2
+		ingestAll(t, s, batch[:firstIndexed])
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestAll(t, s2, batch[half:])
-	if err := s2.Flush(); err != nil {
+	ingestAll(t, s, batch[firstIndexed:])
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got2 := 0
-	if _, err := s2.Scan(PropertyString(id2, "spark"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
-		got2++
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	if s.HeadAddress() <= s.BeginAddress() {
+		t.Fatalf("log never spilled to device (head %d)", s.HeadAddress())
 	}
-	if got2 != want2 {
-		t.Fatalf("parse-path full scan matched %d, want %d", got2, want2)
+	if got := s.rangeIndexComplete(id, s.BeginAddress(), s.TailAddress()); got == latePSF {
+		t.Fatalf("rangeIndexComplete over the whole log = %v with latePSF=%v", got, latePSF)
 	}
-}
+	prop := PropertyString(id, "spark")
+	full := ScanOptions{Mode: ScanForceFull, Parallelism: workers}
 
-func TestPageSummarySkipsAbsentProperty(t *testing.T) {
-	s, id, _ := buildDeviceStore(t, Options{}, 1200)
-	if s.summaries == nil {
-		t.Fatal("page summaries disabled in default options")
-	}
-	if s.summaries.stats().Pages == 0 {
-		t.Fatal("no page summaries built at flush time")
-	}
-
-	// A value that appears in no record: every summarized on-device page
-	// should be skipped without reading it.
-	got := 0
-	st, err := s.Scan(PropertyString(id, "no-such-repo"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
-		got++
+	// The full scan delivers each matching generator record exactly once.
+	addrOf := map[int]uint64{} // generator index -> delivered address
+	seen := map[uint64]bool{}
+	var last uint64
+	st, err := s.Scan(prop, full, func(r Record) bool {
+		if seen[r.Address] {
+			t.Fatalf("address %d delivered twice", r.Address)
+		}
+		seen[r.Address] = true
+		if workers <= 1 && r.Address <= last {
+			t.Fatalf("serial full scan delivered %d after %d", r.Address, last)
+		}
+		last = r.Address
+		addrOf[sparkID(t, r.Payload)] = r.Address
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 0 {
-		t.Fatalf("absent value matched %d records", got)
+	for i := 0; i < n; i += 3 {
+		if _, ok := addrOf[i]; !ok {
+			t.Fatalf("full scan missed generator record %d", i)
+		}
 	}
-	if st.BloomSkippedPages == 0 {
-		t.Fatalf("no pages skipped via summaries: %+v", st)
+	if len(addrOf) != (n+2)/3 || len(seen) != len(addrOf) {
+		t.Fatalf("full scan delivered %d addresses / %d distinct records, want %d", len(seen), len(addrOf), (n+2)/3)
+	}
+	if st.Visited != int64(n) || st.Quarantined != 0 {
+		t.Fatalf("full scan visited %d (quarantined %d), want %d and 0", st.Visited, st.Quarantined, n)
+	}
+
+	// The index scan delivers exactly the full scan's addresses on the part
+	// of the log the PSF was registered for, newest first.
+	wantIdx := map[uint64]bool{}
+	for i, addr := range addrOf {
+		if i >= firstIndexed {
+			wantIdx[addr] = true
+		}
+	}
+	last = ^uint64(0)
+	gotIdx := 0
+	if _, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
+		if !wantIdx[r.Address] {
+			t.Fatalf("index scan surfaced %d, not an indexed full-scan match", r.Address)
+		}
+		if r.Address >= last {
+			t.Fatalf("index scan delivered %d after %d", r.Address, last)
+		}
+		last = r.Address
+		gotIdx++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if gotIdx != len(wantIdx) {
+		t.Fatalf("index scan matched %d, want %d", gotIdx, len(wantIdx))
+	}
+
+	// The adaptive plan (full scan of the unindexed prefix + index scan of
+	// the rest) covers the same set.
+	gotAuto := 0
+	if _, err := s.Scan(prop, ScanOptions{Parallelism: workers}, func(r Record) bool {
+		if !seen[r.Address] {
+			t.Fatalf("adaptive scan surfaced %d, absent from the full scan", r.Address)
+		}
+		gotAuto++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if gotAuto != len(seen) {
+		t.Fatalf("adaptive scan matched %d, full scan %d", gotAuto, len(seen))
+	}
+
+	// Early stop: the callback is never invoked again once it returned false.
+	calls := 0
+	st, err = s.Scan(prop, full, func(Record) bool {
+		calls++
+		return calls < 5
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 5 || !st.Stopped || st.Matched != 5 {
+		t.Fatalf("early stop: %d callbacks, stats %+v", calls, st)
+	}
+
+	// Cancellation from inside the scan: pages remain unclaimed after the
+	// first match, so some worker must observe the cancelled context.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := s.ScanContext(ctx, prop, full, func(Record) bool {
+		cancel()
+		return true
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	if live, protected := s.EpochInUse(); live != 0 || protected != 0 {
+		t.Fatalf("epoch guards leaked after cancelled scan: live=%d protected=%d", live, protected)
 	}
 }
 
@@ -448,19 +488,15 @@ func TestCacheStatsSnapshot(t *testing.T) {
 	countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
 
 	cs := s.CacheStats()
-	if !cs.PageCacheEnabled || !cs.SummariesEnabled || !cs.HotChainsEnabled {
-		t.Fatalf("read-path layers disabled by default: %+v", cs)
+	if !cs.PageCacheEnabled {
+		t.Fatalf("page cache disabled by default: %+v", cs)
 	}
 	if cs.PageCache.Fills == 0 {
 		t.Fatalf("page cache never filled: %+v", cs.PageCache)
 	}
-	if cs.Summaries.Pages == 0 {
-		t.Fatalf("no summaries: %+v", cs.Summaries)
-	}
 
-	off := openTestStore(t, Options{PageCachePages: -1, HotChainEntries: -1, DisablePageSummaries: true})
-	cso := off.CacheStats()
-	if cso.PageCacheEnabled || cso.SummariesEnabled || cso.HotChainsEnabled {
-		t.Fatalf("disabled layers report enabled: %+v", cso)
+	off := openTestStore(t, Options{PageCachePages: -1})
+	if cso := off.CacheStats(); cso.PageCacheEnabled || cso.PageCache != (pagecache.Stats{}) {
+		t.Fatalf("disabled page cache reports state: %+v", cso)
 	}
 }

@@ -26,25 +26,14 @@ func (s *Store) TruncateUntil(addr uint64) error {
 			return nil // monotonic
 		}
 		if s.truncatedUntil.CompareAndSwap(old, addr) {
-			s.invalidateReadCaches(addr)
+			// Drop cached pages below the new floor. A page straddling it
+			// stays cached — clampRange keeps scans above the floor, so its
+			// below-floor bytes are never surfaced.
+			if s.pcache != nil {
+				s.pcache.InvalidateBelow(s.log.PageOf(addr))
+			}
 			return nil
 		}
-	}
-}
-
-// invalidateReadCaches drops read-path cache state below the new truncation
-// point. Pages straddling the boundary stay cached — clampRange already keeps
-// scans above the floor, so their below-floor bytes are never surfaced.
-func (s *Store) invalidateReadCaches(floor uint64) {
-	floorPage := s.log.PageOf(floor)
-	if s.pcache != nil {
-		s.pcache.InvalidateBelow(floorPage)
-	}
-	if s.summaries != nil {
-		s.summaries.invalidateBelow(floorPage)
-	}
-	if s.hotchain != nil {
-		s.hotchain.invalidateBelow(floor)
 	}
 }
 
