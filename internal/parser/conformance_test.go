@@ -91,6 +91,55 @@ func TestPartialMatchesFullDOM(t *testing.T) {
 	}
 }
 
+// TestBorrowPairsMatchFullDOM: each character pjson searches for, followed
+// by that character XOR 1 — the neighbour a borrow-propagating SWAR compare
+// flags as a second match (a '#' after a quote became a quote and hid the
+// rest of the record).
+func TestBorrowPairsMatchFullDOM(t *testing.T) {
+	records := []string{
+		`{"a":"#tag","b":"ok"}`,
+		`{"a": "#1 pizza", "b": 7}`,
+		`{"a":"x\"#y","b":{"c":"ok"}}`,
+		`{"a":"t:;t","b":{"c":1}}`,
+		`{"a":"{z","b":{"c":"{z"}}`,
+		`{"a":"[Z","b":["[Z"]}`,
+		`{"a":"}|","b":{"c":"}|"}}`,
+		`{"a":"]\\","b":[1,"]\\"]}`,
+	}
+	fields := []string{"a", "b", "b.c"}
+	partial, err := pjson.New().NewSession(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := fulljson.New().NewSession(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		pp, err := partial.Parse([]byte(rec))
+		if err != nil {
+			t.Fatalf("%s: %v", rec, err)
+		}
+		got := map[string]expr.Value{}
+		for _, f := range pp.Fields {
+			got[f.Path] = f.Value
+		}
+		fp, err := full.Parse([]byte(rec))
+		if err != nil {
+			t.Fatalf("%s: %v", rec, err)
+		}
+		for _, field := range fields {
+			a, ok := got[field]
+			if !ok {
+				a = expr.Missing()
+			}
+			if b := fp.Lookup(field); !valuesEqual(a, b) {
+				t.Fatalf("%s field %s: partial %v, full %v", rec, field, a, b)
+			}
+		}
+	}
+}
+
 // TestOffsetsAlwaysSliceRawValue: whenever pjson reports an offset, the
 // payload slice must parse back to the same value (the property FishStore's
 // zero-copy ModePayload key pointers depend on).

@@ -2,24 +2,43 @@
 // Mison (Li et al., VLDB 2017), the parser FishStore plugs in for JSON
 // ingestion (§3.2).
 //
-// Like Mison it works in two steps. First it builds a *structural index*
-// over the raw bytes: word-parallel (SWAR, 8 bytes at a time) bitmaps of
-// quotes and structural characters, a string mask derived from the quote
-// bitmap, and a leveled index of the colon positions outside strings. Then
-// it navigates that index directly to the requested fields — with *schema
-// speculation*: each object remembers at which colon ordinals its requested
-// keys appeared in the previous record and verifies those positions first,
-// falling back to a full object scan (and re-learning) on a miss. It never
-// materializes a DOM and performs no per-token allocation. (The original
-// uses SIMD for step one; we use 64-bit SWAR, the same algorithm at
-// one-eighth the lane width.)
+// Like Mison it navigates a *structural index* instead of tokenizing: a
+// bitmap of the structural characters (: { } [ ]) outside string literals,
+// and a leveled list of colon positions per nesting depth. Unlike a
+// build-then-walk parser, the index is built lazily, one 64-byte block at a
+// time, and only as far as the walk asks for it: fields of interest near
+// the start of a record are extracted without indexing the rest. A block
+// is indexed in one pass — exact SWAR byte compares over 8-byte words (the
+// original uses SIMD; this is the same algorithm at one-eighth the lane
+// width), an in-string mask by prefix-XOR of the unescaped quotes carried
+// across blocks, and the colons pushed onto their level while the depth is
+// tracked. A full-object walk (a requested key is missing, or the schema
+// changed) and the extent of a composite value still index through the end
+// of the object.
+//
+// On top of the index sits *schema speculation* (Mison's phase 2): each
+// object remembers at which colon ordinals its requested keys appeared in
+// the previous record and verifies those positions first, falling back to
+// a full object scan (and re-learning) on a miss. Speculating on a stable
+// schema therefore stops indexing one colon past the last field of
+// interest. The parser never materializes a DOM and allocates only for the
+// string and composite values it returns.
+//
+// pjson does not validate its input: keys are matched by their raw bytes
+// (an escaped key never matches), and strings are returned without UTF-8
+// validation (an invalid byte is passed through, not replaced by U+FFFD).
 package pjson
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf16"
 
 	"fishstore/internal/expr"
 	"fishstore/internal/parser"
@@ -58,28 +77,50 @@ func (f *Factory) NewSession(fields []string) (parser.Session, error) {
 		for _, part := range parts {
 			child := n.children[part]
 			if child == nil {
-				child = &trieNode{children: map[string]*trieNode{}}
+				child = &trieNode{key: part, children: map[string]*trieNode{}}
 				n.children[part] = child
 			}
 			n = child
 		}
 		n.leafPath = f
 	}
-	return &session{trie: root, maxDepth: maxDepth, speculate: !f.disableSpeculation}, nil
+	root.presize()
+	return &session{
+		trie:      root,
+		maxDepth:  maxDepth,
+		speculate: !f.disableSpeculation,
+		colons:    make([][]int32, maxDepth),
+	}, nil
 }
 
 type trieNode struct {
+	key      string // this node's key in its parent object
 	children map[string]*trieNode
 	leafPath string // non-empty if a requested path ends here
 
 	// spec is the node's speculation state (Mison's phase 2): the ordinal,
 	// within the parent object's colon run, at which each requested child
-	// key was found in the previous record. Records from one source
-	// overwhelmingly share a schema, so on the next record the parser jumps
-	// straight to those colons and merely verifies the keys, skipping the
-	// key extraction of every irrelevant field. Any miss falls back to the
-	// full scan of the object and re-learns the pattern.
-	spec map[string]int
+	// key was found in the previous record, in document order. Records
+	// from one source overwhelmingly share a schema, so on the next record
+	// the parser jumps straight to those colons and merely verifies the
+	// keys, skipping the key extraction of every irrelevant field. The
+	// pattern is usable only when it covers every child; any miss falls
+	// back to the full scan of the object and re-learns it.
+	spec []specEntry
+}
+
+type specEntry struct {
+	ord   int
+	child *trieNode
+}
+
+// presize gives every node's speculation state its final capacity, so
+// learning a pattern never allocates.
+func (n *trieNode) presize() {
+	n.spec = make([]specEntry, 0, len(n.children))
+	for _, c := range n.children {
+		c.presize()
+	}
 }
 
 type session struct {
@@ -93,78 +134,122 @@ type session struct {
 
 	parsed parser.Parsed
 
-	// Reused per-record state.
+	// Per-record structural index, indexed up to len(structBits)*64 bytes.
 	payload    []byte
-	quoteBits  []uint64
-	structBits []uint64 // : { } [ ] outside strings
-	stringMask []uint64
-	colons     [][]int32 // colon positions per level (1-based levels, index 0 = level 1)
+	structBits []uint64  // per block: : { } [ ] outside strings
+	colons     [][]int32 // colon positions per level (index 0 = level 1)
+	inString   uint64    // all ones iff the next block starts inside a string
+	depth      int       // nesting depth at the end of the indexed prefix
 	unescape   []byte
 }
 
 const (
 	ones  = 0x0101010101010101
+	lows  = 0x7f7f7f7f7f7f7f7f
 	highs = 0x8080808080808080
 )
 
-// eqBits returns a byte whose bit i is set iff byte i of w equals c.
-func eqBits(w uint64, c byte) uint64 {
+// eq sets the high bit of every byte of w equal to c, and only those: the
+// carry-free zero-byte test never flags a neighbour of a match.
+func eq(w uint64, c byte) uint64 {
 	x := w ^ (ones * uint64(c))
-	y := (x - ones) & ^x & highs
-	return ((y >> 7) * 0x0102040810204080) >> 56
+	return ^(((x & lows) + lows) | x) & highs
 }
 
-func load8(b []byte, i int) uint64 {
-	// Little-endian load of up to 8 bytes, zero padded.
-	if i+8 <= len(b) {
-		return uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-			uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-	}
-	var w uint64
-	for j := 0; i+j < len(b); j++ {
-		w |= uint64(b[i+j]) << (8 * j)
-	}
-	return w
+// movemask packs the high bit of each byte of m into bits 0-7.
+func movemask(m uint64) uint64 { return ((m >> 7) * 0x0102040810204080) >> 56 }
+
+// classify returns the per-byte bitmaps of one 8-byte word: quotes,
+// backslashes, and the structural characters. Setting bit 5 folds '[' onto
+// '{' and ']' onto '}', so one compare serves each bracket pair.
+func classify(w uint64) (quote, backslash, structural uint64) {
+	folded := w | 0x2020202020202020
+	return movemask(eq(w, '"')), movemask(eq(w, '\\')),
+		movemask(eq(w, ':') | eq(folded, '{') | eq(folded, '}'))
 }
 
-// buildBitmaps fills quoteBits and a raw structural bitmap (before string
-// masking) for the current payload.
-func (s *session) buildBitmaps() {
-	n := len(s.payload)
-	words := (n + 63) / 64
-	s.quoteBits = resize(s.quoteBits, words)
-	s.structBits = resize(s.structBits, words)
-	s.stringMask = resize(s.stringMask, words)
+// prefixXOR sets bit i to the parity of bits 0..i of x.
+func prefixXOR(x uint64) uint64 {
+	x ^= x << 1
+	x ^= x << 2
+	x ^= x << 4
+	x ^= x << 8
+	x ^= x << 16
+	x ^= x << 32
+	return x
+}
 
-	for w := 0; w < words; w++ {
-		var quote, structural uint64
-		base := w * 64
-		for k := 0; k < 64; k += 8 {
-			i := base + k
-			if i >= n {
-				break
-			}
-			word := load8(s.payload, i)
-			q := eqBits(word, '"')
-			st := eqBits(word, ':') | eqBits(word, '{') | eqBits(word, '}') |
-				eqBits(word, '[') | eqBits(word, ']')
-			quote |= q << k
-			structural |= st << k
+// indexBlock indexes the next 64-byte block of the payload: it appends the
+// block's string-masked structural word to structBits and pushes its colons
+// onto their levels.
+func (s *session) indexBlock() {
+	p := s.payload
+	base := len(s.structBits) * 64
+	var quote, backslash, structural uint64
+	for k := 0; k < 64 && base+k < len(p); k += 8 {
+		var w uint64
+		if i := base + k; i+8 <= len(p) {
+			w = binary.LittleEndian.Uint64(p[i:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], p[i:])
+			w = binary.LittleEndian.Uint64(tail[:])
 		}
-		s.quoteBits[w] = quote
-		s.structBits[w] = structural
+		q, b, st := classify(w)
+		quote |= q << k
+		backslash |= b << k
+		structural |= st << k
+	}
+	if backslash != 0 || base > 0 && p[base-1] == '\\' {
+		for q := quote; q != 0; q &= q - 1 {
+			if bit := bits.TrailingZeros64(q); s.isEscaped(base + bit) {
+				quote &^= 1 << bit
+			}
+		}
+	}
+	inString := prefixXOR(quote) ^ s.inString
+	s.inString = uint64(int64(inString) >> 63)
+	structural &^= inString
+	//lint:ignore hotalloc amortized: the session reuses structBits across records
+	s.structBits = append(s.structBits, structural)
+	for st := structural; st != 0; st &= st - 1 {
+		pos := base + bits.TrailingZeros64(st)
+		switch p[pos] {
+		case '{', '[':
+			s.depth++
+		case '}', ']':
+			s.depth--
+		default: // ':'
+			if s.depth >= 1 && s.depth <= s.maxDepth {
+				//lint:ignore hotalloc amortized: the session reuses its colon lists across records
+				s.colons[s.depth-1] = append(s.colons[s.depth-1], int32(pos))
+			}
+		}
 	}
 }
 
-func resize(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+// more indexes one more block if some byte before to is not yet indexed,
+// and reports whether it did.
+func (s *session) more(to int) bool {
+	if n := len(s.structBits) * 64; n >= to || n >= len(s.payload) {
+		return false
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
+	s.indexBlock()
+	return true
+}
+
+// colon returns the position of the i-th colon of level, indexing further
+// only when it has to, or -1 if that colon does not lie before to.
+func (s *session) colon(level, i, to int) int {
+	for i >= len(s.colons[level-1]) {
+		if !s.more(to) {
+			return -1
+		}
 	}
-	return s
+	if pos := int(s.colons[level-1][i]); pos < to {
+		return pos
+	}
+	return -1
 }
 
 // isEscaped reports whether the quote at pos is preceded by an odd number of
@@ -177,89 +262,6 @@ func (s *session) isEscaped(pos int) bool {
 	return k%2 == 1
 }
 
-// buildStringMask turns the quote bitmap into an in-string mask (bit set for
-// every byte inside a string literal, excluding the quotes themselves) and
-// clears structural bits inside strings.
-func (s *session) buildStringMask() {
-	inString := false
-	start := 0
-	for w := range s.quoteBits {
-		q := s.quoteBits[w]
-		for q != 0 {
-			bit := bits.TrailingZeros64(q)
-			q &^= 1 << bit
-			pos := w*64 + bit
-			if s.isEscaped(pos) {
-				continue
-			}
-			if !inString {
-				inString = true
-				start = pos + 1
-			} else {
-				inString = false
-				s.markRange(start, pos)
-			}
-		}
-	}
-	if inString {
-		s.markRange(start, len(s.payload))
-	}
-	for w := range s.structBits {
-		s.structBits[w] &^= s.stringMask[w]
-	}
-}
-
-// markRange sets stringMask bits for [from, to).
-func (s *session) markRange(from, to int) {
-	for from < to {
-		w := from / 64
-		bit := from % 64
-		run := 64 - bit
-		if run > to-from {
-			run = to - from
-		}
-		var mask uint64
-		if run == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1)<<run - 1) << bit
-		}
-		s.stringMask[w] |= mask
-		from += run
-	}
-}
-
-// buildColonIndex assigns a nesting level to every structural colon and
-// records positions up to maxDepth (the leveled colon bitmap of Mison).
-func (s *session) buildColonIndex() {
-	if cap(s.colons) < s.maxDepth {
-		s.colons = make([][]int32, s.maxDepth)
-	}
-	s.colons = s.colons[:s.maxDepth]
-	for i := range s.colons {
-		s.colons[i] = s.colons[i][:0]
-	}
-	depth := 0
-	for w := range s.structBits {
-		word := s.structBits[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << bit
-			pos := w*64 + bit
-			switch s.payload[pos] {
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
-			case ':':
-				if depth >= 1 && depth <= s.maxDepth {
-					s.colons[depth-1] = append(s.colons[depth-1], int32(pos))
-				}
-			}
-		}
-	}
-}
-
 // Parse implements parser.Session.
 //
 //fishlint:hotpath per-record JSON parse (~50% of ingest, Fig 12)
@@ -269,13 +271,13 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 		return &s.parsed, nil
 	}
 	s.payload = payload
-	s.buildBitmaps()
-	s.buildStringMask()
-	s.buildColonIndex()
-	if err := s.walkObject(s.trie, 1, 0, len(payload)); err != nil {
-		return &s.parsed, err
+	s.structBits = s.structBits[:0]
+	for i := range s.colons {
+		s.colons[i] = s.colons[i][:0]
 	}
-	return &s.parsed, nil
+	s.inString, s.depth = 0, 0
+	err := s.walkObject(s.trie, 1, 0, len(payload))
+	return &s.parsed, err
 }
 
 // walkObject visits the level-`level` colons within [from, to) — the fields
@@ -283,75 +285,40 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 // a learned speculation pattern, the parser first verifies the pattern's
 // colons directly; only on a miss does it scan the whole object.
 func (s *session) walkObject(node *trieNode, level, from, to int) error {
-	cols := s.colons[level-1]
-	// Binary search the first colon >= from.
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(cols[mid]) < from {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	for s.more(from) {
 	}
-	// hi = first colon >= to.
-	hi = len(cols)
-	for l, h := lo, hi; l < h; {
-		mid := (l + h) / 2
-		if int(cols[mid]) < to {
-			l = mid + 1
-		} else {
-			h = mid
-		}
-		hi = h
-	}
-
-	if s.speculate && node.spec != nil && len(node.spec) == len(node.children) {
-		if ok, err := s.walkSpeculative(node, level, cols, lo, hi, to); ok || err != nil {
+	// Every colon before from is indexed, so later ones follow lo.
+	//lint:ignore hotalloc type parameters, not interfaces: nothing is boxed
+	lo, _ := slices.BinarySearch(s.colons[level-1], int32(from))
+	if s.speculate && len(node.spec) == len(node.children) {
+		if ok, err := s.walkSpeculative(node, level, lo, to); ok || err != nil {
 			return err
 		}
 	}
-	return s.walkFull(node, level, cols, lo, hi, to)
+	return s.walkFull(node, level, lo, to)
 }
 
-// walkSpeculative tries the learned (key -> ordinal) pattern. It returns
-// ok=false (without touching s.parsed beyond successful extractions... it
-// verifies ALL keys before extracting) when the pattern does not match.
-func (s *session) walkSpeculative(node *trieNode, level int, cols []int32, lo, hi, to int) (bool, error) {
-	// Verify every speculated key first so a miss leaves no partial state.
-	for key, ord := range node.spec {
-		idx := lo + ord
-		if idx >= hi {
+// walkSpeculative tries the learned pattern. It verifies every speculated
+// key before extracting anything, so a miss (ok=false) leaves no partial
+// state.
+func (s *session) walkSpeculative(node *trieNode, level, lo, to int) (bool, error) {
+	for _, e := range node.spec {
+		pos := s.colon(level, lo+e.ord, to)
+		if pos < 0 {
 			s.specMisses++
 			return false, nil
 		}
-		got, okKey := s.keyBefore(int(cols[idx]))
-		if !okKey || got != key {
+		//lint:ignore hotalloc comparing string(bytes) with a string does not allocate
+		if key, ok := s.keyBefore(pos); !ok || string(key) != e.child.key {
 			s.specMisses++
 			return false, nil
 		}
 	}
 	s.specHits++
-	for key, ord := range node.spec {
-		idx := lo + ord
-		colon := int(cols[idx])
-		child := node.children[key]
-		valueEnd := to
-		if idx+1 < hi {
-			valueEnd = int(cols[idx+1])
-		}
-		if child.leafPath != "" {
-			if err := s.extractValue(child.leafPath, colon+1, valueEnd); err != nil {
-				return true, err
-			}
-		}
-		if len(child.children) > 0 {
-			vs := skipWS(s.payload, colon+1, valueEnd)
-			if vs < valueEnd && s.payload[vs] == '{' {
-				if err := s.walkObject(child, level+1, vs+1, valueEnd); err != nil {
-					return true, err
-				}
-			}
+	for _, e := range node.spec {
+		i := lo + e.ord
+		if err := s.visitField(e.child, level, i, s.colon(level, i, to), to); err != nil {
+			return true, err
 		}
 	}
 	return true, nil
@@ -359,50 +326,62 @@ func (s *session) walkSpeculative(node *trieNode, level int, cols []int32, lo, h
 
 // walkFull scans every colon of the object, extracting matches and
 // (re)learning the speculation pattern.
-func (s *session) walkFull(node *trieNode, level int, cols []int32, lo, hi, to int) error {
-	var learned map[string]int
-	if s.speculate {
-		learned = make(map[string]int, len(node.children))
-	}
-	for i := lo; i < hi; i++ {
-		colon := int(cols[i])
-		key, ok := s.keyBefore(colon)
+func (s *session) walkFull(node *trieNode, level, lo, to int) error {
+	learned := node.spec[:0]
+	for i := lo; ; i++ {
+		pos := s.colon(level, i, to)
+		if pos < 0 {
+			break
+		}
+		key, ok := s.keyBefore(pos)
 		if !ok {
 			continue
 		}
-		child := node.children[key]
+		//lint:ignore hotalloc a map index by string(bytes) does not allocate
+		child := node.children[string(key)]
 		if child == nil {
 			continue
 		}
-		if learned != nil {
-			if _, dup := learned[key]; !dup {
-				learned[key] = i - lo
-			}
+		if s.speculate && !learnedHas(learned, child) {
+			//lint:ignore hotalloc never grows: presize gives spec one slot per child
+			learned = append(learned, specEntry{ord: i - lo, child: child})
 		}
-		// Bound of this field's value: the next colon at this level (backed
-		// up over its key) or the enclosing region end.
-		valueEnd := to
-		if i+1 < hi {
-			valueEnd = int(cols[i+1])
-		}
-		if child.leafPath != "" {
-			if err := s.extractValue(child.leafPath, colon+1, valueEnd); err != nil {
-				return err
-			}
-		}
-		if len(child.children) > 0 {
-			vs := skipWS(s.payload, colon+1, valueEnd)
-			if vs < valueEnd && s.payload[vs] == '{' {
-				if err := s.walkObject(child, level+1, vs+1, valueEnd); err != nil {
-					return err
-				}
-			}
+		if err := s.visitField(child, level, i, pos, to); err != nil {
+			node.spec = learned[:0]
+			return err
 		}
 	}
-	if learned != nil && len(learned) == len(node.children) {
-		node.spec = learned
-	} else if learned != nil {
-		node.spec = nil // some requested key absent: do not speculate here
+	node.spec = learned
+	return nil
+}
+
+func learnedHas(spec []specEntry, child *trieNode) bool {
+	for _, e := range spec {
+		if e.child == child {
+			return true
+		}
+	}
+	return false
+}
+
+// visitField extracts and/or descends into the value of the level's i-th
+// colon, at pos. The value is bounded by the next colon at this level
+// (backed up over its key) or the enclosing region end.
+func (s *session) visitField(child *trieNode, level, i, pos, to int) error {
+	valueEnd := s.colon(level, i+1, to)
+	if valueEnd < 0 {
+		valueEnd = to
+	}
+	if child.leafPath != "" {
+		if err := s.extractValue(child.leafPath, pos+1, valueEnd); err != nil {
+			return err
+		}
+	}
+	if len(child.children) > 0 {
+		vs := skipWS(s.payload, pos+1, valueEnd)
+		if vs < valueEnd && s.payload[vs] == '{' {
+			return s.walkObject(child, level+1, vs+1, valueEnd)
+		}
 	}
 	return nil
 }
@@ -410,24 +389,24 @@ func (s *session) walkFull(node *trieNode, level int, cols []int32, lo, hi, to i
 // SpecStats reports speculation hits and misses (for tests and benches).
 func (s *session) SpecStats() (hits, misses int64) { return s.specHits, s.specMisses }
 
-// keyBefore extracts the object key whose colon is at pos.
-func (s *session) keyBefore(pos int) (string, bool) {
-	i := pos - 1
-	for i >= 0 && isWS(s.payload[i]) {
-		i--
+// keyBefore returns the raw bytes of the object key whose colon is at pos.
+func (s *session) keyBefore(pos int) ([]byte, bool) {
+	end := pos - 1
+	for end >= 0 && isWS(s.payload[end]) {
+		end--
 	}
-	if i < 0 || s.payload[i] != '"' {
-		return "", false
+	if end < 0 || s.payload[end] != '"' {
+		return nil, false
 	}
-	end := i
-	i--
-	for i >= 0 {
-		if s.payload[i] == '"' && !s.isEscaped(i) {
-			return string(s.payload[i+1 : end]), true
+	for i := end; ; {
+		i = bytes.LastIndexByte(s.payload[:i], '"')
+		if i < 0 {
+			return nil, false
 		}
-		i--
+		if !s.isEscaped(i) {
+			return s.payload[i+1 : end], true
+		}
 	}
-	return "", false
 }
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -553,12 +532,17 @@ func (s *session) unescapeString(raw []byte) string {
 		case 'f':
 			s.unescape = append(s.unescape, '\f')
 		case 'u':
-			if i+4 < len(raw) {
-				if v, err := strconv.ParseUint(string(raw[i+1:i+5]), 16, 32); err == nil {
-					s.unescape = appendRune(s.unescape, rune(v))
-					i += 4
-					continue
+			if r, ok := hex4(raw, i+1); ok {
+				i += 4
+				// A surrogate pair spells one rune in two escapes.
+				if lo, ok := hex4(raw, i+3); ok && utf16.IsSurrogate(r) && raw[i+1] == '\\' && raw[i+2] == 'u' {
+					if pair := utf16.DecodeRune(r, lo); pair != unicode.ReplacementChar {
+						r = pair
+						i += 6
+					}
 				}
+				s.unescape = appendRune(s.unescape, r)
+				continue
 			}
 			s.unescape = append(s.unescape, 'u')
 		default:
@@ -568,22 +552,36 @@ func (s *session) unescapeString(raw []byte) string {
 	return string(s.unescape)
 }
 
+// hex4 decodes the four hex digits at raw[i:i+4].
+func hex4(raw []byte, i int) (rune, bool) {
+	if i+4 > len(raw) {
+		return 0, false
+	}
+	//lint:ignore hotalloc ParseUint does not retain its argument, so the copy stays on the stack
+	v, err := strconv.ParseUint(string(raw[i:i+4]), 16, 32)
+	return rune(v), err == nil
+}
+
 func appendRune(b []byte, r rune) []byte {
 	return append(b, string(r)...)
 }
 
 // skipComposite returns the index just past the composite value starting at
-// i (payload[i] is '{' or '['), using the structural bitmaps to skip string
-// contents.
+// i (payload[i] is '{' or '['), indexing through its end if need be.
 func (s *session) skipComposite(i int) int {
 	depth := 0
-	w := i / 64
-	word := s.structBits[w] &^ (uint64(1)<<(i%64) - 1)
-	for {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << bit
-			pos := w*64 + bit
+	for w := i / 64; ; w++ {
+		for w >= len(s.structBits) {
+			if !s.more(len(s.payload)) {
+				return -1
+			}
+		}
+		word := s.structBits[w]
+		if w == i/64 {
+			word &^= uint64(1)<<(i%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			pos := w*64 + bits.TrailingZeros64(word)
 			switch s.payload[pos] {
 			case '{', '[':
 				depth++
@@ -594,11 +592,6 @@ func (s *session) skipComposite(i int) int {
 				}
 			}
 		}
-		w++
-		if w >= len(s.structBits) {
-			return -1
-		}
-		word = s.structBits[w]
 	}
 }
 

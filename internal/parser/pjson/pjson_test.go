@@ -1,11 +1,15 @@
 package pjson
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"fishstore/internal/datagen"
 	"fishstore/internal/expr"
 	"fishstore/internal/parser"
 )
@@ -253,14 +257,215 @@ func TestAgainstEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestEqBits(t *testing.T) {
-	w := load8([]byte(`a"b:c"d:`), 0)
-	if got := eqBits(w, '"'); got != 0b00100010 {
-		t.Fatalf("quote bits = %08b", got)
+// TestByteCompareExhaustive checks the word classifier against a scalar
+// oracle: every byte value at every lane, next to every neighbour value.
+// The borrow-based zero-byte test it replaced flagged the byte after a
+// match whenever that byte was the match XOR 1.
+func TestByteCompareExhaustive(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		for lane := 0; lane < 8; lane++ {
+			for n := 0; n < 256; n++ {
+				var b [8]byte
+				for i := range b {
+					b[i] = byte(n)
+				}
+				b[lane] = byte(v)
+				var wq, wb, ws uint64
+				for i, c := range b {
+					if c == '"' {
+						wq |= 1 << i
+					}
+					if c == '\\' {
+						wb |= 1 << i
+					}
+					if c == ':' || c == '{' || c == '}' || c == '[' || c == ']' {
+						ws |= 1 << i
+					}
+				}
+				q, bs, st := classify(binary.LittleEndian.Uint64(b[:]))
+				if q != wq || bs != wb || st != ws {
+					t.Fatalf("% x: classify = %08b %08b %08b, want %08b %08b %08b", b, q, bs, st, wq, wb, ws)
+				}
+			}
+		}
 	}
-	if got := eqBits(w, ':'); got != 0b10001000 {
-		t.Fatalf("colon bits = %08b", got)
+}
+
+// borrowPairs holds, for each searched character c, a record where c is
+// followed by c^1 — the neighbour the borrow-based compare mistook for a
+// second match. A false quote hides the fields after it; a false colon or
+// bracket shows in the index, which checkIndex compares bit for bit.
+var borrowPairs = []struct {
+	rec  string
+	want map[string]expr.Value
+}{
+	{`{"a":"#tag","b":"ok"}`, map[string]expr.Value{"a": expr.StringVal("#tag"), "b": expr.StringVal("ok")}},
+	{`{"a": "#1 pizza", "b": 7}`, map[string]expr.Value{"a": expr.StringVal("#1 pizza"), "b": expr.NumberVal(7)}},
+	{`{"a":"x\"#y","b":{"c":"ok"}}`, map[string]expr.Value{"a": expr.StringVal(`x"#y`), "b.c": expr.StringVal("ok")}},
+	{`{"a":"t:;t","b":{"c":1}}`, map[string]expr.Value{"a": expr.StringVal("t:;t"), "b.c": expr.NumberVal(1)}},
+	{`{"a":"{z","b":{"c":"{z"}}`, map[string]expr.Value{"a": expr.StringVal("{z"), "b.c": expr.StringVal("{z")}},
+	{`{"a":"[Z","b":["[Z"]}`, map[string]expr.Value{"a": expr.StringVal("[Z"), "b": expr.StringVal(`["[Z"]`)}},
+	{`{"a":"}|","b":{"c":"}|"}}`, map[string]expr.Value{"a": expr.StringVal("}|"), "b.c": expr.StringVal("}|")}},
+	{`{"a":"]\\","b":[1,"]\\"]}`, map[string]expr.Value{"a": expr.StringVal(`]\`), "b": expr.StringVal(`[1,"]\\"]`)}},
+}
+
+func TestBorrowPairsRegression(t *testing.T) {
+	for _, tc := range borrowPairs {
+		for pad := 0; pad < 8; pad++ { // every lane of the first word
+			rec := "{" + strings.Repeat(" ", pad) + tc.rec[1:]
+			sess := mustSession(t, "a", "b", "b.c").(*session)
+			for pass := 0; pass < 2; pass++ { // learn, then speculate
+				p, err := sess.Parse([]byte(rec))
+				if err != nil {
+					t.Fatalf("%s: %v", rec, err)
+				}
+				for path, want := range tc.want {
+					if got := p.Lookup(path); got != want {
+						t.Fatalf("%s pass %d: %s = %#v, want %#v", rec, pass, path, got, want)
+					}
+				}
+			}
+			checkIndex(t, sess, []byte(rec))
+		}
 	}
+}
+
+// checkIndex indexes all of payload and compares the structural words and
+// the leveled colons with a byte-at-a-time oracle.
+func checkIndex(t *testing.T, sess *session, payload []byte) {
+	t.Helper()
+	sess.Parse(payload)
+	for sess.more(len(payload)) {
+	}
+	var want []uint64
+	colons := make([][]int32, sess.maxDepth)
+	inString, depth := false, 0
+	for i, c := range payload {
+		if i%64 == 0 {
+			want = append(want, 0)
+		}
+		if c == '"' && !sess.isEscaped(i) {
+			inString = !inString
+			continue
+		}
+		if inString || !strings.ContainsRune(":{}[]", rune(c)) {
+			continue
+		}
+		want[i/64] |= 1 << (i % 64)
+		switch c {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case ':':
+			if depth >= 1 && depth <= sess.maxDepth {
+				colons[depth-1] = append(colons[depth-1], int32(i))
+			}
+		}
+	}
+	if !slices.Equal(sess.structBits, want) {
+		t.Fatalf("%q: structural words %x, want %x", payload, sess.structBits, want)
+	}
+	for l := range colons {
+		if !slices.Equal(sess.colons[l], colons[l]) {
+			t.Fatalf("%q: level %d colons %v, want %v", payload, l+1, sess.colons[l], colons[l])
+		}
+	}
+}
+
+func TestIndexMatchesOracle(t *testing.T) {
+	gens := []datagen.Generator{datagen.NewYelp(3, 0), datagen.NewGithub(3, 1024), datagen.NewTwitter(3, 1024)}
+	for _, g := range gens {
+		sess := mustSession(t, "a", "b.c", "d.e.f.g.h.i").(*session)
+		for i := 0; i < 50; i++ {
+			checkIndex(t, sess, g.Next())
+		}
+	}
+	sess := mustSession(t, "a", "b.c").(*session)
+	for _, rec := range []string{githubRecord, `{"x": "a\\\"b{", "y": ["\\", {"z": ":"}]}`, `"open`} {
+		checkIndex(t, sess, []byte(rec))
+	}
+}
+
+// TestParseStopsAfterLastSpeculatedField: once the schema is learned, a
+// record is indexed only one colon past its last field of interest.
+func TestParseStopsAfterLastSpeculatedField(t *testing.T) {
+	sess := mustSession(t, "stars", "cool").(*session)
+	gen := datagen.NewYelp(1, 700)
+	for i := 0; i < 3; i++ {
+		rec := gen.Next()
+		if _, err := sess.Parse(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && len(sess.structBits)*64 >= len(rec)/2 {
+			t.Fatalf("indexed %d of %d bytes under speculation", len(sess.structBits)*64, len(rec))
+		}
+	}
+}
+
+// TestParseAllocs pins the allocation budget once speculation has been
+// learned: numbers and literals cost nothing, each unescaped string field
+// one copy.
+func TestParseAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		fields []string
+		max    float64
+	}{
+		{yelpReevalFields, 0},
+		{yelpIngestFields, 3}, // review_id, user_id, business_id
+	} {
+		sess := mustSession(t, tc.fields...)
+		rec := datagen.NewYelp(1, 700).Next()
+		for i := 0; i < 2; i++ {
+			if _, err := sess.Parse(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { sess.Parse(rec) }); got > tc.max {
+			t.Errorf("%v: %v allocs/record, want <= %v", tc.fields, got, tc.max)
+		}
+	}
+}
+
+var (
+	yelpReevalFields   = []string{"stars", "cool"}
+	yelpIngestFields   = []string{"review_id", "user_id", "business_id", "stars", "useful"}
+	githubIngestFields = []string{"id", "actor.id", "repo.id", "type", "payload.action",
+		"payload.pull_request.head.repo.language"}
+)
+
+// benchDatagen parses 4K generated records round-robin.
+func benchDatagen(b *testing.B, gen datagen.Generator, fields []string) {
+	recs := make([][]byte, 4096)
+	var total int
+	for i := range recs {
+		recs[i] = gen.Next()
+		total += len(recs[i])
+	}
+	s, err := New().NewSession(fields)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(total / len(recs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Parse(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseYelpReeval(b *testing.B) {
+	benchDatagen(b, datagen.NewYelp(1, 700), yelpReevalFields)
+}
+
+func BenchmarkParseYelpIngest(b *testing.B) {
+	benchDatagen(b, datagen.NewYelp(1, 700), yelpIngestFields)
+}
+
+func BenchmarkParseGithubIngest(b *testing.B) {
+	benchDatagen(b, datagen.NewGithub(1, 3072), githubIngestFields)
 }
 
 func BenchmarkParsePartial(b *testing.B) {
