@@ -12,7 +12,7 @@ import (
 // --- governor unit tests -------------------------------------------------
 
 func testGovernor(lim Limits) *governor {
-	return newGovernor(&lim, newStoreMetrics(nil))
+	return newGovernor(&lim, newStoreMetrics(nil, nil, nil))
 }
 
 func TestGovernorIngestBudget(t *testing.T) {

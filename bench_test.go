@@ -189,7 +189,7 @@ func BenchmarkIngestYelpMetrics(b *testing.B) {
 // span layer's cost: identical workloads with no tracer vs an enabled
 // tracer recording every ingest batch (root span + five phase children per
 // record). The attached-but-disabled case is covered separately by
-// TestTracingDisabledOverheadBounded, whose bar is ≤2%.
+// TestTracingDisabledZeroAllocsPerRecord.
 func BenchmarkIngestYelpNoTracing(b *testing.B) {
 	benchIngestOpts(b, harness.Table1()["yelp"],
 		fishstore.Options{PageBits: 20, MemPages: 8, Metrics: metrics.NewDisabled()})
@@ -214,23 +214,6 @@ func BenchmarkIngestYelpNoChecksum(b *testing.B) {
 	benchIngestOpts(b, harness.Table1()["yelp"],
 		fishstore.Options{PageBits: 20, MemPages: 8, Metrics: metrics.NewDisabled(),
 			DisableRecordChecksums: true})
-}
-
-// BenchmarkIngestYelpTelemetry / BenchmarkIngestYelpNoTelemetry bracket the
-// workload-attribution layer's cost: identical workloads with the collector
-// on (the default — per-batch sketch records plus batch-local PSF
-// accumulation) vs DisableTelemetry. Metrics are disabled in both so the
-// collector is the only difference. The acceptance bar is <3% regression,
-// enforced by perfgate.IngestInvariants in fishbench -compare.
-func BenchmarkIngestYelpTelemetry(b *testing.B) {
-	benchIngestOpts(b, harness.Table1()["yelp"],
-		fishstore.Options{PageBits: 20, MemPages: 8, Metrics: metrics.NewDisabled()})
-}
-
-func BenchmarkIngestYelpNoTelemetry(b *testing.B) {
-	benchIngestOpts(b, harness.Table1()["yelp"],
-		fishstore.Options{PageBits: 20, MemPages: 8, Metrics: metrics.NewDisabled(),
-			DisableTelemetry: true})
 }
 
 // BenchmarkIngestYelpLimits / BenchmarkIngestYelpNoLimits bracket the

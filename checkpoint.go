@@ -12,12 +12,12 @@ import (
 	"fishstore/internal/expr"
 	"fishstore/internal/hashtable"
 	"fishstore/internal/hlog"
-	"fishstore/internal/metrics"
 	"fishstore/internal/parser"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
 	"fishstore/internal/storage"
 	"fishstore/internal/telemetry"
+	"fishstore/internal/trace"
 )
 
 // Manifest is the checkpoint metadata written alongside the hash-table
@@ -140,7 +140,7 @@ func (s *Store) CheckpointContext(ctx context.Context, dir string) error {
 	sp := s.tracer.StartRoot("checkpoint")
 	sp.SetUint("tail", tail)
 	defer sp.End()
-	s.metrics.reg.Trace("checkpoint.begin", metrics.F("tail", tail))
+	s.metrics.event("checkpoint.begin", trace.Uint("tail", tail))
 	fsp := sp.Child("checkpoint.flush")
 	//lint:ignore puborder the checkpoint barrier is the semantic: ingestion holds ckptMu shared and MUST quiesce until the flush lands, or the manifest's durable-below-tail claim is false
 	if err := s.log.FlushTail(); err != nil {
@@ -223,14 +223,11 @@ func (s *Store) CheckpointContext(ctx context.Context, dir string) error {
 
 	elapsed := time.Since(start)
 	written := tableBytes + int64(len(raw))
-	s.tele.RecordOp(telemetry.OpCheckpoint, elapsed)
+	s.tele.RecordOp(telemetry.OpCheckpoint, elapsed) // exported as fishstore_checkpoint_seconds
 	s.metrics.checkpoints.Inc()
-	s.metrics.checkpointSeconds.Observe(int64(elapsed))
 	s.metrics.checkpointBytes.Observe(written)
-	s.metrics.reg.Trace("checkpoint.end",
-		metrics.F("tail", tail),
-		metrics.F("bytes", written),
-		metrics.F("seconds", elapsed.Seconds()))
+	s.metrics.event("checkpoint.end",
+		trace.Uint("tail", tail), trace.Int("bytes", written), trace.Float("seconds", elapsed.Seconds()))
 	return nil
 }
 
@@ -276,11 +273,16 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 		o.PageBits = m.PageBits
 		o.MemPages = m.MemPages
 	}
-	met := initMetrics(&o)
-	tr := resolveTracer(&o)
+	// As in Open, the store exists before its log so the flush hook can
+	// degrade it on permanent failures.
+	s := newStore(o)
+	if pl := s.plabels; pl != nil {
+		pl.set(pl.recover)
+		defer pl.clear()
+	}
 	recoveryStart := time.Now()
 
-	rsp := tr.StartRoot("recover")
+	rsp := s.tracer.StartRoot("recover")
 	rsp.SetUint("checkpoint_tail", m.Tail)
 	defer rsp.End()
 
@@ -289,37 +291,20 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 	// 1. Find how far the durable suffix extends beyond the checkpoint by
 	// probing record headers page by page.
 	psp := rsp.Child("recover.probe")
-	probe, replayEnd, err := probeDurableEnd(o, m.Tail)
+	_, replayEnd, err := probeDurableEnd(s.opts, m.Tail)
 	psp.SetUint("durable_end", replayEnd)
 	psp.End()
 	if err != nil {
 		return nil, info, err
 	}
-	_ = probe
 
-	// 2. Reopen the log at the recovered tail. As in Open, the store exists
-	// before its log so the flush hook can degrade it on permanent failures.
-	em := epoch.New()
-	s := &Store{opts: o, epoch: em, pf: o.Parser, metrics: met, tracer: tr}
-	if o.ProfileLabels {
-		s.plabels = newProfileLabels()
-		s.plabels.set(s.plabels.recover)
-		defer s.plabels.clear()
-	}
-	log, err := hlog.Recover(hlog.Config{
-		PageBits:      o.PageBits,
-		MemPages:      o.MemPages,
-		Device:        o.Device,
-		Epoch:         em,
-		OnFlush:       s.flushHook(),
-		Tracer:        tr,
-		ProfileLabels: o.ProfileLabels,
-	}, replayEnd)
+	// 2. Reopen the log at the recovered tail.
+	log, err := hlog.Recover(s.logConfig(), replayEnd)
 	if err != nil {
 		return nil, info, err
 	}
 	s.log = log
-	s.registry = psf.NewRegistry(em, log.TailAddress)
+	s.registry = psf.NewRegistry(s.epoch, log.TailAddress)
 	if err := s.registry.Restore(m.PSFs, ropts.CustomPSFs); err != nil {
 		return nil, info, err
 	}
@@ -339,17 +324,14 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 	}
 	tf.Close()
 	tsp.End()
-	s.wireInternalMetrics()
-	s.wireSpanTee()
-	s.registerIntrospection()
-	s.wireWorkloadTelemetry()
+	s.wireObservability()
 
 	// 4. Replay the suffix [m.Tail, replayEnd): scan records in address
 	// order and re-install chain heads. Prev pointers inside the records
 	// are already durable and consistent (no forward links), so setting the
 	// head to each successive key pointer reconstructs every chain.
 	rpsp := rsp.Child("recover.replay")
-	g := em.Acquire()
+	g := s.epoch.Acquire()
 	replayed, replayedBytes, err := s.replaySuffix(g, m.Tail, replayEnd)
 	g.Release()
 	rpsp.SetInt("replayed", replayed)
@@ -365,13 +347,11 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 
 	rsp.SetUint("recovered_tail", replayEnd)
 	elapsed := time.Since(recoveryStart)
-	met.recoverySeconds.Observe(int64(elapsed))
-	met.recoveryReplayed.Add(replayed)
-	met.reg.Trace("recovery.end",
-		metrics.F("checkpoint_tail", m.Tail),
-		metrics.F("recovered_tail", replayEnd),
-		metrics.F("replayed", replayed),
-		metrics.F("seconds", elapsed.Seconds()))
+	s.metrics.recoverySeconds.Observe(int64(elapsed))
+	s.metrics.recoveryReplayed.Add(replayed)
+	s.metrics.event("recovery.end",
+		trace.Uint("checkpoint_tail", m.Tail), trace.Uint("recovered_tail", replayEnd),
+		trace.Int("replayed", replayed), trace.Float("seconds", elapsed.Seconds()))
 	return s, info, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -198,9 +199,16 @@ func printFlight(w io.Writer, fl introspect.FlightSnapshot) {
 	fmt.Fprintf(w, "\nFlight recorder: %d/%d events retained (%d total, %d dropped)\n",
 		len(fl.Events), fl.Capacity, fl.Total, fl.Dropped)
 	for _, e := range fl.Events {
-		fmt.Fprintf(w, "  %s %s", e.Time, e.Name)
-		for k, v := range e.Fields {
-			fmt.Fprintf(w, " %s=%v", k, v)
+		fmt.Fprintf(w, "  %v %v", e["ts"], e["event"])
+		keys := make([]string, 0, len(e))
+		for k := range e {
+			if k != "ts" && k != "event" {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(w, " %s=%v", k, e[k])
 		}
 		fmt.Fprintln(w)
 	}

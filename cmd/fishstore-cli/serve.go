@@ -35,7 +35,7 @@ func serveMain(args []string) {
 		rateMB     = fs.Float64("rate-mb", 8, "target ingestion rate (MB/s)")
 		scanSecs   = fs.Float64("scan-every", 2, "seconds between periodic scans (0 disables)")
 		slow       = fs.Duration("slow", 250*time.Millisecond, "slow-operation trace threshold (0 disables)")
-		trace      = fs.Bool("trace", false, "emit trace events as JSON lines on stderr")
+		trace      = fs.Bool("trace", false, "emit the event stream (events and root spans) as JSON lines on stderr")
 		spans      = fs.Bool("spans", false, "record operation spans; fetch with `fishstore-cli trace` or /debug/fishstore/spans")
 		spanSample = fs.Uint64("span-sample", 1, "with -spans, trace 1 in N root operations (1 = every operation)")
 		duration   = fs.Duration("duration", 0, "exit after this long (0 = run until SIGINT)")
@@ -64,7 +64,7 @@ func serveMain(args []string) {
 		SlowOpThreshold:   *slow,
 	}
 	if *trace {
-		opts.TraceSink = metrics.NewWriterSink(os.Stderr)
+		opts.TraceSink = itrace.JSONLines(os.Stderr)
 	}
 	if *spans {
 		opts.Tracer = itrace.New(itrace.Options{SampleEvery: *spanSample})

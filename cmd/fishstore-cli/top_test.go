@@ -79,15 +79,10 @@ func TestTopAgainstLiveStore(t *testing.T) {
 	}
 }
 
-// TestTopTelemetryDisabled: against a store with DisableTelemetry the
+// TestTopTelemetryDisabled: against an endpoint with no store behind it the
 // workload endpoint 404s; top must fail cleanly with the endpoint's error.
 func TestTopTelemetryDisabled(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, err := fishstore.Open(fishstore.Options{Metrics: reg, DisableTelemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	srv := httptest.NewServer(metrics.NewMux(reg))
 	defer srv.Close()
 

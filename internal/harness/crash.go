@@ -15,6 +15,7 @@ import (
 	"fishstore"
 	"fishstore/internal/metrics"
 	"fishstore/internal/storage"
+	"fishstore/internal/trace"
 )
 
 // This file implements the crash/recovery harness for Appendix E's
@@ -158,14 +159,14 @@ func writeFsckReport(cfg CrashConfig, runErr error) {
 func runOneCut(cfg CrashConfig, seed int64, rep *CrashReport) error {
 	rng := rand.New(rand.NewSource(seed))
 	mem := storage.NewMem()
-	// The store installs a flight recorder as reg's trace sink; the fault
-	// device stamps the cut into that same stream, so a dump shows the cut
-	// in sequence with the flushes and checkpoints that preceded it.
-	reg := metrics.NewRegistry()
+	// The fault device stamps the cut into the store's event stream, so a
+	// flight dump shows the cut in sequence with the flushes and checkpoints
+	// that preceded it. The cut is armed only after Open assigns s.
+	var s *fishstore.Store
 	fd := storage.NewFaultDevice(mem, storage.FaultConfig{Seed: seed, OnPowerCut: func() {
-		reg.Trace("fault.powercut", metrics.F("seed", seed))
+		s.Event("fault.powercut", trace.Int("seed", seed))
 	}})
-	opts := fishstore.Options{Device: fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8, Metrics: reg}
+	opts := fishstore.Options{Device: fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8, Metrics: metrics.NewRegistry()}
 
 	ckptDir, err := os.MkdirTemp("", "fishstore-crash-*")
 	if err != nil {

@@ -1,13 +1,9 @@
 package introspect
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"fishstore/internal/metrics"
 )
 
 func TestRingBasics(t *testing.T) {
@@ -38,6 +34,14 @@ func TestRingBasics(t *testing.T) {
 	}
 	if r.Dropped() != 6 {
 		t.Errorf("Dropped = %d, want 6", r.Dropped())
+	}
+	r.Reset()
+	if len(r.Snapshot()) != 0 || r.Total() != 0 || r.Dropped() != 0 {
+		t.Fatal("Reset left values behind")
+	}
+	r.Put(11)
+	if got := r.Snapshot(); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("after Reset snapshot = %v, want [11]", got)
 	}
 }
 
@@ -97,63 +101,3 @@ func TestRingConcurrent(t *testing.T) {
 type overflowErr struct{ n int }
 
 func (e *overflowErr) Error() string { return "snapshot exceeded capacity" }
-
-func TestFlightRecorderTeesAndDumps(t *testing.T) {
-	mem := metrics.NewMemorySink(16)
-	fr := NewFlightRecorder(4, mem)
-	for i := 0; i < 6; i++ {
-		fr.Emit(metrics.TraceEvent{
-			Time:   time.Date(2026, 8, 5, 0, 0, i, 0, time.UTC),
-			Name:   "test.event",
-			Fields: []metrics.Field{metrics.F("i", i)},
-		})
-	}
-	if got := len(mem.Events()); got != 6 {
-		t.Fatalf("downstream sink saw %d events, want 6", got)
-	}
-	ev := fr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("recorder retained %d events, want 4", len(ev))
-	}
-	if fr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", fr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := fr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("dump has %d lines, want 4:\n%s", len(lines), buf.String())
-	}
-	if !strings.Contains(lines[0], `"i":2`) || !strings.Contains(lines[3], `"i":5`) {
-		t.Fatalf("dump not ordered oldest-first:\n%s", buf.String())
-	}
-	snap := fr.Snapshot()
-	if snap.Capacity != 4 || snap.Total != 6 || snap.Dropped != 2 || len(snap.Events) != 4 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.Events[0].Fields["i"] != 2 {
-		t.Fatalf("snapshot first event fields = %v", snap.Events[0].Fields)
-	}
-}
-
-func TestPowHist(t *testing.T) {
-	var h PowHist
-	for _, v := range []uint64{0, 1, 2, 3, 4, 9, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 || h.Max() != 1000 {
-		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
-	}
-	want := map[uint64]int64{1: 2, 2: 1, 4: 2, 16: 1, 1024: 1}
-	for _, b := range h.Buckets() {
-		if want[b.Le] != b.Count {
-			t.Errorf("bucket le=%d count=%d, want %d", b.Le, b.Count, want[b.Le])
-		}
-		delete(want, b.Le)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing buckets: %v", want)
-	}
-}

@@ -1,78 +1,68 @@
-// Package introspect holds FishStore's deep-introspection primitives: a
-// fixed-size lock-free ring (the building block of the crash flight recorder
-// and the adaptive-scan decision log) and the JSON snapshot types served by
-// the /debug/fishstore/* endpoints — index occupancy, per-PSF chain-length
-// histograms, log composition, and cost-model telemetry.
-//
-// Everything here is designed to sit on hot-path-adjacent code without
-// perturbing it: Put is two atomic operations plus one small allocation, and
-// snapshots never block writers.
+// Package introspect holds FishStore's deep-introspection primitives: the
+// fixed-size ring every bounded history is kept in — the crash flight
+// recorder, the adaptive-scan decision log and the tracer's finished spans —
+// and the JSON snapshot types served by the /debug/fishstore/* endpoints:
+// index occupancy, per-PSF chain-length histograms, log composition, and
+// cost-model telemetry.
 package introspect
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync"
 
-// ringItem pairs a value with its global sequence number so Snapshot can
-// reconstruct emission order after concurrent writers land out of order.
-type ringItem[T any] struct {
-	seq uint64
-	v   T
-}
-
-// Ring is a fixed-capacity, lock-free, drop-oldest ring. Put claims a
-// sequence number with one atomic add and publishes into the slot with one
-// atomic pointer store; concurrent Puts never block each other or readers.
-// Snapshot is wait-free with respect to writers: it reads whatever slot
-// states it observes (a torn view can at worst miss or double-order items
-// racing with the snapshot, never corrupt them).
+// Ring is a fixed-capacity, drop-oldest ring of values. Put copies v into a
+// preallocated slot under a short mutex, so recording never allocates;
+// Snapshot copies the retained values out, oldest first.
 type Ring[T any] struct {
-	seq   atomic.Uint64
-	slots []atomic.Pointer[ringItem[T]]
+	mu    sync.Mutex
+	slots []T
+	total uint64 // values Put since creation or the last Reset
 }
 
-// NewRing creates a ring holding up to capacity items (minimum 1).
+// NewRing creates a ring holding up to capacity values (minimum 1).
 func NewRing[T any](capacity int) *Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring[T]{slots: make([]atomic.Pointer[ringItem[T]], capacity)}
+	return &Ring[T]{slots: make([]T, max(capacity, 1))}
 }
 
-// Put appends v, overwriting the oldest retained item when full.
+// Put appends v, overwriting the oldest retained value when full.
 func (r *Ring[T]) Put(v T) {
-	seq := r.seq.Add(1)
-	r.slots[(seq-1)%uint64(len(r.slots))].Store(&ringItem[T]{seq: seq, v: v})
+	r.mu.Lock()
+	r.slots[r.total%uint64(len(r.slots))] = v
+	r.total++
+	r.mu.Unlock()
 }
 
 // Cap returns the ring's capacity.
 func (r *Ring[T]) Cap() int { return len(r.slots) }
 
-// Total returns how many items were ever Put.
-func (r *Ring[T]) Total() uint64 { return r.seq.Load() }
-
-// Dropped returns how many items have been overwritten (total minus
-// capacity, never negative).
-func (r *Ring[T]) Dropped() uint64 {
-	if t := r.Total(); t > uint64(len(r.slots)) {
-		return t - uint64(len(r.slots))
-	}
-	return 0
+// Total returns how many values were ever Put (since the last Reset).
+func (r *Ring[T]) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
 }
 
-// Snapshot returns the retained items, oldest first.
+// Dropped returns how many values have been overwritten.
+func (r *Ring[T]) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total - min(r.total, uint64(len(r.slots)))
+}
+
+// Snapshot returns the retained values, oldest first.
 func (r *Ring[T]) Snapshot() []T {
-	items := make([]*ringItem[T], 0, len(r.slots))
-	for i := range r.slots {
-		if it := r.slots[i].Load(); it != nil {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].seq < items[j].seq })
-	out := make([]T, len(items))
-	for i, it := range items {
-		out[i] = it.v
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(r.total, uint64(len(r.slots)))
+	out := make([]T, n)
+	for i := range out {
+		out[i] = r.slots[(r.total-n+uint64(i))%uint64(len(r.slots))]
 	}
 	return out
+}
+
+// Reset discards every retained value and zeroes Total.
+func (r *Ring[T]) Reset() {
+	r.mu.Lock()
+	clear(r.slots)
+	r.total = 0
+	r.mu.Unlock()
 }

@@ -1,66 +1,14 @@
 package introspect
 
-import (
-	"math/bits"
-	"time"
-)
+import "time"
 
 // HistBucket is one bucket of a power-of-two length histogram: Count items
 // with value <= Le (and greater than the previous bucket's Le) —
-// non-cumulative, matching how the JSON is easiest to read.
+// non-cumulative, matching how the JSON is easiest to read. Le is
+// metrics.BucketLe of the bucket.
 type HistBucket struct {
 	Le    uint64 `json:"le"`
 	Count int64  `json:"count"`
-}
-
-// PowHist is a small power-of-two histogram for structural statistics
-// (chain lengths). Not safe for concurrent use: samplers build it
-// single-threaded and publish the finished snapshot.
-type PowHist struct {
-	counts [32]int64
-	n      int64
-	sum    int64
-	max    uint64
-}
-
-// Observe records one value.
-func (h *PowHist) Observe(v uint64) {
-	i := 0
-	if v > 1 {
-		i = bits.Len64(v - 1)
-		if i >= len(h.counts) {
-			i = len(h.counts) - 1
-		}
-	}
-	h.counts[i]++
-	h.n++
-	h.sum += int64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count, Max, Sum, Mean summarize the histogram.
-func (h *PowHist) Count() int64 { return h.n }
-func (h *PowHist) Max() uint64  { return h.max }
-func (h *PowHist) Sum() int64   { return h.sum }
-func (h *PowHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Buckets renders the non-empty buckets (le=1,2,4,...).
-func (h *PowHist) Buckets() []HistBucket {
-	var out []HistBucket
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		out = append(out, HistBucket{Le: uint64(1) << uint(i), Count: c})
-	}
-	return out
 }
 
 // IndexSnapshot is the JSON form of /debug/fishstore/index: hash-table
@@ -137,7 +85,7 @@ type ScanSegment struct {
 // ScanDecision records why and how one subset retrieval executed: the
 // per-segment index/full split, the cost-model inputs in force (Φ =
 // (c_syscall + lat_rand)·bw_seq, §7.2 / Fig 9), and the observed work. The
-// store keeps the last N decisions in a lock-free ring served by
+// store keeps the last 64 decisions in a Ring served by
 // /debug/fishstore/scan.
 type ScanDecision struct {
 	Seq  uint64    `json:"seq"`
@@ -178,4 +126,14 @@ type ScanLog struct {
 	Total     uint64         `json:"total"`
 	Dropped   uint64         `json:"dropped"`
 	Decisions []ScanDecision `json:"decisions"`
+}
+
+// FlightSnapshot is the JSON form of /debug/fishstore/flight: the crash
+// flight recorder's retained events, oldest first, each rendered as one flat
+// object — ts, event, then its attributes — exactly like a flight-dump line.
+type FlightSnapshot struct {
+	Capacity int              `json:"capacity"`
+	Total    uint64           `json:"total"`
+	Dropped  uint64           `json:"dropped"`
+	Events   []map[string]any `json:"events"`
 }

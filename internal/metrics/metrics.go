@@ -1,9 +1,9 @@
-// Package metrics is FishStore-Go's unified observability layer: a
-// stdlib-only metrics registry whose hot-path primitives (counters, gauges,
-// fixed-bucket histograms) are single atomic operations — safe for
-// concurrent Session workers without locks — plus a pluggable TraceSink for
-// structured control-plane events (checkpoints, PSF state transitions,
-// prefetch window changes, epoch drains, slow operations).
+// Package metrics is FishStore-Go's metrics layer: a stdlib-only registry
+// whose hot-path primitives (counters, gauges, the power-of-two Histogram)
+// are single atomic operations — safe for concurrent Session workers without
+// locks — and its export to Prometheus text, expvar and the
+// /debug/fishstore/* JSON endpoints. Control-plane events are not metrics:
+// they are zero-duration records in internal/trace, kept by the store.
 //
 // Design points:
 //
@@ -11,11 +11,15 @@
 //     *Histogram are no-ops. A disabled registry (NewDisabled) hands out nil
 //     handles, so instrumented code needs no branches and pays nothing but a
 //     nil check when metrics are off.
-//   - Registration is get-or-create keyed on (name, label set), so several
-//     stores may share one registry (e.g. fishbench aggregating every
-//     experiment store into a single scrape endpoint).
+//   - Registration is get-or-create keyed on (name, label set), and a
+//     histogram family reports the merge of every histogram under it, so
+//     several stores may share one registry (e.g. fishbench aggregating
+//     every experiment store into a single scrape endpoint).
 //   - Histograms use power-of-two buckets backed by atomic.Int64 arrays:
-//     Observe is two-three uncontended atomic adds, no locks, no allocation.
+//     Observe is three uncontended atomic adds, no locks, no allocation. A
+//     histogram owned elsewhere (a store's per-operation latencies) is
+//     exported by reference with AttachHistogram, so each interval is timed
+//     once and every view reads the same object.
 //   - Export: Snapshot() for programmatic access (Store.Metrics()), and
 //     Handler/NewMux (handler.go) for Prometheus text exposition, expvar,
 //     and net/http/pprof.
@@ -23,6 +27,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,9 +126,6 @@ type Registry struct {
 	families map[string]*family
 	order    []string
 
-	sink   atomic.Pointer[sinkHolder] // trace.go
-	slowNs atomic.Int64               // trace.go
-
 	// debug maps /debug/fishstore/<name> endpoints to snapshot functions
 	// (RegisterDebug); guarded by mu, lazily allocated.
 	debug map[string]func() any
@@ -142,7 +144,9 @@ type entry struct {
 	c      *Counter
 	g      *Gauge
 	fn     func() float64
-	h      *Histogram
+	// hs are the histograms exported under this entry; a snapshot reports
+	// their merge (several stores sharing a registry each attach their own).
+	hs []*Histogram
 }
 
 // NewRegistry creates an enabled registry.
@@ -198,8 +202,6 @@ func (r *Registry) getOrCreate(name, help string, typ Type, scale float64, label
 		e.c = &Counter{}
 	case TypeGauge:
 		e.g = &Gauge{}
-	case TypeHistogram:
-		e.h = newHistogram()
 	}
 	f.entries = append(f.entries, e)
 	return e
@@ -238,14 +240,31 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.mu.Unlock()
 }
 
-// Histogram returns the histogram registered under (name, labels). scale
-// converts raw observations at export (ScaleNanosToSeconds for latencies
-// observed in nanoseconds, ScaleNone for sizes).
+// Histogram returns a new histogram exported under (name, labels) (see
+// AttachHistogram). scale converts raw observations at export
+// (ScaleNanosToSeconds for latencies observed in nanoseconds, ScaleNone for
+// sizes).
 func (r *Registry) Histogram(name, help string, scale float64, labels ...Label) *Histogram {
 	if !r.Enabled() {
 		return nil
 	}
-	return r.getOrCreate(name, help, TypeHistogram, scale, labels).h
+	h := &Histogram{}
+	r.AttachHistogram(h, name, help, scale, labels...)
+	return h
+}
+
+// AttachHistogram exports h, owned by the caller, under (name, labels). The
+// registry reads h itself at snapshot time; when several histograms are
+// attached under one name (stores sharing a registry), the family reports
+// their merge.
+func (r *Registry) AttachHistogram(h *Histogram, name, help string, scale float64, labels ...Label) {
+	if !r.Enabled() || h == nil {
+		return
+	}
+	e := r.getOrCreate(name, help, TypeHistogram, scale, labels)
+	r.mu.Lock()
+	e.hs = append(e.hs, h)
+	r.mu.Unlock()
 }
 
 // RegisterDebug exposes fn as the JSON introspection endpoint
@@ -377,8 +396,8 @@ func (r *Registry) Snapshot() Snapshot {
 			switch {
 			case e.c != nil:
 				m.Value = float64(e.c.Load())
-			case e.h != nil:
-				m.Count, m.Sum, m.Buckets = e.h.snapshot(f.scale)
+			case f.typ == TypeHistogram:
+				m.Count, m.Sum, m.Buckets = exportHistogram(e.hs, f.scale)
 			case e.g != nil:
 				if e.fn != nil {
 					fns = append(fns, pending{fi: len(snap.Families), mi: len(fs.Metrics), fn: e.fn})
@@ -395,4 +414,30 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Families[p.fi].Metrics[p.mi].Value = p.fn()
 	}
 	return snap
+}
+
+// exportHistogram merges hs and renders cumulative buckets whose bounds are
+// BucketLe scaled for export: exact for integer samples, since bucket i
+// holds exactly the integers in [2^(i-1), 2^i − 1]. The last bucket, which
+// reaches the largest int64, is +Inf. Bounds divide by the whole number of
+// raw units per exported unit (1e9 ns per s) instead of multiplying by its
+// inexact reciprocal, so they render as 3e-09, not 3.0000000000000004e-09.
+func exportHistogram(hs []*Histogram, scale float64) (count uint64, sum float64, out []Bucket) {
+	var m Histogram
+	for _, h := range hs {
+		m.Merge(h)
+	}
+	s := m.Snapshot()
+	out = make([]Bucket, HistogramBuckets)
+	units := math.Round(1 / scale)
+	var cum uint64
+	for i, c := range s.Buckets {
+		cum += uint64(c)
+		bound := math.Inf(1)
+		if i < HistogramBuckets-1 {
+			bound = float64(BucketLe(i)) / units
+		}
+		out[i] = Bucket{UpperBound: bound, Count: cum}
+	}
+	return uint64(s.Count), float64(s.Sum) * scale, out
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -45,12 +44,13 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.Set(5)
 	g.Add(1)
 	h.Observe(9)
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	h.SetThreshold(1)
+	h.Merge(&Histogram{})
+	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Breaches() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil handles returned non-zero values")
 	}
 	var r *Registry
-	r.Trace("x")
-	r.TraceSlow("x", time.Second)
+	r.AttachHistogram(h, "x", "", ScaleNone)
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
@@ -68,27 +68,23 @@ func TestDisabledRegistry(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	if i := bucketIndex(0); i != 0 {
-		t.Fatalf("bucketIndex(0) = %d", i)
-	}
-	if i := bucketIndex(1); i != 0 {
-		t.Fatalf("bucketIndex(1) = %d, want 0 (le=1)", i)
-	}
-	if i := bucketIndex(2); i != 1 {
-		t.Fatalf("bucketIndex(2) = %d, want 1 (le=2)", i)
-	}
-	if i := bucketIndex(3); i != 2 {
-		t.Fatalf("bucketIndex(3) = %d, want 2 (le=4)", i)
-	}
-	if i := bucketIndex(1 << 60); i != histBuckets-1 {
-		t.Fatalf("bucketIndex(2^60) = %d, want +Inf bucket %d", i, histBuckets-1)
+	for _, c := range []struct {
+		v    int64
+		want int
+	}{{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11}, {1<<62 + 1, 63}} {
+		if got := bucketOf(c.v); got != c.want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
+		}
+		if c.v > 0 && (c.v > BucketLe(c.want) || c.v <= BucketLe(c.want-1)) {
+			t.Fatalf("%d outside bucket %d's (%d, %d]", c.v, c.want, BucketLe(c.want-1), BucketLe(c.want))
+		}
 	}
 
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "latency", ScaleNanosToSeconds)
 	h.Observe(1)    // le=1ns
-	h.Observe(1000) // le=1024ns
-	h.Observe(3000) // le=4096ns
+	h.Observe(1000) // le=1023ns
+	h.Observe(3000) // le=4095ns
 	if h.Count() != 3 || h.Sum() != 4001 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
 	}
@@ -103,6 +99,9 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("snapshot sum = %g, want %g", m.Sum, want)
 	}
 	// Buckets are cumulative and end at +Inf.
+	if len(m.Buckets) != HistogramBuckets {
+		t.Fatalf("%d buckets exported, want %d", len(m.Buckets), HistogramBuckets)
+	}
 	last := m.Buckets[len(m.Buckets)-1]
 	if !math.IsInf(last.UpperBound, 1) || last.Count != 3 {
 		t.Fatalf("last bucket = %+v", last)
@@ -114,11 +113,29 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 		prev = b.Count
 	}
-	// The 1024ns observation must be counted at le = 1024e-9 s.
-	for _, b := range m.Buckets {
-		if math.Abs(b.UpperBound-1024e-9) < 1e-18 && b.Count != 2 {
-			t.Fatalf("le=1024ns bucket count = %d, want 2", b.Count)
-		}
+	// The 1000ns observation must be counted at le = 1023e-9 s.
+	if b := m.Buckets[10]; math.Abs(b.UpperBound-1023e-9) > 1e-18 || b.Count != 2 {
+		t.Fatalf("le=1023ns bucket = %+v, want count 2", b)
+	}
+}
+
+// TestAttachHistogramByReference: an attached histogram is exported as the
+// caller's object (later observations show without re-registration), and
+// several attached under one name export their merge.
+func TestAttachHistogramByReference(t *testing.T) {
+	r := NewRegistry()
+	var a, b Histogram
+	r.AttachHistogram(&a, "op_seconds", "", ScaleNanosToSeconds, L("kind", "x"))
+	r.AttachHistogram(&b, "op_seconds", "", ScaleNanosToSeconds, L("kind", "x"))
+	a.Observe(10)
+	b.Observe(20)
+	b.Observe(30)
+	m, ok := r.Snapshot().Find("op_seconds", L("kind", "x"))
+	if !ok || m.Count != 3 || m.Buckets[len(m.Buckets)-1].Count != 3 {
+		t.Fatalf("attached histograms exported %+v, want the merge of 3 samples", m)
+	}
+	if math.Abs(m.Sum-60e-9) > 1e-18 {
+		t.Fatalf("sum = %g, want 60ns", m.Sum)
 	}
 }
 
@@ -200,53 +217,6 @@ func TestHTTPHandler(t *testing.T) {
 	res.Body.Close()
 }
 
-func TestTraceSinks(t *testing.T) {
-	r := NewRegistry()
-	mem := NewMemorySink(4)
-	r.SetTraceSink(mem)
-	r.Trace("checkpoint.begin", F("tail", 128))
-	for i := 0; i < 10; i++ {
-		r.Trace("tick", F("i", i))
-	}
-	evs := mem.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
-	}
-	if len(mem.Named("checkpoint.begin")) != 0 {
-		t.Fatal("ring should have evicted the oldest event")
-	}
-
-	// Slow-op gating.
-	r.SetSlowOpThreshold(10 * time.Millisecond)
-	r.TraceSlow("op.slow", 5*time.Millisecond)
-	r.TraceSlow("op.slow", 20*time.Millisecond, F("n", 1))
-	slow := mem.Named("op.slow")
-	if len(slow) != 1 {
-		t.Fatalf("slow events = %d, want 1", len(slow))
-	}
-	if slow[0].Fields[0].Key != "seconds" {
-		t.Fatalf("first slow field = %+v, want seconds", slow[0].Fields[0])
-	}
-
-	// Writer sink emits valid JSON lines.
-	var buf bytes.Buffer
-	ws := NewWriterSink(&buf)
-	ws.Emit(TraceEvent{Time: time.Now(), Name: "x", Fields: []Field{F("k", "v")}})
-	var line map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
-		t.Fatalf("writer sink line not JSON: %v (%q)", err, buf.String())
-	}
-	if line["event"] != "x" || line["k"] != "v" {
-		t.Fatalf("writer sink line = %v", line)
-	}
-
-	r.SetTraceSink(nil)
-	r.Trace("dropped")
-	if len(mem.Events()) != 4 {
-		t.Fatal("event emitted after sink removal")
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cc_total", "")
@@ -291,9 +261,10 @@ func TestConcurrentUse(t *testing.T) {
 func TestPrometheusHistogramCumulative(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("cum_bytes", "sizes", ScaleNone)
-	// One observation per power-of-two bucket boundary plus repeats: buckets
-	// (le=1):2, (le=2):1, (le=4):2, (le=8):1, rest 0 until +Inf.
-	for _, v := range []int64{0, 1, 2, 3, 4, 7} {
+	// Bucket i holds the integers [2^(i-1), 2^i − 1], so le = 2^i − 1 is
+	// exact: (le=0):1, (le=1):1, (le=3):2, (le=7):2, (le=15):1. The sample at
+	// exactly 2^3 lands under le=15, the first bound >= 8, not under le=7.
+	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8} {
 		h.Observe(v)
 	}
 
@@ -342,38 +313,22 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 	if last.le != "+Inf" {
 		t.Fatalf("last bucket le=%q, want +Inf", last.le)
 	}
-	if last.count != count || count != 6 {
-		t.Fatalf("+Inf bucket %d, _count %d, want both 6", last.count, count)
+	if last.count != count || count != 7 {
+		t.Fatalf("+Inf bucket %d, _count %d, want both 7", last.count, count)
 	}
 	// Exact cumulative values at the low boundaries.
-	wantCum := map[string]uint64{"1": 2, "2": 3, "4": 5, "8": 6}
+	wantCum := map[string]uint64{"0": 1, "1": 2, "3": 4, "7": 6, "15": 7}
+	seen := 0
 	for _, b := range buckets {
-		if want, ok := wantCum[b.le]; ok && b.count != want {
-			t.Fatalf("bucket le=%s count %d, want cumulative %d", b.le, b.count, want)
+		if want, ok := wantCum[b.le]; ok {
+			seen++
+			if b.count != want {
+				t.Fatalf("bucket le=%s count %d, want cumulative %d", b.le, b.count, want)
+			}
 		}
 	}
-}
-
-// TestMemorySinkBounded proves a hot emission loop cannot grow the sink
-// without bound: retained events stay capped, overwrites are counted, and
-// the retained window is the most recent suffix in order.
-func TestMemorySinkBounded(t *testing.T) {
-	const max, emitted = 64, 50_000
-	s := NewMemorySink(max)
-	for i := 0; i < emitted; i++ {
-		s.Emit(TraceEvent{Name: "scan.slow", Fields: []Field{F("i", i)}})
-	}
-	evs := s.Events()
-	if len(evs) != max {
-		t.Fatalf("retained %d events, want %d", len(evs), max)
-	}
-	if got := s.Dropped(); got != emitted-max {
-		t.Fatalf("Dropped = %d, want %d", got, emitted-max)
-	}
-	for i, e := range evs {
-		if want := emitted - max + i; e.Fields[0].Value() != want {
-			t.Fatalf("event %d carries i=%v, want %d (not the newest suffix)", i, e.Fields[0].Value(), want)
-		}
+	if seen != len(wantCum) {
+		t.Fatalf("missing low bounds; rendered %+v", buckets[:6])
 	}
 }
 

@@ -172,19 +172,12 @@ func ScanInvariants() []Invariant {
 }
 
 // IngestInvariants returns the orderings enforced over BENCH_ingest.json.
-// The telemetry invariant is the workload-attribution layer's acceptance
-// bar: ingest with the collector on (the default) may be at most 3% slower
-// than the identical run with DisableTelemetry. The admission invariant is
-// the resource governor's bar: an armed-but-unsaturated governor may cost at
-// most 2% — its fast path is a few atomic adds per batch, so anything worse
-// means the slow path leaked into the uncontended case.
+// The admission invariant is the resource governor's bar: an
+// armed-but-unsaturated governor may cost at most 2% — its fast path is a
+// few atomic adds per batch, so anything worse means the slow path leaked
+// into the uncontended case.
 func IngestInvariants() []Invariant {
 	return []Invariant{{
-		Name:   "telemetry-overhead-under-3pct",
-		Faster: "BenchmarkIngestYelpTelemetry",
-		Slower: "BenchmarkIngestYelpNoTelemetry",
-		Slack:  0.03,
-	}, {
 		Name:   "admission-overhead-under-2pct",
 		Faster: "BenchmarkIngestYelpLimits",
 		Slower: "BenchmarkIngestYelpNoLimits",

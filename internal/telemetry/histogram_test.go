@@ -4,15 +4,21 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"fishstore/internal/metrics"
 )
 
+// The collector's per-operation latencies are metrics.Histogram. These tests
+// pin the quantile, merge and threshold behaviour the workload view, the
+// watchdog and collector merging rely on.
+
 func TestSketchBasics(t *testing.T) {
-	var s Sketch
+	var s metrics.Histogram
 	if got := s.Quantile(0.5); got != 0 {
-		t.Fatalf("empty sketch quantile = %v, want 0", got)
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	for i := int64(1); i <= 1000; i++ {
-		s.Record(i * 1000) // 1µs .. 1ms
+		s.Observe(i * 1000) // 1µs .. 1ms
 	}
 	if s.Count() != 1000 {
 		t.Fatalf("count = %d, want 1000", s.Count())
@@ -36,10 +42,10 @@ func TestSketchBasics(t *testing.T) {
 }
 
 func TestSketchZeroAndNegative(t *testing.T) {
-	var s Sketch
-	s.Record(0)
-	s.Record(-5)
-	s.Record(7)
+	var s metrics.Histogram
+	s.Observe(0)
+	s.Observe(-5)
+	s.Observe(7)
 	if s.Count() != 3 {
 		t.Fatalf("count = %d", s.Count())
 	}
@@ -49,31 +55,31 @@ func TestSketchZeroAndNegative(t *testing.T) {
 }
 
 func TestSketchNilSafe(t *testing.T) {
-	var s *Sketch
-	s.Record(5)
+	var s *metrics.Histogram
+	s.Observe(5)
 	s.SetThreshold(1)
 	s.Merge(nil)
 	if s.Count() != 0 || s.Breaches() != 0 || s.Quantile(0.5) != 0 {
-		t.Fatal("nil sketch must be inert")
+		t.Fatal("nil histogram must be inert")
 	}
 }
 
-// TestSketchMergeAgreement pins the mergeability contract: two sketches
+// TestSketchMergeAgreement pins the mergeability contract: two histograms
 // recorded over a split workload, merged, agree exactly — same bucket
-// state, same quantiles — with one sketch recorded over the union.
+// state, same quantiles — with one histogram recorded over the union.
 func TestSketchMergeAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var a, b, union Sketch
+	var a, b, union metrics.Histogram
 	for i := 0; i < 20000; i++ {
 		v := int64(rng.ExpFloat64() * 2e6) // long-tailed latencies around 2ms
 		if i%3 == 0 {
-			a.Record(v)
+			a.Observe(v)
 		} else {
-			b.Record(v)
+			b.Observe(v)
 		}
-		union.Record(v)
+		union.Observe(v)
 	}
-	var merged Sketch
+	var merged metrics.Histogram
 	merged.Merge(&a)
 	merged.Merge(&b)
 
@@ -94,19 +100,19 @@ func TestSketchMergeAgreement(t *testing.T) {
 }
 
 func TestSketchThresholdBreaches(t *testing.T) {
-	var s Sketch
+	var s metrics.Histogram
 	s.SetThreshold(int64(time.Millisecond))
 	for i := 0; i < 90; i++ {
-		s.Record(int64(100 * time.Microsecond))
+		s.Observe(int64(100 * time.Microsecond))
 	}
 	for i := 0; i < 10; i++ {
-		s.Record(int64(5 * time.Millisecond))
+		s.Observe(int64(5 * time.Millisecond))
 	}
 	if got := s.Breaches(); got != 10 {
 		t.Fatalf("breaches = %d, want 10", got)
 	}
 	// Merge carries breach counts.
-	var m Sketch
+	var m metrics.Histogram
 	m.Merge(&s)
 	if m.Breaches() != 10 {
 		t.Fatalf("merged breaches = %d, want 10", m.Breaches())
@@ -114,23 +120,25 @@ func TestSketchThresholdBreaches(t *testing.T) {
 }
 
 func TestBucketBoundsMonotone(t *testing.T) {
-	prevHi := 0.0
-	for i := 0; i < sketchBuckets; i++ {
-		lo, hi := bucketBounds(i)
-		if lo > hi {
-			t.Fatalf("bucket %d: lo %v > hi %v", i, lo, hi)
+	prev := int64(-1)
+	for i := 0; i < metrics.HistogramBuckets; i++ {
+		if le := metrics.BucketLe(i); le <= prev {
+			t.Fatalf("bucket %d: le %d not above previous %d", i, le, prev)
+		} else {
+			prev = le
 		}
-		if lo < prevHi {
-			t.Fatalf("bucket %d overlaps previous (lo %v < prev hi %v)", i, lo, prevHi)
-		}
-		prevHi = hi
 	}
-	// Every positive int64 maps into range.
+	// Every positive int64 lands in the first bucket whose le covers it.
 	for _, v := range []int64{1, 2, 3, 1023, 1 << 40, 1<<62 + 1} {
-		b := bucketOf(v)
-		lo, hi := bucketBounds(b)
-		if fv := float64(v); fv < lo || fv >= hi {
-			t.Fatalf("value %d landed in bucket %d [%v,%v)", v, b, lo, hi)
+		var h metrics.Histogram
+		h.Observe(v)
+		snap := h.Snapshot()
+		b := 0
+		for snap.Buckets[b] == 0 {
+			b++
+		}
+		if v > metrics.BucketLe(b) || v <= metrics.BucketLe(b-1) {
+			t.Fatalf("value %d landed in bucket %d (%d, %d]", v, b, metrics.BucketLe(b-1), metrics.BucketLe(b))
 		}
 	}
 }

@@ -4,15 +4,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fishstore/internal/metrics"
 )
 
-// TestSketchConcurrentRecordMergeSnapshot hammers one sketch with
-// concurrent recorders, a merger folding a second live sketch in, and
+// TestSketchConcurrentRecordMergeSnapshot hammers one histogram with
+// concurrent recorders, a merger folding a second live histogram in, and
 // snapshot readers — the shape a scatter-gather aggregator produces. Run
 // under -race this is the memory-safety proof; the final count check is the
 // no-lost-update proof.
 func TestSketchConcurrentRecordMergeSnapshot(t *testing.T) {
-	var dst, src Sketch
+	var dst, src metrics.Histogram
 	dst.SetThreshold(int64(time.Millisecond))
 	const (
 		writers       = 4
@@ -20,10 +22,10 @@ func TestSketchConcurrentRecordMergeSnapshot(t *testing.T) {
 		srcSamples    = 2000
 		mergesOfFixed = 3
 	)
-	// Pre-fill the source sketch, then merge it a fixed number of times
+	// Pre-fill the source histogram, then merge it a fixed number of times
 	// while dst is being recorded into.
 	for i := 0; i < srcSamples; i++ {
-		src.Record(int64(i))
+		src.Observe(int64(i))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -31,7 +33,7 @@ func TestSketchConcurrentRecordMergeSnapshot(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				dst.Record(seed*1000 + int64(i))
+				dst.Observe(seed*1000 + int64(i))
 			}
 		}(int64(w))
 	}
@@ -124,7 +126,7 @@ func TestTopKConcurrent(t *testing.T) {
 	}
 }
 
-// TestCollectorConcurrent exercises the full collector surface (op sketches,
+// TestCollectorConcurrent exercises the full collector surface (op histograms,
 // every heavy-hitter dimension, sampling, snapshot, merge) concurrently.
 func TestCollectorConcurrent(t *testing.T) {
 	c := New(Config{TopK: 8, SampleEvery: 4})

@@ -4,11 +4,11 @@
 //
 // It is stdlib-only and allocation-free on the recording paths:
 //
-//   - Sketch is a fixed-size, power-of-two-bucketed latency quantile sketch
-//     (a few atomic adds per Record). Sketches are mergeable — Merge adds
-//     bucket counts, so per-shard or per-node sketches can be combined by a
-//     future scatter-gather facade and yield exactly the quantiles a single
-//     sketch over the union of samples would report.
+//   - Per-operation latencies are metrics.Histogram, the store's one
+//     power-of-two histogram (a few atomic adds per sample). Histograms are
+//     mergeable, so per-shard collectors combine into exactly the quantiles
+//     one collector over the union of samples would report — and the same
+//     objects are what the metrics registry exports.
 //   - TopK is a space-saving heavy-hitter sketch attributing records and
 //     bytes to a bounded set of string keys (PSF names, property values,
 //     caller/tenant labels) with a per-key overestimation bound.
@@ -17,7 +17,7 @@
 //     over target divided by the quantile's error budget — and reports an
 //     ok / degraded / breach verdict.
 //
-// A Collector bundles one sketch per operation kind with the heavy-hitter
+// A Collector bundles one histogram per operation kind with the heavy-hitter
 // dimensions; every method is safe on a nil receiver so disabled telemetry
 // degrades to a nil check at each instrumented site.
 package telemetry
@@ -25,6 +25,8 @@ package telemetry
 import (
 	"sync/atomic"
 	"time"
+
+	"fishstore/internal/metrics"
 )
 
 // Op enumerates the operation kinds whose latency the collector tracks.
@@ -63,10 +65,10 @@ type Config struct {
 	SampleEvery int
 }
 
-// Collector aggregates per-operation latency sketches and heavy-hitter
+// Collector aggregates per-operation latency histograms and heavy-hitter
 // attribution for one store (or one shard — collectors merge).
 type Collector struct {
-	ops [numOps]Sketch
+	ops [numOps]metrics.Histogram
 
 	// psfs attributes ingested records/payload bytes to the PSF that
 	// indexed them; props does the same per (PSF, value) property on
@@ -99,18 +101,18 @@ func New(cfg Config) *Collector {
 	}
 }
 
-// Op returns the latency sketch for op (nil on a nil collector; Sketch
-// methods are nil-safe).
-func (c *Collector) Op(op Op) *Sketch {
+// Op returns the latency histogram for op, in nanoseconds (nil on a nil
+// collector; Histogram methods are nil-safe).
+func (c *Collector) Op(op Op) *metrics.Histogram {
 	if c == nil || op < 0 || op >= numOps {
 		return nil
 	}
 	return &c.ops[op]
 }
 
-// RecordOp records one operation latency: two or three atomic adds.
+// RecordOp records one operation latency: three or four atomic adds.
 func (c *Collector) RecordOp(op Op, d time.Duration) {
-	c.Op(op).Record(int64(d))
+	c.Op(op).Observe(int64(d))
 }
 
 // ObservePSF attributes records and payload bytes to a PSF by name.
@@ -156,7 +158,7 @@ func (c *Collector) ObservePropertyKey(key []byte, records, bytes int64) {
 	c.props.ObserveKey(key, records, bytes)
 }
 
-// Merge folds other's sketches and heavy hitters into c (scatter-gather:
+// Merge folds other's histograms and heavy hitters into c (scatter-gather:
 // per-shard collectors merge into a cluster view). Safe against concurrent
 // recording on either side.
 func (c *Collector) Merge(other *Collector) {

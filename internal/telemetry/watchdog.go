@@ -77,6 +77,7 @@ type BurnRate struct {
 	TargetSeconds  float64 `json:"target_seconds"`
 	WindowOps      int64   `json:"window_ops"`
 	WindowBreaches int64   `json:"window_breaches"`
+	Ops            int64   `json:"ops"` // cumulative: the sum of every window so far
 	Burn           float64 `json:"burn"`
 	State          string  `json:"state"` // ok | degraded | breach
 }
@@ -89,7 +90,7 @@ type Report struct {
 }
 
 // Watchdog periodically evaluates SLO objectives against a collector's
-// sketches. Start and Stop are idempotent and safe to race with each other
+// histograms. Start and Stop are idempotent and safe to race with each other
 // and with recording.
 type Watchdog struct {
 	col        *Collector
@@ -112,7 +113,7 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog over col for the given targets and arms the
-// breach thresholds on the collector's sketches. onTick, if non-nil, is
+// breach thresholds on the collector's histograms. onTick, if non-nil, is
 // invoked with each evaluation's report (from the watchdog goroutine).
 func NewWatchdog(col *Collector, slo SLO, onTick func(Report)) *Watchdog {
 	if slo.BreachBurnRate <= 0 {
@@ -201,8 +202,8 @@ func (w *Watchdog) run(stop, done chan struct{}) {
 func (w *Watchdog) evaluate() Report {
 	r := Report{Status: StatusOK}
 	for i, obj := range w.objectives {
-		sk := w.col.Op(obj.Op)
-		count, breaches := sk.Count(), sk.Breaches()
+		h := w.col.Op(obj.Op)
+		count, breaches := h.Count(), h.Breaches()
 		dc := count - w.window[i].count
 		db := breaches - w.window[i].breaches
 		w.window[i].count, w.window[i].breaches = count, breaches
@@ -212,6 +213,7 @@ func (w *Watchdog) evaluate() Report {
 			Op:            obj.Op.String(),
 			Quantile:      obj.Quantile,
 			TargetSeconds: obj.Target.Seconds(),
+			Ops:           count,
 			State:         StatusOK,
 		}
 		if dc > 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync"
+	"time"
 )
 
 // ChromeEvent is one complete ("ph":"X") event in the Chrome trace-event
@@ -27,10 +29,11 @@ type ChromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// chromeEvent converts one finished span. The trace ID becomes the tid, so
-// each trace renders as its own track with the root on top and children
-// nested below it by time containment.
-func chromeEvent(d SpanData) ChromeEvent {
+// chromeEvent converts one finished span, timed from the tracer's creation
+// at epoch. The trace ID becomes the tid, so each trace renders as its own
+// track with the root on top and children nested below it by time
+// containment.
+func chromeEvent(d SpanData, epoch time.Time) ChromeEvent {
 	args := map[string]any{
 		"span_id":   d.SpanID,
 		"parent_id": d.ParentID,
@@ -45,7 +48,7 @@ func chromeEvent(d SpanData) ChromeEvent {
 		Name: d.Name,
 		Cat:  "fishstore",
 		Ph:   "X",
-		Ts:   float64(d.Start.Nanoseconds()) / 1e3,
+		Ts:   float64(d.Start.Sub(epoch).Nanoseconds()) / 1e3,
 		Dur:  float64(d.Duration.Nanoseconds()) / 1e3,
 		Pid:  1,
 		Tid:  d.TraceID,
@@ -59,7 +62,7 @@ func (t *Tracer) ChromeTrace() ChromeTrace {
 	spans := t.Spans()
 	events := make([]ChromeEvent, 0, len(spans))
 	for _, d := range spans {
-		events = append(events, chromeEvent(d))
+		events = append(events, chromeEvent(d, t.epoch))
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Ts != events[j].Ts {
@@ -75,4 +78,52 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(t.ChromeTrace())
+}
+
+// JSON renders d as one flat object — ts, event, then trace_id and
+// duration_ns for spans, then the attributes — the shape of a flight-dump
+// line and of every JSONLines record.
+func (d SpanData) JSON() map[string]any {
+	m := make(map[string]any, len(d.Attrs)+4)
+	m["ts"] = d.Start.UTC().Format("2006-01-02T15:04:05.000000Z07:00")
+	m["event"] = d.Name
+	if d.TraceID != 0 {
+		m["trace_id"] = d.TraceID
+		m["duration_ns"] = d.Duration.Nanoseconds()
+	}
+	for _, a := range d.Attrs {
+		m[a.Key] = a.Value()
+	}
+	return m
+}
+
+// WriteJSONLines writes each record as one JSON line, in order. A record
+// with an unmarshalable attribute (a NaN float) is skipped.
+func WriteJSONLines(w io.Writer, ds []SpanData) error {
+	for _, d := range ds {
+		if line, ok := jsonLine(d); ok {
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// JSONLines returns a record sink writing each record to w as one JSON line
+// (see JSON); it is safe for concurrent use, and lines never interleave.
+func JSONLines(w io.Writer) func(SpanData) {
+	var mu sync.Mutex
+	return func(d SpanData) {
+		if line, ok := jsonLine(d); ok {
+			mu.Lock()
+			defer mu.Unlock()
+			_, _ = w.Write(line) // a sink has no caller to report a write error to
+		}
+	}
+}
+
+func jsonLine(d SpanData) ([]byte, bool) {
+	raw, err := json.Marshal(d.JSON())
+	return append(raw, '\n'), err == nil
 }

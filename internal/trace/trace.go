@@ -1,8 +1,12 @@
-// Package trace is FishStore's span layer: explicit parent/child spans with
-// IDs, monotonic nanosecond timing, per-span attributes and (optionally)
-// heap-allocation deltas. It is stdlib-only and allocation-conscious — the
-// disabled path is one atomic load and every *Span method is nil-receiver
-// safe, so instrumented code never branches on configuration:
+// Package trace is FishStore's span and event model: explicit parent/child
+// spans with IDs, monotonic nanosecond timing, per-span attributes and
+// (optionally) heap-allocation deltas. A control-plane event (a checkpoint,
+// a PSF state transition, a page flush) is the same record — a zero-duration
+// root SpanData built by Event — so the store keeps one event stream.
+//
+// It is stdlib-only and allocation-conscious — the disabled path is one
+// atomic load and every *Span method is nil-receiver safe, so instrumented
+// code never branches on configuration:
 //
 //	sp := tracer.StartRoot("ingest.batch") // nil when disabled or unsampled
 //	child := sp.Child("ingest.parse")      // nil-safe
@@ -13,8 +17,9 @@
 // Sampling is deterministic: a seeded hash over the root-span sequence
 // number decides whether a root is sampled, and children inherit the
 // decision by construction (an unsampled root is nil, so its children are
-// nil too). Finished spans land in a bounded ring; export them with Spans or
-// as Chrome trace-event JSON (chrome.go) loadable in Perfetto.
+// nil too). Finished spans land in a bounded ring; export them with Spans,
+// as Chrome trace-event JSON loadable in Perfetto, or as JSON lines
+// (export.go).
 package trace
 
 import (
@@ -23,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fishstore/internal/introspect"
 )
 
 // Options configures a Tracer.
@@ -50,7 +57,7 @@ type Tracer struct {
 	enabled     atomic.Bool
 	sampleEvery atomic.Uint64
 	seed        uint64
-	epoch       time.Time // monotonic base for span timestamps
+	epoch       time.Time // origin of the Chrome export's timestamps
 
 	idSeq   atomic.Uint64 // span IDs (1-based; 0 = none)
 	rootSeq atomic.Uint64 // sampling sequence, one per StartRoot call
@@ -59,13 +66,7 @@ type Tracer struct {
 
 	onFinish atomic.Pointer[func(SpanData)]
 
-	mu      sync.Mutex
-	ring    []SpanData
-	next    int
-	filled  bool
-	total   uint64
-	dropped uint64
-
+	ring *introspect.Ring[SpanData]
 	pool sync.Pool
 }
 
@@ -81,7 +82,7 @@ func New(o Options) *Tracer {
 		seed:          o.Seed,
 		epoch:         time.Now(),
 		captureAllocs: o.CaptureAllocs,
-		ring:          make([]SpanData, o.BufferSize),
+		ring:          introspect.NewRing[SpanData](o.BufferSize),
 	}
 	t.sampleEvery.Store(o.SampleEvery)
 	t.pool.New = func() any { return new(Span) }
@@ -167,17 +168,7 @@ func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.filled {
-		out := make([]SpanData, t.next)
-		copy(out, t.ring[:t.next])
-		return out
-	}
-	out := make([]SpanData, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.ring.Snapshot()
 }
 
 // Finished returns the total number of spans ever finished; Dropped is how
@@ -186,9 +177,7 @@ func (t *Tracer) Finished() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // Dropped returns the number of finished spans the ring has overwritten.
@@ -196,35 +185,19 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Reset discards all retained spans (IDs and the sampling sequence keep
 // advancing; timestamps stay on the tracer's original epoch).
 func (t *Tracer) Reset() {
-	if t == nil {
-		return
+	if t != nil {
+		t.ring.Reset()
 	}
-	t.mu.Lock()
-	t.next, t.filled, t.total, t.dropped = 0, false, 0, 0
-	t.mu.Unlock()
 }
 
 func (t *Tracer) finish(d SpanData) {
-	t.mu.Lock()
-	if t.filled {
-		t.dropped++
-	}
-	t.ring[t.next] = d
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
-	t.total++
-	t.mu.Unlock()
+	t.ring.Put(d)
 	if fn := t.onFinish.Load(); fn != nil {
 		(*fn)(d)
 	}
@@ -256,8 +229,9 @@ const (
 	kindFloat
 )
 
-// Attr is one span attribute: a key and an int64, string, float64, or bool
-// value, stored without boxing. Use Value for a generic view.
+// Attr is one span or event attribute: a key and an int64, string,
+// float64, or bool value, stored without boxing — building one never
+// allocates. Use Value for a generic view.
 type Attr struct {
 	Key  string
 	kind attrKind
@@ -265,12 +239,15 @@ type Attr struct {
 	str  string
 }
 
-func intAttr(k string, v int64) Attr { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
-func strAttr(k, v string) Attr       { return Attr{Key: k, kind: kindStr, str: v} }
-func floatAttr(k string, v float64) Attr {
+// Int, Uint, Str, Float and Bool build typed attributes (Uint is stored as
+// an int64).
+func Int(k string, v int64) Attr   { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
+func Uint(k string, v uint64) Attr { return Int(k, int64(v)) }
+func Str(k, v string) Attr         { return Attr{Key: k, kind: kindStr, str: v} }
+func Float(k string, v float64) Attr {
 	return Attr{Key: k, kind: kindFloat, num: math.Float64bits(v)}
 }
-func boolAttr(k string, v bool) Attr {
+func Bool(k string, v bool) Attr {
 	a := Attr{Key: k, kind: kindBool}
 	if v {
 		a.num = 1
@@ -347,35 +324,35 @@ func (s *Span) put(a Attr) {
 // SetInt attaches an integer attribute. Nil-safe.
 func (s *Span) SetInt(key string, v int64) {
 	if s != nil {
-		s.put(intAttr(key, v))
+		s.put(Int(key, v))
 	}
 }
 
 // SetUint attaches an unsigned attribute (stored as int64). Nil-safe.
 func (s *Span) SetUint(key string, v uint64) {
 	if s != nil {
-		s.put(intAttr(key, int64(v)))
+		s.put(Uint(key, v))
 	}
 }
 
 // SetStr attaches a string attribute. Nil-safe.
 func (s *Span) SetStr(key, v string) {
 	if s != nil {
-		s.put(strAttr(key, v))
+		s.put(Str(key, v))
 	}
 }
 
 // SetFloat attaches a float attribute. Nil-safe.
 func (s *Span) SetFloat(key string, v float64) {
 	if s != nil {
-		s.put(floatAttr(key, v))
+		s.put(Float(key, v))
 	}
 }
 
 // SetBool attaches a boolean attribute. Nil-safe.
 func (s *Span) SetBool(key string, v bool) {
 	if s != nil {
-		s.put(boolAttr(key, v))
+		s.put(Bool(key, v))
 	}
 }
 
@@ -391,7 +368,7 @@ func (s *Span) End() {
 		TraceID:  s.traceID,
 		SpanID:   s.spanID,
 		ParentID: s.parentID,
-		Start:    s.start.Sub(t.epoch),
+		Start:    s.start,
 		Duration: time.Since(s.start),
 	}
 	if t.captureAllocs {
@@ -410,21 +387,28 @@ func (s *Span) End() {
 	t.pool.Put(s)
 }
 
-// SpanData is one finished span.
+// SpanData is one finished span, or one event: a zero-duration root with no
+// IDs (see Event).
 type SpanData struct {
 	Name     string
 	TraceID  uint64 // root span's ID, shared by the whole tree
 	SpanID   uint64
 	ParentID uint64 // 0 for roots
-	// Start is the span's monotonic start offset from the tracer's creation;
-	// Duration its monotonic length. Both come from the runtime's monotonic
-	// clock, so within one tracer they are mutually ordered.
-	Start    time.Duration
+	// Start is when the span began (wall clock plus the runtime's monotonic
+	// reading, so spans of one process are mutually ordered); Duration is
+	// its monotonic length.
+	Start    time.Time
 	Duration time.Duration
 	// AllocBytes is the process-wide heap-allocation delta across the span
 	// (0 unless Options.CaptureAllocs).
 	AllocBytes uint64
 	Attrs      []Attr
+}
+
+// Event builds a control-plane event record: a zero-duration root stamped
+// now, carrying attrs.
+func Event(name string, attrs ...Attr) SpanData {
+	return SpanData{Name: name, Start: time.Now(), Attrs: attrs}
 }
 
 // Root reports whether the span is a trace root.

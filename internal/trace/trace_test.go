@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,10 +40,10 @@ func TestSpanLifecycleBasics(t *testing.T) {
 	if c.TraceID != r.TraceID || r.TraceID != r.SpanID {
 		t.Fatalf("trace ids: child %d root %d (root span %d)", c.TraceID, r.TraceID, r.SpanID)
 	}
-	if c.Start < r.Start {
+	if c.Start.Before(r.Start) {
 		t.Fatalf("child started (%v) before root (%v)", c.Start, r.Start)
 	}
-	if cEnd, rEnd := c.Start+c.Duration, r.Start+r.Duration; cEnd > rEnd {
+	if cEnd, rEnd := c.Start.Add(c.Duration), r.Start.Add(r.Duration); cEnd.After(rEnd) {
 		t.Fatalf("child ended (%v) after root (%v)", cEnd, rEnd)
 	}
 	if got := r.Attr("n"); got != int64(42) {
@@ -236,7 +237,7 @@ func TestSpanTreeAcrossGoroutines(t *testing.T) {
 				t.Fatalf("task's parent is %q", p.Name)
 			}
 		}
-		if d.Start < p.Start {
+		if d.Start.Before(p.Start) {
 			t.Fatalf("span %d starts before its parent", d.SpanID)
 		}
 	}
@@ -349,5 +350,42 @@ func TestChromeExportShape(t *testing.T) {
 	}
 	if c.Ts < r.Ts || c.Ts+c.Dur > r.Ts+r.Dur+0.001 {
 		t.Fatalf("child [%f,%f] not nested in root [%f,%f]", c.Ts, c.Ts+c.Dur, r.Ts, r.Ts+r.Dur)
+	}
+}
+
+// TestEventJSONLines: an event is a zero-duration root record, and events
+// and root spans share one JSON-lines rendering — ts, event, the typed
+// attributes, plus trace_id and duration_ns for spans.
+func TestEventJSONLines(t *testing.T) {
+	ev := Event("checkpoint.end", Int("tail", 128), Str("where", "x"), Float("seconds", 0.5), Bool("ok", true))
+	if !ev.Root() || ev.Duration != 0 || ev.TraceID != 0 || ev.Start.IsZero() {
+		t.Fatalf("event is not a zero-duration root: %+v", ev)
+	}
+	tr := New(Options{})
+	sp := tr.StartRoot("scan")
+	sp.SetInt("matched", 3)
+	sp.End()
+
+	var buf bytes.Buffer
+	sink := JSONLines(&buf)
+	sink(ev)
+	sink(tr.Spans()[0])
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want 2 lines, got %q", buf.String())
+	}
+	var e, s map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &s); err != nil {
+		t.Fatal(err)
+	}
+	if e["event"] != "checkpoint.end" || e["tail"] != float64(128) || e["where"] != "x" ||
+		e["seconds"] != 0.5 || e["ok"] != true || e["ts"] == nil || e["trace_id"] != nil {
+		t.Fatalf("event line = %v", e)
+	}
+	if s["event"] != "scan" || s["matched"] != float64(3) || s["trace_id"] == nil || s["duration_ns"] == nil {
+		t.Fatalf("span line = %v", s)
 	}
 }

@@ -3,6 +3,7 @@ package fishstore
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
+	"fishstore/internal/trace"
 )
 
 // This file is the store-level half of the deep introspection layer: the
@@ -23,13 +25,10 @@ import (
 // never blocks ingestion.
 
 // registerIntrospection mounts the store's JSON introspection endpoints on
-// the registry (served under /debug/fishstore/ by metrics.NewMux) and
-// creates the scan decision log. Works with a disabled registry too:
-// structural introspection is orthogonal to metric collection.
+// the registry (served under /debug/fishstore/ by metrics.NewMux). Works
+// with a disabled registry too: structural introspection is orthogonal to
+// metric collection.
 func (s *Store) registerIntrospection() {
-	if s.opts.ScanDecisionLog > 0 {
-		s.scanLog = introspect.NewRing[introspect.ScanDecision](s.opts.ScanDecisionLog)
-	}
 	reg := s.metrics.reg
 	reg.RegisterDebug("index", func() any {
 		// A fresh (capped) chain sample per request: the endpoint is the
@@ -49,9 +48,7 @@ func (s *Store) registerIntrospection() {
 		}
 		return ls
 	})
-	if fr := s.metrics.flight; fr != nil {
-		reg.RegisterDebug("flight", func() any { return fr.Snapshot() })
-	}
+	reg.RegisterDebug("flight", func() any { return s.flightSnapshot() })
 	// Chrome trace-event JSON of the retained spans; load the response body
 	// directly in Perfetto (ui.perfetto.dev). Valid (empty) with tracing off.
 	reg.RegisterDebug("spans", func() any { return s.tracer.ChromeTrace() })
@@ -161,17 +158,23 @@ func (s *Store) SampleChains(opts ChainSampleOptions) (*introspect.ChainSnapshot
 			agg = &psfChainAgg{}
 			perPSF[owner] = agg
 		}
-		agg.hist.Observe(links)
+		agg.hist.Observe(int64(links))
+		agg.max = max(agg.max, links)
 	}
 
 	for id, agg := range perPSF {
+		h := agg.hist.Snapshot()
 		pc := introspect.PSFChains{
 			PSFID:   id,
-			Chains:  int(agg.hist.Count()),
-			Links:   agg.hist.Sum(),
-			MaxLen:  agg.hist.Max(),
-			MeanLen: agg.hist.Mean(),
-			Lengths: agg.hist.Buckets(),
+			Chains:  int(h.Count),
+			Links:   h.Sum,
+			MaxLen:  agg.max,
+			MeanLen: h.Mean(),
+		}
+		for i, n := range h.Buckets {
+			if n > 0 {
+				pc.Lengths = append(pc.Lengths, introspect.HistBucket{Le: uint64(metrics.BucketLe(i)), Count: n})
+			}
 		}
 		if def, ok := s.registry.Lookup(id); ok {
 			pc.Name = def.Name
@@ -184,7 +187,10 @@ func (s *Store) SampleChains(opts ChainSampleOptions) (*introspect.ChainSnapshot
 	return cs, nil
 }
 
-type psfChainAgg struct{ hist introspect.PowHist }
+type psfChainAgg struct {
+	hist metrics.Histogram
+	max  uint64
+}
 
 func sortPSFChains(pcs []introspect.PSFChains) {
 	for i := 1; i < len(pcs); i++ {
@@ -327,9 +333,6 @@ func (s *Store) CacheStats() CacheSnapshot {
 
 // ScanDecisions returns the retained scan decisions, oldest first.
 func (s *Store) ScanDecisions() introspect.ScanLog {
-	if s.scanLog == nil {
-		return introspect.ScanLog{}
-	}
 	return introspect.ScanLog{
 		Capacity:  s.scanLog.Cap(),
 		Total:     s.scanLog.Total(),
@@ -340,7 +343,7 @@ func (s *Store) ScanDecisions() introspect.ScanLog {
 
 // recordScanDecision captures one executed scan into the decision log:
 // the segment plan split, the Φ cost-model inputs in force, and the
-// observed work. Called from Scan's defer; one ring Put, no locks.
+// observed work. Called from Scan's defer; one ring Put.
 func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st *ScanStats, elapsed time.Duration) {
 	phi, profile := costModel(s.log)
 	d := introspect.ScanDecision{
@@ -378,23 +381,38 @@ func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st
 	s.scanLog.Put(d)
 }
 
-// FlightEvents returns the flight recorder's retained trace events, oldest
-// first (nil when the recorder is disabled).
-func (s *Store) FlightEvents() []metrics.TraceEvent {
-	if s.metrics.flight == nil {
-		return nil
-	}
-	return s.metrics.flight.Events()
+// Event appends a control-plane event to the store's event stream — the
+// flight recorder and Options.TraceSink — for components outside the store
+// (a fault injector stamping a power cut) that belong on its timeline.
+func (s *Store) Event(name string, attrs ...trace.Attr) { s.metrics.event(name, attrs...) }
+
+// FlightEvents returns the flight recorder's retained records, oldest first:
+// events and finished root spans.
+func (s *Store) FlightEvents() []trace.SpanData { return s.metrics.flight.Snapshot() }
+
+// flightDumpMu serializes concurrent dumps (e.g. two VerifyLog failures
+// racing) so their JSON lines do not interleave in a shared writer.
+var flightDumpMu sync.Mutex
+
+// DumpFlight writes the flight recorder's contents to w as JSON lines
+// ({"ts":..., "event":..., <attributes>}), oldest first. Safe to call from
+// concurrent failure paths (dumps are serialized process-wide).
+func (s *Store) DumpFlight(w io.Writer) error {
+	flightDumpMu.Lock()
+	defer flightDumpMu.Unlock()
+	return trace.WriteJSONLines(w, s.FlightEvents())
 }
 
-// DumpFlight writes the flight recorder's contents to w as JSON lines,
-// oldest first. Safe to call from concurrent failure paths (dumps are
-// serialized process-wide). No-op when the recorder is disabled.
-func (s *Store) DumpFlight(w io.Writer) error {
-	if s.metrics.flight == nil {
-		return nil
+// flightSnapshot renders the flight recorder for /debug/fishstore/flight.
+func (s *Store) flightSnapshot() introspect.FlightSnapshot {
+	fl := s.metrics.flight
+	events := fl.Snapshot()
+	out := introspect.FlightSnapshot{Capacity: fl.Cap(), Total: fl.Total(), Dropped: fl.Dropped(),
+		Events: make([]map[string]any, len(events))}
+	for i, d := range events {
+		out.Events[i] = d.JSON()
 	}
-	return s.metrics.flight.DumpLocked(w)
+	return out
 }
 
 // EpochInUse reports the store's live epoch guards (acquired and not yet

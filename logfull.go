@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"fishstore/internal/metrics"
 	"fishstore/internal/storage"
+	"fishstore/internal/trace"
 )
 
 // ErrLogFull is returned by Ingest, Flush, and Checkpoint while the store is
@@ -27,7 +27,7 @@ func (s *Store) enterLogFull(cause error) {
 	msg := cause.Error()
 	s.logFullCause.Store(&msg)
 	s.metrics.logFullGauge.Set(1)
-	s.metrics.reg.Trace("store.log_full", metrics.F("cause", msg))
+	s.metrics.event("store.log_full", trace.Str("cause", msg))
 	if w := s.opts.FlightDumpWriter; w != nil {
 		_ = s.DumpFlight(w)
 	}
@@ -122,8 +122,7 @@ func (s *Store) RecoverLogSpace() error {
 	s.logFullRecoveries.Add(1)
 	s.metrics.logFullGauge.Set(0)
 	s.metrics.logFullRecoveries.Inc()
-	s.metrics.reg.Trace("store.log_full_recovered",
-		metrics.FUint("floor", floor))
+	s.metrics.event("store.log_full_recovered", trace.Uint("floor", floor))
 	return nil
 }
 

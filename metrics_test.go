@@ -2,6 +2,7 @@ package fishstore
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
+	"fishstore/internal/telemetry"
 )
 
 // TestConcurrentIngestMetrics runs N ingesting sessions while a goroutine
@@ -224,48 +226,80 @@ func TestMetricsHandlerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceSinkEvents checks structured events fire for PSF transitions,
-// checkpoints, and slow operations.
-func TestTraceSinkEvents(t *testing.T) {
+// TestOneHistogramServesEveryView: each operation is timed once, into the
+// collector's histogram, and every surface reads that same object — after N
+// ingest batches and M checkpoints the Prometheus _count, the workload
+// snapshot and the SLO watchdog's cumulative count all say N (and M).
+func TestOneHistogramServesEveryView(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sink := metrics.NewMemorySink(0)
-	s := openTestStore(t, Options{
-		Metrics:         reg,
-		TraceSink:       sink,
-		SlowOpThreshold: time.Nanosecond, // everything is "slow"
-		Device:          storage.NewMem(),
-	})
-	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
+	s := openTestStore(t, Options{Metrics: reg, Device: storage.NewMem(), SLO: &telemetry.SLO{
+		IngestBatchP99: time.Hour, CheckpointP99: time.Hour, IndexScanP95: time.Hour,
+		Interval: time.Millisecond}})
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	const n, m = 7, 3
 	sess := s.NewSession()
-	if _, err := sess.Ingest([][]byte{genEvent(1, "PushEvent", "spark")}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		if _, err := sess.Ingest([][]byte{genEvent(i, "PushEvent", "spark")}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sess.Close()
-	dir := t.TempDir()
-	if err := s.Checkpoint(dir); err != nil {
+	for i := 0; i < m; i++ {
+		if err := s.Checkpoint(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex}, func(Record) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, name := range []string{"psf.prepare", "psf.pending", "psf.rest",
-		"checkpoint.begin", "checkpoint.end", "ingest.slow_batch"} {
-		if len(sink.Named(name)) == 0 {
-			t.Errorf("no %q trace event emitted", name)
+	var text bytes.Buffer
+	if err := metrics.WriteText(&text, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]int64{}
+	for _, op := range s.WorkloadSnapshot(1).Ops {
+		ops[op.Op] = op.Count
+	}
+	for _, c := range []struct {
+		series, op, slo string
+		want            int64
+	}{
+		{"fishstore_ingest_batch_seconds_count", "ingest_batch", "ingest_batch_p99", n},
+		{"fishstore_checkpoint_seconds_count", "checkpoint", "checkpoint_p99", m},
+		{`fishstore_scan_segment_seconds_count{kind="index"}`, "index_scan", "index_scan_p95", 1},
+	} {
+		if line := fmt.Sprintf("%s %d\n", c.series, c.want); !strings.Contains(text.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+		if ops[c.op] != c.want {
+			t.Errorf("WorkloadSnapshot %s count = %d, want %d", c.op, ops[c.op], c.want)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for watchdogOps(s, c.slo) != c.want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := watchdogOps(s, c.slo); got != c.want {
+			t.Errorf("watchdog %s cumulative count = %d, want %d", c.slo, got, c.want)
 		}
 	}
-	end := sink.Named("checkpoint.end")
-	if len(end) == 1 {
-		hasBytes := false
-		for _, f := range end[0].Fields {
-			if f.Key == "bytes" {
-				hasBytes = true
-			}
-		}
-		if !hasBytes {
-			t.Error("checkpoint.end missing bytes field")
+	for _, gone := range []string{"fishstore_workload_ops_total", "fishstore_workload_latency_seconds"} {
+		if strings.Contains(text.String(), gone) {
+			t.Errorf("/metrics still exports the duplicate %s", gone)
 		}
 	}
+}
+
+func watchdogOps(s *Store, slo string) int64 {
+	for _, b := range s.Health().SLO.SLOs {
+		if b.Name == slo {
+			return b.Ops
+		}
+	}
+	return -1
 }
 
 // TestDisabledMetricsIsInert confirms a store without a registry produces an

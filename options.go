@@ -58,32 +58,23 @@ type Options struct {
 	// check. Several stores may share one registry.
 	Metrics *metrics.Registry
 
-	// TraceSink, if set, receives structured control-plane events
-	// (checkpoints, PSF state transitions, prefetch window changes, epoch
-	// drains, hash table growth, slow operations). Requires Metrics.
-	TraceSink metrics.TraceSink
+	// TraceSink, if set, receives the store's event stream as it happens:
+	// control-plane events (checkpoints, PSF state transitions, page
+	// flushes, prefetch window changes, epoch drains, hash table growth,
+	// slow operations) and finished root spans, all as trace.SpanData — an
+	// event is a zero-duration root. trace.JSONLines(w) writes them as JSON
+	// lines. Works with or without Metrics. It is called synchronously on
+	// the emitting goroutine and must be cheap and concurrency-safe.
+	TraceSink func(trace.SpanData)
 
-	// SlowOpThreshold makes operations slower than it emit *.slow trace
-	// events. Zero disables slow-operation tracing.
+	// SlowOpThreshold makes ingest batches and scans at least this slow emit
+	// ingest.slow_batch / scan.slow events. Zero disables them.
 	SlowOpThreshold time.Duration
 
-	// FlightRecorderSize is the capacity (in events) of the crash flight
-	// recorder: a lock-free ring that retains the most recent trace events
-	// and is dumped on VerifyLog corruption and on demand (DumpFlight,
-	// /debug/fishstore/flight). 0 means the default (256); negative disables
-	// the recorder. When enabled, the recorder becomes the registry's trace
-	// sink and tees every event to Options.TraceSink.
-	FlightRecorderSize int
-
-	// FlightDumpWriter, if set, receives an automatic JSON-lines flight dump
-	// whenever VerifyLog detects corruption.
+	// FlightDumpWriter, if set, receives an automatic JSON-lines dump of the
+	// crash flight recorder — the last 256 records of the event stream —
+	// whenever VerifyLog detects corruption or the store degrades.
 	FlightDumpWriter io.Writer
-
-	// ScanDecisionLog is the number of recent scan decisions retained for
-	// /debug/fishstore/scan and fishstore-cli inspect: per-segment
-	// index/full choices plus the cost-model inputs (Φ) each adaptive scan
-	// used. 0 means the default (64); negative disables the decision log.
-	ScanDecisionLog int
 
 	// DisableRecordChecksums writes format-v0 records without the per-record
 	// checksum trailer (8 bytes/record smaller, no CRC at flush). Readers
@@ -112,10 +103,9 @@ type Options struct {
 	// exportable as Chrome trace-event JSON (/debug/fishstore/spans,
 	// fishstore-cli trace). nil consults the process-wide default
 	// (SetDefaultTracer); when that too is unset, spans are disabled and
-	// every instrumented site degrades to one atomic load. Root spans are
-	// teed (as span.* trace events) into the metrics trace pipeline — the
-	// flight recorder and TraceSink — so the crash timeline and the span
-	// timeline stay on one stream.
+	// every instrumented site degrades to one atomic load. Finished root
+	// spans join the event stream — the flight recorder and TraceSink — so
+	// the crash timeline and the span timeline are one stream.
 	Tracer *trace.Tracer
 
 	// PageCachePages bounds the read-through page cache over on-device log
@@ -124,13 +114,6 @@ type Options struct {
 	// negative disables the cache (every cold read is a device hit, the
 	// pre-cache behaviour). Cached pages are invalidated by TruncateUntil.
 	PageCachePages int
-
-	// DisableTelemetry turns off the workload-attribution layer (per-op
-	// latency sketches, PSF / property / tenant heavy hitters,
-	// /debug/fishstore/workload). Telemetry is on by default — its hot-path
-	// cost is a few atomic adds per batch — and is independent of Metrics:
-	// the sketches work with a disabled registry too.
-	DisableTelemetry bool
 
 	// TenantLabel, if set, is consulted once per ingest batch and once per
 	// scan to attribute that operation's records and bytes to a
@@ -143,8 +126,7 @@ type Options struct {
 	// latency targets every SLO.Interval, publishes burn rates as
 	// fishstore_slo_burn gauges, emits slo.burn trace events into the
 	// flight recorder while an objective is burning, and folds the verdict
-	// into /debug/fishstore/health. Requires telemetry (ignored when
-	// DisableTelemetry is set).
+	// into /debug/fishstore/health.
 	SLO *telemetry.SLO
 
 	// ProfileLabels attaches runtime/pprof goroutine labels (operation,
@@ -246,12 +228,6 @@ func (o *Options) withDefaults() (Options, error) {
 		if out.OverflowBuckets < 64 {
 			out.OverflowBuckets = 64
 		}
-	}
-	if out.FlightRecorderSize == 0 {
-		out.FlightRecorderSize = 256
-	}
-	if out.ScanDecisionLog == 0 {
-		out.ScanDecisionLog = 64
 	}
 	if out.PageCachePages == 0 {
 		out.PageCachePages = 64

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fishstore/internal/hlog"
-	"fishstore/internal/metrics"
 	"fishstore/internal/pagecache"
 	"fishstore/internal/record"
 	"fishstore/internal/storage"
@@ -366,11 +365,10 @@ func (cr *chainReader) adapt(base uint64, size int) {
 			m.prefetchWindow.Set(int64(cr.window))
 			if cr.window > prev {
 				m.prefetchGrows.Inc()
-				m.reg.Trace("prefetch.grow",
-					metrics.FInt("window", int64(cr.window)), metrics.FUint("gap", gap))
+				m.event("prefetch.grow", trace.Int("window", int64(cr.window)), trace.Uint("gap", gap))
 			} else {
 				m.prefetchCollapse.Inc()
-				m.reg.Trace("prefetch.collapse", metrics.FUint("gap", gap))
+				m.event("prefetch.collapse", trace.Uint("gap", gap))
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"fishstore/internal/epoch"
 	"fishstore/internal/hlog"
-	"fishstore/internal/metrics"
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
@@ -170,39 +169,35 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 		sp.SetUint("to", to)
 	}
 
-	if s.scanLog != nil {
-		start := time.Now()
-		defer func() {
-			s.recordScanDecision(prop.PSF, opts.Mode, from, to, &st, time.Since(start))
-		}()
-	}
-
-	if met := s.metrics; met.reg.Enabled() {
-		met.scans.Inc()
-		start := time.Now()
-		defer func() {
-			elapsed := time.Since(start)
-			met.scanSeconds.Observe(int64(elapsed))
-			met.scanMatched.Add(st.Matched)
-			met.scanVisited.Add(st.Visited)
-			met.scanIndexHops.Add(st.IndexHops)
-			met.scanFullBytes.Add(st.FullScanBytes)
-			met.scanIOReads.Add(st.IOs)
-			met.scanIOReadBytes.Add(st.ReadBytes)
-			for _, seg := range st.Plan {
-				if seg.Indexed {
-					met.scanSegIndexed.Inc()
-				} else {
-					met.scanSegFull.Inc()
-				}
+	met := s.metrics
+	met.scans.Inc()
+	start := time.Now()
+	defer func() {
+		elapsed := time.Since(start)
+		s.recordScanDecision(prop.PSF, opts.Mode, from, to, &st, elapsed)
+		if slow := s.opts.SlowOpThreshold; slow > 0 && elapsed >= slow {
+			met.event("scan.slow", trace.Float("seconds", elapsed.Seconds()),
+				trace.Int("matched", st.Matched), trace.Int("visited", st.Visited),
+				trace.Int("ios", st.IOs), trace.Int("segments", int64(len(st.Plan))))
+		}
+		if !met.reg.Enabled() {
+			return
+		}
+		met.scanSeconds.Observe(int64(elapsed))
+		met.scanMatched.Add(st.Matched)
+		met.scanVisited.Add(st.Visited)
+		met.scanIndexHops.Add(st.IndexHops)
+		met.scanFullBytes.Add(st.FullScanBytes)
+		met.scanIOReads.Add(st.IOs)
+		met.scanIOReadBytes.Add(st.ReadBytes)
+		for _, seg := range st.Plan {
+			if seg.Indexed {
+				met.scanSegIndexed.Inc()
+			} else {
+				met.scanSegFull.Inc()
 			}
-			met.reg.TraceSlow("scan.slow", elapsed,
-				metrics.F("matched", st.Matched),
-				metrics.F("visited", st.Visited),
-				metrics.F("ios", st.IOs),
-				metrics.F("segments", len(st.Plan)))
-		}()
-	}
+		}
+	}()
 
 	def, ok := s.registry.Lookup(prop.PSF)
 	if !ok {
@@ -239,14 +234,9 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 				ssp = sp.Child("scan.segment.index")
 			}
 			useAP := opts.Mode != ScanIndexNoPrefetch
-			var segStart time.Time
-			if s.tele != nil {
-				segStart = time.Now()
-			}
+			segStart := time.Now()
 			stopped, err = s.indexScanSegment(ctx, g, prop, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, &st)
-			if s.tele != nil {
-				s.tele.RecordOp(telemetry.OpIndexScan, time.Since(segStart))
-			}
+			s.tele.RecordOp(telemetry.OpIndexScan, time.Since(segStart))
 		} else {
 			if sp != nil {
 				ssp = sp.Child("scan.segment.full")
@@ -272,13 +262,11 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 		sp.SetInt("matched", st.Matched)
 		sp.SetInt("visited", st.Visited)
 	}
-	if tele := s.tele; tele != nil {
-		// Queried-property heavy hitters answer "which predicates do reads
-		// pay for" — the read-side complement of the ingest PSF attribution.
-		tele.ObserveQueried(def.Name+"="+string(canon), st.Matched, st.ReadBytes)
-		if lbl := s.opts.TenantLabel; lbl != nil {
-			tele.ObserveTenant(lbl(), st.Visited, st.ReadBytes)
-		}
+	// Queried-property heavy hitters answer "which predicates do reads pay
+	// for" — the read-side complement of the ingest PSF attribution.
+	s.tele.ObserveQueried(def.Name+"="+string(canon), st.Matched, st.ReadBytes)
+	if lbl := s.opts.TenantLabel; lbl != nil {
+		s.tele.ObserveTenant(lbl(), st.Visited, st.ReadBytes)
 	}
 	return st, nil
 }
@@ -390,10 +378,8 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 	// Pointer-match scans count as full-scan work in the workload view: the
 	// operator's question is "how much of the read path bypassed the index",
 	// not "which matcher ran".
-	if tele := s.tele; tele != nil {
-		start := time.Now()
-		defer func() { tele.RecordOp(telemetry.OpFullScan, time.Since(start)) }()
-	}
+	start := time.Now()
+	defer func() { s.tele.RecordOp(telemetry.OpFullScan, time.Since(start)) }()
 	byPointer := s.rangeIndexComplete(prop.PSF, from, to)
 	newMatcher := func() (recordMatcher, error) {
 		if byPointer {
@@ -647,20 +633,19 @@ func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint
 }
 
 // quarantineRecord accounts for a device-fetched record whose checksum (or
-// structure) failed under VerifyOnRead: it is counted, traced with its
-// address so the flight recorder pins where the log is damaged, and never
-// surfaced. quarantined may be nil (callers without scan stats). where names
-// the read path that hit the record ("full-scan", "chain", "indirect-target")
-// and is a separate trace field so hot callers never concatenate strings.
+// structure) failed under VerifyOnRead: it is counted, recorded as an event
+// with its address so the flight recorder pins where the log is damaged, and
+// never surfaced. quarantined may be nil (callers without scan stats). where
+// names the read path that hit the record ("full-scan", "chain",
+// "indirect-target") and is a separate event attribute so hot callers never
+// concatenate strings.
 func (s *Store) quarantineRecord(addr uint64, quarantined *int64, where, reason string) {
 	if quarantined != nil {
 		atomic.AddInt64(quarantined, 1)
 	}
 	s.metrics.corruptRecords.Inc()
-	s.metrics.reg.Trace("scan.quarantine",
-		metrics.FUint("address", addr),
-		metrics.FStr("where", where),
-		metrics.FStr("reason", reason))
+	s.metrics.event("scan.quarantine",
+		trace.Uint("address", addr), trace.Str("where", where), trace.Str("reason", reason))
 }
 
 // walkRecords iterates the records laid out in words (whose first word is

@@ -10,7 +10,6 @@ import (
 	"fishstore/internal/epoch"
 	"fishstore/internal/expr"
 	"fishstore/internal/hashtable"
-	"fishstore/internal/metrics"
 	"fishstore/internal/parser"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
@@ -37,10 +36,10 @@ type Session struct {
 	ptrCanons   [][]byte // canonical value copies for sharded pointers
 	valueRegion []byte
 
-	// Workload-attribution scratch (nil when telemetry is disabled):
-	// per-meta-PSF record/byte counts accumulated with plain adds on the
-	// hot path and flushed into the collector once per batch, plus a key
-	// buffer for sampled property attribution.
+	// Workload-attribution scratch: per-meta-PSF record/byte counts
+	// accumulated with plain adds on the hot path and flushed into the
+	// collector once per batch, plus a key buffer for sampled property
+	// attribution.
 	teleRecs  []int64
 	teleBytes []int64
 	teleKey   []byte
@@ -122,13 +121,11 @@ func (sess *Session) refreshMeta() error {
 	}
 	sess.meta = meta
 	sess.psess = ps
-	if sess.store.tele != nil {
-		// Any counts for the previous meta were flushed at the end of the
-		// batch that accumulated them; size fresh accumulators for the new
-		// PSF set (cold path: only on registration changes).
-		sess.teleRecs = make([]int64, len(meta.PSFs))
-		sess.teleBytes = make([]int64, len(meta.PSFs))
-	}
+	// Any counts for the previous meta were flushed at the end of the batch
+	// that accumulated them; size fresh accumulators for the new PSF set
+	// (cold path: only on registration changes).
+	sess.teleRecs = make([]int64, len(meta.PSFs))
+	sess.teleBytes = make([]int64, len(meta.PSFs))
 	return nil
 }
 
@@ -198,14 +195,8 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		defer pl.clear()
 	}
 	tele := sess.store.tele
-	var batchStart time.Time
-	var phasesBefore PhaseStats
-	if met.reg.Enabled() || sp != nil || tele != nil {
-		batchStart = time.Now()
-		if timed {
-			phasesBefore = sess.phases
-		}
-	}
+	batchStart := time.Now()
+	phasesBefore := sess.phases
 
 	var st IngestStats
 	var mark time.Time
@@ -346,7 +337,7 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		met.recordBytes.Observe(int64(len(payload)))
 		// Sampled per-(PSF,value) heavy-hitter attribution: 1-in-N records,
 		// outside the lap windows and the hotpath-audited helpers.
-		if tele != nil && len(sess.ptrSpecs) > 0 && tele.SampleProperty() {
+		if len(sess.ptrSpecs) > 0 && tele.SampleProperty() {
 			sess.observeSampledProperties(payload)
 		}
 	}
@@ -356,9 +347,12 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 	sess.store.ingestedBytes.Add(st.Bytes)
 	sess.store.indexedProps.Add(int64(st.Properties))
 
+	// The batch is timed once: the collector's histogram is also what the
+	// registry exports as fishstore_ingest_batch_seconds.
+	elapsed := time.Since(batchStart)
+	tele.RecordOp(telemetry.OpIngestBatch, elapsed)
+	sess.flushBatchAttribution(tele, &st)
 	if met.reg.Enabled() {
-		elapsed := time.Since(batchStart)
-		met.batchSeconds.Observe(int64(elapsed))
 		met.ingestRecords.Add(int64(st.Records))
 		met.ingestBytes.Add(st.Bytes)
 		met.ingestProps.Add(int64(st.Properties))
@@ -379,13 +373,10 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				met.phaseSeconds[i].Observe(int64(d))
 			}
 		}
-		met.reg.TraceSlow("ingest.slow_batch", elapsed,
-			metrics.F("records", st.Records),
-			metrics.F("bytes", st.Bytes))
 	}
-	if tele != nil {
-		tele.RecordOp(telemetry.OpIngestBatch, time.Since(batchStart))
-		sess.flushBatchAttribution(tele, &st)
+	if slow := sess.store.opts.SlowOpThreshold; slow > 0 && elapsed >= slow {
+		met.event("ingest.slow_batch", trace.Float("seconds", elapsed.Seconds()),
+			trace.Int("records", int64(st.Records)), trace.Int("bytes", st.Bytes))
 	}
 	if sp != nil {
 		sp.SetInt("records", int64(st.Records))
@@ -446,12 +437,10 @@ func (sess *Session) buildPointers(payload []byte, parsed *parser.Parsed, parseF
 			}
 		}
 		sess.ptrSpecs = append(sess.ptrSpecs, ps)
-		if sess.teleRecs != nil {
-			// Batch-local attribution: plain slice-index adds here, one
-			// collector update per active PSF at batch end.
-			sess.teleRecs[i]++
-			sess.teleBytes[i] += int64(len(payload))
-		}
+		// Batch-local attribution: plain slice-index adds here, one
+		// collector update per active PSF at batch end.
+		sess.teleRecs[i]++
+		sess.teleBytes[i] += int64(len(payload))
 		shards := a.Def.ShardCount()
 		sess.ptrShards = append(sess.ptrShards, shards)
 		if shards > 1 {

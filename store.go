@@ -43,6 +43,10 @@ import (
 	"fishstore/internal/trace"
 )
 
+// scanDecisionLog is how many recent scan decisions /debug/fishstore/scan
+// and fishstore-cli inspect retain.
+const scanDecisionLog = 64
+
 // Store is a FishStore instance. All methods are safe for concurrent use;
 // ingestion goes through per-worker Sessions.
 type Store struct {
@@ -63,10 +67,10 @@ type Store struct {
 	// (nil when disabled).
 	pcache *pagecache.Cache
 
-	// tele is the workload-attribution collector (nil when disabled):
-	// per-operation latency sketches plus PSF / property / tenant heavy
-	// hitters. watchdog evaluates Options.SLO targets against it (nil when
-	// no SLO is configured).
+	// tele is the workload-attribution collector: per-operation latency
+	// histograms (exported by the metrics registry as the store's own) plus
+	// PSF / property / tenant heavy hitters. watchdog evaluates Options.SLO
+	// targets against it (nil when no SLO is configured).
 	tele     *telemetry.Collector
 	watchdog *telemetry.Watchdog
 
@@ -78,8 +82,8 @@ type Store struct {
 	invalidated     atomic.Int64 // records abandoned by badCAS reallocation
 	truncatedUntil  atomic.Uint64
 
-	// scanLog retains the last N scan decisions (Φ inputs, segment split,
-	// observed work) for /debug/fishstore/scan; nil when disabled.
+	// scanLog retains the last scanDecisionLog scan decisions (Φ inputs,
+	// segment split, observed work) for /debug/fishstore/scan.
 	scanLog *introspect.Ring[introspect.ScanDecision]
 	scanSeq atomic.Uint64
 
@@ -112,11 +116,12 @@ type Store struct {
 	closed bool
 }
 
-// initMetrics resolves the registry (explicit option, process default, or
-// disabled), configures tracing, and — when enabled — wraps the device so
-// every read/write reports a latency observation. It mutates o in place and
-// must run before the hybrid log is built.
-func initMetrics(o *Options) *storeMetrics {
+// newStore builds a store around o without its log, table and PSF registry:
+// the observability layer — workload collector, metrics registry (explicit
+// option, process default, or disabled), event stream, scan decision log,
+// tracer — and o.Device wrapped for retries, metrics and spans. Open and
+// Recover finish it; the log must be built on s.opts.Device.
+func newStore(o Options) *Store {
 	reg := o.Metrics
 	if reg == nil {
 		reg = defaultRegistry.Load()
@@ -124,33 +129,18 @@ func initMetrics(o *Options) *storeMetrics {
 	if reg == nil {
 		reg = metrics.NewDisabled()
 	}
-	var flight *introspect.FlightRecorder
-	if o.FlightRecorderSize > 0 {
-		// The flight recorder becomes the registry's sink and tees every
-		// event to the configured TraceSink. When several stores share a
-		// registry, the last store opened provides the recorder.
-		flight = introspect.NewFlightRecorder(o.FlightRecorderSize, o.TraceSink)
-		reg.SetTraceSink(flight)
-	} else if o.TraceSink != nil {
-		reg.SetTraceSink(o.TraceSink)
-	}
-	if o.SlowOpThreshold > 0 {
-		reg.SetSlowOpThreshold(o.SlowOpThreshold)
-	}
-	m := newStoreMetrics(reg)
-	m.flight = flight
+	tele := telemetry.New(telemetry.Config{})
+	m := newStoreMetrics(reg, tele, o.TraceSink)
 	if o.IORetry != nil && o.Device != nil {
 		// Retry closest to the hardware so instrumentation above it observes
 		// one logical operation per log request. The user's OnRetry still
-		// fires; the store adds its counter and trace on top.
+		// fires; the store adds its counter and event on top.
 		policy := *o.IORetry
 		userHook := policy.OnRetry
 		policy.OnRetry = func(op string, attempt int, err error) {
 			m.ioRetries.Inc()
-			m.reg.Trace("storage.retry",
-				metrics.F("op", op),
-				metrics.F("attempt", attempt),
-				metrics.F("error", err.Error()))
+			m.event("storage.retry",
+				trace.Str("op", op), trace.Int("attempt", int64(attempt)), trace.Str("error", err.Error()))
 			if userHook != nil {
 				userHook(op, attempt, err)
 			}
@@ -160,7 +150,22 @@ func initMetrics(o *Options) *storeMetrics {
 	if reg.Enabled() {
 		o.Device = storage.NewInstrumented(o.Device, m)
 	}
-	return m
+	// The span wrapper is outermost, so storage.Unwrap still reaches the
+	// concrete device.
+	tr := resolveTracer(&o)
+	s := &Store{
+		opts:    o,
+		epoch:   epoch.New(),
+		pf:      o.Parser,
+		metrics: m,
+		tele:    tele,
+		tracer:  tr,
+		scanLog: introspect.NewRing[introspect.ScanDecision](scanDecisionLog),
+	}
+	if o.ProfileLabels {
+		s.plabels = newProfileLabels()
+	}
+	return s
 }
 
 // Open creates a store.
@@ -169,48 +174,38 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	met := initMetrics(&o)
-	tr := resolveTracer(&o)
-	em := epoch.New()
 	// The store is built before its log so the flush hook can flip it into
 	// degraded mode; flushes only start once ingestion does, after Open
 	// returns with s.log assigned.
-	s := &Store{
-		opts:    o,
-		epoch:   em,
-		table:   hashtable.New(o.TableBuckets, o.OverflowBuckets),
-		pf:      o.Parser,
-		metrics: met,
-		tracer:  tr,
-	}
-	if o.ProfileLabels {
-		s.plabels = newProfileLabels()
-	}
+	s := newStore(o)
+	s.table = hashtable.New(o.TableBuckets, o.OverflowBuckets)
 	if o.Limits != nil {
-		s.gov = newGovernor(o.Limits, met)
+		s.gov = newGovernor(o.Limits, s.metrics)
 	}
 	if o.PageCachePages > 0 {
 		s.pcache = pagecache.New(o.PageCachePages, 1<<(o.PageBits-3))
 	}
-	log, err := hlog.New(hlog.Config{
-		PageBits:      o.PageBits,
-		MemPages:      o.MemPages,
-		Device:        o.Device,
-		Epoch:         em,
-		OnFlush:       s.flushHook(),
-		Tracer:        tr,
-		ProfileLabels: o.ProfileLabels,
-	})
+	log, err := hlog.New(s.logConfig())
 	if err != nil {
 		return nil, err
 	}
 	s.log = log
-	s.registry = psf.NewRegistry(em, log.TailAddress)
-	s.wireInternalMetrics()
-	s.wireSpanTee()
-	s.registerIntrospection()
-	s.wireWorkloadTelemetry()
+	s.registry = psf.NewRegistry(s.epoch, log.TailAddress)
+	s.wireObservability()
 	return s, nil
+}
+
+// logConfig is the hybrid log's configuration for this store.
+func (s *Store) logConfig() hlog.Config {
+	return hlog.Config{
+		PageBits:      s.opts.PageBits,
+		MemPages:      s.opts.MemPages,
+		Device:        s.opts.Device,
+		Epoch:         s.epoch,
+		OnFlush:       s.flushHook(),
+		Tracer:        s.tracer,
+		ProfileLabels: s.opts.ProfileLabels,
+	}
 }
 
 // flushHook returns the hlog OnFlush hook: a trace event per completed page
@@ -223,8 +218,7 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) flushHook() func(page uint64, err error) {
 	return func(page uint64, err error) {
 		if err != nil {
-			s.metrics.reg.Trace("hlog.flush",
-				metrics.F("page", page), metrics.F("error", err.Error()))
+			s.metrics.event("hlog.flush", trace.Uint("page", page), trace.Str("error", err.Error()))
 			if storage.IsNoSpace(err) {
 				// A full disk is a managed condition, not a dead device:
 				// the sealed page is retained in its frame and re-driven by
@@ -235,7 +229,7 @@ func (s *Store) flushHook() func(page uint64, err error) {
 			s.enterDegraded(fmt.Errorf("page %d flush: %w", page, err))
 			return
 		}
-		s.metrics.reg.Trace("hlog.flush", metrics.F("page", page))
+		s.metrics.event("hlog.flush", trace.Uint("page", page))
 	}
 }
 
@@ -253,7 +247,7 @@ func (s *Store) enterDegraded(cause error) {
 	}
 	msg := cause.Error()
 	s.degradedCause.Store(&msg)
-	s.metrics.reg.Trace("store.degraded", metrics.F("cause", msg))
+	s.metrics.event("store.degraded", trace.Str("cause", msg))
 	if w := s.opts.FlightDumpWriter; w != nil {
 		_ = s.DumpFlight(w)
 	}
@@ -271,26 +265,34 @@ func (s *Store) Degraded() (bool, string) {
 	return true, ""
 }
 
-// wireInternalMetrics attaches counters and trace hooks to the store's
-// internal subsystems. Hooks are installed before any concurrent use of the
-// subsystems (Open/Recover return the store only afterwards).
-func (s *Store) wireInternalMetrics() {
-	reg := s.metrics.reg
-	if !reg.Enabled() {
-		return
-	}
-	s.epoch.Instrument(s.metrics.epochBumps, s.metrics.epochActions, func(ran int) {
-		reg.Trace("epoch.drain",
-			metrics.F("actions", ran),
-			metrics.F("safe", s.epoch.SafeEpoch()))
+// wireObservability attaches counters and event hooks to the store's
+// internal subsystems, feeds finished root spans into the event stream,
+// registers the snapshot-time gauges and debug endpoints, and starts the
+// SLO watchdog. Hooks are installed before any concurrent use of the
+// subsystems (Open/Recover return the store only afterwards), and with or
+// without a metrics registry: the event stream is the store's own.
+func (s *Store) wireObservability() {
+	m := s.metrics
+	s.epoch.Instrument(m.epochBumps, m.epochActions, func(ran int) {
+		m.event("epoch.drain", trace.Int("actions", int64(ran)), trace.Uint("safe", s.epoch.SafeEpoch()))
 	})
-	s.table.Instrument(s.metrics.htEntries, s.metrics.htOverflowAdds, func(overflowIdx int) {
-		reg.Trace("hashtable.grow", metrics.F("overflow_buckets", overflowIdx))
+	s.table.Instrument(m.htEntries, m.htOverflowAdds, func(overflowIdx int) {
+		m.event("hashtable.grow", trace.Int("overflow_buckets", int64(overflowIdx)))
 	})
 	s.registry.SetTrace(func(state string, version uint64) {
-		reg.Trace("psf."+state, metrics.F("version", version))
+		m.event("psf."+state, trace.Uint("version", version))
+	})
+	// Finished root spans join the stream as they are; their children stay
+	// in the tracer's ring. When several stores share one tracer, the last
+	// store opened receives them.
+	s.tracer.SetOnFinish(func(d trace.SpanData) {
+		if d.Root() {
+			m.record(d)
+		}
 	})
 	s.registerGaugeFuncs()
+	s.registerIntrospection()
+	s.wireWorkloadTelemetry()
 }
 
 // Close flushes and closes the store. All sessions must be closed first.

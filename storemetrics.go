@@ -6,6 +6,8 @@ import (
 
 	"fishstore/internal/introspect"
 	"fishstore/internal/metrics"
+	"fishstore/internal/telemetry"
+	"fishstore/internal/trace"
 )
 
 // defaultRegistry is consulted by Open when Options.Metrics is nil. It lets
@@ -28,9 +30,15 @@ func SetDefaultMetricsRegistry(r *metrics.Registry) {
 // fishstore_ingest_phase_seconds, in Fig 13 order.
 var phaseNames = [5]string{"parse", "psf_eval", "memcpy", "index", "others"}
 
-// storeMetrics holds every metric handle a Store touches on its hot paths.
-// All handles are nil (no-ops) when metrics are disabled, so instrumented
-// code never branches on configuration.
+// flightEvents is the crash flight recorder's capacity: the most recent
+// records of the store's event stream, dumped on corruption, degradation
+// and demand.
+const flightEvents = 256
+
+// storeMetrics holds every metric handle a Store touches on its hot paths,
+// plus the store's event stream. The handles are nil (no-ops) when metrics
+// are disabled, so instrumented code never branches on configuration; the
+// event stream never depends on the registry.
 type storeMetrics struct {
 	reg *metrics.Registry
 
@@ -40,7 +48,6 @@ type storeMetrics struct {
 	ingestProps   *metrics.Counter
 	parseErrors   *metrics.Counter
 	reallocations *metrics.Counter
-	batchSeconds  *metrics.Histogram
 	recordBytes   *metrics.Histogram
 	phaseSeconds  [5]*metrics.Histogram // indexed like phaseNames
 
@@ -62,11 +69,10 @@ type storeMetrics struct {
 	prefetchMisses   *metrics.Counter
 
 	// Durability (checkpoint.go).
-	checkpoints       *metrics.Counter
-	checkpointSeconds *metrics.Histogram
-	checkpointBytes   *metrics.Histogram
-	recoverySeconds   *metrics.Histogram
-	recoveryReplayed  *metrics.Counter
+	checkpoints      *metrics.Counter
+	checkpointBytes  *metrics.Histogram
+	recoverySeconds  *metrics.Histogram
+	recoveryReplayed *metrics.Counter
 
 	// Device I/O (internal/storage wrapper).
 	deviceReadSeconds  *metrics.Histogram
@@ -92,17 +98,19 @@ type storeMetrics struct {
 	htEntries      *metrics.Counter
 	htOverflowAdds *metrics.Counter
 
-	// flight is the crash flight recorder installed as the registry's trace
-	// sink (nil when Options.FlightRecorderSize < 0). Unlike the metric
-	// handles above it also works with a disabled registry: Trace only
-	// checks the sink.
-	flight *introspect.FlightRecorder
+	// The event stream: control-plane events and finished root spans, one
+	// record type. flight is the crash flight recorder (the stream's last
+	// flightEvents records); sink is Options.TraceSink.
+	flight *introspect.Ring[trace.SpanData]
+	sink   func(trace.SpanData)
 }
 
-// newStoreMetrics registers (or re-resolves, when the registry is shared)
-// every metric family. With a disabled registry all handles stay nil.
-func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
-	m := &storeMetrics{reg: reg}
+// newStoreMetrics builds the event stream and registers (or re-resolves,
+// when the registry is shared) every metric family, exporting tele's
+// per-operation histograms by reference. With a disabled registry all
+// handles stay nil.
+func newStoreMetrics(reg *metrics.Registry, tele *telemetry.Collector, sink func(trace.SpanData)) *storeMetrics {
+	m := &storeMetrics{reg: reg, flight: introspect.NewRing[trace.SpanData](flightEvents), sink: sink}
 	if !reg.Enabled() {
 		return m
 	}
@@ -116,7 +124,7 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		"Records stored without index entries due to parse failure.")
 	m.reallocations = reg.Counter("fishstore_ingest_reallocations_total",
 		"Records reallocated after a hash-chain CAS failure (BadCAS mode).")
-	m.batchSeconds = reg.Histogram("fishstore_ingest_batch_seconds",
+	reg.AttachHistogram(tele.Op(telemetry.OpIngestBatch), "fishstore_ingest_batch_seconds",
 		"Wall-clock latency of one Ingest batch.", metrics.ScaleNanosToSeconds)
 	m.recordBytes = reg.Histogram("fishstore_ingest_record_bytes",
 		"Raw payload size per ingested record.", metrics.ScaleNone)
@@ -130,6 +138,11 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 	m.scans = reg.Counter("fishstore_scans_total", "Subset retrieval scans started.")
 	m.scanSeconds = reg.Histogram("fishstore_scan_seconds",
 		"Wall-clock latency of one Scan call.", metrics.ScaleNanosToSeconds)
+	reg.AttachHistogram(tele.Op(telemetry.OpIndexScan), "fishstore_scan_segment_seconds",
+		"Wall-clock latency of one scan plan segment, by kind (indexed chain "+
+			"walk vs full sweep).", metrics.ScaleNanosToSeconds, metrics.L("kind", "index"))
+	reg.AttachHistogram(tele.Op(telemetry.OpFullScan), "fishstore_scan_segment_seconds", "",
+		metrics.ScaleNanosToSeconds, metrics.L("kind", "full"))
 	m.scanMatched = reg.Counter("fishstore_scan_matched_records_total",
 		"Records delivered to scan callbacks.")
 	m.scanVisited = reg.Counter("fishstore_scan_visited_records_total",
@@ -159,7 +172,7 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		"Chain hops that needed a device read.")
 
 	m.checkpoints = reg.Counter("fishstore_checkpoints_total", "Checkpoints taken.")
-	m.checkpointSeconds = reg.Histogram("fishstore_checkpoint_seconds",
+	reg.AttachHistogram(tele.Op(telemetry.OpCheckpoint), "fishstore_checkpoint_seconds",
 		"Wall-clock checkpoint duration.", metrics.ScaleNanosToSeconds)
 	m.checkpointBytes = reg.Histogram("fishstore_checkpoint_bytes",
 		"Bytes written per checkpoint (hash table + metadata).", metrics.ScaleNone)
@@ -206,6 +219,20 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 	m.htOverflowAdds = reg.Counter("fishstore_hashtable_overflow_appends_total",
 		"Overflow buckets appended to full main buckets.")
 	return m
+}
+
+// event appends one control-plane event — a zero-duration root record — to
+// the store's event stream.
+func (m *storeMetrics) event(name string, attrs ...trace.Attr) {
+	m.record(trace.Event(name, attrs...))
+}
+
+// record appends d to the flight recorder and hands it to the TraceSink.
+func (m *storeMetrics) record(d trace.SpanData) {
+	m.flight.Put(d)
+	if m.sink != nil {
+		m.sink(d)
+	}
 }
 
 // ObserveRead implements storage.IOObserver.
@@ -351,5 +378,5 @@ func (s *Store) registerGaugeFuncs() {
 func (s *Store) Metrics() metrics.Snapshot { return s.metrics.reg.Snapshot() }
 
 // MetricsRegistry returns the registry the store reports into, for mounting
-// metrics.Handler / metrics.NewMux or attaching a TraceSink at runtime.
+// metrics.Handler / metrics.NewMux.
 func (s *Store) MetricsRegistry() *metrics.Registry { return s.metrics.reg }

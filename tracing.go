@@ -5,16 +5,15 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 
-	"fishstore/internal/metrics"
 	"fishstore/internal/storage"
 	"fishstore/internal/trace"
 )
 
 // This file is the store-side glue for the span layer (internal/trace): the
 // process-wide default tracer, the device wrapping that gives storage I/O
-// its own spans, the root-span tee into the metrics trace pipeline (flight
-// recorder + TraceSink), the /debug/fishstore/spans export, and the
-// prebuilt pprof label sets the hot paths switch between.
+// its own spans, and the prebuilt pprof label sets the hot paths switch
+// between. Finished root spans join the store's event stream (see
+// wireObservability).
 
 // defaultTracer is consulted by Open/Recover when Options.Tracer is nil,
 // mirroring SetDefaultMetricsRegistry: process-wide tooling (fishbench
@@ -47,10 +46,8 @@ func SetDefaultProfileLabels(on bool) { defaultProfileLabels.Store(on) }
 
 // resolveTracer resolves Options.Tracer (explicit, process default, or nil)
 // plus the ProfileLabels process default, and — when tracing is on — wraps
-// the device so every read and write gets
-// its own sampled span. It mutates o in place and must run after initMetrics
-// (so the span wrapper is outermost and storage.Unwrap still reaches the
-// concrete device) and before the hybrid log is built.
+// the device so every read and write gets its own sampled span. It mutates
+// o in place.
 func resolveTracer(o *Options) *trace.Tracer {
 	if !o.ProfileLabels {
 		o.ProfileLabels = defaultProfileLabels.Load()
@@ -65,28 +62,6 @@ func resolveTracer(o *Options) *trace.Tracer {
 	o.Tracer = tr
 	o.Device = storage.NewTraced(o.Device, tr)
 	return tr
-}
-
-// wireSpanTee forwards every finished *root* span into the metrics trace
-// pipeline as a span.<name> event, landing in the flight recorder and the
-// user's TraceSink in span-finish order. Only roots cross over: the trace
-// stream stays control-plane granular (one event per batch/scan/flush,
-// never per record), while the full tree remains in the tracer's ring for
-// /debug/fishstore/spans. When several stores share one tracer, the last
-// store opened provides the tee (same rule as the flight recorder).
-func (s *Store) wireSpanTee() {
-	if s.tracer == nil {
-		return
-	}
-	reg := s.metrics.reg
-	s.tracer.SetOnFinish(func(d trace.SpanData) {
-		if !d.Root() {
-			return
-		}
-		reg.Trace("span."+d.Name,
-			metrics.F("trace_id", d.TraceID),
-			metrics.F("duration_ns", d.Duration.Nanoseconds()))
-	})
 }
 
 // profileLabels holds prebuilt pprof label sets: switching the goroutine's

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -74,9 +73,9 @@ func TestIngestBatchSpanTree(t *testing.T) {
 	phase := map[string]int{}
 	for _, c := range childrenOf(spans, root) {
 		phase[c.Name]++
-		if c.Start < root.Start || c.Start+c.Duration > root.Start+root.Duration {
-			t.Errorf("child %s [%v,%v] outside parent window [%v,%v]",
-				c.Name, c.Start, c.Start+c.Duration, root.Start, root.Start+root.Duration)
+		if c.Start.Before(root.Start) || c.Start.Add(c.Duration).After(root.Start.Add(root.Duration)) {
+			t.Errorf("child %s [%v,+%v] outside parent window [%v,+%v]",
+				c.Name, c.Start, c.Duration, root.Start, root.Duration)
 		}
 	}
 	for _, want := range []string{"ingest.parse", "ingest.psf_eval", "ingest.append", "ingest.index", "ingest.visibility"} {
@@ -216,48 +215,46 @@ func asUint(t *testing.T, v any) uint64 {
 	return 0
 }
 
-// TestSpanTeeIntoFlightRecorder checks root spans surface in the existing
-// metrics trace pipeline in End order, so the crash flight recorder keeps a
-// control-plane timeline of traced operations.
+// TestSpanTeeIntoFlightRecorder checks finished root spans join the store's
+// event stream as they are, in End order, so the crash flight recorder keeps
+// one timeline of events and traced operations.
 func TestSpanTeeIntoFlightRecorder(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, tr := openTracedStore(t, Options{Metrics: reg})
+	s, _ := openTracedStore(t, Options{Metrics: metrics.NewRegistry()})
 	id, _, _ := s.RegisterPSF(psf.Projection("repo.name"))
 	ingestAll(t, s, [][]byte{genEvent(1, "PushEvent", "spark")})
 	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{}, func(Record) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	_ = tr
 
 	var names []string
-	for _, e := range s.FlightEvents() {
-		if strings.HasPrefix(e.Name, "span.") {
-			names = append(names, e.Name)
+	for _, d := range s.FlightEvents() {
+		if d.TraceID != 0 {
+			names = append(names, d.Name)
+			if !d.Root() || d.Duration <= 0 {
+				t.Errorf("span record %s: root=%v duration=%v", d.Name, d.Root(), d.Duration)
+			}
 		}
 	}
-	// Ingest ended before the scan started, so the tee must preserve that
+	// Ingest ended before the scan started, so the stream must preserve that
 	// order; per-record phase children never reach the flight recorder.
-	wantOrder := []string{"span.ingest.batch", "span.scan"}
+	wantOrder := []string{"ingest.batch", "scan"}
 	j := 0
 	for _, n := range names {
 		if j < len(wantOrder) && n == wantOrder[j] {
 			j++
 		}
-		if strings.Contains(n, "ingest.parse") || strings.Contains(n, "scan.plan") {
+		if n == "ingest.parse" || n == "scan.plan" {
 			t.Errorf("child span %s leaked into the flight recorder", n)
 		}
 	}
 	if j != len(wantOrder) {
-		t.Fatalf("flight recorder span events = %v, want subsequence %v", names, wantOrder)
+		t.Fatalf("flight recorder spans = %v, want subsequence %v", names, wantOrder)
 	}
-	for _, e := range s.FlightEvents() {
-		if e.Name == "span.ingest.batch" {
-			keys := map[string]bool{}
-			for _, f := range e.Fields {
-				keys[f.Key] = true
-			}
-			if !keys["trace_id"] || !keys["duration_ns"] {
-				t.Errorf("span tee event missing fields: %+v", e.Fields)
+	for _, d := range s.FlightEvents() {
+		if d.Name == "ingest.batch" {
+			line := d.JSON()
+			if line["trace_id"] == nil || line["duration_ns"] == nil || line["records"] != int64(1) {
+				t.Errorf("ingest.batch flight line missing fields: %v", line)
 			}
 		}
 	}

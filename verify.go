@@ -7,9 +7,9 @@ import (
 
 	"fishstore/internal/hashtable"
 	"fishstore/internal/hlog"
-	"fishstore/internal/metrics"
 	"fishstore/internal/record"
 	"fishstore/internal/storage"
+	"fishstore/internal/trace"
 	"fishstore/internal/wordio"
 )
 
@@ -361,10 +361,8 @@ func (s *Store) reportCorruption(c *Corruption) {
 	if c == nil {
 		return
 	}
-	s.metrics.reg.Trace("verify.corruption",
-		metrics.F("address", c.Address),
-		metrics.F("kind", c.Kind),
-		metrics.F("detail", c.Detail))
+	s.metrics.event("verify.corruption",
+		trace.Uint("address", c.Address), trace.Str("kind", c.Kind), trace.Str("detail", c.Detail))
 	if w := s.opts.FlightDumpWriter; w != nil {
 		_ = s.DumpFlight(w)
 	}

@@ -1,70 +1,40 @@
 package fishstore
 
 import (
-	"fmt"
-
 	"fishstore/internal/metrics"
 	"fishstore/internal/telemetry"
+	"fishstore/internal/trace"
 )
 
 // This file is the store-level glue for the workload-attribution layer
-// (internal/telemetry): collector and SLO-watchdog lifecycle, the
-// /debug/fishstore/workload and /debug/fishstore/health endpoints, the
-// fishstore_workload_* / fishstore_slo_* Prometheus surface, and the
-// slo.burn trace events the watchdog feeds the flight recorder.
+// (internal/telemetry): SLO-watchdog lifecycle, the /debug/fishstore/workload
+// and /debug/fishstore/health endpoints, the fishstore_slo_* Prometheus
+// surface, and the slo.burn events the watchdog feeds the event stream. The
+// collector's per-operation histograms are exported by the metrics registry
+// itself (newStoreMetrics).
 
-// wireWorkloadTelemetry builds the collector and watchdog per Options and
-// mounts the debug endpoints. Called from Open and Recover after the
-// metrics registry is resolved; the health endpoint is registered even with
-// telemetry disabled (it still folds in the degraded state).
+// wireWorkloadTelemetry starts the SLO watchdog per Options and mounts the
+// debug endpoints and SLO gauges.
 func (s *Store) wireWorkloadTelemetry() {
+	if s.opts.SLO != nil {
+		s.watchdog = telemetry.NewWatchdog(s.tele, *s.opts.SLO, s.sloTick)
+	}
 	reg := s.metrics.reg
-	if !s.opts.DisableTelemetry {
-		s.tele = telemetry.New(telemetry.Config{})
-		if s.opts.SLO != nil {
-			s.watchdog = telemetry.NewWatchdog(s.tele, *s.opts.SLO, s.sloTick)
-		}
-	}
-	if s.tele != nil {
-		reg.RegisterDebug("workload", func() any { return s.WorkloadSnapshot(10) })
-	}
+	reg.RegisterDebug("workload", func() any { return s.WorkloadSnapshot(10) })
 	reg.RegisterDebug("health", func() any { return s.Health() })
-	s.registerWorkloadGauges()
+	s.registerSLOGauges()
 	// Start ticking only after the endpoints exist: the first tick may
-	// already trace.
+	// already emit events.
 	s.watchdog.Start()
 }
 
-// registerWorkloadGauges exports the per-op latency quantiles and the SLO
-// burn rates as Prometheus gauges (snapshot-time evaluation; first store
-// wins on a shared registry, like every other GaugeFunc here).
-func (s *Store) registerWorkloadGauges() {
+// registerSLOGauges exports the SLO burn rates and the health verdict as
+// Prometheus gauges (snapshot-time evaluation; first store wins on a shared
+// registry, like every other GaugeFunc here).
+func (s *Store) registerSLOGauges() {
 	reg := s.metrics.reg
-	if !reg.Enabled() || s.tele == nil {
+	if !reg.Enabled() {
 		return
-	}
-	ops := []telemetry.Op{
-		telemetry.OpIngestBatch, telemetry.OpIndexScan,
-		telemetry.OpFullScan, telemetry.OpCheckpoint,
-	}
-	for _, op := range ops {
-		op := op
-		sk := s.tele.Op(op)
-		reg.GaugeFunc("fishstore_workload_ops_total",
-			"Operations recorded by the workload telemetry layer.",
-			func() float64 { return float64(sk.Count()) },
-			metrics.L("op", op.String()))
-		for _, q := range []struct {
-			q     float64
-			label string
-		}{{0.50, "0.50"}, {0.95, "0.95"}, {0.99, "0.99"}} {
-			q := q
-			reg.GaugeFunc("fishstore_workload_latency_seconds",
-				"Interpolated per-operation latency quantile from the mergeable "+
-					"power-of-two sketch.",
-				func() float64 { return sk.Quantile(q.q) / 1e9 },
-				metrics.L("op", op.String()), metrics.L("quantile", q.label))
-		}
 	}
 	for _, obj := range s.watchdog.Objectives() {
 		name := obj.Name
@@ -90,7 +60,7 @@ func (s *Store) registerWorkloadGauges() {
 }
 
 // sloTick is the watchdog's per-evaluation callback: it feeds burning
-// objectives into the trace pipeline (flight recorder + TraceSink), so a
+// objectives into the event stream (flight recorder + TraceSink), so a
 // crash or a support bundle carries the burn timeline.
 func (s *Store) sloTick(r telemetry.Report) {
 	if g := s.gov; g != nil {
@@ -105,28 +75,22 @@ func (s *Store) sloTick(r telemetry.Report) {
 		if b.Burn < 1 {
 			continue
 		}
-		s.metrics.reg.Trace("slo.burn",
-			metrics.F("slo", b.Name),
-			metrics.F("state", b.State),
-			metrics.F("burn", fmt.Sprintf("%.2f", b.Burn)),
-			metrics.F("window_ops", b.WindowOps),
-			metrics.F("window_breaches", b.WindowBreaches))
+		s.metrics.event("slo.burn",
+			trace.Str("slo", b.Name),
+			trace.Str("state", b.State),
+			trace.Float("burn", b.Burn),
+			trace.Int("window_ops", b.WindowOps),
+			trace.Int("window_breaches", b.WindowBreaches))
 	}
 }
 
 // WorkloadSnapshot returns the live workload-attribution view: per-op
 // latency quantiles plus the top-N heavy hitters per dimension (PSFs,
-// sampled properties, tenants, queried properties). Empty when telemetry is
-// disabled.
-func (s *Store) WorkloadSnapshot(topN int) *telemetry.Snapshot {
-	if s.tele == nil {
-		return nil
-	}
-	return s.tele.Snapshot(topN)
-}
+// sampled properties, tenants, queried properties).
+func (s *Store) WorkloadSnapshot(topN int) *telemetry.Snapshot { return s.tele.Snapshot(topN) }
 
-// Telemetry returns the store's workload collector (nil when disabled) so a
-// scatter-gather facade can Merge per-shard collectors into a cluster view.
+// Telemetry returns the store's workload collector so a scatter-gather
+// facade can Merge per-shard collectors into a cluster view.
 func (s *Store) Telemetry() *telemetry.Collector { return s.tele }
 
 // Health is the machine-readable verdict served at /debug/fishstore/health.

@@ -121,7 +121,7 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 		t.Fatalf("health = %+v", h)
 	}
 
-	// The Prometheus surface carries the ops counters and quantile gauges.
+	// The Prometheus surface exports the collector's own histograms.
 	res, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,9 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 	body, _ := io.ReadAll(res.Body)
 	res.Body.Close()
 	for _, want := range []string{
-		`fishstore_workload_ops_total{op="ingest_batch"}`,
-		`fishstore_workload_latency_seconds{op="ingest_batch",quantile="0.99"}`,
+		"fishstore_ingest_batch_seconds_count 10\n",
+		"fishstore_checkpoint_seconds_count 1\n",
+		`fishstore_scan_segment_seconds_bucket{kind="index",le="+Inf"}`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q", want)
@@ -168,26 +169,23 @@ func TestWorkloadTenantAttribution(t *testing.T) {
 	}
 }
 
-// TestWorkloadDisabled checks the off switch: no collector, no workload
-// endpoint content, but health still answers.
-func TestWorkloadDisabled(t *testing.T) {
-	s := openTestStore(t, Options{
-		DisableTelemetry: true,
-		SLO:              &telemetry.SLO{IngestBatchP99: time.Millisecond},
-	})
-	if s.Telemetry() != nil {
-		t.Fatal("Telemetry() non-nil with DisableTelemetry")
-	}
-	if snap := s.WorkloadSnapshot(5); snap != nil {
-		t.Fatalf("WorkloadSnapshot = %+v, want nil", snap)
+// TestWorkloadAlwaysOn: the workload view needs no option and no metrics
+// registry, and without an SLO the health verdict carries no burn report.
+func TestWorkloadAlwaysOn(t *testing.T) {
+	s := openTestStore(t, Options{})
+	if s.Telemetry() == nil {
+		t.Fatal("Telemetry() is nil on a default store")
 	}
 	sess := s.NewSession()
 	defer sess.Close()
 	if _, err := sess.Ingest([][]byte{genEvent(1, "PushEvent", "spark")}); err != nil {
 		t.Fatal(err)
 	}
+	if snap := s.WorkloadSnapshot(5); len(snap.Ops) == 0 || snap.Ops[0].Count != 1 {
+		t.Fatalf("WorkloadSnapshot = %+v, want one ingest batch", snap)
+	}
 	if h := s.Health(); h.Status != telemetry.StatusOK || h.SLO != nil {
-		t.Fatalf("health with telemetry disabled = %+v", h)
+		t.Fatalf("health without an SLO = %+v", h)
 	}
 }
 
