@@ -11,16 +11,8 @@
 // Output is tab-separated, one header line per series, matching the rows /
 // series of the corresponding paper artifact. Shapes (who wins, crossover
 // points, scaling trends) are the reproduction target; absolute numbers
-// depend on the host.
-//
-// Regression-gate mode compares freshly generated BENCH_*.json files (from
-// `go test -bench`) against committed baselines instead of running
-// experiments:
-//
-//	fishbench -compare baselines/BENCH_ingest.json,baselines/BENCH_scan.json
-//
-// Exit status: 0 all benchmarks within threshold, 1 regression (or a
-// baseline benchmark missing from the current run), 2 usage or I/O error.
+// depend on the host. Performance regressions are gated by the ledger in
+// benchmark/, not here.
 package main
 
 import (
@@ -28,7 +20,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -37,7 +28,6 @@ import (
 	"fishstore"
 	"fishstore/internal/harness"
 	"fishstore/internal/metrics"
-	"fishstore/internal/perfgate"
 	"fishstore/internal/trace"
 )
 
@@ -51,19 +41,11 @@ func main() {
 		diskBW  = flag.Float64("disk-mbps", 256, "rate-limited 'SSD' write bandwidth (MB/s) for on-disk experiments")
 		metAddr = flag.String("metrics-addr", "", "serve aggregated store metrics/pprof on this address while experiments run")
 
-		compare        = flag.String("compare", "", "comma-separated baseline BENCH_*.json files; compare and exit instead of running experiments")
-		current        = flag.String("current", "", "comma-separated current-run files paired with -compare (default: baseline basenames in the working directory)")
-		threshold      = flag.Float64("threshold", 0.10, "tolerated fractional slowdown before -compare fails (0.10 = 10%)")
-		allocThreshold = flag.Float64("alloc-threshold", 0.10, "tolerated fractional allocs/op growth (plus 2 absolute) before -compare fails")
-
 		spanOut    = flag.String("span-out", "", "write spans from all experiments as Chrome trace-event JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (with operation/phase pprof labels) to this file")
 	)
 	flag.Parse()
 
-	if *compare != "" {
-		os.Exit(runCompare(*compare, *current, *threshold, *allocThreshold))
-	}
 	// Experiments run inside a helper so the -span-out and -cpuprofile
 	// defers fire even on a failing run (os.Exit skips defers).
 	os.Exit(runExperiments(*exp, *list, *dataMB, *threads, *quick, *diskBW,
@@ -179,73 +161,5 @@ func runExperiments(exp string, list bool, dataMB int, threads string, quick boo
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	return 0
-}
-
-// runCompare is the perf-regression gate: diff each baseline file against
-// the matching current-run file and report. currentList may be empty, in
-// which case each baseline's basename is looked up in the working directory
-// (where `go test -bench` writes BENCH_*.json).
-func runCompare(compareList, currentList string, threshold, allocThreshold float64) int {
-	baselines := strings.Split(compareList, ",")
-	var currents []string
-	if currentList != "" {
-		currents = strings.Split(currentList, ",")
-		if len(currents) != len(baselines) {
-			fmt.Fprintf(os.Stderr, "fishbench: -current has %d files, -compare has %d\n",
-				len(currents), len(baselines))
-			return 2
-		}
-	} else {
-		for _, b := range baselines {
-			currents = append(currents, filepath.Base(strings.TrimSpace(b)))
-		}
-	}
-
-	failed := false
-	for i, b := range baselines {
-		b, c := strings.TrimSpace(b), strings.TrimSpace(currents[i])
-		base, err := perfgate.Load(b)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fishbench: baseline %s: %v\n", b, err)
-			return 2
-		}
-		cur, err := perfgate.Load(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fishbench: current %s: %v\n", c, err)
-			return 2
-		}
-		rep := perfgate.CompareAlloc(base, cur, threshold, allocThreshold)
-		fmt.Printf("== %s vs %s (threshold %.0f%%)\n", c, b, threshold*100)
-		rep.Write(os.Stdout)
-		if rep.Failed() {
-			failed = true
-		}
-		// Cross-variant orderings are checked within the current run (not
-		// against the baseline): unlike absolute throughput they are immune
-		// to runner noise, so they hold even where the ratio gate is loose.
-		var invs []perfgate.Invariant
-		name := filepath.Base(c)
-		switch {
-		case strings.Contains(name, "scan") || strings.Contains(name, "BENCH_scan"):
-			invs = perfgate.ScanInvariants()
-		case strings.Contains(name, "ingest") || strings.Contains(name, "BENCH_ingest"):
-			invs = perfgate.IngestInvariants()
-		}
-		if len(invs) > 0 {
-			results := perfgate.CheckInvariants(cur, invs)
-			if len(results) > 0 {
-				fmt.Printf("-- cross-variant invariants (%s)\n", c)
-				if perfgate.WriteInvariants(os.Stdout, results) {
-					failed = true
-				}
-			}
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fishbench: performance regression gate FAILED")
-		return 1
-	}
-	fmt.Println("fishbench: performance gate passed")
 	return 0
 }

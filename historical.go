@@ -103,7 +103,7 @@ func (s *Store) appendIndirect(g *epoch.Guard, id psf.ID, val expr.Value, target
 		Payload:  payload[:],
 		Pointers: []record.PointerSpec{ps},
 		Indirect: true,
-		Checksum: !s.opts.DisableRecordChecksums,
+		Checksum: !s.opts.disableRecordChecksums,
 	}
 	if ps.Mode == record.ModeValueRegion {
 		spec.ValueRegion = canonical

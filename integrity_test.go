@@ -282,7 +282,7 @@ func TestRecoverTruncatesCorruptSuffixRecord(t *testing.T) {
 func TestV0LogRecoversUnderChecksumBinary(t *testing.T) {
 	mem := storage.NewMem()
 	s, err := Open(Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
-		DisableRecordChecksums: true})
+		disableRecordChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}

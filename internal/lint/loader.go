@@ -4,7 +4,7 @@
 // consistency, publication ordering, hot-path allocation budgets, checksum-
 // seal coverage, error propagation from internal APIs, and carry-safe log
 // address composition — each pinned to a bug class this repository has
-// already shipped and fixed once by hand (see DESIGN.md §9 and §13).
+// already shipped and fixed once by hand (see DESIGN.md §9 and §12).
 //
 // The driver is built exclusively on the standard library: packages are
 // enumerated with `go list -json -deps`, parsed with go/parser, and

@@ -307,8 +307,10 @@ func (s *Spec) Validate() error {
 
 // Write serializes the record into dst (which must be exactly SizeWords()
 // long) with the visibility bit clear and every key pointer's previous
-// address set to InvalidAddress. The header word is written with a plain
-// store; the caller must publish the record with SetVisible after linking.
+// address set to InvalidAddress. The header word is written with an atomic
+// store, because samplers walking an in-memory page (LogComposition) load
+// every header atomically, unpublished ones included; the caller must still
+// publish the record with SetVisible after linking.
 func (s *Spec) Write(dst []uint64) {
 	n := s.SizeWords()
 	if len(dst) != n {
@@ -326,7 +328,7 @@ func (s *Spec) Write(dst []uint64) {
 		Indirect:   s.Indirect,
 		Checksum:   s.Checksum,
 	}
-	dst[0] = PackHeader(hdr)
+	atomic.StoreUint64(&dst[0], PackHeader(hdr))
 	if s.Checksum {
 		dst[n-1] = 0 // unsealed trailer; frames are recycled, so clear it
 	}

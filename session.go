@@ -263,7 +263,7 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				Payload:     payload,
 				Pointers:    sess.ptrSpecs,
 				ValueRegion: sess.valueRegion,
-				Checksum:    !sess.store.opts.DisableRecordChecksums,
+				Checksum:    !sess.store.opts.disableRecordChecksums,
 			}
 			if err := spec.Validate(); err != nil {
 				return st, err

@@ -8,12 +8,14 @@ import (
 	"fishstore/internal/trace"
 )
 
-// TestTracingDisabledZeroAllocsPerRecord checks observability that is on but
-// not recording costs no allocations: per-Ingest allocation counts must be
-// identical for a default store, a store with a live metrics registry, and a
-// store with an attached but disabled tracer. Page sizing keeps the whole
-// measured run inside one in-memory page so no flush or eviction allocates
-// mid-measurement in any store.
+// TestTracingDisabledZeroAllocsPerRecord checks that machinery which is armed
+// but idle costs no allocations: per-Ingest allocation counts must be
+// identical for a default store, a store with a live metrics registry, a
+// store with an attached but disabled tracer, and stores whose resource
+// governor is armed but never saturated, with and without tenant shares
+// (the admission fast path is a few atomic adds). Page sizing keeps the
+// whole measured run inside one in-memory page so no flush or eviction
+// allocates mid-measurement in any store.
 func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
 	batch := make([][]byte, 8)
 	for i := range batch {
@@ -46,6 +48,12 @@ func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
 	}{
 		{"metrics on", Options{Metrics: metrics.NewRegistry()}},
 		{"tracer attached, disabled", Options{Tracer: disabled}},
+		{"limits armed, unsaturated", Options{Limits: &Limits{
+			MaxInFlightIngestBytes: 1 << 30, MaxConcurrentScans: 64}}},
+		{"tenant shares armed, unsaturated", Options{
+			TenantLabel: func() string { return "a" },
+			Limits: &Limits{MaxInFlightIngestBytes: 1 << 30,
+				TenantShares: map[string]int64{"a": 1, "b": 1}}}},
 	} {
 		got := measure(c.opts)
 		t.Logf("allocs per %d-record batch: default %.2f, %s %.2f", len(batch), base, c.name, got)
