@@ -109,7 +109,7 @@ func TestRDBMisonPPIngestAndRetrieve(t *testing.T) {
 		if perr != nil {
 			t.Fatal(perr)
 		}
-		if e.EvalBool(p.Lookup) {
+		if e.EvalBool(p) {
 			want++
 		}
 	}

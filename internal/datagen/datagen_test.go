@@ -72,7 +72,7 @@ func selectivity(t *testing.T, g Generator, pred string, n int) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.EvalBool(p.Lookup) {
+		if e.EvalBool(p) {
 			match++
 		}
 	}

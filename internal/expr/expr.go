@@ -62,12 +62,21 @@ func (v Value) String() string {
 	return "<?>"
 }
 
-// Lookup resolves a dotted field path against a record.
+// Env resolves dotted field paths against one record; *parser.Parsed is
+// the Env of ingestion and of re-evaluating scans.
+type Env interface {
+	Lookup(path string) Value
+}
+
+// Lookup adapts a plain function to Env.
 type Lookup func(path string) Value
+
+// Lookup calls f.
+func (f Lookup) Lookup(path string) Value { return f(path) }
 
 // Node is an expression tree node.
 type Node interface {
-	Eval(lk Lookup) Value
+	Eval(env Env) Value
 	appendFields(dst []string) []string
 	String() string
 }
@@ -75,14 +84,14 @@ type Node interface {
 // Field is a dotted field reference.
 type Field struct{ Path string }
 
-func (f *Field) Eval(lk Lookup) Value               { return lk(f.Path) }
+func (f *Field) Eval(env Env) Value                 { return env.Lookup(f.Path) }
 func (f *Field) appendFields(dst []string) []string { return append(dst, f.Path) }
 func (f *Field) String() string                     { return f.Path }
 
 // Lit is a literal value.
 type Lit struct{ Val Value }
 
-func (l *Lit) Eval(Lookup) Value                  { return l.Val }
+func (l *Lit) Eval(Env) Value                     { return l.Val }
 func (l *Lit) appendFields(dst []string) []string { return dst }
 func (l *Lit) String() string                     { return l.Val.String() }
 
@@ -120,14 +129,14 @@ func (b *Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, opNames[b.Op], b.R)
 }
 
-func (b *Binary) Eval(lk Lookup) Value {
+func (b *Binary) Eval(env Env) Value {
 	switch b.Op {
 	case OpAnd:
-		l := b.L.Eval(lk)
+		l := b.L.Eval(env)
 		if l.Kind == KindBool && !l.Bool {
 			return BoolVal(false)
 		}
-		r := b.R.Eval(lk)
+		r := b.R.Eval(env)
 		if r.Kind == KindBool && !r.Bool {
 			return BoolVal(false)
 		}
@@ -136,11 +145,11 @@ func (b *Binary) Eval(lk Lookup) Value {
 		}
 		return Missing()
 	case OpOr:
-		l := b.L.Eval(lk)
+		l := b.L.Eval(env)
 		if l.IsTrue() {
 			return BoolVal(true)
 		}
-		r := b.R.Eval(lk)
+		r := b.R.Eval(env)
 		if r.IsTrue() {
 			return BoolVal(true)
 		}
@@ -149,8 +158,8 @@ func (b *Binary) Eval(lk Lookup) Value {
 		}
 		return Missing()
 	}
-	l := b.L.Eval(lk)
-	r := b.R.Eval(lk)
+	l := b.L.Eval(env)
+	r := b.R.Eval(env)
 	if l.Kind == KindMissing || r.Kind == KindMissing {
 		return Missing()
 	}
@@ -227,8 +236,8 @@ type Unary struct {
 func (u *Unary) appendFields(dst []string) []string { return u.X.appendFields(dst) }
 func (u *Unary) String() string                     { return "!" + u.X.String() }
 
-func (u *Unary) Eval(lk Lookup) Value {
-	v := u.X.Eval(lk)
+func (u *Unary) Eval(env Env) Value {
+	v := u.X.Eval(env)
 	if v.Kind != KindBool {
 		return Missing()
 	}
@@ -246,11 +255,11 @@ type Expr struct {
 // expression — the PSF's "fields of interest".
 func (e *Expr) Fields() []string { return e.fields }
 
-// Eval evaluates the expression against a record via lk.
-func (e *Expr) Eval(lk Lookup) Value { return e.root.Eval(lk) }
+// Eval evaluates the expression against a record via env.
+func (e *Expr) Eval(env Env) Value { return e.root.Eval(env) }
 
 // EvalBool evaluates and reports whether the result is boolean true.
-func (e *Expr) EvalBool(lk Lookup) bool { return e.root.Eval(lk).IsTrue() }
+func (e *Expr) EvalBool(env Env) bool { return e.root.Eval(env).IsTrue() }
 
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.src }

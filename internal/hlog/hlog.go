@@ -712,13 +712,7 @@ func (l *Log) PageWordsFrom(addr Address) []uint64 {
 
 // ReadWordsFromDevice reads n words at addr from the storage device.
 func (l *Log) ReadWordsFromDevice(addr Address, n int) ([]uint64, error) {
-	buf := make([]byte, n*8)
-	if _, err := l.device.ReadAt(buf, int64(addr)); err != nil {
-		return nil, err
-	}
-	words := make([]uint64, n)
-	wordio.BytesToWords(words, buf)
-	return words, nil
+	return l.ReadWordsFromDeviceCtx(nil, addr, n)
 }
 
 // ReadBytesFromDevice reads raw bytes from the device (for page scans and
@@ -730,18 +724,13 @@ func (l *Log) ReadBytesFromDevice(addr Address, buf []byte) error {
 
 // ReadWordsFromDeviceCtx is ReadWordsFromDevice with a cancellation bound:
 // a cancelled context aborts retry backoff waits in the device chain instead
-// of riding them out. A background context takes the exact ReadWordsFromDevice
-// path.
+// of riding them out; a nil or background context reads the device directly.
+// The device reads straight into the words returned.
 func (l *Log) ReadWordsFromDeviceCtx(ctx context.Context, addr Address, n int) ([]uint64, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return l.ReadWordsFromDevice(addr, n)
-	}
-	buf := make([]byte, n*8)
-	if _, err := storage.ReadAtCtx(ctx, l.device, buf, int64(addr)); err != nil {
+	words := make([]uint64, n)
+	if _, err := storage.ReadAtCtx(ctx, l.device, wordio.Bytes(words), int64(addr)); err != nil {
 		return nil, err
 	}
-	words := make([]uint64, n)
-	wordio.BytesToWords(words, buf)
 	return words, nil
 }
 

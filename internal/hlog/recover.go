@@ -29,11 +29,13 @@ func Recover(cfg Config, tailAddr Address) (*Log, error) {
 		firstMem = tailPage + 1 - uint64(l.memPages)
 	}
 
-	// Load resident pages from the device. The tail page may be only
-	// partially durable (e.g. a short file); tolerate short reads as long as
-	// the durable prefix [pageStart, tailAddr) is covered.
-	buf := make([]byte, l.pageSize)
+	// Load resident pages from the device straight into their frames. The
+	// tail page may be only partially durable (e.g. a short file); tolerate
+	// short reads as long as the durable prefix [pageStart, tailAddr) is
+	// covered, and clear whatever a short read left past it.
 	for p := firstMem; p <= tailPage; p++ {
+		f := l.frameIndex(p)
+		buf := wordio.Bytes(l.frames[f])
 		n, err := l.device.ReadAt(buf, int64(l.address(p, 0)))
 		need := int(l.pageSize)
 		if p == tailPage {
@@ -42,11 +44,7 @@ func Recover(cfg Config, tailAddr Address) (*Log, error) {
 		if n < need && err != nil {
 			return nil, fmt.Errorf("hlog: recovery read of page %d: %w", p, err)
 		}
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-		f := l.frameIndex(p)
-		wordio.BytesToWords(l.frames[f], buf)
+		clear(buf[n:])
 		l.frameOwner[f].Store(int64(p))
 		l.frameFreeFor[f].Store(p)
 	}

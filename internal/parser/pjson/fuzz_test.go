@@ -184,7 +184,7 @@ func FuzzExprParse(f *testing.F) {
 			return
 		}
 		// Evaluate against an empty record; must not panic.
-		_ = e.Eval(func(string) expr.Value { return expr.Missing() })
+		_ = e.Eval(expr.Lookup(func(string) expr.Value { return expr.Missing() }))
 		_ = e.Fields()
 		_ = e.String()
 	})

@@ -168,7 +168,7 @@ func (d *Definition) Evaluate(p *parser.Parsed) expr.Value {
 		}
 		return v
 	case KindPredicate:
-		v := d.Predicate.Eval(p.Lookup)
+		v := d.Predicate.Eval(p)
 		if v.Kind != expr.KindBool {
 			return expr.Missing()
 		}

@@ -344,13 +344,17 @@ func (s *Spec) Write(dst []uint64) {
 		dst[w] = packA(InvalidAddress, ps.Mode, w)
 		dst[w+1] = packB(kp)
 	}
+	// Each byte region ends in zero padding up to a word boundary; frames
+	// are recycled, so clear a region's last word before copying into it.
 	off := HeaderWords + len(s.Pointers)*WordsPerPointer
 	if valueWords > 0 {
-		wordio.BytesToWords(dst[off:off+valueWords], s.ValueRegion)
+		dst[off+valueWords-1] = 0
+		copy(wordio.Bytes(dst[off:off+valueWords]), s.ValueRegion)
 		off += valueWords
 	}
 	if payloadWords > 0 {
-		wordio.BytesToWords(dst[off:off+payloadWords], s.Payload)
+		dst[off+payloadWords-1] = 0
+		copy(wordio.Bytes(dst[off:off+payloadWords]), s.Payload)
 	}
 }
 
@@ -418,23 +422,24 @@ func (v View) PayloadLen() int {
 	return n
 }
 
+// payloadBytes returns the raw payload as a read-only view of the record's
+// words.
+func (v View) payloadBytes() []byte {
+	first, n := v.payloadBounds(v.Header())
+	return wordio.Bytes(v.Words[first:])[:n:n]
+}
+
 // Payload copies the raw payload bytes out of the record.
 func (v View) Payload() []byte {
-	h := v.Header()
-	first, n := v.payloadBounds(h)
-	out := make([]byte, n)
-	wordio.WordsToBytes(out, v.Words[first:])
+	p := v.payloadBytes()
+	out := make([]byte, len(p))
+	copy(out, p)
 	return out
 }
 
 // AppendPayload appends the raw payload to buf and returns it.
 func (v View) AppendPayload(buf []byte) []byte {
-	h := v.Header()
-	first, n := v.payloadBounds(h)
-	off := len(buf)
-	buf = append(buf, make([]byte, n)...)
-	wordio.WordsToBytes(buf[off:], v.Words[first:])
-	return buf
+	return append(buf, v.payloadBytes()...)
 }
 
 // bodyBounds returns the word range [start, end) covered by the record
@@ -534,41 +539,37 @@ func (v View) ChecksumOK() bool {
 	return uint32(tw) == v.checksumBody(h)
 }
 
-// ValueBytes extracts the evaluated PSF value referenced by kp. For
-// ModeBool it returns "t" or "f"; for the other modes it copies the
-// referenced bytes out of the payload or value region.
+// boolTrue and boolFalse are the values of every ModeBool key pointer.
+var boolTrue, boolFalse = []byte{'t'}, []byte{'f'}
+
+// ValueBytes returns the evaluated PSF value referenced by kp: "t" or "f"
+// for ModeBool, otherwise the referenced bytes of the payload or value
+// region, or nil when they overrun it. The result copies nothing and is
+// read-only: it aliases the record's words (or a shared constant), so callers
+// compare or hash it in place and copy what they keep.
 func (v View) ValueBytes(kp KeyPointer) []byte {
 	switch kp.Mode {
 	case ModeBool:
 		if kp.BoolValue {
-			return []byte{'t'}
+			return boolTrue
 		}
-		return []byte{'f'}
+		return boolFalse
 	case ModePayload:
-		h := v.Header()
-		first, n := v.payloadBounds(h)
-		if kp.ValOffset+kp.ValSize > n {
-			return nil
-		}
-		// Unpack just the words covering the value.
-		startW := first + kp.ValOffset/8
-		endW := first + (kp.ValOffset+kp.ValSize+7)/8
-		tmp := make([]byte, (endW-startW)*8)
-		wordio.WordsToBytes(tmp, v.Words[startW:endW])
-		inner := kp.ValOffset % 8
-		return tmp[inner : inner+kp.ValSize]
+		first, n := v.payloadBounds(v.Header())
+		return v.valueIn(first, n, kp)
 	case ModeValueRegion:
 		h := v.Header()
-		first := HeaderWords + h.NumPtrs*WordsPerPointer
-		if kp.ValOffset+kp.ValSize > h.ValueWords*8 {
-			return nil
-		}
-		startW := first + kp.ValOffset/8
-		endW := first + (kp.ValOffset+kp.ValSize+7)/8
-		tmp := make([]byte, (endW-startW)*8)
-		wordio.WordsToBytes(tmp, v.Words[startW:endW])
-		inner := kp.ValOffset % 8
-		return tmp[inner : inner+kp.ValSize]
+		return v.valueIn(HeaderWords+h.NumPtrs*WordsPerPointer, h.ValueWords*8, kp)
 	}
 	return nil
+}
+
+// valueIn returns kp's value inside the n-byte region that starts at word
+// first, or nil when the value overruns the region.
+func (v View) valueIn(first, n int, kp KeyPointer) []byte {
+	end := kp.ValOffset + kp.ValSize
+	if end > n {
+		return nil
+	}
+	return wordio.Bytes(v.Words[first:])[kp.ValOffset:end:end]
 }

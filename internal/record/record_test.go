@@ -229,15 +229,37 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 		for i := range ptrs {
 			ptrs[i] = PointerSpec{PSFID: uint16(i), Mode: ModeBool, BoolValue: i%2 == 0}
 		}
-		spec := Spec{Payload: payload, Pointers: ptrs, ValueRegion: value}
-		words := make([]uint64, spec.SizeWords())
-		spec.Write(words)
-		v := View{Words: words}
-		if !bytes.Equal(v.Payload(), payload) {
-			return false
+		// One pointer into each byte region, so ValueBytes reads the words
+		// that carry the regions' padding.
+		cut := len(payload) / 3
+		ptrs = append(ptrs,
+			PointerSpec{PSFID: 100, Mode: ModeValueRegion, ValSize: len(value)},
+			PointerSpec{PSFID: 101, Mode: ModePayload, ValOffset: cut, ValSize: len(payload) - cut})
+		spec := Spec{Payload: payload, Pointers: ptrs, ValueRegion: value, Checksum: true}
+
+		// Frames are recycled: a record written over a dirty destination must
+		// read back, and seal, exactly like one written over zeroed words.
+		var trailers []uint64
+		for _, fill := range []uint64{0, ^uint64(0)} {
+			words := make([]uint64, spec.SizeWords())
+			for i := range words {
+				words[i] = fill
+			}
+			spec.Write(words)
+			v := View{Words: words}
+			h := v.Header()
+			n := len(ptrs)
+			if h.NumPtrs != n || h.SizeWords != spec.SizeWords() ||
+				!bytes.Equal(v.Payload(), payload) ||
+				!bytes.Equal(v.ValueBytes(v.KeyPointerAt(n-2)), value) ||
+				!bytes.Equal(v.ValueBytes(v.KeyPointerAt(n-1)), payload[cut:]) {
+				return false
+			}
+			v.SetVisible()
+			v.Seal()
+			trailers = append(trailers, words[len(words)-1])
 		}
-		h := v.Header()
-		return h.NumPtrs == len(ptrs) && h.SizeWords == spec.SizeWords()
+		return trailers[0] == trailers[1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,43 +1,28 @@
-// Package wordio converts between byte slices and little-endian uint64 word
-// slices.
+// Package wordio makes a hybrid-log word slice and its bytes the same
+// memory.
 //
 // FishStore's hybrid log pages are represented as []uint64 rather than
 // []byte so that every 8-byte word — hash-chain key pointers, record
-// headers — can be read and CASed with sync/atomic without unsafe pointer
-// arithmetic. Record payloads are raw bytes, so they are packed into words
-// on ingestion and unpacked on retrieval; with 8-byte loads/stores this is
-// effectively a memcpy.
+// headers — can be read and CASed with sync/atomic. Record payloads and the
+// on-device format are bytes in little-endian word order. On a
+// little-endian host those bytes are exactly the words' in-memory
+// representation, so Bytes returns a view instead of a converted copy:
+// device pages are read straight into the words a scan walks, and record
+// bytes are copied straight out of them. The package refuses to build for
+// big-endian targets (see bigendian.go).
 package wordio
 
-import "encoding/binary"
+import "unsafe"
 
-// BytesToWords packs src into dst starting at dst[0]. It writes
-// ceil(len(src)/8) words; the final partial word, if any, is zero-padded.
-// dst must have capacity for WordsFor(len(src)) words.
-func BytesToWords(dst []uint64, src []byte) {
-	n := len(src) / 8
-	for i := 0; i < n; i++ {
-		dst[i] = binary.LittleEndian.Uint64(src[i*8:])
+// Bytes returns the bytes of words: a slice of len(words)*8 bytes aliasing
+// the same memory, so writes through either are visible through the other.
+// Byte i is byte i%8 (least significant first) of words[i/8]. An empty
+// words yields nil.
+func Bytes(words []uint64) []byte {
+	if len(words) == 0 {
+		return nil
 	}
-	if rem := len(src) % 8; rem != 0 {
-		var last [8]byte
-		copy(last[:], src[n*8:])
-		dst[n] = binary.LittleEndian.Uint64(last[:])
-	}
-}
-
-// WordsToBytes unpacks exactly len(dst) bytes from src words.
-// src must hold at least WordsFor(len(dst)) words.
-func WordsToBytes(dst []byte, src []uint64) {
-	n := len(dst) / 8
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(dst[i*8:], src[i])
-	}
-	if rem := len(dst) % 8; rem != 0 {
-		var last [8]byte
-		binary.LittleEndian.PutUint64(last[:], src[n])
-		copy(dst[n*8:], last[:rem])
-	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)
 }
 
 // WordsFor returns the number of 8-byte words needed to hold n bytes.

@@ -263,7 +263,7 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 		return record.View{}, 0, err
 	}
 	words := make([]uint64, h.SizeWords)
-	wordio.BytesToWords(words, rb)
+	copy(wordio.Bytes(words), rb)
 
 	cr.adapt(base, h.SizeWords*8)
 	return record.View{Words: words}, base, nil

@@ -391,13 +391,14 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 		if err != nil {
 			return nil, err
 		}
+		var buf []byte // this worker's payload buffer; only a match is cloned
 		return func(addr uint64, v record.View) (Record, bool) {
-			payload := v.Payload()
-			parsed, err := psess.Parse(payload)
+			buf = v.AppendPayload(buf[:0])
+			parsed, err := psess.Parse(buf)
 			if err != nil || !bytes.Equal(psf.CanonicalValue(def.Evaluate(parsed)), canon) {
 				return Record{}, false
 			}
-			return Record{Address: addr, Payload: payload}, true
+			return Record{Address: addr, Payload: bytes.Clone(buf)}, true
 		}, nil
 	}
 	return s.scanPages(ctx, g, from, to, workers, newMatcher, emit, st)

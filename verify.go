@@ -68,8 +68,8 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 	visit func(addr uint64, h record.Header, v record.View) bool) (end uint64, why string, pages int, err error) {
 
 	pageSize := uint64(1) << pageBits
-	buf := make([]byte, pageSize)
 	words := make([]uint64, pageSize/8)
+	buf := wordio.Bytes(words)
 	addr := from
 	for {
 		if to != 0 && addr >= to {
@@ -84,10 +84,7 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 			n = 0
 		}
 		pages++
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-		wordio.BytesToWords(words, buf)
+		clear(buf[n:])
 		off := addr - pageStart
 		for {
 			recAddr := pageStart + off
