@@ -18,21 +18,21 @@ func testGovernor(lim Limits) *governor {
 func TestGovernorIngestBudget(t *testing.T) {
 	g := testGovernor(Limits{MaxInFlightIngestBytes: 100})
 
-	if err := g.admitIngest(nil, "", 60); err != nil {
+	if err := g.admitIngest(nil, 60); err != nil {
 		t.Fatalf("first 60 bytes: %v", err)
 	}
 	// Over budget with MaxWait 0: immediate ErrBusy, budget untouched.
-	if err := g.admitIngest(nil, "", 60); !errors.Is(err, ErrBusy) {
+	if err := g.admitIngest(nil, 60); !errors.Is(err, ErrBusy) {
 		t.Fatalf("second 60 bytes = %v, want ErrBusy", err)
 	}
 	if got := g.inflightBytes.Load(); got != 60 {
 		t.Fatalf("failed admission leaked budget: in-flight = %d, want 60", got)
 	}
-	g.releaseIngest("", 60)
-	if err := g.admitIngest(nil, "", 100); err != nil {
+	g.releaseIngest(60)
+	if err := g.admitIngest(nil, 100); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
-	g.releaseIngest("", 100)
+	g.releaseIngest(100)
 	if g.rejects.Load() != 1 {
 		t.Fatalf("rejects = %d, want 1", g.rejects.Load())
 	}
@@ -42,14 +42,14 @@ func TestGovernorIngestBudget(t *testing.T) {
 // admitted when the budget is idle — otherwise it could never run at all.
 func TestGovernorOversizedBatch(t *testing.T) {
 	g := testGovernor(Limits{MaxInFlightIngestBytes: 100})
-	if err := g.admitIngest(nil, "", 5000); err != nil {
+	if err := g.admitIngest(nil, 5000); err != nil {
 		t.Fatalf("oversized batch on idle budget: %v", err)
 	}
 	// But not while anything else is in flight.
-	if err := g.admitIngest(nil, "", 5000); !errors.Is(err, ErrBusy) {
+	if err := g.admitIngest(nil, 5000); !errors.Is(err, ErrBusy) {
 		t.Fatalf("second oversized batch = %v, want ErrBusy", err)
 	}
-	g.releaseIngest("", 5000)
+	g.releaseIngest(5000)
 	if got := g.inflightBytes.Load(); got != 0 {
 		t.Fatalf("in-flight after release = %d, want 0", got)
 	}
@@ -59,18 +59,18 @@ func TestGovernorOversizedBatch(t *testing.T) {
 // release frees capacity within MaxWait.
 func TestGovernorWaiterAdmitted(t *testing.T) {
 	g := testGovernor(Limits{MaxInFlightIngestBytes: 100, MaxWait: 5 * time.Second})
-	if err := g.admitIngest(nil, "", 100); err != nil {
+	if err := g.admitIngest(nil, 100); err != nil {
 		t.Fatal(err)
 	}
 	admitted := make(chan error, 1)
-	go func() { admitted <- g.admitIngest(nil, "", 50) }()
+	go func() { admitted <- g.admitIngest(nil, 50) }()
 
 	select {
 	case err := <-admitted:
 		t.Fatalf("waiter admitted (%v) while budget full", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	g.releaseIngest("", 100)
+	g.releaseIngest(100)
 	select {
 	case err := <-admitted:
 		if err != nil {
@@ -88,12 +88,12 @@ func TestGovernorWaiterAdmitted(t *testing.T) {
 // the context's error, not ErrBusy.
 func TestGovernorWaitCancelled(t *testing.T) {
 	g := testGovernor(Limits{MaxInFlightIngestBytes: 100, MaxWait: time.Minute})
-	if err := g.admitIngest(nil, "", 100); err != nil {
+	if err := g.admitIngest(nil, 100); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	admitted := make(chan error, 1)
-	go func() { admitted <- g.admitIngest(ctx, "", 50) }()
+	go func() { admitted <- g.admitIngest(ctx, 50) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
@@ -106,78 +106,19 @@ func TestGovernorWaitCancelled(t *testing.T) {
 	}
 }
 
-func TestGovernorTenantShares(t *testing.T) {
-	g := testGovernor(Limits{
-		MaxInFlightIngestBytes: 100,
-		TenantShares:           map[string]int64{"a": 3, "b": 1}, // caps 75 / 25
-	})
-	if err := g.admitIngest(nil, "b", 20); err != nil {
-		t.Fatalf("b within share: %v", err)
-	}
-	// b is over its 25-byte share even though the global budget has room.
-	if err := g.admitIngest(nil, "b", 20); !errors.Is(err, ErrBusy) {
-		t.Fatalf("b over share = %v, want ErrBusy", err)
-	}
-	if err := g.admitIngest(nil, "a", 70); err != nil {
-		t.Fatalf("a within share: %v", err)
-	}
-	// Unknown tenants are bounded only by the global budget.
-	if err := g.admitIngest(nil, "mystery", 10); err != nil {
-		t.Fatalf("unknown tenant within global budget: %v", err)
-	}
-	g.releaseIngest("b", 20)
-	g.releaseIngest("a", 70)
-	g.releaseIngest("mystery", 10)
-	if got := g.inflightBytes.Load(); got != 0 {
-		t.Fatalf("in-flight after releases = %d, want 0", got)
-	}
-	if got := g.tenantInflight["a"].Load(); got != 0 {
-		t.Fatalf("tenant a in-flight = %d, want 0", got)
-	}
-}
-
-// TestGovernorShedOnBreach: negative-priority scans are shed while the SLO
-// watchdog reports a breach; zero/positive priorities are unaffected.
-func TestGovernorShedOnBreach(t *testing.T) {
-	g := testGovernor(Limits{MaxConcurrentScans: 8, ShedScansOnBreach: true})
-
-	if err := g.admitScan(nil, -1); err != nil {
-		t.Fatalf("negative priority with healthy SLO: %v", err)
-	}
-	g.releaseScan()
-
-	g.noteHealth(true)
-	if err := g.admitScan(nil, -1); !errors.Is(err, ErrBusy) {
-		t.Fatalf("negative priority during breach = %v, want ErrBusy", err)
-	}
-	if err := g.admitScan(nil, 0); err != nil {
-		t.Fatalf("default priority during breach: %v", err)
-	}
-	g.releaseScan()
-	g.noteHealth(false)
-	if err := g.admitScan(nil, -1); err != nil {
-		t.Fatalf("negative priority after recovery: %v", err)
-	}
-	g.releaseScan()
-	if g.sheds.Load() != 1 {
-		t.Fatalf("sheds = %d, want 1", g.sheds.Load())
-	}
-}
-
 // TestGovernorAdmitAllocs: the admission fast path (admit + release, under
 // and over budget) must not allocate — it runs once per batch and per scan.
 func TestGovernorAdmitAllocs(t *testing.T) {
 	g := testGovernor(Limits{
 		MaxInFlightIngestBytes: 100,
 		MaxConcurrentScans:     1,
-		TenantShares:           map[string]int64{"a": 1},
 	})
 	allocs := testing.AllocsPerRun(200, func() {
-		if g.admitIngest(nil, "a", 10) == nil {
-			g.releaseIngest("a", 10)
+		if g.admitIngest(nil, 10) == nil {
+			g.releaseIngest(10)
 		}
-		_ = g.admitIngest(nil, "", 500) // over-budget reject path
-		if g.admitScan(nil, 0) == nil {
+		_ = g.admitIngest(nil, 500) // over-budget reject path
+		if g.admitScan(nil) == nil {
 			g.releaseScan()
 		}
 	})
@@ -238,53 +179,5 @@ func TestStoreScanAdmission(t *testing.T) {
 	st := s.GovernorStats()
 	if st.Rejects != 1 || st.ActiveScans != 0 {
 		t.Fatalf("GovernorStats = %+v, want 1 reject, 0 active", st)
-	}
-}
-
-// TestStoreIngestTenantAdmission wires TenantLabel through a real store: a
-// tenant over its share fails ErrBusy while another tenant still ingests.
-func TestStoreIngestTenantAdmission(t *testing.T) {
-	tenant := "small"
-	s := openTestStore(t, Options{
-		TenantLabel: func() string { return tenant },
-		Limits: &Limits{
-			MaxInFlightIngestBytes: 1 << 20,
-			// small gets ~1KB of the 1MB budget; big gets the rest.
-			TenantShares: map[string]int64{"small": 1, "big": 1023},
-		},
-	})
-	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.NewSession()
-	defer sess.Close()
-
-	// A batch bigger than small's ~1KB share but far under the global
-	// budget: refused for small, fine for big. (Oversized-relative-to-share
-	// batches are admitted on an idle share, so pin the share first by
-	// charging it directly through the governor.)
-	pad := make([]byte, 600)
-	for i := range pad {
-		pad[i] = 'x'
-	}
-	batch := [][]byte{[]byte(`{"repo": {"name": "spark"}, "pad": "` + string(pad) + `"}`)}
-	if err := s.gov.admitIngest(nil, "small", 600); err != nil {
-		t.Fatalf("pinning small's share: %v", err)
-	}
-	_, err := sess.Ingest(batch)
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("small over share = %v, want ErrBusy", err)
-	}
-	tenant = "big"
-	if _, err := sess.Ingest(batch); err != nil {
-		t.Fatalf("big tenant same batch: %v", err)
-	}
-	s.gov.releaseIngest("small", 600)
-	tenant = "small"
-	if _, err := sess.Ingest(batch); err != nil {
-		t.Fatalf("small after release: %v", err)
-	}
-	if st := s.GovernorStats(); st.TenantInFlightBytes["small"] != 0 {
-		t.Fatalf("small in-flight after drain = %d, want 0", st.TenantInFlightBytes["small"])
 	}
 }

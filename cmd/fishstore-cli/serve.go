@@ -41,7 +41,6 @@ func serveMain(args []string) {
 		duration   = fs.Duration("duration", 0, "exit after this long (0 = run until SIGINT)")
 		sloIngest  = fs.Duration("slo-ingest-p99", 25*time.Millisecond, "ingest-batch p99 latency SLO for the watchdog (0 disables)")
 		sloScan    = fs.Duration("slo-scan-p95", 100*time.Millisecond, "index-scan p95 latency SLO for the watchdog (0 disables)")
-		tenant     = fs.String("tenant", "", "tenant label attributed to this process's workload")
 	)
 	fs.Parse(args)
 
@@ -72,10 +71,6 @@ func serveMain(args []string) {
 	}
 	if *sloIngest > 0 || *sloScan > 0 {
 		opts.SLO = &telemetry.SLO{IngestBatchP99: *sloIngest, IndexScanP95: *sloScan}
-	}
-	if *tenant != "" {
-		label := *tenant
-		opts.TenantLabel = func() string { return label }
 	}
 	s, err := fishstore.Open(opts)
 	if err != nil {

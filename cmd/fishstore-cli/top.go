@@ -14,10 +14,9 @@ import (
 
 // topMain implements `fishstore-cli top`: a live workload-attribution view
 // of a running store through /debug/fishstore/workload and
-// /debug/fishstore/health — per-operation latency quantiles from the
-// mergeable sketches, the heavy hitters per dimension (PSFs, sampled
-// property values, tenants, queried properties), and the SLO watchdog's
-// burn-rate verdict.
+// /debug/fishstore/health — per-operation latency quantiles, the heavy
+// hitters per dimension (ingested PSFs, queried properties), and the SLO
+// watchdog's burn-rate verdict.
 //
 //	fishstore-cli serve -metrics-addr :9187 &
 //	fishstore-cli top -addr localhost:9187
@@ -90,26 +89,14 @@ func printTop(w io.Writer, wl telemetry.Snapshot, health fishstore.Health, topN 
 	}
 
 	printHitters(w, "top PSFs (ingest)", wl.TopPSFs, topN)
-	fmt.Fprintf(w, "\ntop properties (sampled 1-in-%d)", wl.PropertySampleEvery)
-	printHitterRows(w, wl.TopProperties, topN)
 	printHitters(w, "top queried properties", wl.TopQueried, topN)
-	printHitters(w, "top tenants", wl.TopTenants, topN)
 }
 
 func printHitters(w io.Writer, title string, hh []telemetry.HeavyHitter, topN int) {
 	if len(hh) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\n%s", title)
-	printHitterRows(w, hh, topN)
-}
-
-func printHitterRows(w io.Writer, hh []telemetry.HeavyHitter, topN int) {
-	fmt.Fprintln(w)
-	if len(hh) == 0 {
-		fmt.Fprintln(w, "  (none sampled yet)")
-		return
-	}
+	fmt.Fprintf(w, "\n%s\n", title)
 	if topN > 0 && len(hh) > topN {
 		hh = hh[:topN]
 	}

@@ -21,9 +21,8 @@ import (
 func TestTopAgainstLiveStore(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, err := fishstore.Open(fishstore.Options{
-		Metrics:     reg,
-		TenantLabel: func() string { return "tenant-a" },
-		SLO:         &telemetry.SLO{IngestBatchP99: time.Second, Interval: 5 * time.Millisecond},
+		Metrics: reg,
+		SLO:     &telemetry.SLO{IngestBatchP99: time.Second, Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +66,8 @@ func TestTopAgainstLiveStore(t *testing.T) {
 		"index_scan",
 		"top PSFs (ingest)",
 		"proj(repo.name)",
-		"top properties (sampled 1-in-16)",
 		"top queried properties",
 		"proj(repo.name)=repo-1",
-		"top tenants",
-		"tenant-a",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("top output missing %q:\n%s", want, got)

@@ -9,16 +9,15 @@ import (
 
 // ErrBusy is returned when an operation is refused by the resource governor
 // (Options.Limits): the store is over the configured in-flight budget and the
-// operation either declined to wait (MaxWait zero), waited MaxWait without
-// capacity appearing, or was shed as discardable load during an SLO breach.
-// ErrBusy is retryable by construction — nothing about the store is wrong,
-// it is simply full.
+// operation either declined to wait (MaxWait zero) or waited MaxWait without
+// capacity appearing. ErrBusy is retryable by construction — nothing about
+// the store is wrong, it is simply full.
 var ErrBusy = errors.New("fishstore: over resource limits")
 
 // governor is the store-level admission controller. The admission fast path
-// is one or two atomic adds and must stay allocation-free (it runs once per
-// ingest batch and once per scan); the slow path — an operation that actually
-// has to wait for capacity — may allocate a timer.
+// is one atomic add and must stay allocation-free (it runs once per ingest
+// batch and once per scan); the slow path — an operation that actually has
+// to wait for capacity — may allocate a timer.
 //
 // Capacity release is broadcast through one-slot signal channels: a release
 // performs a non-blocking send, waiters re-try on receive, and a waiter that
@@ -31,89 +30,44 @@ type governor struct {
 
 	inflightBytes atomic.Int64
 	activeScans   atomic.Int64
-	breach        atomic.Bool // latest SLO watchdog verdict (noteHealth)
 
 	waits   atomic.Int64 // operations that blocked for capacity
 	rejects atomic.Int64 // operations refused with ErrBusy
-	sheds   atomic.Int64 // scans shed because of an SLO breach
 
 	ingestSig chan struct{}
 	scanSig   chan struct{}
-
-	// Per-tenant in-flight ingest bytes and the tenant's byte cap
-	// (share/totalShares of the global budget). Both maps are read-only
-	// after newGovernor; only the counters they point at mutate.
-	tenantInflight map[string]*atomic.Int64
-	tenantCap      map[string]int64
 }
 
 func newGovernor(lim *Limits, met *storeMetrics) *governor {
-	g := &governor{
+	return &governor{
 		lim:       *lim,
 		met:       met,
 		ingestSig: make(chan struct{}, 1),
 		scanSig:   make(chan struct{}, 1),
 	}
-	if len(lim.TenantShares) > 0 {
-		var total int64
-		for _, share := range lim.TenantShares {
-			total += share
-		}
-		g.tenantInflight = make(map[string]*atomic.Int64, len(lim.TenantShares))
-		g.tenantCap = make(map[string]int64, len(lim.TenantShares))
-		for tenant, share := range lim.TenantShares {
-			cap := lim.MaxInFlightIngestBytes * share / total
-			if cap < 1 {
-				cap = 1
-			}
-			g.tenantInflight[tenant] = new(atomic.Int64)
-			g.tenantCap[tenant] = cap
-		}
-	}
-	return g
 }
 
-// noteHealth records the SLO watchdog's latest verdict; while true, scans
-// submitted with a negative priority are shed (ShedScansOnBreach).
-func (g *governor) noteHealth(breach bool) { g.breach.Store(breach) }
-
-// admitIngest charges n raw batch bytes against the global (and, when the
-// tenant has a configured share, per-tenant) in-flight budget, blocking up to
-// MaxWait for capacity. An oversized batch (bigger than the whole budget) is
-// admitted only when its budget is idle, so it cannot starve forever.
+// admitIngest charges n raw batch bytes against the in-flight budget,
+// blocking up to MaxWait for capacity. An oversized batch (bigger than the
+// whole budget) is admitted only when the budget is idle, so it cannot
+// starve forever.
 //
 //fishlint:hotpath per-batch admission (fast path must not allocate)
-func (g *governor) admitIngest(ctx context.Context, tenant string, n int64) error {
+func (g *governor) admitIngest(ctx context.Context, n int64) error {
 	if g.lim.MaxInFlightIngestBytes == 0 || n == 0 {
 		return nil
 	}
-	var tc *atomic.Int64
-	tcap := int64(0)
-	if g.tenantInflight != nil && tenant != "" {
-		if c, ok := g.tenantInflight[tenant]; ok {
-			tc = c
-			tcap = g.tenantCap[tenant]
-		}
-	}
-	if g.tryIngest(tc, tcap, n) {
+	if g.tryIngest(n) {
 		return nil
 	}
-	return g.waitSlow(ctx, g.ingestSig, func() bool { return g.tryIngest(tc, tcap, n) })
+	return g.waitSlow(ctx, g.ingestSig, func() bool { return g.tryIngest(n) })
 }
 
-func (g *governor) tryIngest(tc *atomic.Int64, tcap, n int64) bool {
+func (g *governor) tryIngest(n int64) bool {
 	now := g.inflightBytes.Add(n)
 	if now > g.lim.MaxInFlightIngestBytes && now != n {
 		g.inflightBytes.Add(-n)
 		return false
-	}
-	if tc != nil {
-		tnow := tc.Add(n)
-		if tnow > tcap && tnow != n {
-			tc.Add(-n)
-			g.inflightBytes.Add(-n)
-			return false
-		}
 	}
 	return true
 }
@@ -121,30 +75,18 @@ func (g *governor) tryIngest(tc *atomic.Int64, tcap, n int64) bool {
 // releaseIngest returns a batch's bytes to the budget and wakes a waiter.
 //
 //fishlint:hotpath per-batch admission release
-func (g *governor) releaseIngest(tenant string, n int64) {
+func (g *governor) releaseIngest(n int64) {
 	if g.lim.MaxInFlightIngestBytes == 0 || n == 0 {
 		return
-	}
-	if g.tenantInflight != nil && tenant != "" {
-		if c, ok := g.tenantInflight[tenant]; ok {
-			c.Add(-n)
-		}
 	}
 	g.inflightBytes.Add(-n)
 	signal(g.ingestSig)
 }
 
-// admitScan admits one scan (Lookup counts as a scan). Negative-priority
-// scans are shed outright while the SLO watchdog reports a breach and
-// ShedScansOnBreach is set.
+// admitScan admits one scan (Lookup counts as a scan).
 //
 //fishlint:hotpath per-scan admission (fast path must not allocate)
-func (g *governor) admitScan(ctx context.Context, priority int) error {
-	if g.lim.ShedScansOnBreach && priority < 0 && g.breach.Load() {
-		g.sheds.Add(1)
-		g.met.scanSheds.Inc()
-		return ErrBusy
-	}
+func (g *governor) admitScan(ctx context.Context) error {
 	if g.lim.MaxConcurrentScans == 0 {
 		return nil
 	}
@@ -225,12 +167,8 @@ type GovernorStats struct {
 	InFlightIngestBytes int64
 	ActiveScans         int64
 	// Waits counts operations that blocked for capacity; Rejects those that
-	// failed with ErrBusy; Sheds the scans dropped during SLO breaches.
-	Waits, Rejects, Sheds int64
-	// Breach is the latest SLO watchdog verdict the governor saw.
-	Breach bool
-	// TenantInFlightBytes is the per-tenant occupancy (nil without shares).
-	TenantInFlightBytes map[string]int64
+	// failed with ErrBusy.
+	Waits, Rejects int64
 }
 
 // GovernorStats reports admission-control occupancy and outcomes. Zero value
@@ -240,19 +178,10 @@ func (s *Store) GovernorStats() GovernorStats {
 	if g == nil {
 		return GovernorStats{}
 	}
-	st := GovernorStats{
+	return GovernorStats{
 		InFlightIngestBytes: g.inflightBytes.Load(),
 		ActiveScans:         g.activeScans.Load(),
 		Waits:               g.waits.Load(),
 		Rejects:             g.rejects.Load(),
-		Sheds:               g.sheds.Load(),
-		Breach:              g.breach.Load(),
 	}
-	if g.tenantInflight != nil {
-		st.TenantInFlightBytes = make(map[string]int64, len(g.tenantInflight))
-		for tenant, c := range g.tenantInflight {
-			st.TenantInFlightBytes[tenant] = c.Load()
-		}
-	}
-	return st
 }

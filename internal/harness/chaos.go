@@ -86,7 +86,7 @@ type chaosSchedule struct {
 	subPolicy   fishstore.SubscribePolicy
 	subscribe   bool // attach a buffer-1 subscriber
 	truncate    bool // concurrent TruncateUntil calls
-	limits      bool // tiny admission budget + negative-priority scans
+	limits      bool // tiny admission budget + concurrent scans
 }
 
 func makeSchedule(rng *rand.Rand, seed int64) chaosSchedule {
@@ -266,8 +266,7 @@ func runOneChaos(cfg ChaosConfig, sc chaosSchedule, rep *ChaosReport) error {
 
 	// Concurrent scan pressure: two scanners racing ingestion and each
 	// other (with MaxConcurrentScans 1, overlap means queueing or ErrBusy),
-	// some with contexts that get cancelled, some negative-priority
-	// (sheddable under SLO breach).
+	// some with contexts that get cancelled.
 	for sg := 0; sg < 2; sg++ {
 		wg.Add(1)
 		go func(sg int) {
@@ -279,12 +278,8 @@ func runOneChaos(cfg ChaosConfig, sc chaosSchedule, rep *ChaosReport) error {
 				if sc.cancelAfter > 0 && i%2 == 1 {
 					sctx, scancel = context.WithTimeout(ctx, time.Duration(scanRng.Intn(400))*time.Microsecond)
 				}
-				prio := 0
-				if i%3 == 0 {
-					prio = -1
-				}
 				_, err := s.ScanContext(sctx, fishstore.PropertyString(idRepo, "spark"),
-					fishstore.ScanOptions{Priority: prio}, func(r fishstore.Record) bool { return true })
+					fishstore.ScanOptions{}, func(r fishstore.Record) bool { return true })
 				if scancel != nil {
 					scancel()
 				}

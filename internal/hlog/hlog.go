@@ -556,7 +556,11 @@ func (l *Log) FlushError() error { return l.flushError() }
 // evicting. When every failed page lands, the sticky flush error clears and
 // the log is writable again — the disk-full recovery path. A page that
 // fails again leaves the error in place and returns it.
-func (l *Log) RetryFailedFlushes() error {
+//
+// A failed page that ends at or below floor holds only logically truncated
+// records; it is retired without a write, because writing it would take
+// device space that the caller has just reclaimed.
+func (l *Log) RetryFailedFlushes(floor Address) error {
 	l.flushMu.Lock()
 	pages := make([]uint64, 0, len(l.failedPgs))
 	for p := range l.failedPgs {
@@ -565,8 +569,11 @@ func (l *Log) RetryFailedFlushes() error {
 	l.flushMu.Unlock()
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	for _, page := range pages {
-		if err := l.flushPage(page); err != nil {
-			return fmt.Errorf("hlog: retry flush of page %d: %w", page, err)
+		dead := l.address(page+1, 0) <= floor
+		if !dead {
+			if err := l.flushPage(page); err != nil {
+				return fmt.Errorf("hlog: retry flush of page %d: %w", page, err)
+			}
 		}
 		l.flushMu.Lock()
 		delete(l.failedPgs, page)
@@ -575,7 +582,7 @@ func (l *Log) RetryFailedFlushes() error {
 			l.flushErr = nil
 		}
 		l.flushMu.Unlock()
-		if l.onFlush != nil {
+		if l.onFlush != nil && !dead {
 			l.onFlush(page, nil)
 		}
 	}

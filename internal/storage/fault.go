@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,11 +61,11 @@ type FaultConfig struct {
 	// (from the cut write or CutNow), outside the device's mutex. The crash
 	// harness uses it to timestamp the cut in the flight recorder.
 	OnPowerCut func()
-	// CapacityBytes, when > 0, caps the device: a write whose end extends the
-	// used range (highest written end minus space reclaimed by
-	// TruncateBefore) past the cap fails whole with ErrNoSpace, like a file
-	// on a full partition. Reclaiming space with TruncateBefore lets later
-	// writes succeed again — ENOSPC here is a managed condition, not a crash.
+	// CapacityBytes, when > 0, caps the device: a write that would raise the
+	// space used (see SpaceUsed) past the cap fails whole with ErrNoSpace,
+	// like a sparse file on a full partition. Reclaiming space with
+	// TruncateBefore lets later writes succeed again — ENOSPC here is a
+	// managed condition, not a crash.
 	CapacityBytes int64
 	// WriteDelay stalls every write, the write-side analogue of ReadDelay.
 	// Combined with SetReadDelay/SetWriteDelay this models a device that
@@ -98,8 +99,7 @@ type FaultDevice struct {
 	enospcCounter int64 // writes remaining before sticky ENOSPC; <=0 disarmed
 	enospcStuck   bool  // armed ENOSPC fired; cleared by ClearENOSPC/TruncateBefore
 	nextReadErr   error
-	maxEnd        int64 // highest byte offset ever written (exclusive)
-	reclaimed     int64 // bytes released by TruncateBefore
+	held          extents // byte ranges written and not since reclaimed
 
 	cut        atomic.Bool
 	writes     atomic.Int64
@@ -216,29 +216,80 @@ func (d *FaultDevice) effWriteDelay() time.Duration {
 	return d.cfg.WriteDelay
 }
 
-// TruncateBefore releases the device space below off: the used-capacity
-// accounting drops by the newly reclaimed range, a stuck ArmENOSPC clears
-// (space exists again), and the reclaim is forwarded down the wrapper chain
-// so the inner device can actually free memory.
+// TruncateBefore releases the device space below off, like punching a hole
+// in a sparse file: every written byte below off stops counting against the
+// capacity (bytes written there later count again), a stuck ArmENOSPC
+// clears (space exists again), and the reclaim is forwarded down the
+// wrapper chain so the inner device can actually free memory.
 func (d *FaultDevice) TruncateBefore(off int64) error {
 	d.mu.Lock()
-	if off > d.maxEnd {
-		off = d.maxEnd
-	}
-	if off > d.reclaimed {
-		d.reclaimed = off
-	}
+	d.held.removeBelow(off)
 	d.enospcStuck = false
 	d.mu.Unlock()
 	return TruncateBefore(d.inner, off)
 }
 
-// SpaceUsed reports the capacity accounting: highest written end minus
-// reclaimed prefix.
+// SpaceUsed reports the capacity accounting of a sparse file: the number of
+// distinct bytes written and not since reclaimed by TruncateBefore. Holes
+// cost nothing, and rewriting a held byte costs nothing more.
 func (d *FaultDevice) SpaceUsed() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.maxEnd - d.reclaimed
+	return d.held.size()
+}
+
+// extents is a sorted list of disjoint, non-adjacent byte ranges [lo, hi).
+// A log device writes mostly contiguous pages, so the list stays short.
+type extents []extent
+
+type extent struct{ lo, hi int64 }
+
+func (e extents) size() int64 {
+	var n int64
+	for _, x := range e {
+		n += x.hi - x.lo
+	}
+	return n
+}
+
+// uncovered returns how many bytes of [lo, hi) no extent holds yet.
+func (e extents) uncovered(lo, hi int64) int64 {
+	n := hi - lo
+	for _, x := range e {
+		if x.lo < hi && lo < x.hi {
+			n -= min(hi, x.hi) - max(lo, x.lo)
+		}
+	}
+	return n
+}
+
+// add merges [lo, hi) into the list.
+func (e *extents) add(lo, hi int64) {
+	if lo >= hi {
+		return
+	}
+	i := 0
+	for i < len(*e) && (*e)[i].hi < lo {
+		i++
+	}
+	j := i
+	for ; j < len(*e) && (*e)[j].lo <= hi; j++ { // overlapping or adjacent
+		lo, hi = min(lo, (*e)[j].lo), max(hi, (*e)[j].hi)
+	}
+	*e = slices.Replace(*e, i, j, extent{lo, hi})
+}
+
+// removeBelow drops every byte below off.
+func (e *extents) removeBelow(off int64) {
+	out := (*e)[:0]
+	for _, x := range *e {
+		if x.hi <= off {
+			continue
+		}
+		x.lo = max(x.lo, off)
+		out = append(out, x)
+	}
+	*e = out
 }
 
 // Stats returns a snapshot of operation and fault counters.
@@ -328,23 +379,17 @@ func (d *FaultDevice) WriteAt(p []byte, off int64) (int, error) {
 			d.enospcStuck = true
 		}
 	}
+	end := off + int64(len(p))
 	outOfSpace := d.enospcStuck
 	if !outOfSpace && d.cfg.CapacityBytes > 0 {
-		end := off + int64(len(p))
-		used := d.maxEnd
-		if end > used {
-			used = end
-		}
-		outOfSpace = used-d.reclaimed > d.cfg.CapacityBytes
+		outOfSpace = d.held.size()+d.held.uncovered(off, end) > d.cfg.CapacityBytes
 	}
 	if outOfSpace {
 		d.noSpace.Add(1)
 		d.mu.Unlock()
 		return 0, ErrNoSpace
 	}
-	if end := off + int64(len(p)); end > d.maxEnd {
-		d.maxEnd = end
-	}
+	d.held.add(off, end)
 	if d.cutCounter > 0 {
 		d.cutCounter--
 		if d.cutCounter == 0 {

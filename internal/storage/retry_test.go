@@ -281,3 +281,61 @@ func TestFaultDeviceENOSPCAndReclaim(t *testing.T) {
 		t.Fatalf("write after reclaim cleared ENOSPC failed: %v", err)
 	}
 }
+
+// TestFaultDeviceCapacityWritePastHole: the capacity cap counts like a
+// sparse file, so a page flushed ahead of its predecessors is charged only
+// its own bytes, and rewriting held bytes costs nothing more.
+func TestFaultDeviceCapacityWritePastHole(t *testing.T) {
+	page := make([]byte, 4096)
+	fd := NewFaultDevice(NewMem(), FaultConfig{CapacityBytes: 8192})
+	if _, err := fd.WriteAt(page, 3*4096); err != nil {
+		t.Fatalf("write past a hole: %v", err)
+	}
+	if _, err := fd.WriteAt(page[:1024], 3*4096+512); err != nil {
+		t.Fatal(err)
+	}
+	if used := fd.SpaceUsed(); used != 4096 {
+		t.Fatalf("SpaceUsed = %d, want 4096", used)
+	}
+	// The predecessors land late: one fits, the next is over the cap.
+	if _, err := fd.WriteAt(page, 0); err != nil {
+		t.Fatalf("late predecessor within capacity: %v", err)
+	}
+	if _, err := fd.WriteAt(page, 4096); !IsNoSpace(err) {
+		t.Fatalf("write past capacity: got %v, want ErrNoSpace", err)
+	}
+}
+
+// TestFaultDeviceCapacityReclaimBeyondWritten: a reclaim issued beyond the
+// highest written byte still holds for later writes above it, and bytes
+// written into a reclaimed range count again until the next reclaim.
+func TestFaultDeviceCapacityReclaimBeyondWritten(t *testing.T) {
+	page := make([]byte, 4096)
+	fd := NewFaultDevice(NewMem(), FaultConfig{CapacityBytes: 8192})
+	if _, err := fd.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.TruncateBefore(3 * 4096); err != nil {
+		t.Fatal(err)
+	}
+	if used := fd.SpaceUsed(); used != 0 {
+		t.Fatalf("SpaceUsed = %d after reclaiming everything, want 0", used)
+	}
+	for _, pg := range []int64{3, 4} {
+		if _, err := fd.WriteAt(page, pg*4096); err != nil {
+			t.Fatalf("page %d above a reclaim beyond the written end: %v", pg, err)
+		}
+	}
+	if _, err := fd.WriteAt(page, 4096); !IsNoSpace(err) {
+		t.Fatalf("write into the reclaimed range on a full device: got %v, want ErrNoSpace", err)
+	}
+	if err := fd.TruncateBefore(4 * 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fd.WriteAt(page, 4096); err != nil {
+		t.Fatalf("write into the reclaimed range after space freed: %v", err)
+	}
+	if used := fd.SpaceUsed(); used != 8192 {
+		t.Fatalf("SpaceUsed = %d, want 8192", used)
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 // The collector's per-operation latencies are metrics.Histogram. These tests
 // pin the quantile, merge and threshold behaviour the workload view, the
-// watchdog and collector merging rely on.
+// watchdog and the registry's merged export rely on.
 
 func TestSketchBasics(t *testing.T) {
 	var s metrics.Histogram

@@ -50,37 +50,14 @@ func (t *TopK) Observe(key string, records, bytes int64) {
 		return
 	}
 	t.mu.Lock()
-	t.observeLocked(key, records, bytes, 0)
-	t.mu.Unlock()
-}
-
-// ObserveKey is Observe for a reusable []byte key: the map lookup on the
-// hit path performs no allocation, and the key is copied to a string only
-// when it is first tracked.
-func (t *TopK) ObserveKey(key []byte, records, bytes int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if it := t.items[string(key)]; it != nil {
-		it.records += records
-		it.bytes += bytes
-		t.mu.Unlock()
-		return
-	}
-	t.observeLocked(string(key), records, bytes, 0)
-	t.mu.Unlock()
-}
-
-func (t *TopK) observeLocked(key string, records, bytes, errRecords int64) {
+	defer t.mu.Unlock()
 	if it := t.items[key]; it != nil {
 		it.records += records
 		it.bytes += bytes
-		it.errRecords += errRecords
 		return
 	}
 	if len(t.items) < t.cap {
-		t.items[key] = &hhCounter{records: records, bytes: bytes, errRecords: errRecords}
+		t.items[key] = &hhCounter{records: records, bytes: bytes}
 		return
 	}
 	// Space-saving eviction: the newcomer replaces the minimum-count key
@@ -96,7 +73,7 @@ func (t *TopK) observeLocked(key string, records, bytes, errRecords int64) {
 	t.items[key] = &hhCounter{
 		records:    min.records + records,
 		bytes:      min.bytes + bytes,
-		errRecords: min.records + errRecords,
+		errRecords: min.records,
 	}
 }
 
@@ -132,20 +109,4 @@ func (t *TopK) Top(n int) []HeavyHitter {
 		out = out[:n]
 	}
 	return out
-}
-
-// Merge folds other's keys into t with space-saving semantics (shared keys
-// add counts and error bounds; new keys insert or evict). The two locks are
-// never held together, so concurrent cross-merges cannot deadlock.
-func (t *TopK) Merge(other *TopK) {
-	if t == nil || other == nil {
-		return
-	}
-	items := other.Top(0)
-	t.mu.Lock()
-	for i := range items {
-		it := &items[i]
-		t.observeLocked(it.Key, it.Records, it.Bytes, it.ErrRecords)
-	}
-	t.mu.Unlock()
 }

@@ -56,39 +56,9 @@ func TestTopKHeavyHitterGuarantee(t *testing.T) {
 	}
 }
 
-func TestTopKObserveKeyNoAllocOnHit(t *testing.T) {
-	tk := NewTopK(4)
-	key := []byte("psf=value")
-	tk.ObserveKey(key, 1, 1)
-	allocs := testing.AllocsPerRun(100, func() {
-		tk.ObserveKey(key, 1, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("ObserveKey hit path allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestTopKMerge(t *testing.T) {
-	a, b := NewTopK(4), NewTopK(4)
-	a.Observe("x", 10, 100)
-	a.Observe("y", 5, 50)
-	b.Observe("x", 7, 70)
-	b.Observe("z", 3, 30)
-	a.Merge(b)
-	top := a.Top(0)
-	if len(top) != 3 {
-		t.Fatalf("merged len = %d, want 3", len(top))
-	}
-	if top[0].Key != "x" || top[0].Records != 17 || top[0].Bytes != 170 {
-		t.Fatalf("merged x = %+v", top[0])
-	}
-}
-
 func TestTopKNilSafe(t *testing.T) {
 	var tk *TopK
 	tk.Observe("a", 1, 1)
-	tk.ObserveKey([]byte("a"), 1, 1)
-	tk.Merge(NewTopK(2))
 	if tk.Top(5) != nil || tk.Len() != 0 {
 		t.Fatal("nil TopK must be inert")
 	}

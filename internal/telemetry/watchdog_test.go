@@ -8,7 +8,7 @@ import (
 )
 
 func TestWatchdogBurnStates(t *testing.T) {
-	col := New(Config{})
+	col := New()
 	w := NewWatchdog(col, SLO{IngestBatchP99: time.Millisecond, BreachBurnRate: 8}, nil)
 
 	// 1000 fast ops, 0 breaches: burn 0, ok.
@@ -53,7 +53,7 @@ func TestWatchdogBurnStates(t *testing.T) {
 }
 
 func TestWatchdogTicksAndReport(t *testing.T) {
-	col := New(Config{})
+	col := New()
 	var ticks atomic.Int64
 	w := NewWatchdog(col, SLO{IngestBatchP99: time.Millisecond, Interval: 5 * time.Millisecond},
 		func(Report) { ticks.Add(1) })
@@ -86,7 +86,7 @@ func TestWatchdogTicksAndReport(t *testing.T) {
 }
 
 func TestWatchdogStartStopIdempotent(t *testing.T) {
-	col := New(Config{})
+	col := New()
 	w := NewWatchdog(col, SLO{IngestBatchP99: time.Millisecond, Interval: time.Millisecond}, nil)
 	w.Stop() // stop before start: no-op
 	w.Start()
@@ -106,7 +106,7 @@ func TestWatchdogStartStopIdempotent(t *testing.T) {
 // against concurrent recording — the shape of Store.Close racing an
 // in-flight watchdog.
 func TestWatchdogConcurrentStartStop(t *testing.T) {
-	col := New(Config{})
+	col := New()
 	w := NewWatchdog(col, SLO{IngestBatchP99: time.Millisecond, Interval: time.Millisecond}, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -51,11 +51,12 @@ func (s *Store) LogFull() (bool, string) {
 //     pages from the oldest end of the log until the live footprint (tail
 //     minus truncation point) fits the target. Page starts are record
 //     boundaries (records never straddle pages), so the floor is always
-//     valid.
+//     valid. The tail's own page always stays live.
 //  2. Reclaim the device space below the truncation point (hole-punching on
 //     devices that support storage.Truncator; logical-only elsewhere).
-//  3. Re-drive every sealed page whose flush failed — the frames are still
-//     pinned in memory — and, if a straddling allocator died mid
+//  3. Re-drive every sealed page above the truncation point whose flush
+//     failed — the frames are still pinned in memory — retire the failed
+//     pages below it unwritten, and, if a straddling allocator died mid
 //     seal-and-advance, complete the interrupted tail handoff.
 //
 // On success the log-full flag clears and ingestion resumes. Callers without
@@ -77,8 +78,13 @@ func (s *Store) RecoverLogSpace() error {
 	if ret := s.opts.Retention; ret != nil && ret.MaxLiveBytes > 0 {
 		tail := s.log.TailAddress()
 		if tail > ret.MaxLiveBytes {
+			// The first page start at or above tail-MaxLiveBytes: the
+			// lowest record boundary that leaves at most MaxLiveBytes live.
 			floor := tail - ret.MaxLiveBytes
-			floor -= s.log.OffsetOf(floor) // page-align down: a record boundary
+			if off := s.log.OffsetOf(floor); off != 0 {
+				floor += s.log.PageSize() - off
+			}
+			floor = min(floor, tail-s.log.OffsetOf(tail))
 			if floor > s.TruncatedUntil() {
 				if err := s.TruncateUntil(floor); err != nil {
 					return fmt.Errorf("fishstore: retention truncation: %w", err)
@@ -101,7 +107,7 @@ func (s *Store) RecoverLogSpace() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
-	if err := s.log.RetryFailedFlushes(); err != nil {
+	if err := s.log.RetryFailedFlushes(floor); err != nil {
 		if storage.IsNoSpace(err) {
 			// Still full: the retention target did not free enough space.
 			return fmt.Errorf("%w: %v", ErrLogFull, err)

@@ -169,3 +169,40 @@ func TestDiskFullManualRecovery(t *testing.T) {
 		t.Fatalf("verify after manual recovery: %s", vrep.Corruption)
 	}
 }
+
+// TestRecoverLogSpaceFootprint: retention truncates to the first page start
+// that leaves at most MaxLiveBytes live, even when the tail sits mid-page.
+func TestRecoverLogSpaceFootprint(t *testing.T) {
+	const maxLive = 8 << 10
+	fd := storage.NewFaultDevice(nil, storage.FaultConfig{})
+	s, err := Open(Options{
+		Device: fd, PageBits: 12, MemPages: 8, TableBuckets: 1 << 8,
+		Retention: &Retention{MaxLiveBytes: maxLive},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	defer sess.Close()
+	for i := 0; s.Stats().TailAddress < 5<<12 || s.Stats().TailAddress%(1<<12) == 0; i++ {
+		if _, err := sess.Ingest([][]byte{logFullPayload(i)}); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	fd.ArmENOSPC(1)
+	if err := s.Flush(); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("flush on a full device = %v, want ErrLogFull", err)
+	}
+	if err := s.RecoverLogSpace(); err != nil {
+		t.Fatalf("RecoverLogSpace: %v", err)
+	}
+	tail, floor := s.Stats().TailAddress, s.TruncatedUntil()
+	if live := tail - floor; live > maxLive || live+1<<12 <= maxLive {
+		t.Fatalf("live footprint after recovery = %d (tail %d, floor %d), want in (%d, %d]",
+			live, tail, floor, maxLive-1<<12, maxLive)
+	}
+}

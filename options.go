@@ -107,13 +107,6 @@ type Options struct {
 	// pre-cache behaviour). Cached pages are invalidated by TruncateUntil.
 	PageCachePages int
 
-	// TenantLabel, if set, is consulted once per ingest batch and once per
-	// scan to attribute that operation's records and bytes to a
-	// caller/tenant heavy-hitter dimension (the Record Layer-style
-	// multi-tenant accounting hook). It is called from the operation's own
-	// goroutine and must be cheap and concurrency-safe.
-	TenantLabel func() string
-
 	// SLO, if set, starts a watchdog goroutine that evaluates the given
 	// latency targets every SLO.Interval, publishes burn rates as
 	// fishstore_slo_burn gauges, emits slo.burn trace events into the
@@ -130,13 +123,10 @@ type Options struct {
 
 	// Limits, if set, enables the store-level resource governor: ingest
 	// batches count against MaxInFlightIngestBytes (over-limit callers block
-	// up to MaxWait, then fail with ErrBusy), scans count against
-	// MaxConcurrentScans, tenants can be given weighted shares of the ingest
-	// budget, and — when the SLO watchdog reports a breach — scans submitted
-	// with a negative ScanOptions.Priority are shed with ErrBusy. nil keeps
-	// the historical unbounded behaviour. The admission fast path is a pair
-	// of atomic adds; the governor allocates only when an operation actually
-	// has to wait.
+	// up to MaxWait, then fail with ErrBusy) and scans count against
+	// MaxConcurrentScans. nil keeps the historical unbounded behaviour. The
+	// admission fast path is one atomic add; the governor allocates only
+	// when an operation actually has to wait.
 	Limits *Limits
 
 	// Retention, if set, bounds the live log footprint and arms the
@@ -170,18 +160,6 @@ type Limits struct {
 	// before failing with ErrBusy. Zero means fail fast. The operation's
 	// context, when it expires sooner, wins.
 	MaxWait time.Duration
-
-	// TenantShares divides MaxInFlightIngestBytes between tenants (keyed by
-	// the value Options.TenantLabel returns): each named tenant may hold at
-	// most share/totalShares of the ingest-byte budget. Tenants not in the
-	// map (and all traffic when TenantLabel is unset) are limited only by
-	// the global cap. The map is read-only after Open.
-	TenantShares map[string]int64
-
-	// ShedScansOnBreach, when true, rejects scans whose ScanOptions.Priority
-	// is negative with ErrBusy while the SLO watchdog (Options.SLO) reports
-	// a breach — load-shedding the work the caller marked discardable first.
-	ShedScansOnBreach bool
 }
 
 // Retention configures retention-driven space reclamation; see
@@ -189,7 +167,8 @@ type Limits struct {
 type Retention struct {
 	// MaxLiveBytes is the target live log footprint (tail minus truncation
 	// point). RecoverLogSpace truncates whole pages from the oldest end of
-	// the log until the footprint is at most this. 0 disables
+	// the log until the footprint is at most this, or down to the tail's
+	// own page when MaxLiveBytes is smaller than a page. 0 disables
 	// retention-driven truncation (RecoverLogSpace then only reclaims what
 	// the caller already truncated manually).
 	MaxLiveBytes uint64
@@ -232,14 +211,6 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Limits != nil {
 		if out.Limits.MaxInFlightIngestBytes < 0 || out.Limits.MaxConcurrentScans < 0 {
 			return out, errors.New("fishstore: Limits caps must be >= 0")
-		}
-		for tenant, share := range out.Limits.TenantShares {
-			if share <= 0 {
-				return out, errors.New("fishstore: TenantShares[" + tenant + "] must be > 0")
-			}
-		}
-		if len(out.Limits.TenantShares) > 0 && out.Limits.MaxInFlightIngestBytes == 0 {
-			return out, errors.New("fishstore: TenantShares requires MaxInFlightIngestBytes")
 		}
 	}
 	return out, nil

@@ -73,11 +73,6 @@ type ScanOptions struct {
 	// goroutines and walks the shard chains of a sharded PSF concurrently
 	// (Appendix F). Callback invocations are serialized.
 	Parallelism int
-	// Priority orders scans for load shedding: while the SLO watchdog
-	// reports a breach and Limits.ShedScansOnBreach is set, scans with a
-	// negative priority are refused with ErrBusy. Zero (the default) and
-	// positive priorities are never shed.
-	Priority int
 }
 
 // Segment is one piece of a scan plan.
@@ -135,7 +130,7 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
 	var st ScanStats
 	if g := s.gov; g != nil {
-		if err := g.admitScan(ctx, opts.Priority); err != nil {
+		if err := g.admitScan(ctx); err != nil {
 			return st, err
 		}
 		defer g.releaseScan()
@@ -265,9 +260,6 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 	// Queried-property heavy hitters answer "which predicates do reads pay
 	// for" — the read-side complement of the ingest PSF attribution.
 	s.tele.ObserveQueried(def.Name+"="+string(canon), st.Matched, st.ReadBytes)
-	if lbl := s.opts.TenantLabel; lbl != nil {
-		s.tele.ObserveTenant(lbl(), st.Visited, st.ReadBytes)
-	}
 	return st, nil
 }
 

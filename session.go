@@ -38,11 +38,9 @@ type Session struct {
 
 	// Workload-attribution scratch: per-meta-PSF record/byte counts
 	// accumulated with plain adds on the hot path and flushed into the
-	// collector once per batch, plus a key buffer for sampled property
-	// attribution.
+	// collector once per batch.
 	teleRecs  []int64
 	teleBytes []int64
-	teleKey   []byte
 
 	phases PhaseStats
 	closed bool
@@ -154,18 +152,14 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 	// Admission happens before the checkpoint barrier and epoch protection:
 	// a blocked batch must not stall checkpoints or page recycling.
 	if g := sess.store.gov; g != nil {
-		var tenant string
-		if lbl := sess.store.opts.TenantLabel; lbl != nil {
-			tenant = lbl()
-		}
 		var admitted int64
 		for _, p := range batch {
 			admitted += int64(len(p))
 		}
-		if err := g.admitIngest(ctx, tenant, admitted); err != nil {
+		if err := g.admitIngest(ctx, admitted); err != nil {
 			return IngestStats{}, err
 		}
-		defer g.releaseIngest(tenant, admitted)
+		defer g.releaseIngest(admitted)
 	}
 	var done <-chan struct{}
 	if ctx != nil {
@@ -335,11 +329,6 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		st.Bytes += int64(len(payload))
 		st.Properties += len(sess.ptrSpecs)
 		met.recordBytes.Observe(int64(len(payload)))
-		// Sampled per-(PSF,value) heavy-hitter attribution: 1-in-N records,
-		// outside the lap windows and the hotpath-audited helpers.
-		if len(sess.ptrSpecs) > 0 && tele.SampleProperty() {
-			sess.observeSampledProperties(payload)
-		}
 	}
 
 	sess.phases.Records += int64(st.Records)
@@ -351,7 +340,7 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 	// registry exports as fishstore_ingest_batch_seconds.
 	elapsed := time.Since(batchStart)
 	tele.RecordOp(telemetry.OpIngestBatch, elapsed)
-	sess.flushBatchAttribution(tele, &st)
+	sess.flushBatchAttribution(tele)
 	if met.reg.Enabled() {
 		met.ingestRecords.Add(int64(st.Records))
 		met.ingestBytes.Add(st.Bytes)
@@ -494,60 +483,13 @@ func shardOf(addr uint64, shards int) int {
 	return int((addr >> 6) % uint64(shards))
 }
 
-var (
-	teleTrue  = []byte("true")
-	teleFalse = []byte("false")
-)
-
-// observeSampledProperties attributes the current record's properties to the
-// per-(PSF,value) heavy-hitter dimension. Called for 1-in-SampleEvery
-// records, after the record is fully ingested — sess.ptrSpecs and
-// sess.valueRegion still describe it. The key buffer is session scratch, so
-// the only steady-state cost is the collector's map lookups.
-func (sess *Session) observeSampledProperties(payload []byte) {
-	tele := sess.store.tele
-	for j := range sess.ptrSpecs {
-		ps := &sess.ptrSpecs[j]
-		var name string
-		for i := range sess.meta.PSFs {
-			if sess.meta.PSFs[i].ID == ps.PSFID {
-				name = sess.meta.PSFs[i].Def.Name
-				break
-			}
-		}
-		var val []byte
-		switch ps.Mode {
-		case record.ModeBool:
-			if ps.BoolValue {
-				val = teleTrue
-			} else {
-				val = teleFalse
-			}
-		case record.ModePayload:
-			val = payload[ps.ValOffset : ps.ValOffset+ps.ValSize]
-		case record.ModeValueRegion:
-			val = sess.valueRegion[ps.ValOffset : ps.ValOffset+ps.ValSize]
-		}
-		key := append(sess.teleKey[:0], name...)
-		key = append(key, '=')
-		key = append(key, val...)
-		sess.teleKey = key
-		tele.ObservePropertyKey(key, 1, int64(len(payload)))
-	}
-}
-
 // flushBatchAttribution drains the batch-local per-PSF accumulators into the
-// collector (one locked update per active PSF per batch) and, when a
-// TenantLabel hook is configured, charges the whole batch to the caller's
-// tenant.
-func (sess *Session) flushBatchAttribution(tele *telemetry.Collector, st *IngestStats) {
+// collector (one locked update per active PSF per batch).
+func (sess *Session) flushBatchAttribution(tele *telemetry.Collector) {
 	for i := range sess.teleRecs {
 		if sess.teleRecs[i] != 0 {
 			tele.ObservePSF(sess.meta.PSFs[i].Def.Name, sess.teleRecs[i], sess.teleBytes[i])
 			sess.teleRecs[i], sess.teleBytes[i] = 0, 0
 		}
-	}
-	if lbl := sess.store.opts.TenantLabel; lbl != nil {
-		tele.ObserveTenant(lbl(), int64(st.Records), st.Bytes)
 	}
 }

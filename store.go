@@ -69,7 +69,7 @@ type Store struct {
 
 	// tele is the workload-attribution collector: per-operation latency
 	// histograms (exported by the metrics registry as the store's own) plus
-	// PSF / property / tenant heavy hitters. watchdog evaluates Options.SLO
+	// ingested-PSF and queried-property heavy hitters. watchdog evaluates Options.SLO
 	// targets against it (nil when no SLO is configured).
 	tele     *telemetry.Collector
 	watchdog *telemetry.Watchdog
@@ -129,7 +129,7 @@ func newStore(o Options) *Store {
 	if reg == nil {
 		reg = metrics.NewDisabled()
 	}
-	tele := telemetry.New(telemetry.Config{})
+	tele := telemetry.New()
 	m := newStoreMetrics(reg, tele, o.TraceSink)
 	if o.IORetry != nil && o.Device != nil {
 		// Retry closest to the hardware so instrumentation above it observes
@@ -292,7 +292,7 @@ func (s *Store) wireObservability() {
 	})
 	s.registerGaugeFuncs()
 	s.registerIntrospection()
-	s.wireWorkloadTelemetry()
+	s.wireWorkload()
 }
 
 // Close flushes and closes the store. All sessions must be closed first.

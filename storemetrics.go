@@ -87,7 +87,6 @@ type storeMetrics struct {
 	// Overload protection (governor.go, logfull.go, subscribe.go).
 	admissionWaits    *metrics.Counter
 	admissionRejects  *metrics.Counter
-	scanSheds         *metrics.Counter
 	subDropped        *metrics.Counter
 	logFullGauge      *metrics.Gauge
 	logFullRecoveries *metrics.Counter
@@ -200,8 +199,6 @@ func newStoreMetrics(reg *metrics.Registry, tele *telemetry.Collector, sink func
 		"Operations that blocked waiting for governor capacity (Options.Limits).")
 	m.admissionRejects = reg.Counter("fishstore_admission_rejects_total",
 		"Operations refused with ErrBusy after the admission wait expired.")
-	m.scanSheds = reg.Counter("fishstore_scan_sheds_total",
-		"Negative-priority scans shed during SLO breaches (ShedScansOnBreach).")
 	m.subDropped = reg.Counter("fishstore_subscription_dropped_total",
 		"Records dropped by DropOldest subscriptions whose buffer was full.")
 	m.logFullGauge = reg.Gauge("fishstore_log_full",

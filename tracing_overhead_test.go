@@ -11,9 +11,9 @@ import (
 // TestTracingDisabledZeroAllocsPerRecord checks that machinery which is armed
 // but idle costs no allocations: per-Ingest allocation counts must be
 // identical for a default store, a store with a live metrics registry, a
-// store with an attached but disabled tracer, and stores whose resource
-// governor is armed but never saturated, with and without tenant shares
-// (the admission fast path is a few atomic adds). Page sizing keeps the
+// store with an attached but disabled tracer, and a store whose resource
+// governor is armed but never saturated (the admission fast path is one
+// atomic add). Page sizing keeps the
 // whole measured run inside one in-memory page so no flush or eviction
 // allocates mid-measurement in any store.
 func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
@@ -50,10 +50,6 @@ func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
 		{"tracer attached, disabled", Options{Tracer: disabled}},
 		{"limits armed, unsaturated", Options{Limits: &Limits{
 			MaxInFlightIngestBytes: 1 << 30, MaxConcurrentScans: 64}}},
-		{"tenant shares armed, unsaturated", Options{
-			TenantLabel: func() string { return "a" },
-			Limits: &Limits{MaxInFlightIngestBytes: 1 << 30,
-				TenantShares: map[string]int64{"a": 1, "b": 1}}}},
 	} {
 		got := measure(c.opts)
 		t.Logf("allocs per %d-record batch: default %.2f, %s %.2f", len(batch), base, c.name, got)

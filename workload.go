@@ -13,9 +13,9 @@ import (
 // collector's per-operation histograms are exported by the metrics registry
 // itself (newStoreMetrics).
 
-// wireWorkloadTelemetry starts the SLO watchdog per Options and mounts the
+// wireWorkload starts the SLO watchdog per Options and mounts the
 // debug endpoints and SLO gauges.
-func (s *Store) wireWorkloadTelemetry() {
+func (s *Store) wireWorkload() {
 	if s.opts.SLO != nil {
 		s.watchdog = telemetry.NewWatchdog(s.tele, *s.opts.SLO, s.sloTick)
 	}
@@ -63,11 +63,6 @@ func (s *Store) registerSLOGauges() {
 // objectives into the event stream (flight recorder + TraceSink), so a
 // crash or a support bundle carries the burn timeline.
 func (s *Store) sloTick(r telemetry.Report) {
-	if g := s.gov; g != nil {
-		// The governor sheds negative-priority scans while this is true
-		// (Limits.ShedScansOnBreach).
-		g.noteHealth(r.Status == telemetry.StatusBreach)
-	}
 	if r.Status == telemetry.StatusOK {
 		return
 	}
@@ -85,13 +80,9 @@ func (s *Store) sloTick(r telemetry.Report) {
 }
 
 // WorkloadSnapshot returns the live workload-attribution view: per-op
-// latency quantiles plus the top-N heavy hitters per dimension (PSFs,
-// sampled properties, tenants, queried properties).
+// latency quantiles plus the top-N heavy hitters per dimension (ingested
+// PSFs, queried properties).
 func (s *Store) WorkloadSnapshot(topN int) *telemetry.Snapshot { return s.tele.Snapshot(topN) }
-
-// Telemetry returns the store's workload collector so a scatter-gather
-// facade can Merge per-shard collectors into a cluster view.
-func (s *Store) Telemetry() *telemetry.Collector { return s.tele }
 
 // Health is the machine-readable verdict served at /debug/fishstore/health.
 type Health struct {

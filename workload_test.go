@@ -20,7 +20,7 @@ import (
 // TestWorkloadSnapshotAndEndpoints is the acceptance path for the workload
 // view: ingest + scan + checkpoint against a real store, then read
 // /debug/fishstore/workload and /debug/fishstore/health over HTTP and check
-// the per-op latency quantiles and the per-PSF / per-property top-K.
+// the per-op latency quantiles and the per-PSF / per-queried-property top-K.
 func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	dev, err := storage.OpenFile(filepath.Join(dir, "log.dat"))
@@ -85,10 +85,6 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 		snap.TopPSFs[0].Records != 640 {
 		t.Fatalf("top PSFs = %+v", snap.TopPSFs)
 	}
-	// 640 records sampled 1-in-16 → ~40 property observations.
-	if len(snap.TopProperties) == 0 || snap.TopProperties[0].Key != "proj(repo.name)=spark" {
-		t.Fatalf("top properties = %+v", snap.TopProperties)
-	}
 	if len(snap.TopQueried) == 0 || snap.TopQueried[0].Key != "proj(repo.name)=spark" ||
 		snap.TopQueried[0].Records != 640 {
 		t.Fatalf("top queried = %+v", snap.TopQueried)
@@ -112,7 +108,7 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 	}
 	var wl telemetry.Snapshot
 	getJSON("/debug/fishstore/workload", &wl)
-	if len(wl.Ops) == 0 || len(wl.TopPSFs) == 0 || len(wl.TopProperties) == 0 {
+	if len(wl.Ops) == 0 || len(wl.TopPSFs) == 0 || len(wl.TopQueried) == 0 {
 		t.Fatalf("workload endpoint missing sections: %+v", wl)
 	}
 	var h Health
@@ -139,43 +135,10 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 	}
 }
 
-// TestWorkloadTenantAttribution checks the Record Layer-style caller hook:
-// every batch and scan is charged to the label the hook returns.
-func TestWorkloadTenantAttribution(t *testing.T) {
-	s := openTestStore(t, Options{TenantLabel: func() string { return "tenant-a" }})
-	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := s.NewSession()
-	defer sess.Close()
-	var batch [][]byte
-	for i := 0; i < 100; i++ {
-		batch = append(batch, genEvent(i, "PushEvent", "spark"))
-	}
-	if _, err := sess.Ingest(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Scan(Property{PSF: id, Value: expr.StringVal("spark")}, ScanOptions{}, func(Record) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.WorkloadSnapshot(5)
-	if len(snap.TopTenants) != 1 || snap.TopTenants[0].Key != "tenant-a" {
-		t.Fatalf("top tenants = %+v", snap.TopTenants)
-	}
-	// 100 ingested + 100 visited by the scan.
-	if snap.TopTenants[0].Records != 200 {
-		t.Fatalf("tenant records = %d, want 200", snap.TopTenants[0].Records)
-	}
-}
-
 // TestWorkloadAlwaysOn: the workload view needs no option and no metrics
 // registry, and without an SLO the health verdict carries no burn report.
 func TestWorkloadAlwaysOn(t *testing.T) {
 	s := openTestStore(t, Options{})
-	if s.Telemetry() == nil {
-		t.Fatal("Telemetry() is nil on a default store")
-	}
 	sess := s.NewSession()
 	defer sess.Close()
 	if _, err := sess.Ingest([][]byte{genEvent(1, "PushEvent", "spark")}); err != nil {
