@@ -1,6 +1,6 @@
 // Command fishlint runs FishStore's repo-specific static analyzers
-// (epochguard, atomicfield, wordsat, errflow, addrcompose, puborder,
-// hotalloc, sealcover) over the given package patterns.
+// (epochguard, atomicfield, errflow, puborder, hotalloc) over the given
+// package patterns.
 //
 // Usage:
 //
@@ -8,8 +8,6 @@
 //
 //	-q        suppress the summary line
 //	-tests    analyze _test.go files alongside production sources
-//	-tags     comma-separated build tags to apply during loading
-//	-json     emit findings and timings as one JSON document on stdout
 //	-timing   print per-analyzer analysis time on stderr
 //	-hotalloc-baseline file
 //	          absorb hotalloc findings recorded in the committed baseline;
@@ -26,7 +24,8 @@
 // Exit codes: 0 — no findings; 1 — findings reported; 2 — usage or load
 // error. Findings are suppressed by an inline
 // `//lint:ignore <analyzer>[,<analyzer>] <justification>` on the finding's
-// line or the line above it.
+// line or the line above it; a directive that is bare, names an unknown
+// analyzer or suppresses nothing is itself a finding.
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fishstore/internal/lint"
 )
@@ -48,8 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	quiet := flags.Bool("q", false, "suppress the summary line")
 	tests := flags.Bool("tests", false, "analyze _test.go files alongside production sources")
-	tags := flags.String("tags", "", "comma-separated build tags to apply during package loading")
-	asJSON := flags.Bool("json", false, "emit findings and timings as one JSON document on stdout")
 	timing := flags.Bool("timing", false, "print per-analyzer analysis time on stderr")
 	baselinePath := flags.String("hotalloc-baseline", "", "baseline `file` of accepted hotalloc findings to absorb")
 	writeBaseline := flags.String("write-hotalloc-baseline", "", "write current hotalloc findings to baseline `file` and exit")
@@ -69,11 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fishlint: %v\n", err)
 		return 2
 	}
-	cfg := lint.LoadConfig{Dir: dir, Tests: *tests}
-	if *tags != "" {
-		cfg.Tags = strings.Split(*tags, ",")
-	}
-	pkgs, err := lint.LoadPkgs(cfg, flags.Args()...)
+	pkgs, err := lint.LoadPkgs(lint.LoadConfig{Dir: dir, Tests: *tests}, flags.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "fishlint: %v\n", err)
 		return 2
@@ -105,15 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lint.ApplyBaseline(&res, b, dir)
 	}
 
-	if *asJSON {
-		if err := lint.EncodeJSON(stdout, len(pkgs), res); err != nil {
-			fmt.Fprintf(stderr, "fishlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range res.Findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range res.Findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if *timing {
 		for _, t := range res.Timings {

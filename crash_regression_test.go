@@ -366,7 +366,6 @@ func TestVerifyDeviceDetectsCorruption(t *testing.T) {
 
 	// Smash the first record's first key-pointer word.
 	junk := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	//lint:ignore sealcover deliberate corruption: the test smashes sealed bytes to prove the verifier quarantines the page
 	if _, err := mem.WriteAt(junk, int64(hlog.BeginAddress)+8); err != nil {
 		t.Fatal(err)
 	}

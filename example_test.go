@@ -34,7 +34,6 @@ func ExampleStore_RegisterPSF_predicate() {
 	store, _ := fishstore.Open(fishstore.Options{})
 	defer store.Close()
 
-	//lint:ignore errflow documentation example elides error handling for brevity
 	def, _ := psf.Predicate("hot", `cpu > 90`)
 	id, _, _ := store.RegisterPSF(def)
 

@@ -71,7 +71,6 @@ func flipPayloadByte(t *testing.T, dev storage.Device, addr uint64, sizeWords in
 		t.Fatal(err)
 	}
 	b[0] ^= 0x01
-	//lint:ignore sealcover deliberate corruption: flips one bit under a sealed trailer to trip VerifyOnRead
 	if _, err := dev.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}

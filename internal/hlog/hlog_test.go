@@ -339,11 +339,34 @@ func TestPageWordsFrom(t *testing.T) {
 
 func (a Allocation) addr() Address { return a.Address }
 
+// TestAddressHelpers pins the carry rules of both address encodings:
+// address() adds, so an offset of a whole page lands at the start of the
+// next page (OR would alias it into odd page numbers), and pack() masks, so
+// a transiently overflowed tail offset cannot bleed into the page number.
 func TestAddressHelpers(t *testing.T) {
 	l, _ := newTestLog(t, 12, 4, storage.NewMem())
-	addr := l.address(3, 128)
-	if l.PageOf(addr) != 3 || l.OffsetOf(addr) != 128 {
-		t.Fatalf("PageOf/OffsetOf broken: %d %d", l.PageOf(addr), l.OffsetOf(addr))
+	for _, tc := range []struct{ page, off, wantPage, wantOff uint64 }{
+		{3, 128, 3, 128},
+		{3, l.PageSize(), 4, 0},
+		{4, l.PageSize(), 5, 0},
+		{5, l.PageSize() + 8, 6, 8},
+	} {
+		addr := l.address(tc.page, tc.off)
+		if l.PageOf(addr) != tc.wantPage || l.OffsetOf(addr) != tc.wantOff {
+			t.Errorf("address(%d, %d) = page %d offset %d, want page %d offset %d",
+				tc.page, tc.off, l.PageOf(addr), l.OffsetOf(addr), tc.wantPage, tc.wantOff)
+		}
+	}
+	for _, tc := range []struct{ page, off, wantOff uint64 }{
+		{0, BeginAddress, BeginAddress},
+		{3, offsetMask, offsetMask},
+		{3, offsetMask + 1, 0},
+		{6, offsetMask + 1 + 64, 64},
+		{7, offsetMask + 1 + 64, 64},
+	} {
+		if page, off := unpack(pack(tc.page, tc.off)); page != tc.page || off != tc.wantOff {
+			t.Errorf("unpack(pack(%d, %#x)) = (%d, %#x), want (%d, %#x)", tc.page, tc.off, page, off, tc.page, tc.wantOff)
+		}
 	}
 }
 

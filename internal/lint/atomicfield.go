@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // NewAtomicField builds the atomicfield analyzer. It enforces two rules:
@@ -33,16 +32,12 @@ func NewAtomicField() *Analyzer {
 		pos token.Position
 		ref string // rendering for the message
 	}
-	// Cross-package aggregation state, merged under mu: the parallel driver
-	// runs this analyzer on several packages at once.
-	var mu sync.Mutex
+	// Cross-package aggregation state, read by Finish.
 	atomicFields := make(map[types.Object]bool)
 	plainAccesses := make(map[types.Object][]access)
 
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
-		localAtomic := make(map[types.Object]bool)
-		localPlain := make(map[types.Object][]access)
 		// sanctioned marks &expr operands that flow into sync/atomic calls.
 		sanctioned := make(map[ast.Expr]bool)
 		for _, file := range pass.Pkg.Files {
@@ -64,7 +59,7 @@ func NewAtomicField() *Analyzer {
 					sanctioned[target] = true
 					if sel, ok := target.(*ast.SelectorExpr); ok {
 						if f := fieldOf(info, sel); f != nil {
-							localAtomic[f] = true
+							atomicFields[f] = true
 						}
 					}
 				}
@@ -84,7 +79,7 @@ func NewAtomicField() *Analyzer {
 				if f == nil || sanctioned[ast.Unparen(ast.Expr(sel))] {
 					return true
 				}
-				localPlain[f] = append(localPlain[f], access{
+				plainAccesses[f] = append(plainAccesses[f], access{
 					pos: pass.Pkg.Fset.Position(sel.Pos()),
 					ref: exprString(sel),
 				})
@@ -100,15 +95,6 @@ func NewAtomicField() *Analyzer {
 				checkFrameAliases(pass, fd.Body, sanctioned)
 			}
 		}
-
-		mu.Lock()
-		for f := range localAtomic {
-			atomicFields[f] = true
-		}
-		for f, accs := range localPlain {
-			plainAccesses[f] = append(plainAccesses[f], accs...)
-		}
-		mu.Unlock()
 	}
 
 	a.Finish = func(report func(Finding)) {

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -53,15 +52,9 @@ func NewEpochGuard() *Analyzer {
 		if pass.Pkg.PkgPath == epochPkg {
 			return
 		}
-		for _, file := range pass.Pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				analyzeGuardFunc(pass, fd.Type, fd.Body, false)
-			}
-		}
+		interpretFuncs(pass, func(ftype *ast.FuncType, isLit bool) flowHooks[map[string]guardState] {
+			return newGuardEnv(pass, ftype, isLit)
+		})
 	}
 	return a
 }
@@ -74,18 +67,15 @@ type guardState struct {
 	isParam   bool // arrived as a parameter: caller owns pairing
 }
 
+// guardEnv is epochguard's flow state: the guards one function tracks.
 type guardEnv struct {
 	pass   *Pass
 	info   *types.Info
 	guards map[string]*guardState
-	lits   []*ast.FuncLit // nested function literals, analyzed separately
-	isLit  bool           // analyzing a function literal: captured guards follow the parameter contract
+	isLit  bool // analyzing a function literal: captured guards follow the parameter contract
 }
 
-// analyzeGuardFunc runs the abstract interpretation over one function body.
-// Function literals found inside are analyzed afterwards as independent
-// functions (their bodies do not execute where they appear).
-func analyzeGuardFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, isLit bool) {
+func newGuardEnv(pass *Pass, ftype *ast.FuncType, isLit bool) *guardEnv {
 	env := &guardEnv{
 		pass:   pass,
 		info:   pass.Pkg.Info,
@@ -101,22 +91,14 @@ func analyzeGuardFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, isLi
 					continue
 				}
 				if obj := env.info.Defs[name]; obj != nil && isGuardPtr(obj.Type()) {
-					env.guards[env.keyOfObj(obj)] = &guardState{
+					env.guards[objKey(obj)] = &guardState{
 						expr: name.Name, protected: true, isParam: true,
 					}
 				}
 			}
 		}
 	}
-	terminated := env.evalStmt(body)
-	if !terminated {
-		env.checkReturn(body.End()-1, nil)
-	}
-	for _, lit := range env.lits {
-		// A guard captured by a literal is owned by the enclosing function,
-		// so inside the literal it follows the parameter contract.
-		analyzeGuardFunc(pass, lit.Type, lit.Body, true)
-	}
+	return env
 }
 
 func isGuardPtr(t types.Type) bool {
@@ -131,33 +113,6 @@ func isGuardPtr(t types.Type) bool {
 	return n.Obj().Name() == "Guard" && n.Obj().Pkg() != nil && pkgPath(n.Obj().Pkg()) == epochPkg
 }
 
-// keyOf canonicalizes a guard expression (an identifier or a selector chain
-// rooted at one) so the same guard is tracked across statements. Returns ""
-// for expressions it cannot canonicalize.
-func (env *guardEnv) keyOf(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := env.info.Uses[e]; obj != nil {
-			return env.keyOfObj(obj)
-		}
-		if obj := env.info.Defs[e]; obj != nil {
-			return env.keyOfObj(obj)
-		}
-	case *ast.SelectorExpr:
-		base := env.keyOf(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	}
-	return ""
-}
-
-func (env *guardEnv) keyOfObj(obj types.Object) string {
-	return fmt.Sprintf("o%p", obj)
-}
-
-// snapshot / restore implement branch-local state copies.
 func (env *guardEnv) snapshot() map[string]guardState {
 	m := make(map[string]guardState, len(env.guards))
 	for k, g := range env.guards {
@@ -190,23 +145,23 @@ func (env *guardEnv) merge(s map[string]guardState) {
 	}
 }
 
-// checkReturn reports pairing violations at a return point. returned lists
-// the return-value expressions (a guard that is itself returned transfers
+// ret reports pairing violations at a return point. returned lists the
+// return-value expressions (a guard that is itself returned transfers
 // ownership and is exempt, e.g. Manager.Acquire-style constructors).
-func (env *guardEnv) checkReturn(pos token.Pos, returned []ast.Expr) {
+func (env *guardEnv) ret(pos token.Pos, returned []ast.Expr) {
 	escaping := make(map[string]bool)
 	for _, r := range returned {
 		ast.Inspect(r, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
-				if k := env.keyOf(e); k != "" {
+				if k := keyOf(env.info, e); k != "" {
 					escaping[k] = true
 				}
 			}
 			return true
 		})
 	}
-	for _, g := range env.guards {
-		if escaping[env.keyFor(g)] {
+	for k, g := range env.guards {
+		if escaping[k] {
 			continue
 		}
 		if g.isParam {
@@ -221,163 +176,33 @@ func (env *guardEnv) checkReturn(pos token.Pos, returned []ast.Expr) {
 	}
 }
 
-// keyFor finds the map key of a tracked guard (reverse lookup; guard counts
-// are tiny).
-func (env *guardEnv) keyFor(g *guardState) string {
-	for k, v := range env.guards {
-		if v == g {
-			return k
+// assign tracks `g := m.Acquire()` (guard born protected) and drops guards
+// whose variable is reassigned.
+func (env *guardEnv) assign(lhs, rhs []ast.Expr) {
+	for i, l := range lhs {
+		key := keyOf(env.info, l)
+		if key == "" {
+			continue
 		}
-	}
-	return ""
-}
-
-// evalStmt interprets one statement, returning true when the statement
-// terminates the current path (return, panic, branch).
-func (env *guardEnv) evalStmt(stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			if env.evalStmt(st) {
-				return true
-			}
-		}
-		return false
-	case *ast.ExprStmt:
-		env.scanExpr(s.X)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if isPanic(env.info, call) {
-				return true
-			}
-		}
-		return false
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			env.scanExpr(rhs)
-		}
-		// Track `g := m.Acquire()` (guard born protected) and drop guards
-		// whose variable is reassigned.
-		for i, lhs := range s.Lhs {
-			key := env.keyOf(lhs)
-			if key == "" {
+		if len(lhs) == len(rhs) {
+			if call, ok := ast.Unparen(rhs[i]).(*ast.CallExpr); ok &&
+				callDisplayName(env.info, call) == managerAcquire {
+				env.guards[key] = &guardState{expr: exprString(l), protected: true}
 				continue
 			}
-			if i < len(s.Rhs) && len(s.Lhs) == len(s.Rhs) {
-				if call, ok := ast.Unparen(s.Rhs[i]).(*ast.CallExpr); ok &&
-					callDisplayName(env.info, call) == managerAcquire {
-					env.guards[key] = &guardState{expr: exprString(lhs), protected: true}
-					continue
-				}
-			}
-			delete(env.guards, key)
 		}
-		return false
-	case *ast.SendStmt:
-		env.scanExpr(s.Chan)
-		env.scanExpr(s.Value)
-		env.reportIfProtected(s.Arrow, "channel send")
-		return false
-	case *ast.IncDecStmt:
-		env.scanExpr(s.X)
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						env.scanExpr(v)
-					}
-				}
-			}
-		}
-		return false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			env.scanExpr(r)
-		}
-		env.checkReturn(s.Return, s.Results)
-		return true
-	case *ast.DeferStmt:
-		env.evalDefer(s.Call)
-		return false
-	case *ast.GoStmt:
-		// The spawned body runs concurrently with its own epoch slot; queue
-		// the literal for independent analysis.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			env.lits = append(env.lits, lit)
-		}
-		for _, arg := range s.Call.Args {
-			env.scanExpr(arg)
-		}
-		return false
-	case *ast.IfStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Cond)
-		entry := env.snapshot()
-		thenTerm := env.evalStmt(s.Body)
-		thenState := env.snapshot()
-		env.restore(entry)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = env.evalStmt(s.Else)
-		}
-		if thenTerm && elseTerm {
-			return true
-		}
-		if elseTerm {
-			env.restore(thenState)
-			return false
-		}
-		if !thenTerm {
-			env.merge(thenState)
-		}
-		return false
-	case *ast.ForStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Cond)
-		entry := env.snapshot()
-		env.evalStmt(s.Body)
-		env.evalStmt(s.Post)
-		env.merge(entry) // the body may run zero times
-		return false
-	case *ast.RangeStmt:
-		env.scanExpr(s.X)
-		entry := env.snapshot()
-		env.evalStmt(s.Body)
-		env.merge(entry)
-		return false
-	case *ast.SwitchStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Tag)
-		return env.evalCases(caseBodies(s.Body), hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		env.evalStmt(s.Init)
-		return env.evalCases(caseBodies(s.Body), hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		if !hasDefaultClause(s.Body) {
-			env.reportIfProtected(s.Select, "blocking select")
-		}
-		return env.evalCases(caseBodies(s.Body), true)
-	case *ast.LabeledStmt:
-		return env.evalStmt(s.Stmt)
-	case *ast.BranchStmt:
-		// break/continue/goto leave the current path; treating them as
-		// terminal keeps merges conservative.
-		return true
-	default:
-		return false
+		delete(env.guards, key)
 	}
 }
 
-// evalDefer handles `defer g.Unprotect()`, `defer g.Release()` and deferred
-// closures containing such calls.
-func (env *guardEnv) evalDefer(call *ast.CallExpr) {
+// deferred handles `defer g.Unprotect()`, `defer g.Release()` and deferred
+// closures containing such calls. A deferred closure is not analyzed on its
+// own: it runs at return, where its Unprotect pairs the enclosing Protect.
+func (env *guardEnv) deferred(call *ast.CallExpr) bool {
 	name := callDisplayName(env.info, call)
 	if name == guardUnprotect || name == guardRelease {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if key := env.keyOf(sel.X); key != "" {
+			if key := keyOf(env.info, sel.X); key != "" {
 				if g, ok := env.guards[key]; ok {
 					g.deferred = true
 				} else {
@@ -385,7 +210,7 @@ func (env *guardEnv) evalDefer(call *ast.CallExpr) {
 				}
 			}
 		}
-		return
+		return false
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -398,55 +223,29 @@ func (env *guardEnv) evalDefer(call *ast.CallExpr) {
 				return true
 			}
 			if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-				if key := env.keyOf(sel.X); key != "" {
-					if g, ok := env.guards[key]; ok {
-						g.deferred = true
-					}
+				if g, ok := env.guards[keyOf(env.info, sel.X)]; ok {
+					g.deferred = true
 				}
 			}
 			return true
 		})
 	}
-	for _, arg := range call.Args {
-		env.scanExpr(arg)
-	}
+	return false
 }
 
-// scanExpr walks an expression in evaluation position: it updates guard
-// state on Protect/Unprotect/Release calls, reports blocking operations,
-// and queues nested function literals.
-func (env *guardEnv) scanExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			env.lits = append(env.lits, n)
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				env.reportIfProtected(n.OpPos, "channel receive")
-			}
-		case *ast.CallExpr:
-			env.handleCall(n)
-		}
-		return true
-	})
-}
-
-func (env *guardEnv) handleCall(call *ast.CallExpr) {
+// call updates guard state on Protect/Unprotect/Release and reports
+// blocking calls made while a guard is protected.
+func (env *guardEnv) call(call *ast.CallExpr) {
 	name := callDisplayName(env.info, call)
-	if name == "" {
-		return
-	}
 	switch name {
+	case "":
+		return
 	case guardProtect, guardUnprotect, guardRelease:
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return
 		}
-		key := env.keyOf(sel.X)
+		key := keyOf(env.info, sel.X)
 		if key == "" {
 			return
 		}
@@ -470,100 +269,27 @@ func (env *guardEnv) handleCall(call *ast.CallExpr) {
 		}
 	default:
 		if why, ok := blockingCalls[name]; ok {
-			env.reportBlocked(call.Pos(), name, why)
+			if g := env.protectedGuard(); g != nil {
+				env.pass.Reportf(call.Pos(), "call to %s while guard %s is protected: it %s, pinning the safe epoch (drop protection around it: g.Unprotect()/defer-free I/O/g.Protect())", name, g.expr, why)
+			}
 		}
 	}
 }
 
-func (env *guardEnv) reportIfProtected(pos token.Pos, what string) {
+func (env *guardEnv) blocking(pos token.Pos, what string) {
+	if g := env.protectedGuard(); g != nil {
+		env.pass.Reportf(pos, "%s while guard %s is protected: a blocked worker pins the safe epoch and stalls page recycling and PSF registration (Unprotect/Refresh around the wait)", what, g.expr)
+	}
+}
+
+// protectedGuard returns some protected guard, or nil when none is.
+func (env *guardEnv) protectedGuard() *guardState {
 	for _, g := range env.guards {
 		if g.protected {
-			env.pass.Reportf(pos, "%s while guard %s is protected: a blocked worker pins the safe epoch and stalls page recycling and PSF registration (Unprotect/Refresh around the wait)", what, g.expr)
-			return
+			return g
 		}
 	}
-}
-
-func (env *guardEnv) reportBlocked(pos token.Pos, callee, why string) {
-	for _, g := range env.guards {
-		if g.protected {
-			env.pass.Reportf(pos, "call to %s while guard %s is protected: it %s, pinning the safe epoch (drop protection around it: g.Unprotect()/defer-free I/O/g.Protect())", callee, g.expr, why)
-			return
-		}
-	}
-}
-
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if _, ok := info.Uses[id].(*types.Builtin); ok && id.Name == "panic" {
-		return true
-	}
-	return false
-}
-
-func caseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, st := range body.List {
-		switch c := st.(type) {
-		case *ast.CaseClause:
-			out = append(out, c.Body)
-		case *ast.CommClause:
-			// c.Comm (the case's channel op) is part of the select itself —
-			// blocking behavior is attributed to the select, not the op.
-			out = append(out, c.Body)
-		}
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, st := range body.List {
-		switch c := st.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				return true
-			}
-		case *ast.CommClause:
-			if c.Comm == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// evalCases evaluates each case body from the pre-switch state and merges
-// the surviving paths. fallthroughImplicit notes whether execution can skip
-// every case (no default clause).
-func (env *guardEnv) evalCases(bodies [][]ast.Stmt, hasDefault bool) bool {
-	entry := env.snapshot()
-	states := make([]map[string]guardState, 0, len(bodies))
-	allTerm := len(bodies) > 0
-	for _, body := range bodies {
-		env.restore(entry)
-		term := false
-		for _, st := range body {
-			if env.evalStmt(st) {
-				term = true
-				break
-			}
-		}
-		if !term {
-			states = append(states, env.snapshot())
-			allTerm = false
-		}
-	}
-	env.restore(entry)
-	for _, st := range states {
-		env.merge(st)
-	}
-	if allTerm && hasDefault {
-		return true
-	}
-	return false
+	return nil
 }
 
 func exprString(e ast.Expr) string {

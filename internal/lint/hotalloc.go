@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // hotpathDirective is the annotation that roots a hot call tree.
@@ -59,11 +58,9 @@ func NewHotAlloc() *Analyzer {
 		callees []string // statically resolved module-local callees
 		sites   []site
 	}
-	var mu sync.Mutex
 	funcs := make(map[string]*funcFacts) // keyed by display name
 
 	a.Run = func(pass *Pass) {
-		local := make(map[string]*funcFacts)
 		info := pass.Pkg.Info
 		for _, file := range pass.Pkg.Files {
 			for _, decl := range file.Decls {
@@ -77,7 +74,7 @@ func NewHotAlloc() *Analyzer {
 				}
 				key := funcDisplayName(obj)
 				ff := &funcFacts{display: key, root: hasHotpathDirective(fd.Doc)}
-				local[key] = ff
+				funcs[key] = ff
 
 				// Call edges to module-local declared functions/methods.
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -104,11 +101,6 @@ func NewHotAlloc() *Analyzer {
 				})
 			}
 		}
-		mu.Lock()
-		for k, ff := range local {
-			funcs[k] = ff
-		}
-		mu.Unlock()
 	}
 
 	a.Finish = func(report func(Finding)) {
@@ -184,8 +176,20 @@ func hasHotpathDirective(doc *ast.CommentGroup) bool {
 // collectAllocSites walks one function body and emits every (possible) heap
 // allocation with a position-free message.
 func collectAllocSites(pass *Pass, info *types.Info, fd *ast.FuncDecl, emit func(token.Pos, string)) {
+	// The compiler reads string(b) in place when the result is only compared
+	// or used to look up a map key: such conversions do not copy. A key
+	// that is stored (m[string(b)] = v) is copied. Parents are visited
+	// before children, so the operands are marked before they are reached.
+	inPlace := make(map[ast.Expr]bool)
+	assigned := make(map[ast.Expr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				assigned[ast.Unparen(l)] = true
+			}
+		case *ast.IncDecStmt:
+			assigned[ast.Unparen(n.X)] = true
 		case *ast.FuncLit:
 			emit(n.Pos(), "closure allocates its captured environment")
 			return true // still scan the body: it runs on the hot path too
@@ -205,21 +209,32 @@ func collectAllocSites(pass *Pass, info *types.Info, fd *ast.FuncDecl, emit func
 				}
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD {
+			switch n.Op {
+			case token.ADD:
 				if t, ok := info.Types[n]; ok && isStringType(t.Type) {
 					emit(n.Pos(), "string concatenation allocates")
 				}
+			case token.EQL, token.NEQ:
+				inPlace[ast.Unparen(n.X)] = true
+				inPlace[ast.Unparen(n.Y)] = true
+			}
+		case *ast.IndexExpr:
+			if t, ok := info.Types[n.X]; ok && !assigned[n] {
+				if _, isMap := t.Type.Underlying().(*types.Map); isMap {
+					inPlace[ast.Unparen(n.Index)] = true
+				}
 			}
 		case *ast.CallExpr:
-			collectCallAllocs(info, n, emit)
+			collectCallAllocs(info, n, inPlace[n], emit)
 		}
 		return true
 	})
 }
 
 // collectCallAllocs handles the call-shaped allocation sites: builtins,
-// conversions, and interface boxing of arguments.
-func collectCallAllocs(info *types.Info, call *ast.CallExpr, emit func(token.Pos, string)) {
+// conversions, and interface boxing of arguments. inPlace marks a call
+// whose result is only compared or used to look up a map key.
+func collectCallAllocs(info *types.Info, call *ast.CallExpr, inPlace bool, emit func(token.Pos, string)) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if b, ok := info.Uses[fun].(*types.Builtin); ok {
@@ -243,7 +258,7 @@ func collectCallAllocs(info *types.Info, call *ast.CallExpr, emit func(token.Pos
 		if atv, ok := info.Types[call.Args[0]]; ok {
 			src = atv.Type
 		}
-		if src != nil && isStringByteConversion(dst, src) {
+		if src != nil && isStringByteConversion(dst, src) && !(inPlace && isStringType(dst) && isByteSlice(src)) {
 			emit(call.Pos(), "conversion "+typeString(dst)+"(...) copies its operand")
 		}
 		return
@@ -268,7 +283,9 @@ func collectCallAllocs(info *types.Info, call *ast.CallExpr, emit func(token.Pos
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		if pt == nil || !types.IsInterface(pt.Underlying()) {
+		// A type parameter's underlying type is its constraint interface,
+		// but an instantiation passes the argument unboxed.
+		if _, isTypeParam := pt.(*types.TypeParam); isTypeParam || pt == nil || !types.IsInterface(pt.Underlying()) {
 			continue
 		}
 		at, ok := info.Types[arg]
@@ -309,13 +326,22 @@ func isStringByteConversion(dst, src types.Type) bool {
 }
 
 func isByteOrRuneSlice(t types.Type) bool {
+	b, ok := sliceElem(t)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
+}
+
+func isByteSlice(t types.Type) bool {
+	b, ok := sliceElem(t)
+	return ok && b.Kind() == types.Byte
+}
+
+func sliceElem(t types.Type) (*types.Basic, bool) {
 	s, ok := t.Underlying().(*types.Slice)
 	if !ok {
-		return false
+		return nil, false
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
-		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+	return b, ok
 }
 
 // typeLabel renders a composite literal's type compactly for messages.

@@ -6,14 +6,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -44,12 +40,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer is one invariant checker. Run is invoked once per package — and,
-// under the parallel driver, concurrently for different packages, so any
-// state an instance aggregates across packages must be synchronized
-// internally. Finish, if set, runs once after every package has been visited
-// (for analyzers that aggregate facts across the whole module, e.g.
-// atomicfield and hotalloc).
+// Analyzer is one invariant checker. Run is invoked once per package.
+// Finish, if set, runs once after every package has been visited (for
+// analyzers that aggregate facts across the whole module, e.g. atomicfield
+// and hotalloc).
 type Analyzer struct {
 	Name   string
 	Doc    string
@@ -58,7 +52,7 @@ type Analyzer struct {
 }
 
 // AnalyzerTiming is the accumulated analysis time of one analyzer across all
-// packages (CPU time summed over the parallel workers, plus its Finish pass).
+// packages, plus its Finish pass.
 type AnalyzerTiming struct {
 	Name     string
 	Duration time.Duration
@@ -69,12 +63,14 @@ type AnalyzerTiming struct {
 type ignoreDirective struct {
 	analyzers map[string]bool // nil after a parse error
 	malformed string          // non-empty: the problem with the directive
+	pos       token.Position
+	used      bool // suppressed at least one finding
 }
 
 // Result is the outcome of a lint run.
 type Result struct {
 	// Findings are the surviving (unsuppressed, unbaselined) diagnostics,
-	// sorted by position, including any malformed //lint:ignore directives.
+	// sorted by position, including any bad //lint:ignore directives.
 	Findings []Finding
 	// Suppressed counts findings silenced by //lint:ignore directives.
 	Suppressed int
@@ -82,94 +78,37 @@ type Result struct {
 	// (ApplyBaseline); zero when no baseline is in play.
 	Baselined int
 	// Timings reports per-analyzer analysis time, sorted by descending
-	// duration. Durations are summed across packages, so under the parallel
-	// driver they exceed the wall-clock the run took.
+	// duration.
 	Timings []AnalyzerTiming
 }
 
-// Run applies every analyzer to every package and resolves suppressions. It
-// fans the (analyzer, package) pairs out over GOMAXPROCS workers; analyzer
-// order and package order never affect the (sorted) result.
+// Run applies every analyzer to every package and resolves suppressions.
+// Analyzer order and package order never affect the (sorted) result.
 //
 // A finding is suppressed by a comment of the form
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <justification>
 //
 // placed either on the finding's own line or on the line immediately above
-// it. The justification is mandatory: a bare //lint:ignore is itself
-// reported as a finding, so every silenced diagnostic carries a written
-// reason in the tree.
+// it. The justification is mandatory, and a directive must name only
+// analyzers in the run and must suppress a finding: a bare, unknown or
+// unused //lint:ignore is itself reported as a finding of analyzer "lint",
+// so every directive in the tree silences something and says why.
 func Run(pkgs []*Package, analyzers []*Analyzer) Result {
-	return RunParallel(pkgs, analyzers, runtime.GOMAXPROCS(0))
-}
-
-// RunParallel is Run with an explicit worker count (workers < 1 means 1).
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) Result {
-	if workers < 1 {
-		workers = 1
-	}
-	var mu sync.Mutex
 	var raw []Finding
-	report := func(f Finding) {
-		mu.Lock()
-		raw = append(raw, f)
-		mu.Unlock()
-	}
-
-	nanos := make([]atomic.Int64, len(analyzers))
-	type task struct{ ai, pi int }
-	tasks := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				a := analyzers[t.ai]
-				start := time.Now()
-				a.Run(&Pass{Analyzer: a, Pkg: pkgs[t.pi], report: report})
-				nanos[t.ai].Add(int64(time.Since(start)))
-			}
-		}()
-	}
-	for ai := range analyzers {
-		for pi := range pkgs {
-			tasks <- task{ai, pi}
-		}
-	}
-	close(tasks)
-	wg.Wait()
-	for ai, a := range analyzers {
-		if a.Finish != nil {
-			start := time.Now()
-			a.Finish(report)
-			nanos[ai].Add(int64(time.Since(start)))
-		}
-	}
-
-	ignores, bad := collectIgnores(pkgs)
+	report := func(f Finding) { raw = append(raw, f) }
 	var res Result
-	for _, f := range raw {
-		if dirs, ok := ignores[f.Pos.Filename]; ok {
-			if d, ok := dirs[f.Pos.Line]; ok && d.analyzers[f.Analyzer] {
-				res.Suppressed++
-				continue
-			}
-			if d, ok := dirs[f.Pos.Line-1]; ok && d.analyzers[f.Analyzer] {
-				res.Suppressed++
-				continue
-			}
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+		start := time.Now()
+		for _, pkg := range pkgs {
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 		}
-		res.Findings = append(res.Findings, f)
-	}
-	res.Findings = append(res.Findings, bad...)
-	sortFindings(res.Findings)
-	for ai, a := range analyzers {
-		res.Timings = append(res.Timings, AnalyzerTiming{
-			Name:     a.Name,
-			Duration: time.Duration(nanos[ai].Load()),
-			Packages: len(pkgs),
-		})
+		if a.Finish != nil {
+			a.Finish(report)
+		}
+		res.Timings = append(res.Timings, AnalyzerTiming{Name: a.Name, Duration: time.Since(start), Packages: len(pkgs)})
 	}
 	sort.Slice(res.Timings, func(i, j int) bool {
 		if res.Timings[i].Duration != res.Timings[j].Duration {
@@ -177,6 +116,29 @@ func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) Result {
 		}
 		return res.Timings[i].Name < res.Timings[j].Name
 	})
+
+	ignores := collectIgnores(pkgs)
+	for _, f := range raw {
+		if d := ignores[f.Pos.Filename][f.Pos.Line]; d != nil && d.analyzers[f.Analyzer] {
+			d.used = true
+			res.Suppressed++
+			continue
+		}
+		if d := ignores[f.Pos.Filename][f.Pos.Line-1]; d != nil && d.analyzers[f.Analyzer] {
+			d.used = true
+			res.Suppressed++
+			continue
+		}
+		res.Findings = append(res.Findings, f)
+	}
+	for _, dirs := range ignores {
+		for _, d := range dirs {
+			if msg := d.problem(known); msg != "" {
+				res.Findings = append(res.Findings, Finding{Pos: d.pos, Analyzer: "lint", Message: msg})
+			}
+		}
+	}
+	sortFindings(res.Findings)
 	return res
 }
 
@@ -277,68 +239,12 @@ func ApplyBaseline(res *Result, b *Baseline, dir string) {
 	res.Findings = kept
 }
 
-// ---- machine-readable output ----
-
-// jsonFinding is the -json wire shape of one finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-type jsonTiming struct {
-	Analyzer     string  `json:"analyzer"`
-	Milliseconds float64 `json:"ms"`
-	Packages     int     `json:"packages"`
-}
-
-type jsonResult struct {
-	Findings   []jsonFinding `json:"findings"`
-	Suppressed int           `json:"suppressed"`
-	Baselined  int           `json:"baselined"`
-	Packages   int           `json:"packages"`
-	Timings    []jsonTiming  `json:"timings"`
-}
-
-// EncodeJSON writes res as one JSON document (the `fishlint -json` format).
-func EncodeJSON(w io.Writer, packages int, res Result) error {
-	out := jsonResult{
-		Findings:   make([]jsonFinding, 0, len(res.Findings)),
-		Suppressed: res.Suppressed,
-		Baselined:  res.Baselined,
-		Packages:   packages,
-	}
-	for _, f := range res.Findings {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	for _, t := range res.Timings {
-		out.Timings = append(out.Timings, jsonTiming{
-			Analyzer:     t.Name,
-			Milliseconds: float64(t.Duration.Microseconds()) / 1000,
-			Packages:     t.Packages,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // ---- suppression directives ----
 
 // collectIgnores scans every file's comments for //lint:ignore directives,
-// keyed by filename and the line the directive sits on. Malformed
-// directives are returned as findings.
-func collectIgnores(pkgs []*Package) (map[string]map[int]ignoreDirective, []Finding) {
-	out := make(map[string]map[int]ignoreDirective)
-	var bad []Finding
+// keyed by filename and the line the directive sits on.
+func collectIgnores(pkgs []*Package) map[string]map[int]*ignoreDirective {
+	out := make(map[string]map[int]*ignoreDirective)
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
@@ -347,60 +253,68 @@ func collectIgnores(pkgs []*Package) (map[string]map[int]ignoreDirective, []Find
 					if !ok {
 						continue
 					}
-					pos := pkg.Fset.Position(c.Pos())
 					d := parseIgnore(text)
-					if d.malformed != "" {
-						bad = append(bad, Finding{
-							Pos:      pos,
-							Analyzer: "lint",
-							Message:  d.malformed,
-						})
-						continue
+					d.pos = pkg.Fset.Position(c.Pos())
+					if out[d.pos.Filename] == nil {
+						out[d.pos.Filename] = make(map[int]*ignoreDirective)
 					}
-					m := out[pos.Filename]
-					if m == nil {
-						m = make(map[int]ignoreDirective)
-						out[pos.Filename] = m
-					}
-					m[pos.Line] = d
+					out[d.pos.Filename][d.pos.Line] = d
 				}
 			}
 		}
 	}
-	return out, bad
+	return out
 }
 
-func parseIgnore(rest string) ignoreDirective {
+// problem explains why a directive is itself a finding, or returns "".
+func (d *ignoreDirective) problem(known map[string]bool) string {
+	if d.malformed != "" {
+		return d.malformed
+	}
+	names := make([]string, 0, len(d.analyzers))
+	for n := range d.analyzers {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if !known[n] {
+			return fmt.Sprintf("//lint:ignore names unknown analyzer %q", n)
+		}
+	}
+	if !d.used {
+		return "//lint:ignore " + strings.Join(names, ",") + " suppresses no finding; delete it"
+	}
+	return ""
+}
+
+func parseIgnore(rest string) *ignoreDirective {
 	fields := strings.Fields(rest)
 	if len(fields) == 0 {
-		return ignoreDirective{malformed: "malformed //lint:ignore: missing analyzer name and justification"}
+		return &ignoreDirective{malformed: "malformed //lint:ignore: missing analyzer name and justification"}
 	}
 	if len(fields) < 2 {
-		return ignoreDirective{malformed: fmt.Sprintf("malformed //lint:ignore %s: missing justification", fields[0])}
+		return &ignoreDirective{malformed: fmt.Sprintf("malformed //lint:ignore %s: missing justification", fields[0])}
 	}
 	names := make(map[string]bool)
 	for _, n := range strings.Split(fields[0], ",") {
 		if n == "" {
-			return ignoreDirective{malformed: "malformed //lint:ignore: empty analyzer name"}
+			return &ignoreDirective{malformed: "malformed //lint:ignore: empty analyzer name"}
 		}
 		names[n] = true
 	}
-	return ignoreDirective{analyzers: names}
+	return &ignoreDirective{analyzers: names}
 }
 
 // Analyzers returns a fresh instance of every fishlint analyzer. Instances
-// are stateful (atomicfield, wordsat and hotalloc aggregate across
-// packages), so each Run gets its own set.
+// are stateful (atomicfield and hotalloc aggregate across packages), so
+// each Run gets its own set.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewEpochGuard(),
 		NewAtomicField(),
-		NewWordsAt(),
 		NewErrFlow(),
-		NewAddrCompose(),
 		NewPubOrder(),
 		NewHotAlloc(),
-		NewSealCover(),
 	}
 }
 

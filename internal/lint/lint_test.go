@@ -133,8 +133,8 @@ func TestGolden(t *testing.T) {
 	}
 	matchGolden(t, res, wants)
 
-	// The suppresstest fixture seeds exactly one addrcompose finding behind
-	// a //lint:ignore directive; it must be the run's only suppression.
+	// The suppresstest fixture seeds exactly one puborder finding behind a
+	// //lint:ignore directive; it must be the run's only suppression.
 	if res.Suppressed != 1 {
 		t.Errorf("Suppressed = %d, want 1 (suppresstest fixture)", res.Suppressed)
 	}
@@ -186,8 +186,8 @@ func TestParseIgnore(t *testing.T) {
 	}{
 		{rest: "", malformed: "missing analyzer name and justification"},
 		{rest: "   ", malformed: "missing analyzer name and justification"},
-		{rest: " addrcompose", malformed: "missing justification"},
-		{rest: " addrcompose offset bounded by allocator", analyzers: []string{"addrcompose"}},
+		{rest: " hotalloc", malformed: "missing justification"},
+		{rest: " hotalloc amortized across records", analyzers: []string{"hotalloc"}},
 		{rest: " epochguard,errflow teardown path", analyzers: []string{"epochguard", "errflow"}},
 		{rest: " epochguard, reason", malformed: "empty analyzer name"},
 	}
@@ -214,19 +214,26 @@ func TestParseIgnore(t *testing.T) {
 	}
 }
 
-// TestMalformedIgnoreReported loads a throwaway package containing a bare
-// //lint:ignore directive and checks the driver reports it as a "lint"
-// finding rather than silently honouring it.
+// TestMalformedIgnoreReported loads a throwaway package whose directives
+// are bare, name an unknown analyzer, or suppress nothing, and checks the
+// driver reports each as a "lint" finding rather than silently honouring it.
 func TestMalformedIgnoreReported(t *testing.T) {
 	dir := t.TempDir()
 	src := `package malformedtest
 
-//lint:ignore addrcompose
-func pack(page, offset uint64) uint64 {
-	return page<<14 | offset
+//fishlint:hotpath seeded allocation
+func grow(b []byte) []byte {
+	//lint:ignore hotalloc
+	return append(b, 0)
 }
 
-var _ = pack
+//lint:ignore nosuch the analyzer does not exist
+func cold() []byte {
+	//lint:ignore errflow nothing here drops an error
+	return nil
+}
+
+var _, _ = grow, cold
 `
 	writeTempModule(t, dir, "malformedtest", src)
 	pkgs, err := Load(dir, ".")
@@ -234,19 +241,26 @@ var _ = pack
 		t.Fatal(err)
 	}
 	res := Run(pkgs, Analyzers())
-	var sawLint, sawAddr bool
+	lintAt := make(map[int]string)
+	sawHot := false
 	for _, f := range res.Findings {
 		switch f.Analyzer {
 		case "lint":
-			sawLint = strings.Contains(f.Message, "missing justification")
-		case "addrcompose":
-			sawAddr = true
+			lintAt[f.Pos.Line] = f.Message
+		case "hotalloc":
+			sawHot = true
 		}
 	}
-	if !sawLint {
-		t.Errorf("malformed directive not reported; findings: %v", res.Findings)
+	for line, want := range map[int]string{
+		5:  "missing justification",
+		9:  `unknown analyzer "nosuch"`,
+		11: "suppresses no finding",
+	} {
+		if !strings.Contains(lintAt[line], want) {
+			t.Errorf("line %d: lint finding %q, want substring %q; findings: %v", line, lintAt[line], want, res.Findings)
+		}
 	}
-	if !sawAddr {
+	if !sawHot {
 		t.Errorf("malformed directive suppressed the finding it annotates; findings: %v", res.Findings)
 	}
 	if res.Suppressed != 0 {

@@ -1,10 +1,9 @@
 // Package lint is FishStore's repo-specific static-analysis suite
 // ("fishlint"). It mechanically enforces the latch-free invariants the Go
 // type system cannot express — epoch-protection discipline, atomic-access
-// consistency, publication ordering, hot-path allocation budgets, checksum-
-// seal coverage, error propagation from internal APIs, and carry-safe log
-// address composition — each pinned to a bug class this repository has
-// already shipped and fixed once by hand (see DESIGN.md §9 and §12).
+// consistency, publication ordering, hot-path allocation budgets, and error
+// propagation from internal APIs — each pinned to a bug class this
+// repository has already shipped and fixed once by hand (see DESIGN.md §9).
 //
 // The driver is built exclusively on the standard library: packages are
 // enumerated with `go list -json -deps`, parsed with go/parser, and
@@ -15,7 +14,7 @@
 // package, each blocking on a per-package completion channel until its
 // dependencies finish. The FileSet is shared (token.FileSet is safe for
 // concurrent use) so every analyzer in a run sees identical positions and
-// type objects.
+// type objects. The analyzers then run serially over the loaded packages.
 package lint
 
 import (
@@ -73,10 +72,6 @@ type LoadConfig struct {
 	// Tests loads packages in test mode (go list -test): _test.go files, both
 	// in-package and external, are analyzed alongside production sources.
 	Tests bool
-	// Tags is an optional build-tag list passed to go list (-tags a,b), so
-	// build-constrained files that the default context excludes can still be
-	// brought under analysis.
-	Tags []string
 }
 
 // loadState is the per-import-path completion record: the first goroutine to
@@ -208,9 +203,6 @@ func goList(cfg LoadConfig, deps bool, patterns []string) ([]*listPkg, error) {
 	}
 	if cfg.Tests {
 		args = append(args, "-test")
-	}
-	if len(cfg.Tags) > 0 {
-		args = append(args, "-tags", strings.Join(cfg.Tags, ","))
 	}
 	args = append(args, "--")
 	args = append(args, patterns...)

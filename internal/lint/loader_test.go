@@ -7,46 +7,6 @@ import (
 	"testing"
 )
 
-// TestLoadRespectsBuildTags pins the -tags plumbing end to end: the
-// taggedtest fixture keeps one file behind the lintfixture build tag, and
-// that file both exists as a loaded AST and produces its seeded "lint"
-// finding exactly when the tag is supplied.
-func TestLoadRespectsBuildTags(t *testing.T) {
-	pat := "./testdata/src/taggedtest"
-
-	plain, err := LoadPkgs(LoadConfig{Dir: "."}, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(plain); n != 1 {
-		t.Fatalf("untagged load returned %d packages, want 1", n)
-	}
-	if n := len(plain[0].Files); n != 1 {
-		t.Fatalf("untagged load parsed %d files, want 1 (tagged_on.go must be excluded)", n)
-	}
-	if res := Run(plain, Analyzers()); len(res.Findings) != 0 {
-		t.Fatalf("untagged fixture produced findings: %v", res.Findings)
-	}
-
-	tagged, err := LoadPkgs(LoadConfig{Dir: ".", Tags: []string{"lintfixture"}}, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tagged[0].Files); n != 2 {
-		t.Fatalf("tagged load parsed %d files, want 2", n)
-	}
-	res := Run(tagged, Analyzers())
-	found := false
-	for _, f := range res.Findings {
-		if f.Analyzer == "lint" && filepath.Base(f.Pos.Filename) == "tagged_on.go" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("tagged load did not surface the seeded finding in tagged_on.go; findings: %v", res.Findings)
-	}
-}
-
 // TestLoadTestsIncludesExternalTestPackage verifies the two test-mode
 // package shapes go list synthesizes are both analyzed: the package under
 // test recompiled with its in-package _test.go files, and the separate
@@ -93,39 +53,6 @@ func hasFileSuffix(p *Package, suffix string) bool {
 		}
 	}
 	return false
-}
-
-// TestParallelMatchesSerial is the determinism contract of the parallel
-// driver: any worker count must produce byte-identical sorted findings and
-// identical suppression counts. Fixtures exercise every analyzer, including
-// the cross-package mutex-merge ones (atomicfield, hotalloc).
-func TestParallelMatchesSerial(t *testing.T) {
-	pkgs, err := Load(".", fixturePatterns(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := RunParallel(pkgs, Analyzers(), 1)
-	for _, workers := range []int{2, 8} {
-		par := RunParallel(pkgs, Analyzers(), workers)
-		if par.Suppressed != serial.Suppressed {
-			t.Errorf("workers=%d: Suppressed = %d, want %d", workers, par.Suppressed, serial.Suppressed)
-		}
-		if got, want := renderFindings(par.Findings), renderFindings(serial.Findings); got != want {
-			t.Errorf("workers=%d: findings diverge from serial run\nserial:\n%s\nparallel:\n%s", workers, want, got)
-		}
-	}
-	if len(serial.Timings) != len(Analyzers()) {
-		t.Errorf("Timings has %d entries, want one per analyzer (%d)", len(serial.Timings), len(Analyzers()))
-	}
-}
-
-func renderFindings(fs []Finding) string {
-	var sb strings.Builder
-	for _, f := range fs {
-		sb.WriteString(f.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // TestBaselineRoundTrip covers the baseline lifecycle: write, re-read, and

@@ -1,10 +1,10 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -37,12 +37,10 @@ import (
 //     latency. Locks released by defer are treated as held to the end of
 //     the function.
 //
-// Like epochguard, the analysis is a per-function abstract interpretation
-// with may-semantics at joins: a publish or Lock on one branch is assumed to
-// have happened after the join. Function literals are analyzed as
-// independent functions (their bodies do not execute where they appear), so
-// captured state is not tracked into them — a documented limitation shared
-// with epochguard.
+// The analysis runs on the flow interpreter it shares with epochguard, with
+// may-semantics at joins: a publish or Lock on one branch is assumed to have
+// happened after the join. Function literals are analyzed as independent
+// functions, so captured state is not tracked into them.
 func NewPubOrder() *Analyzer {
 	a := &Analyzer{
 		Name: "puborder",
@@ -52,274 +50,100 @@ func NewPubOrder() *Analyzer {
 		if pass.Pkg.PkgPath == epochPkg {
 			return
 		}
-		for _, file := range pass.Pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				analyzePubOrder(pass, fd.Body)
+		interpretFuncs(pass, func(*ast.FuncType, bool) flowHooks[pubState] {
+			return &pubEnv{
+				pass: pass,
+				info: pass.Pkg.Info,
+				pubState: pubState{
+					published: make(map[types.Object]string),
+					loaded:    make(map[types.Object]string),
+					held:      make(map[string]string),
+				},
 			}
-		}
+		})
 	}
 	return a
+}
+
+// pubState is puborder's flow state. Each fact survives a join if it holds
+// on any incoming path.
+type pubState struct {
+	// published maps objects (locals whose pointee was handed to an atomic
+	// store) to the display name of the publishing call, for messages.
+	published map[types.Object]string
+	// loaded maps objects assigned from an atomic load to the loading call.
+	loaded map[types.Object]string
+	// held maps canonical mutex expressions (keyOf) to their rendering.
+	held map[string]string
 }
 
 // pubEnv tracks publication and lock state through one function body.
 type pubEnv struct {
 	pass *Pass
 	info *types.Info
-	// published maps objects (locals whose pointee was handed to an atomic
-	// store) to the display name of the publishing call, for messages.
-	published map[types.Object]string
-	// loaded maps objects assigned from an atomic load to the loading call.
-	loaded map[types.Object]string
-	// held maps canonical mutex expressions (keyOf-style) to their rendering.
-	held map[string]string
-	lits []*ast.FuncLit
+	pubState
 }
 
-func analyzePubOrder(pass *Pass, body *ast.BlockStmt) {
-	env := &pubEnv{
-		pass:      pass,
-		info:      pass.Pkg.Info,
-		published: make(map[types.Object]string),
-		loaded:    make(map[types.Object]string),
-		held:      make(map[string]string),
-	}
-	env.evalStmt(body)
-	for _, lit := range env.lits {
-		analyzePubOrder(pass, lit.Body)
-	}
+func (s pubState) clone() pubState {
+	return pubState{maps.Clone(s.published), maps.Clone(s.loaded), maps.Clone(s.held)}
 }
 
-// snapshot/restore/merge implement branch-local copies with may-semantics:
-// published/loaded/held survive a join if set on any incoming path.
-type pubState struct {
-	published map[types.Object]string
-	loaded    map[types.Object]string
-	held      map[string]string
-}
-
-func (env *pubEnv) snapshot() pubState {
-	s := pubState{
-		published: make(map[types.Object]string, len(env.published)),
-		loaded:    make(map[types.Object]string, len(env.loaded)),
-		held:      make(map[string]string, len(env.held)),
-	}
-	for k, v := range env.published {
-		s.published[k] = v
-	}
-	for k, v := range env.loaded {
-		s.loaded[k] = v
-	}
-	for k, v := range env.held {
-		s.held[k] = v
-	}
-	return s
-}
-
-func (env *pubEnv) restore(s pubState) {
-	env.published = s.published
-	env.loaded = s.loaded
-	env.held = s.held
-}
+func (env *pubEnv) snapshot() pubState { return env.pubState.clone() }
+func (env *pubEnv) restore(s pubState) { env.pubState = s.clone() }
 
 func (env *pubEnv) merge(s pubState) {
-	for k, v := range s.published {
-		if _, ok := env.published[k]; !ok {
-			env.published[k] = v
-		}
-	}
-	for k, v := range s.loaded {
-		if _, ok := env.loaded[k]; !ok {
-			env.loaded[k] = v
-		}
-	}
-	for k, v := range s.held {
-		if _, ok := env.held[k]; !ok {
-			env.held[k] = v
+	joinFacts(env.published, s.published)
+	joinFacts(env.loaded, s.loaded)
+	joinFacts(env.held, s.held)
+}
+
+// joinFacts adds to dst every fact of src it lacks.
+func joinFacts[K comparable](dst, src map[K]string) {
+	for k, v := range src {
+		if _, ok := dst[k]; !ok {
+			dst[k] = v
 		}
 	}
 }
 
-// evalStmt interprets one statement; returns true when the path terminates.
-func (env *pubEnv) evalStmt(stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			if env.evalStmt(st) {
-				return true
+// assign reports field writes through published/loaded objects (rules 1
+// and 2), then tracks loads and drops reassigned locals.
+func (env *pubEnv) assign(lhs, rhs []ast.Expr) {
+	for _, l := range lhs {
+		env.checkFieldWrite(l)
+	}
+	if len(lhs) != len(rhs) {
+		return
+	}
+	for i, l := range lhs {
+		id, ok := ast.Unparen(l).(*ast.Ident)
+		if !ok || id.Name == "_" {
+			continue
+		}
+		obj := env.info.Defs[id]
+		if obj == nil {
+			obj = env.info.Uses[id]
+		}
+		if obj == nil {
+			continue
+		}
+		// A reassignment gives the local a fresh, private value.
+		delete(env.published, obj)
+		delete(env.loaded, obj)
+		if name, ok := atomicLoadCall(env.info, rhs[i]); ok {
+			if _, isPtr := obj.Type().Underlying().(*types.Pointer); isPtr {
+				env.loaded[obj] = name
 			}
 		}
-		return false
-	case *ast.ExprStmt:
-		env.scanExpr(s.X)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isPanic(env.info, call) {
-			return true
-		}
-		return false
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			env.scanExpr(rhs)
-		}
-		// Field writes through published/loaded objects are the rule-1/2
-		// violations; then track loads and drop reassigned locals.
-		for _, lhs := range s.Lhs {
-			env.checkFieldWrite(lhs)
-		}
-		if len(s.Lhs) == len(s.Rhs) {
-			for i, lhs := range s.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := env.info.Defs[id]
-				if obj == nil {
-					obj = env.info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				// A reassignment gives the local a fresh, private value.
-				delete(env.published, obj)
-				delete(env.loaded, obj)
-				if name, ok := atomicLoadCall(env.info, s.Rhs[i]); ok {
-					if _, isPtr := obj.Type().Underlying().(*types.Pointer); isPtr {
-						env.loaded[obj] = name
-					}
-				}
-			}
-		}
-		return false
-	case *ast.IncDecStmt:
-		env.checkFieldWrite(s.X)
-		env.scanExpr(s.X)
-		return false
-	case *ast.SendStmt:
-		env.scanExpr(s.Chan)
-		env.scanExpr(s.Value)
-		env.reportIfLocked(s.Arrow, "channel send")
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						env.scanExpr(v)
-					}
-				}
-			}
-		}
-		return false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			env.scanExpr(r)
-		}
-		return true
-	case *ast.DeferStmt:
-		// defer mu.Unlock() does NOT release for ordering purposes: the body
-		// after the defer still runs with the lock held. Other deferred
-		// calls are scanned for publishes only.
-		for _, arg := range s.Call.Args {
-			env.scanExpr(arg)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			env.lits = append(env.lits, lit)
-		}
-		return false
-	case *ast.GoStmt:
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			env.lits = append(env.lits, lit)
-		}
-		for _, arg := range s.Call.Args {
-			env.scanExpr(arg)
-		}
-		return false
-	case *ast.IfStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Cond)
-		entry := env.snapshot()
-		thenTerm := env.evalStmt(s.Body)
-		thenState := env.snapshot()
-		env.restore(entry)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = env.evalStmt(s.Else)
-		}
-		if thenTerm && elseTerm {
-			return true
-		}
-		if elseTerm {
-			env.restore(thenState)
-			return false
-		}
-		if !thenTerm {
-			env.merge(thenState)
-		}
-		return false
-	case *ast.ForStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Cond)
-		entry := env.snapshot()
-		env.evalStmt(s.Body)
-		env.evalStmt(s.Post)
-		env.merge(entry)
-		return false
-	case *ast.RangeStmt:
-		env.scanExpr(s.X)
-		entry := env.snapshot()
-		env.evalStmt(s.Body)
-		env.merge(entry)
-		return false
-	case *ast.SwitchStmt:
-		env.evalStmt(s.Init)
-		env.scanExpr(s.Tag)
-		return env.evalCases(caseBodies(s.Body), hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		env.evalStmt(s.Init)
-		return env.evalCases(caseBodies(s.Body), hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		if !hasDefaultClause(s.Body) {
-			env.reportIfLocked(s.Select, "blocking select")
-		}
-		return env.evalCases(caseBodies(s.Body), true)
-	case *ast.LabeledStmt:
-		return env.evalStmt(s.Stmt)
-	case *ast.BranchStmt:
-		return true
-	default:
-		return false
 	}
 }
 
-// evalCases mirrors epochguard's switch/select handling.
-func (env *pubEnv) evalCases(bodies [][]ast.Stmt, hasDefault bool) bool {
-	entry := env.snapshot()
-	states := make([]pubState, 0, len(bodies))
-	allTerm := len(bodies) > 0
-	for _, body := range bodies {
-		env.restore(entry)
-		term := false
-		for _, st := range body {
-			if env.evalStmt(st) {
-				term = true
-				break
-			}
-		}
-		if !term {
-			states = append(states, env.snapshot())
-			allTerm = false
-		}
-	}
-	env.restore(entry)
-	for _, st := range states {
-		env.merge(st)
-	}
-	return allTerm && hasDefault
-}
+// deferred: defer mu.Unlock() does NOT release for ordering purposes (the
+// body after the defer still runs with the lock held), and a deferred
+// closure is analyzed as a function of its own.
+func (env *pubEnv) deferred(*ast.CallExpr) bool { return true }
+
+func (env *pubEnv) ret(token.Pos, []ast.Expr) {}
 
 // checkFieldWrite reports rule-1/2 violations for an assignment target.
 func (env *pubEnv) checkFieldWrite(lhs ast.Expr) {
@@ -360,30 +184,9 @@ func (env *pubEnv) checkWriteBase(base ast.Expr, what string) {
 	}
 }
 
-// scanExpr walks an expression in evaluation position: it records atomic
-// publishes, tracks lock state, reports blocking operations under locks, and
-// queues nested function literals.
-func (env *pubEnv) scanExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			env.lits = append(env.lits, n)
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				env.reportIfLocked(n.OpPos, "channel receive")
-			}
-		case *ast.CallExpr:
-			env.handleCall(n)
-		}
-		return true
-	})
-}
-
-func (env *pubEnv) handleCall(call *ast.CallExpr) {
+// call tracks lock state and publishes and reports blocking calls made
+// under a held mutex.
+func (env *pubEnv) call(call *ast.CallExpr) {
 	name := callDisplayName(env.info, call)
 	if name == "" {
 		return
@@ -392,14 +195,14 @@ func (env *pubEnv) handleCall(call *ast.CallExpr) {
 	switch name {
 	case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if key := mutexKey(env.info, sel.X); key != "" {
+			if key := keyOf(env.info, sel.X); key != "" {
 				env.held[key] = exprString(sel.X)
 			}
 		}
 		return
 	case "(*sync.Mutex).Unlock", "(*sync.RWMutex).Unlock", "(*sync.RWMutex).RUnlock":
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if key := mutexKey(env.info, sel.X); key != "" {
+			if key := keyOf(env.info, sel.X); key != "" {
 				delete(env.held, key)
 			}
 		}
@@ -421,27 +224,6 @@ func (env *pubEnv) handleCall(call *ast.CallExpr) {
 			env.published[obj] = name
 		}
 	}
-}
-
-// mutexKey canonicalizes the receiver expression of a Lock/Unlock, reusing
-// the selector-chain canonicalization guards use.
-func mutexKey(info *types.Info, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[e]; obj != nil {
-			return objKey(obj)
-		}
-		if obj := info.Defs[e]; obj != nil {
-			return objKey(obj)
-		}
-	case *ast.SelectorExpr:
-		base := mutexKey(info, e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	}
-	return ""
 }
 
 // atomicLoadCall reports whether rhs is an atomic load — sync/atomic
@@ -536,15 +318,10 @@ func pointerOperand(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// reportIfLocked reports a blocking channel operation under a held mutex.
-func (env *pubEnv) reportIfLocked(pos token.Pos, what string) {
+// blocking reports a blocking channel operation under a held mutex.
+func (env *pubEnv) blocking(pos token.Pos, what string) {
 	for _, m := range env.held {
 		env.pass.Reportf(pos, "%s while mutex %s is held: every other locker stalls behind the wait (move the channel operation outside the critical section)", what, m)
 		return
 	}
-}
-
-// objKey renders a types.Object as a map key (pointer identity).
-func objKey(obj types.Object) string {
-	return fmt.Sprintf("o%p", obj)
 }

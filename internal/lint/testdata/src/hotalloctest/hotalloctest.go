@@ -64,3 +64,28 @@ func cold() []byte {
 	buf = append(buf, '!')
 	return buf
 }
+
+// find is generic: an instantiation passes its arguments unboxed.
+func find[S ~[]E, E comparable](s S, v E) int {
+	for i := range s {
+		if s[i] == v {
+			return i
+		}
+	}
+	return -1
+}
+
+//fishlint:hotpath key lookup
+func lookup(keys [][]byte, m map[string]int, want string) int {
+	for _, k := range keys {
+		if string(k) == want { // compared in place: no copy
+			return m[string(k)] // a map key read in place: no copy
+		}
+	}
+	return find(keys[0], 'x') // type parameters, not interfaces: nothing is boxed
+}
+
+//fishlint:hotpath key interning
+func intern(m map[string]int, k []byte) {
+	m[string(k)] = len(m) // want hotalloc "copies its operand"
+}

@@ -1,17 +1,19 @@
-// Package suppresstest seeds one genuine addrcompose finding and silences
-// it with a //lint:ignore directive, exercising the suppression path of the
+// Package suppresstest seeds one genuine puborder finding and silences it
+// with a //lint:ignore directive, exercising the suppression path of the
 // driver (the golden test asserts zero findings and exactly one suppression
 // for this package).
 package suppresstest
 
-const offsetBits = 14
+import "sync"
 
-// pack composes a log address exactly like the historical TailAddress bug,
-// but here the offset is vouched for by the caller contract, so the finding
-// is suppressed with a written justification.
-func pack(page, offset uint64) uint64 {
-	//lint:ignore addrcompose offset is produced by the page allocator and is always below 1<<offsetBits
-	return page<<offsetBits | offset
+// drain receives under a mutex exactly like the registry's apply drain, but
+// here the channel's contract makes the wait bounded, so the finding is
+// suppressed with a written justification.
+func drain(mu *sync.Mutex, done chan int) int {
+	mu.Lock()
+	defer mu.Unlock()
+	//lint:ignore puborder done is buffered and its single sender never blocks on mu, so the receive is bounded
+	return <-done
 }
 
-var _ = pack
+var _ = drain

@@ -1,8 +1,9 @@
 package testmode
 
-import "testing"
-
-const pageBits = 14
+import (
+	"sync/atomic"
+	"testing"
+)
 
 func TestPackRoundTrip(t *testing.T) {
 	if Pack(3, 9) == 0 {
@@ -14,10 +15,14 @@ func TestPackRoundTrip(t *testing.T) {
 	open()
 }
 
-// packUnmasked is the OR-composition bug shape living inside test helper
-// code: nothing bounds offset below 1<<pageBits.
-func packUnmasked(page, offset uint64) uint64 {
-	return page<<pageBits | offset // want addrcompose "may both set bits"
+type slot struct{ addr uint64 }
+
+// publishThenPatch is the write-after-publish bug shape living inside test
+// helper code: readers may already hold s when addr is rewritten.
+func publishThenPatch(head *atomic.Pointer[slot]) {
+	s := &slot{addr: Pack(1, 2)}
+	head.Store(s)
+	s.addr = Pack(1, 3) // want puborder "after it was published"
 }
 
-var _ = packUnmasked
+var _ = publishThenPatch

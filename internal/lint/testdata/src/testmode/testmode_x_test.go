@@ -1,6 +1,7 @@
 package testmode_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"fishstore/internal/lint/testdata/src/testmode"
@@ -13,15 +14,16 @@ func TestExternalPack(t *testing.T) {
 	if v == 0 {
 		t.Fatal("pack lost the offset")
 	}
-	if packWide(3, 9) == 0 {
-		t.Fatal("pack lost the offset")
-	}
 }
 
-const xPageBits = 14
+type cell struct{ addr uint64 }
 
-// packWide seeds the OR-composition bug in the external test package, so a
-// finding here proves the testmode_test compilation unit really is analyzed.
-func packWide(page, offset uint64) uint64 {
-	return page<<xPageBits | offset // want addrcompose "may both set bits"
+// patchShared seeds a plain write through an atomically loaded pointer in
+// the external test package, so a finding here proves the testmode_test
+// compilation unit really is analyzed.
+func patchShared(head *atomic.Pointer[cell]) {
+	c := head.Load()
+	c.addr = testmode.Pack(3, 9) // want puborder "acquired from"
 }
+
+var _ = patchShared

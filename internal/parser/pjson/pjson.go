@@ -288,7 +288,6 @@ func (s *session) walkObject(node *trieNode, level, from, to int) error {
 	for s.more(from) {
 	}
 	// Every colon before from is indexed, so later ones follow lo.
-	//lint:ignore hotalloc type parameters, not interfaces: nothing is boxed
 	lo, _ := slices.BinarySearch(s.colons[level-1], int32(from))
 	if s.speculate && len(node.spec) == len(node.children) {
 		if ok, err := s.walkSpeculative(node, level, lo, to); ok || err != nil {
@@ -308,7 +307,6 @@ func (s *session) walkSpeculative(node *trieNode, level, lo, to int) (bool, erro
 			s.specMisses++
 			return false, nil
 		}
-		//lint:ignore hotalloc comparing string(bytes) with a string does not allocate
 		if key, ok := s.keyBefore(pos); !ok || string(key) != e.child.key {
 			s.specMisses++
 			return false, nil
@@ -337,7 +335,6 @@ func (s *session) walkFull(node *trieNode, level, lo, to int) error {
 		if !ok {
 			continue
 		}
-		//lint:ignore hotalloc a map index by string(bytes) does not allocate
 		child := node.children[string(key)]
 		if child == nil {
 			continue

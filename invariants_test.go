@@ -140,7 +140,6 @@ func (d *failingDevice) WriteAt(p []byte, off int64) (int, error) {
 	if fail {
 		return 0, errInjected
 	}
-	//lint:ignore sealcover pass-through decorator: the buffer was sealed (or deliberately not) by the caller
 	return d.inner.WriteAt(p, off)
 }
 
