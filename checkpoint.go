@@ -366,6 +366,18 @@ func probeDurableEnd(o Options, from uint64) (pages int, end uint64, err error) 
 	return pages, end, err
 }
 
+// chainHash is the hash of the chain the key pointer kp, in the record at
+// base, belongs on: its property's hash, or for a sharded PSF the hash of
+// the shard the record's address selects.
+func (s *Store) chainHash(kp record.KeyPointer, v record.View, base uint64) uint64 {
+	val := v.ValueBytes(kp)
+	if def, ok := s.registry.Lookup(kp.PSFID); ok && def.ShardCount() > 1 {
+		shards := def.ShardCount()
+		return psf.ShardHash(kp.PSFID, val, shardOf(base, shards), shards)
+	}
+	return hashtable.HashProperty(kp.PSFID, val)
+}
+
 // replaySuffix re-links every record in [from, to). Records are visited in
 // ascending address order, so installing each key pointer as its chain's
 // head leaves every head at the highest (= most recent) chain entry. It
@@ -382,15 +394,7 @@ func (s *Store) replaySuffix(g *epoch.Guard, from, to uint64) (int64, int64, err
 		}
 		for i := 0; i < h.NumPtrs; i++ {
 			kp := v.KeyPointerAt(i)
-			val := v.ValueBytes(kp)
-			var hash uint64
-			if def, ok := s.registry.Lookup(kp.PSFID); ok && def.ShardCount() > 1 {
-				shards := def.ShardCount()
-				hash = psf.ShardHash(kp.PSFID, val, shardOf(addr, shards), shards)
-			} else {
-				hash = hashtable.HashProperty(kp.PSFID, val)
-			}
-			slot, ferr := s.table.FindOrCreate(hash)
+			slot, ferr := s.table.FindOrCreate(s.chainHash(kp, v, addr))
 			if ferr != nil {
 				cbErr = fmt.Errorf("fishstore: replay at %d: %w", addr, ferr)
 				return false

@@ -17,8 +17,8 @@ import (
 // recycled frame, whose old bytes must not reach the device.
 func TestDeviceFormatDigest(t *testing.T) {
 	for name, want := range map[string]string{
-		"yelp":   "760089023f8a0c22f0e1f6757291b3e64b3813f347f42f681ad7e514b78a32b1",
-		"github": "785a06eab4a3bad79e1e9456319089cff0ba5989bd96ef4b3f0a26a6f0ba3901",
+		"yelp":   "316090b535e19a686d994bcb66b2c42465003f12ed98901009ead9fce348a0ae",
+		"github": "e1384665176b36ac8a671eb0fdb212a8fe1e33fccff4c7fb1f5557f9ff87cc24",
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := harness.Table1()[name]

@@ -113,8 +113,8 @@ func (m *Manager) Acquire() *Guard {
 }
 
 // LiveGuards reports how many guards are currently acquired: table slots
-// handed out by Acquire and not yet Released. Leak checks (the chaos
-// harness, cancellation tests) assert this returns to zero once every
+// handed out by Acquire and not yet Released. Leak checks (the fault
+// runner, cancellation tests) assert this returns to zero once every
 // session and scan is done.
 func (m *Manager) LiveGuards() int { return MaxWorkers - len(m.freeSlots) }
 
@@ -163,6 +163,9 @@ func (g *Guard) Refresh() {
 	safe := m.computeSafe()
 	m.tryDrain(safe)
 }
+
+// Epoch returns the epoch the guard last published by Protect or Refresh.
+func (g *Guard) Epoch() uint64 { return g.m.table[g.slot].local.Load() }
 
 // IsProtected reports whether the guard is currently inside a protected
 // region. Exposed for tests and assertions.

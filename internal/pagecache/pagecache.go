@@ -111,16 +111,25 @@ func (c *Cache) shardFor(page uint64) *shard { return &c.shards[page%shardCount]
 //
 //fishlint:hotpath per-page read-path probe
 func (c *Cache) Get(page uint64) []uint64 {
+	w := c.lookup(page)
+	if w == nil {
+		c.misses.Add(1)
+		return nil
+	}
+	c.hits.Add(1)
+	return w
+}
+
+// lookup is Get without the hit and miss counters.
+func (c *Cache) lookup(page uint64) []uint64 {
 	s := c.shardFor(page)
 	s.mu.RLock()
 	e := s.pages[page]
 	s.mu.RUnlock()
 	if e == nil {
-		c.misses.Add(1)
 		return nil
 	}
 	e.ref.Store(true)
-	c.hits.Add(1)
 	return e.words
 }
 
@@ -149,20 +158,26 @@ func (c *Cache) GetOrLoad(page uint64, load func() ([]uint64, error)) ([]uint64,
 		}
 		return nil, false, f.err
 	}
+	// A fill may have finished since the probe above: fills admit before
+	// they leave inflight, so its page is visible here.
+	if w := c.lookup(page); w != nil {
+		c.fillMu.Unlock()
+		c.hits.Add(1)
+		return w, true, nil
+	}
 	f := &fill{}
 	f.wg.Add(1)
 	c.inflight[page] = f
 	c.fillMu.Unlock()
 
 	f.words, f.err = load()
-
-	c.fillMu.Lock()
-	delete(c.inflight, page)
-	c.fillMu.Unlock()
 	if f.err == nil {
 		c.fills.Add(1)
 		c.admit(page, f.words)
 	}
+	c.fillMu.Lock()
+	delete(c.inflight, page)
+	c.fillMu.Unlock()
 	f.wg.Done()
 	return f.words, false, f.err
 }

@@ -415,14 +415,17 @@ func (r *Registry) Apply(changes []Change) (Result, error) {
 		return Result{}, err
 	}
 
-	// Swap the current pointer; workers start observing the new meta.
+	// No worker has yet *stopped* indexing deregistered properties, so the
+	// tail now is the safe deregister boundary. It is read before the swap:
+	// a worker that picks up the new meta right after it may allocate
+	// before a later read.
+	res.SafeDeregisterBoundary = r.tail()
+
+	// PREPARE -> PENDING: swap the current pointer; workers start observing
+	// the new meta.
 	inactive := 1 - r.current.Load()
 	r.metas[inactive].Store(newMeta)
 	r.current.Store(inactive)
-
-	// PREPARE -> PENDING: no worker has yet *stopped* indexing deregistered
-	// properties, so the tail now is the safe deregister boundary.
-	res.SafeDeregisterBoundary = r.tail()
 	r.setState(StatePending, newMeta.Version)
 
 	done := make(chan struct{})

@@ -241,6 +241,11 @@ func TestWorkersObserveMetaAfterRefresh(t *testing.T) {
 		// other core, and two busy loops can starve each other.
 		runtime.Gosched()
 	}
+	// Refreshing before Apply's BumpWith would leave the guard at the
+	// pre-bump epoch, and Apply would wait on it forever: wait for the bump.
+	for em.DrainPending() == 0 {
+		runtime.Gosched()
+	}
 	// Apply blocks until the worker refreshes.
 	select {
 	case <-applied:

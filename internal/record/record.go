@@ -101,6 +101,12 @@ const (
 	// that reaches the device without passing through the flush-time sealer
 	// fails validation rather than passing vacuously.
 	sealMagic = uint64(0xF15C5EA1) << 32
+
+	// hdrSealedMask selects the header bits the checksum covers: all but the
+	// visibility and invalid bits, which change after a record is sealed.
+	// A flipped size, pad or value-region field then fails verification
+	// instead of shifting the payload the record reports.
+	hdrSealedMask = ^(hdrVisibleBit | hdrInvalidBit)
 )
 
 // WordsPerPointer is the size of one key pointer in words.
@@ -470,7 +476,7 @@ func (v View) checksumBody(h Header) uint32 {
 	start, end := bodyBounds(h)
 	bp := crcScratch.Get().(*[]byte)
 	buf := *bp
-	var crc uint32
+	crc := headerCRC(h)
 	for i := start; i < end; {
 		n := end - i
 		if n > crcChunkWords {
@@ -484,6 +490,18 @@ func (v View) checksumBody(h Header) uint32 {
 	}
 	crcScratch.Put(bp)
 	return crc
+}
+
+// headerCRC starts a record checksum over the sealed header bits. It
+// updates byte by byte, as crc32.Update does for short inputs, so the flush
+// path needs no staging buffer for the header.
+func headerCRC(h Header) uint32 {
+	w := PackHeader(h) & hdrSealedMask
+	crc := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		crc = castagnoli[byte(crc)^byte(w>>(8*i))] ^ crc>>8
+	}
+	return ^crc
 }
 
 // Seal computes and stores the checksum trailer of a format-v1 record. The
@@ -517,26 +535,30 @@ func SealedTrailer(h Header, b []byte) (uint64, bool) {
 	if start > end || h.SizeWords < 1 || h.SizeWords*8 > len(b) {
 		return 0, false
 	}
-	return sealMagic | uint64(crc32.Update(0, castagnoli, b[start*8:end*8])), true
+	return sealMagic | uint64(crc32.Update(headerCRC(h), castagnoli, b[start*8:end*8])), true
 }
 
-// ChecksumOK reports whether the record's body matches its sealed checksum
-// trailer. v0 (checksum-less) records always pass: they predate the format
-// bit and carry nothing to verify. An unsealed or torn trailer fails.
+// ChecksumOK reports whether the record's sealed header bits and body match
+// its checksum trailer. v0 (checksum-less) records pass: they predate the
+// format bit and carry nothing to verify — unless the record ends in the
+// seal magic, which marks a v1 record whose format bit flipped (a v0 record
+// ends so with probability 2^-32, and never when its payload is UTF-8 text). An
+// unsealed or torn trailer fails.
 func (v View) ChecksumOK() bool {
 	h := v.Header()
-	if !h.Checksum || h.Filler {
+	if h.Filler {
 		return true
+	}
+	if !h.Checksum {
+		return h.SizeWords < 1 || h.SizeWords > len(v.Words) ||
+			atomic.LoadUint64(&v.Words[h.SizeWords-1])&^(uint64(1)<<32-1) != sealMagic
 	}
 	start, end := bodyBounds(h)
 	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
 		return false
 	}
 	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
-	if tw&^(uint64(1)<<32-1) != sealMagic {
-		return false
-	}
-	return uint32(tw) == v.checksumBody(h)
+	return tw&^(uint64(1)<<32-1) == sealMagic && uint32(tw) == v.checksumBody(h)
 }
 
 // boolTrue and boolFalse are the values of every ModeBool key pointer.

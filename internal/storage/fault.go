@@ -58,8 +58,8 @@ type FaultConfig struct {
 	// sector; always rounded up to at least 8 so log words stay atomic).
 	TearAlign int
 	// OnPowerCut, if set, is called exactly once when the power cut fires
-	// (from the cut write or CutNow), outside the device's mutex. The crash
-	// harness uses it to timestamp the cut in the flight recorder.
+	// (from the cut write or CutNow), outside the device's mutex. The fault
+	// runner uses it to timestamp the cut in the flight recorder.
 	OnPowerCut func()
 	// CapacityBytes, when > 0, caps the device: a write that would raise the
 	// space used (see SpaceUsed) past the cap fails whole with ErrNoSpace,

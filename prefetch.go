@@ -244,8 +244,11 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 		return record.View{}, 0, err
 	}
 	wordA := binary.LittleEndian.Uint64(kw)
-	offWords := int(wordA >> 50)
-	base := kptAddr - uint64(offWords)*8
+	offWords := wordA >> 50
+	base := kptAddr - offWords*8
+	if offWords > cr.log.OffsetOf(kptAddr)/8 {
+		return record.View{}, 0, errBadLink(base) // records never straddle pages
+	}
 
 	// 2. The header tells us the record size.
 	hb, err := cr.fetch(base, 8)
@@ -253,8 +256,8 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 		return record.View{}, 0, err
 	}
 	h := record.UnpackHeader(binary.LittleEndian.Uint64(hb))
-	if h.SizeWords == 0 {
-		return record.View{}, 0, errEmptyHeader(base)
+	if h.SizeWords == 0 || cr.log.OffsetOf(base)+uint64(h.SizeWords)*8 > cr.log.PageSize() || !onPointer(h, offWords) {
+		return record.View{}, 0, errBadLink(base)
 	}
 
 	// 3. Fetch the whole record.
@@ -284,15 +287,12 @@ func (cr *chainReader) recordViaCache(kptAddr uint64) (record.View, uint64, erro
 	if offWords > kOff {
 		// Records never straddle pages; an offset pointing before the page
 		// start means the chain word is garbage.
-		return record.View{}, 0, errEmptyHeader(base)
+		return record.View{}, 0, errBadLink(base)
 	}
 	bOff := kOff - offWords
 	h := record.UnpackHeader(pw[bOff])
-	if h.SizeWords == 0 {
-		return record.View{}, 0, errEmptyHeader(base)
-	}
-	if bOff+uint64(h.SizeWords) > uint64(len(pw)) {
-		return record.View{}, 0, errEmptyHeader(base)
+	if h.SizeWords == 0 || bOff+uint64(h.SizeWords) > uint64(len(pw)) || !onPointer(h, offWords) {
+		return record.View{}, 0, errBadLink(base)
 	}
 	view := record.View{Words: pw[bOff : bOff+uint64(h.SizeWords)]}
 	cr.adapt(base, h.SizeWords*8)
@@ -421,8 +421,20 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
 	return cr.buf[off : off+uint64(n)], nil
 }
 
-type errEmptyHeader uint64
+// onPointer reports whether offWords, a link's back-offset to the record's
+// header, names one of the record's key pointer slots.
+func onPointer(h record.Header, offWords uint64) bool {
+	slot := int(offWords) - record.HeaderWords
+	return slot >= 0 && slot%record.WordsPerPointer == 0 && slot/record.WordsPerPointer < h.NumPtrs &&
+		int(offWords)+record.WordsPerPointer <= h.SizeWords
+}
 
-func (e errEmptyHeader) Error() string {
-	return "fishstore: empty record header on chain"
+// errBadLink is a chain link that does not land on a key pointer of a
+// record: an empty header, a record running off its page, or an address
+// that is not one of the record's pointer slots. Only a corrupt prev
+// address produces one.
+type errBadLink uint64
+
+func (e errBadLink) Error() string {
+	return "fishstore: chain link does not land on a key pointer"
 }

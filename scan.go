@@ -805,6 +805,15 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 			g.Unprotect()
 			v, b, err := cr.record(cur)
 			g.Protect()
+			if err != nil && cur < s.TruncatedUntil() {
+				return nil // truncated under the walk: the chain ends at the new floor
+			}
+			if bad, ok := err.(errBadLink); ok && s.opts.VerifyOnRead {
+				// A corrupt link: quarantine and stop, as for a record that
+				// fails validation below.
+				s.quarantineRecord(uint64(bad), &st.Quarantined, "chain", "link does not land on a key pointer")
+				return nil
+			}
 			if err != nil {
 				return fmt.Errorf("fishstore: chain read at %d: %w", cur, err)
 			}
@@ -944,7 +953,7 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 }
 
 // errBadIndirect is the address of an indirect record whose payload is not
-// the expected 8-byte target address. A typed error (like errEmptyHeader)
+// the expected 8-byte target address. A typed error (like errBadLink)
 // keeps the construction allocation-free on the audited chain-walk path.
 type errBadIndirect uint64
 

@@ -28,6 +28,9 @@ type Session struct {
 
 	meta  *psf.Meta
 	psess parser.Session
+	// metaEpoch is the guard's epoch when meta was loaded; the allocator
+	// moves the guard past it when it refreshes while waiting for a page.
+	metaEpoch uint64
 
 	// Per-batch scratch, reused across records.
 	ptrSpecs    []record.PointerSpec
@@ -109,6 +112,7 @@ func (sess *Session) Phases() PhaseStats { return sess.phases }
 // building and recreates its thread-local parser").
 func (sess *Session) refreshMeta() error {
 	sess.guard.Refresh()
+	sess.metaEpoch = sess.guard.Epoch()
 	meta := sess.store.registry.CurrentMeta()
 	if sess.meta != nil && meta.Version == sess.meta.Version {
 		return nil
@@ -285,6 +289,25 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				csp.SetUint("address", alloc.Address)
 				csp.End()
 				csp = nil
+			}
+			if sess.guard.Epoch() != sess.metaEpoch &&
+				sess.store.registry.CurrentMeta().Version != sess.meta.Version {
+				// The allocator refreshed this worker's epoch while it waited
+				// for a page, which lets a PSF change reach REST: the record
+				// may sit past the safe registration boundary without the
+				// pointers the new meta asks for (§5.3). Abandon this copy and
+				// rebuild the record under the current meta.
+				view := record.View{Words: alloc.Words}
+				view.SetInvalid()
+				view.SetVisible()
+				sess.store.invalidated.Add(1)
+				sess.flushBatchAttribution(tele)
+				if err := sess.refreshMeta(); err != nil {
+					return st, err
+				}
+				parsed, perr := sess.psess.Parse(payload)
+				sess.buildPointers(payload, parsed, perr != nil)
+				continue
 			}
 			lap(&sess.phases.Memcpy)
 

@@ -79,7 +79,7 @@ type Store struct {
 	ingestedRecords atomic.Int64
 	ingestedBytes   atomic.Int64
 	indexedProps    atomic.Int64
-	invalidated     atomic.Int64 // records abandoned by badCAS reallocation
+	invalidated     atomic.Int64 // records abandoned by badCAS reallocation or a stale PSF meta
 	truncatedUntil  atomic.Uint64
 
 	// scanLog retains the last scanDecisionLog scan decisions (Φ inputs,
@@ -323,18 +323,8 @@ func (s *Store) DeregisterPSF(id psf.ID) (psf.Result, error) {
 	return s.registry.Deregister(id)
 }
 
-// ApplyPSFChanges applies a batch of registrations/deregistrations
-// atomically (one run of the Fig 7 protocol).
-func (s *Store) ApplyPSFChanges(changes []psf.Change) (psf.Result, error) {
-	return s.registry.Apply(changes)
-}
-
 // PSFByName returns the id of the active PSF with the given name.
 func (s *Store) PSFByName(name string) (psf.ID, bool) { return s.registry.LookupByName(name) }
-
-// IndexedIntervals returns the log intervals over which id's index is
-// guaranteed complete.
-func (s *Store) IndexedIntervals(id psf.ID) []psf.Interval { return s.registry.Intervals(id) }
 
 // TailAddress returns the current log tail.
 func (s *Store) TailAddress() uint64 { return s.log.TailAddress() }
@@ -379,7 +369,7 @@ type Stats struct {
 	IngestedRecords    int64
 	IngestedBytes      int64
 	IndexedProperties  int64
-	InvalidatedRecs    int64 // only non-zero in BadCAS mode
+	InvalidatedRecs    int64 // abandoned copies: BadCAS reallocations, records rebuilt under a newer PSF meta
 	TailAddress        uint64
 	LogSizeBytes       uint64 // live footprint: tail - truncation point
 	TotalAppendedBytes uint64 // tail - begin: everything ever appended, incl. truncated

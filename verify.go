@@ -190,13 +190,14 @@ func validateRecord(addr uint64, h record.Header, v record.View) string {
 }
 
 // verifyImage walks [from, to) on the device, validating records and the
-// pointer graph, and returns the set of key-pointer addresses seen (for the
-// chain phase). Prev links pointing at or above `from` must land on a
-// previously seen key pointer; links below `from` cannot be checked (the
-// walk did not cover them) and are accepted.
-func verifyImage(dev storage.Device, pageBits uint, from, to uint64) (VerifyReport, map[uint64]struct{}, error) {
+// pointer graph, and returns the key-pointer addresses seen (for the chain
+// phase), each mapped to whether its record is valid and so must be on a
+// chain. Prev links pointing at or above `from` must land on a previously
+// seen key pointer; links below `from` cannot be checked (the walk did not
+// cover them) and are accepted.
+func verifyImage(dev storage.Device, pageBits uint, from, to uint64) (VerifyReport, map[uint64]bool, error) {
 	rep := VerifyReport{From: from, To: to}
-	seen := make(map[uint64]struct{})
+	seen := make(map[uint64]bool)
 	var corrupt *Corruption
 	end, why, _, err := walkDeviceLog(dev, pageBits, from, to,
 		func(addr uint64, h record.Header, v record.View) bool {
@@ -224,7 +225,7 @@ func verifyImage(dev storage.Device, pageBits uint, from, to uint64) (VerifyRepo
 						return false
 					}
 				}
-				seen[kptAddr] = struct{}{}
+				seen[kptAddr] = !h.Invalid
 			}
 			return true
 		})
@@ -281,7 +282,10 @@ type VerifyOptions struct {
 // region on the device, (2) a pointer-graph check that every prev link lands
 // on a real key pointer at a lower address (no forward links, no dangling
 // pointers), and (3) a walk of every hash chain from its table head,
-// asserting strictly descending, non-dangling links down to the chain floor.
+// asserting strictly descending, non-dangling links down to the chain floor,
+// each link's property hashing to the chain it is on, and every valid
+// record's key pointers reached — so a flipped prev address or pointer value
+// cannot leave the index silently short.
 // The chain phase briefly holds the checkpoint barrier so ingestion cannot
 // move chain heads mid-walk. The log device must support reads (not Null).
 func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
@@ -307,7 +311,7 @@ func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
 	defer g.Release()
 	var st ScanStats // chain-walk I/O accounting, discarded
 	var corrupt *Corruption
-	s.table.Range(func(_ uint64, e hashtable.Entry, _ hashtable.Slot) bool {
+	s.table.Range(func(_ uint64, e hashtable.Entry, slot hashtable.Slot) bool {
 		head := e.Address
 		if head == 0 {
 			return true
@@ -336,6 +340,15 @@ func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
 						}
 						return false
 					}
+					seen[kptAddr] = false // reached
+				}
+				if on, ok := s.table.FindEntry(s.chainHash(kp, view, base)); !ok || on != slot {
+					corrupt = &Corruption{
+						Address: kptAddr,
+						Kind:    "chain-membership",
+						Detail:  "key pointer's property hashes to another chain",
+					}
+					return false
 				}
 				rep.ChainLinks++
 				return true
@@ -345,6 +358,21 @@ func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
 		}
 		return corrupt == nil
 	})
+	if corrupt == nil {
+		lost := ^uint64(0)
+		for kptAddr, must := range seen {
+			if must && kptAddr < lost {
+				lost = kptAddr
+			}
+		}
+		if lost != ^uint64(0) {
+			corrupt = &Corruption{
+				Address: lost,
+				Kind:    "unreachable-key-pointer",
+				Detail:  "no hash chain reaches this key pointer of a valid record",
+			}
+		}
+	}
 	rep.Corruption = corrupt
 	s.reportCorruption(rep.Corruption)
 	return rep, nil
