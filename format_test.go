@@ -17,8 +17,8 @@ import (
 // recycled frame, whose old bytes must not reach the device.
 func TestDeviceFormatDigest(t *testing.T) {
 	for name, want := range map[string]string{
-		"yelp":   "316090b535e19a686d994bcb66b2c42465003f12ed98901009ead9fce348a0ae",
-		"github": "e1384665176b36ac8a671eb0fdb212a8fe1e33fccff4c7fb1f5557f9ff87cc24",
+		"yelp":   "95810b8618d13c13f130adc5cbb84c72c09201fa0fea27e276d3475ac7938fcd",
+		"github": "06c678015379d524fc3f432a4e940041df3dd27fd525887f1141c3452054eb64",
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := harness.Table1()[name]

@@ -1,7 +1,9 @@
 package fishstore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 	"time"
@@ -450,5 +452,92 @@ func TestIORetryHealsTransientReads(t *testing.T) {
 	}
 	if v := reg.Snapshot().Value("fishstore_io_retries_total"); v < 1 {
 		t.Fatalf("fishstore_io_retries_total = %v, want >= 1", v)
+	}
+}
+
+// TestBodySealedLogRecovers: a log sealed before seals covered the header
+// (CRC32-C over the body alone, under the old trailer magic) recovers with
+// its whole post-checkpoint suffix replayed, verifies clean and scans
+// without quarantine.
+func TestBodySealedLogRecovers(t *testing.T) {
+	mem := storage.NewMem()
+	s, err := Open(Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := sess.Ingest([][]byte{genEvent(i, "PushEvent", "spark")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(0, 40)
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.Checkpoint(ckptDir); err != nil {
+		t.Fatal(err)
+	}
+	ingest(40, 60)
+	sess.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	addrs, sizes := deviceRecordAddrs(t, mem, ^uint64(0))
+	if len(addrs) != 60 {
+		t.Fatalf("found %d records on the device, want 60", len(addrs))
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for i, addr := range addrs {
+		rec := make([]byte, sizes[i]*8)
+		if _, err := mem.ReadAt(rec, int64(addr)); err != nil {
+			t.Fatal(err)
+		}
+		h := record.UnpackHeader(binary.LittleEndian.Uint64(rec))
+		start := (record.HeaderWords + h.NumPtrs*record.WordsPerPointer) * 8
+		end := (h.SizeWords - h.TrailerWords()) * 8
+		trailer := rec[len(rec)-8:]
+		old := uint64(0xF15C5EA1)<<32 | uint64(crc32.Checksum(rec[start:end], castagnoli))
+		if binary.LittleEndian.Uint64(trailer) == old {
+			t.Fatalf("record at %d already carries a body-only seal", addr)
+		}
+		binary.LittleEndian.PutUint64(trailer, old)
+		if _, err := mem.WriteAt(trailer, int64(addr)+int64(len(rec)-8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, info, err := Recover(ckptDir, RecoverOptions{Options: Options{Device: mem, TableBuckets: 1 << 8,
+		VerifyOnRead: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if info.ReplayedRecords != 20 {
+		t.Fatalf("replayed %d suffix records, want the 20 past the checkpoint", info.ReplayedRecords)
+	}
+	rep, err := s2.VerifyLog(VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.SealedRecords != 60 {
+		t.Fatalf("fsck of a body-sealed log: corruption %v, %d sealed records, want none and 60",
+			rep.Corruption, rep.SealedRecords)
+	}
+	var got int
+	st, err := s2.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
+		got++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 60 || st.Quarantined != 0 {
+		t.Fatalf("scan surfaced %d records and quarantined %d, want 60 and 0", got, st.Quarantined)
 	}
 }

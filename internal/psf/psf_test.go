@@ -218,6 +218,34 @@ func TestSafeBoundaries(t *testing.T) {
 	}
 }
 
+// TestSafeDeregisterBoundaryReadBeforeSwap: the deregister boundary is a
+// tail read while workers still see the old meta. A worker that picks up the
+// new meta stops indexing the PSF, so any tail read after the swap may cover
+// records it allocated without the PSF's pointer.
+func TestSafeDeregisterBoundaryReadBeforeSwap(t *testing.T) {
+	var r *Registry
+	var tail, beforeSwap atomic.Uint64
+	r = NewRegistry(epoch.New(), func() uint64 {
+		at := tail.Add(100) // the log grows between any two reads
+		if len(r.CurrentMeta().PSFs) == 1 {
+			beforeSwap.Store(at)
+		}
+		return at
+	})
+	id, _, err := r.Register(Projection("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Deregister(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SafeDeregisterBoundary > beforeSwap.Load() {
+		t.Fatalf("deregister boundary %d is past the last tail read before the meta swap, %d",
+			res.SafeDeregisterBoundary, beforeSwap.Load())
+	}
+}
+
 func TestWorkersObserveMetaAfterRefresh(t *testing.T) {
 	var tail atomic.Uint64
 	r, em := newRegistry(&tail)

@@ -99,8 +99,16 @@ const (
 	// sealMagic occupies the high 32 bits of a sealed checksum trailer. An
 	// unsealed trailer is all-zero (Spec.Write clears it), so any v1 record
 	// that reaches the device without passing through the flush-time sealer
-	// fails validation rather than passing vacuously.
-	sealMagic = uint64(0xF15C5EA1) << 32
+	// fails validation rather than passing vacuously. Its CRC covers the
+	// sealed header bits and the body.
+	sealMagic = uint64(0x0EA3A15E) << 32
+
+	// bodySealMagic marks a trailer written before seals covered the header:
+	// its CRC covers the body alone. Such logs stay readable. It is sealMagic
+	// complemented, so no bit flip short of all 32 turns one into the other.
+	bodySealMagic = uint64(0xF15C5EA1) << 32
+
+	sealCRCMask = uint64(1)<<32 - 1
 
 	// hdrSealedMask selects the header bits the checksum covers: all but the
 	// visibility and invalid bits, which change after a record is sealed.
@@ -468,15 +476,15 @@ var crcScratch = sync.Pool{New: func() any {
 
 const crcChunkWords = 512
 
-// checksumBody computes the CRC32-C of the record body. Words are loaded
-// atomically because views may alias live page frames, but are staged into a
-// pooled 4 KiB scratch buffer so crc32 runs its bulk (hardware-accelerated)
-// kernel instead of paying per-call overhead on every word.
-func (v View) checksumBody(h Header) uint32 {
+// checksumBody continues the CRC32-C crc over the record body. Words are
+// loaded atomically because views may alias live page frames, but are staged
+// into a pooled 4 KiB scratch buffer so crc32 runs its bulk
+// (hardware-accelerated) kernel instead of paying per-call overhead on every
+// word.
+func (v View) checksumBody(h Header, crc uint32) uint32 {
 	start, end := bodyBounds(h)
 	bp := crcScratch.Get().(*[]byte)
 	buf := *bp
-	crc := headerCRC(h)
 	for i := start; i < end; {
 		n := end - i
 		if n > crcChunkWords {
@@ -517,7 +525,7 @@ func (v View) Seal() {
 	if start > end || h.SizeWords > len(v.Words) {
 		return // corrupt header; never sealable
 	}
-	atomic.StoreUint64(&v.Words[h.SizeWords-1], sealMagic|uint64(v.checksumBody(h)))
+	atomic.StoreUint64(&v.Words[h.SizeWords-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h))))
 }
 
 // SealedTrailer computes the checksum trailer word for a record already
@@ -538,11 +546,12 @@ func SealedTrailer(h Header, b []byte) (uint64, bool) {
 	return sealMagic | uint64(crc32.Update(headerCRC(h), castagnoli, b[start*8:end*8])), true
 }
 
-// ChecksumOK reports whether the record's sealed header bits and body match
-// its checksum trailer. v0 (checksum-less) records pass: they predate the
-// format bit and carry nothing to verify — unless the record ends in the
-// seal magic, which marks a v1 record whose format bit flipped (a v0 record
-// ends so with probability 2^-32, and never when its payload is UTF-8 text). An
+// ChecksumOK reports whether the record matches its checksum trailer: the
+// sealed header bits and body under sealMagic, the body alone under
+// bodySealMagic. v0 (checksum-less) records pass: they predate the format
+// bit and carry nothing to verify — unless the record ends in either seal
+// magic, which marks a v1 record whose format bit flipped (a v0 record ends
+// so with probability 2^-31, and never when its payload is UTF-8 text). An
 // unsealed or torn trailer fails.
 func (v View) ChecksumOK() bool {
 	h := v.Header()
@@ -550,15 +559,24 @@ func (v View) ChecksumOK() bool {
 		return true
 	}
 	if !h.Checksum {
-		return h.SizeWords < 1 || h.SizeWords > len(v.Words) ||
-			atomic.LoadUint64(&v.Words[h.SizeWords-1])&^(uint64(1)<<32-1) != sealMagic
+		if h.SizeWords < 1 || h.SizeWords > len(v.Words) {
+			return true
+		}
+		magic := atomic.LoadUint64(&v.Words[h.SizeWords-1]) &^ sealCRCMask
+		return magic != sealMagic && magic != bodySealMagic
 	}
 	start, end := bodyBounds(h)
 	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
 		return false
 	}
 	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
-	return tw&^(uint64(1)<<32-1) == sealMagic && uint32(tw) == v.checksumBody(h)
+	switch tw &^ sealCRCMask {
+	case sealMagic:
+		return uint32(tw) == v.checksumBody(h, headerCRC(h))
+	case bodySealMagic:
+		return uint32(tw) == v.checksumBody(h, 0)
+	}
+	return false
 }
 
 // boolTrue and boolFalse are the values of every ModeBool key pointer.

@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -347,6 +349,42 @@ func TestChecksumSealAndVerify(t *testing.T) {
 	words[len(words)-1] = 0
 	if v.ChecksumOK() {
 		t.Fatal("zeroed trailer accepted")
+	}
+}
+
+// TestBodySealedRecordsVerify: a record sealed before seals covered the
+// header (CRC32-C over the body alone, under the old trailer magic) still
+// verifies, a body flip still fails it, and so does a flipped format bit.
+func TestBodySealedRecordsVerify(t *testing.T) {
+	spec := Spec{Payload: []byte(`{"id": 7, "repo": "spark"}`), ValueRegion: []byte("spark"), Checksum: true,
+		Pointers: []PointerSpec{{PSFID: 1, Mode: ModeBool, BoolValue: true}}}
+	words := make([]uint64, spec.SizeWords())
+	spec.Write(words)
+	v := View{Words: words}
+	v.SetVisible()
+	start, end := bodyBounds(v.Header())
+	body := make([]byte, 0, (end-start)*8)
+	for _, w := range words[start:end] {
+		body = binary.LittleEndian.AppendUint64(body, w)
+	}
+	old := uint64(0xF15C5EA1)<<32 | uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	words[len(words)-1] = old
+	if !v.ChecksumOK() {
+		t.Fatal("body-sealed record must verify")
+	}
+	v.Seal()
+	if words[len(words)-1] == old || !v.ChecksumOK() {
+		t.Fatalf("resealing wrote %#x, want a verifying header-covering seal", words[len(words)-1])
+	}
+	words[len(words)-1] = old
+	words[start] ^= 1
+	if v.ChecksumOK() {
+		t.Fatal("body flip under a body-only seal went undetected")
+	}
+	words[start] ^= 1
+	words[0] ^= hdrChecksumBit
+	if v.ChecksumOK() {
+		t.Fatal("a v1 record whose format bit flipped verified as v0")
 	}
 }
 

@@ -2,9 +2,12 @@ package fishstore
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
@@ -188,5 +191,90 @@ func TestStoreFlush(t *testing.T) {
 	}
 	if s.FlushedUntil() < tail {
 		t.Fatalf("FlushedUntil %d < tail %d after Flush", s.FlushedUntil(), tail)
+	}
+}
+
+// gatedDevice holds every write until release is closed, keeping a page's
+// flush, and an allocator that waits for it, in flight.
+type gatedDevice struct {
+	storage.Device
+	release chan struct{}
+	writes  atomic.Int64
+}
+
+func (d *gatedDevice) WriteAt(p []byte, off int64) (int, error) {
+	d.writes.Add(1)
+	<-d.release
+	return d.Device.WriteAt(p, off)
+}
+
+// TestRegistrationWhileAllocatorWaits: a worker builds a record, then waits
+// in the allocator for an evicted page's flush, refreshing its epoch as it
+// waits. That lets a registration reach REST with its safe register
+// boundary at the page end, where the waiting allocation then lands. The
+// record was built before the registration, yet every record at or past the
+// boundary must be indexed by the new PSF (§5.3).
+func TestRegistrationWhileAllocatorWaits(t *testing.T) {
+	dev := &gatedDevice{Device: storage.NewMem(), release: make(chan struct{})}
+	s := openTestStore(t, Options{Device: dev, PageBits: 12, MemPages: 4})
+	typeID, _, err := s.RegisterPSF(psf.Projection("type")) // indexes every record from the start
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release := func() { once.Do(func() { close(dev.release) }) }
+	t.Cleanup(release) // runs before the store's Close, which flushes
+
+	// Page 4 reuses page 0's frame, so the allocator that opens it waits
+	// for page 0's flush, which the gate holds.
+	pageEnd := uint64(4) << 12
+	sess := s.NewSession()
+	defer sess.Close()
+	ingested := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; err == nil && s.log.TailAddress() < pageEnd; i++ {
+			_, err = sess.Ingest([][]byte{genEvent(i, "PushEvent", "spark")})
+		}
+		ingested <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.log.TailAddress() < pageEnd || dev.writes.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no allocation reached the end of page 3 (tail %d)", s.log.TailAddress())
+		}
+		runtime.Gosched()
+	}
+
+	id, res, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ingested:
+		t.Fatal("ingest finished before the flush it waits for")
+	default:
+	}
+	if res.SafeRegisterBoundary > pageEnd {
+		t.Fatalf("register boundary %d is past the waiting allocation at %d", res.SafeRegisterBoundary, pageEnd)
+	}
+	release()
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+
+	count := func(prop Property) int {
+		var n int
+		if _, err := s.Scan(prop, ScanOptions{From: res.SafeRegisterBoundary, Mode: ScanForceIndex},
+			func(Record) bool {
+				n++
+				return true
+			}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	all, indexed := count(PropertyString(typeID, "PushEvent")), count(PropertyString(id, "spark"))
+	if all == 0 || indexed != all {
+		t.Fatalf("the new PSF indexes %d of the %d records past its register boundary", indexed, all)
 	}
 }
