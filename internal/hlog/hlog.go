@@ -549,6 +549,26 @@ func (l *Log) FailedFlushes() int {
 // FlushError exposes the sticky flush error (nil when the log is healthy).
 func (l *Log) FlushError() error { return l.flushError() }
 
+// SettleFlushes waits until every scheduled page flush has finished,
+// succeeded or failed, draining the epoch so pending flushes can start.
+// Callers keep allocators out, so no flush is scheduled meanwhile.
+func (l *Log) SettleFlushes() {
+	done := make(chan struct{})
+	go func() {
+		l.flushWG.Wait()
+		close(done)
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			l.epoch.Drain()
+			runtime.Gosched()
+		}
+	}
+}
+
 // RetryFailedFlushes synchronously re-drives every sealed page whose
 // background flush failed. The frames are guaranteed still resident: a
 // frame with a failed flush can never be recycled, because prepareFrame

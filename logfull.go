@@ -45,7 +45,8 @@ func (s *Store) LogFull() (bool, string) {
 	return true, ""
 }
 
-// RecoverLogSpace attempts to leave the ErrLogFull state:
+// RecoverLogSpace attempts to leave the ErrLogFull state. With ingestion
+// quiesced and every scheduled flush finished, it:
 //
 //  1. When Options.Retention.MaxLiveBytes is set, logically truncate whole
 //     pages from the oldest end of the log until the live footprint (tail
@@ -75,6 +76,21 @@ func (s *Store) RecoverLogSpace() error {
 		return nil
 	}
 
+	// The flush retry and tail handoff require that no allocator is in
+	// flight: the moment RetryFailedFlushes clears the sticky flush error, a
+	// concurrent Ingest could complete the interrupted seal-and-advance
+	// itself and start writing records into the next page — which
+	// RecoverTail's own prepareFrame would then zero, silently erasing
+	// published records. Ingestion holds ckptMu shared for the whole
+	// allocate-publish window, so taking it exclusively is the quiesce.
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	// Flushes already scheduled finish before space is reclaimed: one that
+	// lands afterwards would spend the reclaimed space, on a page the
+	// truncation may have retired, and one that fails afterwards would put
+	// the store back into the log-full state this call clears.
+	s.log.SettleFlushes()
+
 	if ret := s.opts.Retention; ret != nil && ret.MaxLiveBytes > 0 {
 		tail := s.log.TailAddress()
 		if tail > ret.MaxLiveBytes {
@@ -96,16 +112,6 @@ func (s *Store) RecoverLogSpace() error {
 	if err := storage.TruncateBefore(s.log.Device(), int64(floor)); err != nil {
 		return fmt.Errorf("fishstore: device reclaim below %d: %w", floor, err)
 	}
-
-	// The flush retry and tail handoff require that no allocator is in
-	// flight: the moment RetryFailedFlushes clears the sticky flush error, a
-	// concurrent Ingest could complete the interrupted seal-and-advance
-	// itself and start writing records into the next page — which
-	// RecoverTail's own prepareFrame would then zero, silently erasing
-	// published records. Ingestion holds ckptMu shared for the whole
-	// allocate-publish window, so taking it exclusively is the quiesce.
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
 
 	if err := s.log.RetryFailedFlushes(floor); err != nil {
 		if storage.IsNoSpace(err) {
