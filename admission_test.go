@@ -131,7 +131,7 @@ func TestGovernorAdmitAllocs(t *testing.T) {
 
 // TestStoreScanAdmission: with MaxConcurrentScans 1, a scan parked inside
 // its callback blocks a second scan, which fails ErrBusy at MaxWait 0 and is
-// counted in GovernorStats.
+// counted by the governor.
 func TestStoreScanAdmission(t *testing.T) {
 	s := openTestStore(t, Options{Limits: &Limits{MaxConcurrentScans: 1}})
 	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
@@ -158,8 +158,8 @@ func TestStoreScanAdmission(t *testing.T) {
 	}()
 	<-inCb
 
-	if st := s.GovernorStats(); st.ActiveScans != 1 {
-		t.Fatalf("ActiveScans = %d, want 1", st.ActiveScans)
+	if n := s.gov.activeScans.Load(); n != 1 {
+		t.Fatalf("active scans = %d, want 1", n)
 	}
 	_, err = s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex},
 		func(Record) bool { return true })
@@ -176,8 +176,7 @@ func TestStoreScanAdmission(t *testing.T) {
 		func(Record) bool { return true }); err != nil {
 		t.Fatalf("scan after release: %v", err)
 	}
-	st := s.GovernorStats()
-	if st.Rejects != 1 || st.ActiveScans != 0 {
-		t.Fatalf("GovernorStats = %+v, want 1 reject, 0 active", st)
+	if rejects, active := s.gov.rejects.Load(), s.gov.activeScans.Load(); rejects != 1 || active != 0 {
+		t.Fatalf("governor: %d rejects, %d active; want 1 reject, 0 active", rejects, active)
 	}
 }

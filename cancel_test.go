@@ -34,7 +34,7 @@ func openDeviceStore(t *testing.T, cfg storage.FaultConfig) (*Store, psf.ID, *st
 // completes normally.
 func assertScanStillWorks(t *testing.T, s *Store, id psf.ID) {
 	t.Helper()
-	if live, prot := s.EpochInUse(); live != 0 || prot != 0 {
+	if live, prot := s.epochInUse(); live != 0 || prot != 0 {
 		t.Fatalf("epoch leak after cancellation: %d live guards, %d protected", live, prot)
 	}
 	rep, err := s.VerifyLog(VerifyOptions{})
@@ -170,7 +170,7 @@ func TestCancelIngest(t *testing.T) {
 	if n != int(st.Records) {
 		t.Fatalf("scan sees %d records, ingest stats claim %d", n, st.Records)
 	}
-	if live, prot := s.EpochInUse(); live > 1 || prot != 0 {
+	if live, prot := s.epochInUse(); live > 1 || prot != 0 {
 		// The open session legitimately owns one (unprotected) guard slot.
 		t.Fatalf("epoch state after cancelled ingest: %d live, %d protected", live, prot)
 	}
@@ -187,7 +187,7 @@ func TestCancelCheckpoint(t *testing.T) {
 	if err := s.CheckpointContext(pre, dir); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled checkpoint = %v, want context.Canceled", err)
 	}
-	if live, prot := s.EpochInUse(); live != 0 || prot != 0 {
+	if live, prot := s.epochInUse(); live != 0 || prot != 0 {
 		t.Fatalf("epoch leak after cancelled checkpoint: %d live, %d protected", live, prot)
 	}
 

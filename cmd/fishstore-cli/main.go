@@ -35,16 +35,15 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"fishstore"
 	"fishstore/internal/datagen"
-
 	"fishstore/internal/psf"
 )
 
@@ -70,21 +69,37 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "top" {
 		os.Exit(topMain(os.Args[2:], os.Stdout, os.Stderr))
 	}
+	os.Exit(ingestMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// ingestMain implements the default command: ingest a file or a synthetic
+// dataset, register the PSFs named on the command line, and answer one
+// query. Exit status: 0 = done, 1 = failed (including unreadable input,
+// such as a line over 16 MiB), 2 = bad flags.
+func ingestMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fishstore-cli", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in        = flag.String("in", "", "newline-delimited JSON input file")
-		gen       = flag.String("gen", "", "generate a synthetic dataset instead: github|twitter|yelp")
-		genMB     = flag.Int("gen-mb", 16, "synthetic data volume (MB)")
-		project   = flag.String("project", "", "register a field-projection PSF on this dotted path")
-		predicate = flag.String("predicate", "", "register a predicate PSF (named 'pred')")
-		query     = flag.String("query", "", "retrieve: 'field=value' for -project, 'pred=true' for -predicate")
-		count     = flag.Bool("count", false, "print only the match count")
-		limit     = flag.Int("limit", 10, "max records to print (0 = all)")
+		in        = fs.String("in", "", "newline-delimited JSON input file")
+		gen       = fs.String("gen", "", "generate a synthetic dataset instead: github|twitter|yelp")
+		genMB     = fs.Int("gen-mb", 16, "synthetic data volume (MB)")
+		project   = fs.String("project", "", "register a field-projection PSF on this dotted path")
+		predicate = fs.String("predicate", "", "register a predicate PSF (named 'pred')")
+		query     = fs.String("query", "", "retrieve: 'field=value' for -project, 'pred=true' for -predicate")
+		count     = fs.Bool("count", false, "print only the match count")
+		limit     = fs.Int("limit", 10, "max records to print (0 = all)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "fishstore-cli: "+format+"\n", args...)
+		return 1
+	}
 
 	s, err := fishstore.Open(fishstore.Options{})
 	if err != nil {
-		fatalf("open: %v", err)
+		return fail("open: %v", err)
 	}
 	defer s.Close()
 
@@ -92,58 +107,39 @@ func main() {
 	if *project != "" {
 		id, _, err := s.RegisterPSF(psf.Projection(*project))
 		if err != nil {
-			fatalf("register projection: %v", err)
+			return fail("register projection: %v", err)
 		}
 		ids[*project] = id
 	}
 	if *predicate != "" {
 		def, err := psf.Predicate("pred", *predicate)
 		if err != nil {
-			fatalf("compile predicate: %v", err)
+			return fail("compile predicate: %v", err)
 		}
 		id, _, err := s.RegisterPSF(def)
 		if err != nil {
-			fatalf("register predicate: %v", err)
+			return fail("register predicate: %v", err)
 		}
 		ids["pred"] = id
 	}
 
 	// Ingest.
 	sess := s.NewSession()
+	defer sess.Close() // idempotent; closes on the error paths
 	start := time.Now()
 	var records, bytes int64
 	switch {
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		var batch [][]byte
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
-			st, err := sess.Ingest(batch)
-			if err != nil {
-				fatalf("ingest: %v", err)
-			}
-			records += int64(st.Records)
-			bytes += st.Bytes
-			batch = batch[:0]
-		}
-		for sc.Scan() {
-			line := append([]byte(nil), sc.Bytes()...)
-			if len(line) > 0 {
-				batch = append(batch, line)
-			}
-			if len(batch) == 256 {
-				flush()
-			}
-		}
-		flush()
+		st, err := sess.IngestReader(f, 256, 0)
 		f.Close()
+		if err != nil {
+			return fail("ingest: %v", err)
+		}
+		records, bytes = int64(st.Records), st.Bytes
 	case *gen != "":
 		var g datagen.Generator
 		switch *gen {
@@ -154,38 +150,37 @@ func main() {
 		case "yelp":
 			g = datagen.NewYelp(1, 0)
 		default:
-			fatalf("unknown -gen %q", *gen)
+			return fail("unknown -gen %q", *gen)
 		}
 		remaining := int64(*genMB) << 20
 		for remaining > 0 {
-			batch := datagen.Batch(g, 256)
-			st, err := sess.Ingest(batch)
+			st, err := sess.Ingest(datagen.Batch(g, 256))
 			if err != nil {
-				fatalf("ingest: %v", err)
+				return fail("ingest: %v", err)
 			}
 			records += int64(st.Records)
 			bytes += st.Bytes
 			remaining -= st.Bytes
 		}
 	default:
-		fatalf("need -in FILE or -gen DATASET")
+		return fail("need -in FILE or -gen DATASET")
 	}
 	sess.Close()
 	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "ingested %d records (%.1f MB) in %v — %.1f MB/s\n",
+	fmt.Fprintf(stderr, "ingested %d records (%.1f MB) in %v — %.1f MB/s\n",
 		records, float64(bytes)/(1<<20), elapsed.Round(time.Millisecond),
 		float64(bytes)/(1<<20)/elapsed.Seconds())
 
 	if *query == "" {
-		return
+		return 0
 	}
 	name, value, ok := strings.Cut(*query, "=")
 	if !ok {
-		fatalf("bad -query %q (want name=value)", *query)
+		return fail("bad -query %q (want name=value)", *query)
 	}
 	id, ok := ids[name]
 	if !ok {
-		fatalf("query name %q matches no registered PSF", name)
+		return fail("query name %q matches no registered PSF", name)
 	}
 	var prop fishstore.Property
 	switch value {
@@ -208,17 +203,18 @@ func main() {
 	st, err := s.Scan(prop, fishstore.ScanOptions{}, func(r fishstore.Record) bool {
 		matched++
 		if !*count && (*limit == 0 || printed < *limit) {
-			fmt.Printf("%s\n", r.Payload)
+			fmt.Fprintf(stdout, "%s\n", r.Payload)
 			printed++
 		}
 		return true
 	})
 	if err != nil {
-		fatalf("scan: %v", err)
+		return fail("scan: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "matched %d records in %v (visited %d, plan %v)\n",
+	fmt.Fprintf(stderr, "matched %d records in %v (visited %d, plan %v)\n",
 		matched, time.Since(qStart).Round(time.Microsecond), st.Visited, st.Plan)
 	if *count {
-		fmt.Println(matched)
+		fmt.Fprintln(stdout, matched)
 	}
+	return 0
 }

@@ -89,7 +89,7 @@ func TestFlightRecorderSeesInternalEvents(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := map[string]bool{}
-			for _, d := range s.FlightEvents() {
+			for _, d := range s.metrics.flight.Snapshot() {
 				seen[d.Name] = true
 			}
 			for _, want := range []string{"epoch.drain", "psf.prepare", "psf.pending", "psf.rest"} {
@@ -109,17 +109,17 @@ func TestFlightRecorderTeesAndDumps(t *testing.T) {
 	s := openTestStore(t, Options{TraceSink: sink.emit})
 	const emitted = flightEvents + 44
 	for i := 0; i < emitted; i++ {
-		s.Event("test.event", trace.Int("i", int64(i)))
+		s.metrics.event("test.event", trace.Int("i", int64(i)))
 	}
 	if got := len(sink.named("test.event")); got != emitted {
 		t.Fatalf("sink saw %d events, want %d", got, emitted)
 	}
-	if got := len(s.FlightEvents()); got != flightEvents {
+	if got := len(s.metrics.flight.Snapshot()); got != flightEvents {
 		t.Fatalf("recorder retained %d events, want %d", got, flightEvents)
 	}
 
 	var buf bytes.Buffer
-	if err := s.DumpFlight(&buf); err != nil {
+	if err := s.dumpFlight(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -81,7 +81,7 @@ func ExampleStore_Subscribe() {
 	defer store.Close()
 
 	id, _, _ := store.RegisterPSF(psf.Projection("level"))
-	sub := store.Subscribe(fishstore.PropertyString(id, "error"), 16)
+	sub := store.Subscribe(fishstore.PropertyString(id, "error"), fishstore.SubscribeOptions{Buffer: 16})
 
 	sess := store.NewSession()
 	sess.Ingest([][]byte{

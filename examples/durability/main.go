@@ -46,8 +46,8 @@ func main() {
 		}
 	}
 	ingest(1000)
-	fmt.Printf("ingested 1000 reviews; tail=%d durable=%d\n",
-		store.TailAddress(), store.FlushedUntil())
+	fmt.Printf("ingested 1000 reviews; tail=%d, on the device below head=%d\n",
+		store.TailAddress(), store.HeadAddress())
 
 	// ---- Phase 2: checkpoint, then keep ingesting. ----
 	if err := store.Checkpoint(ckptDir); err != nil {

@@ -36,7 +36,7 @@ func main() {
 	// Phase 1: data arrives with no PSFs registered — raw dump, zero
 	// parsing cost.
 	ingest(3000)
-	fmt.Printf("phase 1: %d bytes ingested unindexed\n", store.TailAddress()-store.BeginAddress())
+	fmt.Printf("phase 1: %d bytes ingested unindexed\n", store.Stats().TotalAppendedBytes)
 
 	// Phase 2 (ad-hoc analysis): an analyst decides to study Spark pull
 	// requests; registration returns a safe boundary after which the index

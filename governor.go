@@ -160,28 +160,3 @@ func signal(sig chan struct{}) {
 	default:
 	}
 }
-
-// GovernorStats is a point-in-time view of the resource governor.
-type GovernorStats struct {
-	// InFlightIngestBytes / ActiveScans are the budgets' current occupancy.
-	InFlightIngestBytes int64
-	ActiveScans         int64
-	// Waits counts operations that blocked for capacity; Rejects those that
-	// failed with ErrBusy.
-	Waits, Rejects int64
-}
-
-// GovernorStats reports admission-control occupancy and outcomes. Zero value
-// when Options.Limits is unset.
-func (s *Store) GovernorStats() GovernorStats {
-	g := s.gov
-	if g == nil {
-		return GovernorStats{}
-	}
-	return GovernorStats{
-		InFlightIngestBytes: g.inflightBytes.Load(),
-		ActiveScans:         g.activeScans.Load(),
-		Waits:               g.waits.Load(),
-		Rejects:             g.rejects.Load(),
-	}
-}

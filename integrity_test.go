@@ -384,8 +384,8 @@ func TestDegradedModeAfterPermanentWriteFailure(t *testing.T) {
 		t.Fatal("Flush succeeded against a dead device")
 	}
 
-	if deg, cause := s.Degraded(); !deg || cause == "" {
-		t.Fatalf("Degraded() = %v, %q after a permanent flush failure", deg, cause)
+	if st := s.Stats(); !st.Degraded || st.DegradedCause == "" {
+		t.Fatalf("Stats().Degraded = %v, %q after a permanent flush failure", st.Degraded, st.DegradedCause)
 	}
 	if _, err := sess.Ingest([][]byte{genEvent(99, "PushEvent", "spark")}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Ingest on a degraded store returned %v, want ErrDegraded", err)
@@ -416,7 +416,7 @@ func TestDegradedModeAfterPermanentWriteFailure(t *testing.T) {
 	if v := reg.Snapshot().Value("fishstore_degraded"); v != 1 {
 		t.Fatalf("fishstore_degraded gauge = %v, want 1", v)
 	}
-	ls, err := s.LogComposition(LogSampleOptions{To: 1}) // header-only sample
+	ls, err := s.logComposition(logSampleOptions{To: 1}) // header-only sample
 	if err != nil {
 		t.Fatal(err)
 	}

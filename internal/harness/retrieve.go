@@ -22,8 +22,7 @@ type retrievalStore struct {
 	store *fishstore.Store
 	dev   *storage.SimSSD
 	ids   map[string]psf.ID
-	from  uint64 // scan range start (begin address)
-	to    uint64 // scan range end (tail after ingestion)
+	to    uint64 // scan range end (tail after ingestion); scans start at the log begin
 }
 
 // buildRetrievalStore ingests cfg.DataMB of workload w with the given extra
@@ -49,7 +48,6 @@ func (cfg Config) buildRetrievalStore(w Workload, memPages int, defs map[string]
 		}
 		rs.ids[name] = id
 	}
-	rs.from = s.BeginAddress()
 
 	sess := s.NewSession()
 	gen := w.NewGen(99)
@@ -76,7 +74,7 @@ func (cfg Config) buildRetrievalStore(w Workload, memPages int, defs map[string]
 func (rs *retrievalStore) timeQuery(prop fishstore.Property, mode fishstore.ScanMode) (time.Duration, fishstore.ScanStats, error) {
 	rs.dev.ResetClock()
 	start := time.Now()
-	st, err := rs.store.Scan(prop, fishstore.ScanOptions{From: rs.from, To: rs.to, Mode: mode},
+	st, err := rs.store.Scan(prop, fishstore.ScanOptions{To: rs.to, Mode: mode},
 		func(fishstore.Record) bool { return true })
 	elapsed := time.Since(start) + rs.dev.SimTime()
 	return elapsed, st, err

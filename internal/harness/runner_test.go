@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"fishstore"
+	"fishstore/internal/hlog"
+	"fishstore/internal/introspect"
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
@@ -124,8 +126,8 @@ type outcome struct {
 	// Acknowledged batches, operations a cancellation aborted, log-full
 	// recoveries.
 	Ingested, Cancelled, Recoveries int64
-	// Flight is the flight-recorder dump of the store that failed, or for a
-	// cut round of the store just after the cut.
+	// Flight is the round's flight dump (see round.flight) when it failed,
+	// or for a cut round just after the cut.
 	Flight []byte
 }
 
@@ -133,7 +135,7 @@ type outcome struct {
 // be rerun alone; with artifactDir set, a failing round also leaves its
 // report and flight dump there.
 func runRound(sc schedule, artifactDir string) (outcome, error) {
-	r := &round{sc: sc, rng: rand.New(rand.NewSource(sc.Seed + 7)), m: model{
+	r := &round{sc: sc, rng: rand.New(rand.NewSource(sc.Seed + 7)), flight: introspect.NewRing[trace.SpanData](256), m: model{
 		tried: make([]int, sc.Workers), acked: make([][]int, sc.Workers), ackedN: make([]atomic.Int64, sc.Workers),
 		durable: make([]int, sc.Workers), ivs: map[psf.ID][]psf.Interval{}, deleted: map[key]bool{}}}
 	err := r.run()
@@ -155,8 +157,9 @@ type round struct {
 	m         model
 	out       outcome
 	fd        *storage.FaultDevice
-	ids       [3]psf.ID // repo.name projection, PushEvent predicate, churn
-	rotLive   bool      // a rot flip landed in a live record
+	ids       [3]psf.ID                        // repo.name projection, PushEvent predicate, churn
+	rotLive   bool                             // a rot flip landed in a live record
+	flight    *introspect.Ring[trace.SpanData] // the store's events (Options.TraceSink) and the cut
 	batches   atomic.Int64
 	cancelled atomic.Int64
 }
@@ -205,25 +208,26 @@ func (r *round) identify(rec fishstore.Record) (key, error) {
 
 func (r *round) run() (err error) {
 	mem := storage.NewMem()
-	var s *fishstore.Store
-	// The cut is stamped into the store's event stream, so a flight dump
-	// shows it in sequence with the flushes and checkpoints before it.
+	// The cut joins the store's events in the round's flight ring, so a
+	// flight dump shows it in sequence with the flushes and checkpoints
+	// before it.
 	r.fd = storage.NewFaultDevice(mem, storage.FaultConfig{Seed: r.sc.Seed, CapacityBytes: r.sc.CapBytes,
-		OnPowerCut: func() { s.Event("fault.powercut", trace.Int("seed", r.sc.Seed)) }})
+		OnPowerCut: func() { r.flight.Put(trace.Event("fault.powercut", trace.Int("seed", r.sc.Seed))) }})
 	opts := fishstore.Options{Device: r.fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
-		Metrics: metrics.NewRegistry(), VerifyOnRead: r.sc.Profile == profileRot}
+		Metrics: metrics.NewRegistry(), TraceSink: r.flight.Put, VerifyOnRead: r.sc.Profile == profileRot}
 	if r.sc.Profile == profileResource {
 		opts.Retention = &fishstore.Retention{MaxLiveBytes: 8 << 10, AutoRecover: true}
 		if r.sc.Limits {
 			opts.Limits = &fishstore.Limits{MaxInFlightIngestBytes: 2 << 10, MaxConcurrentScans: 1, MaxWait: r.sc.MaxWait}
 		}
 	}
-	if s, err = fishstore.Open(opts); err != nil {
+	s, err := fishstore.Open(opts)
+	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil && r.out.Flight == nil {
-			r.out.Flight = flight(s)
+			r.out.Flight = r.dumpFlight()
 		}
 		s.Close()
 	}()
@@ -361,13 +365,13 @@ func (r *round) cut(s *fishstore.Store, mem storage.Device) error {
 	}
 	r.out.CutFired = r.fd.IsCut()
 	r.fd.CutNow() // a no-op when the armed write was reached
-	r.out.Flight = flight(s)
+	r.out.Flight = r.dumpFlight()
 	_ = s.Close() // post-cut flush errors are the crash itself
 
 	// The machine rebooted: recover from the surviving image, without the
 	// fault injector.
 	s2, _, err := fishstore.Recover(dir, fishstore.RecoverOptions{
-		Options: fishstore.Options{Device: mem, TableBuckets: 1 << 8, VerifyOnRead: true}})
+		Options: fishstore.Options{Device: mem, TableBuckets: 1 << 8, Metrics: metrics.NewRegistry(), VerifyOnRead: true}})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -380,7 +384,7 @@ func (r *round) resource(s *fishstore.Store) error {
 	defer cancel()
 	var sub *fishstore.Subscription
 	if r.sc.Subscribe {
-		sub = s.SubscribeWith(fishstore.PropertyString(r.ids[0], "spark"),
+		sub = s.Subscribe(fishstore.PropertyString(r.ids[0], "spark"),
 			fishstore.SubscribeOptions{Buffer: 1, Policy: r.sc.SubPolicy, Context: ctx})
 		if r.sc.SubPolicy == fishstore.Block {
 			// A Block subscriber nobody drains wedges ingest; drain it slowly.
@@ -452,7 +456,7 @@ func (r *round) rot(s *fishstore.Store) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	begin, head := s.BeginAddress(), s.HeadAddress()
+	begin, head := hlog.BeginAddress, s.HeadAddress()
 	if head <= begin {
 		return errors.New("workload too small: nothing below HeadAddress to corrupt")
 	}
@@ -491,9 +495,10 @@ func (r *round) rot(s *fishstore.Store) error {
 	return nil
 }
 
-func flight(s *fishstore.Store) []byte {
+// dumpFlight renders the flight ring as JSON lines, oldest first.
+func (r *round) dumpFlight() []byte {
 	var b bytes.Buffer
-	_ = s.DumpFlight(&b)
+	_ = trace.WriteJSONLines(&b, r.flight.Snapshot())
 	return b.Bytes()
 }
 
@@ -505,10 +510,9 @@ func (r *round) check(s *fishstore.Store) error {
 	for _, acked := range r.m.acked {
 		r.out.Ingested += int64(len(acked))
 	}
-	if deg, cause := s.Degraded(); deg {
-		return fmt.Errorf("store sticky-degraded: %s", cause)
-	}
-	if full, _ := s.LogFull(); full {
+	if st := s.Stats(); st.Degraded {
+		return fmt.Errorf("store sticky-degraded: %s", st.DegradedCause)
+	} else if st.LogFull {
 		if err := s.RecoverLogSpace(); err != nil && !errors.Is(err, fishstore.ErrLogFull) {
 			return fmt.Errorf("RecoverLogSpace: %w", err)
 		}
@@ -540,7 +544,8 @@ func (r *round) check(s *fishstore.Store) error {
 		return fmt.Errorf("iterate: %w", err)
 	}
 	r.out.Survivors = len(at)
-	lost := r.survival(at, s.TruncatedUntil() > s.BeginAddress())
+	st := s.Stats()
+	lost := r.survival(at, st.LogSizeBytes < st.TotalAppendedBytes) // truncated
 	if lost != nil && exact {
 		return lost
 	}
@@ -624,8 +629,9 @@ func (r *round) check(s *fishstore.Store) error {
 	if err != nil || n != 1 {
 		return fmt.Errorf("fresh ingest: %v (index scan found %d)", err, n)
 	}
-	if live, prot := s.EpochInUse(); live != 0 || prot != 0 {
-		return fmt.Errorf("leaked epoch guards: %d live, %d protected", live, prot)
+	m := s.Metrics()
+	if live, prot := m.Value("fishstore_epoch_live_guards"), m.Value("fishstore_epoch_protected_guards"); live != 0 || prot != 0 {
+		return fmt.Errorf("leaked epoch guards: %v live, %v protected", live, prot)
 	}
 	return nil
 }

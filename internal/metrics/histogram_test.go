@@ -1,19 +1,17 @@
-package telemetry
+package metrics
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
-
-	"fishstore/internal/metrics"
 )
 
-// The collector's per-operation latencies are metrics.Histogram. These tests
-// pin the quantile, merge and threshold behaviour the workload view, the
-// watchdog and the registry's merged export rely on.
+// These tests pin the quantile, merge and threshold behaviour that the
+// workload view, the SLO watchdog and the registry's merged export rely on.
 
-func TestSketchBasics(t *testing.T) {
-	var s metrics.Histogram
+func TestHistogramQuantiles(t *testing.T) {
+	var s Histogram
 	if got := s.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
@@ -41,8 +39,8 @@ func TestSketchBasics(t *testing.T) {
 	}
 }
 
-func TestSketchZeroAndNegative(t *testing.T) {
-	var s metrics.Histogram
+func TestHistogramZeroAndNegative(t *testing.T) {
+	var s Histogram
 	s.Observe(0)
 	s.Observe(-5)
 	s.Observe(7)
@@ -54,22 +52,12 @@ func TestSketchZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestSketchNilSafe(t *testing.T) {
-	var s *metrics.Histogram
-	s.Observe(5)
-	s.SetThreshold(1)
-	s.Merge(nil)
-	if s.Count() != 0 || s.Breaches() != 0 || s.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram must be inert")
-	}
-}
-
-// TestSketchMergeAgreement pins the mergeability contract: two histograms
+// TestHistogramMergeAgreement pins the mergeability contract: two histograms
 // recorded over a split workload, merged, agree exactly — same bucket
 // state, same quantiles — with one histogram recorded over the union.
-func TestSketchMergeAgreement(t *testing.T) {
+func TestHistogramMergeAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var a, b, union metrics.Histogram
+	var a, b, union Histogram
 	for i := 0; i < 20000; i++ {
 		v := int64(rng.ExpFloat64() * 2e6) // long-tailed latencies around 2ms
 		if i%3 == 0 {
@@ -79,7 +67,7 @@ func TestSketchMergeAgreement(t *testing.T) {
 		}
 		union.Observe(v)
 	}
-	var merged metrics.Histogram
+	var merged Histogram
 	merged.Merge(&a)
 	merged.Merge(&b)
 
@@ -99,8 +87,8 @@ func TestSketchMergeAgreement(t *testing.T) {
 	}
 }
 
-func TestSketchThresholdBreaches(t *testing.T) {
-	var s metrics.Histogram
+func TestHistogramThresholdBreaches(t *testing.T) {
+	var s Histogram
 	s.SetThreshold(int64(time.Millisecond))
 	for i := 0; i < 90; i++ {
 		s.Observe(int64(100 * time.Microsecond))
@@ -112,7 +100,7 @@ func TestSketchThresholdBreaches(t *testing.T) {
 		t.Fatalf("breaches = %d, want 10", got)
 	}
 	// Merge carries breach counts.
-	var m metrics.Histogram
+	var m Histogram
 	m.Merge(&s)
 	if m.Breaches() != 10 {
 		t.Fatalf("merged breaches = %d, want 10", m.Breaches())
@@ -121,24 +109,71 @@ func TestSketchThresholdBreaches(t *testing.T) {
 
 func TestBucketBoundsMonotone(t *testing.T) {
 	prev := int64(-1)
-	for i := 0; i < metrics.HistogramBuckets; i++ {
-		if le := metrics.BucketLe(i); le <= prev {
+	for i := 0; i < HistogramBuckets; i++ {
+		if le := BucketLe(i); le <= prev {
 			t.Fatalf("bucket %d: le %d not above previous %d", i, le, prev)
 		} else {
 			prev = le
 		}
 	}
-	// Every positive int64 lands in the first bucket whose le covers it.
-	for _, v := range []int64{1, 2, 3, 1023, 1 << 40, 1<<62 + 1} {
-		var h metrics.Histogram
-		h.Observe(v)
-		snap := h.Snapshot()
-		b := 0
-		for snap.Buckets[b] == 0 {
-			b++
+}
+
+// TestHistogramConcurrentRecordMergeSnapshot hammers one histogram with
+// concurrent recorders, a merger folding a second live histogram in, and
+// snapshot readers. Run under -race this is the memory-safety proof; the
+// final count check is the no-lost-update proof.
+func TestHistogramConcurrentRecordMergeSnapshot(t *testing.T) {
+	var dst, src Histogram
+	dst.SetThreshold(int64(time.Millisecond))
+	const (
+		writers       = 4
+		perWriter     = 5000
+		srcSamples    = 2000
+		mergesOfFixed = 3
+	)
+	// Pre-fill the source histogram, then merge it a fixed number of times
+	// while dst is being recorded into.
+	for i := 0; i < srcSamples; i++ {
+		src.Observe(int64(i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				dst.Observe(seed*1000 + int64(i))
+			}
+		}(int64(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mergesOfFixed; i++ {
+			dst.Merge(&src)
 		}
-		if v > metrics.BucketLe(b) || v <= metrics.BucketLe(b-1) {
-			t.Fatalf("value %d landed in bucket %d (%d, %d]", v, b, metrics.BucketLe(b-1), metrics.BucketLe(b))
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			snap := dst.Snapshot()
+			_ = snap.Quantile(0.99)
+			_ = snap.Mean()
 		}
+	}()
+	wg.Wait()
+
+	want := int64(writers*perWriter + mergesOfFixed*srcSamples)
+	if got := dst.Count(); got != want {
+		t.Fatalf("count = %d, want %d (lost updates)", got, want)
+	}
+	var bucketSum int64
+	snap := dst.Snapshot()
+	for _, c := range snap.Buckets {
+		bucketSum += c
+	}
+	if bucketSum != want {
+		t.Fatalf("bucket sum = %d, want %d", bucketSum, want)
 	}
 }

@@ -322,9 +322,9 @@ func (s *Spec) Validate() error {
 // Write serializes the record into dst (which must be exactly SizeWords()
 // long) with the visibility bit clear and every key pointer's previous
 // address set to InvalidAddress. The header word is written with an atomic
-// store, because samplers walking an in-memory page (LogComposition) load
-// every header atomically, unpublished ones included; the caller must still
-// publish the record with SetVisible after linking.
+// store, because samplers walking an in-memory page (the log composition
+// sampler) load every header atomically, unpublished ones included; the
+// caller must still publish the record with SetVisible after linking.
 func (s *Spec) Write(dst []uint64) {
 	n := s.SizeWords()
 	if len(dst) != n {

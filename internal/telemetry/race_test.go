@@ -4,69 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fishstore/internal/metrics"
 )
-
-// TestSketchConcurrentRecordMergeSnapshot hammers one histogram with
-// concurrent recorders, a merger folding a second live histogram in, and
-// snapshot readers. Run under -race this is the memory-safety proof; the
-// final count check is the no-lost-update proof.
-func TestSketchConcurrentRecordMergeSnapshot(t *testing.T) {
-	var dst, src metrics.Histogram
-	dst.SetThreshold(int64(time.Millisecond))
-	const (
-		writers       = 4
-		perWriter     = 5000
-		srcSamples    = 2000
-		mergesOfFixed = 3
-	)
-	// Pre-fill the source histogram, then merge it a fixed number of times
-	// while dst is being recorded into.
-	for i := 0; i < srcSamples; i++ {
-		src.Observe(int64(i))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				dst.Observe(seed*1000 + int64(i))
-			}
-		}(int64(w))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < mergesOfFixed; i++ {
-			dst.Merge(&src)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			snap := dst.Snapshot()
-			_ = snap.Quantile(0.99)
-			_ = snap.Mean()
-		}
-	}()
-	wg.Wait()
-
-	want := int64(writers*perWriter + mergesOfFixed*srcSamples)
-	if got := dst.Count(); got != want {
-		t.Fatalf("count = %d, want %d (lost updates)", got, want)
-	}
-	var bucketSum int64
-	snap := dst.Snapshot()
-	for _, c := range snap.Buckets {
-		bucketSum += c
-	}
-	if bucketSum != want {
-		t.Fatalf("bucket sum = %d, want %d", bucketSum, want)
-	}
-}
 
 // TestTopKConcurrent races observers and readers over one sketch.
 func TestTopKConcurrent(t *testing.T) {

@@ -33,16 +33,19 @@ func (s *Store) registerIntrospection() {
 	reg.RegisterDebug("index", func() any {
 		// A fresh (capped) chain sample per request: the endpoint is the
 		// interactive "what do my chains look like" view.
-		if _, err := s.SampleChains(ChainSampleOptions{}); err != nil {
+		if _, err := s.sampleChains(chainSampleOptions{}); err != nil {
 			return map[string]string{"error": err.Error()}
 		}
-		return s.IndexStats()
+		return s.indexStats()
 	})
-	reg.RegisterDebug("psf", func() any { return s.PSFStatus() })
+	// The PSF lifecycle view: the Fig 7 registry state, and every PSF ever
+	// registered with its safe register/deregister boundary addresses (the
+	// coverage intervals of on-demand indexing).
+	reg.RegisterDebug("psf", func() any { return s.registry.Status() })
 	reg.RegisterDebug("scan", func() any { return s.ScanDecisions() })
 	reg.RegisterDebug("cache", func() any { return s.CacheStats() })
 	reg.RegisterDebug("log", func() any {
-		ls, err := s.LogComposition(LogSampleOptions{})
+		ls, err := s.logComposition(logSampleOptions{})
 		if err != nil {
 			return map[string]string{"error": err.Error()}
 		}
@@ -54,9 +57,9 @@ func (s *Store) registerIntrospection() {
 	reg.RegisterDebug("spans", func() any { return s.tracer.ChromeTrace() })
 }
 
-// IndexStats returns hash-table occupancy (live, from atomic loads) plus the
-// most recent chain sample, if any (run SampleChains to refresh it).
-func (s *Store) IndexStats() introspect.IndexSnapshot {
+// indexStats returns hash-table occupancy (live, from atomic loads) plus the
+// most recent chain sample, if any (run sampleChains to refresh it).
+func (s *Store) indexStats() introspect.IndexSnapshot {
 	oc := s.table.Occupancy()
 	snap := introspect.IndexSnapshot{
 		Buckets:          oc.Buckets,
@@ -75,8 +78,8 @@ func (s *Store) IndexStats() introspect.IndexSnapshot {
 	return snap
 }
 
-// ChainSampleOptions caps a chain sample's work.
-type ChainSampleOptions struct {
+// chainSampleOptions caps a chain sample's work.
+type chainSampleOptions struct {
 	// MaxChains bounds how many hash chains are walked (default 1024);
 	// chains beyond the cap are counted as skipped.
 	MaxChains int
@@ -85,13 +88,13 @@ type ChainSampleOptions struct {
 	MaxLinksPerChain int
 }
 
-// SampleChains walks up to MaxChains hash chains under epoch protection,
+// sampleChains walks up to MaxChains hash chains under epoch protection,
 // attributing each to its PSF via the chain's key pointers, and publishes a
 // per-PSF chain-length histogram (§6.3: chain length is what turns index
 // scans into random I/O). Adaptive prefetching is disabled for the walk so
 // the sample never perturbs the prefetch gauges; device reads drop epoch
 // protection exactly like scans do, so ingestion is never blocked.
-func (s *Store) SampleChains(opts ChainSampleOptions) (*introspect.ChainSnapshot, error) {
+func (s *Store) sampleChains(opts chainSampleOptions) (*introspect.ChainSnapshot, error) {
 	if opts.MaxChains <= 0 {
 		opts.MaxChains = 1024
 	}
@@ -114,7 +117,7 @@ func (s *Store) SampleChains(opts ChainSampleOptions) (*introspect.ChainSnapshot
 	})
 
 	cs := &introspect.ChainSnapshot{SampledAt: start, SkippedChains: skipped}
-	floor := s.ChainFloor()
+	floor := s.logBegin()
 	head := s.log.HeadAddress()
 	perPSF := make(map[psf.ID]*psfChainAgg)
 
@@ -200,8 +203,8 @@ func sortPSFChains(pcs []introspect.PSFChains) {
 	}
 }
 
-// LogSampleOptions bounds a log composition walk.
-type LogSampleOptions struct {
+// logSampleOptions bounds a log composition walk.
+type logSampleOptions struct {
 	// From and To delimit the walked range; zero means the logical begin
 	// (after truncation) and the flushed-or-tail boundary respectively.
 	From, To uint64
@@ -210,18 +213,18 @@ type LogSampleOptions struct {
 	MaxBytes uint64
 }
 
-// LogComposition walks the log's headers — including fillers and
+// logComposition walks the log's headers — including fillers and
 // invalidated records, which scans never surface — and reports the live vs
 // invalidated vs filler byte composition of the range. In-memory pages are
 // read with atomic loads; on-device pages are read with epoch protection
 // dropped, the same discipline visitRange uses.
-func (s *Store) LogComposition(opts LogSampleOptions) (*introspect.LogSnapshot, error) {
+func (s *Store) logComposition(opts logSampleOptions) (*introspect.LogSnapshot, error) {
 	from, to := s.clampRange(opts.From, opts.To)
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = 64 << 20
 	}
 	ls := &introspect.LogSnapshot{SampledAt: time.Now(), From: from, To: to}
-	ls.Degraded, ls.DegradedCause = s.Degraded()
+	ls.Degraded, ls.DegradedCause = sticky(&s.degraded, &s.degradedCause)
 	if from >= to {
 		return ls, nil
 	}
@@ -301,11 +304,6 @@ func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSn
 	}
 }
 
-// PSFStatus returns the PSF lifecycle view: the Fig 7 registry state, and
-// every PSF ever registered with its safe register/deregister boundary
-// addresses (the coverage intervals of on-demand indexing).
-func (s *Store) PSFStatus() psf.RegistryStatus { return s.registry.Status() }
-
 // CacheSnapshot is the read-path cache view served at /debug/fishstore/cache:
 // the page cache over immutable on-device log pages. A disabled cache
 // reports PageCacheEnabled=false with zeroed stats.
@@ -381,26 +379,18 @@ func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st
 	s.scanLog.Put(d)
 }
 
-// Event appends a control-plane event to the store's event stream — the
-// flight recorder and Options.TraceSink — for components outside the store
-// (a fault injector stamping a power cut) that belong on its timeline.
-func (s *Store) Event(name string, attrs ...trace.Attr) { s.metrics.event(name, attrs...) }
-
-// FlightEvents returns the flight recorder's retained records, oldest first:
-// events and finished root spans.
-func (s *Store) FlightEvents() []trace.SpanData { return s.metrics.flight.Snapshot() }
-
 // flightDumpMu serializes concurrent dumps (e.g. two VerifyLog failures
 // racing) so their JSON lines do not interleave in a shared writer.
 var flightDumpMu sync.Mutex
 
-// DumpFlight writes the flight recorder's contents to w as JSON lines
-// ({"ts":..., "event":..., <attributes>}), oldest first. Safe to call from
-// concurrent failure paths (dumps are serialized process-wide).
-func (s *Store) DumpFlight(w io.Writer) error {
+// dumpFlight writes the flight recorder's retained records — events and
+// finished root spans — to w as JSON lines ({"ts":..., "event":...,
+// <attributes>}), oldest first. Safe to call from concurrent failure paths
+// (dumps are serialized process-wide).
+func (s *Store) dumpFlight(w io.Writer) error {
 	flightDumpMu.Lock()
 	defer flightDumpMu.Unlock()
-	return trace.WriteJSONLines(w, s.FlightEvents())
+	return trace.WriteJSONLines(w, s.metrics.flight.Snapshot())
 }
 
 // flightSnapshot renders the flight recorder for /debug/fishstore/flight.
@@ -415,10 +405,10 @@ func (s *Store) flightSnapshot() introspect.FlightSnapshot {
 	return out
 }
 
-// EpochInUse reports the store's live epoch guards (acquired and not yet
+// epochInUse reports the store's live epoch guards (acquired and not yet
 // released) and how many of them are currently pinning the safe epoch.
 // Leak checks assert both return to zero once every session is closed and
 // every scan — including cancelled ones — has returned.
-func (s *Store) EpochInUse() (live, protected int) {
+func (s *Store) epochInUse() (live, protected int) {
 	return s.epoch.LiveGuards(), s.epoch.ProtectedSlots()
 }

@@ -1,4 +1,4 @@
-package fishstore_test
+package fishstore
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"fishstore"
 	"fishstore/internal/introspect"
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
@@ -20,9 +19,9 @@ func introspectPayload(i int) []byte {
 	return []byte(fmt.Sprintf(`{"id": %d, "repo": {"name": "repo-%d"}}`, i, i%8))
 }
 
-func openIntrospectStore(t testing.TB, opts fishstore.Options) (*fishstore.Store, fishstore.Property) {
+func openIntrospectStore(t testing.TB, opts Options) (*Store, Property) {
 	t.Helper()
-	s, err := fishstore.Open(opts)
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func openIntrospectStore(t testing.TB, opts fishstore.Options) (*fishstore.Store
 		s.Close()
 		t.Fatal(err)
 	}
-	return s, fishstore.PropertyString(id, "repo-1")
+	return s, PropertyString(id, "repo-1")
 }
 
 // TestStatsRaceWithTruncation hammers Stats() against concurrent ingestion
@@ -40,7 +39,7 @@ func openIntrospectStore(t testing.TB, opts fishstore.Options) (*fishstore.Store
 // made LogSizeBytes underflow to ~2^64. Run under -race this also proves the
 // reads are properly atomic.
 func TestStatsRaceWithTruncation(t *testing.T) {
-	s, _ := openIntrospectStore(t, fishstore.Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
+	s, _ := openIntrospectStore(t, Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
 	defer s.Close()
 
 	var stop atomic.Bool
@@ -89,7 +88,7 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 // epoch-protected chain walk, the log composition walk, and the lock-free
 // occupancy/status reads.
 func TestSamplersConcurrentWithIngest(t *testing.T) {
-	s, prop := openIntrospectStore(t, fishstore.Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
+	s, prop := openIntrospectStore(t, Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
 	defer s.Close()
 
 	var stop atomic.Bool
@@ -110,7 +109,7 @@ func TestSamplersConcurrentWithIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if _, err := s.Scan(prop, fishstore.ScanOptions{}, func(fishstore.Record) bool { return true }); err != nil {
+			if _, err := s.Scan(prop, ScanOptions{}, func(Record) bool { return true }); err != nil {
 				t.Error(err)
 				return
 			}
@@ -118,14 +117,14 @@ func TestSamplersConcurrentWithIngest(t *testing.T) {
 	}()
 
 	for i := 0; i < 50; i++ {
-		cs, err := s.SampleChains(fishstore.ChainSampleOptions{})
+		cs, err := s.sampleChains(chainSampleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cs.Links < int64(cs.Chains) {
 			t.Fatalf("chain sample: %d links over %d chains", cs.Links, cs.Chains)
 		}
-		ls, err := s.LogComposition(fishstore.LogSampleOptions{})
+		ls, err := s.logComposition(logSampleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +132,11 @@ func TestSamplersConcurrentWithIngest(t *testing.T) {
 			t.Fatalf("log sample: live %d + invalid %d != records %d",
 				ls.LiveRecords, ls.InvalidRecords, ls.Records)
 		}
-		ix := s.IndexStats()
+		ix := s.indexStats()
 		if ix.UsedEntries > ix.Entries {
 			t.Fatalf("index sample: used %d > entries %d", ix.UsedEntries, ix.Entries)
 		}
-		_ = s.PSFStatus()
+		_ = s.registry.Status()
 		_ = s.ScanDecisions()
 	}
 	stop.Store(true)
@@ -145,12 +144,12 @@ func TestSamplersConcurrentWithIngest(t *testing.T) {
 }
 
 // TestSamplerWorkBounded pins the samplers' work caps, which are what keep a
-// continuously running sampler cheap beside ingestion: SampleChains walks at
+// continuously running sampler cheap beside ingestion: sampleChains walks at
 // most MaxChains chains and MaxLinksPerChain links of each, counting the rest
-// as skipped or truncated, and LogComposition stops within one record of
+// as skipped or truncated, and logComposition stops within one record of
 // MaxBytes and says so.
 func TestSamplerWorkBounded(t *testing.T) {
-	s, _ := openIntrospectStore(t, fishstore.Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
+	s, _ := openIntrospectStore(t, Options{PageBits: 12, MemPages: 4, Device: storage.NewMem()})
 	defer s.Close()
 	// 400 equal-size records (three-digit ids) on 8 chains of 50 links, most
 	// of them already on the device.
@@ -163,42 +162,42 @@ func TestSamplerWorkBounded(t *testing.T) {
 	}
 	sess.Close()
 
-	sample := func(opts fishstore.ChainSampleOptions) *introspect.ChainSnapshot {
-		cs, err := s.SampleChains(opts)
+	sample := func(opts chainSampleOptions) *introspect.ChainSnapshot {
+		cs, err := s.sampleChains(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cs
 	}
-	all := sample(fishstore.ChainSampleOptions{})
+	all := sample(chainSampleOptions{})
 	if all.Chains != chains || all.Links != records || all.SkippedChains != 0 || all.TruncatedChains != 0 {
 		t.Fatalf("uncapped sample: %d chains, %d links, %d skipped, %d truncated; want %d chains, %d links, none skipped or truncated",
 			all.Chains, all.Links, all.SkippedChains, all.TruncatedChains, chains, records)
 	}
-	few := sample(fishstore.ChainSampleOptions{MaxChains: 3})
+	few := sample(chainSampleOptions{MaxChains: 3})
 	if few.Chains != 3 || few.SkippedChains != chains-3 {
 		t.Errorf("MaxChains 3: walked %d chains, skipped %d; want 3 and %d", few.Chains, few.SkippedChains, chains-3)
 	}
-	short := sample(fishstore.ChainSampleOptions{MaxLinksPerChain: maxLinks})
+	short := sample(chainSampleOptions{MaxLinksPerChain: maxLinks})
 	if short.TruncatedChains != chains || short.Links != chains*maxLinks {
 		t.Errorf("MaxLinksPerChain %d: %d truncated chains, %d links; want %d and %d",
 			maxLinks, short.TruncatedChains, short.Links, chains, chains*maxLinks)
 	}
 
-	compose := func(opts fishstore.LogSampleOptions) *introspect.LogSnapshot {
-		ls, err := s.LogComposition(opts)
+	compose := func(opts logSampleOptions) *introspect.LogSnapshot {
+		ls, err := s.logComposition(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ls
 	}
-	whole := compose(fishstore.LogSampleOptions{})
+	whole := compose(logSampleOptions{})
 	if whole.Truncated || whole.LiveRecords == 0 {
 		t.Fatalf("uncapped log walk: truncated %v, %d live records", whole.Truncated, whole.LiveRecords)
 	}
 	recBytes := uint64(whole.LiveBytes / whole.LiveRecords)
 	capBytes := whole.WalkedBytes/2 + 3 // not record- or page-aligned
-	part := compose(fishstore.LogSampleOptions{MaxBytes: capBytes})
+	part := compose(logSampleOptions{MaxBytes: capBytes})
 	t.Logf("log walk: %d bytes whole, %d under a %d-byte cap (%d-byte records)",
 		whole.WalkedBytes, part.WalkedBytes, capBytes, recBytes)
 	if !part.Truncated {
@@ -215,7 +214,7 @@ func TestSamplerWorkBounded(t *testing.T) {
 // the flight recorder keeps only its fixed window no matter how many flow.
 func TestMemorySinkBoundedUnderHotTracing(t *testing.T) {
 	var seen atomic.Int64
-	s, prop := openIntrospectStore(t, fishstore.Options{
+	s, prop := openIntrospectStore(t, Options{
 		PageBits:        12,
 		MemPages:        4,
 		Device:          storage.NewMem(),
@@ -233,7 +232,7 @@ func TestMemorySinkBoundedUnderHotTracing(t *testing.T) {
 	}
 	sess.Close()
 	for i := 0; i < 100; i++ {
-		if _, err := s.Scan(prop, fishstore.ScanOptions{}, func(fishstore.Record) bool { return true }); err != nil {
+		if _, err := s.Scan(prop, ScanOptions{}, func(Record) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +240,7 @@ func TestMemorySinkBoundedUnderHotTracing(t *testing.T) {
 	if n := seen.Load(); n < 600 {
 		t.Fatalf("sink saw %d events for 600 slow operations", n)
 	}
-	if got := len(s.FlightEvents()); got != 256 {
+	if got := len(s.metrics.flight.Snapshot()); got != 256 {
 		t.Fatalf("flight recorder retained %d events, want its 256-event window", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
 )
@@ -188,7 +189,7 @@ func TestScanReadFailureSurfaces(t *testing.T) {
 		}
 	}
 	sess.Close()
-	if s.HeadAddress() == s.BeginAddress() {
+	if s.HeadAddress() == hlog.BeginAddress {
 		t.Skip("log never spilled")
 	}
 	_, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex},

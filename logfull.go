@@ -29,20 +29,8 @@ func (s *Store) enterLogFull(cause error) {
 	s.metrics.logFullGauge.Set(1)
 	s.metrics.event("store.log_full", trace.Str("cause", msg))
 	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.DumpFlight(w)
+		_ = s.dumpFlight(w)
 	}
-}
-
-// LogFull reports whether the store is currently refusing ingestion because
-// the device is out of space, and the cause.
-func (s *Store) LogFull() (bool, string) {
-	if !s.logFull.Load() {
-		return false, ""
-	}
-	if c := s.logFullCause.Load(); c != nil {
-		return true, *c
-	}
-	return true, ""
 }
 
 // RecoverLogSpace attempts to leave the ErrLogFull state. With ingestion
@@ -101,14 +89,14 @@ func (s *Store) RecoverLogSpace() error {
 				floor += s.log.PageSize() - off
 			}
 			floor = min(floor, tail-s.log.OffsetOf(tail))
-			if floor > s.TruncatedUntil() {
+			if floor > s.logBegin() {
 				if err := s.TruncateUntil(floor); err != nil {
 					return fmt.Errorf("fishstore: retention truncation: %w", err)
 				}
 			}
 		}
 	}
-	floor := s.TruncatedUntil()
+	floor := s.logBegin()
 	if err := storage.TruncateBefore(s.log.Device(), int64(floor)); err != nil {
 		return fmt.Errorf("fishstore: device reclaim below %d: %w", floor, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
 )
@@ -67,17 +68,17 @@ func TestDiskFullDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if deg, cause := s.Degraded(); deg {
-		t.Fatalf("store sticky-degraded by ENOSPC: %s (must be the managed log-full state)", cause)
-	}
 	st := s.Stats()
+	if st.Degraded {
+		t.Fatalf("store sticky-degraded by ENOSPC: %s (must be the managed log-full state)", st.DegradedCause)
+	}
 	if st.LogFullRecoveries == 0 {
 		t.Fatalf("no recovery ever ran: stats %+v (capacity cap never tripped?)", st)
 	}
-	if full, cause := s.LogFull(); full {
-		t.Fatalf("store still log-full after drill: %s", cause)
+	if st.LogFull {
+		t.Fatalf("store still log-full after drill: %s", st.LogFullCause)
 	}
-	if s.TruncatedUntil() == s.BeginAddress() {
+	if s.logBegin() == hlog.BeginAddress {
 		t.Fatal("retention never truncated despite MaxLiveBytes")
 	}
 
@@ -103,7 +104,7 @@ func TestDiskFullDrill(t *testing.T) {
 	if idx != full || idx == 0 {
 		t.Fatalf("index scan found %d, full scan %d (want equal, non-zero)", idx, full)
 	}
-	t.Logf("drill: %d recoveries, floor %d, %d live records", st.LogFullRecoveries, s.TruncatedUntil(), idx)
+	t.Logf("drill: %d recoveries, floor %d, %d live records", st.LogFullRecoveries, s.logBegin(), idx)
 }
 
 // TestDiskFullManualRecovery covers the no-AutoRecover path: ENOSPC turns
@@ -140,10 +141,10 @@ func TestDiskFullManualRecovery(t *testing.T) {
 	if !sawFull {
 		t.Fatal("capacity cap never produced ErrLogFull")
 	}
-	if full, _ := s.LogFull(); !full {
-		t.Fatal("LogFull() false after ErrLogFull")
+	if !s.Stats().LogFull {
+		t.Fatal("Stats().LogFull false after ErrLogFull")
 	}
-	h := s.Health()
+	h := s.health()
 	if !h.LogFull || h.Status != "degraded" {
 		t.Fatalf("health = %+v, want log_full folded as degraded", h)
 	}
@@ -155,8 +156,8 @@ func TestDiskFullManualRecovery(t *testing.T) {
 	if err := s.RecoverLogSpace(); err != nil {
 		t.Fatalf("RecoverLogSpace: %v", err)
 	}
-	if full, cause := s.LogFull(); full {
-		t.Fatalf("still log-full after recovery: %s", cause)
+	if st := s.Stats(); st.LogFull {
+		t.Fatalf("still log-full after recovery: %s", st.LogFullCause)
 	}
 	if _, err := sess.Ingest([][]byte{logFullPayload(10000)}); err != nil {
 		t.Fatalf("ingest after recovery: %v", err)
@@ -200,7 +201,7 @@ func TestRecoverLogSpaceFootprint(t *testing.T) {
 	if err := s.RecoverLogSpace(); err != nil {
 		t.Fatalf("RecoverLogSpace: %v", err)
 	}
-	tail, floor := s.Stats().TailAddress, s.TruncatedUntil()
+	tail, floor := s.Stats().TailAddress, s.logBegin()
 	if live := tail - floor; live > maxLive || live+1<<12 <= maxLive {
 		t.Fatalf("live footprint after recovery = %d (tail %d, floor %d), want in (%d, %d]",
 			live, tail, floor, maxLive-1<<12, maxLive)

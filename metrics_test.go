@@ -136,7 +136,7 @@ func TestScanAndDeviceMetrics(t *testing.T) {
 	sess.Close()
 
 	// Device() must unwrap the instrumentation and return the SimSSD.
-	if got := s.Device(); got != storage.Device(dev) {
+	if got := storage.Unwrap(s.log.Device()); got != storage.Device(dev) {
 		t.Fatalf("Device() = %T, want the configured *SimSSD", got)
 	}
 
@@ -261,7 +261,7 @@ func TestOneHistogramServesEveryView(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := map[string]int64{}
-	for _, op := range s.WorkloadSnapshot(1).Ops {
+	for _, op := range s.tele.Snapshot(1).Ops {
 		ops[op.Op] = op.Count
 	}
 	for _, c := range []struct {
@@ -276,7 +276,7 @@ func TestOneHistogramServesEveryView(t *testing.T) {
 			t.Errorf("/metrics lacks %q", line)
 		}
 		if ops[c.op] != c.want {
-			t.Errorf("WorkloadSnapshot %s count = %d, want %d", c.op, ops[c.op], c.want)
+			t.Errorf("workload snapshot %s count = %d, want %d", c.op, ops[c.op], c.want)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for watchdogOps(s, c.slo) != c.want && time.Now().Before(deadline) {
@@ -294,7 +294,7 @@ func TestOneHistogramServesEveryView(t *testing.T) {
 }
 
 func watchdogOps(s *Store, slo string) int64 {
-	for _, b := range s.Health().SLO.SLOs {
+	for _, b := range s.health().SLO.SLOs {
 		if b.Name == slo {
 			return b.Ops
 		}
@@ -315,10 +315,10 @@ func TestDisabledMetricsIsInert(t *testing.T) {
 	if n := len(s.Metrics().Families); n != 0 {
 		t.Fatalf("disabled store produced %d metric families", n)
 	}
-	if s.Device() != storage.Device(dev) {
-		t.Fatalf("disabled store wrapped its device: %T", s.Device())
+	if storage.Unwrap(s.log.Device()) != storage.Device(dev) {
+		t.Fatalf("disabled store wrapped its device: %T", storage.Unwrap(s.log.Device()))
 	}
-	if s.MetricsRegistry().Enabled() {
+	if s.metrics.reg.Enabled() {
 		t.Fatal("disabled store's registry reports enabled")
 	}
 }
@@ -343,7 +343,7 @@ func TestDefaultRegistryAggregatesStores(t *testing.T) {
 	if got := int64(reg.Snapshot().Value("fishstore_ingest_records_total")); got != 2 {
 		t.Fatalf("shared registry records_total = %d, want 2 (one per store)", got)
 	}
-	if stores[0].MetricsRegistry() != stores[1].MetricsRegistry() {
+	if stores[0].metrics.reg != stores[1].metrics.reg {
 		t.Fatal("stores did not share the default registry")
 	}
 }

@@ -81,13 +81,3 @@ func (s *Store) ChainGapProfile(prop Property, max int) ([]ChainHop, error) {
 	}
 	return hops, nil
 }
-
-// TailPointer returns the current chain head address for prop (0 if none) —
-// a cheap way for tools to check whether a property has any chain.
-func (s *Store) TailPointer(prop Property) uint64 {
-	slot, ok := s.table.FindEntry(prop.hash())
-	if !ok {
-		return 0
-	}
-	return slot.Address()
-}

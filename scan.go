@@ -267,12 +267,6 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 // point-lookup over the live indexed interval, served from memory when the
 // log suffix is resident). cb semantics match Scan.
 func (s *Store) Lookup(prop Property, cb func(r Record) bool) (ScanStats, error) {
-	return s.LookupContext(nil, prop, cb)
-}
-
-// LookupContext is Lookup with deadline/cancellation propagation (see
-// ScanContext).
-func (s *Store) LookupContext(ctx context.Context, prop Property, cb func(r Record) bool) (ScanStats, error) {
 	ivs := s.registry.Intervals(prop.PSF)
 	if len(ivs) == 0 {
 		return ScanStats{}, fmt.Errorf("fishstore: PSF %d has no indexed interval", prop.PSF)
@@ -282,7 +276,7 @@ func (s *Store) LookupContext(ctx context.Context, prop Property, cb func(r Reco
 	if last.Open() {
 		to = 0 // tail
 	}
-	return s.ScanContext(ctx, prop, ScanOptions{From: last.From, To: to, Mode: ScanForceIndex}, cb)
+	return s.Scan(prop, ScanOptions{From: last.From, To: to, Mode: ScanForceIndex}, cb)
 }
 
 // ctxErr polls a scan/ingest context at an operation-internal cancellation
@@ -805,7 +799,7 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 			g.Unprotect()
 			v, b, err := cr.record(cur)
 			g.Protect()
-			if err != nil && cur < s.TruncatedUntil() {
+			if err != nil && cur < s.logBegin() {
 				return nil // truncated under the walk: the chain ends at the new floor
 			}
 			if bad, ok := err.(errBadLink); ok && s.opts.VerifyOnRead {

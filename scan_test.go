@@ -323,11 +323,12 @@ func TestChainGapProfile(t *testing.T) {
 func TestTailPointer(t *testing.T) {
 	s := openTestStore(t, Options{})
 	id, _, _ := s.RegisterPSF(psf.Projection("repo.name"))
-	if s.TailPointer(PropertyString(id, "spark")) != 0 {
-		t.Fatal("empty chain should have zero tail pointer")
+	prop := PropertyString(id, "spark")
+	if _, ok := s.table.FindEntry(prop.hash()); ok {
+		t.Fatal("empty chain should have no hash entry")
 	}
 	ingestAll(t, s, [][]byte{genEvent(1, "PushEvent", "spark")})
-	if s.TailPointer(PropertyString(id, "spark")) == 0 {
+	if slot, ok := s.table.FindEntry(prop.hash()); !ok || slot.Address() == 0 {
 		t.Fatal("chain head missing after ingest")
 	}
 }

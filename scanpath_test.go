@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
@@ -151,7 +152,7 @@ func buildDeviceStore(t testing.TB, opts Options, n int) (*Store, psf.ID, int) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.HeadAddress() <= s.BeginAddress() {
+	if s.HeadAddress() <= hlog.BeginAddress {
 		t.Fatalf("log never spilled to device (head %d)", s.HeadAddress())
 	}
 	return s, id, want
@@ -254,7 +255,7 @@ func TestScanFaultDeviceInjectedLatency(t *testing.T) {
 func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 	s, id, _ := buildDeviceStore(t, Options{}, 1500)
 	tail := s.TailAddress()
-	begin := s.BeginAddress()
+	begin := hlog.BeginAddress
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -293,7 +294,7 @@ func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 	wg.Wait()
 
 	// Post-truncation scans only surface records above the floor.
-	floor := s.TruncatedUntil()
+	floor := s.logBegin()
 	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{}, func(r Record) bool {
 		if r.Address < floor {
 			t.Errorf("record %d below truncation floor %d", r.Address, floor)
@@ -371,10 +372,10 @@ func testFullScanEquivalence(t *testing.T, n int, latePSF bool, workers int, noC
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.HeadAddress() <= s.BeginAddress() {
+	if s.HeadAddress() <= hlog.BeginAddress {
 		t.Fatalf("log never spilled to device (head %d)", s.HeadAddress())
 	}
-	if got := s.rangeIndexComplete(id, s.BeginAddress(), s.TailAddress()); got == latePSF {
+	if got := s.rangeIndexComplete(id, hlog.BeginAddress, s.TailAddress()); got == latePSF {
 		t.Fatalf("rangeIndexComplete over the whole log = %v with latePSF=%v", got, latePSF)
 	}
 	prop := PropertyString(id, "spark")
@@ -477,7 +478,7 @@ func testFullScanEquivalence(t *testing.T, n int, latePSF bool, workers int, noC
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
 	}
-	if live, protected := s.EpochInUse(); live != 0 || protected != 0 {
+	if live, protected := s.epochInUse(); live != 0 || protected != 0 {
 		t.Fatalf("epoch guards leaked after cancelled scan: live=%d protected=%d", live, protected)
 	}
 }

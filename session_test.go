@@ -189,8 +189,8 @@ func TestStoreFlush(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.FlushedUntil() < tail {
-		t.Fatalf("FlushedUntil %d < tail %d after Flush", s.FlushedUntil(), tail)
+	if s.log.FlushedUntil() < tail {
+		t.Fatalf("FlushedUntil %d < tail %d after Flush", s.log.FlushedUntil(), tail)
 	}
 }
 

@@ -87,7 +87,7 @@ type Store struct {
 	scanLog *introspect.Ring[introspect.ScanDecision]
 	scanSeq atomic.Uint64
 
-	// lastChain publishes the most recent chain sample (SampleChains).
+	// lastChain publishes the most recent chain sample (sampleChains).
 	lastChain atomic.Pointer[introspect.ChainSnapshot]
 
 	// ckptMu is the checkpoint barrier: ingestion batches hold it shared,
@@ -249,17 +249,16 @@ func (s *Store) enterDegraded(cause error) {
 	s.degradedCause.Store(&msg)
 	s.metrics.event("store.degraded", trace.Str("cause", msg))
 	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.DumpFlight(w)
+		_ = s.dumpFlight(w)
 	}
 }
 
-// Degraded reports whether the store is in degraded read-only mode, and the
-// cause that put it there.
-func (s *Store) Degraded() (bool, string) {
-	if !s.degraded.Load() {
+// sticky reads a state flag and, while it is set, the cause that set it.
+func sticky(on *atomic.Bool, cause *atomic.Pointer[string]) (bool, string) {
+	if !on.Load() {
 		return false, ""
 	}
-	if c := s.degradedCause.Load(); c != nil {
+	if c := cause.Load(); c != nil {
 		return true, *c
 	}
 	return true, ""
@@ -329,15 +328,9 @@ func (s *Store) PSFByName(name string) (psf.ID, bool) { return s.registry.Lookup
 // TailAddress returns the current log tail.
 func (s *Store) TailAddress() uint64 { return s.log.TailAddress() }
 
-// BeginAddress returns the first record address.
-func (s *Store) BeginAddress() uint64 { return hlog.BeginAddress }
-
 // HeadAddress returns the in-memory boundary: addresses >= it are served
 // from the circular buffer.
 func (s *Store) HeadAddress() uint64 { return s.log.HeadAddress() }
-
-// FlushedUntil returns the durable boundary.
-func (s *Store) FlushedUntil() uint64 { return s.log.FlushedUntil() }
 
 // Property identifies a logical group of records: a PSF and a value in its
 // domain (§2.1, Definition 2.2).
@@ -389,8 +382,8 @@ type Stats struct {
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
 	live, tail := s.liveLogBytes()
-	deg, cause := s.Degraded()
-	full, fullCause := s.LogFull()
+	deg, cause := sticky(&s.degraded, &s.degradedCause)
+	full, fullCause := sticky(&s.logFull, &s.logFullCause)
 	return Stats{
 		IngestedRecords:    s.ingestedRecords.Load(),
 		IngestedBytes:      s.ingestedBytes.Load(),
@@ -425,18 +418,14 @@ func (s *Store) liveLogBytes() (live, tail uint64) {
 	return tail - trunc, tail
 }
 
-// Device returns the underlying storage device (for experiment harnesses
-// that need I/O statistics, e.g. SimSSD counters). Metrics instrumentation
-// wrappers are peeled off so callers see the device they configured.
-func (s *Store) Device() storage.Device { return storage.Unwrap(s.log.Device()) }
-
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("fishstore: store closed")
 
 // Flush synchronously persists everything ingested so far (the periodic
-// "line of persistence" of Appendix E): on return, FlushedUntil covers the
-// tail observed at the time of the call. A write failure here is permanent
-// (retries, if configured, already ran below) and degrades the store.
+// "line of persistence" of Appendix E): on return, the durable boundary covers
+// the tail observed at the time of the call. A write failure here is
+// permanent (retries, if configured, already ran below) and degrades the
+// store.
 func (s *Store) Flush() error {
 	if s.degraded.Load() {
 		return ErrDegraded

@@ -1,6 +1,7 @@
 package fishstore
 
 import (
+	"fishstore/internal/hlog"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -295,7 +296,7 @@ func TestScanSpillsToDisk(t *testing.T) {
 		}
 	}
 	sess.Close()
-	if s.HeadAddress() == s.BeginAddress() {
+	if s.HeadAddress() == hlog.BeginAddress {
 		t.Fatal("log never spilled to disk; test is vacuous")
 	}
 
@@ -428,7 +429,7 @@ func TestBadCASModeStillCorrect(t *testing.T) {
 func TestSubscription(t *testing.T) {
 	s := openTestStore(t, Options{})
 	id, _, _ := s.RegisterPSF(psf.Projection("repo.name"))
-	sub := s.Subscribe(PropertyString(id, "spark"), 128)
+	sub := s.Subscribe(PropertyString(id, "spark"), SubscribeOptions{Buffer: 128})
 	defer sub.Cancel()
 
 	var batch [][]byte
@@ -459,7 +460,7 @@ func TestSubscription(t *testing.T) {
 func TestSubscriptionCancelAndOverflow(t *testing.T) {
 	s := openTestStore(t, Options{})
 	id, _, _ := s.RegisterPSF(psf.Projection("repo.name"))
-	sub := s.Subscribe(PropertyString(id, "spark"), 1)
+	sub := s.Subscribe(PropertyString(id, "spark"), SubscribeOptions{Buffer: 1})
 
 	var batch [][]byte
 	for i := 0; i < 10; i++ {

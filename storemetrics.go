@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/introspect"
 	"fishstore/internal/metrics"
 	"fishstore/internal/telemetry"
@@ -262,17 +263,23 @@ func (s *Store) registerGaugeFuncs() {
 		func() float64 { return float64(s.log.FlushedUntil()) })
 	reg.GaugeFunc("fishstore_log_truncated_until_address",
 		"Lowest address still retained after truncation.",
-		func() float64 { return float64(s.TruncatedUntil()) })
+		func() float64 { return float64(s.logBegin()) })
 	reg.GaugeFunc("fishstore_log_live_bytes",
 		"Live log footprint: tail minus truncation point.",
 		func() float64 { live, _ := s.liveLogBytes(); return float64(live) })
 	reg.GaugeFunc("fishstore_log_appended_bytes",
 		"Total bytes ever appended to the log (ignores truncation).",
-		func() float64 { return float64(s.log.TailAddress() - s.BeginAddress()) })
+		func() float64 { return float64(s.log.TailAddress() - hlog.BeginAddress) })
 	reg.GaugeFunc("fishstore_epoch_current",
 		"Current epoch number.", func() float64 { return float64(s.epoch.Current()) })
 	reg.GaugeFunc("fishstore_epoch_safe",
 		"Maximal safe-to-reclaim epoch.", func() float64 { return float64(s.epoch.SafeEpoch()) })
+	reg.GaugeFunc("fishstore_epoch_live_guards",
+		"Epoch guards acquired and not yet released; nonzero with every session closed and no scan running is a leak.",
+		func() float64 { live, _ := s.epochInUse(); return float64(live) })
+	reg.GaugeFunc("fishstore_epoch_protected_guards",
+		"Epoch guards currently pinning the safe epoch.",
+		func() float64 { _, prot := s.epochInUse(); return float64(prot) })
 	reg.GaugeFunc("fishstore_hashtable_buckets",
 		"Main hash table buckets.", func() float64 { return float64(s.table.NumBuckets()) })
 	reg.GaugeFunc("fishstore_hashtable_used_entries",
@@ -373,7 +380,3 @@ func (s *Store) registerGaugeFuncs() {
 // Metrics returns a point-in-time snapshot of every metric family the store's
 // registry holds. With metrics disabled the snapshot is empty.
 func (s *Store) Metrics() metrics.Snapshot { return s.metrics.reg.Snapshot() }
-
-// MetricsRegistry returns the registry the store reports into, for mounting
-// metrics.Handler / metrics.NewMux.
-func (s *Store) MetricsRegistry() *metrics.Registry { return s.metrics.reg }

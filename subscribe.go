@@ -27,7 +27,7 @@ const (
 	Block
 )
 
-// SubscribeOptions configures SubscribeWith.
+// SubscribeOptions configures Subscribe.
 type SubscribeOptions struct {
 	// Buffer is the delivery-channel capacity (default 64).
 	Buffer int
@@ -80,17 +80,10 @@ type subscriptions struct {
 	list  []*Subscription
 }
 
-// Subscribe registers a streaming subscription for prop with the given
-// channel buffer and the default DropNewest policy: if the buffer is full
-// the record is dropped and counted, so slow consumers never stall
-// ingestion.
-func (s *Store) Subscribe(prop Property, buffer int) *Subscription {
-	return s.SubscribeWith(prop, SubscribeOptions{Buffer: buffer})
-}
-
-// SubscribeWith registers a streaming subscription with an explicit
-// slow-subscriber policy.
-func (s *Store) SubscribeWith(prop Property, opts SubscribeOptions) *Subscription {
+// Subscribe registers a streaming subscription for prop. Under the default
+// DropNewest policy a record that finds the buffer full is dropped and
+// counted, so slow consumers never stall ingestion.
+func (s *Store) Subscribe(prop Property, opts SubscribeOptions) *Subscription {
 	buffer := opts.Buffer
 	if buffer < 1 {
 		buffer = 64

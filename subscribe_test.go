@@ -23,7 +23,7 @@ func TestSubscribeDropNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := s.Subscribe(PropertyString(id, "spark"), 1)
+	sub := s.Subscribe(PropertyString(id, "spark"), SubscribeOptions{Buffer: 1})
 	defer sub.Cancel()
 
 	batch := make([][]byte, 10)
@@ -55,7 +55,7 @@ func TestSubscribeDropOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := s.SubscribeWith(PropertyString(id, "spark"),
+	sub := s.Subscribe(PropertyString(id, "spark"),
 		SubscribeOptions{Buffer: 1, Policy: DropOldest})
 	defer sub.Cancel()
 
@@ -84,7 +84,7 @@ func TestSubscribeBlockLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := s.SubscribeWith(PropertyString(id, "spark"),
+	sub := s.Subscribe(PropertyString(id, "spark"),
 		SubscribeOptions{Buffer: 1, Policy: Block})
 	defer sub.Cancel()
 
@@ -149,7 +149,7 @@ func TestSubscribeBlockContextCancel(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	sub := s.SubscribeWith(PropertyString(id, "spark"),
+	sub := s.Subscribe(PropertyString(id, "spark"),
 		SubscribeOptions{Buffer: 1, Policy: Block, Context: ctx})
 
 	// Nobody drains: the first match fills the buffer, the second blocks the

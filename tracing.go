@@ -31,10 +31,6 @@ func SetDefaultTracer(t *trace.Tracer) {
 	defaultTracer.Store(t)
 }
 
-// Tracer returns the store's span tracer (nil when tracing is off). Use it
-// to export spans directly: s.Tracer().WriteChrome(w).
-func (s *Store) Tracer() *trace.Tracer { return s.tracer }
-
 // defaultProfileLabels mirrors defaultTracer for Options.ProfileLabels, so
 // profiling tools (fishbench -cpuprofile) can label every store opened by
 // experiment code that doesn't plumb the option through.

@@ -227,7 +227,7 @@ func TestSpanTeeIntoFlightRecorder(t *testing.T) {
 	}
 
 	var names []string
-	for _, d := range s.FlightEvents() {
+	for _, d := range s.metrics.flight.Snapshot() {
 		if d.TraceID != 0 {
 			names = append(names, d.Name)
 			if !d.Root() || d.Duration <= 0 {
@@ -250,7 +250,7 @@ func TestSpanTeeIntoFlightRecorder(t *testing.T) {
 	if j != len(wantOrder) {
 		t.Fatalf("flight recorder spans = %v, want subsequence %v", names, wantOrder)
 	}
-	for _, d := range s.FlightEvents() {
+	for _, d := range s.metrics.flight.Snapshot() {
 		if d.Name == "ingest.batch" {
 			line := d.JSON()
 			if line["trace_id"] == nil || line["duration_ns"] == nil || line["records"] != int64(1) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/record"
 )
 
@@ -37,21 +38,14 @@ func (s *Store) TruncateUntil(addr uint64) error {
 	}
 }
 
-// TruncatedUntil returns the current logical begin address (BeginAddress if
-// never truncated).
-func (s *Store) TruncatedUntil() uint64 {
-	if t := s.truncatedUntil.Load(); t > s.BeginAddress() {
-		return t
-	}
-	return s.BeginAddress()
+// logBegin returns the current logical begin address: hlog.BeginAddress if
+// never truncated, else the truncation point. It is also the chain floor:
+// hash-chain pointers below it are treated as terminated rather than
+// followed, since the records they reference have been logically
+// reclaimed. Scans and the log verifier share this boundary.
+func (s *Store) logBegin() uint64 {
+	return max(s.truncatedUntil.Load(), hlog.BeginAddress)
 }
-
-// ChainFloor returns the address below which hash-chain pointers are treated
-// as terminated rather than followed: the logical begin address after
-// truncation. Chain tails pointing below the floor are not dangling — the
-// records they reference have been logically reclaimed. Scans and the log
-// verifier share this boundary.
-func (s *Store) ChainFloor() uint64 { return s.TruncatedUntil() }
 
 // Invalidate logically deletes the record at addr: its header's invalid bit
 // is set atomically, so every subsequent scan, lookup, and subscription

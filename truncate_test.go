@@ -3,6 +3,7 @@ package fishstore
 import (
 	"testing"
 
+	"fishstore/internal/hlog"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
 )
@@ -25,8 +26,8 @@ func TestTruncateUntilClampsScans(t *testing.T) {
 	if err := s.TruncateUntil(mid); err != nil {
 		t.Fatal(err)
 	}
-	if s.TruncatedUntil() != mid {
-		t.Fatalf("TruncatedUntil = %d, want %d", s.TruncatedUntil(), mid)
+	if s.logBegin() != mid {
+		t.Fatalf("logBegin = %d, want %d", s.logBegin(), mid)
 	}
 	for _, mode := range []ScanMode{ScanAuto, ScanForceIndex, ScanForceFull} {
 		var got int
@@ -42,7 +43,7 @@ func TestTruncateUntilClampsScans(t *testing.T) {
 	if err := s.TruncateUntil(mid - 64); err != nil {
 		t.Fatal(err)
 	}
-	if s.TruncatedUntil() != mid {
+	if s.logBegin() != mid {
 		t.Fatal("truncation went backwards")
 	}
 	// Beyond the tail is rejected.
@@ -69,9 +70,9 @@ func TestStatsLogSizeReflectsTruncation(t *testing.T) {
 	sess.Close()
 
 	before := s.Stats()
-	if before.LogSizeBytes != before.TailAddress-s.BeginAddress() {
+	if before.LogSizeBytes != before.TailAddress-hlog.BeginAddress {
 		t.Fatalf("pre-truncation LogSizeBytes = %d, want %d",
-			before.LogSizeBytes, before.TailAddress-s.BeginAddress())
+			before.LogSizeBytes, before.TailAddress-hlog.BeginAddress)
 	}
 	if before.TotalAppendedBytes != before.LogSizeBytes {
 		t.Fatalf("pre-truncation TotalAppendedBytes = %d, want %d",
@@ -87,7 +88,7 @@ func TestStatsLogSizeReflectsTruncation(t *testing.T) {
 		t.Fatalf("post-truncation LogSizeBytes = %d, want %d", after.LogSizeBytes, want)
 	}
 	// ...while the append total is unchanged by truncation.
-	if want := after.TailAddress - s.BeginAddress(); after.TotalAppendedBytes != want {
+	if want := after.TailAddress - hlog.BeginAddress; after.TotalAppendedBytes != want {
 		t.Fatalf("post-truncation TotalAppendedBytes = %d, want %d", after.TotalAppendedBytes, want)
 	}
 	if after.LogSizeBytes >= after.TotalAppendedBytes {

@@ -268,8 +268,9 @@ func VerifyDevice(dev storage.Device, pageBits uint, from, to uint64) (VerifyRep
 
 // VerifyOptions configures VerifyLog.
 type VerifyOptions struct {
-	// From / To bound the verified region. Zero means [ChainFloor,
-	// FlushedUntil): the durable, non-truncated portion of the log.
+	// From / To bound the verified region. Zero means from the truncation
+	// point to the durable boundary: the durable, non-truncated portion of
+	// the log.
 	From, To uint64
 	// SkipChains skips the hash-chain phase (the sequential record walk
 	// plus pointer-graph check only). The chain phase holds the checkpoint
@@ -291,7 +292,7 @@ type VerifyOptions struct {
 func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
 	from := opts.From
 	if from == 0 {
-		from = s.ChainFloor()
+		from = s.logBegin()
 	}
 	to := opts.To
 	if to == 0 {
@@ -389,6 +390,6 @@ func (s *Store) reportCorruption(c *Corruption) {
 	s.metrics.event("verify.corruption",
 		trace.Uint("address", c.Address), trace.Str("kind", c.Kind), trace.Str("detail", c.Detail))
 	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.DumpFlight(w)
+		_ = s.dumpFlight(w)
 	}
 }

@@ -20,8 +20,8 @@ func (s *Store) wireWorkload() {
 		s.watchdog = telemetry.NewWatchdog(s.tele, *s.opts.SLO, s.sloTick)
 	}
 	reg := s.metrics.reg
-	reg.RegisterDebug("workload", func() any { return s.WorkloadSnapshot(10) })
-	reg.RegisterDebug("health", func() any { return s.Health() })
+	reg.RegisterDebug("workload", func() any { return s.tele.Snapshot(10) })
+	reg.RegisterDebug("health", func() any { return s.health() })
 	s.registerSLOGauges()
 	// Start ticking only after the endpoints exist: the first tick may
 	// already emit events.
@@ -49,7 +49,7 @@ func (s *Store) registerSLOGauges() {
 		"Health verdict: 0 ok, 1 degraded, 2 breach (folds in the sticky "+
 			"degraded read-only state).",
 		func() float64 {
-			switch s.Health().Status {
+			switch s.health().Status {
 			case telemetry.StatusBreach:
 				return 2
 			case telemetry.StatusDegraded:
@@ -79,22 +79,17 @@ func (s *Store) sloTick(r telemetry.Report) {
 	}
 }
 
-// WorkloadSnapshot returns the live workload-attribution view: per-op
-// latency quantiles plus the top-N heavy hitters per dimension (ingested
-// PSFs, queried properties).
-func (s *Store) WorkloadSnapshot(topN int) *telemetry.Snapshot { return s.tele.Snapshot(topN) }
-
 // Health is the machine-readable verdict served at /debug/fishstore/health.
 type Health struct {
 	// Status is ok, degraded, or breach: the worse of the SLO watchdog's
 	// verdict and the store's sticky degraded read-only state (which is
 	// always a breach — the store can no longer persist writes).
 	Status string `json:"status"`
-	// Degraded mirrors Store.Degraded: a permanent I/O failure has flipped
+	// Degraded mirrors Stats.Degraded: a permanent I/O failure has flipped
 	// the store read-only.
 	Degraded      bool   `json:"degraded"`
 	DegradedCause string `json:"degraded_cause,omitempty"`
-	// LogFull mirrors Store.LogFull: the device is out of space and ingestion
+	// LogFull mirrors Stats.LogFull: the device is out of space and ingestion
 	// is refused until space is reclaimed (a recoverable state, reported as
 	// degraded rather than breach).
 	LogFull      bool   `json:"log_full,omitempty"`
@@ -104,15 +99,15 @@ type Health struct {
 	SLO *telemetry.Report `json:"slo,omitempty"`
 }
 
-// Health computes the current health verdict.
-func (s *Store) Health() Health {
+// health computes the current health verdict.
+func (s *Store) health() Health {
 	h := Health{Status: telemetry.StatusOK}
-	if deg, cause := s.Degraded(); deg {
+	if deg, cause := sticky(&s.degraded, &s.degradedCause); deg {
 		h.Status = telemetry.StatusBreach
 		h.Degraded = true
 		h.DegradedCause = cause
 	}
-	if full, cause := s.LogFull(); full {
+	if full, cause := sticky(&s.logFull, &s.logFullCause); full {
 		h.LogFull = true
 		h.LogFullCause = cause
 		if h.Status == telemetry.StatusOK {

@@ -60,9 +60,9 @@ func TestWorkloadSnapshotAndEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := s.WorkloadSnapshot(5)
+	snap := s.tele.Snapshot(5)
 	if snap == nil {
-		t.Fatal("WorkloadSnapshot returned nil with telemetry enabled")
+		t.Fatal("workload snapshot nil with telemetry enabled")
 	}
 	byOp := map[string]telemetry.OpSnapshot{}
 	for _, op := range snap.Ops {
@@ -144,16 +144,16 @@ func TestWorkloadAlwaysOn(t *testing.T) {
 	if _, err := sess.Ingest([][]byte{genEvent(1, "PushEvent", "spark")}); err != nil {
 		t.Fatal(err)
 	}
-	if snap := s.WorkloadSnapshot(5); len(snap.Ops) == 0 || snap.Ops[0].Count != 1 {
-		t.Fatalf("WorkloadSnapshot = %+v, want one ingest batch", snap)
+	if snap := s.tele.Snapshot(5); len(snap.Ops) == 0 || snap.Ops[0].Count != 1 {
+		t.Fatalf("workload snapshot = %+v, want one ingest batch", snap)
 	}
-	if h := s.Health(); h.Status != telemetry.StatusOK || h.SLO != nil {
+	if h := s.health(); h.Status != telemetry.StatusOK || h.SLO != nil {
 		t.Fatalf("health without an SLO = %+v", h)
 	}
 }
 
 // TestWorkloadSLOBreach drives every batch over an absurdly tight target and
-// waits for the watchdog to declare a breach through Store.Health.
+// waits for the watchdog to declare a breach through Store.health.
 func TestWorkloadSLOBreach(t *testing.T) {
 	s := openTestStore(t, Options{
 		SLO: &telemetry.SLO{IngestBatchP99: time.Nanosecond, Interval: 2 * time.Millisecond},
@@ -169,7 +169,7 @@ func TestWorkloadSLOBreach(t *testing.T) {
 		if _, err := sess.Ingest([][]byte{genEvent(1, "PushEvent", "spark")}); err != nil {
 			t.Fatal(err)
 		}
-		h := s.Health()
+		h := s.health()
 		if h.Status == telemetry.StatusBreach {
 			if h.SLO == nil || len(h.SLO.SLOs) != 1 || h.SLO.SLOs[0].Name != "ingest_batch_p99" {
 				t.Fatalf("breach report = %+v", h.SLO)
@@ -178,7 +178,7 @@ func TestWorkloadSLOBreach(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("watchdog never declared a breach; health = %+v", s.Health())
+	t.Fatalf("watchdog never declared a breach; health = %+v", s.health())
 }
 
 // TestWorkloadWatchdogCloseRace races Store.Close against an actively
@@ -210,8 +210,8 @@ func TestWorkloadWatchdogCloseRace(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = s.Health()
-					_ = s.WorkloadSnapshot(3)
+					_ = s.health()
+					_ = s.tele.Snapshot(3)
 				}
 			}
 		}()
