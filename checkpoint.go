@@ -98,10 +98,10 @@ func ReadManifest(dir string) (Manifest, error) {
 //
 // The paper's C++ implementation takes a *fuzzy* checkpoint using FASTER's
 // version-stamped epoch machinery; here the cut is made by briefly holding
-// the store's ingestion barrier (milliseconds — the table write dominates),
-// which preserves the measured behaviour of Fig 20: checkpoint cost scales
-// with hash-table size, recovery cost with the log suffix ingested since
-// the last checkpoint.
+// the store's ingestion barrier (milliseconds — the table write dominates).
+// The table image holds only the index's non-zero words, so checkpoint cost
+// scales with occupancy plus one pass over the table, and recovery cost
+// with that image plus the log suffix ingested since the last checkpoint.
 func (s *Store) Checkpoint(dir string) error {
 	return s.CheckpointContext(nil, dir)
 }

@@ -1,6 +1,10 @@
 package fishstore
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math/bits"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -247,5 +251,196 @@ func TestHistoricalIndexPayloadResolution(t *testing.T) {
 	// The payload must be the original record, not the 8-byte indirection.
 	if len(payload) < 20 || payload[0] != '{' {
 		t.Fatalf("resolved payload = %q", payload)
+	}
+}
+
+var imageRepos = []string{"spark", "flink", "kafka"}
+
+// checkpointedImageStore ingests 60 events over imageRepos, half of them
+// pushes, checkpoints after the first 40 and closes the store. The log is
+// dir/log.dat and the checkpoint dir/ckpt.
+func checkpointedImageStore(t *testing.T) (dir string) {
+	t.Helper()
+	dir = t.TempDir()
+	dev, err := storage.OpenFile(filepath.Join(dir, "log.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Device: dev, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []psf.Definition{psf.Projection("repo.name"), psf.MustPredicate("pushes", `type == "PushEvent"`)} {
+		if _, _, err := s.RegisterPSF(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := s.NewSession()
+	for i := 0; i < 60; i++ {
+		if i == 40 {
+			if err := s.Checkpoint(filepath.Join(dir, "ckpt")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		typ := "IssuesEvent"
+		if i%2 == 0 {
+			typ = "PushEvent"
+		}
+		if _, err := sess.Ingest([][]byte{genEvent(i, typ, imageRepos[i%3])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func recoverImageStore(t *testing.T, dir string) (*Store, RecoveryInfo, error) {
+	t.Helper()
+	dev, err := storage.OpenFileExisting(filepath.Join(dir, "log.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Recover(filepath.Join(dir, "ckpt"), RecoverOptions{Options: Options{Device: dev}})
+	if err != nil {
+		dev.Close()
+	}
+	return s, info, err
+}
+
+// rewriteTableImage replaces the checkpoint's table image with edit's result.
+func rewriteTableImage(t *testing.T, dir string, edit func([]byte) []byte) {
+	t.Helper()
+	path := filepath.Join(dir, "ckpt", tableFile)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(img), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRejectsFlippedTableImage: one flipped byte anywhere in the
+// table image — header, an entry, the seal — fails recovery instead of
+// restoring a wrong chain head.
+func TestRecoverRejectsFlippedTableImage(t *testing.T) {
+	dir := checkpointedImageStore(t)
+	img, err := os.ReadFile(filepath.Join(dir, "ckpt", tableFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range []int{8, len(img) / 2, len(img) - 1} {
+		rewriteTableImage(t, dir, func(b []byte) []byte {
+			b = append(b[:0:0], img...)
+			b[pos] ^= 0x10
+			return b
+		})
+		if s, _, err := recoverImageStore(t, dir); err == nil {
+			s.Close()
+			t.Fatalf("recovered from a table image with byte %d of %d flipped", pos, len(img))
+		}
+	}
+}
+
+// TestRecoverRejectsOversizedTableImage: a header claiming 2^61 bucket
+// words fails recovery with an error, whether in the dense layout or sealed.
+func TestRecoverRejectsOversizedTableImage(t *testing.T) {
+	dir := checkpointedImageStore(t)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	edits := map[string]func([]byte) []byte{
+		"dense": func([]byte) []byte {
+			b := binary.LittleEndian.AppendUint64(nil, 1<<61)
+			b = binary.LittleEndian.AppendUint64(b, 64*8)
+			return binary.LittleEndian.AppendUint64(b, 1)
+		},
+		"sealed": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], 1<<61)
+			body := b[:len(b)-4]
+			binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, castagnoli))
+			return b
+		},
+	}
+	for name, edit := range edits {
+		rewriteTableImage(t, dir, edit)
+		if s, _, err := recoverImageStore(t, dir); err == nil {
+			s.Close()
+			t.Fatalf("%s: recovered from a table image claiming 2^61 bucket words", name)
+		}
+	}
+}
+
+// denseTableImage re-encodes a table image in the unsealed dense layout
+// that preceded it: bucket and overflow lengths, the overflow cursor, then
+// every word of both arrays. The image's header is a magic word, those
+// three, and the used overflow words; each array follows as runs of 64
+// words, a mask of the non-zero ones and then those words.
+func denseTableImage(img []byte) []byte {
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(img[8*i:]) }
+	nb, no, next, used := word(1), word(2), word(3), word(4)
+	words := make([]uint64, nb+no)
+	pos := 5
+	for _, arr := range [][]uint64{words[:nb], words[nb : nb+used]} {
+		for off := 0; off < len(arr); off += 64 {
+			mask := word(pos)
+			pos++
+			for m := mask; m != 0; m &= m - 1 {
+				arr[off+bits.TrailingZeros64(m)] = word(pos)
+				pos++
+			}
+		}
+	}
+	dense := binary.LittleEndian.AppendUint64(nil, nb)
+	dense = binary.LittleEndian.AppendUint64(dense, no)
+	dense = binary.LittleEndian.AppendUint64(dense, next)
+	for _, w := range words {
+		dense = binary.LittleEndian.AppendUint64(dense, w)
+	}
+	return dense
+}
+
+// TestDenseTableImageRecovers: a checkpoint whose table image is in the
+// dense layout older stores wrote still recovers, replays its suffix and
+// answers every property through the index.
+func TestDenseTableImageRecovers(t *testing.T) {
+	dir := checkpointedImageStore(t)
+	var sparseLen, denseLen int
+	rewriteTableImage(t, dir, func(img []byte) []byte {
+		dense := denseTableImage(img)
+		sparseLen, denseLen = len(img), len(dense)
+		return dense
+	})
+	if denseLen <= sparseLen {
+		t.Fatalf("dense image of %d bytes is not larger than the %d-byte sparse one", denseLen, sparseLen)
+	}
+	s, info, err := recoverImageStore(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info.ReplayedRecords != 20 {
+		t.Fatalf("replayed %d records, want the 20 past the checkpoint", info.ReplayedRecords)
+	}
+	count := func(p Property) int {
+		var n int
+		if _, err := s.Scan(p, ScanOptions{Mode: ScanForceIndex}, func(Record) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	repo, ok := s.PSFByName("proj(repo.name)")
+	pushes, ok2 := s.PSFByName("pushes")
+	if !ok || !ok2 {
+		t.Fatal("PSFs not restored")
+	}
+	for _, r := range imageRepos {
+		if got := count(PropertyString(repo, r)); got != 20 {
+			t.Fatalf("repo.name=%s matched %d, want 20", r, got)
+		}
+	}
+	if got := count(PropertyBool(pushes, true)); got != 30 {
+		t.Fatalf("pushes matched %d, want 30", got)
 	}
 }

@@ -2,9 +2,12 @@ package fishstore_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"fishstore"
 	"fishstore/internal/psf"
+	"fishstore/internal/storage"
 )
 
 // The basic flow: open, register PSFs, ingest, retrieve.
@@ -120,4 +123,48 @@ func ExampleStore_Scan_earlyStop() {
 		})
 	fmt.Println(n, st.Stopped)
 	// Output: 3 true
+}
+
+// Checkpoint the index, keep ingesting, and recover after a restart: the
+// table image restores every chain below the checkpoint and the log suffix
+// past it is replayed (Appendix E).
+func ExampleRecover() {
+	dir, _ := os.MkdirTemp("", "fishstore-example")
+	defer os.RemoveAll(dir)
+	logPath := filepath.Join(dir, "log.dat")
+	ckpt := filepath.Join(dir, "checkpoint")
+
+	dev, _ := storage.OpenFile(logPath)
+	store, _ := fishstore.Open(fishstore.Options{Device: dev, PageBits: 12, MemPages: 4})
+	id, _, _ := store.RegisterPSF(psf.Projection("repo.name"))
+	sess := store.NewSession()
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			sess.Ingest([][]byte{[]byte(fmt.Sprintf(`{"id": %d, "repo": {"name": "spark"}}`, i))})
+		}
+	}
+	ingest(0, 100)
+	store.Checkpoint(ckpt)
+	ingest(100, 130) // past the checkpoint: replayed from the log
+	sess.Close()
+	store.Close()
+
+	dev, _ = storage.OpenFileExisting(logPath)
+	recovered, info, err := fishstore.Recover(ckpt, fishstore.RecoverOptions{
+		Options: fishstore.Options{Device: dev},
+	})
+	if err != nil {
+		fmt.Println("recover:", err)
+		return
+	}
+	defer recovered.Close()
+	var n int
+	recovered.Scan(fishstore.PropertyString(id, "spark"),
+		fishstore.ScanOptions{Mode: fishstore.ScanForceIndex},
+		func(fishstore.Record) bool { n++; return true })
+	fmt.Println("replayed records:", info.ReplayedRecords)
+	fmt.Println("spark records via the index:", n)
+	// Output:
+	// replayed records: 30
+	// spark records via the index: 130
 }

@@ -98,7 +98,9 @@ func RunFig20a(cfg Config) error {
 }
 
 // RunFig20b measures checkpoint and recovery time as a function of hash
-// table size (Fig 20b: both grow as the whole table is dumped/loaded).
+// table size (Fig 20b). The paper's times grow with size because FASTER
+// dumps and loads the whole table; here the image holds only the table's
+// non-zero words, so both cost the occupancy plus one pass over the table.
 func RunFig20b(cfg Config) error {
 	w := Table1()["yelp"]
 	// Table sizes in MB: buckets are 64B each.

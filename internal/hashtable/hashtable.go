@@ -16,10 +16,7 @@
 package hashtable
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 
@@ -407,75 +404,4 @@ func (t *Table) Range(fn func(hashBucket uint64, e Entry, s Slot) bool) {
 			words = t.overflowWords(next)
 		}
 	}
-}
-
-// WriteTo serializes the table (fuzzy checkpoint, Appendix E). Entries are
-// written with plain loads; because entries are only mutated by atomic CAS,
-// the snapshot is always physically consistent.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(t.buckets)))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.overflow)))
-	binary.LittleEndian.PutUint64(hdr[16:], t.overflowNext.Load())
-	n, err := w.Write(hdr[:])
-	total := int64(n)
-	if err != nil {
-		return total, err
-	}
-	buf := make([]byte, 8*4096)
-	for _, arr := range [][]uint64{t.buckets, t.overflow} {
-		for off := 0; off < len(arr); {
-			chunk := len(arr) - off
-			if chunk > 4096 {
-				chunk = 4096
-			}
-			for i := 0; i < chunk; i++ {
-				binary.LittleEndian.PutUint64(buf[i*8:], atomic.LoadUint64(&arr[off+i]))
-			}
-			n, err := w.Write(buf[:chunk*8])
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-			off += chunk
-		}
-	}
-	return total, nil
-}
-
-// ReadFrom restores a table serialized by WriteTo, replacing t's contents.
-func (t *Table) ReadFrom(r io.Reader) (int64, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	total := int64(24)
-	nb := binary.LittleEndian.Uint64(hdr[0:])
-	no := binary.LittleEndian.Uint64(hdr[8:])
-	next := binary.LittleEndian.Uint64(hdr[16:])
-	if nb%wordsPerBucket != 0 || no%wordsPerBucket != 0 {
-		return total, fmt.Errorf("hashtable: corrupt checkpoint header (%d,%d)", nb, no)
-	}
-	t.buckets = make([]uint64, nb)
-	t.overflow = make([]uint64, no)
-	t.mask = nb/wordsPerBucket - 1
-	t.overflowNext.Store(next)
-	buf := make([]byte, 8*4096)
-	for _, arr := range [][]uint64{t.buckets, t.overflow} {
-		for off := 0; off < len(arr); {
-			chunk := len(arr) - off
-			if chunk > 4096 {
-				chunk = 4096
-			}
-			if _, err := io.ReadFull(r, buf[:chunk*8]); err != nil {
-				return total, err
-			}
-			for i := 0; i < chunk; i++ {
-				arr[off+i] = binary.LittleEndian.Uint64(buf[i*8:])
-			}
-			total += int64(chunk * 8)
-			off += chunk
-		}
-	}
-	return total, nil
 }

@@ -1,7 +1,6 @@
 package hashtable
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -213,43 +212,6 @@ func TestConcurrentCASAddressAllSucceedOnce(t *testing.T) {
 	wg.Wait()
 	if got := s.Address(); got != goroutines*updates {
 		t.Fatalf("final address %d, want %d", got, goroutines*updates)
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	tbl := New(32, 64)
-	hashes := make([]uint64, 0, 100)
-	for i := 0; i < 100; i++ {
-		h := HashProperty(uint16(i%5), []byte(fmt.Sprintf("v%d", i)))
-		s, err := tbl.FindOrCreate(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			old := s.Load()
-			if s.CompareAndSwapAddress(old, uint64(64+i*16)) {
-				break
-			}
-		}
-		hashes = append(hashes, h)
-	}
-
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(1, 1)
-	if _, err := restored.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hashes {
-		s, ok := restored.FindEntry(h)
-		if !ok {
-			t.Fatalf("hash %d missing after restore", i)
-		}
-		if got := s.Address(); got != uint64(64+i*16) {
-			t.Fatalf("hash %d address = %d, want %d", i, got, 64+i*16)
-		}
 	}
 }
 
