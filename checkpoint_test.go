@@ -2,6 +2,7 @@ package fishstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/bits"
 	"os"
@@ -374,14 +375,16 @@ func TestRecoverRejectsOversizedTableImage(t *testing.T) {
 
 // denseTableImage re-encodes a table image in the unsealed dense layout
 // that preceded it: bucket and overflow lengths, the overflow cursor, then
-// every word of both arrays. The image's header is a magic word, those
-// three, and the used overflow words; each array follows as runs of 64
-// words, a mask of the non-zero ones and then those words.
+// every word of both arrays. The image's header is a magic word and those
+// three; the bucket array and the overflow buckets the cursor handed out
+// follow as runs of 64 words, a mask of the non-zero ones and then those
+// words.
 func denseTableImage(img []byte) []byte {
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(img[8*i:]) }
-	nb, no, next, used := word(1), word(2), word(3), word(4)
+	nb, no, next := word(1), word(2), word(3)
+	used := min(next, no/8) * 8
 	words := make([]uint64, nb+no)
-	pos := 5
+	pos := 4
 	for _, arr := range [][]uint64{words[:nb], words[nb : nb+used]} {
 		for off := 0; off < len(arr); off += 64 {
 			mask := word(pos)
@@ -443,4 +446,88 @@ func TestDenseTableImageRecovers(t *testing.T) {
 	if got := count(PropertyBool(pushes, true)); got != 30 {
 		t.Fatalf("pushes matched %d, want 30", got)
 	}
+}
+
+// TestCheckpointDuringHistoricalBuild: checkpoints taken while a historical
+// index build links entries and overflow buckets each recover every entry
+// the finished build made. The build holds the checkpoint barrier while it
+// appends, as ingestion does, so no image catches a link half made.
+func TestCheckpointDuringHistoricalBuild(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "log.dat")
+	dev, err := storage.OpenFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two buckets and a distinct id per record: the build links an overflow
+	// bucket every few records.
+	s, err := Open(Options{Device: dev, PageBits: 12, MemPages: 4, TableBuckets: 2, OverflowBuckets: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	const n = 4000
+	for i := 0; i < n; i += 100 {
+		batch := make([][]byte, 100)
+		for j := range batch {
+			batch[j] = genEvent(i+j, "PushEvent", "spark")
+		}
+		if _, err := sess.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Close()
+	end := s.TailAddress()
+	id, _, err := s.RegisterPSF(psf.Projection("id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.BuildHistoricalIndex(id, 0, end)
+		done <- err
+	}()
+	// Checkpoint until the build ends, at most 16 times (recovering each
+	// replays the log suffix, which is slow under the race detector), then
+	// once after it.
+	var ckpts []string
+	checkpoint := func() {
+		ckpt := filepath.Join(dir, fmt.Sprintf("ckpt%d", len(ckpts)))
+		if err := s.Checkpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, ckpt)
+	}
+	for len(ckpts) < 16 && len(done) == 0 {
+		checkpoint()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkpoint()
+	want := s.Stats().TableStats.UsedEntries
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, ckpt := range ckpts {
+		dev, err := storage.OpenFileExisting(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, _, err := Recover(ckpt, RecoverOptions{Options: Options{Device: dev}})
+		if err != nil {
+			dev.Close()
+			t.Fatalf("%s: %v", filepath.Base(ckpt), err)
+		}
+		got := s2.Stats().TableStats.UsedEntries
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s restored %d entries, want the %d the build made", filepath.Base(ckpt), got, want)
+		}
+	}
+	t.Logf("%d checkpoints, %d entries", len(ckpts), want)
 }

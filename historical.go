@@ -7,6 +7,7 @@ import (
 	"fishstore/internal/epoch"
 	"fishstore/internal/expr"
 	"fishstore/internal/hashtable"
+	"fishstore/internal/parser"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
 )
@@ -38,43 +39,23 @@ func (s *Store) BuildHistoricalIndex(id psf.ID, from, to uint64) (int64, error) 
 		return 0, err
 	}
 
-	sessG := s.epoch.Acquire()
-	defer sessG.Release()
-
+	pageSize := s.log.PageSize()
 	var built int64
 	for _, seg := range plan {
 		if seg.Indexed {
 			continue
 		}
-		var appendErr error
-		err := s.visitRange(nil, sessG, seg.From, seg.To, nil, nil, func(addr uint64, v record.View) bool {
-			if v.Header().Indirect {
-				return true // never index index records
+		// One page at a time, each under the checkpoint barrier as an
+		// ingest batch is: a checkpoint then never sees an index record
+		// half linked, and waits for at most one page of them.
+		for from := seg.From; from < seg.To; {
+			to := min(seg.To, from&^(pageSize-1)+pageSize)
+			n, err := s.indexPage(psess, def, id, from, to)
+			built += n
+			if err != nil {
+				return built, err
 			}
-			payload := v.Payload()
-			parsed, perr := psess.Parse(payload)
-			if perr != nil {
-				return true
-			}
-			val := def.Evaluate(parsed)
-			if val.Kind == expr.KindMissing {
-				return true
-			}
-			if err := s.appendIndirect(sessG, id, val, addr); err != nil {
-				appendErr = err
-				return false
-			}
-			built++
-			return true
-		})
-		// An append failure must abort the build: marking the interval
-		// covered with index records missing would silently drop matches
-		// from every future chain-planned scan over this range.
-		if err == nil {
-			err = appendErr
-		}
-		if err != nil {
-			return built, err
+			from = to
 		}
 		// The range is now covered: record it so scan planning uses chains.
 		if err := s.registry.ExtendInterval(id, psf.Interval{From: seg.From, To: seg.To}); err != nil {
@@ -82,6 +63,47 @@ func (s *Store) BuildHistoricalIndex(id psf.ID, from, to uint64) (int64, error) 
 		}
 	}
 	return built, nil
+}
+
+// indexPage appends an indirect index record for every record in [from, to)
+// that PSF id maps to a value. The barrier is taken before the epoch guard,
+// as in Session.Ingest: a checkpoint holding it waits for pinned epochs to
+// drain, so a guard must never wait for the barrier.
+func (s *Store) indexPage(psess parser.Session, def psf.Definition, id psf.ID, from, to uint64) (int64, error) {
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	g := s.epoch.Acquire()
+	defer g.Release()
+
+	var built int64
+	var appendErr error
+	err := s.visitRange(nil, g, from, to, nil, nil, func(addr uint64, v record.View) bool {
+		if v.Header().Indirect {
+			return true // never index index records
+		}
+		payload := v.Payload()
+		parsed, perr := psess.Parse(payload)
+		if perr != nil {
+			return true
+		}
+		val := def.Evaluate(parsed)
+		if val.Kind == expr.KindMissing {
+			return true
+		}
+		if err := s.appendIndirect(g, id, val, addr); err != nil {
+			appendErr = err
+			return false
+		}
+		built++
+		return true
+	})
+	// An append failure must abort the build: marking the interval
+	// covered with index records missing would silently drop matches
+	// from every future chain-planned scan over this range.
+	if err == nil {
+		err = appendErr
+	}
+	return built, err
 }
 
 // appendIndirect writes one indirect index record for (id, val) -> target.

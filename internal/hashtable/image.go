@@ -13,10 +13,10 @@ import (
 // The table image is the hash-index half of a checkpoint (Appendix E). It
 // holds what the table holds, not its capacity; all words are little-endian:
 //
-//	header  imageMagic, len(buckets), len(overflow), overflowNext,
-//	        used overflow words (min(overflowNext, overflow buckets) × 8)
-//	body    the bucket array, then the used overflow prefix, each as runs of
-//	        64 words: a mask of the run's non-zero words, then those words
+//	header  imageMagic, len(buckets), len(overflow), overflowNext
+//	body    the bucket array, then the overflow buckets the cursor has handed
+//	        out (min(overflowNext, overflow buckets) × 8 words), each as runs
+//	        of 64 words: a mask of the run's non-zero words, then those words
 //	seal    CRC32-C of header and body (4 bytes)
 //
 // The image before it was dense: len(buckets), len(overflow), overflowNext,
@@ -25,13 +25,15 @@ import (
 // not.
 const (
 	imageMagic   = 0x3130474d49485346 // "FSHIMG01"
-	headerWords  = 5
+	headerWords  = 4
 	runWords     = 64
 	sealBytes    = 4
 	chunkBytes   = 64 << 10
 	denseHdrSize = 24
-	// maxArrayWords keeps a header's claimed capacity inside what the Go
-	// heap can address; the seal vouches for the rest.
+	// maxArrayWords keeps a header's overflow pool size from overflowing
+	// the arithmetic below and make's length check. It is no memory bound:
+	// only the seal vouches for the pool size, and a sealed header claiming
+	// a pool larger than memory aborts the process when the pool is made.
 	maxArrayWords = 1 << 45
 )
 
@@ -67,8 +69,7 @@ func (iw *imageWriter) flush() {
 }
 
 // runs encodes arr as masked runs. Each word is loaded once, atomically, and
-// staged before its run's mask is written, so a concurrent insert is either
-// in the image or left for log replay.
+// staged before its run's mask is written, so the mask matches the words.
 func (iw *imageWriter) runs(arr []uint64) {
 	var run [runWords]uint64
 	for off := 0; off < len(arr) && iw.err == nil; off += runWords {
@@ -91,13 +92,22 @@ func (iw *imageWriter) runs(arr []uint64) {
 	}
 }
 
-// WriteTo writes the table image (fuzzy checkpoint, Appendix E). Entries are
-// only mutated by atomic CAS, so every staged word is one the table held.
+// usedOverflow is how many overflow words the cursor next has handed out;
+// the cursor keeps counting past ErrTableFull, the pool does not.
+func usedOverflow(next, poolWords uint64) uint64 {
+	return min(next, poolWords/wordsPerBucket) * wordsPerBucket
+}
+
+// WriteTo writes the table image (Appendix E). No insert may run
+// concurrently: the cursor is read before the arrays, so a bucket linked
+// meanwhile would lie past the image's overflow prefix, and an entry
+// created meanwhile may be missing. Store.Checkpoint holds the ingestion
+// barrier, which every table writer takes shared.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	iw := &imageWriter{w: w, buf: make([]byte, 0, chunkBytes+(runWords+1)*8)}
 	next := t.overflowNext.Load()
-	used := min(next, uint64(len(t.overflow)/wordsPerBucket)) * wordsPerBucket
-	for _, v := range [headerWords]uint64{imageMagic, uint64(len(t.buckets)), uint64(len(t.overflow)), next, used} {
+	used := usedOverflow(next, uint64(len(t.overflow)))
+	for _, v := range [headerWords]uint64{imageMagic, uint64(len(t.buckets)), uint64(len(t.overflow)), next} {
 		iw.word(v)
 	}
 	iw.runs(t.buckets)
@@ -133,7 +143,7 @@ func (t *Table) ReadFrom(r io.Reader) (int64, error) {
 	}
 	t.buckets, t.overflow = d.buckets, d.overflow
 	t.mask = uint64(len(d.buckets)/wordsPerBucket - 1)
-	t.overflowNext.Store(d.next)
+	t.overflowNext.Store(max(d.next, d.maxLink+1))
 	return n, nil
 }
 
@@ -142,6 +152,7 @@ type decoded struct {
 	buckets, overflow []uint64
 	next              uint64
 	linked            []uint64 // bitmap of overflow buckets some chain links to
+	maxLink           uint64   // highest overflow bucket a chain links to
 }
 
 // shape checks the header's sizes and allocates the arrays. words bounds
@@ -167,21 +178,26 @@ func (d *decoded) shape(nb, no, next, words uint64) error {
 }
 
 // install stores word w at index i of arr. A bucket's last word links to an
-// overflow bucket; each link must name a bucket the cursor has handed out
-// and no other link names, so a restored chain can neither leave the pool,
-// nor loop, nor share a bucket the cursor hands out again.
+// overflow bucket; each link must name a bucket in the pool that no other
+// link names, so a restored chain can neither leave the pool nor loop.
+//
+// A link may lie past the cursor: a dense image was written with inserts
+// running, so a bucket linked after its cursor was read is in it. ReadFrom
+// moves the cursor past the highest link, so the cursor never hands out a
+// linked bucket again.
 func (d *decoded) install(arr []uint64, i int, w uint64) error {
 	arr[i] = w
 	if i%wordsPerBucket != entriesPerBucket || w == 0 {
 		return nil
 	}
-	if handedOut := min(d.next, uint64(len(d.overflow)/wordsPerBucket)); w >= handedOut {
-		return corrupt("chain link %d past the %d overflow buckets handed out", w, handedOut)
+	if pool := uint64(len(d.overflow) / wordsPerBucket); w >= pool {
+		return corrupt("chain link %d past the %d-bucket overflow pool", w, pool)
 	}
 	if d.linked[w/64]&(1<<(w%64)) != 0 {
 		return corrupt("overflow bucket %d linked twice", w)
 	}
 	d.linked[w/64] |= 1 << (w % 64)
+	d.maxLink = max(d.maxLink, w)
 	return nil
 }
 
@@ -198,15 +214,12 @@ func (d *decoded) sparse(img []byte) error {
 		h[i] = binary.LittleEndian.Uint64(body[i*8:])
 	}
 	body = body[headerWords*8:]
-	nb, no, next, used := h[1], h[2], h[3], h[4]
+	nb, no, next := h[1], h[2], h[3]
 	// Every run costs at least its mask word.
 	if err := d.shape(nb, no, next, uint64(len(body)/8)*runWords); err != nil {
 		return err
 	}
-	if used != min(next, no/wordsPerBucket)*wordsPerBucket {
-		return corrupt("used overflow prefix %d does not match cursor %d and pool %d", used, next, no)
-	}
-	for _, arr := range [][]uint64{d.buckets, d.overflow[:used]} {
+	for _, arr := range [][]uint64{d.buckets, d.overflow[:usedOverflow(next, no)]} {
 		var err error
 		if body, err = d.runs(arr, body); err != nil {
 			return err

@@ -164,6 +164,29 @@ func TestDenseImageStillReadable(t *testing.T) {
 	requireSameTable(t, restored, tbl)
 }
 
+// TestLinkPastCursorMovesCursor: an image whose chain links an overflow
+// bucket at or past its cursor — a dense image written while an insert
+// linked one — restores, and the cursor resumes past the link so it never
+// hands that bucket out again.
+func TestLinkPastCursorMovesCursor(t *testing.T) {
+	denseWords := make([]uint64, 3+8+3*8)
+	denseWords[0], denseWords[1], denseWords[2] = 8, 3*8, 2
+	denseWords[3+entriesPerBucket] = 2
+	images := map[string][]byte{
+		"dense":  le(denseWords...),
+		"sealed": sealed(le(imageMagic, 8, 3*8, 2, 1<<entriesPerBucket, 2, 0)),
+	}
+	for name, img := range images {
+		tbl := New(1, 1)
+		if _, err := tbl.ReadFrom(bytes.NewReader(img)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if next := tbl.overflowNext.Load(); next != 3 {
+			t.Fatalf("%s: overflowNext = %d, want 3, past the link to bucket 2", name, next)
+		}
+	}
+}
+
 // le encodes words little-endian; sealed adds the image seal.
 func le(words ...uint64) []byte {
 	var b []byte
@@ -197,7 +220,7 @@ func TestCorruptImageRejected(t *testing.T) {
 
 	// A one-bucket table with one overflow bucket, empty: the shape the
 	// sealed cases below corrupt one field or run at a time.
-	if _, err := New(1, 1).ReadFrom(bytes.NewReader(sealed(le(imageMagic, 8, 8, 1, 8, 0, 0)))); err != nil {
+	if _, err := New(1, 1).ReadFrom(bytes.NewReader(sealed(le(imageMagic, 8, 8, 1, 0, 0)))); err != nil {
 		t.Fatalf("hand-built image rejected: %v", err)
 	}
 	cases := map[string][]byte{
@@ -210,16 +233,14 @@ func TestCorruptImageRejected(t *testing.T) {
 		"dense link outside the pool": rewrite(dense, link(0), 4),
 		"dense link named twice":      rewrite(rewrite(dense, link(0), 1), link(1), 1),
 		"dense cursor zero":           rewrite(dense, 2, 0),
-		"sealed 2^61 bucket words":    sealed(le(imageMagic, huge, 8, 1, 8, 0, 0)),
-		"sealed 3 buckets":            sealed(le(imageMagic, 24, 8, 1, 8, 0, 0)),
-		"sealed prefix past the pool": sealed(le(imageMagic, 8, 8, 1, 16, 0, 0, 0)),
-		"sealed 2^61 overflow words":  sealed(le(imageMagic, 8, huge, 1, 8, 0, 0)),
-		"sealed mask past the array":  sealed(le(imageMagic, 8, 8, 1, 8, 1<<8, 1, 0)),
-		"sealed mask on a zero word":  sealed(le(imageMagic, 8, 8, 1, 8, 1, 0, 0)),
-		"sealed runs missing":         sealed(le(imageMagic, 8, 8, 1, 8)),
-		"sealed trailing word":        sealed(le(imageMagic, 8, 8, 1, 8, 0, 0, 0)),
-		"sealed link outside pool":    sealed(le(imageMagic, 8, 16, 1, 8, 1<<7, 2, 0)),
-		"sealed link past the cursor": sealed(le(imageMagic, 8, 24, 2, 16, 1<<7, 2, 0)),
+		"sealed 2^61 bucket words":    sealed(le(imageMagic, huge, 8, 1, 0, 0)),
+		"sealed 3 buckets":            sealed(le(imageMagic, 24, 8, 1, 0, 0)),
+		"sealed 2^61 overflow words":  sealed(le(imageMagic, 8, huge, 1, 0, 0)),
+		"sealed mask past the array":  sealed(le(imageMagic, 8, 8, 1, 1<<8, 1, 0)),
+		"sealed mask on a zero word":  sealed(le(imageMagic, 8, 8, 1, 1, 0, 0)),
+		"sealed runs missing":         sealed(le(imageMagic, 8, 8, 1)),
+		"sealed trailing word":        sealed(le(imageMagic, 8, 8, 1, 0, 0, 0)),
+		"sealed link outside pool":    sealed(le(imageMagic, 8, 16, 1, 1<<7, 2, 0)),
 	}
 	for i := range img {
 		flipped := slices.Clone(img)
@@ -252,7 +273,7 @@ func FuzzTableImage(f *testing.F) {
 	if _, err := tbl.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	header := le(imageMagic, 4*wordsPerBucket, 4*wordsPerBucket, 4, 4*wordsPerBucket)
+	header := le(imageMagic, 4*wordsPerBucket, 4*wordsPerBucket, 4)
 	f.Add(buf.Bytes())
 	f.Add(denseImage(tbl))
 	f.Add(buf.Bytes()[len(header) : buf.Len()-sealBytes])
