@@ -112,39 +112,50 @@ func TestVerifyLogFindsChainMembership(t *testing.T) {
 
 // TestChainLinkIntoRecord: a prev address aimed into the middle of a record
 // — at its last word, rewritten so its bits read as a back-offset to the
-// record's header — names no key pointer slot. Both device chain readers
-// (page cache and raw) reject it: under VerifyOnRead the link is quarantined
-// and the walk ends without an error; without it the scan fails. Neither
-// reads a key pointer past the record's end.
+// record's header — names no key pointer slot, and neither does one that
+// falls between words. Both device chain readers (page cache and raw) reject
+// them: under VerifyOnRead the link (or, for the word-straddling one, the
+// record holding it) is quarantined and the walk ends without an error;
+// without it the scan fails. Neither reads a key pointer past the record's
+// end.
 func TestChainLinkIntoRecord(t *testing.T) {
-	for _, verify := range []bool{true, false} {
-		mem := storage.NewMem()
-		s, prop, n, addrs, sizes := chainOnDevice(t, mem, mem, Options{VerifyOnRead: verify})
-		k := len(addrs) / 2
-		for k < len(addrs) && sizes[k-1]%2 != 0 { // an even size puts a pointer read at the last word past the end
-			k++
-		}
-		if k == len(addrs) {
-			t.Fatal("no record of even size below head")
-		}
-		last := uint64(sizes[k-1] - 1)
-		setDeviceWord(t, mem, addrs[k-1]+last*8, last<<50) // the back-offset field of a word A
-		a := deviceWord(t, mem, kptOf(addrs[k]))
-		setDeviceWord(t, mem, kptOf(addrs[k]), a&^record.PrevAddressOf(a)|(addrs[k-1]+last*8))
+	for _, offWord := range []bool{false, true} {
+		for _, verify := range []bool{true, false} {
+			mem := storage.NewMem()
+			s, prop, n, addrs, sizes := chainOnDevice(t, mem, mem, Options{VerifyOnRead: verify})
+			k := len(addrs) / 2
+			for k < len(addrs) && sizes[k-1]%2 != 0 { // an even size puts a pointer read at the last word past the end
+				k++
+			}
+			if k == len(addrs) {
+				t.Fatal("no record of even size below head")
+			}
+			last := uint64(sizes[k-1] - 1)
+			target := addrs[k-1] + last*8
+			setDeviceWord(t, mem, target, last<<50) // the back-offset field of a word A
+			want := n - k
+			if offWord {
+				target = kptOf(addrs[k-1]) + 4
+				want-- // validateRecord rejects record k for its unaligned link
+			}
+			a := deviceWord(t, mem, kptOf(addrs[k]))
+			setDeviceWord(t, mem, kptOf(addrs[k]), a&^record.PrevAddressOf(a)|target)
 
-		for _, mode := range []ScanMode{ScanForceIndex, ScanIndexNoPrefetch} {
-			var got int
-			st, err := s.Scan(prop, ScanOptions{Mode: mode}, func(Record) bool {
-				got++
-				return true
-			})
-			switch {
-			case !verify && err == nil:
-				t.Fatalf("mode %d without VerifyOnRead followed a link into a record", mode)
-			case verify && err != nil:
-				t.Fatalf("mode %d: %v", mode, err)
-			case verify && (got != n-k || st.Quarantined != 1):
-				t.Fatalf("mode %d surfaced %d records and quarantined %d, want %d and 1", mode, got, st.Quarantined, n-k)
+			for _, mode := range []ScanMode{ScanForceIndex, ScanIndexNoPrefetch} {
+				var got int
+				st, err := s.Scan(prop, ScanOptions{Mode: mode}, func(Record) bool {
+					got++
+					return true
+				})
+				switch {
+				case !verify && err == nil:
+					t.Fatalf("offWord=%v mode %d without VerifyOnRead followed a link into a record", offWord, mode)
+				case verify && err != nil:
+					t.Fatalf("offWord=%v mode %d: %v", offWord, mode, err)
+				case verify && (got != want || st.Quarantined != 1):
+					t.Fatalf("offWord=%v mode %d surfaced %d records and quarantined %d, want %d and 1",
+						offWord, mode, got, st.Quarantined, want)
+				}
 			}
 		}
 	}

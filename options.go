@@ -101,8 +101,9 @@ type Options struct {
 	Tracer *trace.Tracer
 
 	// PageCachePages bounds the read-through page cache over on-device log
-	// pages: scans and chain walks fill it on cold reads and later reads of
-	// the same page are served from memory. 0 means the default (64 pages);
+	// pages: full scans fill it on cold reads, chain walks fill only free
+	// frames, and later reads of the same page are served from memory. 0
+	// means the default (64 pages);
 	// negative disables the cache (every cold read is a device hit, the
 	// pre-cache behaviour). Cached pages are invalidated by TruncateUntil.
 	PageCachePages int

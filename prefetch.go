@@ -2,7 +2,6 @@ package fishstore
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -42,10 +41,12 @@ import (
 // multi-megabyte windows that cost far more than the cheap random reads they
 // replace.
 //
-// When a page cache is attached, device resolution happens at page
-// granularity through it instead of via byte-window speculation: a chain hop
-// either hits a cached page (no I/O at all) or fills one page whose records
-// every later hop and scan can alias zero-copy.
+// When a page cache is attached, a cold hop reads through it only if that
+// costs no other page its residence: the hop's page is cached (no I/O at
+// all), or its cache shard has a free frame, which one page read fills for
+// every later hop and scan. Otherwise the hop reads the byte window above
+// and evicts nothing. A point read does not earn a whole page; the page
+// walker's sequential fills do.
 type chainReader struct {
 	log     *hlog.Log
 	ctx     context.Context // nil = never cancelled; checked by device reads
@@ -57,9 +58,14 @@ type chainReader struct {
 	window  int // current speculation window (0 = no speculation)
 	profile storage.Profile
 
-	buf      []byte
+	buf      []uint64 // speculation buffer: the device words [bufStart, bufEnd)
 	bufStart uint64
 	bufEnd   uint64
+
+	// page is the cached page the last hop resolved through, pinned until
+	// the reader moves to another page or is released.
+	page    *pagecache.Page
+	pageNum uint64
 
 	lastBase  uint64 // base address of the previous (higher) chain record
 	avgRec    float64
@@ -124,14 +130,14 @@ func newChainReader(ctx context.Context, log *hlog.Log, useAP bool, cache *pagec
 // specBufPool recycles speculation buffers across scans. Windows can grow to
 // a full device queue (maxWin); without pooling every cold scan re-allocates
 // that much and drops it on the floor when the chainReader dies.
-var specBufPool sync.Pool // stores *[]byte
+var specBufPool sync.Pool // stores *[]uint64
 
-// ensureBuf makes cr.buf at least size bytes, drawing from the pool before
+// ensureBuf makes cr.buf at least n words, drawing from the pool before
 // allocating. Capacity is rounded up to a whole number of minWin units so
 // recycled buffers fit later windows.
-func (cr *chainReader) ensureBuf(size int) {
-	if cap(cr.buf) >= size {
-		cr.buf = cr.buf[:size]
+func (cr *chainReader) ensureBuf(n int) {
+	if cap(cr.buf) >= n {
+		cr.buf = cr.buf[:n]
 		return
 	}
 	if cr.buf != nil {
@@ -139,18 +145,24 @@ func (cr *chainReader) ensureBuf(size int) {
 		specBufPool.Put(&b)
 		cr.buf = nil
 	}
-	if p, ok := specBufPool.Get().(*[]byte); ok && cap(*p) >= size {
-		cr.buf = (*p)[:size]
+	if p, ok := specBufPool.Get().(*[]uint64); ok && cap(*p) >= n {
+		cr.buf = (*p)[:n]
 		return
 	}
-	rounded := (size + cr.minWin - 1) / cr.minWin * cr.minWin
-	cr.buf = make([]byte, size, rounded)
+	unit := cr.minWin / 8
+	cr.buf = make([]uint64, n, (n+unit-1)/unit*unit)
 }
 
-// release returns the speculation buffer to the pool. The chainReader must
-// not be used afterwards; owners call it once the chain walk finishes.
+// release unpins the current page and returns the speculation buffer to the
+// pool. The chainReader must not be used afterwards; owners call it once the
+// chain walk finishes.
 func (cr *chainReader) release() {
-	if cr == nil || cr.buf == nil {
+	if cr == nil {
+		return
+	}
+	cr.page.Release()
+	cr.page = nil
+	if cr.buf == nil {
 		return
 	}
 	b := cr.buf[:0]
@@ -203,16 +215,30 @@ func (cr *chainReader) effMaxWin() int {
 }
 
 // record reads the record containing the key pointer at kptAddr and returns
-// its view and base address. One call is one chain hop: the hop is a hit when
-// the reader issued no device read for it, a miss otherwise.
+// its view and base address. The view aliases a pinned cache page or the
+// speculation buffer, so it is valid until the next hop. One call is one
+// chain hop: the hop is a hit when the reader issued no device read for it,
+// a miss otherwise.
 func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
+	if kptAddr%8 != 0 {
+		return record.View{}, 0, errBadLink(kptAddr) // key pointers sit on words
+	}
 	ios := cr.ios
 	var v record.View
 	var base uint64
 	var err error
-	if cr.cache != nil {
-		v, base, err = cr.recordViaCache(kptAddr)
-	} else {
+	cached := false
+	if cr.cache != nil && !cr.buffered(kptAddr) {
+		var pw []uint64
+		if pw, err = cr.pageWords(cr.log.PageOf(kptAddr)); err != nil {
+			return record.View{}, 0, err
+		}
+		if pw != nil {
+			cached = true
+			v, base, err = cr.recordInPage(pw, kptAddr)
+		}
+	}
+	if !cached {
 		v, base, err = cr.recordRaw(kptAddr)
 	}
 	if err != nil {
@@ -221,7 +247,7 @@ func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
 	hit := cr.ios == ios
 	if hit {
 		cr.hits++
-		if cr.cache != nil {
+		if cached {
 			cr.cacheHits++
 		}
 	}
@@ -235,54 +261,52 @@ func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
 	return v, base, nil
 }
 
+// buffered reports whether the key pointer at kptAddr lies in the
+// speculation buffer, so the hop needs no cache probe: its record almost
+// always lies there too.
+func (cr *chainReader) buffered(kptAddr uint64) bool {
+	return kptAddr >= cr.bufStart && kptAddr+16 <= cr.bufEnd
+}
+
 // recordRaw resolves the record with byte-granular device reads, through the
 // speculation buffer: the key pointer, then the header, then the record.
 func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 	// 1. The key pointer's first word tells us where the record starts.
-	kw, err := cr.fetch(kptAddr, 16)
+	kw, err := cr.fetch(kptAddr, 2)
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	wordA := binary.LittleEndian.Uint64(kw)
-	offWords := wordA >> 50
+	offWords := kw[0] >> 50
 	base := kptAddr - offWords*8
 	if offWords > cr.log.OffsetOf(kptAddr)/8 {
 		return record.View{}, 0, errBadLink(base) // records never straddle pages
 	}
 
 	// 2. The header tells us the record size.
-	hb, err := cr.fetch(base, 8)
+	hw, err := cr.fetch(base, 1)
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	h := record.UnpackHeader(binary.LittleEndian.Uint64(hb))
+	h := record.UnpackHeader(hw[0])
 	if h.SizeWords == 0 || cr.log.OffsetOf(base)+uint64(h.SizeWords)*8 > cr.log.PageSize() || !onPointer(h, offWords) {
 		return record.View{}, 0, errBadLink(base)
 	}
 
 	// 3. Fetch the whole record.
-	rb, err := cr.fetch(base, h.SizeWords*8)
+	words, err := cr.fetch(base, h.SizeWords)
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	words := make([]uint64, h.SizeWords)
-	copy(wordio.Bytes(words), rb)
-
 	cr.adapt(base, h.SizeWords*8)
 	return record.View{Words: words}, base, nil
 }
 
-// recordViaCache resolves the record through the shared page cache: records
-// never straddle pages, so the key pointer, header, and payload all live in
-// one cached page and the returned view aliases it with zero copies.
-func (cr *chainReader) recordViaCache(kptAddr uint64) (record.View, uint64, error) {
-	pw, err := cr.pageWords(cr.log.PageOf(kptAddr))
-	if err != nil {
-		return record.View{}, 0, err
-	}
+// recordInPage resolves the record from its page's words: records never
+// straddle pages, so the key pointer, header, and payload all live in one
+// page and the returned view aliases it with zero copies.
+func (cr *chainReader) recordInPage(pw []uint64, kptAddr uint64) (record.View, uint64, error) {
 	kOff := cr.log.OffsetOf(kptAddr) / 8
-	wordA := pw[kOff]
-	offWords := uint64(wordA >> 50)
+	offWords := pw[kOff] >> 50
 	base := kptAddr - offWords*8
 	if offWords > kOff {
 		// Records never straddle pages; an offset pointing before the page
@@ -299,34 +323,47 @@ func (cr *chainReader) recordViaCache(kptAddr uint64) (record.View, uint64, erro
 	return view, base, nil
 }
 
-// pageWords returns the on-device page through the cache, filling it with a
-// single timed page read on a miss. Concurrent chain walkers missing on the
-// same page share one fill.
+// pageWords returns the words of an on-device page through the cache, or nil
+// when the page is neither cached nor fillable without evicting another
+// page; the hop then reads the speculation window instead. A fill is one
+// timed page read into a recycled frame, shared with concurrent readers
+// missing on the same page. The page stays pinned while hops stay on it.
 func (cr *chainReader) pageWords(page uint64) ([]uint64, error) {
-	if w := cr.cache.Get(page); w != nil {
-		return w, nil
+	if cr.page != nil && cr.pageNum == page {
+		return cr.page.Words(), nil
 	}
-	pageSize := int(cr.log.PageSize())
-	w, _, err := cr.cache.GetOrLoad(page, func() ([]uint64, error) {
-		var iosp *trace.Span
-		if cr.sp != nil {
-			iosp = cr.sp.Child("scan.io")
-			iosp.SetUint("addr", page*uint64(pageSize))
-			iosp.SetInt("bytes", int64(pageSize))
-			iosp.SetInt("window", int64(cr.window))
-		}
-		start := time.Now()
-		words, err := cr.log.ReadWordsFromDeviceCtx(cr.ctx, page*uint64(pageSize), pageSize/8)
-		iosp.End()
-		if err != nil {
-			return nil, err
-		}
-		cr.observe(time.Since(start), pageSize)
-		cr.ios++
-		cr.bytesRead += int64(pageSize)
-		return words, nil
+	cr.page.Release()
+	cr.page = nil
+	p, _, err := cr.cache.GetOrLoadNoEvict(page, func(dst []uint64) ([]uint64, error) {
+		return cr.timedReadPage(page, dst)
 	})
-	return w, err
+	if err != nil || p == nil {
+		return nil, err
+	}
+	cr.page, cr.pageNum = p, page
+	return p.Words(), nil
+}
+
+// timedReadPage is readPage as one of the reader's timed device reads.
+func (cr *chainReader) timedReadPage(page uint64, dst []uint64) ([]uint64, error) {
+	pageSize := int(cr.log.PageSize())
+	var iosp *trace.Span
+	if cr.sp != nil {
+		iosp = cr.sp.Child("scan.io")
+		iosp.SetUint("addr", page*uint64(pageSize))
+		iosp.SetInt("bytes", int64(pageSize))
+		iosp.SetInt("window", int64(cr.window))
+	}
+	start := time.Now()
+	words, err := readPage(cr.ctx, cr.log, page, dst)
+	iosp.End()
+	if err != nil {
+		return nil, err
+	}
+	cr.observe(time.Since(start), pageSize)
+	cr.ios++
+	cr.bytesRead += int64(pageSize)
+	return words, nil
 }
 
 // adapt updates the locality estimate after reading the record at base.
@@ -375,22 +412,24 @@ func (cr *chainReader) adapt(base uint64, size int) {
 	cr.lastBase = base
 }
 
-// fetch returns n bytes at addr, serving from the speculation buffer when
-// possible.
-func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
-	if addr >= cr.bufStart && addr+uint64(n) <= cr.bufEnd {
-		off := addr - cr.bufStart
+// fetch returns the n words at the word-aligned address addr, serving from
+// the speculation buffer when possible. The result aliases the buffer and is
+// valid until the next fetch.
+func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
+	start, end := addr, addr+uint64(n)*8
+	if start >= cr.bufStart && end <= cr.bufEnd {
+		off := (start - cr.bufStart) / 8
 		return cr.buf[off : off+uint64(n)], nil
 	}
-	start, end := addr, addr+uint64(n)
 	if win := cr.window; cr.useAP && win > int(end-start) {
 		if max := cr.effMaxWin(); win > max {
 			win = max // observed latency dropped below the profile floor
 		}
-		// Backward speculative window ending at our read's end.
+		// Backward speculative window ending at our read's end, starting
+		// on a word so the buffer holds whole words.
 		w := uint64(win)
 		if end > w {
-			start = end - w
+			start = (end - w) &^ 7
 		} else {
 			start = 0
 		}
@@ -399,7 +438,7 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
 		}
 	}
 	size := int(end - start)
-	cr.ensureBuf(size)
+	cr.ensureBuf(size / 8)
 	var iosp *trace.Span
 	if cr.sp != nil {
 		iosp = cr.sp.Child("scan.io")
@@ -408,7 +447,7 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
 		iosp.SetInt("window", int64(cr.window))
 	}
 	t0 := time.Now()
-	err := cr.log.ReadBytesFromDeviceCtx(cr.ctx, start, cr.buf)
+	err := cr.log.ReadBytesFromDeviceCtx(cr.ctx, start, wordio.Bytes(cr.buf))
 	iosp.End()
 	if err != nil {
 		return nil, err
@@ -417,7 +456,7 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]byte, error) {
 	cr.ios++
 	cr.bytesRead += int64(size)
 	cr.bufStart, cr.bufEnd = start, end
-	off := addr - start
+	off := (addr - start) / 8
 	return cr.buf[off : off+uint64(n)], nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"fishstore/internal/record"
 	"fishstore/internal/telemetry"
 	"fishstore/internal/trace"
+	"fishstore/internal/wordio"
 )
 
 // Record is one retrieved record.
@@ -557,7 +558,8 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 		g.Refresh()
 
 		vfn := visit
-		var words []uint64 // page words from addr onward
+		var words []uint64         // page words from addr onward
+		var pinned *pagecache.Page // the cached page words alias, while walked
 		if addr >= s.log.HeadAddress() {
 			words = s.log.PageWordsFrom(addr)
 		} else {
@@ -566,7 +568,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 			// safe epoch stalls page-frame recycling for every worker.
 			n := int(pageEnd-addr) / 8
 			g.Unprotect()
-			w, hit, err := s.devicePageWords(ctx, addr, n)
+			w, p, hit, err := s.devicePageWords(ctx, addr, n)
 			g.Protect()
 			if err != nil {
 				return fmt.Errorf("fishstore: full scan read at %d: %w", addr, err)
@@ -574,7 +576,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 			if hit && cacheHits != nil {
 				*cacheHits++
 			}
-			words = w
+			words, pinned = w, p
 			if s.opts.VerifyOnRead {
 				vfn = func(addr uint64, v record.View) bool {
 					h := v.Header()
@@ -589,7 +591,9 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 				}
 			}
 		}
-		if !walkRecords(words, addr, limit, vfn) {
+		more := walkRecords(words, addr, limit, vfn)
+		pinned.Release()
+		if !more {
 			return nil
 		}
 		addr = pageEnd
@@ -599,24 +603,41 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 
 // devicePageWords reads the n words starting at the on-device address addr,
 // through the read-through page cache when enabled (the whole page is
-// filled; addr and addr+n*8 never straddle a page boundary — visitRange
-// walks page by page). The caller must have dropped epoch protection. The
-// second result reports whether the read was served from the cache.
-func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint64, bool, error) {
-	if s.pcache == nil {
-		w, err := s.log.ReadWordsFromDeviceCtx(ctx, addr, n)
-		return w, false, err
+// filled, evicting another if need be; addr and addr+n*8 never straddle a
+// page boundary — visitRange walks page by page). When the words alias a
+// cached page, that page is returned pinned for the caller to release. The
+// caller must have dropped epoch protection. The third result reports
+// whether the read was served from the cache.
+func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint64, *pagecache.Page, bool, error) {
+	if s.pcache != nil {
+		page := s.log.PageOf(addr)
+		p, hit, err := s.pcache.GetOrLoad(page, func(dst []uint64) ([]uint64, error) {
+			return readPage(ctx, s.log, page, dst)
+		})
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if p != nil {
+			off := s.log.OffsetOf(addr) / 8
+			return p.Words()[off : off+uint64(n)], p, hit, nil
+		}
+		// Uncacheable (truncated, or every page of its shard pinned): read
+		// around the cache.
 	}
-	pageSize := s.log.PageSize()
-	page := s.log.PageOf(addr)
-	pw, hit, err := s.pcache.GetOrLoad(page, func() ([]uint64, error) {
-		return s.log.ReadWordsFromDeviceCtx(ctx, page*pageSize, int(pageSize/8))
-	})
-	if err != nil {
-		return nil, false, err
+	w, err := s.log.ReadWordsFromDeviceCtx(ctx, addr, n)
+	return w, nil, false, err
+}
+
+// readPage is the page cache's loader: it reads the whole on-device page
+// straight into dst, a recycled frame, or into a new page when dst is nil.
+func readPage(ctx context.Context, log *hlog.Log, page uint64, dst []uint64) ([]uint64, error) {
+	if dst == nil {
+		dst = make([]uint64, log.PageSize()/8)
 	}
-	off := s.log.OffsetOf(addr) / 8
-	return pw[off : off+uint64(n)], hit, nil
+	if err := log.ReadBytesFromDeviceCtx(ctx, page*log.PageSize(), wordio.Bytes(dst)); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // quarantineRecord accounts for a device-fetched record whose checksum (or

@@ -12,6 +12,7 @@ import (
 	"fishstore/internal/hlog"
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
+	"fishstore/internal/record"
 	"fishstore/internal/storage"
 )
 
@@ -480,6 +481,37 @@ func testFullScanEquivalence(t *testing.T, n int, latePSF bool, workers int, noC
 	}
 	if live, protected := s.epochInUse(); live != 0 || protected != 0 {
 		t.Fatalf("epoch guards leaked after cancelled scan: live=%d protected=%d", live, protected)
+	}
+}
+
+// TestChainHopProbesCacheOnce pins the hit ledger of a cold chain hop: one
+// probe, one miss, one fill — not a probe and then a second one inside the
+// fill.
+func TestChainHopProbesCacheOnce(t *testing.T) {
+	s, id, _ := buildDeviceStore(t, Options{}, 900)
+	slot, ok := s.table.FindEntry(PropertyString(id, "spark").hash())
+	if !ok {
+		t.Fatal("no chain for the property")
+	}
+	cur := slot.Address()
+	for cur >= s.log.HeadAddress() {
+		v, b, err := s.inMemoryRecordAt(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = v.KeyPointerAt((int((cur-b)/8) - record.HeaderWords) / record.WordsPerPointer).PrevAddress
+	}
+	if cur == 0 {
+		t.Fatal("chain never reaches the device")
+	}
+	cache := pagecache.New(64, int(s.log.PageSize()/8))
+	cr := newChainReader(nil, s.log, true, cache, nil, nil)
+	defer cr.release()
+	if _, _, err := cr.record(cur); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 || st.Fills != 1 {
+		t.Fatalf("one cold hop on a fresh cache: %+v", st)
 	}
 }
 
