@@ -37,8 +37,9 @@ type Stats struct {
 	// GetOrLoad counts exactly one of the two; one that joins another
 	// reader's fill counts a hit, since it issued no device read.
 	Hits, Misses int64
-	// Fills counts device loads completed through GetOrLoad (deduplicated:
-	// concurrent misses on one page count one fill).
+	// Fills counts device loads completed through GetOrLoad or
+	// GetOrLoadNoEvict (deduplicated: concurrent misses on one page count
+	// one fill).
 	Fills int64
 	// Evictions counts pages dropped by the CLOCK sweep to make room.
 	Evictions int64
