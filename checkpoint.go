@@ -145,9 +145,9 @@ func (s *Store) CheckpointContext(ctx context.Context, dir string) error {
 	//lint:ignore puborder the checkpoint barrier is the semantic: ingestion holds ckptMu shared and MUST quiesce until the flush lands, or the manifest's durable-below-tail claim is false
 	if err := s.log.FlushTail(); err != nil {
 		fsp.End()
-		// The device permanently refused a log write (transient faults were
-		// retried below when IORetry is configured): no future checkpoint can
-		// succeed and ingestion can no longer be persisted. Degrade.
+		// The device permanently refused a log write (it is fail-stop): no
+		// future checkpoint can succeed and ingestion can no longer be
+		// persisted. Degrade.
 		s.enterDegraded(fmt.Errorf("checkpoint flush: %w", err))
 		return fmt.Errorf("fishstore: checkpoint flush: %w", err)
 	}

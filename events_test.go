@@ -1,9 +1,6 @@
 package fishstore
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -102,8 +99,8 @@ func TestFlightRecorderSeesInternalEvents(t *testing.T) {
 }
 
 // TestFlightRecorderTeesAndDumps: the flight recorder keeps the newest
-// flightEvents records while the TraceSink sees every one, and both the dump
-// and /debug/fishstore/flight render them oldest first as flat JSON.
+// flightEvents records while the TraceSink sees every one, and
+// /debug/fishstore/flight renders them oldest first as flat JSON.
 func TestFlightRecorderTeesAndDumps(t *testing.T) {
 	sink := &recordingSink{}
 	s := openTestStore(t, Options{TraceSink: sink.emit})
@@ -118,27 +115,11 @@ func TestFlightRecorderTeesAndDumps(t *testing.T) {
 		t.Fatalf("recorder retained %d events, want %d", got, flightEvents)
 	}
 
-	var buf bytes.Buffer
-	if err := s.dumpFlight(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != flightEvents {
-		t.Fatalf("dump has %d lines, want %d", len(lines), flightEvents)
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if first["event"] != "test.event" || first["i"] != float64(44) || first["ts"] == nil {
-		t.Fatalf("dump not oldest-first flat JSON: %s", lines[0])
-	}
-
 	snap := s.flightSnapshot()
 	if snap.Capacity != flightEvents || snap.Total != emitted || snap.Dropped != 44 || len(snap.Events) != flightEvents {
 		t.Fatalf("snapshot = cap %d total %d dropped %d events %d", snap.Capacity, snap.Total, snap.Dropped, len(snap.Events))
 	}
-	if snap.Events[0]["i"] != int64(44) {
-		t.Fatalf("snapshot first event = %v", snap.Events[0])
+	if first := snap.Events[0]; first["event"] != "test.event" || first["i"] != int64(44) || first["ts"] == nil {
+		t.Fatalf("snapshot not oldest-first flat JSON: %v", first)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"fishstore/internal/hlog"
 	"fishstore/internal/metrics"
@@ -422,36 +421,6 @@ func TestDegradedModeAfterPermanentWriteFailure(t *testing.T) {
 	}
 	if !ls.Degraded || ls.DegradedCause == "" {
 		t.Fatalf("LogSnapshot degraded=%v cause=%q, want flagged", ls.Degraded, ls.DegradedCause)
-	}
-}
-
-// TestIORetryHealsTransientReads: with Options.IORetry, a one-shot transient
-// read fault must be retried and healed invisibly, and counted.
-func TestIORetryHealsTransientReads(t *testing.T) {
-	mem := storage.NewMem()
-	fd := storage.NewFaultDevice(mem, storage.FaultConfig{Seed: 9})
-	reg := metrics.NewRegistry()
-	s := openTestStore(t, Options{Device: fd, PageBits: 12, MemPages: 4, Metrics: reg,
-		IORetry: &storage.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond}})
-	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := fillToDevice(t, s)
-
-	fd.FailNextRead(storage.ErrShortRead)
-	var got int
-	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
-		got++
-		return true
-	}); err != nil {
-		t.Fatalf("scan failed despite retry policy: %v", err)
-	}
-	if got != n {
-		t.Fatalf("scan surfaced %d records, want %d", got, n)
-	}
-	if v := reg.Snapshot().Value("fishstore_io_retries_total"); v < 1 {
-		t.Fatalf("fishstore_io_retries_total = %v, want >= 1", v)
 	}
 }
 

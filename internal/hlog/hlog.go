@@ -737,36 +737,20 @@ func (l *Log) PageWordsFrom(addr Address) []uint64 {
 	return l.frames[f][off>>3 : end>>3]
 }
 
-// ReadWordsFromDevice reads n words at addr from the storage device.
+// ReadWordsFromDevice reads n words at addr from the storage device straight
+// into a new slice.
 func (l *Log) ReadWordsFromDevice(addr Address, n int) ([]uint64, error) {
-	return l.ReadWordsFromDeviceCtx(nil, addr, n)
+	words := make([]uint64, n)
+	if _, err := l.device.ReadAt(wordio.Bytes(words), int64(addr)); err != nil {
+		return nil, err
+	}
+	return words, nil
 }
 
 // ReadBytesFromDevice reads raw bytes from the device (for page scans and
 // prefetching).
 func (l *Log) ReadBytesFromDevice(addr Address, buf []byte) error {
 	_, err := l.device.ReadAt(buf, int64(addr))
-	return err
-}
-
-// ReadWordsFromDeviceCtx is ReadWordsFromDevice with a cancellation bound:
-// a cancelled context aborts retry backoff waits in the device chain instead
-// of riding them out; a nil or background context reads the device directly.
-// The device reads straight into the words returned.
-func (l *Log) ReadWordsFromDeviceCtx(ctx context.Context, addr Address, n int) ([]uint64, error) {
-	words := make([]uint64, n)
-	if _, err := storage.ReadAtCtx(ctx, l.device, wordio.Bytes(words), int64(addr)); err != nil {
-		return nil, err
-	}
-	return words, nil
-}
-
-// ReadBytesFromDeviceCtx is ReadBytesFromDevice with a cancellation bound.
-func (l *Log) ReadBytesFromDeviceCtx(ctx context.Context, addr Address, buf []byte) error {
-	if ctx == nil || ctx.Done() == nil {
-		return l.ReadBytesFromDevice(addr, buf)
-	}
-	_, err := storage.ReadAtCtx(ctx, l.device, buf, int64(addr))
 	return err
 }
 

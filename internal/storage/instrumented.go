@@ -1,9 +1,9 @@
 package storage
 
 import (
-	"context"
-	"sync/atomic"
 	"time"
+
+	"fishstore/internal/trace"
 )
 
 // IOObserver receives per-operation device I/O measurements. Implementations
@@ -14,94 +14,64 @@ type IOObserver interface {
 	ObserveWrite(bytes int, d time.Duration)
 }
 
-// Instrumented wraps a Device and reports every read and write (byte count
-// and wall-clock latency) to an IOObserver, while also keeping its own
-// atomic counters. Unwrap exposes the inner device so type assertions
-// against the concrete device (e.g. Profiler, SimSSD) keep working.
+// Instrumented wraps a Device and times each read and write once, reporting
+// the byte count and wall-clock latency to an IOObserver. With a tracer it
+// also emits one storage.read or storage.write root span per operation,
+// subject to the tracer's enable gate and sampling (a 1-in-N sampler keeps
+// 1-in-N I/Os). Unwrap exposes the inner device so type assertions against
+// the concrete device (e.g. Profiler, SimSSD) and Sync keep working.
 type Instrumented struct {
 	inner Device
 	obs   IOObserver
-
-	reads      atomic.Int64
-	readBytes  atomic.Int64
-	writes     atomic.Int64
-	writeBytes atomic.Int64
+	tr    *trace.Tracer
 }
 
-// NewInstrumented wraps inner. A nil observer keeps only the local counters.
-func NewInstrumented(inner Device, obs IOObserver) *Instrumented {
+// NewInstrumented wraps inner. A nil inner becomes the null device; a nil
+// observer or tracer is skipped.
+func NewInstrumented(inner Device, obs IOObserver, tr *trace.Tracer) *Instrumented {
 	if inner == nil {
 		inner = NewNull()
 	}
-	return &Instrumented{inner: inner, obs: obs}
+	return &Instrumented{inner: inner, obs: obs, tr: tr}
 }
 
 // Unwrap returns the wrapped device.
 func (d *Instrumented) Unwrap() Device { return d.inner }
 
 func (d *Instrumented) ReadAt(p []byte, off int64) (int, error) {
+	sp := d.tr.StartRoot("storage.read")
 	start := time.Now()
 	n, err := d.inner.ReadAt(p, off)
-	d.reads.Add(1)
-	d.readBytes.Add(int64(n))
 	if d.obs != nil {
 		d.obs.ObserveRead(n, time.Since(start))
 	}
+	endIO(sp, off, n, err)
 	return n, err
 }
 
 func (d *Instrumented) WriteAt(p []byte, off int64) (int, error) {
+	sp := d.tr.StartRoot("storage.write")
 	start := time.Now()
 	n, err := d.inner.WriteAt(p, off)
-	d.writes.Add(1)
-	d.writeBytes.Add(int64(n))
 	if d.obs != nil {
 		d.obs.ObserveWrite(n, time.Since(start))
 	}
+	endIO(sp, off, n, err)
 	return n, err
 }
 
-// ReadAtCtx forwards context-aware reads to the inner device (so a Retrying
-// wrapper's backoff waits stay cancellable) while keeping the same
-// instrumentation as ReadAt.
-func (d *Instrumented) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	start := time.Now()
-	n, err := ReadAtCtx(ctx, d.inner, p, off)
-	d.reads.Add(1)
-	d.readBytes.Add(int64(n))
-	if d.obs != nil {
-		d.obs.ObserveRead(n, time.Since(start))
+// endIO finishes an I/O span (nil when tracing is off or unsampled).
+func endIO(sp *trace.Span, off int64, n int, err error) {
+	if sp == nil {
+		return
 	}
-	return n, err
-}
-
-// WriteAtCtx forwards context-aware writes to the inner device with the same
-// instrumentation as WriteAt.
-func (d *Instrumented) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	start := time.Now()
-	n, err := WriteAtCtx(ctx, d.inner, p, off)
-	d.writes.Add(1)
-	d.writeBytes.Add(int64(n))
-	if d.obs != nil {
-		d.obs.ObserveWrite(n, time.Since(start))
-	}
-	return n, err
+	sp.SetInt("offset", off)
+	sp.SetInt("bytes", int64(n))
+	sp.SetBool("error", err != nil)
+	sp.End()
 }
 
 func (d *Instrumented) Close() error { return d.inner.Close() }
-
-// Sync forwards to the inner device's Syncer, if any.
-func (d *Instrumented) Sync() error { return Sync(d.inner) }
-
-// Stats returns the wrapper's own I/O counters.
-func (d *Instrumented) Stats() Stats {
-	return Stats{
-		Reads:      d.reads.Load(),
-		ReadBytes:  d.readBytes.Load(),
-		Writes:     d.writes.Load(),
-		WriteBytes: d.writeBytes.Load(),
-	}
-}
 
 // Unwrap peels instrumentation (or any other wrapper exposing Unwrap) off a
 // device until the concrete device is reached. Use it before type-asserting

@@ -307,7 +307,7 @@ func (d *File) Close() error                             { return d.f.Close() }
 // Sync fsyncs the backing file.
 func (d *File) Sync() error { return d.f.Sync() }
 
-// Stats aggregates I/O accounting for instrumented devices.
+// Stats is SimSSD's I/O accounting.
 type Stats struct {
 	Reads        int64
 	ReadBytes    int64

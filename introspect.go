@@ -2,8 +2,6 @@ package fishstore
 
 import (
 	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
-	"fishstore/internal/trace"
 )
 
 // This file is the store-level half of the deep introspection layer: the
@@ -377,20 +374,6 @@ func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st
 		d.IndexedFraction = float64(d.IndexedBytes) / float64(total)
 	}
 	s.scanLog.Put(d)
-}
-
-// flightDumpMu serializes concurrent dumps (e.g. two VerifyLog failures
-// racing) so their JSON lines do not interleave in a shared writer.
-var flightDumpMu sync.Mutex
-
-// dumpFlight writes the flight recorder's retained records — events and
-// finished root spans — to w as JSON lines ({"ts":..., "event":...,
-// <attributes>}), oldest first. Safe to call from concurrent failure paths
-// (dumps are serialized process-wide).
-func (s *Store) dumpFlight(w io.Writer) error {
-	flightDumpMu.Lock()
-	defer flightDumpMu.Unlock()
-	return trace.WriteJSONLines(w, s.metrics.flight.Snapshot())
 }
 
 // flightSnapshot renders the flight recorder for /debug/fishstore/flight.

@@ -28,9 +28,6 @@ func (s *Store) enterLogFull(cause error) {
 	s.logFullCause.Store(&msg)
 	s.metrics.logFullGauge.Set(1)
 	s.metrics.event("store.log_full", trace.Str("cause", msg))
-	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.dumpFlight(w)
-	}
 }
 
 // RecoverLogSpace attempts to leave the ErrLogFull state. With ingestion

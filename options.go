@@ -2,7 +2,6 @@ package fishstore
 
 import (
 	"errors"
-	"io"
 	"time"
 
 	"fishstore/internal/metrics"
@@ -71,11 +70,6 @@ type Options struct {
 	// ingest.slow_batch / scan.slow events. Zero disables them.
 	SlowOpThreshold time.Duration
 
-	// FlightDumpWriter, if set, receives an automatic JSON-lines dump of the
-	// crash flight recorder — the last 256 records of the event stream —
-	// whenever VerifyLog detects corruption or the store degrades.
-	FlightDumpWriter io.Writer
-
 	// VerifyOnRead validates the checksum of every record fetched from the
 	// device on the scan, chain-walk, and indirect-resolution paths. A record
 	// that fails is quarantined: skipped (and its chain not followed), counted
@@ -83,12 +77,6 @@ type Options struct {
 	// and logged to the flight recorder with its address — never surfaced to
 	// the user. In-memory records are exempt (they are sealed only at flush).
 	VerifyOnRead bool
-
-	// IORetry, if set, wraps Device in storage.Retrying: transient read and
-	// write errors (per the policy's Classify, default storage.IsTransient)
-	// are retried with bounded exponential backoff and jitter. Each retry is
-	// counted in fishstore_io_retries_total and traced.
-	IORetry *storage.RetryPolicy
 
 	// Tracer, if set, receives operation spans: a parent/child tree per
 	// ingest batch, scan, checkpoint, recovery, page flush, and device I/O,

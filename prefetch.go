@@ -49,7 +49,7 @@ import (
 // walker's sequential fills do.
 type chainReader struct {
 	log     *hlog.Log
-	ctx     context.Context // nil = never cancelled; checked by device reads
+	ctx     context.Context // nil = never cancelled; polled before each device read
 	useAP   bool
 	cache   *pagecache.Cache // nil = raw device reads (baseline, verifier, profiler)
 	tau     uint64
@@ -332,6 +332,11 @@ func (cr *chainReader) pageWords(page uint64) ([]uint64, error) {
 	if cr.page != nil && cr.pageNum == page {
 		return cr.page.Words(), nil
 	}
+	// Poll here, not in the loader: a fill is shared with the scans that
+	// join it, and this scan's cancellation must not fail theirs.
+	if err := ctxErr(cr.ctx); err != nil {
+		return nil, err
+	}
 	cr.page.Release()
 	cr.page = nil
 	p, _, err := cr.cache.GetOrLoadNoEvict(page, func(dst []uint64) ([]uint64, error) {
@@ -355,7 +360,7 @@ func (cr *chainReader) timedReadPage(page uint64, dst []uint64) ([]uint64, error
 		iosp.SetInt("window", int64(cr.window))
 	}
 	start := time.Now()
-	words, err := readPage(cr.ctx, cr.log, page, dst)
+	words, err := readPage(cr.log, page, dst)
 	iosp.End()
 	if err != nil {
 		return nil, err
@@ -437,6 +442,9 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
 			start = 0 // reading the reserved prefix is harmless
 		}
 	}
+	if err := ctxErr(cr.ctx); err != nil {
+		return nil, err
+	}
 	size := int(end - start)
 	cr.ensureBuf(size / 8)
 	var iosp *trace.Span
@@ -447,7 +455,7 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
 		iosp.SetInt("window", int64(cr.window))
 	}
 	t0 := time.Now()
-	err := cr.log.ReadBytesFromDeviceCtx(cr.ctx, start, wordio.Bytes(cr.buf))
+	err := cr.log.ReadBytesFromDevice(start, wordio.Bytes(cr.buf))
 	iosp.End()
 	if err != nil {
 		return nil, err

@@ -36,48 +36,19 @@ func (s *Store) ChainGapProfile(prop Property, max int) ([]ChainHop, error) {
 	canon := psf.CanonicalValue(prop.Value)
 	var hops []ChainHop
 	var prevBase uint64
-	cur := slot.Address()
-	var cr *chainReader
-	defer func() { cr.release() }()
-
-	for cur != 0 && (max <= 0 || len(hops) < max) {
-		var view record.View
-		var base uint64
-		if cur >= s.log.HeadAddress() {
-			v, b, err := s.inMemoryRecordAt(cur)
-			if err != nil {
-				return hops, err
+	var st ScanStats // chain-walk I/O accounting, discarded
+	err := s.forEachChainLink(nil, g, slot.Address(), s.logBegin(), false, nil, &st,
+		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
+			h := view.Header()
+			if h.Visible && !h.Invalid && kp.PSFID == prop.PSF && bytes.Equal(view.ValueBytes(kp), canon) {
+				hop := ChainHop{KptAddr: cur, Base: base, SizeBytes: h.SizeWords * 8}
+				if prevBase != 0 && prevBase > base+uint64(hop.SizeBytes) {
+					hop.Gap = prevBase - (base + uint64(hop.SizeBytes))
+				}
+				hops = append(hops, hop)
+				prevBase = base
 			}
-			view, base = v, b
-		} else {
-			if cr == nil {
-				cr = newChainReader(nil, s.log, false, nil, s.metrics, nil)
-			}
-			// On-device records are immutable; do not pin the safe epoch
-			// across the chain reader's device I/O.
-			g.Unprotect()
-			v, b, err := cr.record(cur)
-			g.Protect()
-			if err != nil {
-				return hops, err
-			}
-			view, base = v, b
-		}
-		ptrIndex := (int((cur-base)/8) - record.HeaderWords) / record.WordsPerPointer
-		kp := view.KeyPointerAt(ptrIndex)
-		h := view.Header()
-		if h.Visible && !h.Invalid && kp.PSFID == prop.PSF && bytes.Equal(view.ValueBytes(kp), canon) {
-			hop := ChainHop{KptAddr: cur, Base: base, SizeBytes: h.SizeWords * 8}
-			if prevBase != 0 && prevBase > base+uint64(hop.SizeBytes) {
-				hop.Gap = prevBase - (base + uint64(hop.SizeBytes))
-			}
-			hops = append(hops, hop)
-			prevBase = base
-		}
-		cur = kp.PrevAddress
-		if len(hops)%64 == 0 {
-			g.Refresh()
-		}
-	}
-	return hops, nil
+			return max <= 0 || len(hops) < max
+		})
+	return hops, err
 }

@@ -124,8 +124,8 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 
 // ScanContext is Scan with deadline/cancellation propagation: ctx aborts a
 // governor admission wait, is polled at page and chain-hop boundaries on
-// every execution path (page walker, serial or parallel; chain walk), and is
-// threaded into device reads so retry backoff waits abort too.
+// every execution path (page walker, serial or parallel; chain walk), and
+// before every device read a chain walk or indirect-record resolution issues.
 // A cancelled scan returns ctx's error with the stats accumulated so far;
 // epochs, the page cache, and prefetch state are left consistent.
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
@@ -568,7 +568,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 			// safe epoch stalls page-frame recycling for every worker.
 			n := int(pageEnd-addr) / 8
 			g.Unprotect()
-			w, p, hit, err := s.devicePageWords(ctx, addr, n)
+			w, p, hit, err := s.devicePageWords(addr, n)
 			g.Protect()
 			if err != nil {
 				return fmt.Errorf("fishstore: full scan read at %d: %w", addr, err)
@@ -606,13 +606,14 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 // filled, evicting another if need be; addr and addr+n*8 never straddle a
 // page boundary — visitRange walks page by page). When the words alias a
 // cached page, that page is returned pinned for the caller to release. The
-// caller must have dropped epoch protection. The third result reports
-// whether the read was served from the cache.
-func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint64, *pagecache.Page, bool, error) {
+// caller must have dropped epoch protection and polled its scan's context
+// (visitRange does, per page). The third result reports whether the read
+// was served from the cache.
+func (s *Store) devicePageWords(addr uint64, n int) ([]uint64, *pagecache.Page, bool, error) {
 	if s.pcache != nil {
 		page := s.log.PageOf(addr)
 		p, hit, err := s.pcache.GetOrLoad(page, func(dst []uint64) ([]uint64, error) {
-			return readPage(ctx, s.log, page, dst)
+			return readPage(s.log, page, dst)
 		})
 		if err != nil {
 			return nil, nil, false, err
@@ -624,17 +625,20 @@ func (s *Store) devicePageWords(ctx context.Context, addr uint64, n int) ([]uint
 		// Uncacheable (truncated, or every page of its shard pinned): read
 		// around the cache.
 	}
-	w, err := s.log.ReadWordsFromDeviceCtx(ctx, addr, n)
+	w, err := s.log.ReadWordsFromDevice(addr, n)
 	return w, nil, false, err
 }
 
 // readPage is the page cache's loader: it reads the whole on-device page
 // straight into dst, a recycled frame, or into a new page when dst is nil.
-func readPage(ctx context.Context, log *hlog.Log, page uint64, dst []uint64) ([]uint64, error) {
+// It takes no context: a single-flight fill is shared by every scan that
+// joins it, so one scan's cancellation must not fail the others. Callers
+// poll their own context before asking the cache for a page.
+func readPage(log *hlog.Log, page uint64, dst []uint64) ([]uint64, error) {
 	if dst == nil {
 		dst = make([]uint64, log.PageSize()/8)
 	}
-	if err := log.ReadBytesFromDeviceCtx(ctx, page*log.PageSize(), wordio.Bytes(dst)); err != nil {
+	if err := log.ReadBytesFromDevice(page*log.PageSize(), wordio.Bytes(dst)); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -768,8 +772,9 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 // terminates, or a link drops below floor (links below the floor are never
 // resolved — on a truncated log their records may be gone). I/O accounting
 // is added to st; when sp is a live span, each device read the chain reader
-// issues becomes a scan.io child under it. Index scans, the chain sampler
-// and the log verifier's chain phase all walk chains through this one path.
+// issues becomes a scan.io child under it. Index scans, the chain sampler,
+// the log verifier's chain phase and ChainGapProfile all walk chains
+// through this one path.
 func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
 	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
 
@@ -932,9 +937,13 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 		tv = record.View{Words: s.log.WordsAt(target, th.SizeWords)}
 	} else {
 		// The target is below HeadAddress, hence immutable on device; do
-		// not hold the epoch across the reads.
+		// not hold the epoch across the reads, and do not start them for a
+		// cancelled scan.
+		if err := ctxErr(ctx); err != nil {
+			return Record{}, err
+		}
 		g.Unprotect()
-		hw, err := s.log.ReadWordsFromDeviceCtx(ctx, target, 1)
+		hw, err := s.log.ReadWordsFromDevice(target, 1)
 		g.Protect()
 		if err != nil {
 			return Record{}, err
@@ -945,7 +954,7 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 			return Record{}, errQuarantined
 		}
 		g.Unprotect()
-		words, err := s.log.ReadWordsFromDeviceCtx(ctx, target, th.SizeWords)
+		words, err := s.log.ReadWordsFromDevice(target, th.SizeWords)
 		g.Protect()
 		if err != nil {
 			return Record{}, err

@@ -533,3 +533,66 @@ func TestCacheStatsSnapshot(t *testing.T) {
 		t.Fatalf("disabled page cache reports state: %+v", cso)
 	}
 }
+
+// TestCancelChainWalkIssuesNoFurtherReads: a scan cancelled from its
+// callback on an on-device record issues no further device read, though
+// its next hop leaves the page already read. The store polls the scan's
+// context before each device read a chain walk issues: the chain reader on
+// the exact-read and page-fill paths, and materialize before reading an
+// indirect record's target (the historical chain's newest links are in
+// memory, so no chain-reader read comes first). All of them fire well
+// inside forEachChainLink's 64-hop poll.
+func TestCancelChainWalkIssuesNoFurtherReads(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		mode       ScanMode
+		pages      int
+		historical bool
+	}{
+		{"exact-reads", ScanIndexNoPrefetch, -1, false},
+		{"page-cache", ScanForceIndex, 0, false},
+		{"indirect-targets", ScanForceIndex, -1, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := &readCounter{Device: storage.NewMem()}
+			s := openTestStore(t, Options{Device: dev, PageBits: 12, MemPages: 2, PageCachePages: c.pages})
+			if c.historical {
+				fillToDevice(t, s)
+			}
+			id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.historical {
+				if _, err := s.BuildHistoricalIndex(id, 0, s.TailAddress()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fillToDevice(t, s)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var atCancel int64 = -1
+			_, err = s.ScanContext(ctx, PropertyString(id, "spark"), ScanOptions{Mode: c.mode},
+				func(r Record) bool {
+					// Cancel near the start of a device page, so the next
+					// hops cross to a page not yet read.
+					if atCancel < 0 && r.Address < s.log.HeadAddress() && s.log.OffsetOf(r.Address) < 512 {
+						cancel()
+						atCancel = dev.reads.Load()
+					}
+					return true
+				})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled scan = %v, want context.Canceled", err)
+			}
+			if atCancel <= 0 {
+				t.Fatalf("no device read before the first on-device record (%d); the test is vacuous", atCancel)
+			}
+			if after := dev.reads.Load() - atCancel; after != 0 {
+				t.Fatalf("%d device read(s) issued after the scan was cancelled", after)
+			}
+		})
+	}
+}

@@ -139,8 +139,8 @@ func (sess *Session) Ingest(batch [][]byte) (IngestStats, error) {
 }
 
 // IngestContext is Ingest with deadline/cancellation propagation: the batch
-// is checked against ctx between records, a governor admission wait aborts
-// when ctx expires, and ctx is threaded into retrying device I/O. Records
+// is checked against ctx between records and a governor admission wait
+// aborts when ctx expires. Records
 // ingested before cancellation stay ingested (the returned stats count
 // them); the log, index, and epochs are left consistent.
 func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestStats, error) {

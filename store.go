@@ -119,7 +119,7 @@ type Store struct {
 // newStore builds a store around o without its log, table and PSF registry:
 // the observability layer — workload collector, metrics registry (explicit
 // option, process default, or disabled), event stream, scan decision log,
-// tracer — and o.Device wrapped for retries, metrics and spans. Open and
+// tracer — and o.Device wrapped for metrics and spans. Open and
 // Recover finish it; the log must be built on s.opts.Device.
 func newStore(o Options) *Store {
 	reg := o.Metrics
@@ -131,28 +131,13 @@ func newStore(o Options) *Store {
 	}
 	tele := telemetry.New()
 	m := newStoreMetrics(reg, tele, o.TraceSink)
-	if o.IORetry != nil && o.Device != nil {
-		// Retry closest to the hardware so instrumentation above it observes
-		// one logical operation per log request. The user's OnRetry still
-		// fires; the store adds its counter and event on top.
-		policy := *o.IORetry
-		userHook := policy.OnRetry
-		policy.OnRetry = func(op string, attempt int, err error) {
-			m.ioRetries.Inc()
-			m.event("storage.retry",
-				trace.Str("op", op), trace.Int("attempt", int64(attempt)), trace.Str("error", err.Error()))
-			if userHook != nil {
-				userHook(op, attempt, err)
-			}
-		}
-		o.Device = storage.NewRetrying(o.Device, policy)
-	}
-	if reg.Enabled() {
-		o.Device = storage.NewInstrumented(o.Device, m)
-	}
-	// The span wrapper is outermost, so storage.Unwrap still reaches the
-	// concrete device.
+	// One wrapper times each device I/O for the metrics and, when a tracer
+	// is set, emits its span; storage.Unwrap reaches the caller's device in
+	// one step.
 	tr := resolveTracer(&o)
+	if reg.Enabled() || tr != nil {
+		o.Device = storage.NewInstrumented(o.Device, m, tr)
+	}
 	s := &Store{
 		opts:    o,
 		epoch:   epoch.New(),
@@ -211,10 +196,9 @@ func (s *Store) logConfig() hlog.Config {
 // flushHook returns the hlog OnFlush hook: a trace event per completed page
 // flush (giving the flight recorder a durability timeline leading up to a
 // crash), and — on a flush failure — the transition into degraded read-only
-// mode. A failed background flush means the device permanently refused a
-// write (transient faults were already retried below, when IORetry is set),
-// so the store stops pretending it can persist instead of surfacing the
-// sticky error at the next page boundary.
+// mode. The device is fail-stop (Appendix E): a failed background flush
+// means it refused the write for good, so the store stops pretending it can
+// persist instead of surfacing the sticky error at the next page boundary.
 func (s *Store) flushHook() func(page uint64, err error) {
 	return func(page uint64, err error) {
 		if err != nil {
@@ -248,9 +232,6 @@ func (s *Store) enterDegraded(cause error) {
 	msg := cause.Error()
 	s.degradedCause.Store(&msg)
 	s.metrics.event("store.degraded", trace.Str("cause", msg))
-	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.dumpFlight(w)
-	}
 }
 
 // sticky reads a state flag and, while it is set, the cause that set it.
@@ -424,8 +405,7 @@ var ErrClosed = errors.New("fishstore: store closed")
 // Flush synchronously persists everything ingested so far (the periodic
 // "line of persistence" of Appendix E): on return, the durable boundary covers
 // the tail observed at the time of the call. A write failure here is
-// permanent (retries, if configured, already ran below) and degrades the
-// store.
+// permanent (the device is fail-stop) and degrades the store.
 func (s *Store) Flush() error {
 	if s.degraded.Load() {
 		return ErrDegraded

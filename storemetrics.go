@@ -81,9 +81,8 @@ type storeMetrics struct {
 	deviceReadBytes    *metrics.Counter
 	deviceWriteBytes   *metrics.Counter
 
-	// Integrity (checksums, retry, degradation).
+	// Integrity (checksums, degradation).
 	corruptRecords *metrics.Counter
-	ioRetries      *metrics.Counter
 
 	// Overload protection (governor.go, logfull.go, subscribe.go).
 	admissionWaits    *metrics.Counter
@@ -193,8 +192,6 @@ func newStoreMetrics(reg *metrics.Registry, tele *telemetry.Collector, sink func
 	m.corruptRecords = reg.Counter("fishstore_corrupt_records_total",
 		"Records quarantined by VerifyOnRead: fetched from the device with a "+
 			"failing checksum and skipped instead of surfaced.")
-	m.ioRetries = reg.Counter("fishstore_io_retries_total",
-		"Transient device I/O errors retried by the storage.Retrying wrapper.")
 
 	m.admissionWaits = reg.Counter("fishstore_admission_waits_total",
 		"Operations that blocked waiting for governor capacity (Options.Limits).")

@@ -5,14 +5,13 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 
-	"fishstore/internal/storage"
 	"fishstore/internal/trace"
 )
 
 // This file is the store-side glue for the span layer (internal/trace): the
-// process-wide default tracer, the device wrapping that gives storage I/O
-// its own spans, and the prebuilt pprof label sets the hot paths switch
-// between. Finished root spans join the store's event stream (see
+// process-wide default tracer and the prebuilt pprof label sets the hot
+// paths switch between. Storage I/O spans come from the device wrapper
+// newStore installs. Finished root spans join the store's event stream (see
 // wireObservability).
 
 // defaultTracer is consulted by Open/Recover when Options.Tracer is nil,
@@ -41,9 +40,7 @@ var defaultProfileLabels atomic.Bool
 func SetDefaultProfileLabels(on bool) { defaultProfileLabels.Store(on) }
 
 // resolveTracer resolves Options.Tracer (explicit, process default, or nil)
-// plus the ProfileLabels process default, and — when tracing is on — wraps
-// the device so every read and write gets its own sampled span. It mutates
-// o in place.
+// plus the ProfileLabels process default. It mutates o in place.
 func resolveTracer(o *Options) *trace.Tracer {
 	if !o.ProfileLabels {
 		o.ProfileLabels = defaultProfileLabels.Load()
@@ -56,7 +53,6 @@ func resolveTracer(o *Options) *trace.Tracer {
 		return nil
 	}
 	o.Tracer = tr
-	o.Device = storage.NewTraced(o.Device, tr)
 	return tr
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
+	"fishstore/internal/storage"
 	"fishstore/internal/trace"
 )
 
@@ -372,5 +374,65 @@ func TestDefaultProfileLabels(t *testing.T) {
 	defer s2.Close()
 	if s2.plabels != nil {
 		t.Fatal("store opened after SetDefaultProfileLabels(false) still labeled")
+	}
+}
+
+// readCounter is a caller's device that counts the reads reaching it.
+type readCounter struct {
+	storage.Device
+	reads atomic.Int64
+}
+
+func (d *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	d.reads.Add(1)
+	return d.Device.ReadAt(p, off)
+}
+
+// TestDeviceWrappedOnce: with a registry and a tracer both on, the store
+// wraps the caller's device in exactly one layer, and each device read of a
+// scan is timed once: one fishstore_device_read_seconds sample and one
+// storage.read span per read that reaches the device.
+func TestDeviceWrappedOnce(t *testing.T) {
+	dev := &readCounter{Device: storage.NewMem()}
+	tr := trace.New(trace.Options{SampleEvery: 1, BufferSize: 1 << 16})
+	// No page cache, so the index scan after the full scan reads the device.
+	s := openTestStore(t, Options{Device: dev, PageBits: 12, MemPages: 2, PageCachePages: -1,
+		Metrics: metrics.NewRegistry(), Tracer: tr})
+	w, ok := s.log.Device().(*storage.Instrumented)
+	if !ok || w.Unwrap() != dev {
+		t.Fatalf("log device %T does not wrap the caller's device in one step", s.log.Device())
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillToDevice(t, s)
+
+	counts := func() (reads, samples, spans int64) {
+		m, _ := s.Metrics().Find("fishstore_device_read_seconds")
+		for _, d := range tr.Spans() {
+			if d.Name == "storage.read" {
+				spans++
+			}
+		}
+		return dev.reads.Load(), int64(m.Count), spans
+	}
+	for _, mode := range []ScanMode{ScanForceFull, ScanForceIndex} {
+		r0, h0, s0 := counts()
+		if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: mode},
+			func(Record) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		r1, h1, s1 := counts()
+		if r1 == r0 {
+			t.Fatalf("mode %v: scan issued no device read; the test is vacuous", mode)
+		}
+		if h1-h0 != r1-r0 || s1-s0 != r1-r0 {
+			t.Fatalf("mode %v: %d device reads, %d histogram samples, %d storage.read spans; want all equal",
+				mode, r1-r0, h1-h0, s1-s0)
+		}
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("span ring dropped %d spans; counts are incomplete", d)
 	}
 }

@@ -379,9 +379,8 @@ func (s *Store) VerifyLog(opts VerifyOptions) (VerifyReport, error) {
 	return rep, nil
 }
 
-// reportCorruption emits the corruption as a trace event (so it lands in
-// the flight recorder) and then dumps the recorder to the configured
-// FlightDumpWriter — the crash-analysis artifact: the last trace events
+// reportCorruption emits the corruption as a trace event, so the flight
+// recorder (/debug/fishstore/flight) and the TraceSink hold the events
 // leading up to the first detected integrity violation.
 func (s *Store) reportCorruption(c *Corruption) {
 	if c == nil {
@@ -389,7 +388,4 @@ func (s *Store) reportCorruption(c *Corruption) {
 	}
 	s.metrics.event("verify.corruption",
 		trace.Uint("address", c.Address), trace.Str("kind", c.Kind), trace.Str("detail", c.Detail))
-	if w := s.opts.FlightDumpWriter; w != nil {
-		_ = s.dumpFlight(w)
-	}
 }
