@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"fishstore/internal/epoch"
 	"fishstore/internal/expr"
 	"fishstore/internal/hashtable"
 	"fishstore/internal/hlog"
@@ -251,10 +250,11 @@ type RecoveryInfo struct {
 	ReplayedRecords int64
 }
 
-// Recover rebuilds a Store from a checkpoint directory and the log device.
-// The hash-table image restores every chain below the checkpoint tail; the
-// durable log suffix beyond it is replayed (scanned once, single-threaded,
-// re-installing chain heads) exactly as Appendix E describes.
+// Recover rebuilds a Store from a checkpoint directory and the log device
+// (Appendix E): built as Open builds it, plus the checkpoint's registry
+// snapshot and hash-table image, which restores every chain below the
+// checkpoint tail. The durable suffix beyond it is replayed in one device
+// pass that stops at the first record not intact; the log reopens there.
 func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 	var info RecoveryInfo
 	m, err := ReadManifest(dir)
@@ -275,7 +275,7 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 	}
 	// As in Open, the store exists before its log so the flush hook can
 	// degrade it on permanent failures.
-	s := newStore(o)
+	s := newStore(o, hashtable.New(1, 1))
 	if pl := s.plabels; pl != nil {
 		pl.set(pl.recover)
 		defer pl.clear()
@@ -288,82 +288,64 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 
 	info.CheckpointTail = m.Tail
 
-	// 1. Find how far the durable suffix extends beyond the checkpoint by
-	// probing record headers page by page.
-	psp := rsp.Child("recover.probe")
-	_, replayEnd, err := probeDurableEnd(s.opts, m.Tail)
-	psp.SetUint("durable_end", replayEnd)
-	psp.End()
-	if err != nil {
-		return nil, info, err
-	}
-
-	// 2. Reopen the log at the recovered tail.
-	log, err := hlog.Recover(s.logConfig(), replayEnd)
-	if err != nil {
-		return nil, info, err
-	}
-	s.log = log
-	s.registry = psf.NewRegistry(s.epoch, log.TailAddress)
+	// 1. Restore the registry snapshot and the hash-table image.
 	if err := s.registry.Restore(m.PSFs, ropts.CustomPSFs); err != nil {
 		return nil, info, err
 	}
-
-	// 3. Restore the hash-table image.
 	tsp := rsp.Child("recover.table")
-	tf, err := os.Open(filepath.Join(dir, tableFile))
+	err = readTableImage(s.table, filepath.Join(dir, tableFile))
+	tsp.End()
 	if err != nil {
-		tsp.End()
 		return nil, info, err
 	}
-	s.table = hashtable.New(1, 1)
-	if _, err := s.table.ReadFrom(tf); err != nil {
-		tf.Close()
-		tsp.End()
-		return nil, info, fmt.Errorf("fishstore: restoring table: %w", err)
-	}
-	tf.Close()
-	tsp.End()
-	s.wireObservability()
 
-	// 4. Replay the suffix [m.Tail, replayEnd): scan records in address
-	// order and re-install chain heads. Prev pointers inside the records
-	// are already durable and consistent (no forward links), so setting the
-	// head to each successive key pointer reconstructs every chain.
+	// 2. Replay the durable suffix beyond the checkpoint; where it ends is
+	// the recovered tail.
 	rpsp := rsp.Child("recover.replay")
-	g := s.epoch.Acquire()
-	replayed, replayedBytes, err := s.replaySuffix(g, m.Tail, replayEnd)
-	g.Release()
+	end, replayed, replayedBytes, err := s.replay(m.Tail)
+	rpsp.SetUint("durable_end", end)
 	rpsp.SetInt("replayed", replayed)
 	rpsp.End()
 	if err != nil {
 		return nil, info, err
 	}
-	info.ReplayedRecords = replayed
-	info.RecoveredTail = replayEnd
 
+	// 3. Reopen the log at the recovered tail.
+	lsp := rsp.Child("recover.log")
+	log, err := hlog.Recover(s.logConfig(), end)
+	lsp.End()
+	if err != nil {
+		return nil, info, err
+	}
+	s.log = log
+	s.wireObservability()
+
+	info.ReplayedRecords = replayed
+	info.RecoveredTail = end
 	s.ingestedRecords.Store(m.IngestedRecords + replayed)
 	s.ingestedBytes.Store(m.IngestedBytes + replayedBytes)
 
-	rsp.SetUint("recovered_tail", replayEnd)
+	rsp.SetUint("recovered_tail", end)
 	elapsed := time.Since(recoveryStart)
 	s.metrics.recoverySeconds.Observe(int64(elapsed))
 	s.metrics.recoveryReplayed.Add(replayed)
 	s.metrics.event("recovery.end",
-		trace.Uint("checkpoint_tail", m.Tail), trace.Uint("recovered_tail", replayEnd),
+		trace.Uint("checkpoint_tail", m.Tail), trace.Uint("recovered_tail", end),
 		trace.Int("replayed", replayed), trace.Float("seconds", elapsed.Seconds()))
 	return s, info, nil
 }
 
-// probeDurableEnd scans forward from `from` on the device, walking and
-// structurally validating record headers, and returns the first address that
-// does not hold an intact record — the end of the recoverable suffix. A torn
-// tail page (power cut mid-flush) ends the suffix at the first damaged
-// record; a genuine device read error is returned as an error rather than
-// silently truncating the log there.
-func probeDurableEnd(o Options, from uint64) (pages int, end uint64, err error) {
-	end, _, pages, err = walkDeviceLog(o.Device, o.PageBits, from, 0, nil)
-	return pages, end, err
+// readTableImage restores the checkpoint's hash-table image at path into t.
+func readTableImage(t *hashtable.Table, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if _, err := t.ReadFrom(f); err != nil {
+		return fmt.Errorf("fishstore: restoring table: %w", err)
+	}
+	return nil
 }
 
 // chainHash is the hash of the chain the key pointer kp, in the record at
@@ -378,16 +360,23 @@ func (s *Store) chainHash(kp record.KeyPointer, v record.View, base uint64) uint
 	return hashtable.HashProperty(kp.PSFID, val)
 }
 
-// replaySuffix re-links every record in [from, to). Records are visited in
-// ascending address order, so installing each key pointer as its chain's
-// head leaves every head at the highest (= most recent) chain entry. It
+// replay re-links the durable log suffix from `from` on, reading it in one
+// device pass: walkDeviceLog validates each record as it reads it and stops
+// at the first one that is not intact (a torn tail page, a bad checksum),
+// and that address is the end it returns. Records arrive in ascending
+// address order, so installing each key pointer as its chain's head leaves
+// every head at the highest (= most recent) chain entry; prev pointers
+// inside the records are already durable and never link forward. Fillers
+// and invalidated records are skipped, as every scan skips them. replay
 // returns the number of records re-linked and their payload bytes (indirect
 // records reference payloads already counted at their original address).
-func (s *Store) replaySuffix(g *epoch.Guard, from, to uint64) (int64, int64, error) {
-	var replayed, replayedBytes int64
+// A device read error aborts it: a fault must never pass for the log's end.
+func (s *Store) replay(from uint64) (end uint64, replayed, replayedBytes int64, err error) {
 	var cbErr error
-	err := s.visitRange(nil, g, from, to, nil, nil, func(addr uint64, v record.View) bool {
-		h := v.Header()
+	end, _, _, err = walkDeviceLog(s.opts.Device, s.opts.PageBits, from, 0, func(addr uint64, h record.Header, v record.View) bool {
+		if h.Filler || h.Invalid {
+			return true
+		}
 		replayed++
 		if !h.Indirect {
 			replayedBytes += int64(v.PayloadLen())
@@ -415,5 +404,5 @@ func (s *Store) replaySuffix(g *epoch.Guard, from, to uint64) (int64, int64, err
 	if err == nil {
 		err = cbErr
 	}
-	return replayed, replayedBytes, err
+	return end, replayed, replayedBytes, err
 }

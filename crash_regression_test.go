@@ -96,7 +96,8 @@ func TestCheckpointSurfacesSyncFailure(t *testing.T) {
 
 // TestReplaySuffixPropagatesTableFull: replay used to drop table.FindOrCreate
 // errors on the floor, silently recovering a store whose index was missing
-// chains. The error must propagate out of Recover's replay step.
+// chains. The error must propagate out of Recover's one-pass replay of the
+// suffix on the device.
 func TestReplaySuffixPropagatesTableFull(t *testing.T) {
 	s := openTestStore(t, Options{Device: storage.NewMem(), PageBits: 12, MemPages: 4})
 	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
@@ -109,18 +110,19 @@ func TestReplaySuffixPropagatesTableFull(t *testing.T) {
 		}
 	}
 	sess.Close()
+	if err := s.Flush(); err != nil { // replay reads the suffix from the device
+		t.Fatal(err)
+	}
 
 	// One bucket plus one overflow bucket holds at most 14 distinct
 	// properties; replaying 32 must exhaust it.
 	s.table = hashtable.New(1, 1)
-	g := s.epoch.Acquire()
-	defer g.Release()
-	_, _, err := s.replaySuffix(g, uint64(hlog.BeginAddress), s.log.TailAddress())
+	_, _, _, err := s.replay(uint64(hlog.BeginAddress))
 	if err == nil {
-		t.Fatal("replaySuffix swallowed the table-full error")
+		t.Fatal("replay swallowed the table-full error")
 	}
 	if !errors.Is(err, hashtable.ErrTableFull) {
-		t.Fatalf("replaySuffix error = %v, want wrapped ErrTableFull", err)
+		t.Fatalf("replay error = %v, want wrapped ErrTableFull", err)
 	}
 }
 

@@ -125,7 +125,8 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 // ReadFrom restores a table image written by WriteTo, or a dense image from
 // before it, replacing t's contents. The image is read whole and checked —
 // seal, header and every chain link — before anything is installed, so a
-// corrupt image returns an error and leaves t as it was.
+// corrupt image returns an error and leaves t as it was. Tentative entries
+// are not restored (see install).
 func (t *Table) ReadFrom(r io.Reader) (int64, error) {
 	img, err := io.ReadAll(r)
 	n := int64(len(img))
@@ -181,13 +182,21 @@ func (d *decoded) shape(nb, no, next, words uint64) error {
 // overflow bucket; each link must name a bucket in the pool that no other
 // link names, so a restored chain can neither leave the pool nor loop.
 //
+// A tentative entry is dropped, leaving its slot free: the insert that
+// claimed it did not survive the restart, so nothing would ever finalize
+// it, and FindOrCreate would spin on its tag forever.
+//
 // A link may lie past the cursor: a dense image was written with inserts
 // running, so a bucket linked after its cursor was read is in it. ReadFrom
 // moves the cursor past the highest link, so the cursor never hands out a
 // linked bucket again.
 func (d *decoded) install(arr []uint64, i int, w uint64) error {
+	link := i%wordsPerBucket == entriesPerBucket
+	if !link && w&tentativeBit != 0 {
+		w = 0
+	}
 	arr[i] = w
-	if i%wordsPerBucket != entriesPerBucket || w == 0 {
+	if !link || w == 0 {
 		return nil
 	}
 	if pool := uint64(len(d.overflow) / wordsPerBucket); w >= pool {

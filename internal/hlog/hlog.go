@@ -2,14 +2,15 @@
 // a single logical address space spanning main memory and storage, used as
 // an append-only record allocator.
 //
-// The tail of the log lives in a fixed-size circular buffer of page frames.
-// Space is claimed with an atomic fetch-and-add on a packed (page, offset)
-// word; the unique allocator whose claim straddles a page boundary seals the
-// page (writing a filler header over the unusable tail), schedules its flush
-// to the storage device, and opens the next page. Opening a page that wraps
-// the circular buffer waits for (a) the evicted page's flush to complete and
-// (b) an epoch bump to retire all concurrent readers of the evicted frame,
-// exactly the protocol described in Appendix C.
+// The tail of the log lives in a fixed-size circular buffer of page frames,
+// each allocated when a page first uses it. Space is claimed with an atomic
+// fetch-and-add on a packed (page, offset) word; the unique allocator whose
+// claim straddles a page boundary seals the page (writing a filler header
+// over the unusable tail), schedules its flush to the storage device, and
+// opens the next page. Opening a page that wraps the circular buffer waits
+// for (a) the evicted page's flush to complete and (b) an epoch bump to
+// retire all concurrent readers of the evicted frame, exactly the protocol
+// described in Appendix C.
 //
 // Pages are []uint64 so that record headers and key pointers can be mutated
 // with sync/atomic; see package record.
@@ -99,8 +100,9 @@ type Log struct {
 	pageWords int
 	memPages  int
 
-	frames     [][]uint64
-	frameOwner []atomic.Int64 // page number resident in frame i (-1 = none)
+	// frames[i] is nil until a page first uses frame i (openFrame), so a
+	// log holds only the frames its pages have used.
+	frames [][]uint64
 
 	// pagedTail packs page(23 bits) | offset(41 bits). The offset may
 	// transiently exceed pageSize during allocation races.
@@ -145,31 +147,28 @@ func New(cfg Config) (*Log, error) {
 		dev = storage.NewNull()
 	}
 	l := &Log{
-		pageBits:   cfg.PageBits,
-		pageSize:   1 << cfg.PageBits,
-		pageWords:  1 << (cfg.PageBits - 3),
-		memPages:   cfg.MemPages,
-		frames:     make([][]uint64, cfg.MemPages),
-		frameOwner: make([]atomic.Int64, cfg.MemPages),
-		device:     dev,
-		epoch:      cfg.Epoch,
-		flushedPgs: make(map[uint64]uint64),
-		failedPgs:  make(map[uint64]bool),
-		onFlush:    cfg.OnFlush,
-		tracer:     cfg.Tracer,
-		flushLbls:  cfg.ProfileLabels,
+		pageBits:     cfg.PageBits,
+		pageSize:     1 << cfg.PageBits,
+		pageWords:    1 << (cfg.PageBits - 3),
+		memPages:     cfg.MemPages,
+		frames:       make([][]uint64, cfg.MemPages),
+		frameFreeFor: make([]atomic.Uint64, cfg.MemPages),
+		device:       dev,
+		epoch:        cfg.Epoch,
+		flushedPgs:   make(map[uint64]uint64),
+		failedPgs:    make(map[uint64]bool),
+		onFlush:      cfg.OnFlush,
+		tracer:       cfg.Tracer,
+		flushLbls:    cfg.ProfileLabels,
 	}
-	l.frameFreeFor = make([]atomic.Uint64, cfg.MemPages)
-	for i := range l.frames {
-		l.frames[i] = make([]uint64, l.pageWords)
-		l.frameOwner[i].Store(-1)
+	for i := range l.frameFreeFor {
 		l.frameFreeFor[i].Store(uint64(i))
 	}
-	l.frameOwner[0].Store(0)
 	l.pagedTail.Store(pack(0, BeginAddress))
 	l.headAddress.Store(BeginAddress)
 	l.safeHeadAddress.Store(BeginAddress)
 	l.flushedUntil.Store(BeginAddress)
+	l.openFrame(0)
 	return l, nil
 }
 
@@ -301,8 +300,8 @@ func (l *Log) sealAndAdvance(g *epoch.Guard, page, sealOff uint64) error {
 }
 
 // prepareFrame makes the frame for page `next` safe to use: waits for the
-// evicted page's flush, advances the head address, and waits for the epoch
-// action that retires readers of the old frame.
+// evicted page's flush, advances the head address, waits for the epoch
+// action that retires readers of the old frame, and opens the frame.
 func (l *Log) prepareFrame(g *epoch.Guard, next uint64) error {
 	f := l.frameIndex(next)
 	if uint64(next) >= uint64(l.memPages) {
@@ -346,13 +345,22 @@ func (l *Log) prepareFrame(g *epoch.Guard, next uint64) error {
 			}
 		}
 	}
-	// Zero the frame and take ownership.
-	frame := l.frames[f]
-	for i := range frame {
-		frame[i] = 0
-	}
-	l.frameOwner[f].Store(int64(next))
+	l.openFrame(f)
 	return nil
+}
+
+// openFrame readies frame f for the page that is about to use it and
+// returns it. The first use allocates the frame, already zero; a reuse
+// zeroes it. The frame is published by a plain store: readers reach it only
+// through the tail CAS that opens its page (or, for Recover, before the log
+// is returned), which orders the store before every load.
+func (l *Log) openFrame(f int) []uint64 {
+	if l.frames[f] == nil {
+		l.frames[f] = make([]uint64, l.pageWords)
+	} else {
+		clear(l.frames[f])
+	}
+	return l.frames[f]
 }
 
 // waitForPage spins until the tail has advanced to at least page. It fails

@@ -444,3 +444,40 @@ func TestManyPagesStress(t *testing.T) {
 	}
 	fmt.Println("final tail:", l.TailAddress())
 }
+
+// TestFramesAllocatedOnFirstUse: a new log holds one frame, and each page
+// allocates its frame when it opens, so a log smaller than its buffer never
+// pays for the rest of it.
+func TestFramesAllocatedOnFirstUse(t *testing.T) {
+	em := epoch.New()
+	l, err := New(Config{PageBits: 12, MemPages: 8, Epoch: em})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if n := allocatedFrames(l); n != 1 || l.frames[0] == nil {
+		t.Fatalf("new log holds %d frames, want only frame 0", n)
+	}
+	g := em.Acquire()
+	defer g.Release()
+	for page := uint64(1); page < 12; page++ { // wraps the 8-frame buffer
+		for open, _ := unpack(l.pagedTail.Load()); open < page; open, _ = unpack(l.pagedTail.Load()) {
+			if _, err := l.Allocate(g, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := allocatedFrames(l), int(min(page+1, 8)); got != want {
+			t.Fatalf("page %d open: %d frames allocated, want %d", page, got, want)
+		}
+	}
+}
+
+// allocatedFrames counts the frames l has allocated.
+func allocatedFrames(l *Log) (n int) {
+	for _, f := range l.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -1,6 +1,7 @@
 package hlog
 
 import (
+	"fmt"
 	"testing"
 
 	"fishstore/internal/epoch"
@@ -121,5 +122,71 @@ func TestRecoverRejectsBadTail(t *testing.T) {
 	em := epoch.New()
 	if _, err := Recover(Config{PageBits: 12, MemPages: 2, Device: storage.NewMem(), Epoch: em}, 3); err == nil {
 		t.Fatal("accepted tail below begin address")
+	}
+}
+
+// TestRecoverAllocatesOnlyResidentFrames: recovery pays for the pages it
+// reloads, not for the buffer. The recovered log holds a frame for each of
+// the last MemPages pages up to the tail page and none other, every one of
+// those pages is in memory, and pages opened after recovery allocate their
+// frames as they first use them.
+func TestRecoverAllocatesOnlyResidentFrames(t *testing.T) {
+	for _, memPages := range []int{16, 3} {
+		t.Run(fmt.Sprintf("MemPages=%d", memPages), func(t *testing.T) {
+			dev := storage.NewMem()
+			em := epoch.New()
+			cfg := Config{PageBits: 12, MemPages: 16, Device: dev, Epoch: em}
+			l, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := em.Acquire()
+			for i := 0; i < 120; i++ { // 15 KB: four pages of 4 KB
+				a, err := l.Allocate(g, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Words[0] = uint64(0xc0de0000 + i)
+				g.Refresh()
+			}
+			g.Release()
+			tail := l.TailAddress()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := Recover(Config{PageBits: 12, MemPages: memPages, Device: dev, Epoch: epoch.New()}, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tailPage := l2.PageOf(tail)
+			if tailPage == 0 {
+				t.Fatal("log fits one page; the test needs pages below the tail page")
+			}
+			resident := min(int(tailPage)+1, memPages)
+			firstMem := tailPage + 1 - uint64(resident)
+			if n := allocatedFrames(l2); n != resident {
+				t.Fatalf("%d frames allocated after recovering a %d-page log, want %d", n, tailPage+1, resident)
+			}
+			head := max(l2.address(firstMem, 0), BeginAddress)
+			if l2.HeadAddress() != head || l2.SafeHeadAddress() != head {
+				t.Fatalf("head %d, safe head %d, want both at %d", l2.HeadAddress(), l2.SafeHeadAddress(), head)
+			}
+
+			g2 := l2.epoch.Acquire()
+			for i := 0; i < 64; i++ { // two more pages
+				if _, err := l2.Allocate(g2, 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g2.Release()
+			open, _ := unpack(l2.pagedTail.Load())
+			if got, want := allocatedFrames(l2), min(resident+int(open-tailPage), memPages); got != want {
+				t.Fatalf("%d frames allocated after ingesting pages %d..%d, want %d", got, tailPage, open, want)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -31,7 +31,8 @@ type Options struct {
 	PageBits uint
 
 	// MemPages sets the circular buffer size in pages (default 16; the
-	// paper's default memory budget is 2GB).
+	// paper's default memory budget is 2GB). A page frame is allocated when
+	// a page first uses it.
 	MemPages int
 
 	// TableBuckets sets the hash table size in 64-byte buckets (default

@@ -1,0 +1,306 @@
+package fishstore
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"sync"
+	"testing"
+
+	"fishstore/internal/metrics"
+	"fishstore/internal/psf"
+	"fishstore/internal/storage"
+)
+
+// pageReads is a caller's device that counts the reads reaching each page.
+type pageReads struct {
+	storage.Device
+	pageBits uint
+	mu       sync.Mutex
+	reads    map[uint64]int
+}
+
+func (d *pageReads) ReadAt(p []byte, off int64) (int, error) {
+	d.mu.Lock()
+	if d.reads != nil {
+		d.reads[uint64(off)>>d.pageBits]++
+	}
+	d.mu.Unlock()
+	return d.Device.ReadAt(p, off)
+}
+
+// count starts counting afresh and returns what was counted so far.
+func (d *pageReads) count() map[uint64]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	got := d.reads
+	d.reads = make(map[uint64]int)
+	return got
+}
+
+// checkpointedLog opens a store with opts, ingests records [0, n) with a
+// checkpoint after the first `ckpt` of them, calls beforeClose (if set),
+// closes the store, and returns the checkpoint directory. The store indexes
+// repo.name from the start and a predicate PSF registered halfway, so that
+// an auto scan over the whole log splits into a full and an index part.
+func checkpointedLog(t *testing.T, opts Options, n, ckpt int, beforeClose func(s *Store, name, pushes psf.ID)) string {
+	t.Helper()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pushes psf.ID
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	sess := s.NewSession()
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			if pushes, _, err = s.RegisterPSF(psf.MustPredicate("pushes", `type == "PushEvent"`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == ckpt {
+			if err := s.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		typ := "PushEvent"
+		if i%3 == 0 {
+			typ = "IssuesEvent"
+		}
+		if _, err := sess.Ingest([][]byte{genEvent(i, typ, fmt.Sprintf("repo-%d", i%4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Close()
+	if beforeClose != nil {
+		beforeClose(s, name, pushes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRecoverBuildsLikeOpen: Open and Recover build a store from Options the
+// same way. A recovered store used to run without its page cache and its
+// governor, ignoring PageCachePages and Limits.
+func TestRecoverBuildsLikeOpen(t *testing.T) {
+	mem := storage.NewMem()
+	opts := Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
+		PageCachePages: 8, Limits: &Limits{MaxConcurrentScans: 1}}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, s, [][]byte{genEvent(1, "PushEvent", "spark"), genEvent(2, "PushEvent", "spark")})
+	requireBuiltFromOptions(t, "opened", s, id)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _, err := Recover(dir, RecoverOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	requireBuiltFromOptions(t, "recovered", r, id)
+}
+
+// requireBuiltFromOptions checks the wiring of PageCachePages and
+// Limits{MaxConcurrentScans: 1}: the page cache is on, and a scan past the
+// limit fails with ErrBusy.
+func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID) {
+	t.Helper()
+	if !s.CacheStats().PageCacheEnabled {
+		t.Errorf("%s store has no page cache", which)
+	}
+	prop := PropertyString(id, "spark")
+	inCb, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(Record) bool {
+			inCb <- struct{}{}
+			<-release
+			return false
+		})
+		done <- err
+	}()
+	<-inCb
+	_, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(Record) bool { return true })
+	close(release)
+	if ferr := <-done; ferr != nil {
+		t.Fatalf("%s store: first scan: %v", which, ferr)
+	}
+	if !errors.Is(err, ErrBusy) {
+		t.Errorf("%s store: scan past MaxConcurrentScans = %v, want ErrBusy", which, err)
+	}
+}
+
+// TestRecoverReadsSuffixOnce: recovery reads what it replays and what it
+// reloads. Recover reads each page of the suffix beyond the checkpoint once,
+// in the replay's one device pass, and each of the last MemPages pages once
+// more to reload it into the log buffer; it neither walks the suffix twice
+// nor reads more than MemPages pages to reopen the log.
+func TestRecoverReadsSuffixOnce(t *testing.T) {
+	mem := storage.NewMem()
+	opts := Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8}
+	dir := checkpointedLog(t, opts, 300, 150, nil)
+
+	dev := &pageReads{Device: mem, pageBits: opts.PageBits}
+	dev.count()
+	opts.Device = dev
+	r, info, err := Recover(dir, RecoverOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dev.count()
+	defer r.Close()
+
+	first, tail := r.log.PageOf(info.CheckpointTail), r.log.PageOf(info.RecoveredTail)
+	firstMem := tail + 1 - uint64(opts.MemPages)
+	if tail < uint64(opts.MemPages) || firstMem <= first || first == 0 {
+		t.Fatalf("checkpoint tail %d, recovered tail %d: want pages before the suffix, and a suffix longer than the buffer",
+			info.CheckpointTail, info.RecoveredTail)
+	}
+	want := make(map[uint64]int)
+	for p := first; p <= tail; p++ {
+		want[p] = 1
+	}
+	for p := firstMem; p < tail; p++ {
+		want[p]++
+	}
+	if r.log.OffsetOf(info.RecoveredTail) != 0 {
+		want[tail]++
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Recover read pages %v, want %v", got, want)
+	}
+	for p, n := range want {
+		if got[p] != n {
+			t.Fatalf("Recover read pages %v, want %v", got, want)
+		}
+	}
+}
+
+// TestRecoveredStoreScansWholeLog: a recovered store holds in memory the
+// pages the store held before it closed. With MemPages larger than the log,
+// its index, full and auto scans over the whole log read no page from the
+// device and return what they returned before the store closed.
+func TestRecoveredStoreScansWholeLog(t *testing.T) {
+	mem := storage.NewMem()
+	opts := Options{Device: mem, PageBits: 12, MemPages: 64, TableBuckets: 1 << 8}
+
+	type query struct {
+		prop Property
+		mode ScanMode
+	}
+	var queries []query
+	results := func(s *Store) [][]Record {
+		var out [][]Record
+		for _, q := range queries {
+			var recs []Record
+			if _, err := s.Scan(q.prop, ScanOptions{Mode: q.mode}, func(r Record) bool {
+				recs = append(recs, r)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(recs, func(a, b Record) int { return int(a.Address) - int(b.Address) })
+			out = append(out, recs)
+		}
+		return out
+	}
+
+	var before [][]Record
+	dir := checkpointedLog(t, opts, 300, 150, func(s *Store, name, pushes psf.ID) {
+		for _, mode := range []ScanMode{ScanForceIndex, ScanForceFull, ScanAuto} {
+			queries = append(queries, query{PropertyString(name, "repo-1"), mode})
+		}
+		queries = append(queries, query{PropertyBool(pushes, true), ScanAuto})
+		before = results(s)
+	})
+
+	dev := &pageReads{Device: mem, pageBits: opts.PageBits}
+	opts.Device = dev
+	r, info, err := Recover(dir, RecoverOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.log.PageOf(info.RecoveredTail) == 0 || r.log.PageOf(info.RecoveredTail)+1 > uint64(opts.MemPages) {
+		t.Fatalf("recovered tail %d: want a log of several pages, smaller than the buffer", info.RecoveredTail)
+	}
+	dev.count()
+	after := results(r)
+	if reads := dev.count(); len(reads) != 0 {
+		t.Fatalf("scans of the recovered store read pages %v from the device: recovery left them out of the buffer", reads)
+	}
+	for i, q := range queries {
+		if len(before[i]) == 0 {
+			t.Fatalf("query %d (%v, %v) matched nothing before close", i, q.prop, q.mode)
+		}
+		if !slices.EqualFunc(before[i], after[i], func(a, b Record) bool {
+			return a.Address == b.Address && string(a.Payload) == string(b.Payload)
+		}) {
+			t.Fatalf("query %d (%v, %v): %d records after recovery, %d before close, or different ones",
+				i, q.prop, q.mode, len(after[i]), len(before[i]))
+		}
+	}
+}
+
+// TestRecoverCountsReplayedEntries: the table is instrumented before the
+// suffix is replayed, so fishstore_hashtable_entries_created_total counts
+// the entries replay creates, one per property new in the suffix.
+func TestRecoverCountsReplayedEntries(t *testing.T) {
+	mem := storage.NewMem()
+	opts := Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
+		t.Fatal(err)
+	}
+	const perPhase = 10
+	repos := func(from int) [][]byte {
+		var recs [][]byte
+		for i := from; i < from+perPhase; i++ {
+			recs = append(recs, genEvent(i, "PushEvent", fmt.Sprintf("repo-%d", i)))
+		}
+		return recs
+	}
+	ingestAll(t, s, repos(0))
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, s, repos(perPhase))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Metrics = metrics.NewRegistry()
+	r, info, err := Recover(dir, RecoverOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if info.ReplayedRecords != perPhase {
+		t.Fatalf("replayed %d records, want %d", info.ReplayedRecords, perPhase)
+	}
+	if got := r.metrics.htEntries.Load(); got != perPhase {
+		t.Fatalf("entries created during recovery = %d, want %d", got, perPhase)
+	}
+}

@@ -116,12 +116,13 @@ type Store struct {
 	closed bool
 }
 
-// newStore builds a store around o without its log, table and PSF registry:
-// the observability layer — workload collector, metrics registry (explicit
+// newStore builds every component of a store from o but its log: the
+// observability layer — workload collector, metrics registry (explicit
 // option, process default, or disabled), event stream, scan decision log,
-// tracer — and o.Device wrapped for metrics and spans. Open and
-// Recover finish it; the log must be built on s.opts.Device.
-func newStore(o Options) *Store {
+// tracer — with o.Device wrapped for metrics and spans, the governor, the
+// page cache, an empty PSF registry, and table, instrumented before any
+// insert. Open and Recover add the log; it must be built on s.opts.Device.
+func newStore(o Options, table *hashtable.Table) *Store {
 	reg := o.Metrics
 	if reg == nil {
 		reg = defaultRegistry.Load()
@@ -150,6 +151,19 @@ func newStore(o Options) *Store {
 	if o.ProfileLabels {
 		s.plabels = newProfileLabels()
 	}
+	if o.Limits != nil {
+		s.gov = newGovernor(o.Limits, m)
+	}
+	if o.PageCachePages > 0 {
+		s.pcache = pagecache.New(o.PageCachePages, 1<<(o.PageBits-3))
+	}
+	// The registry reads the tail only when a PSF is registered, which
+	// happens after the log is built.
+	s.registry = psf.NewRegistry(s.epoch, s.TailAddress)
+	table.Instrument(m.htEntries, m.htOverflowAdds, func(overflowIdx int) {
+		m.event("hashtable.grow", trace.Int("overflow_buckets", int64(overflowIdx)))
+	})
+	s.table = table
 	return s
 }
 
@@ -162,20 +176,12 @@ func Open(opts Options) (*Store, error) {
 	// The store is built before its log so the flush hook can flip it into
 	// degraded mode; flushes only start once ingestion does, after Open
 	// returns with s.log assigned.
-	s := newStore(o)
-	s.table = hashtable.New(o.TableBuckets, o.OverflowBuckets)
-	if o.Limits != nil {
-		s.gov = newGovernor(o.Limits, s.metrics)
-	}
-	if o.PageCachePages > 0 {
-		s.pcache = pagecache.New(o.PageCachePages, 1<<(o.PageBits-3))
-	}
+	s := newStore(o, hashtable.New(o.TableBuckets, o.OverflowBuckets))
 	log, err := hlog.New(s.logConfig())
 	if err != nil {
 		return nil, err
 	}
 	s.log = log
-	s.registry = psf.NewRegistry(s.epoch, log.TailAddress)
 	s.wireObservability()
 	return s, nil
 }
@@ -255,9 +261,6 @@ func (s *Store) wireObservability() {
 	m := s.metrics
 	s.epoch.Instrument(m.epochBumps, m.epochActions, func(ran int) {
 		m.event("epoch.drain", trace.Int("actions", int64(ran)), trace.Uint("safe", s.epoch.SafeEpoch()))
-	})
-	s.table.Instrument(m.htEntries, m.htOverflowAdds, func(overflowIdx int) {
-		m.event("hashtable.grow", trace.Int("overflow_buckets", int64(overflowIdx)))
 	})
 	s.registry.SetTrace(func(state string, version uint64) {
 		m.event("psf."+state, trace.Uint("version", version))
