@@ -17,8 +17,8 @@ import (
 // recycled frame, whose old bytes must not reach the device.
 func TestDeviceFormatDigest(t *testing.T) {
 	for name, want := range map[string]string{
-		"yelp":   "95810b8618d13c13f130adc5cbb84c72c09201fa0fea27e276d3475ac7938fcd",
-		"github": "06c678015379d524fc3f432a4e940041df3dd27fd525887f1141c3452054eb64",
+		"yelp":   "b59a71622f36079d1e872db2fe6119b94974bd6775ae5c2802cefcfcee9d828a",
+		"github": "ffa69ba4e40ef87c859334476f24bc003b1b5e3106fec2b08fa52893bcde4494",
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := harness.Table1()[name]

@@ -510,3 +510,108 @@ func TestBodySealedLogRecovers(t *testing.T) {
 		t.Fatalf("scan surfaced %d records and quarantined %d, want 60 and 0", got, st.Quarantined)
 	}
 }
+
+// TestMaskedSealedLogRecovers: a log sealed while seals skipped the header's
+// visibility and invalid bits (CRC32-C over the rest of the header and the
+// body, under that generation's trailer magic), holding one abandoned copy,
+// recovers with its whole post-checkpoint suffix replayed, verifies clean
+// and scans without quarantine.
+func TestMaskedSealedLogRecovers(t *testing.T) {
+	mem := storage.NewMem()
+	s, err := Open(Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := sess.Ingest([][]byte{genEvent(i, "PushEvent", "spark")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(0, 40)
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.Checkpoint(ckptDir); err != nil {
+		t.Fatal(err)
+	}
+	abandoned := ingestAbandoned(t, sess, genEvent(40, "PushEvent", "spark"))
+	ingest(40, 60)
+	sess.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	addrs, sizes := deviceRecordAddrs(t, mem, ^uint64(0))
+	if len(addrs) != 61 {
+		t.Fatalf("found %d records on the device, want 60 and the abandoned copy", len(addrs))
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	const visibleInvalid = uint64(3) << 62
+	for i, addr := range addrs {
+		rec := make([]byte, sizes[i]*8)
+		if _, err := mem.ReadAt(rec, int64(addr)); err != nil {
+			t.Fatal(err)
+		}
+		hw := binary.LittleEndian.Uint64(rec)
+		want := uint64(1) << 63 // published: visible, not invalid
+		if addr == abandoned {
+			want = visibleInvalid
+		}
+		if hw&visibleInvalid != want {
+			t.Fatalf("record at %d has header %#x", addr, hw)
+		}
+		h := record.UnpackHeader(hw)
+		start := (record.HeaderWords + h.NumPtrs*record.WordsPerPointer) * 8
+		end := (h.SizeWords - h.TrailerWords()) * 8
+		crc := crc32.Checksum(binary.LittleEndian.AppendUint64(nil, hw&^visibleInvalid), castagnoli)
+		old := uint64(0x0EA3A15E)<<32 | uint64(crc32.Update(crc, castagnoli, rec[start:end]))
+		trailer := rec[len(rec)-8:]
+		if binary.LittleEndian.Uint64(trailer) == old {
+			t.Fatalf("record at %d already carries a masked seal", addr)
+		}
+		binary.LittleEndian.PutUint64(trailer, old)
+		if _, err := mem.WriteAt(trailer, int64(addr)+int64(len(rec)-8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, info, err := Recover(ckptDir, RecoverOptions{Options: Options{Device: mem, TableBuckets: 1 << 8,
+		VerifyOnRead: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if end := addrs[60] + uint64(sizes[60])*8; info.ReplayedRecords != 20 || info.RecoveredTail != end {
+		t.Fatalf("replayed %d suffix records up to %d, want the 20 live ones past the checkpoint up to %d",
+			info.ReplayedRecords, info.RecoveredTail, end)
+	}
+	rep, err := s2.VerifyLog(VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.SealedRecords != 61 {
+		t.Fatalf("fsck of a masked-sealed log: corruption %v, %d sealed records, want none and 61",
+			rep.Corruption, rep.SealedRecords)
+	}
+	for _, mode := range []ScanMode{ScanForceFull, ScanForceIndex} {
+		var got int
+		st, err := s2.Scan(PropertyString(id, "spark"), ScanOptions{Mode: mode}, func(r Record) bool {
+			if r.Address == abandoned {
+				t.Fatalf("%s scan surfaced the abandoned copy", mode)
+			}
+			got++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 60 || st.Quarantined != 0 {
+			t.Fatalf("%s scan surfaced %d records and quarantined %d, want 60 and 0", mode, got, st.Quarantined)
+		}
+	}
+}

@@ -137,7 +137,7 @@ type outcome struct {
 func runRound(sc schedule, artifactDir string) (outcome, error) {
 	r := &round{sc: sc, rng: rand.New(rand.NewSource(sc.Seed + 7)), flight: introspect.NewRing[trace.SpanData](256), m: model{
 		tried: make([]int, sc.Workers), acked: make([][]int, sc.Workers), ackedN: make([]atomic.Int64, sc.Workers),
-		durable: make([]int, sc.Workers), ivs: map[psf.ID][]psf.Interval{}, deleted: map[key]bool{}}}
+		durable: make([]int, sc.Workers), ivs: map[psf.ID][]psf.Interval{}}}
 	err := r.run()
 	if err != nil {
 		err = fmt.Errorf("%s/seed=%d (schedule %+v): %w", sc.Profile, sc.Seed, sc, err)
@@ -171,7 +171,6 @@ type model struct {
 	ackedN  []atomic.Int64 // len(acked[w]), read while the workers run
 	durable []int          // per worker: acked[w][:durable[w]] must survive a cut
 	ivs     map[psf.ID][]psf.Interval
-	deleted map[key]bool // records a rot flip invalidated
 }
 
 type key struct{ w, seq int }
@@ -447,11 +446,9 @@ func (r *round) resource(s *fishstore.Store) error {
 	return errors.Join(errs...)
 }
 
-// rot flushes, then flips bits below the head. A flip that sets a record's
-// invalid bit deletes it: Invalidate sets that bit after the record is
-// sealed, so nothing can tell the two apart, and the model drops the record.
-// Only a flip inside a live record must show in some scan; one in a filler
-// or an abandoned copy shows only to the verifier.
+// rot flushes, then flips bits below the head. Only a flip inside a live
+// record must show in some scan; one in a filler or an abandoned copy shows
+// only to the verifier.
 func (r *round) rot(s *fishstore.Store) error {
 	if err := s.Flush(); err != nil {
 		return err
@@ -480,10 +477,6 @@ func (r *round) rot(s *fishstore.Store) error {
 			}
 			if at < end {
 				r.rotLive = true
-				if off == at && f%64 == 62 {
-					k, _ := r.identify(fishstore.Record{Payload: record.View{Words: words[off:end]}.Payload()})
-					r.m.deleted[k] = true
-				}
 				break
 			}
 			off = end
@@ -498,7 +491,10 @@ func (r *round) rot(s *fishstore.Store) error {
 // dumpFlight renders the flight ring as JSON lines, oldest first.
 func (r *round) dumpFlight() []byte {
 	var b bytes.Buffer
-	_ = trace.WriteJSONLines(&b, r.flight.Snapshot())
+	sink := trace.JSONLines(&b)
+	for _, d := range r.flight.Snapshot() {
+		sink(d)
+	}
 	return b.Bytes()
 }
 
@@ -656,7 +652,7 @@ func (r *round) survival(at map[key]uint64, truncated bool) error {
 			durable = r.m.durable[w]
 		}
 		for i, seq := range acked {
-			if _, ok := at[key{w, seq}]; ok || r.m.deleted[key{w, seq}] || (seq < lo || lo < 0) && truncated || seq > hi && i >= durable {
+			if _, ok := at[key{w, seq}]; ok || (seq < lo || lo < 0) && truncated || seq > hi && i >= durable {
 				continue
 			}
 			return fmt.Errorf("worker %d lost acknowledged seq %d: survivors %d..%d, %d of %d acknowledged durable, truncated %v",

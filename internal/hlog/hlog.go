@@ -439,13 +439,15 @@ func (l *Log) flushPage(page uint64) error {
 // (what in-memory readers and later re-flushes observe). This is the
 // checksum seal point: it runs at flush time, after the epoch bump guarding
 // the flush has proven every multi-word record write on the page finished,
-// i.e. strictly after the four-phase ingest protocol. Sealing is
-// idempotent, so a page re-flushed by FlushTail and later by doFlush
-// persists identical trailer words. The walk stops at the first hole (zero
-// header), invisible record (an allocation whose owner died mid-ingest —
-// nothing after it can be trusted to be complete, and recovery truncates
-// there anyway), or structurally absurd size, leaving such suffixes
-// unsealed.
+// i.e. strictly after the four-phase ingest protocol. The seal covers the
+// whole header word: a visible header is final, since its session set the
+// visible bit, alone or with the invalid bit (record.View.Abandon), in one
+// CAS, its last write to the header. Sealing is idempotent, so a page
+// re-flushed by FlushTail and later by doFlush persists identical trailer
+// words. The walk stops at the first hole (zero header), invisible record
+// (an allocation whose owner died mid-ingest — nothing after it can be
+// trusted to be complete, and recovery truncates there anyway), or
+// structurally absurd size, leaving such suffixes unsealed.
 func (l *Log) sealPageRecords(page uint64, frame []uint64, buf []byte, endWord int) {
 	off := 0
 	if page == 0 {

@@ -100,21 +100,24 @@ const (
 	// unsealed trailer is all-zero (Spec.Write clears it), so any v1 record
 	// that reaches the device without passing through the flush-time sealer
 	// fails validation rather than passing vacuously. Its CRC covers the
-	// sealed header bits and the body.
-	sealMagic = uint64(0x0EA3A15E) << 32
+	// whole header word and the body: no header bit changes once a record is
+	// visible (Abandon sets the invalid bit together with the visible one),
+	// and the sealer seals only visible records.
+	sealMagic = uint64(0x0EA35EA1) << 32
 
-	// bodySealMagic marks a trailer written before seals covered the header:
-	// its CRC covers the body alone. Such logs stay readable. It is sealMagic
-	// complemented, so no bit flip short of all 32 turns one into the other.
-	bodySealMagic = uint64(0xF15C5EA1) << 32
+	// maskedSealMagic marks a trailer written while seals skipped the
+	// visibility and invalid bits (hdrMaskedSeal); bodySealMagic one written
+	// before seals covered the header, whose CRC covers the body alone. Such
+	// logs stay readable. The three magics lie 16 bits apart or more, and
+	// bodySealMagic is maskedSealMagic complemented.
+	maskedSealMagic = uint64(0x0EA3A15E) << 32
+	bodySealMagic   = uint64(0xF15C5EA1) << 32
 
 	sealCRCMask = uint64(1)<<32 - 1
 
-	// hdrSealedMask selects the header bits the checksum covers: all but the
-	// visibility and invalid bits, which change after a record is sealed.
-	// A flipped size, pad or value-region field then fails verification
-	// instead of shifting the payload the record reports.
-	hdrSealedMask = ^(hdrVisibleBit | hdrInvalidBit)
+	// hdrMaskedSeal selects the header bits a maskedSealMagic trailer
+	// covers.
+	hdrMaskedSeal = ^(hdrVisibleBit | hdrInvalidBit)
 )
 
 // WordsPerPointer is the size of one key pointer in words.
@@ -133,7 +136,7 @@ type Header struct {
 	Checksum   bool  // format v1: record ends with a sealed checksum word
 	Indirect   bool  // historical index record: payload is a log address
 	Filler     bool  // page-fill hole, not a record
-	Invalid    bool  // abandoned allocation (only in realloc/badCAS mode)
+	Invalid    bool  // abandoned allocation (View.Abandon)
 	Visible    bool  // fully ingested and linked
 }
 
@@ -396,11 +399,15 @@ func (v View) SetVisible() {
 	}
 }
 
-// SetInvalid atomically marks an abandoned allocation (realloc/badCAS mode).
-func (v View) SetInvalid() {
+// Abandon atomically marks an allocation its session gave up on (a badCAS
+// reallocation or a rebuild under a newer PSF meta): the invalid and visible
+// bits are set in one CAS, so the sealer, which seals only visible records,
+// never sees one without the other. It is the only writer of the invalid
+// bit, and runs before the epoch bump that lets the page flush.
+func (v View) Abandon() {
 	for {
 		old := atomic.LoadUint64(&v.Words[0])
-		if atomic.CompareAndSwapUint64(&v.Words[0], old, old|hdrInvalidBit) {
+		if atomic.CompareAndSwapUint64(&v.Words[0], old, old|hdrInvalidBit|hdrVisibleBit) {
 			return
 		}
 	}
@@ -457,11 +464,10 @@ func (v View) AppendPayload(buf []byte) []byte {
 }
 
 // bodyBounds returns the word range [start, end) covered by the record
-// checksum: the value region plus the padded payload. The header and key
-// pointers are excluded — the header's visibility/invalid bits and each
-// pointer's previous-address word mutate after the body is written (and,
-// for addresses, even after the record is durable, via chain splicing), so
-// they cannot be part of a stable checksum.
+// checksum besides the header word: the value region plus the padded
+// payload. The key pointers are excluded — each pointer's previous-address
+// word mutates after the record is sealed, even after it is durable, via
+// chain splicing, so it cannot be part of a stable checksum.
 func bodyBounds(h Header) (int, int) {
 	return HeaderWords + h.NumPtrs*WordsPerPointer, h.SizeWords - h.TrailerWords()
 }
@@ -500,11 +506,11 @@ func (v View) checksumBody(h Header, crc uint32) uint32 {
 	return crc
 }
 
-// headerCRC starts a record checksum over the sealed header bits. It
+// headerCRC starts a record checksum over the header bits in mask. It
 // updates byte by byte, as crc32.Update does for short inputs, so the flush
 // path needs no staging buffer for the header.
-func headerCRC(h Header) uint32 {
-	w := PackHeader(h) & hdrSealedMask
+func headerCRC(h Header, mask uint64) uint32 {
+	w := PackHeader(h) & mask
 	crc := ^uint32(0)
 	for i := 0; i < 8; i++ {
 		crc = castagnoli[byte(crc)^byte(w>>(8*i))] ^ crc>>8
@@ -525,7 +531,7 @@ func (v View) Seal() {
 	if start > end || h.SizeWords > len(v.Words) {
 		return // corrupt header; never sealable
 	}
-	atomic.StoreUint64(&v.Words[h.SizeWords-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h))))
+	atomic.StoreUint64(&v.Words[h.SizeWords-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h, ^uint64(0)))))
 }
 
 // SealedTrailer computes the checksum trailer word for a record already
@@ -543,16 +549,17 @@ func SealedTrailer(h Header, b []byte) (uint64, bool) {
 	if start > end || h.SizeWords < 1 || h.SizeWords*8 > len(b) {
 		return 0, false
 	}
-	return sealMagic | uint64(crc32.Update(headerCRC(h), castagnoli, b[start*8:end*8])), true
+	return sealMagic | uint64(crc32.Update(headerCRC(h, ^uint64(0)), castagnoli, b[start*8:end*8])), true
 }
 
 // ChecksumOK reports whether the record matches its checksum trailer: the
-// sealed header bits and body under sealMagic, the body alone under
-// bodySealMagic. v0 (checksum-less) records pass: they predate the format
-// bit and carry nothing to verify — unless the record ends in either seal
-// magic, which marks a v1 record whose format bit flipped (a v0 record ends
-// so with probability 2^-31, and never when its payload is UTF-8 text). An
-// unsealed or torn trailer fails.
+// header word and body under sealMagic, the header bits in hdrMaskedSeal and
+// the body under maskedSealMagic, the body alone under bodySealMagic. v0
+// (checksum-less) records pass: they predate the format bit and carry
+// nothing to verify — unless the record ends in any seal magic, which marks
+// a v1 record whose format bit flipped (a v0 record ends so with probability
+// 3·2^-32, and never when its payload is UTF-8 text). An unsealed or torn
+// trailer fails.
 func (v View) ChecksumOK() bool {
 	h := v.Header()
 	if h.Filler {
@@ -563,7 +570,7 @@ func (v View) ChecksumOK() bool {
 			return true
 		}
 		magic := atomic.LoadUint64(&v.Words[h.SizeWords-1]) &^ sealCRCMask
-		return magic != sealMagic && magic != bodySealMagic
+		return magic != sealMagic && magic != maskedSealMagic && magic != bodySealMagic
 	}
 	start, end := bodyBounds(h)
 	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
@@ -572,7 +579,9 @@ func (v View) ChecksumOK() bool {
 	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
 	switch tw &^ sealCRCMask {
 	case sealMagic:
-		return uint32(tw) == v.checksumBody(h, headerCRC(h))
+		return uint32(tw) == v.checksumBody(h, headerCRC(h, ^uint64(0)))
+	case maskedSealMagic:
+		return uint32(tw) == v.checksumBody(h, headerCRC(h, hdrMaskedSeal))
 	case bodySealMagic:
 		return uint32(tw) == v.checksumBody(h, 0)
 	}

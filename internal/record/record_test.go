@@ -170,10 +170,11 @@ func TestSetVisibleAndInvalid(t *testing.T) {
 	if !v.Header().Visible {
 		t.Fatal("SetVisible did not set the bit")
 	}
-	v.SetInvalid()
+	words[0] = PackHeader(Header{SizeWords: spec.SizeWords()})
+	v.Abandon()
 	h := v.Header()
-	if !h.Invalid || !h.Visible {
-		t.Fatal("SetInvalid must not clear visibility")
+	if !h.Invalid || !h.Visible || h.SizeWords != spec.SizeWords() {
+		t.Fatalf("Abandon must set the invalid and visible bits only: %+v", h)
 	}
 }
 
@@ -322,12 +323,18 @@ func TestChecksumSealAndVerify(t *testing.T) {
 		t.Fatal("sealing is not idempotent")
 	}
 
-	// Header and pointer mutations (visibility, chain CAS) must not break the
-	// seal — they are excluded from the checksum body.
-	v.SetInvalid()
+	// A chain splice must not break the seal — key pointers are excluded
+	// from it — but a changed header bit must.
 	SetPrevAddress(&words[v.PointerWordIndex(0)], 0xbeef00)
 	if !v.ChecksumOK() {
-		t.Fatal("header/pointer mutation broke the checksum")
+		t.Fatal("pointer mutation broke the checksum")
+	}
+	for _, bit := range []uint64{hdrInvalidBit, hdrVisibleBit} {
+		words[0] ^= bit
+		if v.ChecksumOK() {
+			t.Fatalf("header bit %#x flipped after sealing went undetected", bit)
+		}
+		words[0] ^= bit
 	}
 
 	// Any body flip must break it.
@@ -385,6 +392,40 @@ func TestBodySealedRecordsVerify(t *testing.T) {
 	words[0] ^= hdrChecksumBit
 	if v.ChecksumOK() {
 		t.Fatal("a v1 record whose format bit flipped verified as v0")
+	}
+}
+
+// TestMaskedSealedRecordsVerify: a record sealed while seals skipped the
+// visibility and invalid bits (under maskedSealMagic) still verifies with
+// either bit in any state, and a flip of any other header bit fails it.
+func TestMaskedSealedRecordsVerify(t *testing.T) {
+	spec := Spec{Payload: []byte(`{"id": 8, "repo": "spark"}`), Checksum: true,
+		Pointers: []PointerSpec{{PSFID: 1, Mode: ModeBool, BoolValue: true}}}
+	words := make([]uint64, spec.SizeWords())
+	spec.Write(words)
+	v := View{Words: words}
+	start, end := bodyBounds(v.Header())
+	body := make([]byte, 0, (end-start)*8)
+	for _, w := range words[start:end] {
+		body = binary.LittleEndian.AppendUint64(body, w)
+	}
+	hdr := binary.LittleEndian.AppendUint64(nil, words[0]&^(hdrVisibleBit|hdrInvalidBit))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	words[len(words)-1] = uint64(0x0EA3A15E)<<32 | uint64(crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, body))
+	for _, publish := range []func(){func() {}, v.SetVisible, v.Abandon} {
+		publish()
+		if !v.ChecksumOK() {
+			t.Fatalf("masked-sealed record with header %+v must verify", v.Header())
+		}
+	}
+	for bit := 0; bit < 62; bit++ {
+		if m := uint64(1) << bit; m != hdrFillerBit {
+			words[0] ^= m
+			if v.ChecksumOK() {
+				t.Fatalf("flip of masked-sealed header bit %d went undetected", bit)
+			}
+			words[0] ^= m
+		}
 	}
 }
 

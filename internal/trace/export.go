@@ -97,33 +97,18 @@ func (d SpanData) JSON() map[string]any {
 	return m
 }
 
-// WriteJSONLines writes each record as one JSON line, in order. A record
-// with an unmarshalable attribute (a NaN float) is skipped.
-func WriteJSONLines(w io.Writer, ds []SpanData) error {
-	for _, d := range ds {
-		if line, ok := jsonLine(d); ok {
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // JSONLines returns a record sink writing each record to w as one JSON line
-// (see JSON); it is safe for concurrent use, and lines never interleave.
+// (see JSON); it is safe for concurrent use, and lines never interleave. A
+// record with an unmarshalable attribute (a NaN float) is skipped.
 func JSONLines(w io.Writer) func(SpanData) {
 	var mu sync.Mutex
 	return func(d SpanData) {
-		if line, ok := jsonLine(d); ok {
-			mu.Lock()
-			defer mu.Unlock()
-			_, _ = w.Write(line) // a sink has no caller to report a write error to
+		raw, err := json.Marshal(d.JSON())
+		if err != nil {
+			return
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		_, _ = w.Write(append(raw, '\n')) // a sink has no caller to report a write error to
 	}
-}
-
-func jsonLine(d SpanData) ([]byte, bool) {
-	raw, err := json.Marshal(d.JSON())
-	return append(raw, '\n'), err == nil
 }

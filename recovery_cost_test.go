@@ -11,6 +11,7 @@ import (
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
+	"fishstore/internal/trace"
 )
 
 // pageReads is a caller's device that counts the reads reaching each page.
@@ -88,12 +89,15 @@ func checkpointedLog(t *testing.T, opts Options, n, ckpt int, beforeClose func(s
 
 // TestRecoverBuildsLikeOpen: Open and Recover build a store from Options the
 // same way. A recovered store used to run without its page cache and its
-// governor, ignoring PageCachePages and Limits.
+// governor, ignoring PageCachePages and Limits; it must also honour Metrics,
+// TraceSink and Retention.
 func TestRecoverBuildsLikeOpen(t *testing.T) {
-	mem := storage.NewMem()
-	opts := Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
-		PageCachePages: 8, Limits: &Limits{MaxConcurrentScans: 1}}
-	s, err := Open(opts)
+	fd := storage.NewFaultDevice(nil, storage.FaultConfig{})
+	opts := Options{Device: fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
+		PageCachePages: 8, Limits: &Limits{MaxConcurrentScans: 1},
+		Retention: &Retention{MaxLiveBytes: 8 << 10}}
+	sopts, sobs := observe(opts)
+	s, err := Open(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +105,7 @@ func TestRecoverBuildsLikeOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestAll(t, s, [][]byte{genEvent(1, "PushEvent", "spark"), genEvent(2, "PushEvent", "spark")})
-	requireBuiltFromOptions(t, "opened", s, id)
+	requireBuiltFromOptions(t, "opened", s, id, fd, sobs)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
@@ -111,22 +114,59 @@ func TestRecoverBuildsLikeOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, _, err := Recover(dir, RecoverOptions{Options: opts})
+	ropts, robs := observe(opts)
+	r, _, err := Recover(dir, RecoverOptions{Options: ropts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	requireBuiltFromOptions(t, "recovered", r, id)
+	requireBuiltFromOptions(t, "recovered", r, id, fd, robs)
 }
 
-// requireBuiltFromOptions checks the wiring of PageCachePages and
-// Limits{MaxConcurrentScans: 1}: the page cache is on, and a scan past the
-// limit fails with ErrBusy.
-func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID) {
+// observed records what a store reports into the Metrics registry and the
+// TraceSink that observe gives it.
+type observed struct {
+	reg    *metrics.Registry
+	mu     sync.Mutex
+	events map[string]bool
+}
+
+// observe returns opts with a fresh Metrics registry and a TraceSink that
+// records event names, and what they observe.
+func observe(opts Options) (Options, *observed) {
+	o := &observed{reg: metrics.NewRegistry(), events: map[string]bool{}}
+	opts.Metrics = o.reg
+	opts.TraceSink = func(d trace.SpanData) {
+		o.mu.Lock()
+		o.events[d.Name] = true
+		o.mu.Unlock()
+	}
+	return opts, o
+}
+
+// requireBuiltFromOptions checks the wiring of the Options that
+// TestRecoverBuildsLikeOpen gives both stores: the page cache is on, a scan
+// past Limits{MaxConcurrentScans: 1} fails with ErrBusy, ingest reports into
+// Options.Metrics, events reach Options.TraceSink, and after the device
+// fills (fd armed with ENOSPC) RecoverLogSpace truncates the log to
+// Retention.MaxLiveBytes.
+func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd *storage.FaultDevice, obs *observed) {
 	t.Helper()
 	if !s.CacheStats().PageCacheEnabled {
 		t.Errorf("%s store has no page cache", which)
 	}
+	sess := s.NewSession()
+	n, start := 0, s.TailAddress()
+	for ; s.TailAddress() < start+5<<12 || s.TailAddress()%(1<<12) == 0; n++ {
+		if _, err := sess.Ingest([][]byte{genEvent(n, "PushEvent", "spark")}); err != nil {
+			t.Fatalf("%s store: record %d: %v", which, n, err)
+		}
+	}
+	sess.Close()
+	if got := obs.reg.Snapshot().Value("fishstore_ingest_records_total"); got != float64(n) {
+		t.Errorf("%s store: Options.Metrics counts %v ingested records, want %d", which, got, n)
+	}
+
 	prop := PropertyString(id, "spark")
 	inCb, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
@@ -145,6 +185,25 @@ func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID) {
 	}
 	if !errors.Is(err, ErrBusy) {
 		t.Errorf("%s store: scan past MaxConcurrentScans = %v, want ErrBusy", which, err)
+	}
+
+	fd.ArmENOSPC(1)
+	if err := s.Flush(); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("%s store: flush on a full device = %v, want ErrLogFull", which, err)
+	}
+	if err := s.RecoverLogSpace(); err != nil {
+		t.Fatalf("%s store: RecoverLogSpace: %v", which, err)
+	}
+	if live := s.TailAddress() - s.logBegin(); live > s.opts.Retention.MaxLiveBytes {
+		t.Errorf("%s store: %d live bytes after RecoverLogSpace, want at most %d",
+			which, live, s.opts.Retention.MaxLiveBytes)
+	}
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	for _, ev := range []string{"hlog.flush", "store.log_full", "store.log_full_recovered"} {
+		if !obs.events[ev] {
+			t.Errorf("%s store: Options.TraceSink never received %s", which, ev)
+		}
 	}
 }
 

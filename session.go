@@ -297,9 +297,7 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				// may sit past the safe registration boundary without the
 				// pointers the new meta asks for (§5.3). Abandon this copy and
 				// rebuild the record under the current meta.
-				view := record.View{Words: alloc.Words}
-				view.SetInvalid()
-				view.SetVisible()
+				record.View{Words: alloc.Words}.Abandon()
 				sess.store.invalidated.Add(1)
 				sess.flushBatchAttribution(tele)
 				if err := sess.refreshMeta(); err != nil {
@@ -327,8 +325,7 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 			}
 			if !ok {
 				// badCAS mode: abandon this copy and reallocate at the tail.
-				view.SetInvalid()
-				view.SetVisible()
+				view.Abandon()
 				sess.store.invalidated.Add(1)
 				st.Reallocs++
 				continue

@@ -346,7 +346,7 @@ type Stats struct {
 	IngestedRecords    int64
 	IngestedBytes      int64
 	IndexedProperties  int64
-	InvalidatedRecs    int64 // abandoned copies: BadCAS reallocations, records rebuilt under a newer PSF meta
+	InvalidatedRecs    int64 // copies ingest abandoned, the only records with the invalid bit: BadCAS reallocations, rebuilds under a newer PSF meta
 	TailAddress        uint64
 	LogSizeBytes       uint64 // live footprint: tail - truncation point
 	TotalAppendedBytes uint64 // tail - begin: everything ever appended, incl. truncated

@@ -13,7 +13,7 @@ func TestStoreSurface(t *testing.T) {
 	want := []string{
 		"BuildHistoricalIndex", "CacheStats", "ChainGapProfile", "Checkpoint",
 		"CheckpointContext", "Close", "DeregisterPSF", "Flush", "HeadAddress",
-		"Invalidate", "Iterate", "Lookup", "Metrics", "NewSession", "PSFByName",
+		"Iterate", "Lookup", "Metrics", "NewSession", "PSFByName",
 		"RecoverLogSpace", "RegisterPSF", "Scan", "ScanContext", "ScanDecisions",
 		"ScanRange", "Stats", "Subscribe", "TailAddress", "TruncateUntil", "VerifyLog",
 	}
