@@ -130,10 +130,6 @@ func (s *Store) CheckpointContext(ctx context.Context, dir string) error {
 		return err
 	}
 
-	if pl := s.plabels; pl != nil {
-		pl.set(pl.checkpoint)
-		defer pl.clear()
-	}
 	start := time.Now()
 	tail := s.log.TailAddress()
 	sp := s.tracer.StartRoot("checkpoint")
@@ -276,10 +272,6 @@ func Recover(dir string, ropts RecoverOptions) (*Store, RecoveryInfo, error) {
 	// As in Open, the store exists before its log so the flush hook can
 	// degrade it on permanent failures.
 	s := newStore(o, hashtable.New(1, 1))
-	if pl := s.plabels; pl != nil {
-		pl.set(pl.recover)
-		defer pl.clear()
-	}
 	recoveryStart := time.Now()
 
 	rsp := s.tracer.StartRoot("recover")

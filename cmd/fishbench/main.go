@@ -42,7 +42,7 @@ func main() {
 		metAddr = flag.String("metrics-addr", "", "serve aggregated store metrics/pprof on this address while experiments run")
 
 		spanOut    = flag.String("span-out", "", "write spans from all experiments as Chrome trace-event JSON to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (with operation/phase pprof labels) to this file")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
 
@@ -63,9 +63,10 @@ func runExperiments(exp string, list bool, dataMB int, threads string, quick boo
 		fishstore.SetDefaultTracer(tracer)
 	}
 	if cpuProfile != "" {
-		// Label every store the experiments open so the profile slices along
-		// operation= / phase= / mode= / psf= (README "Tracing & profiling").
-		fishstore.SetDefaultProfileLabels(true)
+		// The profile attributes each Fig 13 ingest phase by its stack
+		// frame: Parse, buildPointers, hlog.(*Log).Allocate and Spec.Write,
+		// linkAll, subs.notify (README "Tracing & profiling" has a
+		// go tool pprof -focus recipe per phase).
 		f, err := os.Create(cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fishbench: -cpuprofile: %v\n", err)

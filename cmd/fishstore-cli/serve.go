@@ -67,7 +67,6 @@ func serveMain(args []string) {
 	}
 	if *spans {
 		opts.Tracer = itrace.New(itrace.Options{SampleEvery: *spanSample})
-		opts.ProfileLabels = true
 	}
 	if *sloIngest > 0 || *sloScan > 0 {
 		opts.SLO = &telemetry.SLO{IngestBatchP99: *sloIngest, IndexScanP95: *sloScan}

@@ -67,8 +67,11 @@ func TestTraceAgainstLiveStore(t *testing.T) {
 	names := map[string]bool{}
 	for _, e := range ct.TraceEvents {
 		names[e.Name] = true
+		if e.Name == "ingest.batch" && e.Args["parse_ns"] == nil {
+			t.Errorf("ingest.batch span carries no parse_ns phase attribute: %v", e.Args)
+		}
 	}
-	for _, want := range []string{"ingest.batch", "ingest.parse", "scan", "scan.plan"} {
+	for _, want := range []string{"ingest.batch", "scan", "scan.plan"} {
 		if !names[want] {
 			t.Errorf("trace output missing %q span; have %v", want, names)
 		}

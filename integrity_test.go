@@ -276,6 +276,73 @@ func TestRecoverTruncatesCorruptSuffixRecord(t *testing.T) {
 	sess2.Close()
 }
 
+// TestVerifyDeviceReportsLostVisibleBit: the sealer seals only visible
+// records, so a durable record whose visible bit flipped after sealing is rot,
+// not the log's frontier. VerifyDevice must report it at its address instead
+// of ending the log there, and recovery stops there as it does for any seal
+// that fails.
+func TestVerifyDeviceReportsLostVisibleBit(t *testing.T) {
+	mem := storage.NewMem()
+	s, err := Open(Options{Device: mem, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	for i := 0; i < 60; i++ {
+		if _, err := sess.Ingest([][]byte{genEvent(i, "PushEvent", "spark")}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 9 {
+			if err := s.Checkpoint(ckptDir); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sess.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	addrs, _ := deviceRecordAddrs(t, mem, ^uint64(0))
+	if len(addrs) != 60 {
+		t.Fatalf("device holds %d records, want 60", len(addrs))
+	}
+	victim := addrs[30]
+	var b [1]byte
+	if _, err := mem.ReadAt(b[:], int64(victim)+7); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x80 // bit 63 of the header word: visible
+	if _, err := mem.WriteAt(b[:], int64(victim)+7); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := VerifyDevice(mem, 12, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatalf("verifier accepted a sealed record that lost its visible bit (walked %d records)", rep.Records)
+	}
+	if rep.Corruption.Address != victim {
+		t.Fatalf("corruption reported at %d (%s), want %d", rep.Corruption.Address, rep.Corruption, victim)
+	}
+
+	s2, info, err := Recover(ckptDir, RecoverOptions{Options: Options{Device: mem, TableBuckets: 1 << 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if info.RecoveredTail != victim || info.ReplayedRecords != 20 {
+		t.Fatalf("recovery ended at %d after replaying %d records, want %d after 20",
+			info.RecoveredTail, info.ReplayedRecords, victim)
+	}
+}
+
 // TestV0LogRecoversUnderChecksumBinary: a log written without checksums
 // (format v0) must recover cleanly under a binary that seals by default, and
 // new ingestion into the recovered store must produce sealed records.

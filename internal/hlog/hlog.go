@@ -17,12 +17,10 @@
 package hlog
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,12 +31,6 @@ import (
 	"fishstore/internal/trace"
 	"fishstore/internal/wordio"
 )
-
-// flushLabels is the pprof label set applied to background flush goroutines
-// when Config.ProfileLabels is on. Flush goroutines are single-purpose and
-// die after one page, so the label is set once per flush, never restored.
-var flushLabels = pprof.WithLabels(context.Background(),
-	pprof.Labels("operation", "flush"))
 
 // Address is a 48-bit logical byte address on the log. All record addresses
 // are 8-byte aligned; address 0 is invalid (nil chain terminator).
@@ -75,10 +67,6 @@ type Config struct {
 	// Tracer, if set, gives every page flush (background and FlushTail) its
 	// own span. nil disables flush spans.
 	Tracer *trace.Tracer
-	// ProfileLabels attaches an operation=flush pprof label to background
-	// flush goroutines so CPU profiles attribute serialization and sealing
-	// cost to the flush path.
-	ProfileLabels bool
 }
 
 // DefaultConfig returns a config with 1MB pages and a 16MB buffer.
@@ -126,7 +114,6 @@ type Log struct {
 	flushWG    sync.WaitGroup
 	onFlush    func(page uint64, err error)
 	tracer     *trace.Tracer
-	flushLbls  bool
 
 	closed atomic.Bool
 }
@@ -159,7 +146,6 @@ func New(cfg Config) (*Log, error) {
 		failedPgs:    make(map[uint64]bool),
 		onFlush:      cfg.OnFlush,
 		tracer:       cfg.Tracer,
-		flushLbls:    cfg.ProfileLabels,
 	}
 	for i := range l.frameFreeFor {
 		l.frameFreeFor[i].Store(uint64(i))
@@ -403,9 +389,6 @@ func (l *Log) scheduleFlush(page uint64) {
 
 func (l *Log) doFlush(page uint64) {
 	defer l.flushWG.Done()
-	if l.flushLbls {
-		pprof.SetGoroutineLabels(flushLabels)
-	}
 	sp := l.tracer.StartRoot("hlog.flush")
 	sp.SetUint("page", page)
 	err := l.flushPage(page)

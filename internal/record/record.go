@@ -588,6 +588,24 @@ func (v View) ChecksumOK() bool {
 	return false
 }
 
+// LostVisibleBit reports whether an invisible record's trailer verifies
+// under sealMagic once its visible bit is set. The sealer seals only visible
+// records and no header bit changes after sealing, so such a record is a
+// sealed one whose visible bit rotted, never an incomplete one.
+func (v View) LostVisibleBit() bool {
+	h := v.Header()
+	if h.Visible || h.Filler || !h.Checksum {
+		return false
+	}
+	start, end := bodyBounds(h)
+	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
+		return false
+	}
+	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
+	h.Visible = true
+	return tw&^sealCRCMask == sealMagic && uint32(tw) == v.checksumBody(h, headerCRC(h, ^uint64(0)))
+}
+
 // boolTrue and boolFalse are the values of every ModeBool key pointer.
 var boolTrue, boolFalse = []byte{'t'}, []byte{'f'}
 

@@ -359,6 +359,32 @@ func TestChecksumSealAndVerify(t *testing.T) {
 	}
 }
 
+// TestLostVisibleBit: an unsealed invisible record is an incomplete one; a
+// sealed record whose visible bit is cleared is rot, and only then.
+func TestLostVisibleBit(t *testing.T) {
+	spec := Spec{Payload: []byte(`{"id": 7, "repo": "spark"}`), Checksum: true,
+		Pointers: []PointerSpec{{PSFID: 1, Mode: ModeBool, BoolValue: true}}}
+	words := make([]uint64, spec.SizeWords())
+	spec.Write(words)
+	v := View{Words: words}
+	if v.LostVisibleBit() {
+		t.Fatal("an unsealed invisible record read as rot")
+	}
+	v.SetVisible()
+	v.Seal()
+	if v.LostVisibleBit() {
+		t.Fatal("a visible sealed record read as rot")
+	}
+	words[0] &^= hdrVisibleBit
+	if !v.LostVisibleBit() {
+		t.Fatal("a sealed record that lost its visible bit was not reported")
+	}
+	words[len(words)-2] ^= 1
+	if v.LostVisibleBit() {
+		t.Fatal("an invisible record whose seal fails read as a lost visible bit")
+	}
+}
+
 // TestBodySealedRecordsVerify: a record sealed before seals covered the
 // header (CRC32-C over the body alone, under the old trailer magic) still
 // verifies, a body flip still fails it, and so does a flipped format bit.

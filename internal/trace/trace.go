@@ -8,9 +8,9 @@
 // atomic load and every *Span method is nil-receiver safe, so instrumented
 // code never branches on configuration:
 //
-//	sp := tracer.StartRoot("ingest.batch") // nil when disabled or unsampled
-//	child := sp.Child("ingest.parse")      // nil-safe
-//	child.SetInt("bytes", n)               // nil-safe
+//	sp := tracer.StartRoot("scan")   // nil when disabled or unsampled
+//	child := sp.Child("scan.plan")   // nil-safe
+//	child.SetInt("segments", n)      // nil-safe
 //	child.End()
 //	sp.End()
 //

@@ -48,8 +48,9 @@ type Options struct {
 	BadCAS bool
 
 	// CollectPhaseStats turns on per-phase CPU timing (parse / PSF eval /
-	// memcpy / index / others) used by the Fig 13 breakdown. Adds two
-	// clock reads per phase per record.
+	// memcpy / index / others) used by the Fig 13 breakdown, read back
+	// through Session.Phases and fishstore_ingest_phase_seconds. Adds one
+	// clock read per phase per record, plus one per record.
 	CollectPhaseStats bool
 
 	// Metrics is the registry the store reports into. nil consults the
@@ -103,13 +104,6 @@ type Options struct {
 	// flight recorder while an objective is burning, and folds the verdict
 	// into /debug/fishstore/health.
 	SLO *telemetry.SLO
-
-	// ProfileLabels attaches runtime/pprof goroutine labels (operation,
-	// phase, psf, mode) to the ingest, scan, and flush paths, so CPU
-	// profiles attribute samples to the same taxonomy spans use. Scan
-	// workers inherit their scan's labels. Adds a few runtime label swaps
-	// per record on the ingest path; leave off unless profiling.
-	ProfileLabels bool
 
 	// Limits, if set, enables the store-level resource governor: ingest
 	// batches count against MaxInFlightIngestBytes (over-limit callers block

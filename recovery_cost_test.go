@@ -7,10 +7,12 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"fishstore/internal/metrics"
 	"fishstore/internal/psf"
 	"fishstore/internal/storage"
+	"fishstore/internal/telemetry"
 	"fishstore/internal/trace"
 )
 
@@ -90,12 +92,15 @@ func checkpointedLog(t *testing.T, opts Options, n, ckpt int, beforeClose func(s
 // TestRecoverBuildsLikeOpen: Open and Recover build a store from Options the
 // same way. A recovered store used to run without its page cache and its
 // governor, ignoring PageCachePages and Limits; it must also honour Metrics,
-// TraceSink and Retention.
+// TraceSink, Tracer, SLO, SlowOpThreshold and Retention.
 func TestRecoverBuildsLikeOpen(t *testing.T) {
 	fd := storage.NewFaultDevice(nil, storage.FaultConfig{})
 	opts := Options{Device: fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
 		PageCachePages: 8, Limits: &Limits{MaxConcurrentScans: 1},
-		Retention: &Retention{MaxLiveBytes: 8 << 10}}
+		Retention: &Retention{MaxLiveBytes: 8 << 10},
+		SLO:       &telemetry.SLO{IngestBatchP99: time.Hour},
+		// Every batch is at least this slow.
+		SlowOpThreshold: time.Nanosecond}
 	sopts, sobs := observe(opts)
 	s, err := Open(sopts)
 	if err != nil {
@@ -123,19 +128,21 @@ func TestRecoverBuildsLikeOpen(t *testing.T) {
 	requireBuiltFromOptions(t, "recovered", r, id, fd, robs)
 }
 
-// observed records what a store reports into the Metrics registry and the
-// TraceSink that observe gives it.
+// observed records what a store reports into the Metrics registry, the
+// Tracer and the TraceSink that observe gives it.
 type observed struct {
 	reg    *metrics.Registry
+	tr     *trace.Tracer
 	mu     sync.Mutex
 	events map[string]bool
 }
 
-// observe returns opts with a fresh Metrics registry and a TraceSink that
-// records event names, and what they observe.
+// observe returns opts with a fresh Metrics registry, a fresh Tracer and a
+// TraceSink that records event names, and what they observe.
 func observe(opts Options) (Options, *observed) {
-	o := &observed{reg: metrics.NewRegistry(), events: map[string]bool{}}
+	o := &observed{reg: metrics.NewRegistry(), tr: trace.New(trace.Options{}), events: map[string]bool{}}
 	opts.Metrics = o.reg
+	opts.Tracer = o.tr
 	opts.TraceSink = func(d trace.SpanData) {
 		o.mu.Lock()
 		o.events[d.Name] = true
@@ -147,7 +154,9 @@ func observe(opts Options) (Options, *observed) {
 // requireBuiltFromOptions checks the wiring of the Options that
 // TestRecoverBuildsLikeOpen gives both stores: the page cache is on, a scan
 // past Limits{MaxConcurrentScans: 1} fails with ErrBusy, ingest reports into
-// Options.Metrics, events reach Options.TraceSink, and after the device
+// Options.Metrics, batches land as ingest.batch roots in Options.Tracer, the
+// health report carries the SLO watchdog's, events (ingest.slow_batch past
+// SlowOpThreshold among them) reach Options.TraceSink, and after the device
 // fills (fd armed with ENOSPC) RecoverLogSpace truncates the log to
 // Retention.MaxLiveBytes.
 func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd *storage.FaultDevice, obs *observed) {
@@ -165,6 +174,18 @@ func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd
 	sess.Close()
 	if got := obs.reg.Snapshot().Value("fishstore_ingest_records_total"); got != float64(n) {
 		t.Errorf("%s store: Options.Metrics counts %v ingested records, want %d", which, got, n)
+	}
+	batches := 0
+	for _, d := range obs.tr.Spans() {
+		if d.Name == "ingest.batch" && d.Root() {
+			batches++
+		}
+	}
+	if batches != n {
+		t.Errorf("%s store: Options.Tracer holds %d ingest.batch roots, want %d", which, batches, n)
+	}
+	if h := s.health(); h.SLO == nil || len(h.SLO.SLOs) != 1 {
+		t.Errorf("%s store: health carries SLO report %+v, want the watchdog's one objective", which, h.SLO)
 	}
 
 	prop := PropertyString(id, "spark")
@@ -200,7 +221,7 @@ func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd
 	}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	for _, ev := range []string{"hlog.flush", "store.log_full", "store.log_full_recovered"} {
+	for _, ev := range []string{"hlog.flush", "ingest.slow_batch", "store.log_full", "store.log_full_recovered"} {
 		if !obs.events[ev] {
 			t.Errorf("%s store: Options.TraceSink never received %s", which, ev)
 		}

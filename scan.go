@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,14 +200,6 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 	}
 	canon := psf.CanonicalValue(prop.Value)
 
-	if pl := s.plabels; pl != nil {
-		// Scan workers spawned below inherit these goroutine labels, so CPU
-		// profiles attribute the whole scan tree to (operation, mode, psf).
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels("operation", "scan", "mode", opts.Mode.String(), "psf", def.Name)))
-		defer pl.clear()
-	}
-
 	g := s.epoch.Acquire()
 	defer g.Release()
 
@@ -225,20 +216,26 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 		var err error
 		var ssp *trace.Span
 		visitedBefore, iosBefore := st.Visited, st.IOs
+		// One clock times both segment kinds. Pointer-match full scans count
+		// as full-scan work in the workload view: the operator's question is
+		// "how much of the read path bypassed the index", not "which matcher
+		// ran".
+		op := telemetry.OpFullScan
+		segStart := time.Now()
 		if seg.Indexed {
 			if sp != nil {
 				ssp = sp.Child("scan.segment.index")
 			}
+			op = telemetry.OpIndexScan
 			useAP := opts.Mode != ScanIndexNoPrefetch
-			segStart := time.Now()
 			stopped, err = s.indexScanSegment(ctx, g, prop, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, &st)
-			s.tele.RecordOp(telemetry.OpIndexScan, time.Since(segStart))
 		} else {
 			if sp != nil {
 				ssp = sp.Child("scan.segment.full")
 			}
 			stopped, err = s.fullScanSegment(ctx, g, prop, def, canon, seg.From, seg.To, opts.Parallelism, emit, &st)
 		}
+		s.tele.RecordOp(op, time.Since(segStart))
 		if ssp != nil {
 			ssp.SetUint("from", seg.From)
 			ssp.SetUint("to", seg.To)
@@ -362,11 +359,6 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	st.FullScanBytes += int64(to - from)
-	// Pointer-match scans count as full-scan work in the workload view: the
-	// operator's question is "how much of the read path bypassed the index",
-	// not "which matcher ran".
-	start := time.Now()
-	defer func() { s.tele.RecordOp(telemetry.OpFullScan, time.Since(start)) }()
 	byPointer := s.rangeIndexComplete(prop.PSF, from, to)
 	newMatcher := func() (recordMatcher, error) {
 		if byPointer {

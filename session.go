@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime/pprof"
 	"time"
 
 	"fishstore/internal/epoch"
@@ -68,6 +67,15 @@ func (p *PhaseStats) Add(other PhaseStats) {
 	p.Index += other.Index
 	p.Others += other.Others
 	p.Records += other.Records
+}
+
+// add accumulates one batch's phase laps, indexed like phaseNames.
+func (p *PhaseStats) add(ph [5]time.Duration) {
+	p.Parse += ph[0]
+	p.PSFEval += ph[1]
+	p.Memcpy += ph[2]
+	p.Index += ph[3]
+	p.Others += ph[4]
 }
 
 // Total returns the sum of all phases.
@@ -179,29 +187,25 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 	if err := sess.refreshMeta(); err != nil {
 		return IngestStats{}, err
 	}
-	timed := sess.store.opts.CollectPhaseStats
-
 	met := sess.store.metrics
-	// One sampled root span per batch; when it is nil (tracing off or the
-	// batch unsampled) every per-record child below stays nil too, so the
-	// whole span block costs one atomic load per batch.
+	// One sampled root span per batch (nil when tracing is off or the batch
+	// is unsampled). The phase laps are the loop's only per-phase
+	// instrumentation: they run under CollectPhaseStats or on a sampled
+	// batch, and add into ph, indexed like phaseNames.
 	sp := sess.store.tracer.StartRoot("ingest.batch")
 	defer sp.End()
-	pl := sess.store.plabels
-	if pl != nil {
-		pprof.SetGoroutineLabels(pl.ingest)
-		defer pl.clear()
-	}
+	collect := sess.store.opts.CollectPhaseStats
+	timed := collect || sp != nil
 	tele := sess.store.tele
 	batchStart := time.Now()
-	phasesBefore := sess.phases
 
 	var st IngestStats
+	var ph [5]time.Duration
 	var mark time.Time
-	lap := func(d *time.Duration) {
+	lap := func(i int) {
 		if timed {
 			now := time.Now()
-			*d += now.Sub(mark)
+			ph[i] += now.Sub(mark)
 			mark = now
 		}
 	}
@@ -221,17 +225,8 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		}
 
 		// Phase 1a: parse the active fields of interest.
-		if pl != nil {
-			pprof.SetGoroutineLabels(pl.ingestPhase[0])
-		}
-		var csp *trace.Span
-		if sp != nil {
-			csp = sp.Child("ingest.parse")
-			csp.SetInt("bytes", int64(len(payload)))
-		}
 		parsed, perr := sess.psess.Parse(payload)
-		csp.End()
-		lap(&sess.phases.Parse)
+		lap(0)
 		if perr != nil {
 			// Malformed records are still stored (FishStore keeps raw data
 			// regardless) but carry no index entries.
@@ -241,19 +236,8 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		// Phase 1b: evaluate PSFs, pre-compute property hashes, and build
 		// key pointer specs (subset hashing: the hash of each (PSF, value)
 		// property is computed here, inside psf_eval).
-		if pl != nil {
-			pprof.SetGoroutineLabels(pl.ingestPhase[1])
-		}
-		if sp != nil {
-			csp = sp.Child("ingest.psf_eval")
-		}
 		sess.buildPointers(payload, parsed, perr != nil)
-		if csp != nil {
-			csp.SetInt("pointers", int64(len(sess.ptrSpecs)))
-			csp.End()
-			csp = nil
-		}
-		lap(&sess.phases.PSFEval)
+		lap(1)
 
 		// Phases 2..4, with one retry loop for badCAS reallocation.
 		for {
@@ -266,15 +250,8 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 			if err := spec.Validate(); err != nil {
 				return st, err
 			}
-			if pl != nil {
-				pprof.SetGoroutineLabels(pl.ingestPhase[2])
-			}
-			if sp != nil {
-				csp = sp.Child("ingest.append")
-			}
 			alloc, err := sess.store.log.Allocate(sess.guard, spec.SizeWords())
 			if err != nil {
-				csp.End()
 				if storage.IsNoSpace(err) {
 					// A full device surfaces here as a failed-flush frame that
 					// can never be recycled. Managed state, not degradation:
@@ -285,11 +262,6 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				return st, err
 			}
 			spec.Write(alloc.Words)
-			if csp != nil {
-				csp.SetUint("address", alloc.Address)
-				csp.End()
-				csp = nil
-			}
 			if sess.guard.Epoch() != sess.metaEpoch &&
 				sess.store.registry.CurrentMeta().Version != sess.meta.Version {
 				// The allocator refreshed this worker's epoch while it waited
@@ -307,19 +279,11 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				sess.buildPointers(payload, parsed, perr != nil)
 				continue
 			}
-			lap(&sess.phases.Memcpy)
+			lap(2)
 
-			if pl != nil {
-				pprof.SetGoroutineLabels(pl.ingestPhase[3])
-			}
-			if sp != nil {
-				csp = sp.Child("ingest.index")
-			}
 			view := record.View{Words: alloc.Words}
 			ok, err := sess.linkAll(alloc.Address, view)
-			csp.End()
-			csp = nil
-			lap(&sess.phases.Index)
+			lap(3)
 			if err != nil {
 				return st, err
 			}
@@ -331,17 +295,9 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 				continue
 			}
 
-			if pl != nil {
-				pprof.SetGoroutineLabels(pl.ingestPhase[4])
-			}
-			if sp != nil {
-				csp = sp.Child("ingest.visibility")
-			}
 			view.SetVisible()
 			sess.store.subs.notify(sess.store, alloc.Address, view, sess.ptrSpecs, payload, sess.valueRegion)
-			csp.End()
-			csp = nil
-			lap(&sess.phases.Others)
+			lap(4)
 			break
 		}
 
@@ -352,6 +308,9 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 	}
 
 	sess.phases.Records += int64(st.Records)
+	if collect {
+		sess.phases.add(ph)
+	}
 	sess.store.ingestedRecords.Add(int64(st.Records))
 	sess.store.ingestedBytes.Add(st.Bytes)
 	sess.store.indexedProps.Add(int64(st.Properties))
@@ -367,18 +326,8 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		met.ingestProps.Add(int64(st.Properties))
 		met.parseErrors.Add(int64(st.ParseErrors))
 		met.reallocations.Add(int64(st.Reallocs))
-		if timed {
-			// Observe the batch's share of each phase (deltas of the
-			// lap-accumulated totals) — no extra clock reads beyond the
-			// CollectPhaseStats machinery itself.
-			deltas := [5]time.Duration{
-				sess.phases.Parse - phasesBefore.Parse,
-				sess.phases.PSFEval - phasesBefore.PSFEval,
-				sess.phases.Memcpy - phasesBefore.Memcpy,
-				sess.phases.Index - phasesBefore.Index,
-				sess.phases.Others - phasesBefore.Others,
-			}
-			for i, d := range deltas {
+		if collect {
+			for i, d := range ph {
 				met.phaseSeconds[i].Observe(int64(d))
 			}
 		}
@@ -393,6 +342,9 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 		sp.SetInt("properties", int64(st.Properties))
 		sp.SetInt("parse_errors", int64(st.ParseErrors))
 		sp.SetInt("reallocs", int64(st.Reallocs))
+		for i, d := range ph {
+			sp.SetInt(phaseAttrs[i], int64(d))
+		}
 	}
 	return st, nil
 }

@@ -58,10 +58,8 @@ type Store struct {
 	pf       parser.Factory
 	metrics  *storeMetrics
 
-	// tracer is the span layer (nil = tracing off); plabels holds the
-	// prebuilt pprof label sets (nil = no profiler attribution).
-	tracer  *trace.Tracer
-	plabels *profileLabels
+	// tracer is the span layer (nil = tracing off).
+	tracer *trace.Tracer
 
 	// pcache is the read-through cache of immutable on-device log pages
 	// (nil when disabled).
@@ -148,9 +146,6 @@ func newStore(o Options, table *hashtable.Table) *Store {
 		tracer:  tr,
 		scanLog: introspect.NewRing[introspect.ScanDecision](scanDecisionLog),
 	}
-	if o.ProfileLabels {
-		s.plabels = newProfileLabels()
-	}
 	if o.Limits != nil {
 		s.gov = newGovernor(o.Limits, m)
 	}
@@ -189,13 +184,12 @@ func Open(opts Options) (*Store, error) {
 // logConfig is the hybrid log's configuration for this store.
 func (s *Store) logConfig() hlog.Config {
 	return hlog.Config{
-		PageBits:      s.opts.PageBits,
-		MemPages:      s.opts.MemPages,
-		Device:        s.opts.Device,
-		Epoch:         s.epoch,
-		OnFlush:       s.flushHook(),
-		Tracer:        s.tracer,
-		ProfileLabels: s.opts.ProfileLabels,
+		PageBits: s.opts.PageBits,
+		MemPages: s.opts.MemPages,
+		Device:   s.opts.Device,
+		Epoch:    s.epoch,
+		OnFlush:  s.flushHook(),
+		Tracer:   s.tracer,
 	}
 }
 

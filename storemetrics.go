@@ -31,6 +31,10 @@ func SetDefaultMetricsRegistry(r *metrics.Registry) {
 // fishstore_ingest_phase_seconds, in Fig 13 order.
 var phaseNames = [5]string{"parse", "psf_eval", "memcpy", "index", "others"}
 
+// phaseAttrs names the same phases as integer nanosecond attributes of a
+// sampled ingest.batch span.
+var phaseAttrs = [5]string{"parse_ns", "psf_eval_ns", "memcpy_ns", "index_ns", "others_ns"}
+
 // flightEvents is the crash flight recorder's capacity: the most recent
 // records of the store's event stream, dumped on corruption, degradation
 // and demand.

@@ -61,7 +61,8 @@ func (r VerifyReport) OK() bool { return r.Corruption == nil }
 // record, plus a non-empty `why` when the walk stopped on a structural
 // violation rather than a clean end (zero header, partially durable record,
 // an invisible record at the durable frontier, data running out, reaching
-// `to`, or visit returning false). A `to` of 0 means unbounded. Real device
+// `to`, or visit returning false). An invisible record whose seal verifies
+// once visible is a violation: the sealer seals only visible records. A `to` of 0 means unbounded. Real device
 // I/O errors are returned as err; end-of-device (io.EOF) is a clean end —
 // recovery must never mistake a transient read fault for the log's end.
 func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
@@ -109,10 +110,13 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 			if off+size > uint64(n) {
 				return recAddr, "", pages, nil // body not fully durable
 			}
+			v := record.View{Words: words[off/8 : off/8+uint64(h.SizeWords)]}
 			if !h.Filler && !h.Visible {
+				if v.LostVisibleBit() {
+					return recAddr, "sealed record lost its visible bit", pages, nil
+				}
 				return recAddr, "", pages, nil // incomplete record at the frontier
 			}
-			v := record.View{Words: words[off/8 : off/8+uint64(h.SizeWords)]}
 			if !h.Filler {
 				if reason := validateRecord(recAddr, h, v); reason != "" {
 					return recAddr, reason, pages, nil
