@@ -77,11 +77,12 @@ func (s *Store) indexPage(psess parser.Session, def psf.Definition, id psf.ID, f
 
 	var built int64
 	var appendErr error
+	var payload, canonical []byte // reused for every record of the page
 	err := s.visitRange(nil, g, from, to, nil, nil, func(addr uint64, v record.View) bool {
 		if v.Header().Indirect {
 			return true // never index index records
 		}
-		payload := v.Payload()
+		payload = v.AppendPayload(payload[:0])
 		parsed, perr := psess.Parse(payload)
 		if perr != nil {
 			return true
@@ -90,7 +91,8 @@ func (s *Store) indexPage(psess parser.Session, def psf.Definition, id psf.ID, f
 		if val.Kind == expr.KindMissing {
 			return true
 		}
-		if err := s.appendIndirect(g, id, val, addr); err != nil {
+		canonical = psf.AppendCanonical(canonical[:0], val)
+		if err := s.appendIndirect(g, id, val, canonical, addr); err != nil {
 			appendErr = err
 			return false
 		}
@@ -106,9 +108,9 @@ func (s *Store) indexPage(psess parser.Session, def psf.Definition, id psf.ID, f
 	return built, err
 }
 
-// appendIndirect writes one indirect index record for (id, val) -> target.
-func (s *Store) appendIndirect(g *epoch.Guard, id psf.ID, val expr.Value, target uint64) error {
-	canonical := psf.CanonicalValue(val)
+// appendIndirect writes one indirect index record for (id, val) -> target;
+// canonical is val's canonical bytes.
+func (s *Store) appendIndirect(g *epoch.Guard, id psf.ID, val expr.Value, canonical []byte, target uint64) error {
 	var ps record.PointerSpec
 	ps.PSFID = id
 	if val.Kind == expr.KindBool {

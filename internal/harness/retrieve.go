@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -442,7 +443,8 @@ func RunFig18b(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	business := first.Lookup("business_id").Str
+	// The value views the probe's payload: keep a copy.
+	business := strings.Clone(first.Lookup("business_id").Str)
 
 	row(cfg.Out, "## Fig 18(b): CSV subset retrieval (yelp; seconds)")
 	row(cfg.Out, "query\tmatched\tindex+AP\tindex-noAP\tfull-scan")

@@ -20,14 +20,19 @@ func HashBytes(b []byte) uint64 {
 }
 
 // HashProperty hashes a (PSF id, value) property, the hash signature of
-// §5.1: H(f(r)=v) = Hash(fid(f) ++ v).
-func HashProperty(psfID uint16, value []byte) uint64 {
+// §5.1: H(f(r)=v) = Hash(fid(f) ++ v). Any suffix bytes are hashed as if
+// appended to value, so a caller can extend a value without copying it.
+func HashProperty(psfID uint16, value []byte, suffix ...byte) uint64 {
 	h := uint64(fnvOffset)
 	h ^= uint64(psfID & 0xff)
 	h *= fnvPrime
 	h ^= uint64(psfID >> 8)
 	h *= fnvPrime
 	for _, c := range value {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	for _, c := range suffix {
 		h ^= uint64(c)
 		h *= fnvPrime
 	}

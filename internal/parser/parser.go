@@ -14,13 +14,23 @@
 //   - fulljson: a full DOM parser built on encoding/json, standing in for
 //     RapidJSON in the paper's baselines (deliberately allocation-heavy).
 //   - pcsv: a projecting CSV parser.
+//
+// # Value lifetime
+//
+// pjson and pcsv return string values as views, not copies: an unescaped
+// string, a composite's raw text and a CSV cell read the payload bytes in
+// place, and an escaped string is decoded into an arena the session reuses.
+// A value is therefore valid until the session's next Parse, and only while
+// the payload bytes do not change — the lifetime Field.Offset and Field.Len
+// already have. A caller that keeps a value past that calls strings.Clone.
 package parser
 
 import (
 	"fishstore/internal/expr"
 )
 
-// Field is one extracted field of interest.
+// Field is one extracted field of interest. A string Value may view the
+// payload or session memory: see the package doc for its lifetime.
 type Field struct {
 	// Path is the dotted path that was requested.
 	Path string
@@ -34,15 +44,26 @@ type Field struct {
 }
 
 // Parsed holds the extracted fields of one record. The contents are only
-// valid until the session's next Parse call.
+// valid until the session's next Parse call, and only while the payload
+// bytes do not change. A session extracts at most a few dozen fields, so
+// lookups scan Fields instead of keeping a per-record index.
 type Parsed struct {
 	Fields []Field
-	byPath map[string]int
+}
+
+// find returns the index of path in Fields, or -1.
+func (p *Parsed) find(path string) int {
+	for i := range p.Fields {
+		if p.Fields[i].Path == path {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the value of path, or missing.
 func (p *Parsed) Lookup(path string) expr.Value {
-	if i, ok := p.byPath[path]; ok {
+	if i := p.find(path); i >= 0 {
 		return p.Fields[i].Value
 	}
 	return expr.Missing()
@@ -50,31 +71,20 @@ func (p *Parsed) Lookup(path string) expr.Value {
 
 // Get returns the Field for path.
 func (p *Parsed) Get(path string) (Field, bool) {
-	if i, ok := p.byPath[path]; ok {
+	if i := p.find(path); i >= 0 {
 		return p.Fields[i], true
 	}
 	return Field{}, false
 }
 
 // Reset clears p for reuse, keeping allocations.
-func (p *Parsed) Reset() {
-	p.Fields = p.Fields[:0]
-	if p.byPath == nil {
-		p.byPath = make(map[string]int)
-	} else {
-		clear(p.byPath)
-	}
-}
+func (p *Parsed) Reset() { p.Fields = p.Fields[:0] }
 
-// Add appends a field.
+// Add appends a field; the first occurrence of a path wins.
 func (p *Parsed) Add(f Field) {
-	if p.byPath == nil {
-		p.byPath = make(map[string]int)
+	if p.find(f.Path) >= 0 {
+		return
 	}
-	if _, dup := p.byPath[f.Path]; dup {
-		return // first occurrence wins
-	}
-	p.byPath[f.Path] = len(p.Fields)
 	p.Fields = append(p.Fields, f)
 }
 

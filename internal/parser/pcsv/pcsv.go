@@ -6,12 +6,16 @@
 // only the requested columns, scanning each record just far enough to cover
 // the highest requested column index. Values are typed by sniffing
 // (number / bool / string), and raw byte offsets are reported so field
-// projection PSFs get zero-copy key pointers.
+// projection PSFs get zero-copy key pointers. A cell is a view of the
+// payload; a quoted cell with doubled quotes ("" for ", RFC 4180) is decoded
+// into a per-session arena and reports no offset.
 package pcsv
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"fishstore/internal/expr"
 	"fishstore/internal/parser"
@@ -59,9 +63,14 @@ type session struct {
 	comma  byte
 	parsed parser.Parsed
 	spans  []span
+	arena  []byte // this record's decoded cells; emptied by Parse
 }
 
-type span struct{ start, end int }
+// span locates a cell's text; quoted reports doubled quotes inside it.
+type span struct {
+	start, end int
+	quoted     bool
+}
 
 // Parse implements parser.Session. It splits only as many columns as
 // needed, honoring double-quoted fields with "" escapes.
@@ -71,6 +80,7 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 		return &s.parsed, nil
 	}
 	s.spans = s.spans[:0]
+	s.arena = s.arena[:0]
 	col := 0
 	i := 0
 	n := len(payload)
@@ -81,12 +91,14 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 	for col <= s.maxCol && i <= n {
 		start := i
 		end := -1
+		doubled := false
 		if i < n && payload[i] == '"' {
 			// Quoted field: scan to closing quote (doubled quotes escape).
 			j := i + 1
 			for j < n {
 				if payload[j] == '"' {
 					if j+1 < n && payload[j+1] == '"' {
+						doubled = true
 						j += 2
 						continue
 					}
@@ -107,7 +119,7 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 			}
 			end = i
 		}
-		s.spans = append(s.spans, span{start, end})
+		s.spans = append(s.spans, span{start, end, doubled})
 		col++
 		i++ // past the comma
 	}
@@ -116,30 +128,60 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 			continue // short row: column missing
 		}
 		sp := s.spans[c]
-		raw := payload[sp.start:sp.end]
-		f := parser.Field{Path: s.fields[k], Value: sniff(raw), Offset: sp.start, Len: sp.end - sp.start}
+		f := parser.Field{Path: s.fields[k], Offset: sp.start, Len: sp.end - sp.start}
+		cell := view(payload[sp.start:sp.end])
+		if sp.quoted {
+			cell = s.unquote(payload[sp.start:sp.end])
+			f.Offset, f.Len = -1, 0
+		}
+		f.Value = sniff(cell)
 		s.parsed.Add(f)
 	}
 	return &s.parsed, nil
 }
 
+// unquote decodes a quoted cell's doubled quotes onto the arena and returns
+// the decoded text as a view of it. Parse ended the cell at its first lone
+// quote, so every quote inside raw is the first of a pair.
+func (s *session) unquote(raw []byte) string {
+	start := len(s.arena)
+	for {
+		k := bytes.IndexByte(raw, '"')
+		if k < 0 {
+			s.arena = append(s.arena, raw...)
+			break
+		}
+		s.arena = append(s.arena, raw[:k+1]...)
+		raw = raw[k+2:]
+	}
+	return view(s.arena[start:])
+}
+
+// view returns b as a string that shares b's bytes.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 // sniff types a CSV cell: empty -> null, numeric -> number, true/false ->
 // bool, otherwise string.
-func sniff(raw []byte) expr.Value {
-	if len(raw) == 0 {
+func sniff(cell string) expr.Value {
+	if cell == "" {
 		return expr.Null()
 	}
-	switch string(raw) {
+	switch cell {
 	case "true":
 		return expr.BoolVal(true)
 	case "false":
 		return expr.BoolVal(false)
 	}
-	c := raw[0]
+	c := cell[0]
 	if c == '-' || c == '+' || (c >= '0' && c <= '9') || c == '.' {
-		if f, err := strconv.ParseFloat(string(raw), 64); err == nil {
+		if f, err := strconv.ParseFloat(cell, 64); err == nil {
 			return expr.NumberVal(f)
 		}
 	}
-	return expr.StringVal(string(raw))
+	return expr.StringVal(cell)
 }

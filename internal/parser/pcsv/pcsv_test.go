@@ -163,3 +163,41 @@ func BenchmarkParseCSV(b *testing.B) {
 		}
 	}
 }
+
+// TestDoubledQuotes pins RFC 4180's "" escape: a quoted cell decodes each
+// doubled quote to one, and only a decoded cell gives up its payload offset.
+func TestDoubledQuotes(t *testing.T) {
+	f := New([]string{"a", "b"})
+	s, err := f.NewSession([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		row, a string
+		offset int // of a's text in row; -1 when decoded
+		b      expr.Value
+	}{
+		{`"say ""hi""",2`, `say "hi"`, -1, expr.NumberVal(2)},
+		{`"plain",x`, "plain", 1, expr.StringVal("x")},
+		{`"""",""""""`, `"`, -1, expr.StringVal(`""`)},
+		{`"a""",b`, `a"`, -1, expr.StringVal("b")},
+		{`"""a",b`, `"a`, -1, expr.StringVal("b")},
+		{`"x,""y""",""`, `x,"y"`, -1, expr.Null()},
+		{`"1""2",""""`, `1"2`, -1, expr.StringVal(`"`)},
+	} {
+		p, err := s.Parse([]byte(c.row))
+		if err != nil {
+			t.Fatalf("%s: %v", c.row, err)
+		}
+		fa, ok := p.Get("a")
+		if !ok || fa.Value != expr.StringVal(c.a) {
+			t.Errorf("%s: a = %v, want %q", c.row, fa.Value, c.a)
+		}
+		if fa.Offset != c.offset || c.offset >= 0 && c.row[fa.Offset:fa.Offset+fa.Len] != c.a {
+			t.Errorf("%s: a at [%d,+%d), want offset %d", c.row, fa.Offset, fa.Len, c.offset)
+		}
+		if got := p.Lookup("b"); got != c.b {
+			t.Errorf("%s: b = %v, want %v", c.row, got, c.b)
+		}
+	}
+}

@@ -11,14 +11,18 @@ import (
 	"unicode/utf8"
 
 	"fishstore/internal/expr"
+	"fishstore/internal/parser/fulljson"
 )
 
 // FuzzParseNoPanic feeds arbitrary bytes through the structural-index
 // parser. The parser may reject invalid input with an error but must never
-// panic or read out of bounds. On valid JSON it is a differential oracle:
-// every probed path must have the kind and value encoding/json gives it,
-// missing and null included, on the first (learning) and the second
-// (speculating) parse through one session.
+// panic or read out of bounds. On valid JSON it is a differential test
+// against two oracles: every probed path must have the kind and value
+// encoding/json gives it, missing and null included, and the value the
+// full-DOM parser (fulljson) extracts, on the first (learning) and the
+// second (speculating) parse through one session. Values are checked after
+// all fields are extracted, so an escaped string decoded over another
+// field's bytes fails.
 func FuzzParseNoPanic(f *testing.F) {
 	seeds := []string{
 		`{"a": 1, "b": {"c": "x"}}`,
@@ -37,6 +41,11 @@ func FuzzParseNoPanic(f *testing.F) {
 		``,
 		`{"a":"#tag","b":"ok"}`,
 		`{"a": "\ud83d\ude00 \ud800 \u00e9", "b": {"c": {"d": [null]}}}`,
+		// Two or more escaped fields of interest in one record.
+		`{"a": "one\ntwo", "b": {"c": {"d": "th\"ree"}}}`,
+		`{"a": "\u00e9\u00e8", "b": {"x": "\t", "c": {"d": "\\\/", "e": "\r"}}}`,
+		`{"b": {"c": {"d": "` + strings.Repeat(`\"`, 40) + `"}}, "a": "` + strings.Repeat(`\u0041`, 70) + `"}`,
+		`{"a": "\b", "b": "\f"}`,
 	}
 	// Escape runs of every parity straddling the 64- and 128-byte block
 	// boundaries, with the probed fields after them.
@@ -55,7 +64,12 @@ func FuzzParseNoPanic(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		full, err := fulljson.New().NewSession(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
 		doc, comparable := oracleDecode(data)
+		_, isObject := doc.(map[string]any)
 		for pass := 0; pass < 2; pass++ {
 			p, perr := sess.Parse(data)
 			if !comparable {
@@ -64,14 +78,42 @@ func FuzzParseNoPanic(f *testing.F) {
 			if perr != nil {
 				t.Fatalf("pass %d: %v on valid %q", pass, perr, data)
 			}
+			fp, ferr := full.Parse(data)
+			if ferr != nil && isObject {
+				t.Fatalf("pass %d: fulljson: %v on valid %q", pass, ferr, data)
+			}
 			for _, path := range fields {
 				want, present := oracleLookup(doc, path)
-				if msg := mismatch(want, present, p.Lookup(path)); msg != "" {
+				got := p.Lookup(path)
+				if msg := mismatch(want, present, got); msg != "" {
 					t.Fatalf("pass %d: %s: %s on %q", pass, path, msg, data)
+				}
+				if ferr != nil {
+					continue // fulljson decodes objects only
+				}
+				if msg := sameValue(got, fp.Lookup(path)); msg != "" {
+					t.Fatalf("pass %d: %s: pjson and fulljson differ: %s on %q", pass, path, msg, data)
 				}
 			}
 		}
 	})
+}
+
+// sameValue describes how pjson's value differs from fulljson's, or
+// returns "". A composite is compared decoded: pjson returns its raw text,
+// fulljson re-encodes it (escaping keys and strings its own way).
+func sameValue(got, full expr.Value) string {
+	if got.Kind == expr.KindString && full.Kind == expr.KindString && got.Str != full.Str {
+		var g, f any
+		if json.Unmarshal([]byte(got.Str), &g) == nil && json.Unmarshal([]byte(full.Str), &f) == nil &&
+			reflect.DeepEqual(g, f) {
+			return ""
+		}
+	}
+	if got != full {
+		return fmt.Sprintf("pjson %#v, fulljson %#v", got, full)
+	}
+	return ""
 }
 
 // oracleDecode decodes data with encoding/json into maps, slices and

@@ -21,8 +21,10 @@
 // the previous record and verifies those positions first, falling back to
 // a full object scan (and re-learning) on a miss. Speculating on a stable
 // schema therefore stops indexing one colon past the last field of
-// interest. The parser never materializes a DOM and allocates only for the
-// string and composite values it returns.
+// interest. The parser never materializes a DOM and allocates nothing per
+// record once its buffers are warm: string and composite values are views
+// of the payload, and an escaped string is decoded into a per-session arena
+// (see the parser package doc for how long a value lives).
 //
 // pjson does not validate its input: keys are matched by their raw bytes
 // (an escaped key never matches), and strings are returned without UTF-8
@@ -39,6 +41,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf16"
+	"unicode/utf8"
+	"unsafe"
 
 	"fishstore/internal/expr"
 	"fishstore/internal/parser"
@@ -140,7 +144,11 @@ type session struct {
 	colons     [][]int32 // colon positions per level (index 0 = level 1)
 	inString   uint64    // all ones iff the next block starts inside a string
 	depth      int       // nesting depth at the end of the indexed prefix
-	unescape   []byte
+
+	// arena holds this record's decoded escaped strings. Parse empties it;
+	// within a record it is only appended to, so a decoded value is never
+	// overwritten before the next Parse.
+	arena []byte
 }
 
 const (
@@ -271,6 +279,7 @@ func (s *session) Parse(payload []byte) (*parser.Parsed, error) {
 		return &s.parsed, nil
 	}
 	s.payload = payload
+	s.arena = s.arena[:0]
 	s.structBits = s.structBits[:0]
 	for i := range s.colons {
 		s.colons[i] = s.colons[i][:0]
@@ -415,19 +424,50 @@ func skipWS(b []byte, i, end int) int {
 	return i
 }
 
+// valueError reports a malformed value of a field of interest. It is
+// returned by value and formats its message only when read, so building it
+// costs the parse path nothing until a record is actually malformed.
+type valueError struct {
+	what string
+	path string
+	err  error
+}
+
+func (e valueError) Error() string {
+	if e.err != nil {
+		return fmt.Sprintf("pjson: %s for %q: %v", e.what, e.path, e.err)
+	}
+	return fmt.Sprintf("pjson: %s for %q", e.what, e.path)
+}
+
+func (e valueError) Unwrap() error { return e.err }
+
+// valueByte is the byte that starts no JSON value.
+type valueByte byte
+
+func (b valueByte) Error() string { return strconv.QuoteRune(rune(b)) }
+
+// view returns payload[i:j] as a string that shares the payload's bytes.
+func (s *session) view(i, j int) string {
+	if i >= j {
+		return ""
+	}
+	return unsafe.String(&s.payload[i], j-i)
+}
+
 // extractValue parses the scalar (or raw composite) value in [from, bound)
 // and records it under path.
 func (s *session) extractValue(path string, from, bound int) error {
 	i := skipWS(s.payload, from, bound)
 	if i >= bound {
-		return fmt.Errorf("pjson: empty value for %q", path)
+		return valueError{what: "empty value", path: path}
 	}
 	f := parser.Field{Path: path, Offset: -1}
 	switch c := s.payload[i]; {
 	case c == '"':
 		content, end, escaped := s.scanString(i)
 		if end < 0 {
-			return fmt.Errorf("pjson: unterminated string for %q", path)
+			return valueError{what: "unterminated string", path: path}
 		}
 		f.Value = expr.StringVal(content)
 		if !escaped {
@@ -435,26 +475,23 @@ func (s *session) extractValue(path string, from, bound int) error {
 			f.Len = end - i - 1
 		}
 	case c == 't':
-		if hasPrefix(s.payload, i, "true") {
-			f.Value = expr.BoolVal(true)
-			f.Offset, f.Len = i, 4
-		} else {
-			return fmt.Errorf("pjson: bad literal for %q", path)
+		if !hasPrefix(s.payload, i, "true") {
+			return valueError{what: "bad literal", path: path}
 		}
+		f.Value = expr.BoolVal(true)
+		f.Offset, f.Len = i, 4
 	case c == 'f':
-		if hasPrefix(s.payload, i, "false") {
-			f.Value = expr.BoolVal(false)
-			f.Offset, f.Len = i, 5
-		} else {
-			return fmt.Errorf("pjson: bad literal for %q", path)
+		if !hasPrefix(s.payload, i, "false") {
+			return valueError{what: "bad literal", path: path}
 		}
+		f.Value = expr.BoolVal(false)
+		f.Offset, f.Len = i, 5
 	case c == 'n':
-		if hasPrefix(s.payload, i, "null") {
-			f.Value = expr.Null()
-			f.Offset, f.Len = i, 4
-		} else {
-			return fmt.Errorf("pjson: bad literal for %q", path)
+		if !hasPrefix(s.payload, i, "null") {
+			return valueError{what: "bad literal", path: path}
 		}
+		f.Value = expr.Null()
+		f.Offset, f.Len = i, 4
 	case c == '-' || (c >= '0' && c <= '9'):
 		j := i + 1
 		for j < len(s.payload) {
@@ -465,24 +502,51 @@ func (s *session) extractValue(path string, from, bound int) error {
 			}
 			break
 		}
-		num, err := strconv.ParseFloat(string(s.payload[i:j]), 64)
+		num, err := s.number(i, j)
 		if err != nil {
-			return fmt.Errorf("pjson: bad number for %q: %v", path, err)
+			return valueError{what: "bad number", path: path, err: err}
 		}
 		f.Value = expr.NumberVal(num)
 		f.Offset, f.Len = i, j-i
 	case c == '{' || c == '[':
 		end := s.skipComposite(i)
 		if end < 0 {
-			return fmt.Errorf("pjson: unterminated composite for %q", path)
+			return valueError{what: "unterminated composite", path: path}
 		}
-		f.Value = expr.StringVal(string(s.payload[i:end]))
+		f.Value = expr.StringVal(s.view(i, end))
 		f.Offset, f.Len = i, end-i
 	default:
-		return fmt.Errorf("pjson: unexpected value byte %q for %q", string(c), path)
+		return valueError{what: "unexpected value byte", path: path, err: valueByte(c)}
 	}
 	s.parsed.Add(f)
 	return nil
+}
+
+// number parses the number text payload[i:j]. An integer of at most 15
+// digits is exact in a float64, so it is accumulated directly; anything else
+// (a fraction, an exponent, more digits, malformed text) goes to
+// strconv.ParseFloat, which gives the same value where both apply.
+func (s *session) number(i, j int) (float64, error) {
+	digits := s.payload[i:j]
+	neg := digits[0] == '-'
+	if neg {
+		digits = digits[1:]
+	}
+	if len(digits) > 0 && len(digits) <= 15 {
+		var n int64
+		k := 0
+		for ; k < len(digits) && digits[k]-'0' <= 9; k++ {
+			n = n*10 + int64(digits[k]-'0')
+		}
+		if k == len(digits) {
+			f := float64(n)
+			if neg {
+				f = -f // -0 stays negative, as ParseFloat keeps it
+			}
+			return f, nil
+		}
+	}
+	return strconv.ParseFloat(s.view(i, j), 64)
 }
 
 // scanString scans the string literal opening at i (payload[i] == '"') and
@@ -499,7 +563,7 @@ func (s *session) scanString(i int) (string, int, bool) {
 			continue
 		case '"':
 			if !escaped {
-				return string(s.payload[i+1 : j]), j, false
+				return s.view(i+1, j), j, false
 			}
 			return s.unescapeString(s.payload[i+1 : j]), j, true
 		}
@@ -508,45 +572,52 @@ func (s *session) scanString(i int) (string, int, bool) {
 	return "", -1, false
 }
 
+// unescapeString decodes raw, the content of a string literal with at least
+// one escape, onto the arena and returns the decoded text as a view of it.
 func (s *session) unescapeString(raw []byte) string {
-	s.unescape = s.unescape[:0]
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if c != '\\' || i+1 >= len(raw) {
-			s.unescape = append(s.unescape, c)
+	start := len(s.arena)
+	for len(raw) > 0 {
+		k := bytes.IndexByte(raw, '\\')
+		if k < 0 || k+1 == len(raw) {
+			s.arena = append(s.arena, raw...)
+			break
+		}
+		s.arena = append(s.arena, raw[:k]...)
+		c := raw[k+1]
+		raw = raw[k+2:]
+		switch c {
+		case 'n':
+			c = '\n'
+		case 't':
+			c = '\t'
+		case 'r':
+			c = '\r'
+		case 'b':
+			c = '\b'
+		case 'f':
+			c = '\f'
+		case 'u':
+			r, ok := hex4(raw, 0)
+			if !ok {
+				break // a malformed \u escape stands for a plain 'u'
+			}
+			raw = raw[4:]
+			// A surrogate pair spells one rune in two escapes.
+			if lo, ok := hex4(raw, 2); ok && utf16.IsSurrogate(r) && raw[0] == '\\' && raw[1] == 'u' {
+				if pair := utf16.DecodeRune(r, lo); pair != unicode.ReplacementChar {
+					r = pair
+					raw = raw[6:]
+				}
+			}
+			s.arena = utf8.AppendRune(s.arena, r)
 			continue
 		}
-		i++
-		switch raw[i] {
-		case 'n':
-			s.unescape = append(s.unescape, '\n')
-		case 't':
-			s.unescape = append(s.unescape, '\t')
-		case 'r':
-			s.unescape = append(s.unescape, '\r')
-		case 'b':
-			s.unescape = append(s.unescape, '\b')
-		case 'f':
-			s.unescape = append(s.unescape, '\f')
-		case 'u':
-			if r, ok := hex4(raw, i+1); ok {
-				i += 4
-				// A surrogate pair spells one rune in two escapes.
-				if lo, ok := hex4(raw, i+3); ok && utf16.IsSurrogate(r) && raw[i+1] == '\\' && raw[i+2] == 'u' {
-					if pair := utf16.DecodeRune(r, lo); pair != unicode.ReplacementChar {
-						r = pair
-						i += 6
-					}
-				}
-				s.unescape = appendRune(s.unescape, r)
-				continue
-			}
-			s.unescape = append(s.unescape, 'u')
-		default:
-			s.unescape = append(s.unescape, raw[i])
-		}
+		s.arena = append(s.arena, c)
 	}
-	return string(s.unescape)
+	if len(s.arena) == start {
+		return ""
+	}
+	return unsafe.String(&s.arena[start], len(s.arena)-start)
 }
 
 // hex4 decodes the four hex digits at raw[i:i+4].
@@ -557,10 +628,6 @@ func hex4(raw []byte, i int) (rune, bool) {
 	//lint:ignore hotalloc ParseUint does not retain its argument, so the copy stays on the stack
 	v, err := strconv.ParseUint(string(raw[i:i+4]), 16, 32)
 	return rune(v), err == nil
-}
-
-func appendRune(b []byte, r rune) []byte {
-	return append(b, string(r)...)
 }
 
 // skipComposite returns the index just past the composite value starting at

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,6 +160,30 @@ func TestNumbersAndLiterals(t *testing.T) {
 	}
 	if p.Lookup("n").Kind != expr.KindNull {
 		t.Fatal("null wrong")
+	}
+}
+
+// TestIntegersMatchParseFloat holds the integer fast path to
+// strconv.ParseFloat on its edges: signs, -0, leading zeros, and the 15/16
+// digit boundary where the fast path hands over.
+func TestIntegersMatchParseFloat(t *testing.T) {
+	s := mustSession(t, "n")
+	for _, text := range []string{
+		"0", "-0", "7", "-7", "007", "999999999999999", "-999999999999999",
+		"1000000000000000", "9007199254740993", "-9007199254740993", "12345678901234567890",
+		"1.5", "1e3", "-0.0", "2E-2",
+	} {
+		want, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Parse([]byte(`{"n": ` + text + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if got := p.Lookup("n").Num; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s parsed as %v, want %v", text, got, want)
+		}
 	}
 }
 
@@ -404,25 +430,50 @@ func TestParseStopsAfterLastSpeculatedField(t *testing.T) {
 }
 
 // TestParseAllocs pins the allocation budget once speculation has been
-// learned: numbers and literals cost nothing, each unescaped string field
-// one copy.
+// learned and the arena has grown: nothing, for numbers, literals, plain
+// strings (views of the payload) and escaped strings (decoded in the arena).
 func TestParseAllocs(t *testing.T) {
+	escaped := []byte(`{"review_id": "r\"1\"", "user_id": "u\u00e9", "business_id": "b\\7", "stars": 4, "useful": 2}`)
 	for _, tc := range []struct {
 		fields []string
-		max    float64
+		rec    []byte
 	}{
-		{yelpReevalFields, 0},
-		{yelpIngestFields, 3}, // review_id, user_id, business_id
+		{yelpReevalFields, datagen.NewYelp(1, 700).Next()},
+		{yelpIngestFields, datagen.NewYelp(1, 700).Next()},
+		{yelpIngestFields, escaped},
 	} {
 		sess := mustSession(t, tc.fields...)
-		rec := datagen.NewYelp(1, 700).Next()
 		for i := 0; i < 2; i++ {
-			if _, err := sess.Parse(rec); err != nil {
+			if _, err := sess.Parse(tc.rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := testing.AllocsPerRun(100, func() { sess.Parse(rec) }); got > tc.max {
-			t.Errorf("%v: %v allocs/record, want <= %v", tc.fields, got, tc.max)
+		if got := testing.AllocsPerRun(100, func() { sess.Parse(tc.rec) }); got != 0 {
+			t.Errorf("%v: %v allocs/record, want 0", tc.fields, got)
+		}
+	}
+}
+
+// TestEscapedFieldsShareArena decodes several escaped fields of one record,
+// long enough that the arena grows mid-record, and checks every value after
+// the parse: a decoded string must not be overwritten by a later one.
+func TestEscapedFieldsShareArena(t *testing.T) {
+	long := strings.Repeat(`\u00e9\"`, 200)
+	rec := `{"a": "x\ty", "b": {"c": "` + long + `", "d": "plain"}, "e": "\u0041\n", "f": "` + long + `!"}`
+	s := mustSession(t, "a", "b.c", "b.d", "e", "f")
+	want := map[string]string{
+		"a": "x\ty", "b.c": strings.Repeat("é\"", 200), "b.d": "plain",
+		"e": "A\n", "f": strings.Repeat("é\"", 200) + "!",
+	}
+	for pass := 0; pass < 3; pass++ { // learning, then speculating over a reused arena
+		p, err := s.Parse([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, w := range want {
+			if got := p.Lookup(path).Str; got != w {
+				t.Fatalf("pass %d: %s = %q, want %q", pass, path, got, w)
+			}
 		}
 	}
 }

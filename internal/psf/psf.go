@@ -200,23 +200,45 @@ var canonTrue, canonFalse = []byte{'t'}, []byte{'f'}
 // to compute hash signatures (§5.1) and to post-filter hash collisions
 // during chain traversal. Two values are the same property value iff their
 // canonical bytes are equal. The returned slice may be shared: callers must
-// treat it as read-only.
+// treat it as read-only. Per-record callers use AppendCanonical instead.
 func CanonicalValue(v expr.Value) []byte {
 	switch v.Kind {
 	case expr.KindBool:
-		// Shared singletons: CanonicalValue runs per record per predicate
-		// PSF on the ingest path, and callers only read the bytes (hash,
-		// compare, copy into keys) — hotalloc caught the per-call literals.
+		// Shared singletons: callers only read the bytes (hash, compare,
+		// copy into keys).
 		if v.Bool {
 			return canonTrue
 		}
 		return canonFalse
-	case expr.KindNumber:
-		return strconv.AppendFloat(nil, v.Num, 'g', -1, 64)
 	case expr.KindString:
 		return []byte(v.Str)
 	}
-	return nil
+	return AppendCanonical(nil, v)
+}
+
+// AppendCanonical appends v's canonical bytes (see CanonicalValue) to dst
+// and returns the extended slice; a missing or null value appends nothing.
+// It allocates only when dst must grow, so a caller that reuses its buffer
+// canonicalises every record without allocating.
+func AppendCanonical(dst []byte, v expr.Value) []byte {
+	switch v.Kind {
+	case expr.KindBool:
+		if v.Bool {
+			return append(dst, 't')
+		}
+		return append(dst, 'f')
+	case expr.KindNumber:
+		// Shortest 'g' formatting prints an integer below 1e6 in magnitude
+		// as its plain digits (1e6 itself is "1e+06"), so AppendInt gives
+		// the same bytes without the float digit search. -0 prints as "-0".
+		if n := v.Num; n > -1e6 && n < 1e6 && n == math.Trunc(n) && !(n == 0 && math.Signbit(n)) {
+			return strconv.AppendInt(dst, int64(n), 10)
+		}
+		return strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
+	case expr.KindString:
+		return append(dst, v.Str...)
+	}
+	return dst
 }
 
 // PropertyHash computes the hash signature of property (id, v):
@@ -228,15 +250,14 @@ func PropertyHash(id ID, v expr.Value) uint64 {
 // ShardHash computes the hash signature of one shard of a sharded
 // property's chain (Appendix F): the canonical value is extended with a
 // shard suffix so each shard lands on its own hash entry. shard must be in
-// [0, shards); shards <= 1 degenerates to the plain property hash.
+// [0, shards); shards <= 1 degenerates to the plain property hash. The
+// hashes are persisted with the chains they head, so the suffix bytes must
+// never change.
 func ShardHash(id ID, canonical []byte, shard, shards int) uint64 {
 	if shards <= 1 {
 		return hashtable.HashProperty(id, canonical)
 	}
-	buf := make([]byte, 0, len(canonical)+3)
-	buf = append(buf, canonical...)
-	buf = append(buf, 0x00, 0xf5, byte(shard))
-	return hashtable.HashProperty(id, buf)
+	return hashtable.HashProperty(id, canonical, 0x00, 0xf5, byte(shard))
 }
 
 // Interval is a half-open address range [From, To) of the log over which a

@@ -1,8 +1,11 @@
 package psf
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -124,6 +127,81 @@ func TestCanonicalValue(t *testing.T) {
 	// Same value, different textual origin, same canonical bytes.
 	if string(CanonicalValue(expr.NumberVal(3e3))) != "3000" {
 		t.Fatal("3e3 should canonicalize to 3000")
+	}
+}
+
+// TestAppendCanonicalMatchesAppendFloat checks the small-integer fast path
+// byte for byte against the shortest 'g' formatting it replaces: every
+// integer in [-1e6, 1e6] (both ends print in exponent form), -0, and random
+// floats of every magnitude.
+func TestAppendCanonicalMatchesAppendFloat(t *testing.T) {
+	var got, want []byte
+	check := func(f float64) {
+		got = AppendCanonical(got[:0], expr.NumberVal(f))
+		want = strconv.AppendFloat(want[:0], f, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendCanonical(%v) = %q, want %q", f, got, want)
+		}
+	}
+	for n := -1_000_000; n <= 1_000_000; n++ {
+		check(float64(n))
+	}
+	check(math.Copysign(0, -1))
+	check(math.Inf(1))
+	check(math.Inf(-1))
+	check(math.NaN())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		switch i % 3 {
+		case 0:
+			check(math.Float64frombits(rng.Uint64()))
+		case 1:
+			check((rng.Float64() - 0.5) * 4e6)
+		default:
+			check(math.Round((rng.Float64()-0.5)*4e6) / 4)
+		}
+	}
+}
+
+// TestAppendCanonicalAgreesWithCanonicalValue checks that the appending and
+// the allocating forms render every kind alike, after existing bytes.
+func TestAppendCanonicalAgreesWithCanonicalValue(t *testing.T) {
+	for _, v := range []expr.Value{
+		expr.BoolVal(true), expr.BoolVal(false), expr.NumberVal(3000),
+		expr.NumberVal(-2.5), expr.NumberVal(1e6), expr.StringVal(""),
+		expr.StringVal("spark"), expr.Null(), expr.Missing(),
+	} {
+		got := AppendCanonical([]byte("prefix"), v)
+		if want := "prefix" + string(CanonicalValue(v)); string(got) != want {
+			t.Errorf("AppendCanonical(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestShardHashPinned pins ShardHash to the values it has always returned:
+// the hashes of sharded chains are persisted in checkpoints and recomputed
+// by recovery replay, so they must never change.
+func TestShardHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		id            ID
+		canonical     string
+		shard, shards int
+		want          uint64
+	}{
+		{0, "", 0, 2, 0x3784fee16e4cf4cd},
+		{3, "spark", 1, 4, 0xa36028a7c6405624},
+		{7, "t", 63, 64, 0xd2f47f5bba4a788f},
+		{65535, "1234567", 2, 3, 0x79cee6d0b5afb3f8},
+		{12, "a much longer canonical value that passes sixty-four bytes in length, surely", 5, 8, 0xc12bc073df222dd},
+		{9, "x", 0, 1, 0x7cec38657217e0e5},
+	} {
+		if got := ShardHash(c.id, []byte(c.canonical), c.shard, c.shards); got != c.want {
+			t.Errorf("ShardHash(%d, %q, %d, %d) = %#x, want %#x", c.id, c.canonical, c.shard, c.shards, got, c.want)
+		}
+	}
+	canonical := []byte("spark")
+	if n := testing.AllocsPerRun(100, func() { _ = ShardHash(3, canonical, 1, 4) }); n != 0 {
+		t.Errorf("ShardHash allocates %v per call, want 0", n)
 	}
 }
 

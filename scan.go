@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fishstore/internal/epoch"
+	"fishstore/internal/expr"
 	"fishstore/internal/hlog"
 	"fishstore/internal/pagecache"
 	"fishstore/internal/psf"
@@ -370,11 +371,22 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 		if err != nil {
 			return nil, err
 		}
-		var buf []byte // this worker's payload buffer; only a match is cloned
+		// This worker's payload and canonical-value buffers: the parse and
+		// the comparison reuse them, and only a match is cloned.
+		var buf, got []byte
 		return func(addr uint64, v record.View) (Record, bool) {
 			buf = v.AppendPayload(buf[:0])
 			parsed, err := psess.Parse(buf)
-			if err != nil || !bytes.Equal(psf.CanonicalValue(def.Evaluate(parsed)), canon) {
+			if err != nil {
+				return Record{}, false
+			}
+			// A record the PSF maps to missing got no key pointer at
+			// ingest, so it matches no property, not even an empty value.
+			val := def.Evaluate(parsed)
+			if val.Kind == expr.KindMissing {
+				return Record{}, false
+			}
+			if got = psf.AppendCanonical(got[:0], val); !bytes.Equal(got, canon) {
 				return Record{}, false
 			}
 			return Record{Address: addr, Payload: bytes.Clone(buf)}, true

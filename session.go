@@ -35,7 +35,8 @@ type Session struct {
 	ptrSpecs    []record.PointerSpec
 	ptrHashes   []uint64 // pre-computed for unsharded PSFs; 0 placeholder otherwise
 	ptrShards   []int    // shard count per pointer (1 = unsharded)
-	ptrCanons   [][]byte // canonical value copies for sharded pointers
+	ptrCanons   [][]byte // canonical bytes of sharded pointers, views of canon
+	canon       []byte   // the record's canonical values, back to back
 	valueRegion []byte
 
 	// Workload-attribution scratch: per-meta-PSF record/byte counts
@@ -353,7 +354,9 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 // fills sess.ptrSpecs / ptrHashes / valueRegion. Values that are verbatim
 // substrings of the payload become zero-copy ModePayload pointers; values
 // that are not (escaped strings, non-canonical numbers, computed values)
-// are materialized into the optional value region.
+// are materialized into the optional value region. Canonical bytes are
+// rendered into the session's canon buffer, which only grows within a
+// record, so the views kept in ptrCanons stay intact until linkAll.
 //
 //fishlint:hotpath per-record pointer construction (ingest phase 3)
 func (sess *Session) buildPointers(payload []byte, parsed *parser.Parsed, parseFailed bool) {
@@ -361,6 +364,7 @@ func (sess *Session) buildPointers(payload []byte, parsed *parser.Parsed, parseF
 	sess.ptrHashes = sess.ptrHashes[:0]
 	sess.ptrShards = sess.ptrShards[:0]
 	sess.ptrCanons = sess.ptrCanons[:0]
+	sess.canon = sess.canon[:0]
 	sess.valueRegion = sess.valueRegion[:0]
 	if parseFailed {
 		return
@@ -371,14 +375,14 @@ func (sess *Session) buildPointers(payload []byte, parsed *parser.Parsed, parseF
 		if v.Kind == expr.KindMissing {
 			continue
 		}
+		start := len(sess.canon)
+		sess.canon = psf.AppendCanonical(sess.canon, v)
+		canonical := sess.canon[start:]
 		ps := record.PointerSpec{PSFID: a.ID}
-		var canonical []byte
 		if v.Kind == expr.KindBool {
 			ps.Mode = record.ModeBool
 			ps.BoolValue = v.Bool
-			canonical = psf.CanonicalValue(v)
 		} else {
-			canonical = psf.CanonicalValue(v)
 			inPayload := false
 			if a.Def.Kind == psf.KindProjection {
 				if f, ok := parsed.Get(a.Def.Fields[0]); ok && f.Offset >= 0 &&
@@ -407,8 +411,8 @@ func (sess *Session) buildPointers(payload []byte, parsed *parser.Parsed, parseF
 		if shards > 1 {
 			// The shard is derived from the record's address (chosen at
 			// allocation time, see linkAll), so recovery replay can
-			// recompute it; stash a stable copy of the canonical bytes.
-			sess.ptrCanons = append(sess.ptrCanons, append([]byte(nil), canonical...))
+			// recompute it; keep the canonical bytes until then.
+			sess.ptrCanons = append(sess.ptrCanons, canonical)
 			sess.ptrHashes = append(sess.ptrHashes, 0)
 		} else {
 			sess.ptrCanons = append(sess.ptrCanons, nil)

@@ -1,6 +1,7 @@
 package fishstore
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -276,5 +277,116 @@ func TestRegistrationWhileAllocatorWaits(t *testing.T) {
 	all, indexed := count(PropertyString(typeID, "PushEvent")), count(PropertyString(id, "spark"))
 	if all == 0 || indexed != all {
 		t.Fatalf("the new PSF indexes %d of the %d records past its register boundary", indexed, all)
+	}
+}
+
+// yelpShaped renders review i in the Yelp shape the ledger ingests. Every
+// fourth review carries escaped strings in two fields of interest, so the
+// parser decodes both into its arena within one record.
+func yelpShaped(i int) []byte {
+	user, business := fmt.Sprintf("u%08d", i*7919%100000), fmt.Sprintf("b%06d", i%500)
+	if i%4 == 0 {
+		user, business = fmt.Sprintf(`u\"%07d`, i%1000), fmt.Sprintf(`bé%05d`, i%50)
+	}
+	return []byte(fmt.Sprintf(
+		`{"review_id": "r%012d", "user_id": "%s", "business_id": "%s", "stars": %d, "useful": %d, "funny": %d, "cool": %d, "text": "fine \"food\", slow service", "date": "2018-%02d-%02d"}`,
+		i, user, business, 1+i%5, i%13, i%3, i%4, 1+i%12, 1+i%28))
+}
+
+// TestIngestAllocatesNothingPerRecord pins the ingest path — parse, PSF
+// evaluation, canonicalisation, append and link — at zero allocations for a
+// warmed session, with the ledger's PSF shapes: string projections, a number
+// projection and two predicates.
+func TestIngestAllocatesNothingPerRecord(t *testing.T) {
+	// One 4 MB page holds every batch below: a page's frame is allocated on
+	// its first use, which is not a per-record cost.
+	s := openTestStore(t, Options{PageBits: 22, MemPages: 2, TableBuckets: 1 << 16})
+	var business psf.ID
+	for _, def := range []psf.Definition{
+		psf.Projection("review_id"), psf.Projection("user_id"),
+		psf.Projection("business_id"), psf.Projection("stars"),
+		psf.MustPredicate("selective", `stars > 3 && useful > 5`),
+		psf.MustPredicate("useful", `useful > 10`),
+	} {
+		id, _, err := s.RegisterPSF(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Fields[0] == "business_id" {
+			business = id
+		}
+	}
+	const size = 64
+	next := 0
+	batch := make([][]byte, size)
+	fill := func() {
+		for i := range batch {
+			batch[i] = yelpShaped(next)
+			next++
+		}
+	}
+	sess := s.NewSession()
+	defer sess.Close()
+	for range 4 { // warm the session's buffers
+		fill()
+		if _, err := sess.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	allocs := testing.AllocsPerRun(20, func() {
+		st, err := sess.Ingest(batch)
+		if err != nil || st.ParseErrors != 0 {
+			t.Fatalf("ingest: %v, %d parse errors", err, st.ParseErrors)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ingest allocates %v per %d-record batch, want 0", allocs, size)
+	}
+
+	// The escaped values were indexed decoded: review 4 is bé + "00004".
+	var matched int
+	if _, err := s.Scan(PropertyString(business, "bé00004"), ScanOptions{Mode: ScanForceIndex},
+		func(Record) bool { matched++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	// Review i is in bé00004 when i%4 == 0 and i%50 == 4. The four warm-up
+	// batches were ingested once; AllocsPerRun ingests the last batch 21
+	// times (one warm-up run, then 20).
+	want := 0
+	for i := range 5 * size {
+		switch {
+		case i%4 != 0 || i%50 != 4:
+		case i < 4*size:
+			want++
+		default:
+			want += 21
+		}
+	}
+	if matched != want {
+		t.Errorf("business bé00004 matched %d records, want %d", matched, want)
+	}
+}
+
+// TestReevalScanSkipsMissingValues checks that the re-evaluating matcher
+// matches the index: a record without the projected field is in no
+// property, not even the empty string's.
+func TestReevalScanSkipsMissingValues(t *testing.T) {
+	s := openTestStore(t, Options{})
+	ingestAll(t, s, [][]byte{
+		[]byte(`{"name": ""}`), []byte(`{"other": 1}`), []byte(`{"name": "x"}`), []byte(`{"name": null}`),
+	})
+	// Registered after ingest, so the scan re-evaluates every record.
+	id, _, err := s.RegisterPSF(psf.Projection("name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matched int
+	if _, err := s.Scan(PropertyString(id, ""), ScanOptions{Mode: ScanForceFull},
+		func(Record) bool { matched++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if matched != 1 {
+		t.Fatalf("empty-string scan matched %d records, want 1", matched)
 	}
 }
