@@ -143,16 +143,14 @@ func (s *Store) CheckpointContext(ctx context.Context, dir string) error {
 		// The device permanently refused a log write (it is fail-stop): no
 		// future checkpoint can succeed and ingestion can no longer be
 		// persisted. Degrade.
-		s.enterDegraded(fmt.Errorf("checkpoint flush: %w", err))
-		return fmt.Errorf("fishstore: checkpoint flush: %w", err)
+		return s.enterDegraded(fmt.Errorf("checkpoint flush: %w", err))
 	}
 	// The manifest claims the log is durable below tail; force the device's
 	// write cache to stable media before any artifact can make that claim.
 	//lint:ignore puborder same barrier: the sync must complete before ingestion resumes past the checkpointed tail
 	if err := storage.Sync(s.log.Device()); err != nil {
 		fsp.End()
-		s.enterDegraded(fmt.Errorf("checkpoint log sync: %w", err))
-		return fmt.Errorf("fishstore: checkpoint log sync: %w", err)
+		return s.enterDegraded(fmt.Errorf("checkpoint log sync: %w", err))
 	}
 	fsp.End()
 

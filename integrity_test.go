@@ -427,8 +427,10 @@ func TestV0LogRecoversUnderChecksumBinary(t *testing.T) {
 }
 
 // TestDegradedModeAfterPermanentWriteFailure: a permanent flush failure must
-// flip the store into read-only degradation — ingest and checkpoint refuse
-// with ErrDegraded, reads keep working, and the state is observable.
+// flip the store into read-only degradation — the failing Flush itself
+// reports ErrDegraded wrapping the device's error, later ingest, checkpoint
+// and flush refuse with ErrDegraded, reads keep working, and the state is
+// observable.
 func TestDegradedModeAfterPermanentWriteFailure(t *testing.T) {
 	fd := storage.NewFaultDevice(storage.NewMem(), storage.FaultConfig{Seed: 5})
 	reg := metrics.NewRegistry()
@@ -446,8 +448,8 @@ func TestDegradedModeAfterPermanentWriteFailure(t *testing.T) {
 	}
 
 	fd.CutNow() // every write from here on fails permanently
-	if err := s.Flush(); err == nil {
-		t.Fatal("Flush succeeded against a dead device")
+	if err := s.Flush(); !errors.Is(err, ErrDegraded) || !errors.Is(err, storage.ErrPowerCut) {
+		t.Fatalf("first Flush against a dead device returned %v, want ErrDegraded wrapping ErrPowerCut", err)
 	}
 
 	if st := s.Stats(); !st.Degraded || st.DegradedCause == "" {

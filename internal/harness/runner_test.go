@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +42,11 @@ const (
 	// profileCut cuts power at a random device write while workers ingest
 	// and checkpoints race them, then recovers from the surviving image.
 	profileCut profile = "cut"
-	// profileResource caps device capacity under Retention{AutoRecover},
-	// slows the device, storms cancellations, attaches a slow subscriber,
-	// truncates concurrently and shrinks the admission Limits.
+	// profileResource slows the device, storms cancellations, attaches a
+	// slow subscriber and truncates concurrently. Half its rounds also cap
+	// the device's capacity: a full device is a fail-stop fault, so such a
+	// round ingests until the store degrades, then recovers from the
+	// surviving image as a cut round does.
 	profileResource profile = "resource"
 	// profileRot flips random bits below the head of a flushed log and reads
 	// it back with VerifyOnRead.
@@ -54,6 +57,12 @@ const (
 // checkpoint that must survive, then the rest with the cut armed and a
 // checkpoint every cutCheckpointEvery acknowledged batches.
 const cutCheckpointed, cutCheckpointEvery = 40, 16
+
+// A capped resource round's workers ingest resourceCheckpointed records each
+// before the checkpoint it recovers from, well below the smallest cap; once
+// the faults have run, each ingests up to resourceFill more records to fill
+// the device.
+const resourceCheckpointed, resourceFill = 10, 400
 
 // schedule is one round's operations and faults, all drawn from Seed.
 type schedule struct {
@@ -72,8 +81,7 @@ type schedule struct {
 	CancelAfter           int64
 	Subscribe             bool
 	SubPolicy             fishstore.SubscribePolicy
-	Truncate, Limits      bool
-	MaxWait               time.Duration
+	Truncate              bool
 	// rot: bits flipped below the head.
 	Flips int
 }
@@ -92,9 +100,10 @@ func newSchedule(p profile, seed int64) schedule {
 	case profileResource:
 		sc.Records, churnOver = 80, int64(sc.Workers*80)
 		if coin(2) {
-			// Small enough that the workload overruns it and retention
-			// reclaim must run to finish.
+			// Small enough that the workload overruns it. The churn runs
+			// before the checkpoint the round recovers from.
 			sc.CapBytes = 10<<10 + rng.Int63n(12<<10)
+			churnOver = int64(sc.Workers * resourceCheckpointed)
 		}
 		if coin(3) {
 			sc.WriteDelay = time.Duration(rng.Intn(120)) * time.Microsecond
@@ -108,8 +117,7 @@ func newSchedule(p profile, seed int64) schedule {
 		if sc.Subscribe = coin(2); sc.Subscribe {
 			sc.SubPolicy = []fishstore.SubscribePolicy{fishstore.DropNewest, fishstore.DropOldest, fishstore.Block}[rng.Intn(3)]
 		}
-		// A third of limit rounds reject overlapping scans outright.
-		sc.Truncate, sc.Limits, sc.MaxWait = coin(3), coin(2), time.Duration(rng.Intn(3))*time.Millisecond
+		sc.Truncate = coin(3)
 	case profileRot:
 		sc.Flips = 2 + rng.Intn(8)
 	}
@@ -123,9 +131,11 @@ type outcome struct {
 	CutFired  bool // the armed write was reached before the workload ended
 	Survivors int  // records the check found in the store
 	Damaged   bool // the verifier found a rot round's flips
-	// Acknowledged batches, operations a cancellation aborted, log-full
-	// recoveries.
-	Ingested, Cancelled, Recoveries int64
+	// Acknowledged batches, operations a cancellation aborted.
+	Ingested, Cancelled int64
+	// Recovered is set when a capped round's store degraded on the full
+	// device and the round recovered from the device image.
+	Recovered bool
 	// Flight is the round's flight dump (see round.flight) when it failed,
 	// or for a cut round just after the cut.
 	Flight []byte
@@ -137,7 +147,7 @@ type outcome struct {
 func runRound(sc schedule, artifactDir string) (outcome, error) {
 	r := &round{sc: sc, rng: rand.New(rand.NewSource(sc.Seed + 7)), flight: introspect.NewRing[trace.SpanData](256), m: model{
 		tried: make([]int, sc.Workers), acked: make([][]int, sc.Workers), ackedN: make([]atomic.Int64, sc.Workers),
-		durable: make([]int, sc.Workers), ivs: map[psf.ID][]psf.Interval{}}}
+		ivs: map[psf.ID][]psf.Interval{}}}
 	err := r.run()
 	if err != nil {
 		err = fmt.Errorf("%s/seed=%d (schedule %+v): %w", sc.Profile, sc.Seed, sc, err)
@@ -162,6 +172,7 @@ type round struct {
 	flight    *introspect.Ring[trace.SpanData] // the store's events (Options.TraceSink) and the cut
 	batches   atomic.Int64
 	cancelled atomic.Int64
+	degraded  atomic.Bool // a worker's ingest met ErrDegraded on the capped device
 }
 
 // model is the reference the surviving store is checked against.
@@ -169,7 +180,7 @@ type model struct {
 	tried   []int          // per worker: seqs [0, tried) were attempted
 	acked   [][]int        // per worker: the acknowledged seqs, append-only
 	ackedN  []atomic.Int64 // len(acked[w]), read while the workers run
-	durable []int          // per worker: acked[w][:durable[w]] must survive a cut
+	durable []int          // per worker: acked[w][:durable[w]] must survive recovery; nil without one
 	ivs     map[psf.ID][]psf.Interval
 }
 
@@ -214,12 +225,6 @@ func (r *round) run() (err error) {
 		OnPowerCut: func() { r.flight.Put(trace.Event("fault.powercut", trace.Int("seed", r.sc.Seed))) }})
 	opts := fishstore.Options{Device: r.fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
 		Metrics: metrics.NewRegistry(), TraceSink: r.flight.Put, VerifyOnRead: r.sc.Profile == profileRot}
-	if r.sc.Profile == profileResource {
-		opts.Retention = &fishstore.Retention{MaxLiveBytes: 8 << 10, AutoRecover: true}
-		if r.sc.Limits {
-			opts.Limits = &fishstore.Limits{MaxInFlightIngestBytes: 2 << 10, MaxConcurrentScans: 1, MaxWait: r.sc.MaxWait}
-		}
-	}
 	s, err := fishstore.Open(opts)
 	if err != nil {
 		return err
@@ -241,7 +246,10 @@ func (r *round) run() (err error) {
 	case profileCut:
 		return r.cut(s, mem)
 	case profileResource:
-		if err := r.resource(s); err != nil {
+		if r.sc.CapBytes > 0 {
+			return r.full(s, mem)
+		}
+		if err := r.resource(s, 0, r.churn(s)); err != nil {
 			return err
 		}
 	case profileRot:
@@ -292,13 +300,14 @@ func (r *round) phase(ctx context.Context, s *fishstore.Store, from, to int, ste
 					r.m.acked[w] = append(r.m.acked[w], seq)
 					r.m.ackedN[w].Add(1)
 					r.batches.Add(1)
-				case errors.Is(err, fishstore.ErrBusy), errors.Is(err, fishstore.ErrLogFull):
-					// Rejected, or auto-recovery has not freed enough yet.
 				case errors.Is(err, context.Canceled):
 					r.cancelled.Add(1)
 					return
 				case r.fd.IsCut():
 					return // the crash reached this worker
+				case r.sc.CapBytes > 0 && errors.Is(err, fishstore.ErrDegraded):
+					r.degraded.Store(true)
+					return // the full device reached this worker
 				default:
 					errs[w] = fmt.Errorf("worker %d seq %d: %w", w, seq, err)
 					return
@@ -331,28 +340,16 @@ func (r *round) cut(s *fishstore.Store, mem storage.Device) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	// Records acknowledged before a checkpoint that succeeds must survive.
-	checkpoint := func() error {
-		acked := make([]int, r.sc.Workers)
-		for w := range acked {
-			acked[w] = int(r.m.ackedN[w].Load())
-		}
-		err := s.Checkpoint(dir)
-		if err == nil {
-			r.m.durable = acked
-		}
-		return err
-	}
 	if err := r.phase(context.Background(), s, 0, cutCheckpointed, r.churn(s)); err != nil {
 		return err
 	}
-	if err := checkpoint(); err != nil {
+	if err := r.checkpoint(s, dir); err != nil {
 		return fmt.Errorf("guaranteed checkpoint: %w", err)
 	}
 	var steps []step
 	for at := r.batches.Load() + cutCheckpointEvery; at < int64(r.sc.Workers*r.sc.Records); at += cutCheckpointEvery {
 		steps = append(steps, step{at, func() error {
-			if err := checkpoint(); err != nil && !r.fd.IsCut() {
+			if err := r.checkpoint(s, dir); err != nil && !r.fd.IsCut() {
 				return fmt.Errorf("checkpoint before the cut: %w", err)
 			}
 			return nil
@@ -366,19 +363,76 @@ func (r *round) cut(s *fishstore.Store, mem storage.Device) error {
 	r.fd.CutNow() // a no-op when the armed write was reached
 	r.out.Flight = r.dumpFlight()
 	_ = s.Close() // post-cut flush errors are the crash itself
+	return r.recover(dir, mem)
+}
 
-	// The machine rebooted: recover from the surviving image, without the
-	// fault injector.
-	s2, _, err := fishstore.Recover(dir, fishstore.RecoverOptions{
+// checkpoint checkpoints s into dir. Records acknowledged before a
+// checkpoint that succeeds must survive recovery.
+func (r *round) checkpoint(s *fishstore.Store, dir string) error {
+	acked := make([]int, r.sc.Workers)
+	for w := range acked {
+		acked[w] = int(r.m.ackedN[w].Load())
+	}
+	err := s.Checkpoint(dir)
+	if err == nil {
+		r.m.durable = acked
+	}
+	return err
+}
+
+// recover reopens the store from the checkpoint in dir over the surviving
+// device image mem, without the fault injector, and checks it.
+func (r *round) recover(dir string, mem storage.Device) error {
+	s, _, err := fishstore.Recover(dir, fishstore.RecoverOptions{
 		Options: fishstore.Options{Device: mem, TableBuckets: 1 << 8, Metrics: metrics.NewRegistry(), VerifyOnRead: true}})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	defer s2.Close()
-	return r.check(s2)
+	defer s.Close()
+	return r.check(s)
 }
 
-func (r *round) resource(s *fishstore.Store) error {
+// full runs a capped resource round. The churn runs before the checkpoint
+// the round recovers from; the resource faults then run while the device
+// fills, and ingest goes on until it meets ErrDegraded from the full device.
+// The round then recovers from the device image, as a cut round does.
+func (r *round) full(s *fishstore.Store, mem storage.Device) error {
+	dir, err := os.MkdirTemp("", "fishstore-full-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	if err := r.phase(context.Background(), s, 0, resourceCheckpointed, r.churn(s)); err != nil {
+		return err
+	}
+	if err := r.checkpoint(s, dir); err != nil {
+		return fmt.Errorf("guaranteed checkpoint: %w", err)
+	}
+	if err := r.resource(s, resourceCheckpointed, nil); err != nil {
+		return err
+	}
+	if !r.degraded.Load() {
+		// The workers finished, or the cancellation storm stopped them,
+		// before the device filled.
+		if err := r.phase(context.Background(), s, r.sc.Records, r.sc.Records+resourceFill, nil); err != nil {
+			return err
+		}
+	}
+	st := s.Stats()
+	if !r.degraded.Load() {
+		return fmt.Errorf("ingest never met ErrDegraded on a %d-byte device (tail %d)", r.sc.CapBytes, st.TailAddress)
+	}
+	if !strings.Contains(st.DegradedCause, storage.ErrNoSpace.Error()) {
+		return fmt.Errorf("degraded by %q, not by the full device", st.DegradedCause)
+	}
+	_ = s.Close() // the final tail flush meets the full device
+	r.out.Recovered = true
+	return r.recover(dir, mem)
+}
+
+// resource runs the resource faults while every worker ingests seqs
+// [from, Records) and steps run.
+func (r *round) resource(s *fishstore.Store, from int, steps []step) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sub *fishstore.Subscription
@@ -394,9 +448,8 @@ func (r *round) resource(s *fishstore.Store) error {
 			}()
 		}
 	}
-	// Two scanners race ingest and each other in every mode (overlap means
-	// queueing or ErrBusy under Limits), some with deadlines; a truncator
-	// fights auto-reclaim for its lock and moves the chain floor under them.
+	// Two scanners race ingest and each other in every mode, some with
+	// deadlines; a truncator moves the chain floor under them.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for g := 0; g < 2 || g == 2 && r.sc.Truncate; g++ {
@@ -420,10 +473,9 @@ func (r *round) resource(s *fishstore.Store) error {
 				_, err := s.ScanContext(sctx, fishstore.PropertyString(r.ids[0], "spark"),
 					fishstore.ScanOptions{Mode: fishstore.ScanMode(i % 4)}, func(fishstore.Record) bool { return true })
 				scancel()
-				switch {
-				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					r.cancelled.Add(1)
-				case !errors.Is(err, fishstore.ErrBusy):
+				} else {
 					errs[g] = err
 				}
 			}
@@ -431,12 +483,11 @@ func (r *round) resource(s *fishstore.Store) error {
 	}
 	r.fd.SetWriteDelay(r.sc.WriteDelay)
 	r.fd.SetReadDelay(r.sc.ReadDelay)
-	steps := r.churn(s)
 	if r.sc.CancelAfter > 0 {
-		steps = append(steps, step{r.sc.CancelAfter, func() error { cancel(); return nil }})
+		steps = append(steps, step{r.batches.Load() + r.sc.CancelAfter, func() error { cancel(); return nil }})
 		sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
 	}
-	errs[3] = r.phase(ctx, s, 0, r.sc.Records, steps)
+	errs[3] = r.phase(ctx, s, from, r.sc.Records, steps)
 	wg.Wait()
 	r.fd.SetWriteDelay(0)
 	r.fd.SetReadDelay(0)
@@ -508,12 +559,7 @@ func (r *round) check(s *fishstore.Store) error {
 	}
 	if st := s.Stats(); st.Degraded {
 		return fmt.Errorf("store sticky-degraded: %s", st.DegradedCause)
-	} else if st.LogFull {
-		if err := s.RecoverLogSpace(); err != nil && !errors.Is(err, fishstore.ErrLogFull) {
-			return fmt.Errorf("RecoverLogSpace: %w", err)
-		}
 	}
-	r.out.Recoveries = s.Stats().LogFullRecoveries
 	vrep, err := s.VerifyLog(fishstore.VerifyOptions{})
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
@@ -634,8 +680,8 @@ func (r *round) check(s *fishstore.Store) error {
 
 // survival checks each worker's survivors against what it acknowledged. No
 // acknowledged record may be missing inside the surviving run; truncation
-// may drop those before it, and only a cut those after it that no
-// successful checkpoint covered.
+// may drop those before it, and only a crash or a full device those after
+// it that no successful checkpoint covered.
 func (r *round) survival(at map[key]uint64, truncated bool) error {
 	for w, acked := range r.m.acked {
 		lo, hi := -1, -1
@@ -648,7 +694,7 @@ func (r *round) survival(at map[key]uint64, truncated bool) error {
 			}
 		}
 		durable := len(acked)
-		if r.sc.Profile == profileCut {
+		if r.m.durable != nil {
 			durable = r.m.durable[w]
 		}
 		for i, seq := range acked {

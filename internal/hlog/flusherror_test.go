@@ -78,52 +78,3 @@ func TestTailAddressExactlyFullOddPage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRetryFailedFlushesRetiresPagesBelowFloor: after a disk-full failure,
-// the retry re-drives only the failed pages above the caller's truncation
-// floor. Those below it are retired unwritten, so they do not take the
-// device space the caller has just reclaimed, and flushedUntil still
-// advances past them.
-func TestRetryFailedFlushesRetiresPagesBelowFloor(t *testing.T) {
-	fd := storage.NewFaultDevice(storage.NewMem(), storage.FaultConfig{})
-	l, em := newTestLog(t, 12, 8, fd)
-	fd.ArmENOSPC(1) // every flush fails until space is reclaimed
-
-	g := em.Acquire()
-	for l.PageOf(l.TailAddress()) < 3 {
-		if _, err := l.Allocate(g, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.Release()
-	// Settle the scheduled flushes of pages 0-2, as Close does.
-	l.epoch.WaitForSafe(l.epoch.Current() - 1)
-	l.flushWG.Wait()
-	if n := l.FailedFlushes(); n != 3 {
-		t.Fatalf("failed flushes = %d, want 3", n)
-	}
-
-	floor := l.address(2, 0)
-	if err := fd.TruncateBefore(int64(floor)); err != nil {
-		t.Fatal(err)
-	}
-	writes := fd.Stats().Writes
-	if err := l.RetryFailedFlushes(floor); err != nil {
-		t.Fatal(err)
-	}
-	if got := fd.Stats().Writes - writes; got != 1 {
-		t.Fatalf("retry issued %d writes, want 1 (page 2 only)", got)
-	}
-	if used := fd.SpaceUsed(); used != int64(l.PageSize()) {
-		t.Fatalf("device holds %d bytes, want one page", used)
-	}
-	if l.FlushError() != nil || l.FailedFlushes() != 0 {
-		t.Fatalf("flush error %v with %d failed pages after the retry", l.FlushError(), l.FailedFlushes())
-	}
-	if got, want := l.FlushedUntil(), l.address(3, 0); got != want {
-		t.Fatalf("flushedUntil = %d, want %d", got, want)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -109,7 +108,6 @@ type Log struct {
 
 	flushMu    sync.Mutex
 	flushedPgs map[uint64]uint64 // sealed page -> its end address, pending contiguous advance
-	failedPgs  map[uint64]bool   // sealed pages whose flush failed; retryable
 	flushErr   error
 	flushWG    sync.WaitGroup
 	onFlush    func(page uint64, err error)
@@ -143,7 +141,6 @@ func New(cfg Config) (*Log, error) {
 		device:       dev,
 		epoch:        cfg.Epoch,
 		flushedPgs:   make(map[uint64]uint64),
-		failedPgs:    make(map[uint64]bool),
 		onFlush:      cfg.OnFlush,
 		tracer:       cfg.Tracer,
 	}
@@ -476,35 +473,26 @@ func binary8(dst []byte, w uint64) {
 func (l *Log) completeFlush(page uint64, err error) {
 	l.flushMu.Lock()
 	if err != nil {
+		// Sticky: the failed page's frame is never recycled (prepareFrame
+		// surfaces the error instead), and no later flush clears it.
 		if l.flushErr == nil {
 			l.flushErr = err
 		}
-		// Remember which page failed: its frame stays pinned (prepareFrame
-		// refuses to recycle it) and RetryFailedFlushes can re-drive it once
-		// the cause — e.g. a full disk — is resolved.
-		l.failedPgs[page] = true
 	} else {
-		l.markFlushedLocked(page)
+		l.flushedPgs[page] = l.address(page+1, 0)
+		for {
+			pg := l.PageOf(l.flushedUntil.Load())
+			end, ok := l.flushedPgs[pg]
+			if !ok {
+				break
+			}
+			delete(l.flushedPgs, pg)
+			l.flushedUntil.Store(end)
+		}
 	}
 	l.flushMu.Unlock()
 	if l.onFlush != nil {
 		l.onFlush(page, err)
-	}
-}
-
-// markFlushedLocked records page as durable and advances flushedUntil over
-// every contiguous flushed page. Caller holds flushMu.
-func (l *Log) markFlushedLocked(page uint64) {
-	l.flushedPgs[page] = l.address(page+1, 0)
-	for {
-		cur := l.flushedUntil.Load()
-		pg := l.PageOf(cur)
-		end, ok := l.flushedPgs[pg]
-		if !ok {
-			break
-		}
-		delete(l.flushedPgs, pg)
-		l.flushedUntil.Store(end)
 	}
 }
 
@@ -532,109 +520,8 @@ func (l *Log) flushError() error {
 	return l.flushErr
 }
 
-// FailedFlushes returns how many sealed pages are stuck with a failed flush.
-func (l *Log) FailedFlushes() int {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	return len(l.failedPgs)
-}
-
 // FlushError exposes the sticky flush error (nil when the log is healthy).
 func (l *Log) FlushError() error { return l.flushError() }
-
-// SettleFlushes waits until every scheduled page flush has finished,
-// succeeded or failed, draining the epoch so pending flushes can start.
-// Callers keep allocators out, so no flush is scheduled meanwhile.
-func (l *Log) SettleFlushes() {
-	done := make(chan struct{})
-	go func() {
-		l.flushWG.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			l.epoch.Drain()
-			runtime.Gosched()
-		}
-	}
-}
-
-// RetryFailedFlushes synchronously re-drives every sealed page whose
-// background flush failed. The frames are guaranteed still resident: a
-// frame with a failed flush can never be recycled, because prepareFrame
-// blocks on waitFlushed and then surfaces the flush error instead of
-// evicting. When every failed page lands, the sticky flush error clears and
-// the log is writable again — the disk-full recovery path. A page that
-// fails again leaves the error in place and returns it.
-//
-// A failed page that ends at or below floor holds only logically truncated
-// records; it is retired without a write, because writing it would take
-// device space that the caller has just reclaimed.
-func (l *Log) RetryFailedFlushes(floor Address) error {
-	l.flushMu.Lock()
-	pages := make([]uint64, 0, len(l.failedPgs))
-	for p := range l.failedPgs {
-		pages = append(pages, p)
-	}
-	l.flushMu.Unlock()
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, page := range pages {
-		dead := l.address(page+1, 0) <= floor
-		if !dead {
-			if err := l.flushPage(page); err != nil {
-				return fmt.Errorf("hlog: retry flush of page %d: %w", page, err)
-			}
-		}
-		l.flushMu.Lock()
-		delete(l.failedPgs, page)
-		l.markFlushedLocked(page)
-		if len(l.failedPgs) == 0 {
-			l.flushErr = nil
-		}
-		l.flushMu.Unlock()
-		if l.onFlush != nil && !dead {
-			l.onFlush(page, nil)
-		}
-	}
-	return nil
-}
-
-// RecoverTail completes an interrupted seal-and-advance. When a straddling
-// allocator hits a flush error inside sealAndAdvance, the page is already
-// sealed and its flush scheduled — only prepareFrame and the tail CAS remain
-// undone, leaving the packed tail offset beyond the page size and every
-// allocator failing. After the flush failures are resolved (see
-// RetryFailedFlushes), RecoverTail redoes the remaining two steps;
-// prepareFrame is idempotent at this point because the earlier attempt
-// aborted before mutating any state. Callers must ensure no concurrent
-// Allocate is in flight. A nil guard is allowed (RecoverTail drains the
-// epoch itself while waiting).
-func (l *Log) RecoverTail(g *epoch.Guard) error {
-	if err := l.flushError(); err != nil {
-		return err
-	}
-	page, off := unpack(l.pagedTail.Load())
-	if off <= l.pageSize {
-		return nil // tail is healthy
-	}
-	next := page + 1
-	if err := l.prepareFrame(g, next); err != nil {
-		return err
-	}
-	for {
-		cur := l.pagedTail.Load()
-		curPage, _ := unpack(cur)
-		if curPage >= next {
-			return nil
-		}
-		if l.pagedTail.CompareAndSwap(cur, pack(next, 0)) {
-			return nil
-		}
-	}
-}
 
 // FlushTail synchronously persists the current (unsealed) tail page prefix,
 // making everything below TailAddress durable. Used by checkpointing.

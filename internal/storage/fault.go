@@ -63,9 +63,7 @@ type FaultConfig struct {
 	OnPowerCut func()
 	// CapacityBytes, when > 0, caps the device: a write that would raise the
 	// space used (see SpaceUsed) past the cap fails whole with ErrNoSpace,
-	// like a sparse file on a full partition. Reclaiming space with
-	// TruncateBefore lets later writes succeed again — ENOSPC here is a
-	// managed condition, not a crash.
+	// like a sparse file on a full partition.
 	CapacityBytes int64
 	// WriteDelay stalls every write, the write-side analogue of ReadDelay.
 	// Combined with SetReadDelay/SetWriteDelay this models a device that
@@ -97,9 +95,9 @@ type FaultDevice struct {
 	rng           *rand.Rand
 	cutCounter    int64 // writes remaining before the cut; <=0 means disarmed
 	enospcCounter int64 // writes remaining before sticky ENOSPC; <=0 disarmed
-	enospcStuck   bool  // armed ENOSPC fired; cleared by ClearENOSPC/TruncateBefore
+	enospcStuck   bool  // armed ENOSPC fired; cleared by ClearENOSPC
 	nextReadErr   error
-	held          extents // byte ranges written and not since reclaimed
+	held          extents // byte ranges written
 
 	cut        atomic.Bool
 	writes     atomic.Int64
@@ -173,8 +171,8 @@ func (d *FaultDevice) FailNextRead(err error) {
 }
 
 // ArmENOSPC makes the nth write from now (n >= 1) and every one after it
-// fail with ErrNoSpace until ClearENOSPC or TruncateBefore, modeling a
-// partition filling up regardless of the configured capacity.
+// fail with ErrNoSpace until ClearENOSPC, modeling a partition filling up
+// regardless of the configured capacity.
 func (d *FaultDevice) ArmENOSPC(n int64) {
 	if n < 1 {
 		n = 1
@@ -216,22 +214,9 @@ func (d *FaultDevice) effWriteDelay() time.Duration {
 	return d.cfg.WriteDelay
 }
 
-// TruncateBefore releases the device space below off, like punching a hole
-// in a sparse file: every written byte below off stops counting against the
-// capacity (bytes written there later count again), a stuck ArmENOSPC
-// clears (space exists again), and the reclaim is forwarded down the
-// wrapper chain so the inner device can actually free memory.
-func (d *FaultDevice) TruncateBefore(off int64) error {
-	d.mu.Lock()
-	d.held.removeBelow(off)
-	d.enospcStuck = false
-	d.mu.Unlock()
-	return TruncateBefore(d.inner, off)
-}
-
 // SpaceUsed reports the capacity accounting of a sparse file: the number of
-// distinct bytes written and not since reclaimed by TruncateBefore. Holes
-// cost nothing, and rewriting a held byte costs nothing more.
+// distinct bytes written. Holes cost nothing, and rewriting a held byte
+// costs nothing more.
 func (d *FaultDevice) SpaceUsed() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -277,19 +262,6 @@ func (e *extents) add(lo, hi int64) {
 		lo, hi = min(lo, (*e)[j].lo), max(hi, (*e)[j].hi)
 	}
 	*e = slices.Replace(*e, i, j, extent{lo, hi})
-}
-
-// removeBelow drops every byte below off.
-func (e *extents) removeBelow(off int64) {
-	out := (*e)[:0]
-	for _, x := range *e {
-		if x.hi <= off {
-			continue
-		}
-		x.lo = max(x.lo, off)
-		out = append(out, x)
-	}
-	*e = out
 }
 
 // Stats returns a snapshot of operation and fault counters.
@@ -370,8 +342,8 @@ func (d *FaultDevice) WriteAt(p []byte, off int64) (int, error) {
 		return 0, ErrPowerCut
 	}
 	ord := d.writes.Add(1)
-	// ENOSPC-class failures: an armed write ordinal (sticky until cleared or
-	// space is reclaimed) or the capacity cap. The write fails whole — the
+	// ENOSPC-class failures: an armed write ordinal (sticky until
+	// ClearENOSPC) or the capacity cap. The write fails whole — the
 	// filesystem refused it, nothing reached the medium.
 	if d.enospcCounter > 0 {
 		d.enospcCounter--

@@ -210,49 +210,42 @@ func TestFlipRandomBits(t *testing.T) {
 	}
 }
 
+// TestFaultDeviceENOSPCAndReclaim: a write past the capacity cap fails
+// whole with ErrNoSpace and leaves the held space as it was; an armed ENOSPC
+// stays stuck until ClearENOSPC, which models space freed outside the
+// device.
 func TestFaultDeviceENOSPCAndReclaim(t *testing.T) {
-	mem := NewMem()
-	fd := NewFaultDevice(mem, FaultConfig{CapacityBytes: 4096})
+	fd := NewFaultDevice(NewMem(), FaultConfig{CapacityBytes: 4096})
 	buf := make([]byte, 1024)
 	for i := int64(0); i < 4; i++ {
 		if _, err := fd.WriteAt(buf, i*1024); err != nil {
 			t.Fatalf("write %d within capacity failed: %v", i, err)
 		}
 	}
-	if _, err := fd.WriteAt(buf, 4096); !IsNoSpace(err) {
+	if _, err := fd.WriteAt(buf, 4096); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write past capacity: got %v, want ErrNoSpace", err)
 	}
 	if st := fd.Stats(); st.NoSpaceWrites != 1 {
 		t.Fatalf("NoSpaceWrites = %d, want 1", st.NoSpaceWrites)
 	}
-	// Reclaiming the first half frees capacity for the refused write.
-	if err := fd.TruncateBefore(2048); err != nil {
-		t.Fatal(err)
-	}
-	if used := fd.SpaceUsed(); used != 2048 {
-		t.Fatalf("SpaceUsed = %d after reclaim, want 2048", used)
-	}
-	if _, err := fd.WriteAt(buf, 4096); err != nil {
-		t.Fatalf("write after reclaim failed: %v", err)
+	if used := fd.SpaceUsed(); used != 4096 {
+		t.Fatalf("SpaceUsed = %d after a refused write, want 4096", used)
 	}
 
-	// Armed ENOSPC is sticky until space is reclaimed.
 	fd2 := NewFaultDevice(NewMem(), FaultConfig{})
 	fd2.ArmENOSPC(2)
 	if _, err := fd2.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fd2.WriteAt(buf, 1024); !IsNoSpace(err) {
+	if _, err := fd2.WriteAt(buf, 1024); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("armed write: got %v, want ErrNoSpace", err)
 	}
-	if _, err := fd2.WriteAt(buf, 2048); !IsNoSpace(err) {
+	if _, err := fd2.WriteAt(buf, 2048); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("ENOSPC must stay stuck: got %v", err)
 	}
-	if err := fd2.TruncateBefore(1024); err != nil {
-		t.Fatal(err)
-	}
+	fd2.ClearENOSPC()
 	if _, err := fd2.WriteAt(buf, 2048); err != nil {
-		t.Fatalf("write after reclaim cleared ENOSPC failed: %v", err)
+		t.Fatalf("write after ClearENOSPC failed: %v", err)
 	}
 }
 
@@ -275,41 +268,7 @@ func TestFaultDeviceCapacityWritePastHole(t *testing.T) {
 	if _, err := fd.WriteAt(page, 0); err != nil {
 		t.Fatalf("late predecessor within capacity: %v", err)
 	}
-	if _, err := fd.WriteAt(page, 4096); !IsNoSpace(err) {
+	if _, err := fd.WriteAt(page, 4096); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write past capacity: got %v, want ErrNoSpace", err)
-	}
-}
-
-// TestFaultDeviceCapacityReclaimBeyondWritten: a reclaim issued beyond the
-// highest written byte still holds for later writes above it, and bytes
-// written into a reclaimed range count again until the next reclaim.
-func TestFaultDeviceCapacityReclaimBeyondWritten(t *testing.T) {
-	page := make([]byte, 4096)
-	fd := NewFaultDevice(NewMem(), FaultConfig{CapacityBytes: 8192})
-	if _, err := fd.WriteAt(page, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fd.TruncateBefore(3 * 4096); err != nil {
-		t.Fatal(err)
-	}
-	if used := fd.SpaceUsed(); used != 0 {
-		t.Fatalf("SpaceUsed = %d after reclaiming everything, want 0", used)
-	}
-	for _, pg := range []int64{3, 4} {
-		if _, err := fd.WriteAt(page, pg*4096); err != nil {
-			t.Fatalf("page %d above a reclaim beyond the written end: %v", pg, err)
-		}
-	}
-	if _, err := fd.WriteAt(page, 4096); !IsNoSpace(err) {
-		t.Fatalf("write into the reclaimed range on a full device: got %v, want ErrNoSpace", err)
-	}
-	if err := fd.TruncateBefore(4 * 4096); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fd.WriteAt(page, 4096); err != nil {
-		t.Fatalf("write into the reclaimed range after space freed: %v", err)
-	}
-	if used := fd.SpaceUsed(); used != 8192 {
-		t.Fatalf("SpaceUsed = %d, want 8192", used)
 	}
 }

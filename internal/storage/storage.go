@@ -19,7 +19,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -103,44 +102,9 @@ func Sync(d Device) error {
 var ErrReadFromNull = errors.New("storage: read from null device")
 
 // ErrNoSpace is returned by writes that cannot complete because the device is
-// out of capacity — the simulated analogue of ENOSPC. Unlike a power cut it
-// is recoverable: reclaiming space (truncating retired log prefix) lets
-// subsequent writes succeed.
+// out of capacity — the simulated analogue of ENOSPC. The store treats it as
+// it treats every permanent write failure: it degrades to read-only.
 var ErrNoSpace = errors.New("storage: no space left on device")
-
-// IsNoSpace reports whether err is an out-of-space condition: the injected
-// ErrNoSpace or a real ENOSPC from the operating system.
-func IsNoSpace(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrNoSpace) || errors.Is(err, syscall.ENOSPC)
-}
-
-// Truncator is implemented by devices that can reclaim the space below a
-// byte offset (the storage analogue of the store's logical TruncateUntil).
-// The reclaimed range reads as zeros afterwards.
-type Truncator interface {
-	TruncateBefore(off int64) error
-}
-
-// TruncateBefore reclaims device space below off: it calls TruncateBefore on
-// the first device in the wrapper chain that implements Truncator. Devices
-// that cannot reclaim (File without hole punching, Null) are a no-op —
-// logical truncation still bounds what the store reads.
-func TruncateBefore(d Device, off int64) error {
-	for d != nil {
-		if t, ok := d.(Truncator); ok {
-			return t.TruncateBefore(off)
-		}
-		u, ok := d.(interface{ Unwrap() Device })
-		if !ok {
-			return nil
-		}
-		d = u.Unwrap()
-	}
-	return nil
-}
 
 // Null discards all writes and fails all reads. It models the paper's "null
 // device, which simply discards data to eliminate the disk bandwidth
@@ -248,25 +212,6 @@ func (d *Mem) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (d *Mem) Close() error { return nil }
-
-// TruncateBefore frees every segment entirely below off, like punching a
-// hole in a sparse file. Freed ranges read as zeros. Space accounting for
-// capacity-capped wrappers (FaultDevice) is their own concern; Mem just
-// releases the memory.
-func (d *Mem) TruncateBefore(off int64) error {
-	if off <= 0 {
-		return nil
-	}
-	floorSeg := off / d.segSize // segments strictly below this index are dead
-	d.mu.Lock()
-	for idx := range d.segs {
-		if idx < floorSeg {
-			delete(d.segs, idx)
-		}
-	}
-	d.mu.Unlock()
-	return nil
-}
 
 // Profile reports an honest in-memory profile. Without this, the adaptive
 // prefetcher falls back to DefaultSSDProfile and speculatively reads

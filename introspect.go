@@ -221,7 +221,7 @@ func (s *Store) logComposition(opts logSampleOptions) (*introspect.LogSnapshot, 
 		opts.MaxBytes = 64 << 20
 	}
 	ls := &introspect.LogSnapshot{SampledAt: time.Now(), From: from, To: to}
-	ls.Degraded, ls.DegradedCause = sticky(&s.degraded, &s.degradedCause)
+	ls.Degraded, ls.DegradedCause = s.degradation()
 	if from >= to {
 		return ls, nil
 	}

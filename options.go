@@ -105,62 +105,10 @@ type Options struct {
 	// into /debug/fishstore/health.
 	SLO *telemetry.SLO
 
-	// Limits, if set, enables the store-level resource governor: ingest
-	// batches count against MaxInFlightIngestBytes (over-limit callers block
-	// up to MaxWait, then fail with ErrBusy) and scans count against
-	// MaxConcurrentScans. nil keeps the historical unbounded behaviour. The
-	// admission fast path is one atomic add; the governor allocates only
-	// when an operation actually has to wait.
-	Limits *Limits
-
-	// Retention, if set, bounds the live log footprint and arms the
-	// disk-full recovery path: an ENOSPC-class flush failure puts the store
-	// into the managed ErrLogFull state (instead of sticky degraded mode),
-	// and RecoverLogSpace — invoked automatically on the next ingest when
-	// AutoRecover is set — truncates the oldest log pages down to
-	// MaxLiveBytes, reclaims the device space, re-drives the failed flushes,
-	// and resumes ingestion.
-	Retention *Retention
-
 	// disableRecordChecksums writes format-v0 records without the per-record
 	// checksum trailer. Readers accept both formats, so tests set it to
 	// produce a v0 log and prove it recovers under the sealing default.
 	disableRecordChecksums bool
-}
-
-// Limits configures the resource governor; see Options.Limits. The zero
-// value of any field means "unlimited" for that dimension.
-type Limits struct {
-	// MaxInFlightIngestBytes caps the total raw bytes of ingest batches
-	// admitted and not yet returned. A batch that would exceed the cap waits
-	// up to MaxWait for capacity, then fails with ErrBusy.
-	MaxInFlightIngestBytes int64
-
-	// MaxConcurrentScans caps concurrently running scans (Lookup counts as a
-	// scan). Over-limit scans wait up to MaxWait, then fail with ErrBusy.
-	MaxConcurrentScans int64
-
-	// MaxWait bounds how long an over-limit operation blocks for capacity
-	// before failing with ErrBusy. Zero means fail fast. The operation's
-	// context, when it expires sooner, wins.
-	MaxWait time.Duration
-}
-
-// Retention configures retention-driven space reclamation; see
-// Options.Retention.
-type Retention struct {
-	// MaxLiveBytes is the target live log footprint (tail minus truncation
-	// point). RecoverLogSpace truncates whole pages from the oldest end of
-	// the log until the footprint is at most this, or down to the tail's
-	// own page when MaxLiveBytes is smaller than a page. 0 disables
-	// retention-driven truncation (RecoverLogSpace then only reclaims what
-	// the caller already truncated manually).
-	MaxLiveBytes uint64
-
-	// AutoRecover makes the next ingest after an ErrLogFull transition run
-	// RecoverLogSpace automatically, so a capped device oscillates between
-	// filling and reclaiming instead of failing until an operator steps in.
-	AutoRecover bool
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -191,11 +139,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.PageCachePages == 0 {
 		out.PageCachePages = 64
-	}
-	if out.Limits != nil {
-		if out.Limits.MaxInFlightIngestBytes < 0 || out.Limits.MaxConcurrentScans < 0 {
-			return out, errors.New("fishstore: Limits caps must be >= 0")
-		}
 	}
 	return out, nil
 }

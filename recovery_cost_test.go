@@ -1,7 +1,6 @@
 package fishstore
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -90,15 +89,12 @@ func checkpointedLog(t *testing.T, opts Options, n, ckpt int, beforeClose func(s
 }
 
 // TestRecoverBuildsLikeOpen: Open and Recover build a store from Options the
-// same way. A recovered store used to run without its page cache and its
-// governor, ignoring PageCachePages and Limits; it must also honour Metrics,
-// TraceSink, Tracer, SLO, SlowOpThreshold and Retention.
+// same way. A recovered store used to run without its page cache, ignoring
+// PageCachePages; it must also honour Metrics, TraceSink, Tracer, SLO and
+// SlowOpThreshold.
 func TestRecoverBuildsLikeOpen(t *testing.T) {
-	fd := storage.NewFaultDevice(nil, storage.FaultConfig{})
-	opts := Options{Device: fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
-		PageCachePages: 8, Limits: &Limits{MaxConcurrentScans: 1},
-		Retention: &Retention{MaxLiveBytes: 8 << 10},
-		SLO:       &telemetry.SLO{IngestBatchP99: time.Hour},
+	opts := Options{Device: storage.NewMem(), PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
+		PageCachePages: 8, SLO: &telemetry.SLO{IngestBatchP99: time.Hour},
 		// Every batch is at least this slow.
 		SlowOpThreshold: time.Nanosecond}
 	sopts, sobs := observe(opts)
@@ -106,11 +102,10 @@ func TestRecoverBuildsLikeOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
-	if err != nil {
+	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
 		t.Fatal(err)
 	}
-	requireBuiltFromOptions(t, "opened", s, id, fd, sobs)
+	requireBuiltFromOptions(t, "opened", s, sobs)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
@@ -125,7 +120,7 @@ func TestRecoverBuildsLikeOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	requireBuiltFromOptions(t, "recovered", r, id, fd, robs)
+	requireBuiltFromOptions(t, "recovered", r, robs)
 }
 
 // observed records what a store reports into the Metrics registry, the
@@ -152,14 +147,12 @@ func observe(opts Options) (Options, *observed) {
 }
 
 // requireBuiltFromOptions checks the wiring of the Options that
-// TestRecoverBuildsLikeOpen gives both stores: the page cache is on, a scan
-// past Limits{MaxConcurrentScans: 1} fails with ErrBusy, ingest reports into
-// Options.Metrics, batches land as ingest.batch roots in Options.Tracer, the
-// health report carries the SLO watchdog's, events (ingest.slow_batch past
-// SlowOpThreshold among them) reach Options.TraceSink, and after the device
-// fills (fd armed with ENOSPC) RecoverLogSpace truncates the log to
-// Retention.MaxLiveBytes.
-func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd *storage.FaultDevice, obs *observed) {
+// TestRecoverBuildsLikeOpen gives both stores: the page cache is on, ingest
+// reports into Options.Metrics, batches land as ingest.batch roots in
+// Options.Tracer, the health report carries the SLO watchdog's, and events
+// (ingest.slow_batch past SlowOpThreshold among them) reach
+// Options.TraceSink.
+func requireBuiltFromOptions(t *testing.T, which string, s *Store, obs *observed) {
 	t.Helper()
 	if !s.CacheStats().PageCacheEnabled {
 		t.Errorf("%s store has no page cache", which)
@@ -188,40 +181,9 @@ func requireBuiltFromOptions(t *testing.T, which string, s *Store, id psf.ID, fd
 		t.Errorf("%s store: health carries SLO report %+v, want the watchdog's one objective", which, h.SLO)
 	}
 
-	prop := PropertyString(id, "spark")
-	inCb, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
-	go func() {
-		_, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(Record) bool {
-			inCb <- struct{}{}
-			<-release
-			return false
-		})
-		done <- err
-	}()
-	<-inCb
-	_, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(Record) bool { return true })
-	close(release)
-	if ferr := <-done; ferr != nil {
-		t.Fatalf("%s store: first scan: %v", which, ferr)
-	}
-	if !errors.Is(err, ErrBusy) {
-		t.Errorf("%s store: scan past MaxConcurrentScans = %v, want ErrBusy", which, err)
-	}
-
-	fd.ArmENOSPC(1)
-	if err := s.Flush(); !errors.Is(err, ErrLogFull) {
-		t.Fatalf("%s store: flush on a full device = %v, want ErrLogFull", which, err)
-	}
-	if err := s.RecoverLogSpace(); err != nil {
-		t.Fatalf("%s store: RecoverLogSpace: %v", which, err)
-	}
-	if live := s.TailAddress() - s.logBegin(); live > s.opts.Retention.MaxLiveBytes {
-		t.Errorf("%s store: %d live bytes after RecoverLogSpace, want at most %d",
-			which, live, s.opts.Retention.MaxLiveBytes)
-	}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	for _, ev := range []string{"hlog.flush", "ingest.slow_batch", "store.log_full", "store.log_full_recovered"} {
+	for _, ev := range []string{"hlog.flush", "ingest.slow_batch"} {
 		if !obs.events[ev] {
 			t.Errorf("%s store: Options.TraceSink never received %s", which, ev)
 		}

@@ -122,20 +122,14 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 	return s.ScanContext(nil, prop, opts, cb)
 }
 
-// ScanContext is Scan with deadline/cancellation propagation: ctx aborts a
-// governor admission wait, is polled at page and chain-hop boundaries on
-// every execution path (page walker, serial or parallel; chain walk), and
-// before every device read a chain walk or indirect-record resolution issues.
+// ScanContext is Scan with deadline/cancellation propagation: ctx is polled
+// at page and chain-hop boundaries on every execution path (page walker,
+// serial or parallel; chain walk), and before every device read a chain
+// walk or indirect-record resolution issues.
 // A cancelled scan returns ctx's error with the stats accumulated so far;
 // epochs, the page cache, and prefetch state are left consistent.
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
 	var st ScanStats
-	if g := s.gov; g != nil {
-		if err := g.admitScan(ctx); err != nil {
-			return st, err
-		}
-		defer g.releaseScan()
-	}
 	if err := ctxErr(ctx); err != nil {
 		return st, err
 	}

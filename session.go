@@ -12,7 +12,6 @@ import (
 	"fishstore/internal/parser"
 	"fishstore/internal/psf"
 	"fishstore/internal/record"
-	"fishstore/internal/storage"
 	"fishstore/internal/telemetry"
 	"fishstore/internal/trace"
 )
@@ -148,31 +147,15 @@ func (sess *Session) Ingest(batch [][]byte) (IngestStats, error) {
 }
 
 // IngestContext is Ingest with deadline/cancellation propagation: the batch
-// is checked against ctx between records and a governor admission wait
-// aborts when ctx expires. Records
-// ingested before cancellation stay ingested (the returned stats count
-// them); the log, index, and epochs are left consistent.
+// is checked against ctx between records. Records ingested before
+// cancellation stay ingested (the returned stats count them); the log,
+// index, and epochs are left consistent.
 func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestStats, error) {
 	if sess.closed {
 		return IngestStats{}, ErrClosed
 	}
 	if sess.store.degraded.Load() {
 		return IngestStats{}, ErrDegraded
-	}
-	if err := sess.store.maybeRecoverLogSpace(); err != nil {
-		return IngestStats{}, err
-	}
-	// Admission happens before the checkpoint barrier and epoch protection:
-	// a blocked batch must not stall checkpoints or page recycling.
-	if g := sess.store.gov; g != nil {
-		var admitted int64
-		for _, p := range batch {
-			admitted += int64(len(p))
-		}
-		if err := g.admitIngest(ctx, admitted); err != nil {
-			return IngestStats{}, err
-		}
-		defer g.releaseIngest(admitted)
 	}
 	var done <-chan struct{}
 	if ctx != nil {
@@ -253,12 +236,10 @@ func (sess *Session) IngestContext(ctx context.Context, batch [][]byte) (IngestS
 			}
 			alloc, err := sess.store.log.Allocate(sess.guard, spec.SizeWords())
 			if err != nil {
-				if storage.IsNoSpace(err) {
-					// A full device surfaces here as a failed-flush frame that
-					// can never be recycled. Managed state, not degradation:
-					// reclaim space and the log resumes.
-					sess.store.enterLogFull(err)
-					return st, fmt.Errorf("%w: %v", ErrLogFull, err)
+				if sess.store.log.FlushError() != nil {
+					// The frame this allocation needs holds a page whose
+					// flush failed: the device refused a write for good.
+					return st, sess.store.enterDegraded(fmt.Errorf("ingest allocate: %w", err))
 				}
 				return st, err
 			}

@@ -98,18 +98,6 @@ type Store struct {
 	degraded      atomic.Bool
 	degradedCause atomic.Pointer[string]
 
-	// logFull flips when an ENOSPC-class flush failure fills the device.
-	// Unlike degraded it is recoverable: RecoverLogSpace (manual, or
-	// automatic with Options.Retention.AutoRecover) truncates retired log
-	// prefix, reclaims the space, and clears the flag.
-	logFull           atomic.Bool
-	logFullCause      atomic.Pointer[string]
-	logFullRecoveries atomic.Int64
-	reclaimMu         sync.Mutex // serializes RecoverLogSpace attempts
-
-	// gov is the admission-control governor (nil when Options.Limits unset).
-	gov *governor
-
 	mu     sync.Mutex
 	closed bool
 }
@@ -117,9 +105,9 @@ type Store struct {
 // newStore builds every component of a store from o but its log: the
 // observability layer — workload collector, metrics registry (explicit
 // option, process default, or disabled), event stream, scan decision log,
-// tracer — with o.Device wrapped for metrics and spans, the governor, the
-// page cache, an empty PSF registry, and table, instrumented before any
-// insert. Open and Recover add the log; it must be built on s.opts.Device.
+// tracer — with o.Device wrapped for metrics and spans, the page cache,
+// an empty PSF registry, and table, instrumented before any insert. Open
+// and Recover add the log; it must be built on s.opts.Device.
 func newStore(o Options, table *hashtable.Table) *Store {
 	reg := o.Metrics
 	if reg == nil {
@@ -145,9 +133,6 @@ func newStore(o Options, table *hashtable.Table) *Store {
 		tele:    tele,
 		tracer:  tr,
 		scanLog: introspect.NewRing[introspect.ScanDecision](scanDecisionLog),
-	}
-	if o.Limits != nil {
-		s.gov = newGovernor(o.Limits, m)
 	}
 	if o.PageCachePages > 0 {
 		s.pcache = pagecache.New(o.PageCachePages, 1<<(o.PageBits-3))
@@ -196,21 +181,17 @@ func (s *Store) logConfig() hlog.Config {
 // flushHook returns the hlog OnFlush hook: a trace event per completed page
 // flush (giving the flight recorder a durability timeline leading up to a
 // crash), and — on a flush failure — the transition into degraded read-only
-// mode. The device is fail-stop (Appendix E): a failed background flush
-// means it refused the write for good, so the store stops pretending it can
-// persist instead of surfacing the sticky error at the next page boundary.
+// mode. The device is fail-stop (Appendix E): a failed background flush,
+// out of space or otherwise, means it refused the write for good, so the
+// store stops pretending it can persist instead of surfacing the sticky
+// error at the next page boundary.
 func (s *Store) flushHook() func(page uint64, err error) {
 	return func(page uint64, err error) {
 		if err != nil {
 			s.metrics.event("hlog.flush", trace.Uint("page", page), trace.Str("error", err.Error()))
-			if storage.IsNoSpace(err) {
-				// A full disk is a managed condition, not a dead device:
-				// the sealed page is retained in its frame and re-driven by
-				// RecoverLogSpace after retention truncation reclaims room.
-				s.enterLogFull(fmt.Errorf("page %d flush: %w", page, err))
-				return
-			}
-			s.enterDegraded(fmt.Errorf("page %d flush: %w", page, err))
+			// A background flush has no caller to report to: the next
+			// write reports ErrDegraded.
+			_ = s.enterDegraded(fmt.Errorf("page %d flush: %w", page, err))
 			return
 		}
 		s.metrics.event("hlog.flush", trace.Uint("page", page))
@@ -224,22 +205,25 @@ func (s *Store) flushHook() func(page uint64, err error) {
 var ErrDegraded = errors.New("fishstore: store degraded to read-only after permanent I/O failure")
 
 // enterDegraded flips the store into degraded read-only mode (once; the
-// first cause wins and is retained for Stats and introspection).
-func (s *Store) enterDegraded(cause error) {
-	if cause == nil || !s.degraded.CompareAndSwap(false, true) {
-		return
+// first cause wins and is retained for Stats and introspection) and returns
+// the error the failed call reports: ErrDegraded wrapping cause, so the
+// first failure already matches ErrDegraded and still names the device's
+// error.
+func (s *Store) enterDegraded(cause error) error {
+	if s.degraded.CompareAndSwap(false, true) {
+		msg := cause.Error()
+		s.degradedCause.Store(&msg)
+		s.metrics.event("store.degraded", trace.Str("cause", msg))
 	}
-	msg := cause.Error()
-	s.degradedCause.Store(&msg)
-	s.metrics.event("store.degraded", trace.Str("cause", msg))
+	return fmt.Errorf("%w: %w", ErrDegraded, cause)
 }
 
-// sticky reads a state flag and, while it is set, the cause that set it.
-func sticky(on *atomic.Bool, cause *atomic.Pointer[string]) (bool, string) {
-	if !on.Load() {
+// degradation reports whether the store is degraded and, if so, the cause.
+func (s *Store) degradation() (bool, string) {
+	if !s.degraded.Load() {
 		return false, ""
 	}
-	if c := cause.Load(); c != nil {
+	if c := s.degradedCause.Load(); c != nil {
 		return true, *c
 	}
 	return true, ""
@@ -349,19 +333,12 @@ type Stats struct {
 	// into read-only mode; DegradedCause describes the failure.
 	Degraded      bool
 	DegradedCause string
-	// LogFull is true while the store is refusing ingestion because the
-	// device is out of space (recoverable via RecoverLogSpace);
-	// LogFullRecoveries counts successful recoveries over the store's life.
-	LogFull           bool
-	LogFullCause      string
-	LogFullRecoveries int64
 }
 
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
 	live, tail := s.liveLogBytes()
-	deg, cause := sticky(&s.degraded, &s.degradedCause)
-	full, fullCause := sticky(&s.logFull, &s.logFullCause)
+	deg, cause := s.degradation()
 	return Stats{
 		IngestedRecords:    s.ingestedRecords.Load(),
 		IngestedBytes:      s.ingestedBytes.Load(),
@@ -373,9 +350,6 @@ func (s *Store) Stats() Stats {
 		TableStats:         s.table.Stats(),
 		Degraded:           deg,
 		DegradedCause:      cause,
-		LogFull:            full,
-		LogFullCause:       fullCause,
-		LogFullRecoveries:  s.logFullRecoveries.Load(),
 	}
 }
 
@@ -402,21 +376,14 @@ var ErrClosed = errors.New("fishstore: store closed")
 // Flush synchronously persists everything ingested so far (the periodic
 // "line of persistence" of Appendix E): on return, the durable boundary covers
 // the tail observed at the time of the call. A write failure here is
-// permanent (the device is fail-stop) and degrades the store.
+// permanent (the device is fail-stop, a full one included) and degrades the
+// store.
 func (s *Store) Flush() error {
 	if s.degraded.Load() {
 		return ErrDegraded
 	}
-	if s.logFull.Load() {
-		return ErrLogFull
-	}
 	if err := s.log.FlushTail(); err != nil {
-		if storage.IsNoSpace(err) {
-			s.enterLogFull(fmt.Errorf("flush tail: %w", err))
-			return fmt.Errorf("%w: %v", ErrLogFull, err)
-		}
-		s.enterDegraded(fmt.Errorf("flush tail: %w", err))
-		return err
+		return s.enterDegraded(fmt.Errorf("flush tail: %w", err))
 	}
 	return nil
 }

@@ -88,12 +88,8 @@ type storeMetrics struct {
 	// Integrity (checksums, degradation).
 	corruptRecords *metrics.Counter
 
-	// Overload protection (governor.go, logfull.go, subscribe.go).
-	admissionWaits    *metrics.Counter
-	admissionRejects  *metrics.Counter
-	subDropped        *metrics.Counter
-	logFullGauge      *metrics.Gauge
-	logFullRecoveries *metrics.Counter
+	// Overload protection (subscribe.go).
+	subDropped *metrics.Counter
 
 	// Internals (epoch, hash table).
 	epochBumps     *metrics.Counter
@@ -197,17 +193,8 @@ func newStoreMetrics(reg *metrics.Registry, tele *telemetry.Collector, sink func
 		"Records quarantined by VerifyOnRead: fetched from the device with a "+
 			"failing checksum and skipped instead of surfaced.")
 
-	m.admissionWaits = reg.Counter("fishstore_admission_waits_total",
-		"Operations that blocked waiting for governor capacity (Options.Limits).")
-	m.admissionRejects = reg.Counter("fishstore_admission_rejects_total",
-		"Operations refused with ErrBusy after the admission wait expired.")
 	m.subDropped = reg.Counter("fishstore_subscription_dropped_total",
 		"Records dropped by DropOldest subscriptions whose buffer was full.")
-	m.logFullGauge = reg.Gauge("fishstore_log_full",
-		"1 while the store refuses ingestion because the device is out of "+
-			"space (the managed ErrLogFull state).")
-	m.logFullRecoveries = reg.Counter("fishstore_log_full_recoveries_total",
-		"Successful RecoverLogSpace runs: reclaim + flush-retry + resume.")
 
 	m.epochBumps = reg.Counter("fishstore_epoch_bumps_total",
 		"Epoch bumps (version increments).")
@@ -298,15 +285,6 @@ func (s *Store) registerGaugeFuncs() {
 			}
 			return 0
 		})
-
-	if s.gov != nil {
-		reg.GaugeFunc("fishstore_admission_inflight_ingest_bytes",
-			"Raw ingest-batch bytes admitted and not yet returned.",
-			func() float64 { return float64(s.gov.inflightBytes.Load()) })
-		reg.GaugeFunc("fishstore_admission_active_scans",
-			"Scans currently holding a governor slot.",
-			func() float64 { return float64(s.gov.activeScans.Load()) })
-	}
 
 	// Introspection gauges: live occupancy detail, cost-model inputs, and
 	// the freshness of the last chain sample.

@@ -14,8 +14,8 @@ func TestStoreSurface(t *testing.T) {
 		"BuildHistoricalIndex", "CacheStats", "ChainGapProfile", "Checkpoint",
 		"CheckpointContext", "Close", "DeregisterPSF", "Flush", "HeadAddress",
 		"Iterate", "Lookup", "Metrics", "NewSession", "PSFByName",
-		"RecoverLogSpace", "RegisterPSF", "Scan", "ScanContext", "ScanDecisions",
-		"ScanRange", "Stats", "Subscribe", "TailAddress", "TruncateUntil", "VerifyLog",
+		"RegisterPSF", "Scan", "ScanContext", "ScanDecisions", "ScanRange",
+		"Stats", "Subscribe", "TailAddress", "TruncateUntil", "VerifyLog",
 	}
 	typ := reflect.TypeOf((*Store)(nil))
 	var got []string

@@ -10,12 +10,10 @@ import (
 
 // TestTracingDisabledZeroAllocsPerRecord checks that machinery which is armed
 // but idle costs no allocations: per-Ingest allocation counts must be
-// identical for a default store, a store with a live metrics registry, a
-// store with an attached but disabled tracer, and a store whose resource
-// governor is armed but never saturated (the admission fast path is one
-// atomic add). Page sizing keeps the
-// whole measured run inside one in-memory page so no flush or eviction
-// allocates mid-measurement in any store.
+// identical for a default store, a store with a live metrics registry, and
+// a store with an attached but disabled tracer. Page sizing keeps the whole
+// measured run inside one in-memory page so no flush or eviction allocates
+// mid-measurement in any store.
 func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
 	batch := make([][]byte, 8)
 	for i := range batch {
@@ -48,8 +46,6 @@ func TestTracingDisabledZeroAllocsPerRecord(t *testing.T) {
 	}{
 		{"metrics on", Options{Metrics: metrics.NewRegistry()}},
 		{"tracer attached, disabled", Options{Tracer: disabled}},
-		{"limits armed, unsaturated", Options{Limits: &Limits{
-			MaxInFlightIngestBytes: 1 << 30, MaxConcurrentScans: 64}}},
 	} {
 		got := measure(c.opts)
 		t.Logf("allocs per %d-record batch: default %.2f, %s %.2f", len(batch), base, c.name, got)

@@ -89,11 +89,6 @@ type Health struct {
 	// the store read-only.
 	Degraded      bool   `json:"degraded"`
 	DegradedCause string `json:"degraded_cause,omitempty"`
-	// LogFull mirrors Stats.LogFull: the device is out of space and ingestion
-	// is refused until space is reclaimed (a recoverable state, reported as
-	// degraded rather than breach).
-	LogFull      bool   `json:"log_full,omitempty"`
-	LogFullCause string `json:"log_full_cause,omitempty"`
 	// SLO carries the watchdog's latest burn-rate report (nil when no SLO
 	// targets are configured).
 	SLO *telemetry.Report `json:"slo,omitempty"`
@@ -102,17 +97,10 @@ type Health struct {
 // health computes the current health verdict.
 func (s *Store) health() Health {
 	h := Health{Status: telemetry.StatusOK}
-	if deg, cause := sticky(&s.degraded, &s.degradedCause); deg {
+	if deg, cause := s.degradation(); deg {
 		h.Status = telemetry.StatusBreach
 		h.Degraded = true
 		h.DegradedCause = cause
-	}
-	if full, cause := sticky(&s.logFull, &s.logFullCause); full {
-		h.LogFull = true
-		h.LogFullCause = cause
-		if h.Status == telemetry.StatusOK {
-			h.Status = telemetry.StatusDegraded
-		}
 	}
 	if s.watchdog != nil {
 		r := s.watchdog.Report()
