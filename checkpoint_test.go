@@ -1,6 +1,7 @@
 package fishstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -243,7 +244,7 @@ func TestHistoricalIndexPayloadResolution(t *testing.T) {
 	var payload []byte
 	if _, err := s.Scan(PropertyString(id, "spark"),
 		ScanOptions{To: end, Mode: ScanForceIndex},
-		func(r Record) bool { payload = r.Payload; return true }); err != nil {
+		func(r Record) bool { payload = bytes.Clone(r.Payload); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if payload == nil {

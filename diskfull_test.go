@@ -17,7 +17,8 @@ import (
 // any other. On a device capped below the corpus, with a checkpoint taken
 // partway through, ingest stops with ErrDegraded before the log runs more
 // than the in-memory pages past the cap; Flush and Checkpoint then refuse
-// with ErrDegraded; and Recover over the surviving image restores a
+// with ErrDegraded, and Close reports it wrapping the device's error; and
+// Recover over the surviving image restores a
 // consistent prefix that verifies clean, scans the same by index and in
 // full, and holds every record acknowledged before the checkpoint. The
 // recovered store is wired alike: a full device degrades it too.
@@ -67,7 +68,10 @@ func TestDiskFullIsFailStop(t *testing.T) {
 	if err := s.Checkpoint(dir); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Checkpoint after the device filled returned %v, want ErrDegraded", err)
 	}
-	_ = s.Close() // the final tail flush meets the full device by design
+	// The final tail flush meets the full device by design.
+	if err := s.Close(); !errors.Is(err, ErrDegraded) || !errors.Is(err, storage.ErrNoSpace) {
+		t.Fatalf("Close after the device filled returned %v, want ErrDegraded wrapping the out-of-space error", err)
+	}
 
 	fd2 := storage.NewFaultDevice(inner, storage.FaultConfig{})
 	r, _, err := Recover(dir, RecoverOptions{Options: Options{Device: fd2, TableBuckets: 1 << 8}})

@@ -23,7 +23,7 @@ import (
 // The PSF must be registered (active or not). The call full-scans the range
 // once, so its cost is one pass over [from, to).
 func (s *Store) BuildHistoricalIndex(id psf.ID, from, to uint64) (int64, error) {
-	def, ok := s.registry.Lookup(id)
+	def, ivs, ok := s.registry.LookupIntervals(id, nil)
 	if !ok {
 		return 0, fmt.Errorf("fishstore: unknown PSF id %d", id)
 	}
@@ -32,7 +32,7 @@ func (s *Store) BuildHistoricalIndex(id psf.ID, from, to uint64) (int64, error) 
 		return 0, nil
 	}
 	// Skip sub-ranges that are already indexed.
-	plan := s.planScan(id, from, to, ScanAuto)
+	plan := planScan(nil, ivs, from, to, ScanAuto)
 
 	psess, err := s.pf.NewSession(def.Fields)
 	if err != nil {

@@ -391,7 +391,7 @@ func (r *RDBMisonPP) Retrieve(psfIndex int, v expr.Value, cb func(payload []byte
 			view = record.View{Words: words}
 		}
 		matched++
-		return cb(view.Payload())
+		return cb(view.AppendPayload(nil))
 	})
 	if err == nil {
 		err = scanErr

@@ -135,8 +135,14 @@ func (m *Manager) ProtectedSlots() int {
 // used afterwards.
 func (g *Guard) Release() {
 	g.Unprotect()
-	// Give pending actions a chance to run even if no other worker is active.
-	g.m.tryDrain(g.m.computeSafe())
+	// Give pending actions a chance to run even if no other worker is
+	// active. With none pending, skip the pass over the table: a BumpWith
+	// racing this release counts its action pending before it computes the
+	// safe epoch, so either it sees this slot unprotected or this load sees
+	// its action.
+	if g.m.pending.Load() != 0 {
+		g.m.tryDrain(g.m.computeSafe())
+	}
 	g.m.freeSlots <- g.slot
 	g.m = nil
 }

@@ -193,7 +193,7 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 		kp := view.KeyPointerAt(0)
 		hd := view.Header()
 		if hd.Visible && bytes.Equal(view.ValueBytes(kp), key) {
-			return view.Payload(), true, nil
+			return view.AppendPayload(nil), true, nil
 		}
 		cur = kp.PrevAddress
 	}

@@ -636,13 +636,19 @@ func (r *Registry) Status() RegistryStatus {
 
 // Intervals returns the address intervals over which id's index is complete.
 func (r *Registry) Intervals(id ID) []Interval {
+	_, ivs, _ := r.LookupIntervals(id, nil)
+	return ivs
+}
+
+// LookupIntervals is Lookup and Intervals under one lock: id's definition,
+// and dst with the intervals over which id's index is complete appended. A
+// caller passing a buffer with room resolves a PSF without allocating.
+func (r *Registry) LookupIntervals(id ID, dst []Interval) (Definition, []Interval, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	reg, ok := r.registered[id]
 	if !ok {
-		return nil
+		return Definition{}, dst, false
 	}
-	out := make([]Interval, len(reg.intervals))
-	copy(out, reg.intervals)
-	return out
+	return reg.def, append(dst, reg.intervals...), true
 }

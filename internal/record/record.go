@@ -443,24 +443,17 @@ func (v View) PayloadLen() int {
 	return n
 }
 
-// payloadBytes returns the raw payload as a read-only view of the record's
-// words.
-func (v View) payloadBytes() []byte {
+// Payload returns the raw payload as a read-only view of the record's
+// words, capped at its length: it aliases v.Words and is valid only while
+// they are. A caller that keeps the bytes copies them (AppendPayload).
+func (v View) Payload() []byte {
 	first, n := v.payloadBounds(v.Header())
 	return wordio.Bytes(v.Words[first:])[:n:n]
 }
 
-// Payload copies the raw payload bytes out of the record.
-func (v View) Payload() []byte {
-	p := v.payloadBytes()
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
-// AppendPayload appends the raw payload to buf and returns it.
+// AppendPayload appends a copy of the raw payload to buf and returns it.
 func (v View) AppendPayload(buf []byte) []byte {
-	return append(buf, v.payloadBytes()...)
+	return append(buf, v.Payload()...)
 }
 
 // bodyBounds returns the word range [start, end) covered by the record

@@ -132,12 +132,19 @@ func (d *Null) Profile() Profile { return MemProfile() }
 func (d *Null) BytesWritten() int64 { return d.written.Load() }
 
 // Mem is an in-memory device backed by fixed-size segments, growable without
-// copying, safe for concurrent readers and writers to disjoint ranges.
+// copying and safe for concurrent use: reads of a segment share its lock,
+// and a write to it excludes them, so a read never observes a torn copy.
 type Mem struct {
 	segSize int64
-	mu      sync.RWMutex
-	segs    map[int64][]byte
+	mu      sync.RWMutex // guards segs
+	segs    map[int64]*memSegment
 	written atomic.Int64
+}
+
+// memSegment is one segment of a Mem device.
+type memSegment struct {
+	mu   sync.RWMutex // guards data's contents
+	data []byte
 }
 
 // NewMem returns an in-memory device with 1MB segments.
@@ -148,10 +155,10 @@ func NewMemSegSize(segSize int64) *Mem {
 	if segSize <= 0 {
 		segSize = 1 << 20
 	}
-	return &Mem{segSize: segSize, segs: make(map[int64][]byte)}
+	return &Mem{segSize: segSize, segs: make(map[int64]*memSegment)}
 }
 
-func (d *Mem) segment(idx int64, create bool) []byte {
+func (d *Mem) segment(idx int64, create bool) *memSegment {
 	d.mu.RLock()
 	s := d.segs[idx]
 	d.mu.RUnlock()
@@ -161,7 +168,7 @@ func (d *Mem) segment(idx int64, create bool) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if s = d.segs[idx]; s == nil {
-		s = make([]byte, d.segSize)
+		s = &memSegment{data: make([]byte, d.segSize)}
 		d.segs[idx] = s
 	}
 	return s
@@ -175,7 +182,9 @@ func (d *Mem) WriteAt(p []byte, off int64) (int, error) {
 	for n < len(p) {
 		idx, in := off/d.segSize, off%d.segSize
 		seg := d.segment(idx, true)
-		c := copy(seg[in:], p[n:])
+		seg.mu.Lock()
+		c := copy(seg.data[in:], p[n:])
+		seg.mu.Unlock()
 		n += c
 		off += int64(c)
 	}
@@ -204,7 +213,9 @@ func (d *Mem) ReadAt(p []byte, off int64) (int, error) {
 			off += int64(z)
 			continue
 		}
-		c := copy(p[n:], seg[in:])
+		seg.mu.RLock()
+		c := copy(p[n:], seg.data[in:])
+		seg.mu.RUnlock()
 		n += c
 		off += int64(c)
 	}

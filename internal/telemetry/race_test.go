@@ -57,7 +57,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				c.RecordOp(OpIngestBatch, time.Duration(i)*time.Microsecond)
 				c.ObservePSF("psf-a", 1, 64)
-				c.ObserveQueried("psf-a=v", 1, 64)
+				c.ObserveQueried("psf-a", []byte("v"), 1, 64)
 			}
 		}()
 	}
@@ -87,7 +87,7 @@ func TestCollectorNilSafe(t *testing.T) {
 	var c *Collector
 	c.RecordOp(OpIngestBatch, time.Second)
 	c.ObservePSF("a", 1, 1)
-	c.ObserveQueried("q", 1, 1)
+	c.ObserveQueried("q", nil, 1, 1)
 	snap := c.Snapshot(5)
 	if len(snap.Ops) != 0 {
 		t.Fatalf("nil snapshot: %+v", snap)

@@ -99,12 +99,16 @@ func (c *Collector) ObservePSF(name string, records, bytes int64) {
 	c.psfs.Observe(name, records, bytes)
 }
 
-// ObserveQueried attributes one scan's demand to the property it asked for.
-func (c *Collector) ObserveQueried(key string, records, bytes int64) {
+// ObserveQueried attributes one scan's demand to the property it asked
+// for, keyed name=value. The key is built on the stack and copied only
+// when the sketch starts tracking it.
+func (c *Collector) ObserveQueried(name string, value []byte, records, bytes int64) {
 	if c == nil {
 		return
 	}
-	c.queried.Observe(key, records, bytes)
+	var buf [64]byte
+	key := append(append(append(buf[:0], name...), '='), value...)
+	c.queried.ObserveBytes(key, records, bytes)
 }
 
 // OpSnapshot is one operation's latency summary.

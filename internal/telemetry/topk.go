@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"container/heap"
 	"sort"
 	"sync"
 )
@@ -13,17 +14,47 @@ import (
 // item as ErrRecords). Any key whose true count exceeds total/capacity is
 // guaranteed to be present.
 //
+// Observing a tracked key adds to its weights in place; once the sketch is
+// full, a min-heap on record counts names the key to evict, so an eviction
+// is a heap fix rather than a pass over every key.
+//
 // All methods are safe on a nil receiver and for concurrent use.
 type TopK struct {
 	mu    sync.Mutex
 	cap   int
 	items map[string]*hhCounter
+	// counters holds every tracked key. From the first eviction on
+	// (heaped) it is a min-heap on records whose root is the next victim;
+	// a sketch that never fills never pays for heap order.
+	counters counterHeap
+	heaped   bool
 }
 
 type hhCounter struct {
+	key        string
 	records    int64
 	bytes      int64
 	errRecords int64
+	idx        int // position in counters
+}
+
+// counterHeap is a heap.Interface min-heap of counters on records.
+type counterHeap []*hhCounter
+
+func (h counterHeap) Len() int           { return len(h) }
+func (h counterHeap) Less(i, j int) bool { return h[i].records < h[j].records }
+func (h counterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+
+// Push and Pop complete heap.Interface; the sketch only fixes in place.
+func (h *counterHeap) Push(x any) { *h = append(*h, x.(*hhCounter)) }
+func (h *counterHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
 }
 
 // HeavyHitter is one reported key with its (over)estimated weights.
@@ -41,7 +72,8 @@ func NewTopK(capacity int) *TopK {
 	if capacity <= 0 {
 		capacity = 32
 	}
-	return &TopK{cap: capacity, items: make(map[string]*hhCounter, capacity)}
+	return &TopK{cap: capacity, items: make(map[string]*hhCounter, capacity),
+		counters: make(counterHeap, 0, capacity)}
 }
 
 // Observe adds weight to key.
@@ -52,29 +84,59 @@ func (t *TopK) Observe(key string, records, bytes int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if it := t.items[key]; it != nil {
-		it.records += records
-		it.bytes += bytes
+		t.add(it, records, bytes)
 		return
 	}
-	if len(t.items) < t.cap {
-		t.items[key] = &hhCounter{records: records, bytes: bytes}
+	t.insert(key, records, bytes)
+}
+
+// ObserveBytes is Observe for a key held in bytes: the key is copied into
+// a string only when the sketch starts tracking it.
+func (t *TopK) ObserveBytes(key []byte, records, bytes int64) {
+	if t == nil {
 		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if it := t.items[string(key)]; it != nil {
+		t.add(it, records, bytes)
+		return
+	}
+	t.insert(string(key), records, bytes)
+}
+
+// add adds weight to a tracked key. t.mu is held.
+func (t *TopK) add(it *hhCounter, records, bytes int64) {
+	it.records += records
+	it.bytes += bytes
+	if t.heaped {
+		heap.Fix(&t.counters, it.idx)
+	}
+}
+
+// insert starts tracking key, evicting the minimum-count key of a full
+// sketch. t.mu is held.
+func (t *TopK) insert(key string, records, bytes int64) {
+	if len(t.counters) < t.cap {
+		it := &hhCounter{key: key, records: records, bytes: bytes, idx: len(t.counters)}
+		t.counters = append(t.counters, it)
+		t.items[key] = it
+		return
+	}
+	if !t.heaped {
+		heap.Init(&t.counters)
+		t.heaped = true
 	}
 	// Space-saving eviction: the newcomer replaces the minimum-count key
 	// and inherits its counts as its error bound.
-	var minKey string
-	var min *hhCounter
-	for k, it := range t.items {
-		if min == nil || it.records < min.records {
-			minKey, min = k, it
-		}
-	}
-	delete(t.items, minKey)
-	t.items[key] = &hhCounter{
-		records:    min.records + records,
-		bytes:      min.bytes + bytes,
-		errRecords: min.records,
-	}
+	min := t.counters[0]
+	delete(t.items, min.key)
+	min.key = key
+	min.errRecords = min.records
+	min.records += records
+	min.bytes += bytes
+	t.items[key] = min
+	heap.Fix(&t.counters, 0)
 }
 
 // Len returns the number of tracked keys.
@@ -94,9 +156,9 @@ func (t *TopK) Top(n int) []HeavyHitter {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]HeavyHitter, 0, len(t.items))
-	for k, it := range t.items {
-		out = append(out, HeavyHitter{Key: k, Records: it.records, Bytes: it.bytes, ErrRecords: it.errRecords})
+	out := make([]HeavyHitter, 0, len(t.counters))
+	for _, it := range t.counters {
+		out = append(out, HeavyHitter{Key: it.key, Records: it.records, Bytes: it.bytes, ErrRecords: it.errRecords})
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -61,5 +62,74 @@ func TestTopKNilSafe(t *testing.T) {
 	tk.Observe("a", 1, 1)
 	if tk.Top(5) != nil || tk.Len() != 0 {
 		t.Fatal("nil TopK must be inert")
+	}
+}
+
+// TestTopKSpaceSavingBounds drives a full sketch with weighted, skewed
+// streams through both entry points and checks the space-saving
+// guarantees: the tracked counts sum to the observed total, each reported
+// count brackets the true one, every key above total/capacity is present,
+// and only a key holding the minimum count is ever evicted.
+func TestTopKSpaceSavingBounds(t *testing.T) {
+	const capacity = 8
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		tk := NewTopK(capacity)
+		truth := map[string]int64{}
+		var total int64
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("k%d", int(rng.ExpFloat64()*6))
+			w := int64(rng.Intn(5))
+			before := tk.Top(0)
+			tracked := false
+			for _, h := range before {
+				tracked = tracked || h.Key == key
+			}
+			if i%2 == 0 {
+				tk.Observe(key, w, 2*w)
+			} else {
+				tk.ObserveBytes([]byte(key), w, 2*w)
+			}
+			truth[key] += w
+			total += w
+			if !tracked && len(before) == capacity {
+				after := map[string]bool{}
+				for _, h := range tk.Top(0) {
+					after[h.Key] = true
+				}
+				min := before[len(before)-1].Records
+				for _, h := range before {
+					if !after[h.Key] && h.Records != min {
+						t.Fatalf("round %d: evicted %+v, minimum count is %d", round, h, min)
+					}
+				}
+			}
+		}
+		var sum int64
+		top := tk.Top(0)
+		for _, h := range top {
+			sum += h.Records
+			if h.Bytes != 2*h.Records {
+				t.Fatalf("round %d: %+v: bytes do not follow records", round, h)
+			}
+			if tr := truth[h.Key]; tr > h.Records || tr < h.Records-h.ErrRecords {
+				t.Fatalf("round %d: %+v does not bracket true count %d", round, h, tr)
+			}
+		}
+		if sum != total {
+			t.Fatalf("round %d: tracked counts sum to %d, observed %d", round, sum, total)
+		}
+		for k, tr := range truth {
+			if tr <= total/capacity {
+				continue
+			}
+			found := false
+			for _, h := range top {
+				found = found || h.Key == k
+			}
+			if !found {
+				t.Fatalf("round %d: heavy key %s (%d of %d) missing: %+v", round, k, tr, total, top)
+			}
+		}
 	}
 }

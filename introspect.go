@@ -338,12 +338,12 @@ func (s *Store) ScanDecisions() introspect.ScanLog {
 
 // recordScanDecision captures one executed scan into the decision log:
 // the segment plan split, the Φ cost-model inputs in force, and the
-// observed work. Called from Scan's defer; one ring Put.
-func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st *ScanStats, elapsed time.Duration) {
+// observed work, as of at. Called from Scan's defer; one ring Put.
+func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st *ScanStats, at time.Time, elapsed time.Duration) {
 	phi, profile := costModel(s.log)
 	d := introspect.ScanDecision{
 		Seq:                s.scanSeq.Add(1),
-		Time:               time.Now(),
+		Time:               at,
 		Mode:               mode.String(),
 		PSF:                id,
 		From:               from,

@@ -1,6 +1,7 @@
 package fishstore
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -254,7 +255,8 @@ func TestRecoveredStoreScansWholeLog(t *testing.T) {
 		for _, q := range queries {
 			var recs []Record
 			if _, err := s.Scan(q.prop, ScanOptions{Mode: q.mode}, func(r Record) bool {
-				recs = append(recs, r)
+				// The scan lends the payload: keep a copy.
+				recs = append(recs, Record{Address: r.Address, Payload: bytes.Clone(r.Payload)})
 				return true
 			}); err != nil {
 				t.Fatal(err)

@@ -25,7 +25,12 @@ import (
 type Record struct {
 	// Address is the record's logical address on the log.
 	Address uint64
-	// Payload is the raw record bytes. The slice is owned by the caller.
+	// Payload is the raw record bytes. A scan (Scan, Lookup, ScanRange,
+	// Iterate) lends them: the slice points into the log's in-memory frame,
+	// a pinned page-cache frame or a device read buffer, and is valid only
+	// until the callback returns. A caller that keeps the bytes copies them
+	// (bytes.Clone), and none writes to them. A subscription delivers
+	// records asynchronously, so each of its records owns its payload.
 	Payload []byte
 }
 
@@ -115,9 +120,10 @@ type ScanStats struct {
 }
 
 // Scan retrieves all records with the given property within the option
-// range, invoking cb for each match. Returning false from cb stops the scan
-// early. Full-scan segments deliver records in ascending address order;
-// index segments follow hash chains and deliver in descending order.
+// range, invoking cb for each match with the record lent (see Record).
+// Returning false from cb stops the scan early. Full-scan segments deliver
+// records in ascending address order; index segments follow hash chains and
+// deliver in descending order.
 func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
 	return s.ScanContext(nil, prop, opts, cb)
 }
@@ -129,20 +135,34 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 // A cancelled scan returns ctx's error with the stats accumulated so far;
 // epochs, the page cache, and prefetch state are left consistent.
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
-	var st ScanStats
 	if err := ctxErr(ctx); err != nil {
-		return st, err
+		return ScanStats{}, err
 	}
+	var buf [4]psf.Interval
+	def, ivs, known := s.registry.LookupIntervals(prop.PSF, buf[:0])
+	return s.scan(ctx, prop, def, known, ivs, opts, cb)
+}
+
+// scan executes ScanContext for a PSF resolved once by the caller: def and
+// known as Registry.Lookup returns them, ivs as Registry.Intervals does.
+func (s *Store) scan(ctx context.Context, prop Property, def psf.Definition, known bool, ivs []psf.Interval,
+	opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
+
 	from, to := s.clampRange(opts.From, opts.To)
 	if from >= to {
-		return st, nil
+		return ScanStats{}, nil
 	}
+	// One allocation holds what outlives this frame or is shared with the
+	// scan's workers: the stats, and the backing arrays of the plan and of
+	// the canonical query value.
+	run := &scanState{}
+	st := &run.st
 	// One sampled root span per scan; nil (tracing off / unsampled) makes
 	// every child below nil too.
 	sp := s.tracer.StartRoot("scan")
 	defer sp.End()
 	psp := sp.Child("scan.plan")
-	st.Plan = s.planScan(prop.PSF, from, to, opts.Mode)
+	st.Plan = planScan(run.plan[:0], ivs, from, to, opts.Mode)
 	if psp != nil {
 		// The Φ decision: the cost-model inputs in force when this plan was
 		// chosen, pinned to the span so the trace explains the index/full
@@ -161,10 +181,13 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 
 	met := s.metrics
 	met.scans.Inc()
+	// Two clock readings time a one-segment scan: start, and the end of
+	// each segment, which times the segment and, for the last, the scan.
 	start := time.Now()
+	now := start
 	defer func() {
-		elapsed := time.Since(start)
-		s.recordScanDecision(prop.PSF, opts.Mode, from, to, &st, elapsed)
+		elapsed := now.Sub(start)
+		s.recordScanDecision(prop.PSF, opts.Mode, from, to, st, now, elapsed)
 		if slow := s.opts.SlowOpThreshold; slow > 0 && elapsed >= slow {
 			met.event("scan.slow", trace.Float("seconds", elapsed.Seconds()),
 				trace.Int("matched", st.Matched), trace.Int("visited", st.Visited),
@@ -189,11 +212,10 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 		}
 	}()
 
-	def, ok := s.registry.Lookup(prop.PSF)
-	if !ok {
-		return st, fmt.Errorf("fishstore: unknown PSF id %d", prop.PSF)
+	if !known {
+		return *st, fmt.Errorf("fishstore: unknown PSF id %d", prop.PSF)
 	}
-	canon := psf.CanonicalValue(prop.Value)
+	canon := psf.AppendCanonical(run.canon[:0], prop.Value)
 
 	g := s.epoch.Acquire()
 	defer g.Release()
@@ -205,7 +227,7 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 
 	for _, seg := range st.Plan {
 		if err := ctxErr(ctx); err != nil {
-			return st, err
+			return *st, err
 		}
 		var stopped bool
 		var err error
@@ -216,21 +238,22 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 		// "how much of the read path bypassed the index", not "which matcher
 		// ran".
 		op := telemetry.OpFullScan
-		segStart := time.Now()
 		if seg.Indexed {
 			if sp != nil {
 				ssp = sp.Child("scan.segment.index")
 			}
 			op = telemetry.OpIndexScan
 			useAP := opts.Mode != ScanIndexNoPrefetch
-			stopped, err = s.indexScanSegment(ctx, g, prop, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, &st)
+			stopped, err = s.indexScanSegment(ctx, g, prop, def, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, st)
 		} else {
 			if sp != nil {
 				ssp = sp.Child("scan.segment.full")
 			}
-			stopped, err = s.fullScanSegment(ctx, g, prop, def, canon, seg.From, seg.To, opts.Parallelism, emit, &st)
+			stopped, err = s.fullScanSegment(ctx, g, prop, def, canon, ivs, seg.From, seg.To, opts.Parallelism, emit, st)
 		}
-		s.tele.RecordOp(op, time.Since(segStart))
+		segStart := now
+		now = time.Now()
+		s.tele.RecordOp(op, now.Sub(segStart))
 		if ssp != nil {
 			ssp.SetUint("from", seg.From)
 			ssp.SetUint("to", seg.To)
@@ -239,7 +262,7 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 			ssp.End()
 		}
 		if err != nil {
-			return st, err
+			return *st, err
 		}
 		if stopped {
 			st.Stopped = true
@@ -252,15 +275,25 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 	}
 	// Queried-property heavy hitters answer "which predicates do reads pay
 	// for" — the read-side complement of the ingest PSF attribution.
-	s.tele.ObserveQueried(def.Name+"="+string(canon), st.Matched, st.ReadBytes)
-	return st, nil
+	s.tele.ObserveQueried(def.Name, canon, st.Matched, st.ReadBytes)
+	return *st, nil
+}
+
+// scanState is the per-scan state scan allocates once. canon holds any
+// number's canonical form and most strings'; plan holds the plan of a scan
+// over a PSF registered once (at most three segments).
+type scanState struct {
+	st    ScanStats
+	canon [64]byte
+	plan  [3]Segment
 }
 
 // Lookup retrieves recent records for a property using only the index (a
 // point-lookup over the live indexed interval, served from memory when the
 // log suffix is resident). cb semantics match Scan.
 func (s *Store) Lookup(prop Property, cb func(r Record) bool) (ScanStats, error) {
-	ivs := s.registry.Intervals(prop.PSF)
+	var buf [4]psf.Interval
+	def, ivs, known := s.registry.LookupIntervals(prop.PSF, buf[:0])
 	if len(ivs) == 0 {
 		return ScanStats{}, fmt.Errorf("fishstore: PSF %d has no indexed interval", prop.PSF)
 	}
@@ -269,7 +302,7 @@ func (s *Store) Lookup(prop Property, cb func(r Record) bool) (ScanStats, error)
 	if last.Open() {
 		to = 0 // tail
 	}
-	return s.Scan(prop, ScanOptions{From: last.From, To: to, Mode: ScanForceIndex}, cb)
+	return s.scan(nil, prop, def, known, ivs, ScanOptions{From: last.From, To: to, Mode: ScanForceIndex}, cb)
 }
 
 // ctxErr polls a scan/ingest context at an operation-internal cancellation
@@ -296,13 +329,13 @@ func (s *Store) clampRange(from, to uint64) (uint64, uint64) {
 }
 
 // planScan splits [from, to) into indexed and unindexed segments using the
-// PSF's safe registration intervals.
-func (s *Store) planScan(id psf.ID, from, to uint64, mode ScanMode) []Segment {
+// PSF's safe registration intervals ivs. The plan is built in the backing
+// array of dst, which is empty.
+func planScan(dst []Segment, ivs []psf.Interval, from, to uint64, mode ScanMode) []Segment {
 	if mode == ScanForceFull {
-		return []Segment{{From: from, To: to, Indexed: false}}
+		return append(dst, Segment{From: from, To: to, Indexed: false})
 	}
-	ivs := s.registry.Intervals(id)
-	var plan []Segment
+	plan := dst
 	cur := from
 	for _, iv := range ivs {
 		lo, hi := iv.From, iv.To
@@ -351,10 +384,10 @@ type recordMatcher func(addr uint64, v record.View) (Record, bool)
 // ingest got no pointer and fails the scan-side parse too, and indirect
 // index records are skipped by both.
 func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Property, def psf.Definition, canon []byte,
-	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
+	ivs []psf.Interval, from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	st.FullScanBytes += int64(to - from)
-	byPointer := s.rangeIndexComplete(prop.PSF, from, to)
+	byPointer := rangeIndexComplete(ivs, from, to)
 	newMatcher := func() (recordMatcher, error) {
 		if byPointer {
 			return func(addr uint64, v record.View) (Record, bool) {
@@ -365,12 +398,12 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 		if err != nil {
 			return nil, err
 		}
-		// This worker's payload and canonical-value buffers: the parse and
-		// the comparison reuse them, and only a match is cloned.
-		var buf, got []byte
+		// The parse reads the record's words in place, and this worker's
+		// canonical-value buffer is reused for every comparison.
+		var got []byte
 		return func(addr uint64, v record.View) (Record, bool) {
-			buf = v.AppendPayload(buf[:0])
-			parsed, err := psess.Parse(buf)
+			payload := v.Payload()
+			parsed, err := psess.Parse(payload)
 			if err != nil {
 				return Record{}, false
 			}
@@ -383,20 +416,20 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 			if got = psf.AppendCanonical(got[:0], val); !bytes.Equal(got, canon) {
 				return Record{}, false
 			}
-			return Record{Address: addr, Payload: bytes.Clone(buf)}, true
+			return Record{Address: addr, Payload: payload}, true
 		}, nil
 	}
 	return s.scanPages(ctx, g, from, to, workers, newMatcher, emit, st)
 }
 
-// rangeIndexComplete reports whether the PSF's index is guaranteed complete
-// over every address in [from, to): within such a range, ingest-time
-// evaluation produced a key pointer for exactly the records the PSF matches,
-// so scanning key pointers and re-evaluating the PSF over parsed payloads
-// give identical answers.
-func (s *Store) rangeIndexComplete(id psf.ID, from, to uint64) bool {
+// rangeIndexComplete reports whether the PSF whose index is complete over
+// the intervals ivs covers every address in [from, to): within such a range,
+// ingest-time evaluation produced a key pointer for exactly the records the
+// PSF matches, so scanning key pointers and re-evaluating the PSF over
+// parsed payloads give identical answers.
+func rangeIndexComplete(ivs []psf.Interval, from, to uint64) bool {
 	cur := from
-	for _, iv := range s.registry.Intervals(id) {
+	for _, iv := range ivs {
 		if cur < iv.From {
 			return false // gap before this interval
 		}
@@ -692,13 +725,12 @@ func walkRecords(words []uint64, baseAddr, limit uint64, visit func(addr uint64,
 // subset hash index. For sharded PSFs (Appendix F) every shard chain is
 // traversed; with parallelism > 1 the shard chains are walked concurrently
 // with serialized emission. A single chain is always walked serially.
-func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Property, canon []byte,
+func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Property, def psf.Definition, canon []byte,
 	from, to uint64, useAP bool, parallelism int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
-	def, _ := s.registry.Lookup(prop.PSF)
 	shards := def.ShardCount()
 	if shards == 1 {
-		slot, ok := s.table.FindEntry(prop.hash())
+		slot, ok := s.table.FindEntry(psf.ShardHash(prop.PSF, canon, 0, 1))
 		if !ok {
 			return false, nil
 		}
@@ -916,7 +948,8 @@ func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, error) {
 }
 
 // materialize turns a matched view into a Record, resolving historical
-// indirection (Appendix A) if needed.
+// indirection (Appendix A) if needed. The Record's payload is a view of the
+// data record's words, lent to the scan's callback.
 func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.View, base uint64, st *ScanStats) (Record, error) {
 	h := view.Header()
 	if !h.Indirect {

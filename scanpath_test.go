@@ -376,7 +376,7 @@ func testFullScanEquivalence(t *testing.T, n int, latePSF bool, workers int, noC
 	if s.HeadAddress() <= hlog.BeginAddress {
 		t.Fatalf("log never spilled to device (head %d)", s.HeadAddress())
 	}
-	if got := s.rangeIndexComplete(id, hlog.BeginAddress, s.TailAddress()); got == latePSF {
+	if got := rangeIndexComplete(s.registry.Intervals(id), hlog.BeginAddress, s.TailAddress()); got == latePSF {
 		t.Fatalf("rangeIndexComplete over the whole log = %v with latePSF=%v", got, latePSF)
 	}
 	prop := PropertyString(id, "spark")

@@ -21,6 +21,11 @@
 //	sess.Close()
 //	store.Scan(fishstore.PropertyString(id, "spark"), fishstore.ScanOptions{},
 //	    func(r fishstore.Record) bool { use(r.Payload); return true })
+//
+// A scan lends each record's payload to its callback: the bytes belong to
+// the store (its in-memory log, page cache or read buffers) and are valid
+// only until the callback returns, so a callback that keeps them copies them
+// (bytes.Clone) and none writes to them.
 package fishstore
 
 import (
@@ -198,8 +203,8 @@ func (s *Store) flushHook() func(page uint64, err error) {
 	}
 }
 
-// ErrDegraded is returned by Ingest, Checkpoint, and Flush once the store
-// has entered degraded read-only mode after a permanent write or sync
+// ErrDegraded is returned by Ingest, Checkpoint, Flush and Close once the
+// store has entered degraded read-only mode after a permanent write or sync
 // failure. Reads, scans, and verification keep working; the only way out is
 // to fix the device and reopen the store.
 var ErrDegraded = errors.New("fishstore: store degraded to read-only after permanent I/O failure")
@@ -256,7 +261,9 @@ func (s *Store) wireObservability() {
 	s.wireWorkload()
 }
 
-// Close flushes and closes the store. All sessions must be closed first.
+// Close flushes and closes the store. All sessions must be closed first. On
+// a degraded store it returns ErrDegraded, wrapping the device's error when
+// the final flush meets it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,7 +275,15 @@ func (s *Store) Close() error {
 	// evaluation goroutine has exited, so no tick can observe a closing
 	// store.
 	s.watchdog.Stop()
-	return s.log.Close()
+	// The log's final flush fails like any other on a fail-stop device: a
+	// degraded store reports ErrDegraded wrapping the device's error.
+	if err := s.log.Close(); err != nil {
+		return s.enterDegraded(err)
+	}
+	if s.degraded.Load() {
+		return ErrDegraded
+	}
+	return nil
 }
 
 // RegisterPSF registers a PSF and blocks until indexing is active on all
