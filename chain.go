@@ -48,7 +48,7 @@ func (s *Store) linkPointer(h uint64, kptAddr uint64, wordA *uint64) error {
 	for {
 		pw := s.pointerWord(cur)
 		pa := atomic.LoadUint64(pw)
-		prev := record.PrevAddressOf(pa)
+		prev := record.KeyPointer{A: pa}.PrevAddress()
 		if prev > kptAddr {
 			cur = prev // keep walking toward older records
 			continue

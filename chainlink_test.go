@@ -50,7 +50,7 @@ func chainOnDevice(t *testing.T, dev storage.Device, mem *storage.Mem, opts Opti
 		t.Fatalf("only %d records below head", len(addrs))
 	}
 	for i := 1; i < len(addrs); i++ {
-		if prev := record.PrevAddressOf(deviceWord(t, mem, kptOf(addrs[i]))); prev != kptOf(addrs[i-1]) {
+		if prev := (record.KeyPointer{A: deviceWord(t, mem, kptOf(addrs[i]))}).PrevAddress(); prev != kptOf(addrs[i-1]) {
 			t.Fatalf("record %d links to %d, want the key pointer of record %d at %d", i, prev, i-1, kptOf(addrs[i-1]))
 		}
 	}
@@ -68,7 +68,7 @@ func TestVerifyLogFindsUnreachableKeyPointer(t *testing.T) {
 	s, _, _, addrs, _ := chainOnDevice(t, mem, mem, Options{})
 	k := len(addrs) / 2
 	a := deviceWord(t, mem, kptOf(addrs[k+1]))
-	setDeviceWord(t, mem, kptOf(addrs[k+1]), a&^record.PrevAddressOf(a)|kptOf(addrs[k-1]))
+	setDeviceWord(t, mem, kptOf(addrs[k+1]), a&^record.KeyPointer{A: a}.PrevAddress()|kptOf(addrs[k-1]))
 
 	rep, err := s.VerifyLog(VerifyOptions{})
 	if err != nil {
@@ -87,17 +87,17 @@ func TestVerifyLogFindsChainMembership(t *testing.T) {
 	k := len(addrs) / 2
 	a := deviceWord(t, mem, kptOf(addrs[k]))
 	b := deviceWord(t, mem, kptOf(addrs[k])+8)
-	kp := record.UnpackKeyPointer(a, b)
+	kp := record.KeyPointer{A: a, B: b}
 	shorter := b
 	for bit := 0; bit < 64; bit++ { // the bit that shortens the value by one byte
-		if c := b ^ 1<<bit; record.UnpackKeyPointer(a, c) == (record.KeyPointer{PrevAddress: kp.PrevAddress,
-			Mode: kp.Mode, OffsetWords: kp.OffsetWords, PSFID: kp.PSFID, ValOffset: kp.ValOffset, ValSize: kp.ValSize - 1}) {
-			shorter = c
+		c := record.KeyPointer{A: a, B: b ^ 1<<bit}
+		if c.PSFID() == kp.PSFID() && c.ValOffset() == kp.ValOffset() && c.ValSize() == kp.ValSize()-1 {
+			shorter = c.B
 			break
 		}
 	}
 	if shorter == b {
-		t.Fatalf("no single bit of %+v shortens its value", kp)
+		t.Fatalf("no single bit of %#x shortens its value", b)
 	}
 	setDeviceWord(t, mem, kptOf(addrs[k])+8, shorter)
 
@@ -139,7 +139,7 @@ func TestChainLinkIntoRecord(t *testing.T) {
 				want-- // validateRecord rejects record k for its unaligned link
 			}
 			a := deviceWord(t, mem, kptOf(addrs[k]))
-			setDeviceWord(t, mem, kptOf(addrs[k]), a&^record.PrevAddressOf(a)|target)
+			setDeviceWord(t, mem, kptOf(addrs[k]), a&^record.KeyPointer{A: a}.PrevAddress()|target)
 
 			for _, mode := range []ScanMode{ScanForceIndex, ScanIndexNoPrefetch} {
 				var got int

@@ -342,12 +342,12 @@ func readTableImage(t *hashtable.Table, path string) error {
 // base, belongs on: its property's hash, or for a sharded PSF the hash of
 // the shard the record's address selects.
 func (s *Store) chainHash(kp record.KeyPointer, v record.View, base uint64) uint64 {
-	val := v.ValueBytes(kp)
-	if def, ok := s.registry.Lookup(kp.PSFID); ok && def.ShardCount() > 1 {
+	val, id := v.ValueBytes(kp), kp.PSFID()
+	if def, ok := s.registry.Lookup(id); ok && def.ShardCount() > 1 {
 		shards := def.ShardCount()
-		return psf.ShardHash(kp.PSFID, val, shardOf(base, shards), shards)
+		return psf.ShardHash(id, val, shardOf(base, shards), shards)
 	}
-	return hashtable.HashProperty(kp.PSFID, val)
+	return hashtable.HashProperty(id, val)
 }
 
 // replay re-links the durable log suffix from `from` on, reading it in one
@@ -364,14 +364,14 @@ func (s *Store) chainHash(kp record.KeyPointer, v record.View, base uint64) uint
 func (s *Store) replay(from uint64) (end uint64, replayed, replayedBytes int64, err error) {
 	var cbErr error
 	end, _, _, err = walkDeviceLog(s.opts.Device, s.opts.PageBits, from, 0, func(addr uint64, h record.Header, v record.View) bool {
-		if h.Filler || h.Invalid {
+		if h.Filler() || h.Invalid() {
 			return true
 		}
 		replayed++
-		if !h.Indirect {
+		if !h.Indirect() {
 			replayedBytes += int64(v.PayloadLen())
 		}
-		for i := 0; i < h.NumPtrs; i++ {
+		for i := 0; i < h.NumPtrs(); i++ {
 			kp := v.KeyPointerAt(i)
 			slot, ferr := s.table.FindOrCreate(s.chainHash(kp, v, addr))
 			if ferr != nil {

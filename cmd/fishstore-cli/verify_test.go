@@ -106,13 +106,13 @@ func corruptRecordPayload(t *testing.T, logPath string, n int) uint64 {
 		if _, err := f.ReadAt(buf[:], int64(addr)); err != nil {
 			t.Fatalf("ran out of records at %d looking for record %d: %v", addr, n, err)
 		}
-		h := record.UnpackHeader(binary.LittleEndian.Uint64(buf[:]))
-		if h.SizeWords <= 0 {
+		h := record.Header(binary.LittleEndian.Uint64(buf[:]))
+		if h.SizeWords() <= 0 {
 			t.Fatalf("ran out of records at %d looking for record %d", addr, n)
 		}
-		if !h.Filler {
+		if !h.Filler() {
 			if i == n {
-				off := int64(addr) + int64(h.SizeWords-2)*8
+				off := int64(addr) + int64(h.SizeWords()-2)*8
 				var b [1]byte
 				if _, err := f.ReadAt(b[:], off); err != nil {
 					t.Fatal(err)
@@ -125,7 +125,7 @@ func corruptRecordPayload(t *testing.T, logPath string, n int) uint64 {
 			}
 			i++
 		}
-		addr += uint64(h.SizeWords) * 8
+		addr += uint64(h.SizeWords()) * 8
 	}
 }
 

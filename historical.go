@@ -79,7 +79,7 @@ func (s *Store) indexPage(psess parser.Session, def psf.Definition, id psf.ID, f
 	var appendErr error
 	var payload, canonical []byte // reused for every record of the page
 	err := s.visitRange(nil, g, from, to, nil, nil, func(addr uint64, v record.View) bool {
-		if v.Header().Indirect {
+		if v.Header().Indirect() {
 			return true // never index index records
 		}
 		payload = v.AppendPayload(payload[:0])

@@ -46,17 +46,17 @@ func deviceRecordAddrs(t *testing.T, dev storage.Device, limit uint64) (addrs []
 		if _, err := dev.ReadAt(buf[:], int64(addr)); err != nil {
 			t.Fatal(err)
 		}
-		h := record.UnpackHeader(uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 |
+		h := record.Header(uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 |
 			uint64(buf[3])<<24 | uint64(buf[4])<<32 | uint64(buf[5])<<40 |
 			uint64(buf[6])<<48 | uint64(buf[7])<<56)
-		if h.SizeWords <= 0 {
+		if h.SizeWords() <= 0 {
 			break
 		}
-		if !h.Filler {
+		if !h.Filler() {
 			addrs = append(addrs, addr)
-			sizes = append(sizes, h.SizeWords)
+			sizes = append(sizes, h.SizeWords())
 		}
-		addr += uint64(h.SizeWords) * 8
+		addr += uint64(h.SizeWords()) * 8
 	}
 	return addrs, sizes
 }
@@ -536,9 +536,9 @@ func TestBodySealedLogRecovers(t *testing.T) {
 		if _, err := mem.ReadAt(rec, int64(addr)); err != nil {
 			t.Fatal(err)
 		}
-		h := record.UnpackHeader(binary.LittleEndian.Uint64(rec))
-		start := (record.HeaderWords + h.NumPtrs*record.WordsPerPointer) * 8
-		end := (h.SizeWords - h.TrailerWords()) * 8
+		h := record.Header(binary.LittleEndian.Uint64(rec))
+		start := (record.HeaderWords + h.NumPtrs()*record.WordsPerPointer) * 8
+		end := (h.SizeWords() - h.TrailerWords()) * 8
 		trailer := rec[len(rec)-8:]
 		old := uint64(0xF15C5EA1)<<32 | uint64(crc32.Checksum(rec[start:end], castagnoli))
 		if binary.LittleEndian.Uint64(trailer) == old {
@@ -634,9 +634,9 @@ func TestMaskedSealedLogRecovers(t *testing.T) {
 		if hw&visibleInvalid != want {
 			t.Fatalf("record at %d has header %#x", addr, hw)
 		}
-		h := record.UnpackHeader(hw)
-		start := (record.HeaderWords + h.NumPtrs*record.WordsPerPointer) * 8
-		end := (h.SizeWords - h.TrailerWords()) * 8
+		h := record.Header(hw)
+		start := (record.HeaderWords + h.NumPtrs()*record.WordsPerPointer) * 8
+		end := (h.SizeWords() - h.TrailerWords()) * 8
 		crc := crc32.Checksum(binary.LittleEndian.AppendUint64(nil, hw&^visibleInvalid), castagnoli)
 		old := uint64(0x0EA3A15E)<<32 | uint64(crc32.Update(crc, castagnoli, rec[start:end]))
 		trailer := rec[len(rec)-8:]

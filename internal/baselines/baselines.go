@@ -368,8 +368,8 @@ func (r *RDBMisonPP) Retrieve(psfIndex int, v expr.Value, cb func(payload []byte
 			// The header word aliases the live page frame and may be
 			// concurrently CASed visible by an ingest worker.
 			hw := r.log.WordsAt(addr, 1)
-			h := record.UnpackHeader(atomic.LoadUint64(&hw[0]))
-			view = record.View{Words: r.log.WordsAt(addr, h.SizeWords)}
+			n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
+			view = record.View{Words: r.log.WordsAt(addr, n)}
 		} else {
 			// On-device records are immutable; do not pin the safe epoch
 			// across device reads.
@@ -380,9 +380,8 @@ func (r *RDBMisonPP) Retrieve(psfIndex int, v expr.Value, cb func(payload []byte
 				scanErr = err
 				return false
 			}
-			h := record.UnpackHeader(hw[0])
 			g.Unprotect()
-			words, err := r.log.ReadWordsFromDevice(addr, h.SizeWords)
+			words, err := r.log.ReadWordsFromDevice(addr, record.Header(hw[0]).SizeWords())
 			g.Protect()
 			if err != nil {
 				scanErr = err

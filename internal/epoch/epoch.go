@@ -32,8 +32,6 @@ const MaxWorkers = 256
 // protected region; such slots do not hold back the safe epoch.
 const unprotected = ^uint64(0)
 
-const drainListCapacity = 512
-
 // entry is a single padded slot of the epoch table.
 type entry struct {
 	local atomic.Uint64
@@ -136,10 +134,11 @@ func (m *Manager) ProtectedSlots() int {
 func (g *Guard) Release() {
 	g.Unprotect()
 	// Give pending actions a chance to run even if no other worker is
-	// active. With none pending, skip the pass over the table: a BumpWith
-	// racing this release counts its action pending before it computes the
-	// safe epoch, so either it sees this slot unprotected or this load sees
-	// its action.
+	// active. With none pending, skip the pass over the table, as Refresh
+	// does and for the same reason: the slot store above precedes the
+	// pending load, and a BumpWith counts its action pending before its own
+	// pass, so either that pass sees this slot unprotected or this load
+	// sees the action.
 	if g.m.pending.Load() != 0 {
 		g.m.tryDrain(g.m.computeSafe())
 	}
@@ -161,13 +160,22 @@ func (g *Guard) Unprotect() {
 
 // Refresh re-reads the global epoch into the worker's slot and drains any
 // trigger actions that have become safe. Workers call this periodically
-// (e.g., once per ingested batch).
+// (e.g., once per ingested batch, every 64 chain hops, once per scanned
+// page).
+//
+// With no action pending it skips computeSafe's pass over the table. No
+// action is stranded by that: all the operations involved are sequentially
+// consistent atomics, the slot store below precedes the pending load, and
+// BumpWith increments pending before its own computeSafe pass. So if this
+// load reads 0, the bumper's pass comes after this store and sees the new
+// epoch; it drains the action if this refresh made it safe, and otherwise
+// a later Refresh or Release, whose load will see the count, does.
 func (g *Guard) Refresh() {
 	m := g.m
-	cur := m.current.Load()
-	g.m.table[g.slot].local.Store(cur)
-	safe := m.computeSafe()
-	m.tryDrain(safe)
+	m.table[g.slot].local.Store(m.current.Load())
+	if m.pending.Load() != 0 {
+		m.tryDrain(m.computeSafe())
+	}
 }
 
 // Epoch returns the epoch the guard last published by Protect or Refresh.
@@ -237,22 +245,21 @@ func (m *Manager) tryDrain(safe uint64) {
 	if m.pending.Load() == 0 {
 		return
 	}
-	var runnable []func()
+	// BumpWith appends under mu with ever larger epochs, so the runnable
+	// actions are a prefix of the drain list. Later appends land past it.
 	m.mu.Lock()
-	kept := m.drain[:0]
-	for _, a := range m.drain {
-		if a.epoch <= safe {
-			runnable = append(runnable, a.fn)
-		} else {
-			kept = append(kept, a)
-		}
+	k := 0
+	for k < len(m.drain) && m.drain[k].epoch <= safe {
+		k++
 	}
-	m.drain = kept
-	m.pending.Store(int64(len(kept)))
+	runnable := m.drain[:k:k]
+	m.drain = m.drain[k:]
+	m.pending.Store(int64(len(m.drain)))
 	m.mu.Unlock()
-	for _, fn := range runnable {
-		fn()
+	for _, a := range runnable {
+		a.fn()
 	}
+	clear(runnable) // drop the closures: the backing array outlives them
 	if len(runnable) > 0 {
 		m.actionsRun.Add(int64(len(runnable)))
 		if m.onDrain != nil {

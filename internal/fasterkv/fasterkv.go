@@ -155,14 +155,14 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 			// is CASed by concurrent Upserts splicing the chain, and the
 			// header word is rewritten by SetVisible after publication.
 			kw := log.WordsAt(cur, 1)
-			offWords := int(atomic.LoadUint64(&kw[0]) >> 50)
+			offWords := record.KeyPointer{A: atomic.LoadUint64(&kw[0])}.OffsetWords()
 			base := cur - uint64(offWords)*8
 			hw := log.WordsAt(base, 1)
-			hd := record.UnpackHeader(atomic.LoadUint64(&hw[0]))
-			if hd.SizeWords == 0 {
+			n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
+			if n == 0 {
 				return nil, false, nil
 			}
-			view = record.View{Words: log.WordsAt(base, hd.SizeWords)}
+			view = record.View{Words: log.WordsAt(base, n)}
 		} else {
 			// On-device data below HeadAddress is immutable, so the reads
 			// need no epoch protection — and must not hold it: a pinned
@@ -173,7 +173,7 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			offWords := int(kw[0] >> 50)
+			offWords := record.KeyPointer{A: kw[0]}.OffsetWords()
 			base := cur - uint64(offWords)*8
 			sess.g.Unprotect()
 			hw, err := log.ReadWordsFromDevice(base, 1)
@@ -181,9 +181,8 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			hd := record.UnpackHeader(hw[0])
 			sess.g.Unprotect()
-			words, err := log.ReadWordsFromDevice(base, hd.SizeWords)
+			words, err := log.ReadWordsFromDevice(base, record.Header(hw[0]).SizeWords())
 			sess.g.Protect()
 			if err != nil {
 				return nil, false, err
@@ -191,11 +190,10 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 			view = record.View{Words: words}
 		}
 		kp := view.KeyPointerAt(0)
-		hd := view.Header()
-		if hd.Visible && bytes.Equal(view.ValueBytes(kp), key) {
+		if view.Header().Visible() && bytes.Equal(view.ValueBytes(kp), key) {
 			return view.AppendPayload(nil), true, nil
 		}
-		cur = kp.PrevAddress
+		cur = kp.PrevAddress()
 	}
 	return nil, false, nil
 }

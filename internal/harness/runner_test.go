@@ -521,9 +521,9 @@ func (r *round) rot(s *fishstore.Store) error {
 		// holding it.
 		at := uint64(f / 64)
 		for off := max(at&^(1<<9-1), begin/8); off <= at; {
-			h := record.UnpackHeader(words[off])
-			end := off + uint64(h.SizeWords)
-			if h.SizeWords == 0 || at < end && (h.Filler || h.Invalid) {
+			h := record.Header(words[off])
+			end := off + uint64(h.SizeWords())
+			if h.SizeWords() == 0 || at < end && (h.Filler() || h.Invalid()) {
 				break
 			}
 			if at < end {

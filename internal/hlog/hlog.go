@@ -438,20 +438,21 @@ func (l *Log) sealPageRecords(page uint64, frame []uint64, buf []byte, endWord i
 		if hw == 0 {
 			return
 		}
-		h := record.UnpackHeader(hw)
-		if h.SizeWords <= 0 || off+h.SizeWords > endWord {
+		h := record.Header(hw)
+		n := h.SizeWords()
+		if n <= 0 || off+n > endWord {
 			return
 		}
-		if !h.Filler {
-			if !h.Visible {
+		if !h.Filler() {
+			if !h.Visible() {
 				return
 			}
-			if tw, ok := record.SealedTrailer(h, buf[off*8:(off+h.SizeWords)*8]); ok {
-				binary8(buf[(off+h.SizeWords-1)*8:], tw)
-				atomic.StoreUint64(&frame[off+h.SizeWords-1], tw)
+			if tw, ok := record.SealedTrailer(h, buf[off*8:(off+n)*8]); ok {
+				binary8(buf[(off+n-1)*8:], tw)
+				atomic.StoreUint64(&frame[off+n-1], tw)
 			}
 		}
-		off += h.SizeWords
+		off += n
 	}
 }
 
@@ -620,6 +621,7 @@ func (l *Log) PageWordsFrom(addr Address) []uint64 {
 // ReadWordsFromDevice reads n words at addr from the storage device straight
 // into a new slice.
 func (l *Log) ReadWordsFromDevice(addr Address, n int) ([]uint64, error) {
+	//lint:ignore hotalloc fresh words by contract: scans read through it only past the page cache and the speculation buffer
 	words := make([]uint64, n)
 	if _, err := l.device.ReadAt(wordio.Bytes(words), int64(addr)); err != nil {
 		return nil, err

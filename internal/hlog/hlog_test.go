@@ -89,9 +89,9 @@ func TestPageCrossingWritesFiller(t *testing.T) {
 	holeAddr := a1.Address + uint64(len(a1.Words))*8
 	words := l.WordsAt(holeAddr, 1)
 	//lint:ignore atomicfield single-threaded test: no splicer runs, so a plain read of the live frame is stable
-	h := record.UnpackHeader(words[0])
-	if !h.Filler || h.SizeWords != 100 {
-		t.Fatalf("hole header = %+v, want filler of 100 words", h)
+	h := record.Header(words[0])
+	if !h.Filler() || h.SizeWords() != 100 {
+		t.Fatalf("hole header = %#x, want filler of 100 words", uint64(h))
 	}
 }
 

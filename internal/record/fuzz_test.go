@@ -3,17 +3,13 @@ package record
 import "testing"
 
 // FuzzRecordSeal checks the record seal over arbitrary payload and value
-// bytes: a built and sealed record verifies, flipping any one body bit or
-// header bit but the filler bit fails verification, and every header word
-// round-trips through Header.
+// bytes: a built and sealed record verifies, and flipping any one body bit or
+// header bit but the filler bit fails verification.
 func FuzzRecordSeal(f *testing.F) {
-	f.Add([]byte(`{"id": 1, "repo": "spark"}`), []byte("spark"), uint64(0))
-	f.Add([]byte{}, []byte{}, ^uint64(0))
-	f.Add([]byte("x"), []byte{}, PackHeader(Header{SizeWords: 9, NumPtrs: 1, Checksum: true, Visible: true}))
-	f.Fuzz(func(t *testing.T, payload, value []byte, hw uint64) {
-		if h := UnpackHeader(hw); PackHeader(h) != hw || UnpackHeader(PackHeader(h)) != h {
-			t.Fatalf("header %#x does not round-trip: %+v", hw, h)
-		}
+	f.Add([]byte(`{"id": 1, "repo": "spark"}`), []byte("spark"))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("x"), []byte{})
+	f.Fuzz(func(t *testing.T, payload, value []byte) {
 		if len(payload) > 256 || len(value) > 256 {
 			return // every bit is flipped below; keep each input quick
 		}

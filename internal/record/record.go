@@ -126,86 +126,107 @@ const WordsPerPointer = 2
 // HeaderWords is the size of the record header in words.
 const HeaderWords = 1
 
-// Header is the decoded header word.
-type Header struct {
-	SizeWords  int   // total record size in words, including the header
-	NumPtrs    int   // number of key pointers
-	PayloadPad int   // zero-padding bytes at the end of the payload
-	ValueWords int   // size of the optional value region in words
-	Version    uint8 // checkpoint version (mod 16)
-	Checksum   bool  // format v1: record ends with a sealed checksum word
-	Indirect   bool  // historical index record: payload is a log address
-	Filler     bool  // page-fill hole, not a record
-	Invalid    bool  // abandoned allocation (View.Abandon)
-	Visible    bool  // fully ingested and linked
-}
+// Header is a record's header word; convert a loaded word with Header(w).
+// Its fields are read through the accessor methods below, so a decode is a
+// shift and a mask on a register. Go keeps a struct in registers only up to
+// four fields: a struct with one field per header field would be built on
+// the stack at every decode, and the per-record scan kernels would pay a
+// store-forwarding stall reading it back.
+type Header uint64
+
+// SizeWords returns the total record size in words, including the header.
+func (h Header) SizeWords() int { return int(uint64(h) & hdrSizeMask) }
+
+// NumPtrs returns the number of key pointers.
+func (h Header) NumPtrs() int { return int(uint64(h) & hdrPtrsMask >> hdrPtrsShift) }
+
+// PayloadPad returns the number of zero-padding bytes at the end of the
+// payload.
+func (h Header) PayloadPad() int { return int(uint64(h) & hdrPadMask >> hdrPadShift) }
+
+// ValueWords returns the size of the optional value region in words.
+func (h Header) ValueWords() int { return int(uint64(h) & hdrValMask >> hdrValShift) }
+
+// Version returns the checkpoint version (mod 16).
+func (h Header) Version() uint8 { return uint8(uint64(h) & hdrVerMask >> hdrVerShift) }
+
+// Checksum reports format v1: the record ends with a sealed checksum word.
+func (h Header) Checksum() bool { return uint64(h)&hdrChecksumBit != 0 }
+
+// Indirect reports a historical index record: its payload is a log address.
+func (h Header) Indirect() bool { return uint64(h)&hdrIndirectBit != 0 }
+
+// Filler reports a page-fill hole, not a record.
+func (h Header) Filler() bool { return uint64(h)&hdrFillerBit != 0 }
+
+// Invalid reports an abandoned allocation (View.Abandon).
+func (h Header) Invalid() bool { return uint64(h)&hdrInvalidBit != 0 }
+
+// Visible reports a record fully ingested and linked.
+func (h Header) Visible() bool { return uint64(h)&hdrVisibleBit != 0 }
 
 // TrailerWords returns the number of trailing checksum words (1 for format
 // v1 records, 0 for v0), already included in SizeWords.
 func (h Header) TrailerWords() int {
-	if h.Checksum {
+	if h.Checksum() {
 		return 1
 	}
 	return 0
 }
 
-// PackHeader encodes h into its word form.
-func PackHeader(h Header) uint64 {
-	w := uint64(h.SizeWords) & hdrSizeMask
-	w |= uint64(h.NumPtrs) << hdrPtrsShift & hdrPtrsMask
-	w |= uint64(h.PayloadPad) << hdrPadShift & hdrPadMask
-	w |= uint64(h.ValueWords) << hdrValShift & hdrValMask
-	w |= uint64(h.Version&0xf) << hdrVerShift
-	if h.Checksum {
+// newHeader builds the header word of an unpublished record (visible and
+// invalid bits clear). Fields are masked to their widths.
+func newHeader(sizeWords, numPtrs, pad, valueWords int, version uint8, checksum, indirect bool) Header {
+	w := uint64(sizeWords) & hdrSizeMask
+	w |= uint64(numPtrs) << hdrPtrsShift & hdrPtrsMask
+	w |= uint64(pad) << hdrPadShift & hdrPadMask
+	w |= uint64(valueWords) << hdrValShift & hdrValMask
+	w |= uint64(version) << hdrVerShift & hdrVerMask
+	if checksum {
 		w |= hdrChecksumBit
 	}
-	if h.Indirect {
+	if indirect {
 		w |= hdrIndirectBit
 	}
-	if h.Filler {
-		w |= hdrFillerBit
-	}
-	if h.Invalid {
-		w |= hdrInvalidBit
-	}
-	if h.Visible {
-		w |= hdrVisibleBit
-	}
-	return w
-}
-
-// UnpackHeader decodes a header word.
-func UnpackHeader(w uint64) Header {
-	return Header{
-		SizeWords:  int(w & hdrSizeMask),
-		NumPtrs:    int((w & hdrPtrsMask) >> hdrPtrsShift),
-		PayloadPad: int((w & hdrPadMask) >> hdrPadShift),
-		ValueWords: int((w & hdrValMask) >> hdrValShift),
-		Version:    uint8((w & hdrVerMask) >> hdrVerShift),
-		Checksum:   w&hdrChecksumBit != 0,
-		Indirect:   w&hdrIndirectBit != 0,
-		Filler:     w&hdrFillerBit != 0,
-		Invalid:    w&hdrInvalidBit != 0,
-		Visible:    w&hdrVisibleBit != 0,
-	}
+	return Header(w)
 }
 
 // FillerWord builds a header word describing a page-fill hole of sizeWords
 // words (used to seal the unusable tail of a page).
 func FillerWord(sizeWords int) uint64 {
-	return PackHeader(Header{SizeWords: sizeWords, Filler: true})
+	return uint64(sizeWords)&hdrSizeMask | hdrFillerBit
 }
 
-// KeyPointer is the decoded form of one 16-byte key pointer.
+// KeyPointer is one 16-byte key pointer as its two words: A, the CAS word
+// (previous address, mode, back-offset), and B (PSF id and the mode's value
+// reference). Like Header, it is read through accessors, in registers.
 type KeyPointer struct {
-	PrevAddress uint64 // address of the previous key pointer in this chain
-	Mode        Mode
-	OffsetWords int    // words from the record header to this key pointer
-	PSFID       uint16 // naming-service id of the PSF
-	BoolValue   bool   // ModeBool: the inline value
-	ValOffset   int    // ModePayload/ModeValueRegion: byte offset of value
-	ValSize     int    // ModePayload/ModeValueRegion: byte size of value
+	A, B uint64
 }
+
+// PrevAddress returns the address of the previous key pointer in this chain.
+func (kp KeyPointer) PrevAddress() uint64 { return kp.A & kpAddrMask }
+
+// Mode returns the key pointer's class.
+func (kp KeyPointer) Mode() Mode { return Mode(kp.A & kpModeMask >> kpModeShift) }
+
+// OffsetWords returns the distance in words from the record header to this
+// key pointer.
+func (kp KeyPointer) OffsetWords() int { return int(kp.A >> kpOffShift) }
+
+// PSFID returns the naming-service id of the PSF.
+func (kp KeyPointer) PSFID() uint16 { return uint16(kp.B & kpPSFMask) }
+
+// BoolValue returns a ModeBool pointer's inline value.
+func (kp KeyPointer) BoolValue() bool { return kp.B&kpBoolBit != 0 }
+
+// ValOffset returns the byte offset of a ModePayload or ModeValueRegion
+// pointer's value within its region.
+func (kp KeyPointer) ValOffset() int { return int(kp.B & kpValOffMask >> kpValOffShift) }
+
+// ValSize returns the byte size of a ModePayload or ModeValueRegion
+// pointer's value.
+func (kp KeyPointer) ValSize() int { return int(kp.B & kpValSzMask >> kpValSzShift) }
 
 // packA encodes the CAS word (word A) of a key pointer.
 func packA(prev uint64, mode Mode, offsetWords int) uint64 {
@@ -213,36 +234,18 @@ func packA(prev uint64, mode Mode, offsetWords int) uint64 {
 }
 
 // packB encodes word B.
-func packB(kp KeyPointer) uint64 {
-	w := uint64(kp.PSFID)
-	switch kp.Mode {
+func packB(ps PointerSpec) uint64 {
+	w := uint64(ps.PSFID)
+	switch ps.Mode {
 	case ModeBool:
-		if kp.BoolValue {
+		if ps.BoolValue {
 			w |= kpBoolBit
 		}
 	case ModePayload, ModeValueRegion:
-		w |= uint64(kp.ValOffset) << kpValOffShift & kpValOffMask
-		w |= uint64(kp.ValSize) << kpValSzShift & kpValSzMask
+		w |= uint64(ps.ValOffset) << kpValOffShift & kpValOffMask
+		w |= uint64(ps.ValSize) << kpValSzShift & kpValSzMask
 	}
 	return w
-}
-
-// UnpackKeyPointer decodes the two words of a key pointer.
-func UnpackKeyPointer(a, b uint64) KeyPointer {
-	kp := KeyPointer{
-		PrevAddress: a & kpAddrMask,
-		Mode:        Mode((a & kpModeMask) >> kpModeShift),
-		OffsetWords: int(a >> kpOffShift),
-		PSFID:       uint16(b & kpPSFMask),
-	}
-	switch kp.Mode {
-	case ModeBool:
-		kp.BoolValue = b&kpBoolBit != 0
-	case ModePayload, ModeValueRegion:
-		kp.ValOffset = int((b & kpValOffMask) >> kpValOffShift)
-		kp.ValSize = int((b & kpValSzMask) >> kpValSzShift)
-	}
-	return kp
 }
 
 // SwapPrevAddress CASes word A (at wordsA) from old to the same word with
@@ -252,9 +255,6 @@ func SwapPrevAddress(wordA *uint64, old uint64, newPrev uint64) bool {
 	newWord := (old &^ kpAddrMask) | (newPrev & kpAddrMask)
 	return atomic.CompareAndSwapUint64(wordA, old, newWord)
 }
-
-// PrevAddressOf extracts the previous address from a word-A value.
-func PrevAddressOf(wordA uint64) uint64 { return wordA & kpAddrMask }
 
 // SetPrevAddress unconditionally rewrites word A's previous address,
 // preserving mode and offset. Used by the owner of a not-yet-linked key
@@ -336,30 +336,15 @@ func (s *Spec) Write(dst []uint64) {
 	valueWords := wordio.WordsFor(len(s.ValueRegion))
 	payloadWords := wordio.WordsFor(len(s.Payload))
 	pad := payloadWords*8 - len(s.Payload)
-	hdr := Header{
-		SizeWords:  n,
-		NumPtrs:    len(s.Pointers),
-		PayloadPad: pad,
-		ValueWords: valueWords,
-		Version:    s.Version,
-		Indirect:   s.Indirect,
-		Checksum:   s.Checksum,
-	}
-	atomic.StoreUint64(&dst[0], PackHeader(hdr))
+	hdr := newHeader(n, len(s.Pointers), pad, valueWords, s.Version, s.Checksum, s.Indirect)
+	atomic.StoreUint64(&dst[0], uint64(hdr))
 	if s.Checksum {
 		dst[n-1] = 0 // unsealed trailer; frames are recycled, so clear it
 	}
 	for i, ps := range s.Pointers {
-		kp := KeyPointer{
-			Mode:      ps.Mode,
-			PSFID:     ps.PSFID,
-			BoolValue: ps.BoolValue,
-			ValOffset: ps.ValOffset,
-			ValSize:   ps.ValSize,
-		}
 		w := HeaderWords + i*WordsPerPointer
 		dst[w] = packA(InvalidAddress, ps.Mode, w)
-		dst[w+1] = packB(kp)
+		dst[w+1] = packB(ps)
 	}
 	// Each byte region ends in zero padding up to a word boundary; frames
 	// are recycled, so clear a region's last word before copying into it.
@@ -382,11 +367,8 @@ type View struct {
 	Words []uint64
 }
 
-// HeaderWord atomically loads the raw header word.
-func (v View) HeaderWord() uint64 { return atomic.LoadUint64(&v.Words[0]) }
-
-// Header atomically loads and decodes the header.
-func (v View) Header() Header { return UnpackHeader(v.HeaderWord()) }
+// Header atomically loads the header word.
+func (v View) Header() Header { return Header(atomic.LoadUint64(&v.Words[0])) }
 
 // SetVisible atomically publishes the record to readers (phase 4 of
 // ingestion, §6.3).
@@ -416,30 +398,15 @@ func (v View) Abandon() {
 // PointerWordIndex returns the index of key pointer i's word A.
 func (v View) PointerWordIndex(i int) int { return HeaderWords + i*WordsPerPointer }
 
-// KeyPointerAt decodes key pointer i, loading its CAS word atomically.
+// KeyPointerAt loads key pointer i, its CAS word atomically.
 func (v View) KeyPointerAt(i int) KeyPointer {
 	w := v.PointerWordIndex(i)
-	a := atomic.LoadUint64(&v.Words[w])
-	b := v.Words[w+1]
-	return UnpackKeyPointer(a, b)
-}
-
-// payloadBounds returns (firstWord, byteLen). Bounds are clamped to zero so
-// a corrupt header (oversized pointer or value region) yields an empty
-// payload instead of a panic; integrity checks flag such records separately.
-func (v View) payloadBounds(h Header) (int, int) {
-	first := HeaderWords + h.NumPtrs*WordsPerPointer + h.ValueWords
-	words := h.SizeWords - h.TrailerWords() - first
-	n := words*8 - h.PayloadPad
-	if n < 0 {
-		n = 0
-	}
-	return first, n
+	return KeyPointer{A: atomic.LoadUint64(&v.Words[w]), B: v.Words[w+1]}
 }
 
 // PayloadLen returns the raw payload length in bytes.
 func (v View) PayloadLen() int {
-	_, n := v.payloadBounds(v.Header())
+	_, n := payloadBounds(v.Header())
 	return n
 }
 
@@ -447,9 +414,25 @@ func (v View) PayloadLen() int {
 // words, capped at its length: it aliases v.Words and is valid only while
 // they are. A caller that keeps the bytes copies them (AppendPayload).
 func (v View) Payload() []byte {
-	first, n := v.payloadBounds(v.Header())
+	first, n := payloadBounds(v.Header())
 	return wordio.Bytes(v.Words[first:])[:n:n]
 }
+
+// payloadBounds returns (firstWord, byteLen). Bounds are clamped to zero so
+// a corrupt header (oversized pointer or value region) yields an empty
+// payload instead of a panic; integrity checks flag such records separately.
+func payloadBounds(h Header) (int, int) {
+	first := valueRegionStart(h) + h.ValueWords()
+	n := (h.SizeWords()-h.TrailerWords()-first)*8 - h.PayloadPad()
+	if n < 0 {
+		n = 0
+	}
+	return first, n
+}
+
+// valueRegionStart returns the first word after the key pointers: the start
+// of the value region, and of the checksummed body.
+func valueRegionStart(h Header) int { return HeaderWords + h.NumPtrs()*WordsPerPointer }
 
 // AppendPayload appends a copy of the raw payload to buf and returns it.
 func (v View) AppendPayload(buf []byte) []byte {
@@ -462,7 +445,7 @@ func (v View) AppendPayload(buf []byte) []byte {
 // word mutates after the record is sealed, even after it is durable, via
 // chain splicing, so it cannot be part of a stable checksum.
 func bodyBounds(h Header) (int, int) {
-	return HeaderWords + h.NumPtrs*WordsPerPointer, h.SizeWords - h.TrailerWords()
+	return valueRegionStart(h), h.SizeWords() - h.TrailerWords()
 }
 
 // crcScratch pools the staging buffers checksumBody feeds to crc32: the
@@ -503,7 +486,7 @@ func (v View) checksumBody(h Header, crc uint32) uint32 {
 // updates byte by byte, as crc32.Update does for short inputs, so the flush
 // path needs no staging buffer for the header.
 func headerCRC(h Header, mask uint64) uint32 {
-	w := PackHeader(h) & mask
+	w := uint64(h) & mask
 	crc := ^uint32(0)
 	for i := 0; i < 8; i++ {
 		crc = castagnoli[byte(crc)^byte(w>>(8*i))] ^ crc>>8
@@ -517,14 +500,14 @@ func headerCRC(h Header, mask uint64) uint32 {
 // v0 records and fillers are left untouched.
 func (v View) Seal() {
 	h := v.Header()
-	if !h.Checksum || h.Filler {
+	if !h.Checksum() || h.Filler() {
 		return
 	}
 	start, end := bodyBounds(h)
-	if start > end || h.SizeWords > len(v.Words) {
+	if start > end || h.SizeWords() > len(v.Words) {
 		return // corrupt header; never sealable
 	}
-	atomic.StoreUint64(&v.Words[h.SizeWords-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h, ^uint64(0)))))
+	atomic.StoreUint64(&v.Words[h.SizeWords()-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h, ^uint64(0)))))
 }
 
 // SealedTrailer computes the checksum trailer word for a record already
@@ -535,11 +518,11 @@ func (v View) Seal() {
 // what checksumBody stages, so the two always agree. Returns false for
 // records that are not sealable (v0, fillers, corrupt headers).
 func SealedTrailer(h Header, b []byte) (uint64, bool) {
-	if !h.Checksum || h.Filler {
+	if !h.Checksum() || h.Filler() {
 		return 0, false
 	}
 	start, end := bodyBounds(h)
-	if start > end || h.SizeWords < 1 || h.SizeWords*8 > len(b) {
+	if start > end || h.SizeWords() < 1 || h.SizeWords()*8 > len(b) {
 		return 0, false
 	}
 	return sealMagic | uint64(crc32.Update(headerCRC(h, ^uint64(0)), castagnoli, b[start*8:end*8])), true
@@ -555,21 +538,22 @@ func SealedTrailer(h Header, b []byte) (uint64, bool) {
 // trailer fails.
 func (v View) ChecksumOK() bool {
 	h := v.Header()
-	if h.Filler {
+	n := h.SizeWords()
+	if h.Filler() {
 		return true
 	}
-	if !h.Checksum {
-		if h.SizeWords < 1 || h.SizeWords > len(v.Words) {
+	if !h.Checksum() {
+		if n < 1 || n > len(v.Words) {
 			return true
 		}
-		magic := atomic.LoadUint64(&v.Words[h.SizeWords-1]) &^ sealCRCMask
+		magic := atomic.LoadUint64(&v.Words[n-1]) &^ sealCRCMask
 		return magic != sealMagic && magic != maskedSealMagic && magic != bodySealMagic
 	}
 	start, end := bodyBounds(h)
-	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
+	if start > end || n < 1 || n > len(v.Words) {
 		return false
 	}
-	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
+	tw := atomic.LoadUint64(&v.Words[n-1])
 	switch tw &^ sealCRCMask {
 	case sealMagic:
 		return uint32(tw) == v.checksumBody(h, headerCRC(h, ^uint64(0)))
@@ -587,15 +571,16 @@ func (v View) ChecksumOK() bool {
 // sealed one whose visible bit rotted, never an incomplete one.
 func (v View) LostVisibleBit() bool {
 	h := v.Header()
-	if h.Visible || h.Filler || !h.Checksum {
+	n := h.SizeWords()
+	if h.Visible() || h.Filler() || !h.Checksum() {
 		return false
 	}
 	start, end := bodyBounds(h)
-	if start > end || h.SizeWords < 1 || h.SizeWords > len(v.Words) {
+	if start > end || n < 1 || n > len(v.Words) {
 		return false
 	}
-	tw := atomic.LoadUint64(&v.Words[h.SizeWords-1])
-	h.Visible = true
+	tw := atomic.LoadUint64(&v.Words[n-1])
+	h |= Header(hdrVisibleBit)
 	return tw&^sealCRCMask == sealMagic && uint32(tw) == v.checksumBody(h, headerCRC(h, ^uint64(0)))
 }
 
@@ -608,28 +593,25 @@ var boolTrue, boolFalse = []byte{'t'}, []byte{'f'}
 // read-only: it aliases the record's words (or a shared constant), so callers
 // compare or hash it in place and copy what they keep.
 func (v View) ValueBytes(kp KeyPointer) []byte {
-	switch kp.Mode {
+	var first, n int
+	switch kp.Mode() {
 	case ModeBool:
-		if kp.BoolValue {
+		if kp.BoolValue() {
 			return boolTrue
 		}
 		return boolFalse
 	case ModePayload:
-		first, n := v.payloadBounds(v.Header())
-		return v.valueIn(first, n, kp)
+		first, n = payloadBounds(v.Header())
 	case ModeValueRegion:
 		h := v.Header()
-		return v.valueIn(HeaderWords+h.NumPtrs*WordsPerPointer, h.ValueWords*8, kp)
+		first, n = valueRegionStart(h), h.ValueWords()*8
+	default:
+		return nil
 	}
-	return nil
-}
-
-// valueIn returns kp's value inside the n-byte region that starts at word
-// first, or nil when the value overruns the region.
-func (v View) valueIn(first, n int, kp KeyPointer) []byte {
-	end := kp.ValOffset + kp.ValSize
+	off := kp.ValOffset()
+	end := off + kp.ValSize()
 	if end > n {
 		return nil
 	}
-	return wordio.Bytes(v.Words[first:])[kp.ValOffset:end:end]
+	return wordio.Bytes(v.Words[first:])[off:end:end]
 }

@@ -8,40 +8,149 @@ import (
 	"testing/quick"
 )
 
+func bitOf(x bool) uint64 {
+	if x {
+		return 1
+	}
+	return 0
+}
+
+// headerFields reads every field accessor of h, in layout order.
+func headerFields(h Header) [10]uint64 {
+	return [10]uint64{uint64(h.SizeWords()), uint64(h.NumPtrs()), bitOf(h.Checksum()), uint64(h.PayloadPad()),
+		uint64(h.ValueWords()), uint64(h.Version()), bitOf(h.Indirect()), bitOf(h.Filler()), bitOf(h.Invalid()), bitOf(h.Visible())}
+}
+
+// TestHeaderRoundTripProperty: every field the writers put in a header word
+// (Spec.Write through newHeader, SetVisible, Abandon, FillerWord) reads back
+// through its accessor, at the layout's limits too, and each of the word's
+// 64 bits is read by exactly one accessor.
 func TestHeaderRoundTripProperty(t *testing.T) {
-	f := func(size uint32, ptrs uint16, pad uint8, valWords uint16, ver uint8, cksum, filler, invalid, visible bool) bool {
-		h := Header{
-			SizeWords:  int(size) & maxSizeWords,
-			NumPtrs:    int(ptrs) & maxPointers,
-			PayloadPad: int(pad % 8),
-			ValueWords: int(valWords) & maxValueWords,
-			Version:    ver & 0xf,
-			Checksum:   cksum,
-			Indirect:   filler != invalid,
-			Filler:     filler,
-			Invalid:    invalid,
-			Visible:    visible,
+	check := func(h Header, want [10]uint64) {
+		t.Helper()
+		if got := headerFields(h); got != want {
+			t.Fatalf("header %#x reads %v, want %v", uint64(h), got, want)
 		}
-		return UnpackHeader(PackHeader(h)) == h
+	}
+	// newHeader, the builder Spec.Write uses, over the whole of each field,
+	// its limits included.
+	f := func(size uint32, ptrs uint16, pad uint8, valWords uint16, ver uint8, cksum, indirect bool) bool {
+		size &= maxSizeWords
+		ptrs &= maxPointers
+		pad %= 8
+		valWords &= maxValueWords
+		ver &= 0xf
+		h := newHeader(int(size), int(ptrs), int(pad), int(valWords), ver, cksum, indirect)
+		return headerFields(h) == [10]uint64{uint64(size), uint64(ptrs), bitOf(cksum), uint64(pad),
+			uint64(valWords), uint64(ver), bitOf(indirect), 0, 0, 0} && h.TrailerWords() == int(bitOf(cksum))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	check(newHeader(maxSizeWords, maxPointers, 7, maxValueWords, 15, true, true),
+		[10]uint64{maxSizeWords, maxPointers, 1, 7, maxValueWords, 15, 1, 0, 0, 0})
+
+	// Spec.Write: every pad, all three pointer modes, checksum and indirect
+	// on and off, and the largest pointer and value regions Validate allows.
+	maxPtrs := (maxPtrOffWords - HeaderWords) / WordsPerPointer
+	for _, shape := range []struct{ ptrs, payload, value int }{
+		{0, 0, 0}, {1, 1, 3}, {3, 2, 8}, {3, 3, 0}, {2, 4, 17}, {1, 5, 1}, {2, 6, 9}, {3, 7, 5}, {3, 8, 0},
+		{maxPtrs, 64, maxValueWords * 8},
+	} {
+		for _, cksum := range []bool{false, true} {
+			for _, indirect := range []bool{false, true} {
+				payload := make([]byte, shape.payload)
+				ptrs := make([]PointerSpec, shape.ptrs)
+				for i := range ptrs {
+					switch i % 3 {
+					case 0:
+						ptrs[i] = PointerSpec{PSFID: uint16(i), Mode: ModeBool, BoolValue: i%2 == 0}
+					case 1:
+						ptrs[i] = PointerSpec{PSFID: uint16(i), Mode: ModePayload, ValOffset: i % 5, ValSize: 1<<kpValSzBits - 1}
+					case 2:
+						ptrs[i] = PointerSpec{PSFID: ^uint16(i), Mode: ModeValueRegion, ValOffset: 1<<kpValOffBits - 1, ValSize: i}
+					}
+				}
+				spec := Spec{Payload: payload, Pointers: ptrs, ValueRegion: make([]byte, shape.value),
+					Version: uint8(shape.payload % 16), Checksum: cksum, Indirect: indirect}
+				if err := spec.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				words := make([]uint64, spec.SizeWords())
+				for i := range words {
+					words[i] = ^uint64(0) // frames are recycled
+				}
+				spec.Write(words)
+				v := View{Words: words}
+				pad := (8 - shape.payload%8) % 8
+				want := [10]uint64{uint64(len(words)), uint64(shape.ptrs), bitOf(cksum), uint64(pad),
+					uint64(wordsForTest(shape.value)), uint64(spec.Version), bitOf(indirect), 0, 0, 0}
+				check(v.Header(), want)
+				for i, ps := range ptrs {
+					kp := v.KeyPointerAt(i)
+					if kp.PrevAddress() != InvalidAddress || kp.Mode() != ps.Mode || kp.OffsetWords() != v.PointerWordIndex(i) ||
+						kp.PSFID() != ps.PSFID {
+						t.Fatalf("pointer %d of %d reads %#x %#x, want %+v", i, shape.ptrs, kp.A, kp.B, ps)
+					}
+					if ps.Mode == ModeBool && kp.BoolValue() != ps.BoolValue ||
+						ps.Mode != ModeBool && (kp.ValOffset() != ps.ValOffset || kp.ValSize() != ps.ValSize) {
+						t.Fatalf("pointer %d of %d reads %#x %#x, want %+v", i, shape.ptrs, kp.A, kp.B, ps)
+					}
+				}
+				v.SetVisible()
+				want[9] = 1
+				check(v.Header(), want)
+				v.Abandon()
+				want[8] = 1
+				check(v.Header(), want)
+			}
+		}
+	}
+	// The back-offset field at its limit, beside the largest address.
+	if kp := (KeyPointer{A: packA(kpAddrMask, ModeValueRegion, maxPtrOffWords)}); kp.OffsetWords() != maxPtrOffWords ||
+		kp.PrevAddress() != kpAddrMask || kp.Mode() != ModeValueRegion {
+		t.Fatalf("word A %#x misreads", kp.A)
+	}
+
+	for _, size := range []int{1, 512, maxSizeWords} {
+		check(Header(FillerWord(size)), [10]uint64{uint64(size), 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	}
+
+	// Bit ownership: flipping any one bit changes exactly one field.
+	for _, base := range []uint64{0, ^uint64(0), 0x5a5a_c3c3_0f0f_9669} {
+		for bit := 0; bit < 64; bit++ {
+			before, after := headerFields(Header(base)), headerFields(Header(base^1<<bit))
+			changed := 0
+			for i := range before {
+				if before[i] != after[i] {
+					changed++
+				}
+			}
+			if changed != 1 {
+				t.Fatalf("bit %d of %#x is read by %d accessors, want 1", bit, base, changed)
+			}
+		}
+	}
 }
 
 func TestKeyPointerRoundTrip(t *testing.T) {
-	kps := []KeyPointer{
-		{PrevAddress: 0, Mode: ModeBool, OffsetWords: 1, PSFID: 42, BoolValue: true},
-		{PrevAddress: 1 << 40, Mode: ModeBool, OffsetWords: 3, PSFID: 7, BoolValue: false},
-		{PrevAddress: 123456, Mode: ModePayload, OffsetWords: 5, PSFID: 999, ValOffset: 100, ValSize: 20},
-		{PrevAddress: 99, Mode: ModeValueRegion, OffsetWords: 7, PSFID: 1, ValOffset: 0, ValSize: 8},
+	ps := []PointerSpec{
+		{PSFID: 42, Mode: ModeBool, BoolValue: true},
+		{PSFID: 7, Mode: ModeBool, BoolValue: false},
+		{PSFID: 999, Mode: ModePayload, ValOffset: 100, ValSize: 20},
+		{PSFID: 1, Mode: ModeValueRegion, ValOffset: 0, ValSize: 8},
 	}
-	for _, kp := range kps {
-		a := packA(kp.PrevAddress, kp.Mode, kp.OffsetWords)
-		b := packB(kp)
-		got := UnpackKeyPointer(a, b)
-		if got != kp {
-			t.Errorf("round trip: got %+v, want %+v", got, kp)
+	spec := Spec{Pointers: ps}
+	words := make([]uint64, spec.SizeWords())
+	spec.Write(words)
+	v := View{Words: words}
+	for i, p := range ps {
+		SetPrevAddress(&words[v.PointerWordIndex(i)], uint64(i)<<40|123)
+		kp := v.KeyPointerAt(i)
+		if kp.PrevAddress() != uint64(i)<<40|123 || kp.Mode() != p.Mode || kp.OffsetWords() != 1+2*i ||
+			kp.PSFID() != p.PSFID || kp.BoolValue() != p.BoolValue ||
+			p.Mode != ModeBool && (kp.ValOffset() != p.ValOffset || kp.ValSize() != p.ValSize) {
+			t.Errorf("pointer %d reads %#x %#x, want %+v", i, kp.A, kp.B, p)
 		}
 	}
 }
@@ -78,11 +187,11 @@ func TestWriteAndView(t *testing.T) {
 	v := View{Words: words}
 
 	h := v.Header()
-	if h.Visible {
+	if h.Visible() {
 		t.Fatal("record must be written invisible")
 	}
-	if h.NumPtrs != 2 || h.Version != 3 {
-		t.Fatalf("header = %+v", h)
+	if h.NumPtrs() != 2 || h.Version() != 3 {
+		t.Fatalf("header = %#x", uint64(h))
 	}
 	if got := v.Payload(); !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %q", got)
@@ -92,15 +201,15 @@ func TestWriteAndView(t *testing.T) {
 	}
 
 	kp0 := v.KeyPointerAt(0)
-	if kp0.PSFID != 1 || kp0.Mode != ModeBool || !kp0.BoolValue {
-		t.Fatalf("kp0 = %+v", kp0)
+	if kp0.PSFID() != 1 || kp0.Mode() != ModeBool || !kp0.BoolValue() {
+		t.Fatalf("kp0 = %#x %#x", kp0.A, kp0.B)
 	}
-	if kp0.OffsetWords != 1 {
-		t.Fatalf("kp0.OffsetWords = %d, want 1", kp0.OffsetWords)
+	if kp0.OffsetWords() != 1 {
+		t.Fatalf("kp0.OffsetWords = %d, want 1", kp0.OffsetWords())
 	}
 	kp1 := v.KeyPointerAt(1)
-	if kp1.OffsetWords != 3 {
-		t.Fatalf("kp1.OffsetWords = %d, want 3", kp1.OffsetWords)
+	if kp1.OffsetWords() != 3 {
+		t.Fatalf("kp1.OffsetWords = %d, want 3", kp1.OffsetWords())
 	}
 	// The ModePayload value is bytes [11, 20) of the payload.
 	if got, want := v.ValueBytes(kp1), payload[11:20]; !bytes.Equal(got, want) {
@@ -167,14 +276,14 @@ func TestSetVisibleAndInvalid(t *testing.T) {
 	spec.Write(words)
 	v := View{Words: words}
 	v.SetVisible()
-	if !v.Header().Visible {
+	if !v.Header().Visible() {
 		t.Fatal("SetVisible did not set the bit")
 	}
-	words[0] = PackHeader(Header{SizeWords: spec.SizeWords()})
+	words[0] &^= hdrVisibleBit
 	v.Abandon()
 	h := v.Header()
-	if !h.Invalid || !h.Visible || h.SizeWords != spec.SizeWords() {
-		t.Fatalf("Abandon must set the invalid and visible bits only: %+v", h)
+	if !h.Invalid() || !h.Visible() || h.SizeWords() != spec.SizeWords() {
+		t.Fatalf("Abandon must set the invalid and visible bits only: %#x", uint64(h))
 	}
 }
 
@@ -190,11 +299,11 @@ func TestSwapPrevAddress(t *testing.T) {
 		t.Fatal("CAS failed with correct expected value")
 	}
 	kp := v.KeyPointerAt(0)
-	if kp.PrevAddress != 0xdeadbeef {
-		t.Fatalf("PrevAddress = %x", kp.PrevAddress)
+	if kp.PrevAddress() != 0xdeadbeef {
+		t.Fatalf("PrevAddress = %x", kp.PrevAddress())
 	}
-	if kp.PSFID != 5 || kp.Mode != ModeBool || !kp.BoolValue {
-		t.Fatalf("non-address fields corrupted: %+v", kp)
+	if kp.PSFID() != 5 || kp.Mode() != ModeBool || !kp.BoolValue() {
+		t.Fatalf("non-address fields corrupted: %#x %#x", kp.A, kp.B)
 	}
 	if SwapPrevAddress(&words[wi], old, 0x1111) {
 		t.Fatal("CAS with stale value succeeded")
@@ -202,9 +311,9 @@ func TestSwapPrevAddress(t *testing.T) {
 }
 
 func TestFillerWord(t *testing.T) {
-	h := UnpackHeader(FillerWord(512))
-	if !h.Filler || h.SizeWords != 512 || h.Visible {
-		t.Fatalf("filler header = %+v", h)
+	h := Header(FillerWord(512))
+	if !h.Filler() || h.SizeWords() != 512 || h.Visible() {
+		t.Fatalf("filler header = %#x", uint64(h))
 	}
 }
 
@@ -252,7 +361,7 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 			v := View{Words: words}
 			h := v.Header()
 			n := len(ptrs)
-			if h.NumPtrs != n || h.SizeWords != spec.SizeWords() ||
+			if h.NumPtrs() != n || h.SizeWords() != spec.SizeWords() ||
 				!bytes.Equal(v.Payload(), payload) ||
 				!bytes.Equal(v.ValueBytes(v.KeyPointerAt(n-2)), value) ||
 				!bytes.Equal(v.ValueBytes(v.KeyPointerAt(n-1)), payload[cut:]) {
@@ -293,8 +402,8 @@ func TestChecksumSealAndVerify(t *testing.T) {
 	spec.Write(words)
 	v := View{Words: words}
 	h := v.Header()
-	if !h.Checksum || h.TrailerWords() != 1 {
-		t.Fatalf("header = %+v", h)
+	if !h.Checksum() || h.TrailerWords() != 1 {
+		t.Fatalf("header = %#x", uint64(h))
 	}
 	if words[len(words)-1] != 0 {
 		t.Fatal("Write must leave the trailer unsealed (zero)")
@@ -441,7 +550,7 @@ func TestMaskedSealedRecordsVerify(t *testing.T) {
 	for _, publish := range []func(){func() {}, v.SetVisible, v.Abandon} {
 		publish()
 		if !v.ChecksumOK() {
-			t.Fatalf("masked-sealed record with header %+v must verify", v.Header())
+			t.Fatalf("masked-sealed record with header %#x must verify", uint64(v.Header()))
 		}
 	}
 	for bit := 0; bit < 62; bit++ {
@@ -460,7 +569,7 @@ func TestChecksumV0RecordsAlwaysPass(t *testing.T) {
 	words := make([]uint64, spec.SizeWords())
 	spec.Write(words)
 	v := View{Words: words}
-	if v.Header().Checksum {
+	if v.Header().Checksum() {
 		t.Fatal("spec without Checksum produced a v1 header")
 	}
 	if !v.ChecksumOK() {
@@ -471,8 +580,8 @@ func TestChecksumV0RecordsAlwaysPass(t *testing.T) {
 		// last payload word may legitimately be zero; just ensure size didn't change
 		_ = words
 	}
-	if h := v.Header(); h.SizeWords != spec.SizeWords() {
-		t.Fatalf("Seal mutated a v0 record: %+v", h)
+	if h := v.Header(); h.SizeWords() != spec.SizeWords() {
+		t.Fatalf("Seal mutated a v0 record: %#x", uint64(h))
 	}
 }
 

@@ -318,6 +318,7 @@ func (s *Span) put(a Attr) {
 		s.nattrs++
 		return
 	}
+	//lint:ignore hotalloc past the inline attributes only, and spans exist only while tracing is on
 	s.extra = append(s.extra, a)
 }
 
@@ -377,9 +378,8 @@ func (s *Span) End() {
 		}
 	}
 	if n := s.nattrs + len(s.extra); n > 0 {
-		d.Attrs = make([]Attr, 0, n)
-		d.Attrs = append(d.Attrs, s.attrs[:s.nattrs]...)
-		d.Attrs = append(d.Attrs, s.extra...)
+		//lint:ignore hotalloc a finished span owns its attributes, and spans exist only while tracing is on
+		d.Attrs = append(append(make([]Attr, 0, n), s.attrs[:s.nattrs]...), s.extra...)
 	}
 	s.t = nil
 	s.extra = s.extra[:0]

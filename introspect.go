@@ -128,7 +128,7 @@ func (s *Store) sampleChains(opts chainSampleOptions) (*introspect.ChainSnapshot
 		err := s.forEachChainLink(nil, g, h, floor, false, nil, &st,
 			func(cur uint64, _ record.View, _ uint64, kp record.KeyPointer) bool {
 				if links == 0 {
-					owner = kp.PSFID
+					owner = kp.PSFID()
 				}
 				links++
 				if cur >= head {
@@ -270,21 +270,21 @@ func (s *Store) logComposition(opts logSampleOptions) (*introspect.LogSnapshot, 
 func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSnapshot) {
 	off := 0
 	for off < len(words) {
-		hw := atomic.LoadUint64(&words[off])
-		h := record.UnpackHeader(hw)
-		if h.SizeWords == 0 {
+		h := record.Header(atomic.LoadUint64(&words[off]))
+		n := h.SizeWords()
+		if n == 0 {
 			return // unwritten tail region
 		}
 		addr := baseAddr + uint64(off)*8
-		if addr >= limit || off+h.SizeWords > len(words) {
+		if addr >= limit || off+n > len(words) {
 			return
 		}
-		bytes := int64(h.SizeWords) * 8
+		bytes := int64(n) * 8
 		switch {
-		case h.Filler:
+		case h.Filler():
 			ls.Fillers++
 			ls.FillerBytes += bytes
-		case h.Invalid || !h.Visible:
+		case h.Invalid() || !h.Visible():
 			ls.Records++
 			ls.InvalidRecords++
 			ls.InvalidBytes += bytes
@@ -292,12 +292,12 @@ func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSn
 			ls.Records++
 			ls.LiveRecords++
 			ls.LiveBytes += bytes
-			if h.Indirect {
+			if h.Indirect() {
 				ls.IndirectRecs++
 			}
-			ls.KeyPointers += int64(h.NumPtrs)
+			ls.KeyPointers += int64(h.NumPtrs())
 		}
-		off += h.SizeWords
+		off += n
 	}
 }
 

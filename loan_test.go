@@ -38,7 +38,10 @@ func openYelpMemStore(t testing.TB, n int) (s *Store, stars, review, business ps
 
 // TestScanAllocsIndependentOfMatches pins that an in-memory index scan lends
 // each record to its callback instead of copying it: a scan with over a
-// thousand matches allocates no more than one with a single match. A Lookup
+// thousand matches allocates no more than one with a single match. So does a
+// pointer-match full scan (the index is complete over the whole log): one
+// that visits every record and matches a fifth of them allocates no more
+// than one over a tenth of the log with a single match. A Lookup
 // — the ledger's point query, stopping at the first match — allocates at
 // most four times, over keys that are each new to the queried-property
 // sketch.
@@ -46,11 +49,13 @@ func TestScanAllocsIndependentOfMatches(t *testing.T) {
 	const n = 6000
 	s, stars, review, business := openYelpMemStore(t, n)
 
-	scanAllocs := func(prop Property, want int) float64 {
+	scanAllocs := func(prop Property, opts ScanOptions, want int) (float64, ScanStats) {
 		var matched int
+		var st ScanStats
 		allocs := testing.AllocsPerRun(20, func() {
 			matched = 0
-			if _, err := s.Scan(prop, ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
+			var err error
+			if st, err = s.Scan(prop, opts, func(r Record) bool {
 				matched++
 				return true
 			}); err != nil {
@@ -60,13 +65,34 @@ func TestScanAllocsIndependentOfMatches(t *testing.T) {
 		if matched != want {
 			t.Fatalf("%v matched %d, want %d", prop.Value, matched, want)
 		}
-		return allocs
+		return allocs, st
 	}
-	many := scanAllocs(PropertyNumber(stars, 5), n/5)
-	one := scanAllocs(PropertyString(review, fmt.Sprintf("r%012d", 1234)), 1)
+	index := ScanOptions{Mode: ScanForceIndex}
+	many, _ := scanAllocs(PropertyNumber(stars, 5), index, n/5)
+	one, _ := scanAllocs(PropertyString(review, fmt.Sprintf("r%012d", 1234)), index, 1)
 	t.Logf("allocs per index scan: %v with %d matches, %v with 1", many, n/5, one)
 	if many > one {
 		t.Errorf("index scan with %d matches allocates %v, one with a single match %v", n/5, many, one)
+	}
+
+	// The first tenth of the log ends at record n/10.
+	var tenth uint64
+	if _, err := s.Scan(PropertyString(review, fmt.Sprintf("r%012d", n/10)), index, func(r Record) bool {
+		tenth = r.Address
+		return false
+	}); err != nil || tenth == 0 {
+		t.Fatalf("record %d: address %d, %v", n/10, tenth, err)
+	}
+	fullMany, stMany := scanAllocs(PropertyNumber(stars, 5), ScanOptions{Mode: ScanForceFull}, n/5)
+	fullOne, stOne := scanAllocs(PropertyString(review, fmt.Sprintf("r%012d", 12)), ScanOptions{Mode: ScanForceFull, To: tenth}, 1)
+	if stMany.Visited != n || stOne.Visited != n/10 || len(stMany.Plan) != 1 || stMany.Plan[0].Indexed {
+		t.Fatalf("full scans visited %d and %d records, want %d and %d; plan %+v", stMany.Visited, stOne.Visited, n, n/10, stMany.Plan)
+	}
+	t.Logf("allocs per pointer-match full scan: %v visiting %d with %d matches, %v visiting %d with 1",
+		fullMany, n, n/5, fullOne, n/10)
+	if fullMany > fullOne {
+		t.Errorf("full scan visiting %d records with %d matches allocates %v, one visiting %d with a single match %v",
+			n, n/5, fullMany, n/10, fullOne)
 	}
 
 	// Businesses b000001..b000498 but every fourth, whose names the
@@ -239,7 +265,7 @@ func testBorrowedPayloadScribble(t *testing.T, opts Options, hops func(ScanStats
 		if err != nil || st.Quarantined != 0 || len(got) != tc.matches {
 			t.Fatalf("%s: %d matches (want %d), %d quarantined, %v", tc.name, len(got), tc.matches, st.Quarantined, err)
 		}
-		if c == 0 && !hops(st) {
+		if (tc.name == "index" || tc.name == "range") && !hops(st) {
 			t.Fatalf("%s: the hops did not take this layout's read path: %+v", tc.name, st)
 		}
 		delivered[c] = got

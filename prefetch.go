@@ -108,6 +108,7 @@ func costModel(log *hlog.Log) (phi uint64, profile storage.Profile) {
 
 func newChainReader(ctx context.Context, log *hlog.Log, useAP bool, cache *pagecache.Cache, met *storeMetrics, sp *trace.Span) *chainReader {
 	phi, profile := costModel(log)
+	//lint:ignore hotalloc one reader per chain walk that leaves memory, not per hop
 	cr := &chainReader{
 		log:     log,
 		ctx:     ctx,
@@ -150,6 +151,7 @@ func (cr *chainReader) ensureBuf(n int) {
 		return
 	}
 	unit := cr.minWin / 8
+	//lint:ignore hotalloc pool misses only: buffers recycle through specBufPool
 	cr.buf = make([]uint64, n, (n+unit-1)/unit*unit)
 }
 
@@ -276,7 +278,7 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	offWords := kw[0] >> 50
+	offWords := uint64(record.KeyPointer{A: kw[0]}.OffsetWords())
 	base := kptAddr - offWords*8
 	if offWords > cr.log.OffsetOf(kptAddr)/8 {
 		return record.View{}, 0, errBadLink(base) // records never straddle pages
@@ -287,17 +289,18 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	h := record.UnpackHeader(hw[0])
-	if h.SizeWords == 0 || cr.log.OffsetOf(base)+uint64(h.SizeWords)*8 > cr.log.PageSize() || !onPointer(h, offWords) {
+	h := record.Header(hw[0])
+	n := h.SizeWords()
+	if n == 0 || cr.log.OffsetOf(base)+uint64(n)*8 > cr.log.PageSize() || !onPointer(h, offWords) {
 		return record.View{}, 0, errBadLink(base)
 	}
 
 	// 3. Fetch the whole record.
-	words, err := cr.fetch(base, h.SizeWords)
+	words, err := cr.fetch(base, n)
 	if err != nil {
 		return record.View{}, 0, err
 	}
-	cr.adapt(base, h.SizeWords*8)
+	cr.adapt(base, n*8)
 	return record.View{Words: words}, base, nil
 }
 
@@ -306,7 +309,7 @@ func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
 // page and the returned view aliases it with zero copies.
 func (cr *chainReader) recordInPage(pw []uint64, kptAddr uint64) (record.View, uint64, error) {
 	kOff := cr.log.OffsetOf(kptAddr) / 8
-	offWords := pw[kOff] >> 50
+	offWords := uint64(record.KeyPointer{A: pw[kOff]}.OffsetWords())
 	base := kptAddr - offWords*8
 	if offWords > kOff {
 		// Records never straddle pages; an offset pointing before the page
@@ -314,12 +317,13 @@ func (cr *chainReader) recordInPage(pw []uint64, kptAddr uint64) (record.View, u
 		return record.View{}, 0, errBadLink(base)
 	}
 	bOff := kOff - offWords
-	h := record.UnpackHeader(pw[bOff])
-	if h.SizeWords == 0 || bOff+uint64(h.SizeWords) > uint64(len(pw)) || !onPointer(h, offWords) {
+	h := record.Header(pw[bOff])
+	n := uint64(h.SizeWords())
+	if n == 0 || bOff+n > uint64(len(pw)) || !onPointer(h, offWords) {
 		return record.View{}, 0, errBadLink(base)
 	}
-	view := record.View{Words: pw[bOff : bOff+uint64(h.SizeWords)]}
-	cr.adapt(base, h.SizeWords*8)
+	view := record.View{Words: pw[bOff : bOff+n]}
+	cr.adapt(base, int(n)*8)
 	return view, base, nil
 }
 
@@ -339,6 +343,7 @@ func (cr *chainReader) pageWords(page uint64) ([]uint64, error) {
 	}
 	cr.page.Release()
 	cr.page = nil
+	//lint:ignore hotalloc once per page the walk moves to, not per hop
 	p, _, err := cr.cache.GetOrLoadNoEvict(page, func(dst []uint64) ([]uint64, error) {
 		return cr.timedReadPage(page, dst)
 	})
@@ -472,8 +477,8 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
 // header, names one of the record's key pointer slots.
 func onPointer(h record.Header, offWords uint64) bool {
 	slot := int(offWords) - record.HeaderWords
-	return slot >= 0 && slot%record.WordsPerPointer == 0 && slot/record.WordsPerPointer < h.NumPtrs &&
-		int(offWords)+record.WordsPerPointer <= h.SizeWords
+	return slot >= 0 && slot%record.WordsPerPointer == 0 && slot/record.WordsPerPointer < h.NumPtrs() &&
+		int(offWords)+record.WordsPerPointer <= h.SizeWords()
 }
 
 // errBadLink is a chain link that does not land on a key pointer of a

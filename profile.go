@@ -40,8 +40,8 @@ func (s *Store) ChainGapProfile(prop Property, max int) ([]ChainHop, error) {
 	err := s.forEachChainLink(nil, g, slot.Address(), s.logBegin(), false, nil, &st,
 		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
 			h := view.Header()
-			if h.Visible && !h.Invalid && kp.PSFID == prop.PSF && bytes.Equal(view.ValueBytes(kp), canon) {
-				hop := ChainHop{KptAddr: cur, Base: base, SizeBytes: h.SizeWords * 8}
+			if h.Visible() && !h.Invalid() && kp.PSFID() == prop.PSF && bytes.Equal(view.ValueBytes(kp), canon) {
+				hop := ChainHop{KptAddr: cur, Base: base, SizeBytes: h.SizeWords() * 8}
 				if prevBase != 0 && prevBase > base+uint64(hop.SizeBytes) {
 					hop.Gap = prevBase - (base + uint64(hop.SizeBytes))
 				}

@@ -62,6 +62,8 @@ func (s *Store) ScanRange(id psf.ID, lo, hi float64, opts ScanOptions, cb func(r
 		agg.FullScanBytes += st.FullScanBytes
 		agg.IOs += st.IOs
 		agg.ReadBytes += st.ReadBytes
+		agg.PrefetchHits += st.PrefetchHits
+		agg.PageCacheHits += st.PageCacheHits
 		agg.Quarantined += st.Quarantined
 		agg.Plan = append(agg.Plan, st.Plan...)
 		if err != nil {
@@ -85,7 +87,7 @@ func (s *Store) Iterate(from, to uint64, cb func(r Record) bool) error {
 	g := s.epoch.Acquire()
 	defer g.Release()
 	return s.visitRange(nil, g, from, to, nil, nil, func(addr uint64, v record.View) bool {
-		if v.Header().Indirect {
+		if v.Header().Indirect() {
 			return true // skip historical index records
 		}
 		return cb(Record{Address: addr, Payload: v.Payload()})

@@ -446,17 +446,17 @@ func rangeIndexComplete(ivs []psf.Interval, from, to uint64) bool {
 // matchByPointer checks whether the record at addr carries a key pointer
 // for prop with the queried value, returning the emitted record on a match.
 // Indirect (historical index) records never match — the parse matcher skips
-// them too.
+// them too. Only word B's PSF id is compared until a pointer matches.
 //
 //fishlint:hotpath per-record subset-scan match
 func (s *Store) matchByPointer(prop Property, canon []byte, addr uint64, v record.View) (Record, bool) {
 	h := v.Header()
-	if h.Indirect {
+	if h.Indirect() {
 		return Record{}, false
 	}
-	for i := 0; i < h.NumPtrs; i++ {
+	for i, n := 0, h.NumPtrs(); i < n; i++ {
 		kp := v.KeyPointerAt(i)
-		if kp.PSFID != prop.PSF {
+		if kp.PSFID() != prop.PSF {
 			continue
 		}
 		// At most one pointer per PSF per record: this is the decision.
@@ -610,8 +610,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 			words, pinned = w, p
 			if s.opts.VerifyOnRead {
 				vfn = func(addr uint64, v record.View) bool {
-					h := v.Header()
-					if reason := validateRecord(addr, h, v); reason != "" || !v.ChecksumOK() {
+					if reason := validateRecord(addr, v); reason != "" || !v.ChecksumOK() {
 						if reason == "" {
 							reason = "checksum mismatch"
 						}
@@ -667,6 +666,7 @@ func (s *Store) devicePageWords(addr uint64, n int) ([]uint64, *pagecache.Page, 
 // poll their own context before asking the cache for a page.
 func readPage(log *hlog.Log, page uint64, dst []uint64) ([]uint64, error) {
 	if dst == nil {
+		//lint:ignore hotalloc only when the cache has no recycled frame to fill
 		dst = make([]uint64, log.PageSize()/8)
 	}
 	if err := log.ReadBytesFromDevice(page*log.PageSize(), wordio.Bytes(dst)); err != nil {
@@ -694,27 +694,29 @@ func (s *Store) quarantineRecord(addr uint64, quarantined *int64, where, reason 
 // walkRecords iterates the records laid out in words (whose first word is
 // the header at baseAddr), invoking visit for each visible record starting
 // below limit. Returns false if visit stopped the walk.
+//
+//fishlint:hotpath per-record full-scan page walk
 func walkRecords(words []uint64, baseAddr, limit uint64, visit func(addr uint64, v record.View) bool) bool {
 	off := 0
 	for off < len(words) {
-		hw := atomic.LoadUint64(&words[off])
-		h := record.UnpackHeader(hw)
-		if h.SizeWords == 0 {
+		h := record.Header(atomic.LoadUint64(&words[off]))
+		n := h.SizeWords()
+		if n == 0 {
 			return true // unwritten tail region
 		}
 		addr := baseAddr + uint64(off)*8
 		if addr >= limit {
 			return true
 		}
-		if !h.Filler && h.Visible && !h.Invalid {
-			if off+h.SizeWords > len(words) {
+		if !h.Filler() && h.Visible() && !h.Invalid() {
+			if off+n > len(words) {
 				return true // torn tail record (still being written)
 			}
-			if !visit(addr, record.View{Words: words[off : off+h.SizeWords]}) {
+			if !visit(addr, record.View{Words: words[off : off+n]}) {
 				return false
 			}
 		}
-		off += h.SizeWords
+		off += n
 	}
 	return true
 }
@@ -798,19 +800,22 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 // head, resolving each link's record from the circular buffer or from
 // storage (optionally through the adaptive prefetcher), and invokes fn with
 // the link's key-pointer address, record view, record base address, and
-// decoded key pointer. Traversal stops when fn returns false, the chain
+// key pointer. Traversal stops when fn returns false, the chain
 // terminates, or a link drops below floor (links below the floor are never
 // resolved — on a truncated log their records may be gone). I/O accounting
 // is added to st; when sp is a live span, each device read the chain reader
 // issues becomes a scan.io child under it. Index scans, the chain sampler,
 // the log verifier's chain phase and ChainGapProfile all walk chains
 // through this one path.
+//
+//fishlint:hotpath per-hop chain walk
 func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
 	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
 
 	cur := head
 	var cr *chainReader
 	hops := 0
+	//lint:ignore hotalloc once per walk, and the deferred closure does not escape
 	defer func() {
 		if cr != nil {
 			st.IOs += cr.ios
@@ -865,11 +870,11 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 				return nil
 			}
 			if err != nil {
+				//lint:ignore hotalloc error path: the walk ends here
 				return fmt.Errorf("fishstore: chain read at %d: %w", cur, err)
 			}
 			if s.opts.VerifyOnRead {
-				h := v.Header()
-				reason := validateRecord(b, h, v)
+				reason := validateRecord(b, v)
 				if reason == "" && !v.ChecksumOK() {
 					reason = "checksum mismatch"
 				}
@@ -891,7 +896,7 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 		if !fn(cur, view, base, kp) {
 			return nil
 		}
-		cur = kp.PrevAddress
+		cur = kp.PrevAddress()
 	}
 	return nil
 }
@@ -907,7 +912,7 @@ func (s *Store) walkChain(ctx context.Context, g *epoch.Guard, head uint64, prop
 	err := s.forEachChainLink(ctx, g, head, from, useAP, sp, st,
 		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
 			h := view.Header()
-			if !h.Visible || h.Invalid || kp.PSFID != prop.PSF || !bytes.Equal(view.ValueBytes(kp), canon) {
+			if !h.Visible() || h.Invalid() || kp.PSFID() != prop.PSF || !bytes.Equal(view.ValueBytes(kp), canon) {
 				return true
 			}
 			rec, merr := s.materialize(ctx, g, view, base, st)
@@ -933,26 +938,33 @@ func (s *Store) walkChain(ctx context.Context, g *epoch.Guard, head uint64, prop
 }
 
 // inMemoryRecordAt resolves the record containing the key pointer at
-// kptAddr from the circular buffer.
+// kptAddr from the circular buffer. Records never straddle pages, so one
+// frame lookup serves the key pointer, the header and the record.
+//
+//fishlint:hotpath per-hop in-memory record resolution
 func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, error) {
-	kw := s.log.WordsAt(kptAddr, 1)
-	a := atomic.LoadUint64(&kw[0])
-	offWords := int(a >> 50)
-	base := kptAddr - uint64(offWords)*8
-	hw := s.log.WordsAt(base, 1)
-	h := record.UnpackHeader(atomic.LoadUint64(&hw[0]))
-	if h.SizeWords == 0 {
-		return record.View{}, 0, fmt.Errorf("fishstore: empty header at %d", base)
+	kOff := s.log.OffsetOf(kptAddr) / 8
+	pw := s.log.WordsAt(kptAddr-kOff*8, int(s.log.PageSize()/8))
+	offWords := uint64(record.KeyPointer{A: atomic.LoadUint64(&pw[kOff])}.OffsetWords())
+	base := kptAddr - offWords*8
+	if offWords > kOff {
+		return record.View{}, 0, errBadLink(base)
 	}
-	return record.View{Words: s.log.WordsAt(base, h.SizeWords)}, base, nil
+	bOff := kOff - offWords
+	n := uint64(record.Header(atomic.LoadUint64(&pw[bOff])).SizeWords())
+	if n == 0 || bOff+n > uint64(len(pw)) {
+		return record.View{}, 0, errBadLink(base)
+	}
+	return record.View{Words: pw[bOff : bOff+n]}, base, nil
 }
 
 // materialize turns a matched view into a Record, resolving historical
 // indirection (Appendix A) if needed. The Record's payload is a view of the
 // data record's words, lent to the scan's callback.
+//
+//fishlint:hotpath per-match record materialization
 func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.View, base uint64, st *ScanStats) (Record, error) {
-	h := view.Header()
-	if !h.Indirect {
+	if !view.Header().Indirect() {
 		return Record{Address: base, Payload: view.Payload()}, nil
 	}
 	// Indirect record: payload is the 8-byte address of the data record.
@@ -964,8 +976,8 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 	var tv record.View
 	if target >= s.log.HeadAddress() {
 		hw := s.log.WordsAt(target, 1)
-		th := record.UnpackHeader(atomic.LoadUint64(&hw[0]))
-		tv = record.View{Words: s.log.WordsAt(target, th.SizeWords)}
+		n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
+		tv = record.View{Words: s.log.WordsAt(target, n)}
 	} else {
 		// The target is below HeadAddress, hence immutable on device; do
 		// not hold the epoch across the reads, and do not start them for a
@@ -979,22 +991,22 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 		if err != nil {
 			return Record{}, err
 		}
-		th := record.UnpackHeader(hw[0])
-		if s.opts.VerifyOnRead && th.SizeWords == 0 {
+		n := record.Header(hw[0]).SizeWords()
+		if s.opts.VerifyOnRead && n == 0 {
 			s.quarantineRecord(target, &st.Quarantined, "indirect-target", "empty header")
 			return Record{}, errQuarantined
 		}
 		g.Unprotect()
-		words, err := s.log.ReadWordsFromDevice(target, th.SizeWords)
+		words, err := s.log.ReadWordsFromDevice(target, n)
 		g.Protect()
 		if err != nil {
 			return Record{}, err
 		}
 		st.IOs += 2
-		st.ReadBytes += int64(8 + th.SizeWords*8)
+		st.ReadBytes += int64(8 + n*8)
 		tv = record.View{Words: words}
 		if s.opts.VerifyOnRead {
-			reason := validateRecord(target, tv.Header(), tv)
+			reason := validateRecord(target, tv)
 			if reason == "" && !tv.ChecksumOK() {
 				reason = "checksum mismatch"
 			}

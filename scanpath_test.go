@@ -499,7 +499,7 @@ func TestChainHopProbesCacheOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = v.KeyPointerAt((int((cur-b)/8) - record.HeaderWords) / record.WordsPerPointer).PrevAddress
+		cur = v.KeyPointerAt((int((cur-b)/8) - record.HeaderWords) / record.WordsPerPointer).PrevAddress()
 	}
 	if cur == 0 {
 		t.Fatal("chain never reaches the device")

@@ -99,26 +99,26 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 			if hw == 0 {
 				return recAddr, "", pages, nil // unwritten region: end of log
 			}
-			h := record.UnpackHeader(hw)
-			if h.SizeWords == 0 {
+			h := record.Header(hw)
+			if h.SizeWords() == 0 {
 				return recAddr, "nonzero header word with zero record size", pages, nil
 			}
-			size := uint64(h.SizeWords) * 8
+			size := uint64(h.SizeWords()) * 8
 			if size > pageSize-off {
 				return recAddr, fmt.Sprintf("record of %d bytes overruns its page", size), pages, nil
 			}
 			if off+size > uint64(n) {
 				return recAddr, "", pages, nil // body not fully durable
 			}
-			v := record.View{Words: words[off/8 : off/8+uint64(h.SizeWords)]}
-			if !h.Filler && !h.Visible {
+			v := record.View{Words: words[off/8 : (off+size)/8]}
+			if !h.Filler() && !h.Visible() {
 				if v.LostVisibleBit() {
 					return recAddr, "sealed record lost its visible bit", pages, nil
 				}
 				return recAddr, "", pages, nil // incomplete record at the frontier
 			}
-			if !h.Filler {
-				if reason := validateRecord(recAddr, h, v); reason != "" {
+			if !h.Filler() {
+				if reason := validateRecord(recAddr, v); reason != "" {
 					return recAddr, reason, pages, nil
 				}
 				if !v.ChecksumOK() {
@@ -149,29 +149,31 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 // boxes its operands on the heap (hotalloc). The record's address is
 // reported by every caller, and the specific bad values are recoverable
 // from the record image at that address.
-func validateRecord(addr uint64, h record.Header, v record.View) string {
-	first := record.HeaderWords + h.NumPtrs*record.WordsPerPointer + h.ValueWords
-	if first+h.TrailerWords() > h.SizeWords {
+func validateRecord(addr uint64, v record.View) string {
+	h := v.Header()
+	numPtrs, valueBytes := h.NumPtrs(), h.ValueWords()*8
+	first := record.HeaderWords + numPtrs*record.WordsPerPointer + h.ValueWords()
+	if first+h.TrailerWords() > h.SizeWords() {
 		return "pointer/value/trailer regions exceed record size"
 	}
-	payloadLen := (h.SizeWords-h.TrailerWords()-first)*8 - h.PayloadPad
+	payloadLen := (h.SizeWords()-h.TrailerWords()-first)*8 - h.PayloadPad()
 	if payloadLen < 0 {
 		return "payload padding exceeds payload region"
 	}
-	if h.Indirect && payloadLen != 8 {
+	if h.Indirect() && payloadLen != 8 {
 		return "indirect record payload is not a single address"
 	}
-	for i := 0; i < h.NumPtrs; i++ {
+	for i := 0; i < numPtrs; i++ {
 		w := v.PointerWordIndex(i)
 		kp := v.KeyPointerAt(i)
-		if kp.Mode > record.ModeValueRegion {
+		if kp.Mode() > record.ModeValueRegion {
 			return "key pointer: invalid mode"
 		}
-		if kp.OffsetWords != w {
+		if kp.OffsetWords() != w {
 			return "key pointer: back-offset does not match position (torn write?)"
 		}
 		kptAddr := addr + uint64(w)*8
-		if p := kp.PrevAddress; p != 0 {
+		if p := kp.PrevAddress(); p != 0 {
 			if p >= kptAddr {
 				return "key pointer: forward link"
 			}
@@ -179,13 +181,13 @@ func validateRecord(addr uint64, h record.Header, v record.View) string {
 				return "key pointer: implausible prev address"
 			}
 		}
-		switch kp.Mode {
+		switch kp.Mode() {
 		case record.ModePayload:
-			if kp.ValOffset+kp.ValSize > payloadLen {
+			if kp.ValOffset()+kp.ValSize() > payloadLen {
 				return "key pointer: value outside payload"
 			}
 		case record.ModeValueRegion:
-			if kp.ValOffset+kp.ValSize > h.ValueWords*8 {
+			if kp.ValOffset()+kp.ValSize() > valueBytes {
 				return "key pointer: value outside value region"
 			}
 		}
@@ -205,21 +207,21 @@ func verifyImage(dev storage.Device, pageBits uint, from, to uint64) (VerifyRepo
 	var corrupt *Corruption
 	end, why, _, err := walkDeviceLog(dev, pageBits, from, to,
 		func(addr uint64, h record.Header, v record.View) bool {
-			if h.Filler {
+			if h.Filler() {
 				rep.Fillers++
 				return true
 			}
 			rep.Records++
-			if h.Checksum {
+			if h.Checksum() {
 				rep.SealedRecords++ // walkDeviceLog already verified it
 			} else {
 				rep.UncheckedRecords++
 			}
-			for i := 0; i < h.NumPtrs; i++ {
+			for i := 0; i < h.NumPtrs(); i++ {
 				kptAddr := addr + uint64(v.PointerWordIndex(i))*8
 				kp := v.KeyPointerAt(i)
 				rep.KeyPointers++
-				if p := kp.PrevAddress; p >= from && p != 0 {
+				if p := kp.PrevAddress(); p >= from && p != 0 {
 					if _, ok := seen[p]; !ok {
 						corrupt = &Corruption{
 							Address: kptAddr,
@@ -229,7 +231,7 @@ func verifyImage(dev storage.Device, pageBits uint, from, to uint64) (VerifyRepo
 						return false
 					}
 				}
-				seen[kptAddr] = !h.Invalid
+				seen[kptAddr] = !h.Invalid()
 			}
 			return true
 		})
