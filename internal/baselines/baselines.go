@@ -363,31 +363,27 @@ func (r *RDBMisonPP) Retrieve(psfIndex int, v expr.Value, cb func(payload []byte
 	defer g.Release()
 	err := r.db.PrefixScan(prefix, func(key, _ []byte) bool {
 		addr := binary.BigEndian.Uint64(key[len(key)-8:])
+		pageWords := int(r.log.PageSize() / 8)
 		var view record.View
+		var ok bool
+		var err error
 		if addr >= r.log.HeadAddress() {
 			// The header word aliases the live page frame and may be
 			// concurrently CASed visible by an ingest worker.
-			hw := r.log.WordsAt(addr, 1)
-			n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
-			view = record.View{Words: r.log.WordsAt(addr, n)}
+			view, ok = record.At(r.log.WordsAt(addr&^(r.log.PageSize()-1), pageWords), int(r.log.OffsetOf(addr)/8))
 		} else {
 			// On-device records are immutable; do not pin the safe epoch
 			// across device reads.
 			g.Unprotect()
-			hw, err := r.log.ReadWordsFromDevice(addr, 1)
+			view, ok, err = record.ReadAt(r.log.ReadWordsFromDevice, addr, pageWords)
 			g.Protect()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			g.Unprotect()
-			words, err := r.log.ReadWordsFromDevice(addr, record.Header(hw[0]).SizeWords())
-			g.Protect()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			view = record.View{Words: words}
+		}
+		if err == nil && !ok {
+			err = fmt.Errorf("baselines: no record at posting address %d", addr)
+		}
+		if err != nil {
+			scanErr = err
+			return false
 		}
 		matched++
 		return cb(view.AppendPayload(nil))

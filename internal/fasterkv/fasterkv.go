@@ -12,7 +12,7 @@ package fasterkv
 
 import (
 	"bytes"
-	"sync/atomic"
+	"fmt"
 
 	"fishstore/internal/epoch"
 	"fishstore/internal/hashtable"
@@ -146,48 +146,31 @@ func (sess *Session) Read(key []byte) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	cur := slot.Address()
 	log := sess.s.log
-	for cur != 0 {
+	pageWords := int(log.PageSize() / 8)
+	for cur := slot.Address(); cur != 0; {
 		var view record.View
 		if cur >= log.HeadAddress() {
 			// These words alias the live page frame: the key-pointer word
 			// is CASed by concurrent Upserts splicing the chain, and the
-			// header word is rewritten by SetVisible after publication.
-			kw := log.WordsAt(cur, 1)
-			offWords := record.KeyPointer{A: atomic.LoadUint64(&kw[0])}.OffsetWords()
-			base := cur - uint64(offWords)*8
-			hw := log.WordsAt(base, 1)
-			n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
-			if n == 0 {
-				return nil, false, nil
-			}
-			view = record.View{Words: log.WordsAt(base, n)}
+			// header word is rewritten by SetVisible after publication;
+			// Resolve loads both atomically.
+			k := int(log.OffsetOf(cur) / 8)
+			view, _, ok = record.Resolve(log.WordsAt(cur-uint64(k)*8, pageWords), k)
 		} else {
 			// On-device data below HeadAddress is immutable, so the reads
 			// need no epoch protection — and must not hold it: a pinned
 			// safe epoch stalls page-frame recycling for every worker.
+			var err error
 			sess.g.Unprotect()
-			kw, err := log.ReadWordsFromDevice(cur, 1)
+			view, _, ok, err = record.ResolveRead(log.ReadWordsFromDevice, cur, pageWords)
 			sess.g.Protect()
 			if err != nil {
 				return nil, false, err
 			}
-			offWords := record.KeyPointer{A: kw[0]}.OffsetWords()
-			base := cur - uint64(offWords)*8
-			sess.g.Unprotect()
-			hw, err := log.ReadWordsFromDevice(base, 1)
-			sess.g.Protect()
-			if err != nil {
-				return nil, false, err
-			}
-			sess.g.Unprotect()
-			words, err := log.ReadWordsFromDevice(base, record.Header(hw[0]).SizeWords())
-			sess.g.Protect()
-			if err != nil {
-				return nil, false, err
-			}
-			view = record.View{Words: words}
+		}
+		if !ok {
+			return nil, false, fmt.Errorf("fasterkv: chain link %d does not land on a key pointer", cur)
 		}
 		kp := view.KeyPointerAt(0)
 		if view.Header().Visible() && bytes.Equal(view.ValueBytes(kp), key) {

@@ -17,7 +17,6 @@
 package hlog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -388,84 +387,69 @@ func (l *Log) doFlush(page uint64) {
 	defer l.flushWG.Done()
 	sp := l.tracer.StartRoot("hlog.flush")
 	sp.SetUint("page", page)
-	err := l.flushPage(page)
+	err := l.flushPage(page, l.pageWords)
 	l.completeFlush(page, err)
 	sp.SetInt("bytes", int64(l.pageSize))
 	sp.SetBool("error", err != nil)
 	sp.End()
 }
 
-// flushPage serializes, seals, and writes one sealed page to the device. It
-// is safe to call again after a failed attempt: the frame cannot have been
-// recycled (prepareFrame refuses to evict a page whose flush failed), the
-// page was sealed before its flush was scheduled, and sealing is idempotent.
-func (l *Log) flushPage(page uint64) error {
-	f := l.frameIndex(page)
-	frame := l.frames[f]
-	buf := make([]byte, l.pageSize)
-	for i := 0; i < l.pageWords; i++ {
-		binary8(buf[i*8:], atomic.LoadUint64(&frame[i]))
+// flushPage writes page's first n words to the device: it copies them from
+// the frame into a private staging page, seals the records there and in the
+// frame, and writes the staging page. A sealed page's flush is safe to
+// retry: the frame cannot have been recycled (prepareFrame refuses to evict
+// a page whose flush failed), the page was sealed before its flush was
+// scheduled, and sealing records is idempotent.
+func (l *Log) flushPage(page uint64, n int) error {
+	frame := l.frames[l.frameIndex(page)]
+	stage := make([]uint64, n)
+	for i := range stage {
+		stage[i] = atomic.LoadUint64(&frame[i])
 	}
-	l.sealPageRecords(page, frame, buf, l.pageWords)
-	_, err := l.device.WriteAt(buf, int64(l.address(page, 0)))
+	l.sealPageRecords(page, frame, stage)
+	_, err := l.device.WriteAt(wordio.Bytes(stage), int64(l.address(page, 0)))
 	return err
 }
 
-// sealPageRecords walks the record headers serialized into buf (the private
-// staging copy of frame[:endWord)) and seals every complete format-v1
-// record before buf reaches the device. The CRC runs over buf's contiguous
-// bytes — not per-word atomic loads from the frame — and the trailer word
-// is patched into both buf (what the device receives) and the live frame
-// (what in-memory readers and later re-flushes observe). This is the
-// checksum seal point: it runs at flush time, after the epoch bump guarding
-// the flush has proven every multi-word record write on the page finished,
+// sealPageRecords walks stage, the private staging copy of frame's first
+// len(stage) words, with a record.Cursor and seals every complete format-v1
+// record before stage reaches the device. The CRC runs over stage's bytes —
+// not per-word atomic loads from the frame — and the trailer word is patched
+// into both stage (what the device receives) and the live frame (what
+// in-memory readers and later re-flushes observe). This is the checksum
+// seal point: it runs at flush time, after the epoch bump guarding the
+// flush has proven every multi-word record write on the page finished,
 // i.e. strictly after the four-phase ingest protocol. The seal covers the
 // whole header word: a visible header is final, since its session set the
 // visible bit, alone or with the invalid bit (record.View.Abandon), in one
 // CAS, its last write to the header. Sealing is idempotent, so a page
 // re-flushed by FlushTail and later by doFlush persists identical trailer
-// words. The walk stops at the first hole (zero header), invisible record
+// words. The walk ends wherever the cursor stops, or at an invisible record
 // (an allocation whose owner died mid-ingest — nothing after it can be
-// trusted to be complete, and recovery truncates there anyway), or
-// structurally absurd size, leaving such suffixes unsealed.
-func (l *Log) sealPageRecords(page uint64, frame []uint64, buf []byte, endWord int) {
-	off := 0
+// trusted to be complete, and recovery truncates there anyway), leaving
+// such suffixes unsealed.
+func (l *Log) sealPageRecords(page uint64, frame, stage []uint64) {
+	first := 0
 	if page == 0 {
-		off = int(BeginAddress / 8) // low addresses are reserved, never records
+		first = int(BeginAddress / 8) // low addresses are reserved, never records
 	}
-	for off < endWord {
-		hw := binary.LittleEndian.Uint64(buf[off*8:])
-		if hw == 0 {
+	c := record.NewCursor(stage[first:], uint64(first)*8, len(stage)-first, 0)
+	for {
+		off, v, ok := c.Next()
+		if !ok {
 			return
 		}
-		h := record.Header(hw)
-		n := h.SizeWords()
-		if n <= 0 || off+n > endWord {
+		h := v.Header()
+		if h.Filler() {
+			continue
+		}
+		if !h.Visible() {
 			return
 		}
-		if !h.Filler() {
-			if !h.Visible() {
-				return
-			}
-			if tw, ok := record.SealedTrailer(h, buf[off*8:(off+n)*8]); ok {
-				binary8(buf[(off+n-1)*8:], tw)
-				atomic.StoreUint64(&frame[off+n-1], tw)
-			}
+		if tw, ok := v.Seal(); ok {
+			atomic.StoreUint64(&frame[int(off/8)+len(v.Words)-1], tw)
 		}
-		off += n
 	}
-}
-
-func binary8(dst []byte, w uint64) {
-	_ = dst[7]
-	dst[0] = byte(w)
-	dst[1] = byte(w >> 8)
-	dst[2] = byte(w >> 16)
-	dst[3] = byte(w >> 24)
-	dst[4] = byte(w >> 32)
-	dst[5] = byte(w >> 40)
-	dst[6] = byte(w >> 48)
-	dst[7] = byte(w >> 56)
 }
 
 // completeFlush records a finished page flush and advances flushedUntil
@@ -543,20 +527,12 @@ func (l *Log) FlushTail() error {
 	if off == 0 {
 		return nil
 	}
-	f := l.frameIndex(page)
-	frame := l.frames[f]
-	n := int(off)
-	buf := make([]byte, n)
-	for i := 0; i < n/8; i++ {
-		binary8(buf[i*8:], atomic.LoadUint64(&frame[i]))
-	}
-	// Seal after serializing: the tail never splits a record, so every
-	// record covered by [0, off) is complete. Callers that need durability
-	// guarantees (checkpoint) hold the ingest barrier, so covered records are
-	// also visible; without the barrier a trailing in-flight record simply
-	// stays unsealed and recovery truncates before it.
-	l.sealPageRecords(page, frame, buf, n/8)
-	if _, err := l.device.WriteAt(buf, int64(l.address(page, 0))); err != nil {
+	// The tail never splits a record, so every record covered by [0, off)
+	// is complete. Callers that need durability guarantees (checkpoint) hold
+	// the ingest barrier, so covered records are also visible; without the
+	// barrier a trailing in-flight record simply stays unsealed and recovery
+	// truncates before it.
+	if err := l.flushPage(page, int(off/8)); err != nil {
 		return err
 	}
 	// Extend the durable boundary into the tail page; only valid because all
@@ -620,6 +596,8 @@ func (l *Log) PageWordsFrom(addr Address) []uint64 {
 
 // ReadWordsFromDevice reads n words at addr from the storage device straight
 // into a new slice.
+//
+//fishlint:hotpath per-match read of an indirect target, called through record.ReadAt
 func (l *Log) ReadWordsFromDevice(addr Address, n int) ([]uint64, error) {
 	//lint:ignore hotalloc fresh words by contract: scans read through it only past the page cache and the speculation buffer
 	words := make([]uint64, n)

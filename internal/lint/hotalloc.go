@@ -25,8 +25,9 @@ const hotpathDirective = "//fishlint:hotpath"
 //   - &T{...} and new(T): escape-prone heap objects
 //   - slice/map composite literals and make() of any kind
 //   - string ↔ []byte/[]rune conversions (each copies)
-//   - interface boxing: a non-pointer-shaped concrete value passed where an
-//     interface is expected allocates the interface data word
+//   - interface boxing: a non-pointer-shaped concrete value passed or
+//     returned where an interface is expected allocates the interface data
+//     word
 //   - string concatenation with +
 //   - append (backing-array growth unless the caller preallocated)
 //   - closures (func literals capture their environment on the heap)
@@ -182,8 +183,27 @@ func collectAllocSites(pass *Pass, info *types.Info, fd *ast.FuncDecl, emit func
 	// before children, so the operands are marked before they are reached.
 	inPlace := make(map[ast.Expr]bool)
 	assigned := make(map[ast.Expr]bool)
+	// A return boxes as an argument does. Its results are those of the
+	// innermost function literal around it, else fd's; literals are met
+	// outermost first.
+	var lits []*ast.FuncLit
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			sig := info.Defs[fd.Name].Type().(*types.Signature)
+			for _, fl := range lits {
+				if fl.Pos() <= n.Pos() && n.End() <= fl.End() {
+					sig = info.TypeOf(fl).(*types.Signature)
+				}
+			}
+			if sig.Results().Len() != len(n.Results) {
+				break // a bare return, or one forwarding a multi-value call
+			}
+			for i, res := range n.Results {
+				if rt := sig.Results().At(i).Type(); boxes(info, res, rt) {
+					emit(res.Pos(), "returning "+typeString(info.Types[res].Type)+" as "+interfaceLabel(rt)+" boxes it on the heap")
+				}
+			}
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
 				assigned[ast.Unparen(l)] = true
@@ -191,6 +211,7 @@ func collectAllocSites(pass *Pass, info *types.Info, fd *ast.FuncDecl, emit func
 		case *ast.IncDecStmt:
 			assigned[ast.Unparen(n.X)] = true
 		case *ast.FuncLit:
+			lits = append(lits, n)
 			emit(n.Pos(), "closure allocates its captured environment")
 			return true // still scan the body: it runs on the hot path too
 		case *ast.UnaryExpr:
@@ -283,20 +304,22 @@ func collectCallAllocs(info *types.Info, call *ast.CallExpr, inPlace bool, emit 
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		// A type parameter's underlying type is its constraint interface,
-		// but an instantiation passes the argument unboxed.
-		if _, isTypeParam := pt.(*types.TypeParam); isTypeParam || pt == nil || !types.IsInterface(pt.Underlying()) {
-			continue
+		if boxes(info, arg, pt) {
+			emit(arg.Pos(), "passing "+typeString(info.Types[arg].Type)+" as "+interfaceLabel(pt)+" boxes it on the heap")
 		}
-		at, ok := info.Types[arg]
-		if !ok || at.Type == nil {
-			continue
-		}
-		if at.IsNil() || boxesWithoutAlloc(at.Type) {
-			continue
-		}
-		emit(arg.Pos(), "passing "+typeString(at.Type)+" as "+interfaceLabel(pt)+" boxes it on the heap")
 	}
+}
+
+// boxes reports whether converting e to t allocates: t is an interface and
+// e a non-nil value that does not fit the interface data word. A type
+// parameter's underlying type is its constraint interface, but an
+// instantiation passes the value unboxed.
+func boxes(info *types.Info, e ast.Expr, t types.Type) bool {
+	if _, isTypeParam := t.(*types.TypeParam); isTypeParam || t == nil || !types.IsInterface(t.Underlying()) {
+		return false
+	}
+	at, ok := info.Types[e]
+	return ok && at.Type != nil && !at.IsNil() && !boxesWithoutAlloc(at.Type)
 }
 
 // boxesWithoutAlloc reports whether a value of type t converts to an

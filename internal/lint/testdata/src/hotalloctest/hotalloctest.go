@@ -89,3 +89,22 @@ func lookup(keys [][]byte, m map[string]int, want string) int {
 func intern(m map[string]int, k []byte) {
 	m[string(k)] = len(m) // want hotalloc "copies its operand"
 }
+
+// code is an error carried in a word, like an address.
+type code uint64
+
+func (c code) Error() string { return "code" }
+
+//fishlint:hotpath per-hop resolution
+func resolve(k uint64) (uint64, error) {
+	if k == 0 {
+		return 0, code(k) // want hotalloc "returning fishstore/internal/lint/testdata/src/hotalloctest.code as error boxes it on the heap"
+	}
+	check := func() error { // want hotalloc "closure allocates its captured environment"
+		return code(k) // want hotalloc "boxes it on the heap"
+	}
+	if k == 1 {
+		return k, check() // already an interface: no boxing
+	}
+	return k, nil
+}

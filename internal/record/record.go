@@ -494,38 +494,22 @@ func headerCRC(h Header, mask uint64) uint32 {
 	return ^crc
 }
 
-// Seal computes and stores the checksum trailer of a format-v1 record. The
-// hybrid log calls it at flush time, once the record is complete; sealing is
-// idempotent (the body is immutable, so re-sealing stores the same word).
-// v0 records and fillers are left untouched.
-func (v View) Seal() {
+// Seal computes the checksum trailer of a format-v1 record, stores it in
+// the record's last word and returns it. The hybrid log seals at flush time,
+// once the record is complete, in its private staging copy of the page: the
+// CRC runs over the view's bytes in place, so no one may write the view
+// concurrently. Sealing is idempotent (the body is immutable, so re-sealing
+// stores the same word). v0 records, fillers and corrupt headers are left
+// untouched, with ok false.
+func (v View) Seal() (uint64, bool) {
 	h := v.Header()
-	if !h.Checksum() || h.Filler() {
-		return
-	}
 	start, end := bodyBounds(h)
-	if start > end || h.SizeWords() > len(v.Words) {
-		return // corrupt header; never sealable
-	}
-	atomic.StoreUint64(&v.Words[h.SizeWords()-1], sealMagic|uint64(v.checksumBody(h, headerCRC(h, ^uint64(0)))))
-}
-
-// SealedTrailer computes the checksum trailer word for a record already
-// serialized little-endian into b (at least h.SizeWords*8 bytes). The
-// flush path uses it to CRC directly over its private staging buffer —
-// contiguous bytes, no per-word atomic loads — and then patches the trailer
-// into both the buffer and the live frame. The byte stream is identical to
-// what checksumBody stages, so the two always agree. Returns false for
-// records that are not sealable (v0, fillers, corrupt headers).
-func SealedTrailer(h Header, b []byte) (uint64, bool) {
-	if !h.Checksum() || h.Filler() {
+	if !h.Checksum() || h.Filler() || start > end || h.SizeWords() > len(v.Words) {
 		return 0, false
 	}
-	start, end := bodyBounds(h)
-	if start > end || h.SizeWords() < 1 || h.SizeWords()*8 > len(b) {
-		return 0, false
-	}
-	return sealMagic | uint64(crc32.Update(headerCRC(h, ^uint64(0)), castagnoli, b[start*8:end*8])), true
+	tw := sealMagic | uint64(crc32.Update(headerCRC(h, ^uint64(0)), castagnoli, wordio.Bytes(v.Words[start:end])))
+	v.Words[h.SizeWords()-1] = tw
+	return tw, true
 }
 
 // ChecksumOK reports whether the record matches its checksum trailer: the
@@ -614,4 +598,159 @@ func (v View) ValueBytes(kp KeyPointer) []byte {
 		return nil
 	}
 	return wordio.Bytes(v.Words[first:])[off:end:end]
+}
+
+// Stop is why a Cursor stopped walking a page image.
+type Stop uint8
+
+const (
+	StopUnwritten Stop = iota + 1 // a zero header word: the page's unwritten tail
+	StopZeroSize                  // a nonzero header word with a zero record size
+	StopOverrun                   // a record running past the end of its page
+	StopTorn                      // a header or record past the words holding data
+	StopLimit                     // the walk's limit address, or the page's end
+)
+
+// Cursor walks the records of one page image, one per Next. It decides only
+// where records lie and where the page ends: what a filler, an invisible
+// record or a stop means is the caller's policy.
+type Cursor struct {
+	words      []uint64 // the page image from the walk's start to the page's end
+	addr       uint64   // address of words[0]
+	off        int      // next header's word index in words
+	avail      int      // words[:avail] hold data
+	limit, end int      // records start below words[limit], and below words[end] = min(avail, limit)
+}
+
+// NewCursor starts a walk at addr over words, the page image from addr to
+// its page's end. Only words[:avail] hold data; a record starting at or past
+// the address limit, unless it is 0, is not yielded.
+func NewCursor(words []uint64, addr uint64, avail int, limit uint64) Cursor {
+	c := Cursor{words: words, addr: addr, avail: min(max(avail, 0), len(words)), limit: len(words)}
+	if limit != 0 && limit <= addr {
+		c.limit = 0
+	} else if w := (limit-addr-1)/8 + 1; w < uint64(c.limit) {
+		c.limit = int(w)
+	}
+	c.end = min(c.avail, c.limit)
+	return c
+}
+
+// Next returns the next record's address and view, or at the walk's end
+// the address where it stopped and false; Stop then says why.
+func (c *Cursor) Next() (uint64, View, bool) {
+	off := c.off
+	addr := c.addr + uint64(off)*8
+	if off >= c.end {
+		return addr, View{}, false
+	}
+	n := Header(atomic.LoadUint64(&c.words[off])).SizeWords()
+	if n == 0 || n > c.avail-off {
+		return addr, View{}, false
+	}
+	c.off = off + n
+	return addr, View{Words: c.words[off:c.off:c.off]}, true
+}
+
+// Stop returns why the walk stopped, once Next has returned false.
+func (c *Cursor) Stop() Stop {
+	off := c.off
+	switch {
+	case off >= c.limit:
+		return StopLimit
+	case off >= c.avail:
+		return StopTorn
+	}
+	w := atomic.LoadUint64(&c.words[off])
+	n := Header(w).SizeWords()
+	switch {
+	case w == 0:
+		return StopUnwritten
+	case n == 0:
+		return StopZeroSize
+	case n > len(c.words)-off:
+		return StopOverrun
+	}
+	return StopTorn
+}
+
+// holds reports whether h heads a record of at most room words with a key
+// pointer slot off (a back-offset, never negative) words past the header: a
+// slot's offset is odd and below 2·NumPtrs+1, where the pointers end
+// (shifting the field by hdrPtrsShift-1 doubles it).
+func (h Header) holds(off, room int) bool {
+	n := h.SizeWords()
+	return off&1 != 0 && uint64(off) < uint64(h)>>(hdrPtrsShift-1)&(hdrPtrsMask>>(hdrPtrsShift-1)) &&
+		off < n-1 && n <= room
+}
+
+// fits reports whether h heads a record of at most room words.
+func (h Header) fits(room int) bool { n := h.SizeWords(); return n != 0 && n <= room }
+
+// Resolve maps the key pointer at word k of a page image to its record's
+// view and header index. ok is false when the link is corrupt: its
+// back-offset leaves the page, or reaches no header that holds (Header.holds,
+// written out to stay within the inliner's budget) a pointer slot at k.
+func Resolve(page []uint64, k int) (v View, b int, ok bool) {
+	off := int(atomic.LoadUint64(&page[k]) >> kpOffShift)
+	if b = k - off; b >= 0 {
+		h := atomic.LoadUint64(&page[b])
+		n := int(h & hdrSizeMask)
+		if off&1 != 0 && uint64(off) < h>>(hdrPtrsShift-1)&(hdrPtrsMask>>(hdrPtrsShift-1)) && off < n-1 && n <= len(page)-b {
+			v.Words, ok = page[b:b+n], true
+		}
+	}
+	return
+}
+
+// ResolveRead is Resolve on a device of pageWords-word pages (a power of
+// two): it reads the key pointer at kptAddr, then its record as ReadAt does,
+// checking after each read, and returns the record's view and address.
+func ResolveRead(read func(addr uint64, n int) ([]uint64, error), kptAddr uint64, pageWords int) (View, uint64, bool, error) {
+	kw, err := read(kptAddr, WordsPerPointer)
+	if err != nil {
+		return View{}, 0, false, err
+	}
+	k := int(kptAddr/8) & (pageWords - 1)
+	off := KeyPointer{A: kw[0]}.OffsetWords()
+	if off > k {
+		return View{}, 0, false, nil
+	}
+	base := kptAddr - uint64(off)*8
+	v, ok, err := readRecord(read, base, pageWords-(k-off), off)
+	return v, base, ok, err
+}
+
+// ReadAt reads the record whose header is at addr on a device of
+// pageWords-word pages: the header, then, unless At would refuse it, the
+// record.
+func ReadAt(read func(addr uint64, n int) ([]uint64, error), addr uint64, pageWords int) (View, bool, error) {
+	return readRecord(read, addr, pageWords-int(addr/8)&(pageWords-1), -1)
+}
+
+// readRecord reads the header at addr and, when its record fits in room
+// words and, unless off is negative, holds a key pointer slot off words
+// past it, the record.
+func readRecord(read func(addr uint64, n int) ([]uint64, error), addr uint64, room, off int) (View, bool, error) {
+	hw, err := read(addr, HeaderWords)
+	if err != nil {
+		return View{}, false, err
+	}
+	h := Header(hw[0])
+	if !h.fits(room) || off >= 0 && !h.holds(off, room) {
+		return View{}, false, nil
+	}
+	words, err := read(addr, h.SizeWords())
+	return View{Words: words}, err == nil, err
+}
+
+// At returns the record whose header is word i of page; ok is false when
+// the header's size is zero or the record runs past the page.
+func At(page []uint64, i int) (View, bool) {
+	h := Header(atomic.LoadUint64(&page[i]))
+	if !h.fits(len(page) - i) {
+		return View{}, false
+	}
+	n := i + h.SizeWords()
+	return View{Words: page[i:n:n]}, true
 }

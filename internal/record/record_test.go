@@ -614,3 +614,70 @@ func BenchmarkSpecWrite1KB(b *testing.B) {
 		spec.Write(words)
 	}
 }
+
+// TestResolveProperty: on any page image, Resolve accepts exactly the key
+// pointer words whose back-offset stays in the page and reaches a header
+// that holds a pointer slot there (Header.holds), and ResolveRead and
+// ReadAt, reading the same image, agree with Resolve and At.
+func TestResolveProperty(t *testing.T) {
+	f := func(seed []uint64, ks []uint16) bool {
+		page := make([]uint64, 64)
+		copy(page, seed)
+		// Plant a real record so that some links resolve.
+		spec := Spec{Payload: []byte("0123456789abcdef"), Checksum: true,
+			Pointers: []PointerSpec{{PSFID: 1}, {PSFID: 2}}}
+		if int(uint16(len(seed)))%2 == 0 {
+			spec.Write(page[8 : 8+spec.SizeWords()])
+		}
+		read := func(addr uint64, n int) ([]uint64, error) { return page[addr/8 : addr/8+uint64(n)], nil }
+		for _, k16 := range ks {
+			k := int(k16) % len(page)
+			off := KeyPointer{A: page[k]}.OffsetWords()
+			b := k - off
+			want := b >= 0 && Header(page[b]).holds(off, len(page)-b)
+			v, gb, ok := Resolve(page, k)
+			if ok != want || ok && (gb != b || len(v.Words) != Header(page[b]).SizeWords() || &v.Words[0] != &page[b]) {
+				return false
+			}
+			if k+WordsPerPointer > len(page) {
+				continue // ResolveRead reads the whole key pointer
+			}
+			rv, base, rok, err := ResolveRead(read, uint64(k)*8, len(page))
+			if err != nil || rok != ok || ok && (base != uint64(b)*8 || len(rv.Words) != len(v.Words)) {
+				return false
+			}
+			av, aok := At(page, k)
+			rv, rok, err = ReadAt(read, uint64(k)*8, len(page))
+			if err != nil || aok != rok || aok && len(av.Words) != len(rv.Words) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResolveWrittenRecord: every key pointer of a written record resolves
+// to it, and no other word of it does.
+func TestResolveWrittenRecord(t *testing.T) {
+	spec := Spec{Payload: []byte(`{"id": 1, "repo": "spark"}`), ValueRegion: []byte("spark"), Checksum: true,
+		Pointers: []PointerSpec{{PSFID: 1}, {PSFID: 2, Mode: ModeValueRegion, ValSize: 5}, {PSFID: 3}}}
+	page := make([]uint64, 4+spec.SizeWords())
+	spec.Write(page[4 : 4+spec.SizeWords()])
+	View{Words: page[4:]}.SetVisible()
+	for k := 4; k < 4+spec.SizeWords(); k++ {
+		_, b, ok := Resolve(page, k)
+		slot := k - 4 - HeaderWords
+		if want := slot >= 0 && slot%WordsPerPointer == 0 && slot/WordsPerPointer < len(spec.Pointers); ok != want || ok && b != 4 {
+			t.Errorf("word %d: Resolve = (%d, %v), want ok %v", k, b, ok, want)
+		}
+	}
+	if v, ok := At(page, 4); !ok || len(v.Words) != spec.SizeWords() {
+		t.Fatalf("At(header) = %d words, %v", len(v.Words), ok)
+	}
+	if _, ok := At(page, 0); ok {
+		t.Fatal("At accepted a zero header")
+	}
+}

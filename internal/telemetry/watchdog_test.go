@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -54,9 +53,16 @@ func TestWatchdogBurnStates(t *testing.T) {
 
 func TestWatchdogTicksAndReport(t *testing.T) {
 	col := New()
-	var ticks atomic.Int64
+	// The first tick's window holds every op recorded before Start; later
+	// windows may be empty, so the breach is asserted on the first report.
+	first := make(chan Report, 1)
 	w := NewWatchdog(col, SLO{IngestBatchP99: time.Millisecond, Interval: 5 * time.Millisecond},
-		func(Report) { ticks.Add(1) })
+		func(r Report) {
+			select {
+			case first <- r:
+			default:
+			}
+		})
 
 	// Before Start, Report is the all-ok placeholder naming the objective.
 	r := w.Report()
@@ -68,20 +74,22 @@ func TestWatchdogTicksAndReport(t *testing.T) {
 		col.RecordOp(OpIngestBatch, 10*time.Millisecond) // all over target
 	}
 	w.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for ticks.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	w.Stop()
-	if ticks.Load() == 0 {
+	select {
+	case r = <-first:
+	case <-time.After(2 * time.Second):
 		t.Fatal("watchdog never ticked")
 	}
-	r = w.Report()
-	if r.Status != StatusBreach {
-		t.Fatalf("report after all-breach window: %+v", r)
+	w.Stop()
+	if r.Status != StatusBreach || r.SLOs[0].WindowOps != 100 {
+		t.Fatalf("report of the all-breach window: %+v", r)
 	}
-	if w.Burn("ingest_batch_p99") < 1 {
-		t.Fatalf("Burn() = %v, want >= 1", w.Burn("ingest_batch_p99"))
+	if r.SLOs[0].Burn < 1 {
+		t.Fatalf("burn of the all-breach window = %v, want >= 1", r.SLOs[0].Burn)
+	}
+	// Report and Burn serve the latest window, whichever tick it was.
+	last := w.Report()
+	if last.SLOs[0].Ops != 100 || w.Burn("ingest_batch_p99") != last.SLOs[0].Burn {
+		t.Fatalf("latest report %+v, Burn() = %v", last, w.Burn("ingest_batch_p99"))
 	}
 }
 

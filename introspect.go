@@ -2,7 +2,6 @@ package fishstore
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"fishstore/internal/hashtable"
@@ -235,12 +234,7 @@ func (s *Store) logComposition(opts logSampleOptions) (*introspect.LogSnapshot, 
 
 	pageSize := s.log.PageSize()
 	for addr := from; addr < to; {
-		pageStart := addr &^ (pageSize - 1)
-		pageEnd := pageStart + pageSize
-		limit := to
-		if pageEnd < limit {
-			limit = pageEnd
-		}
+		pageEnd := addr&^(pageSize-1) + pageSize
 		g.Refresh()
 
 		var words []uint64
@@ -258,28 +252,24 @@ func (s *Store) logComposition(opts logSampleOptions) (*introspect.LogSnapshot, 
 			}
 			words = w
 		}
-		walkAllHeaders(words, addr, limit, ls)
+		walkAllHeaders(words, addr, to, ls)
 		addr = pageEnd
 	}
 	ls.WalkedBytes = uint64(ls.LiveBytes + ls.InvalidBytes + ls.FillerBytes)
 	return ls, nil
 }
 
-// walkAllHeaders tallies every header in words (first word at baseAddr) into
-// ls, stopping at limit or the unwritten tail.
+// walkAllHeaders tallies every header in words, a page from baseAddr on,
+// into ls, up to limit or wherever the cursor stops.
 func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSnapshot) {
-	off := 0
-	for off < len(words) {
-		h := record.Header(atomic.LoadUint64(&words[off]))
-		n := h.SizeWords()
-		if n == 0 {
-			return // unwritten tail region
-		}
-		addr := baseAddr + uint64(off)*8
-		if addr >= limit || off+n > len(words) {
+	c := record.NewCursor(words, baseAddr, len(words), limit)
+	for {
+		_, v, ok := c.Next()
+		if !ok {
 			return
 		}
-		bytes := int64(n) * 8
+		h := v.Header()
+		bytes := int64(h.SizeWords()) * 8
 		switch {
 		case h.Filler():
 			ls.Fillers++
@@ -297,7 +287,6 @@ func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSn
 			}
 			ls.KeyPointers += int64(h.NumPtrs())
 		}
-		off += n
 	}
 }
 

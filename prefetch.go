@@ -216,36 +216,43 @@ func (cr *chainReader) effMaxWin() int {
 	return w
 }
 
-// record reads the record containing the key pointer at kptAddr and returns
-// its view and base address. The view aliases a pinned cache page or the
+// record reads the record containing the key pointer at kptAddr, a word
+// address, and returns its view and base address; ok is false when the link
+// is corrupt (record.Resolve). The view aliases a pinned cache page or the
 // speculation buffer, so it is valid until the next hop. One call is one
 // chain hop: the hop is a hit when the reader issued no device read for it,
 // a miss otherwise.
-func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
-	if kptAddr%8 != 0 {
-		return record.View{}, 0, errBadLink(kptAddr) // key pointers sit on words
-	}
+func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, bool, error) {
 	ios := cr.ios
 	var v record.View
 	var base uint64
+	var ok bool
 	var err error
 	cached := false
 	if cr.cache != nil && !cr.buffered(kptAddr) {
 		var pw []uint64
 		if pw, err = cr.pageWords(cr.log.PageOf(kptAddr)); err != nil {
-			return record.View{}, 0, err
+			return record.View{}, 0, false, err
 		}
 		if pw != nil {
+			// Records never straddle pages, so the key pointer, header and
+			// payload all live in the cached page, and the view aliases it.
 			cached = true
-			v, base, err = cr.recordInPage(pw, kptAddr)
+			k := cr.log.OffsetOf(kptAddr) / 8
+			var b int
+			v, b, ok = record.Resolve(pw, int(k))
+			base = kptAddr - (k-uint64(b))*8
 		}
 	}
 	if !cached {
-		v, base, err = cr.recordRaw(kptAddr)
+		// Byte-granular device reads through the speculation buffer: the key
+		// pointer, then the header, then the record.
+		v, base, ok, err = record.ResolveRead(cr.fetch, kptAddr, int(cr.log.PageSize()/8))
 	}
-	if err != nil {
-		return record.View{}, 0, err
+	if err != nil || !ok {
+		return record.View{}, 0, false, err
 	}
+	cr.adapt(base, len(v.Words)*8)
 	hit := cr.ios == ios
 	if hit {
 		cr.hits++
@@ -260,7 +267,7 @@ func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
 			m.prefetchMisses.Inc()
 		}
 	}
-	return v, base, nil
+	return v, base, true, nil
 }
 
 // buffered reports whether the key pointer at kptAddr lies in the
@@ -268,63 +275,6 @@ func (cr *chainReader) record(kptAddr uint64) (record.View, uint64, error) {
 // always lies there too.
 func (cr *chainReader) buffered(kptAddr uint64) bool {
 	return kptAddr >= cr.bufStart && kptAddr+16 <= cr.bufEnd
-}
-
-// recordRaw resolves the record with byte-granular device reads, through the
-// speculation buffer: the key pointer, then the header, then the record.
-func (cr *chainReader) recordRaw(kptAddr uint64) (record.View, uint64, error) {
-	// 1. The key pointer's first word tells us where the record starts.
-	kw, err := cr.fetch(kptAddr, 2)
-	if err != nil {
-		return record.View{}, 0, err
-	}
-	offWords := uint64(record.KeyPointer{A: kw[0]}.OffsetWords())
-	base := kptAddr - offWords*8
-	if offWords > cr.log.OffsetOf(kptAddr)/8 {
-		return record.View{}, 0, errBadLink(base) // records never straddle pages
-	}
-
-	// 2. The header tells us the record size.
-	hw, err := cr.fetch(base, 1)
-	if err != nil {
-		return record.View{}, 0, err
-	}
-	h := record.Header(hw[0])
-	n := h.SizeWords()
-	if n == 0 || cr.log.OffsetOf(base)+uint64(n)*8 > cr.log.PageSize() || !onPointer(h, offWords) {
-		return record.View{}, 0, errBadLink(base)
-	}
-
-	// 3. Fetch the whole record.
-	words, err := cr.fetch(base, n)
-	if err != nil {
-		return record.View{}, 0, err
-	}
-	cr.adapt(base, n*8)
-	return record.View{Words: words}, base, nil
-}
-
-// recordInPage resolves the record from its page's words: records never
-// straddle pages, so the key pointer, header, and payload all live in one
-// page and the returned view aliases it with zero copies.
-func (cr *chainReader) recordInPage(pw []uint64, kptAddr uint64) (record.View, uint64, error) {
-	kOff := cr.log.OffsetOf(kptAddr) / 8
-	offWords := uint64(record.KeyPointer{A: pw[kOff]}.OffsetWords())
-	base := kptAddr - offWords*8
-	if offWords > kOff {
-		// Records never straddle pages; an offset pointing before the page
-		// start means the chain word is garbage.
-		return record.View{}, 0, errBadLink(base)
-	}
-	bOff := kOff - offWords
-	h := record.Header(pw[bOff])
-	n := uint64(h.SizeWords())
-	if n == 0 || bOff+n > uint64(len(pw)) || !onPointer(h, offWords) {
-		return record.View{}, 0, errBadLink(base)
-	}
-	view := record.View{Words: pw[bOff : bOff+n]}
-	cr.adapt(base, int(n)*8)
-	return view, base, nil
 }
 
 // pageWords returns the words of an on-device page through the cache, or nil
@@ -425,6 +375,8 @@ func (cr *chainReader) adapt(base uint64, size int) {
 // fetch returns the n words at the word-aligned address addr, serving from
 // the speculation buffer when possible. The result aliases the buffer and is
 // valid until the next fetch.
+//
+//fishlint:hotpath per-hop device read, called through record.ResolveRead
 func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
 	start, end := addr, addr+uint64(n)*8
 	if start >= cr.bufStart && end <= cr.bufEnd {
@@ -471,22 +423,4 @@ func (cr *chainReader) fetch(addr uint64, n int) ([]uint64, error) {
 	cr.bufStart, cr.bufEnd = start, end
 	off := (addr - start) / 8
 	return cr.buf[off : off+uint64(n)], nil
-}
-
-// onPointer reports whether offWords, a link's back-offset to the record's
-// header, names one of the record's key pointer slots.
-func onPointer(h record.Header, offWords uint64) bool {
-	slot := int(offWords) - record.HeaderWords
-	return slot >= 0 && slot%record.WordsPerPointer == 0 && slot/record.WordsPerPointer < h.NumPtrs() &&
-		int(offWords)+record.WordsPerPointer <= h.SizeWords()
-}
-
-// errBadLink is a chain link that does not land on a key pointer of a
-// record: an empty header, a record running off its page, or an address
-// that is not one of the record's pointer slots. Only a corrupt prev
-// address produces one.
-type errBadLink uint64
-
-func (e errBadLink) Error() string {
-	return "fishstore: chain link does not land on a key pointer"
 }

@@ -580,12 +580,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		pageStart := addr &^ (pageSize - 1)
-		pageEnd := pageStart + pageSize
-		limit := to
-		if pageEnd < limit {
-			limit = pageEnd
-		}
+		pageEnd := addr&^(pageSize-1) + pageSize
 		g.Refresh()
 
 		vfn := visit
@@ -610,18 +605,12 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 			words, pinned = w, p
 			if s.opts.VerifyOnRead {
 				vfn = func(addr uint64, v record.View) bool {
-					if reason := validateRecord(addr, v); reason != "" || !v.ChecksumOK() {
-						if reason == "" {
-							reason = "checksum mismatch"
-						}
-						s.quarantineRecord(addr, quarantined, "full-scan", reason)
-						return true // skip the record, continue the walk
-					}
-					return visit(addr, v)
+					// A quarantined record is skipped; the walk goes on.
+					return s.quarantined(addr, v, quarantined, "full-scan") || visit(addr, v)
 				}
 			}
 		}
-		more := walkRecords(words, addr, limit, vfn)
+		more := walkRecords(words, addr, to, vfn)
 		pinned.Release()
 		if !more {
 			return nil
@@ -675,6 +664,19 @@ func readPage(log *hlog.Log, page uint64, dst []uint64) ([]uint64, error) {
 	return dst, nil
 }
 
+// quarantined reports whether the device-fetched record v at addr fails
+// validation or its seal under VerifyOnRead, quarantining it if so.
+func (s *Store) quarantined(addr uint64, v record.View, quarantined *int64, where string) bool {
+	reason := validateRecord(addr, v)
+	if reason == "" && !v.ChecksumOK() {
+		reason = "checksum mismatch"
+	}
+	if reason != "" {
+		s.quarantineRecord(addr, quarantined, where, reason)
+	}
+	return reason != ""
+}
+
 // quarantineRecord accounts for a device-fetched record whose checksum (or
 // structure) failed under VerifyOnRead: it is counted, recorded as an event
 // with its address so the flight recorder pins where the log is damaged, and
@@ -693,32 +695,21 @@ func (s *Store) quarantineRecord(addr uint64, quarantined *int64, where, reason 
 
 // walkRecords iterates the records laid out in words (whose first word is
 // the header at baseAddr), invoking visit for each visible record starting
-// below limit. Returns false if visit stopped the walk.
+// below limit. Wherever the cursor stops, the live page ends: a torn record
+// is one still being written. Returns false if visit stopped the walk.
 //
 //fishlint:hotpath per-record full-scan page walk
 func walkRecords(words []uint64, baseAddr, limit uint64, visit func(addr uint64, v record.View) bool) bool {
-	off := 0
-	for off < len(words) {
-		h := record.Header(atomic.LoadUint64(&words[off]))
-		n := h.SizeWords()
-		if n == 0 {
-			return true // unwritten tail region
-		}
-		addr := baseAddr + uint64(off)*8
-		if addr >= limit {
+	c := record.NewCursor(words, baseAddr, len(words), limit)
+	for {
+		addr, v, ok := c.Next()
+		if !ok {
 			return true
 		}
-		if !h.Filler() && h.Visible() && !h.Invalid() {
-			if off+n > len(words) {
-				return true // torn tail record (still being written)
-			}
-			if !visit(addr, record.View{Words: words[off : off+n]}) {
-				return false
-			}
+		if h := v.Header(); !h.Filler() && h.Visible() && !h.Invalid() && !visit(addr, v) {
+			return false
 		}
-		off += n
 	}
-	return true
 }
 
 // ---- index scan ----
@@ -838,13 +829,14 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 		}
 		var view record.View
 		var base uint64
-		if cur >= s.log.HeadAddress() {
-			v, b, err := s.inMemoryRecordAt(cur)
-			if err != nil {
-				return err
-			}
-			view, base = v, b
-		} else {
+		var ok bool
+		var err error
+		switch {
+		case cur%8 != 0:
+			// Key pointers sit on words: a corrupt link.
+		case cur >= s.log.HeadAddress():
+			view, base, ok = s.inMemoryRecordAt(cur)
+		default:
 			if cr == nil {
 				// Only adaptive walks read through the page cache: the
 				// no-prefetch baseline, the verifier and the chain sampler
@@ -858,35 +850,17 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 			// Device reads target the immutable on-disk log; drop epoch
 			// protection for their duration so page recycling can proceed.
 			g.Unprotect()
-			v, b, err := cr.record(cur)
+			view, base, ok, err = cr.record(cur)
 			g.Protect()
-			if err != nil && cur < s.logBegin() {
-				return nil // truncated under the walk: the chain ends at the new floor
-			}
-			if bad, ok := err.(errBadLink); ok && s.opts.VerifyOnRead {
-				// A corrupt link: quarantine and stop, as for a record that
-				// fails validation below.
-				s.quarantineRecord(uint64(bad), &st.Quarantined, "chain", "link does not land on a key pointer")
+			if ok && s.opts.VerifyOnRead && s.quarantined(base, view, &st.Quarantined, "chain") {
+				// Quarantine AND terminate the walk: the prev pointer we
+				// would follow lives in this corrupt record, so every
+				// address it yields is untrustworthy.
 				return nil
 			}
-			if err != nil {
-				//lint:ignore hotalloc error path: the walk ends here
-				return fmt.Errorf("fishstore: chain read at %d: %w", cur, err)
-			}
-			if s.opts.VerifyOnRead {
-				reason := validateRecord(b, v)
-				if reason == "" && !v.ChecksumOK() {
-					reason = "checksum mismatch"
-				}
-				if reason != "" {
-					// Quarantine AND terminate the walk: the prev pointer we
-					// would follow lives in this corrupt record, so every
-					// address it yields is untrustworthy.
-					s.quarantineRecord(b, &st.Quarantined, "chain", reason)
-					return nil
-				}
-			}
-			view, base = v, b
+		}
+		if !ok {
+			return s.endWalk(cur, err, st)
 		}
 		st.IndexHops++
 		st.Visited++
@@ -899,6 +873,23 @@ func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint6
 		cur = kp.PrevAddress()
 	}
 	return nil
+}
+
+// endWalk ends a chain walk at the hop to cur that failed with err or, with
+// err nil, whose link lands on no key pointer: the link is corrupt, and is
+// quarantined under VerifyOnRead like a record that fails validation.
+func (s *Store) endWalk(cur uint64, err error, st *ScanStats) error {
+	switch {
+	case cur < s.logBegin():
+		return nil // truncated under the walk: the chain ends at the new floor
+	case err == nil && s.opts.VerifyOnRead:
+		s.quarantineRecord(cur, &st.Quarantined, "chain", "link does not land on a key pointer")
+		return nil
+	case err == nil:
+		err = errBadLink
+	}
+	//lint:ignore hotalloc error path: the walk ends here
+	return fmt.Errorf("fishstore: chain read at %d: %w", cur, err)
 }
 
 // walkChain follows one hash chain from head, emitting matching records
@@ -939,23 +930,14 @@ func (s *Store) walkChain(ctx context.Context, g *epoch.Guard, head uint64, prop
 
 // inMemoryRecordAt resolves the record containing the key pointer at
 // kptAddr from the circular buffer. Records never straddle pages, so one
-// frame lookup serves the key pointer, the header and the record.
+// frame lookup serves the key pointer, the header and the record. ok is
+// false when the link is corrupt (record.Resolve).
 //
 //fishlint:hotpath per-hop in-memory record resolution
-func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, error) {
-	kOff := s.log.OffsetOf(kptAddr) / 8
-	pw := s.log.WordsAt(kptAddr-kOff*8, int(s.log.PageSize()/8))
-	offWords := uint64(record.KeyPointer{A: atomic.LoadUint64(&pw[kOff])}.OffsetWords())
-	base := kptAddr - offWords*8
-	if offWords > kOff {
-		return record.View{}, 0, errBadLink(base)
-	}
-	bOff := kOff - offWords
-	n := uint64(record.Header(atomic.LoadUint64(&pw[bOff])).SizeWords())
-	if n == 0 || bOff+n > uint64(len(pw)) {
-		return record.View{}, 0, errBadLink(base)
-	}
-	return record.View{Words: pw[bOff : bOff+n]}, base, nil
+func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, bool) {
+	k := s.log.OffsetOf(kptAddr) / 8
+	v, b, ok := record.Resolve(s.log.WordsAt(kptAddr-k*8, int(s.log.PageSize()/8)), int(k))
+	return v, kptAddr - (k-uint64(b))*8, ok
 }
 
 // materialize turns a matched view into a Record, resolving historical
@@ -970,14 +952,14 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 	// Indirect record: payload is the 8-byte address of the data record.
 	pl := view.Payload()
 	if len(pl) != 8 {
-		return Record{}, errBadIndirect(base)
+		return Record{}, errBadIndirect
 	}
 	target := binary.LittleEndian.Uint64(pl)
+	pageWords := int(s.log.PageSize() / 8)
 	var tv record.View
+	var ok bool
 	if target >= s.log.HeadAddress() {
-		hw := s.log.WordsAt(target, 1)
-		n := record.Header(atomic.LoadUint64(&hw[0])).SizeWords()
-		tv = record.View{Words: s.log.WordsAt(target, n)}
+		tv, ok = record.At(s.log.WordsAt(target&^(s.log.PageSize()-1), pageWords), int(s.log.OffsetOf(target)/8))
 	} else {
 		// The target is below HeadAddress, hence immutable on device; do
 		// not hold the epoch across the reads, and do not start them for a
@@ -985,50 +967,40 @@ func (s *Store) materialize(ctx context.Context, g *epoch.Guard, view record.Vie
 		if err := ctxErr(ctx); err != nil {
 			return Record{}, err
 		}
+		var err error
 		g.Unprotect()
-		hw, err := s.log.ReadWordsFromDevice(target, 1)
+		tv, ok, err = record.ReadAt(s.log.ReadWordsFromDevice, target, pageWords)
 		g.Protect()
 		if err != nil {
 			return Record{}, err
 		}
-		n := record.Header(hw[0]).SizeWords()
-		if s.opts.VerifyOnRead && n == 0 {
-			s.quarantineRecord(target, &st.Quarantined, "indirect-target", "empty header")
+		if ok {
+			st.IOs += 2
+			st.ReadBytes += int64(8 + len(tv.Words)*8)
+		}
+		if ok && s.opts.VerifyOnRead && s.quarantined(target, tv, &st.Quarantined, "indirect-target") {
 			return Record{}, errQuarantined
 		}
-		g.Unprotect()
-		words, err := s.log.ReadWordsFromDevice(target, n)
-		g.Protect()
-		if err != nil {
-			return Record{}, err
-		}
-		st.IOs += 2
-		st.ReadBytes += int64(8 + n*8)
-		tv = record.View{Words: words}
+	}
+	if !ok {
 		if s.opts.VerifyOnRead {
-			reason := validateRecord(target, tv)
-			if reason == "" && !tv.ChecksumOK() {
-				reason = "checksum mismatch"
-			}
-			if reason != "" {
-				s.quarantineRecord(target, &st.Quarantined, "indirect-target", reason)
-				return Record{}, errQuarantined
-			}
+			s.quarantineRecord(target, &st.Quarantined, "indirect-target", "no record at the target address")
+			return Record{}, errQuarantined
 		}
+		return Record{}, errBadIndirect
 	}
 	return Record{Address: target, Payload: tv.Payload()}, nil
 }
 
-// errBadIndirect is the address of an indirect record whose payload is not
-// the expected 8-byte target address. A typed error (like errBadLink)
-// keeps the construction allocation-free on the audited chain-walk path.
-type errBadIndirect uint64
-
-func (e errBadIndirect) Error() string {
-	return "fishstore: indirect record payload is not an 8-byte address"
-}
-
-// errQuarantined is the internal sentinel materialize returns when
-// VerifyOnRead rejected an indirect record's device-resident target; the
-// chain walk skips the record instead of aborting the scan.
-var errQuarantined = errors.New("fishstore: record quarantined")
+var (
+	// errBadLink is a chain link that lands on no key pointer of a record
+	// (record.Resolve): only a corrupt prev address makes one.
+	errBadLink = errors.New("fishstore: chain link does not land on a key pointer")
+	// errBadIndirect is an indirect record whose payload is not the 8-byte
+	// address of a record.
+	errBadIndirect = errors.New("fishstore: indirect record payload is not the address of a record")
+	// errQuarantined is the internal sentinel materialize returns when
+	// VerifyOnRead rejected an indirect record's device-resident target; the
+	// chain walk skips the record instead of aborting the scan.
+	errQuarantined = errors.New("fishstore: record quarantined")
+)

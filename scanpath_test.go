@@ -495,9 +495,9 @@ func TestChainHopProbesCacheOnce(t *testing.T) {
 	}
 	cur := slot.Address()
 	for cur >= s.log.HeadAddress() {
-		v, b, err := s.inMemoryRecordAt(cur)
-		if err != nil {
-			t.Fatal(err)
+		v, b, ok := s.inMemoryRecordAt(cur)
+		if !ok {
+			t.Fatalf("link %d does not land on a key pointer", cur)
 		}
 		cur = v.KeyPointerAt((int((cur-b)/8) - record.HeaderWords) / record.WordsPerPointer).PrevAddress()
 	}
@@ -507,8 +507,8 @@ func TestChainHopProbesCacheOnce(t *testing.T) {
 	cache := pagecache.New(64, int(s.log.PageSize()/8))
 	cr := newChainReader(nil, s.log, true, cache, nil, nil)
 	defer cr.release()
-	if _, _, err := cr.record(cur); err != nil {
-		t.Fatal(err)
+	if _, _, ok, err := cr.record(cur); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 || st.Fills != 1 {
 		t.Fatalf("one cold hop on a fresh cache: %+v", st)

@@ -55,16 +55,16 @@ type VerifyReport struct {
 // OK reports whether verification found no corruption.
 func (r VerifyReport) OK() bool { return r.Corruption == nil }
 
-// walkDeviceLog walks the record layout on dev from `from`, structurally
-// validating every record, and calls visit (if non-nil) for each valid one
-// (fillers included). It returns the first address not covered by a valid
-// record, plus a non-empty `why` when the walk stopped on a structural
-// violation rather than a clean end (zero header, partially durable record,
-// an invisible record at the durable frontier, data running out, reaching
-// `to`, or visit returning false). An invisible record whose seal verifies
-// once visible is a violation: the sealer seals only visible records. A `to` of 0 means unbounded. Real device
-// I/O errors are returned as err; end-of-device (io.EOF) is a clean end —
-// recovery must never mistake a transient read fault for the log's end.
+// walkDeviceLog walks the record layout on dev from `from`, a record.Cursor
+// per page, validating every record, and calls visit (if non-nil) for each
+// valid one (fillers included). It returns the first address not covered by
+// a valid record, plus a non-empty `why` when the walk stopped on a
+// violation: a zero-size or overrun stop, a record that fails validation, or
+// an invisible one whose seal verifies once visible. Any other stop or
+// invisible record (the durable frontier), reaching `to` (0 is unbounded) or
+// visit returning false is a clean end. Real device I/O errors are returned
+// as err; end-of-device (io.EOF) is a clean end — recovery must never
+// mistake a transient read fault for the log's end.
 func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 	visit func(addr uint64, h record.Header, v record.View) bool) (end uint64, why string, pages int, err error) {
 
@@ -72,45 +72,32 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 	words := make([]uint64, pageSize/8)
 	buf := wordio.Bytes(words)
 	addr := from
-	for {
-		if to != 0 && addr >= to {
-			return addr, "", pages, nil
-		}
+	for to == 0 || addr < to {
 		pageStart := addr &^ (pageSize - 1)
 		n, rerr := dev.ReadAt(buf, int64(pageStart))
 		if rerr != nil && !errors.Is(rerr, io.EOF) && !errors.Is(rerr, io.ErrUnexpectedEOF) {
 			return addr, "", pages, fmt.Errorf("fishstore: log read at %d: %w", pageStart, rerr)
 		}
-		if n < 0 {
-			n = 0
-		}
 		pages++
-		clear(buf[n:])
-		off := addr - pageStart
+		off := int(addr-pageStart) / 8
+		c := record.NewCursor(words[off:], addr, n/8-off, to)
 		for {
-			recAddr := pageStart + off
-			if to != 0 && recAddr >= to {
-				return recAddr, "", pages, nil
+			recAddr, v, ok := c.Next()
+			if !ok {
+				switch c.Stop() {
+				case record.StopZeroSize:
+					return recAddr, "nonzero header word with zero record size", pages, nil
+				case record.StopOverrun:
+					size := record.Header(words[(recAddr-pageStart)/8]).SizeWords() * 8
+					return recAddr, fmt.Sprintf("record of %d bytes overruns its page", size), pages, nil
+				case record.StopLimit:
+					addr = recAddr // the page's end, or `to`
+				default:
+					return recAddr, "", pages, nil // unwritten or not fully durable: end of log
+				}
+				break
 			}
-			if off+8 > uint64(n) {
-				return recAddr, "", pages, nil // header not fully durable
-			}
-			hw := words[off/8]
-			if hw == 0 {
-				return recAddr, "", pages, nil // unwritten region: end of log
-			}
-			h := record.Header(hw)
-			if h.SizeWords() == 0 {
-				return recAddr, "nonzero header word with zero record size", pages, nil
-			}
-			size := uint64(h.SizeWords()) * 8
-			if size > pageSize-off {
-				return recAddr, fmt.Sprintf("record of %d bytes overruns its page", size), pages, nil
-			}
-			if off+size > uint64(n) {
-				return recAddr, "", pages, nil // body not fully durable
-			}
-			v := record.View{Words: words[off/8 : (off+size)/8]}
+			h := v.Header()
 			if !h.Filler() && !h.Visible() {
 				if v.LostVisibleBit() {
 					return recAddr, "sealed record lost its visible bit", pages, nil
@@ -131,13 +118,9 @@ func walkDeviceLog(dev storage.Device, pageBits uint, from, to uint64,
 			if visit != nil && !visit(recAddr, h, v) {
 				return recAddr, "", pages, nil
 			}
-			off += size
-			if off >= pageSize {
-				break
-			}
 		}
-		addr = pageStart + pageSize
 	}
+	return addr, "", pages, nil
 }
 
 // validateRecord deep-checks a record's internal layout: region sizes, key
