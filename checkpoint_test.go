@@ -461,8 +461,8 @@ func TestCheckpointDuringHistoricalBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two buckets and a distinct id per record: the build links an overflow
-	// bucket every few records.
-	s, err := Open(Options{Device: dev, PageBits: 12, MemPages: 4, TableBuckets: 2, OverflowBuckets: 1 << 12})
+	// bucket every few records and grows the overflow segments.
+	s, err := Open(Options{Device: dev, PageBits: 12, MemPages: 4, TableBuckets: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,4 +531,59 @@ func TestCheckpointDuringHistoricalBuild(t *testing.T) {
 		}
 	}
 	t.Logf("%d checkpoints, %d entries", len(ckpts), want)
+}
+
+// TestDefaultStoreIndexesUniqueIDs: a projection on a unique id is the
+// paper's headline PSF. A store with default options once stopped ingesting
+// at ~391K distinct ids, when its fixed pool of overflow buckets ran out;
+// the overflow buckets now grow, so 600K ids ingest and each is found, before
+// and after recovery.
+func TestDefaultStoreIndexesUniqueIDs(t *testing.T) {
+	mem := storage.NewMem()
+	s, err := Open(Options{Device: mem}) // a device, so Recover has a log
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := s.RegisterPSF(psf.Projection("id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, batch = 600_000, 1000
+	sess := s.NewSession()
+	recs := make([][]byte, batch)
+	for i := 0; i < n; i += batch {
+		for j := range recs {
+			recs[j] = fmt.Appendf(recs[j][:0], `{"id":%d}`, i+j)
+		}
+		if _, err := sess.Ingest(recs); err != nil {
+			t.Fatalf("batch ending at record %d: %v", i+batch, err)
+		}
+	}
+	sess.Close()
+	lookups := func(s *Store) {
+		t.Helper()
+		for _, v := range []int{0, n / 2, n - 1} {
+			found := 0
+			if _, err := s.Lookup(PropertyNumber(id, float64(v)), func(Record) bool { found++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if found != 1 {
+				t.Fatalf("Lookup(id=%d) found %d records, want 1", v, found)
+			}
+		}
+	}
+	lookups(s)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := Recover(dir, RecoverOptions{Options: Options{Device: mem}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lookups(r)
 }

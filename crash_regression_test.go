@@ -94,13 +94,15 @@ func TestCheckpointSurfacesSyncFailure(t *testing.T) {
 	}
 }
 
-// TestReplaySuffixPropagatesTableFull: replay used to drop table.FindOrCreate
-// errors on the floor, silently recovering a store whose index was missing
-// chains. The error must propagate out of Recover's one-pass replay of the
-// suffix on the device.
-func TestReplaySuffixPropagatesTableFull(t *testing.T) {
+// TestReplayIntoOneBucketRestoresAllChains: replay relinks the suffix into
+// whatever table recovery holds. One main bucket and one overflow bucket
+// held at most 14 properties when overflow buckets were a fixed pool; the
+// table now grows, so replaying 32 distinct properties into it restores
+// every chain.
+func TestReplayIntoOneBucketRestoresAllChains(t *testing.T) {
 	s := openTestStore(t, Options{Device: storage.NewMem(), PageBits: 12, MemPages: 4})
-	if _, _, err := s.RegisterPSF(psf.Projection("repo.name")); err != nil {
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	sess := s.NewSession()
@@ -114,15 +116,18 @@ func TestReplaySuffixPropagatesTableFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One bucket plus one overflow bucket holds at most 14 distinct
-	// properties; replaying 32 must exhaust it.
 	s.table = hashtable.New(1, 1)
-	_, _, _, err := s.replay(uint64(hlog.BeginAddress))
-	if err == nil {
-		t.Fatal("replay swallowed the table-full error")
+	if _, _, _, err := s.replay(uint64(hlog.BeginAddress)); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, hashtable.ErrTableFull) {
-		t.Fatalf("replay error = %v, want wrapped ErrTableFull", err)
+	for i := 0; i < 32; i++ {
+		n := 0
+		if _, err := s.Lookup(PropertyString(id, fmt.Sprintf("repo-%d", i)), func(Record) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 {
+			t.Fatalf("repo-%d: Lookup found %d records after replay, want 1", i, n)
+		}
 	}
 }
 

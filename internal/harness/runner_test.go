@@ -27,7 +27,7 @@ import (
 )
 
 // This file is the fault runner. A round draws one schedule from its seed:
-// concurrent ingest workers, a third PSF registered and later deregistered
+// concurrent ingest workers, a fourth PSF registered and later deregistered
 // while they run, and one profile's faults. The store that survives the
 // round is then checked against a reference model — what each worker had
 // acknowledged, and each PSF's registration intervals taken from its
@@ -68,7 +68,7 @@ const resourceCheckpointed, resourceFill = 10, 400
 type schedule struct {
 	Profile profile
 	Seed    int64
-	// Workers ingest Records one-record batches each. The third PSF is
+	// Workers ingest Records one-record batches each. The churn PSF is
 	// registered and deregistered once RegisterAt and DeregisterAt batches
 	// are acknowledged.
 	Workers, Records         int
@@ -167,7 +167,7 @@ type round struct {
 	m         model
 	out       outcome
 	fd        *storage.FaultDevice
-	ids       [3]psf.ID                        // repo.name projection, PushEvent predicate, churn
+	ids       [4]psf.ID                        // repo.name projection, repo.stars buckets, PushEvent predicate, churn
 	rotLive   bool                             // a rot flip landed in a live record
 	flight    *introspect.Ring[trace.SpanData] // the store's events (Options.TraceSink) and the cut
 	batches   atomic.Int64
@@ -223,7 +223,7 @@ func (r *round) run() (err error) {
 	// before it.
 	r.fd = storage.NewFaultDevice(mem, storage.FaultConfig{Seed: r.sc.Seed, CapacityBytes: r.sc.CapBytes,
 		OnPowerCut: func() { r.flight.Put(trace.Event("fault.powercut", trace.Int("seed", r.sc.Seed))) }})
-	opts := fishstore.Options{Device: r.fd, PageBits: 12, MemPages: 4, TableBuckets: 1 << 8,
+	opts := fishstore.Options{Device: r.fd, PageBits: 12, MemPages: 4, TableBuckets: 2,
 		Metrics: metrics.NewRegistry(), TraceSink: r.flight.Put, VerifyOnRead: r.sc.Profile == profileRot}
 	s, err := fishstore.Open(opts)
 	if err != nil {
@@ -235,7 +235,9 @@ func (r *round) run() (err error) {
 		}
 		s.Close()
 	}()
-	for i, def := range []psf.Definition{psf.Projection("repo.name"), psf.MustPredicate("push", `type == "PushEvent"`)} {
+	// repo.stars falls in 20 buckets, so on the two-bucket table nearly
+	// every round links overflow buckets, checkpoints and recovers them.
+	for i, def := range []psf.Definition{psf.Projection("repo.name"), psf.RangeBucket("repo.stars", 5), psf.MustPredicate("push", `type == "PushEvent"`)} {
 		id, res, err := s.RegisterPSF(def)
 		if err != nil {
 			return err
@@ -267,16 +269,16 @@ type step struct {
 	do func() error
 }
 
-// churn registers the third PSF, which matches every record, and later
+// churn registers the fourth PSF, which matches every record, and later
 // deregisters it, both while ingest runs.
 func (r *round) churn(s *fishstore.Store) []step {
 	return []step{{r.sc.RegisterAt, func() error {
 		id, res, err := s.RegisterPSF(psf.MustPredicate("churn", `repo.name == "spark"`))
-		r.ids[2], r.m.ivs[id] = id, []psf.Interval{{From: res.SafeRegisterBoundary, To: ^uint64(0)}}
+		r.ids[3], r.m.ivs[id] = id, []psf.Interval{{From: res.SafeRegisterBoundary, To: ^uint64(0)}}
 		return err
 	}}, {r.sc.DeregisterAt, func() error {
-		res, err := s.DeregisterPSF(r.ids[2])
-		r.m.ivs[r.ids[2]][0].To = res.SafeDeregisterBoundary
+		res, err := s.DeregisterPSF(r.ids[3])
+		r.m.ivs[r.ids[3]][0].To = res.SafeDeregisterBoundary
 		return err
 	}}}
 }
@@ -384,7 +386,7 @@ func (r *round) checkpoint(s *fishstore.Store, dir string) error {
 // device image mem, without the fault injector, and checks it.
 func (r *round) recover(dir string, mem storage.Device) error {
 	s, _, err := fishstore.Recover(dir, fishstore.RecoverOptions{
-		Options: fishstore.Options{Device: mem, TableBuckets: 1 << 8, Metrics: metrics.NewRegistry(), VerifyOnRead: true}})
+		Options: fishstore.Options{Device: mem, TableBuckets: 2, Metrics: metrics.NewRegistry(), VerifyOnRead: true}})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -594,13 +596,18 @@ func (r *round) check(s *fishstore.Store) error {
 	damageSeen := lost != nil
 
 	all := func(int) bool { return true }
-	queries := []struct {
+	type query struct {
 		prop  fishstore.Property
 		match func(seq int) bool
-	}{
+	}
+	queries := []query{
 		{fishstore.PropertyString(r.ids[0], "spark"), all},
-		{fishstore.PropertyBool(r.ids[1], true), func(seq int) bool { return seq%2 == 0 }},
-		{fishstore.PropertyBool(r.ids[2], true), all},
+		{fishstore.PropertyBool(r.ids[2], true), func(seq int) bool { return seq%2 == 0 }},
+		{fishstore.PropertyBool(r.ids[3], true), all},
+	}
+	// Every bucket, so that rot in any key pointer shows in some scan.
+	for b := 0; b < 97; b += 5 {
+		queries = append(queries, query{fishstore.PropertyNumber(r.ids[1], float64(b)), func(seq int) bool { return seq%97/5*5 == b }})
 	}
 	ranges := [][2]uint64{{0, 0}}
 	for i := 0; i < 2 && len(addrs) > 1; i++ {

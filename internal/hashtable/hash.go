@@ -9,16 +9,6 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// HashBytes returns the 64-bit FNV-1a hash of b.
-func HashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
 // HashProperty hashes a (PSF id, value) property, the hash signature of
 // §5.1: H(f(r)=v) = Hash(fid(f) ++ v). Any suffix bytes are hashed as if
 // appended to value, so a caller can extend a value without copying it.

@@ -16,7 +16,6 @@
 package hashtable
 
 import (
-	"errors"
 	"math/bits"
 	"sync/atomic"
 
@@ -68,9 +67,6 @@ func Unpack(w uint64) Entry {
 // for concurrent use.
 type Slot struct{ p *uint64 }
 
-// Valid reports whether the slot references an entry.
-func (s Slot) Valid() bool { return s.p != nil }
-
 // Load atomically reads the entry word.
 func (s Slot) Load() uint64 { return atomic.LoadUint64(s.p) }
 
@@ -84,12 +80,20 @@ func (s Slot) CompareAndSwapAddress(old uint64, newAddr uint64) bool {
 	return atomic.CompareAndSwapUint64(s.p, old, newWord)
 }
 
+// maxSegments segments of base<<k buckets reach every uint64 index.
+const maxSegments = 64
+
 // Table is a latch-free hash table. Create with New.
+//
+// Overflow bucket indices run through doubling segments: segment k holds
+// base<<k buckets from index base·(2^k−1). A segment is installed when the
+// cursor first hands out one of its indices, and is never moved or freed.
 type Table struct {
 	buckets []uint64 // numBuckets * wordsPerBucket words
 	mask    uint64   // numBuckets - 1
 
-	overflow     []uint64 // overflowCap * wordsPerBucket words
+	base         uint64 // buckets in overflow segment 0
+	overflow     [maxSegments]atomic.Pointer[[]uint64]
 	overflowNext atomic.Uint64
 
 	// Instrumentation, set once via Instrument before concurrent use. The
@@ -110,12 +114,10 @@ func (t *Table) Instrument(entriesCreated, overflowAppends *metrics.Counter, onG
 	t.onGrow = onGrow
 }
 
-// ErrTableFull is returned when the overflow bucket pool is exhausted.
-var ErrTableFull = errors.New("hashtable: overflow bucket pool exhausted")
-
 // New creates a table with numBuckets main buckets (rounded up to a power of
-// two) and capacity for overflowCap overflow buckets.
-func New(numBuckets int, overflowCap int) *Table {
+// two) and a first overflow segment of overflowBuckets buckets; later
+// segments double in size as the table needs them.
+func New(numBuckets int, overflowBuckets int) *Table {
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
@@ -123,14 +125,12 @@ func New(numBuckets int, overflowCap int) *Table {
 	if nb < numBuckets {
 		nb <<= 1
 	}
-	if overflowCap < 1 {
-		overflowCap = 1
-	}
 	t := &Table{
-		buckets:  make([]uint64, nb*wordsPerBucket),
-		mask:     uint64(nb - 1),
-		overflow: make([]uint64, overflowCap*wordsPerBucket),
+		buckets: make([]uint64, nb*wordsPerBucket),
+		mask:    uint64(nb - 1),
+		base:    uint64(max(overflowBuckets, 1)),
 	}
+	t.grow(0)
 	t.overflowNext.Store(1) // overflow index 0 means "none"
 	return t
 }
@@ -141,15 +141,46 @@ func (t *Table) NumBuckets() int { return len(t.buckets) / wordsPerBucket }
 // SizeBytes returns the main-array footprint in bytes.
 func (t *Table) SizeBytes() int { return len(t.buckets) * 8 }
 
-// bucketWords returns the word slice of main bucket b.
-func (t *Table) bucketWords(b uint64) []uint64 {
-	off := b * wordsPerBucket
-	return t.buckets[off : off+wordsPerBucket]
+// bucketWords returns the words of main bucket b.
+func (t *Table) bucketWords(b uint64) *[wordsPerBucket]uint64 {
+	return (*[wordsPerBucket]uint64)(t.buckets[b*wordsPerBucket:])
 }
 
-func (t *Table) overflowWords(idx uint64) []uint64 {
-	off := idx * wordsPerBucket
-	return t.overflow[off : off+wordsPerBucket]
+// segmentOf returns the segment holding overflow index idx and idx's
+// bucket within it.
+func segmentOf(base, idx uint64) (k int, off uint64) {
+	if idx < base {
+		return 0, idx
+	}
+	k = bits.Len64(idx/base+1) - 1
+	return k, idx - base*(1<<k-1)
+}
+
+// grow installs segment k unless it is there already.
+func (t *Table) grow(k int) {
+	if t.overflow[k].Load() == nil {
+		//lint:ignore hotalloc once per doubling of the overflow buckets
+		seg := make([]uint64, t.base<<k*wordsPerBucket)
+		t.overflow[k].CompareAndSwap(nil, &seg)
+	}
+}
+
+// next returns the overflow bucket linked after the bucket words, or nil
+// at the chain's end.
+func (t *Table) next(words *[wordsPerBucket]uint64) *[wordsPerBucket]uint64 {
+	if idx := atomic.LoadUint64(&words[entriesPerBucket]); idx != 0 {
+		return t.overflowWords(idx)
+	}
+	return nil
+}
+
+// overflowWords is kept out of line so that next, the chain walk step,
+// inlines.
+//
+//go:noinline
+func (t *Table) overflowWords(idx uint64) *[wordsPerBucket]uint64 {
+	k, off := segmentOf(t.base, idx)
+	return (*[wordsPerBucket]uint64)((*t.overflow[k].Load())[off*wordsPerBucket:])
 }
 
 func splitHash(h uint64, mask uint64) (bucket uint64, tag uint16) {
@@ -162,34 +193,29 @@ func splitHash(h uint64, mask uint64) (bucket uint64, tag uint16) {
 // treated as absent.
 func (t *Table) FindEntry(h uint64) (Slot, bool) {
 	bkt, tag := splitHash(h, t.mask)
-	words := t.bucketWords(bkt)
-	for {
+	for words := t.bucketWords(bkt); words != nil; words = t.next(words) {
 		for i := 0; i < entriesPerBucket; i++ {
-			w := atomic.LoadUint64(&words[i])
-			e := Unpack(w)
+			e := Unpack(atomic.LoadUint64(&words[i]))
 			if e.Occupied && !e.Tentative && e.Tag == tag {
 				return Slot{p: &words[i]}, true
 			}
 		}
-		next := atomic.LoadUint64(&words[entriesPerBucket])
-		if next == 0 {
-			return Slot{}, false
-		}
-		words = t.overflowWords(next)
 	}
+	return Slot{}, false
 }
 
 // FindOrCreate locates the entry for hash h, creating it (with address 0) if
 // absent. Creation uses the two-phase tentative protocol: claim a free slot
 // with the tentative bit set, re-scan for a concurrent duplicate, then clear
-// the tentative bit.
+// the tentative bit. The overflow buckets grow as needed, so the error is
+// always nil.
 func (t *Table) FindOrCreate(h uint64) (Slot, error) {
 	bkt, tag := splitHash(h, t.mask)
 	for {
 		// Pass 1: look for an existing entry and remember a free slot.
 		var free *uint64
-		words := t.bucketWords(bkt)
-		for {
+		var last *[wordsPerBucket]uint64
+		for words := t.bucketWords(bkt); words != nil; words = t.next(words) {
 			for i := 0; i < entriesPerBucket; i++ {
 				w := atomic.LoadUint64(&words[i])
 				e := Unpack(w)
@@ -200,20 +226,11 @@ func (t *Table) FindOrCreate(h uint64) (Slot, error) {
 					free = &words[i]
 				}
 			}
-			next := atomic.LoadUint64(&words[entriesPerBucket])
-			if next == 0 {
-				break
-			}
-			words = t.overflowWords(next)
+			last = words
 		}
 
 		if free == nil {
-			var err error
-			free, err = t.appendOverflow(words)
-			if err != nil {
-				return Slot{}, err
-			}
-			if free == nil {
+			if free = t.appendOverflow(last); free == nil {
 				continue // another thread linked a new overflow bucket; rescan
 			}
 		}
@@ -239,8 +256,7 @@ func (t *Table) FindOrCreate(h uint64) (Slot, error) {
 // hasDuplicate scans the whole bucket chain for another entry with the same
 // tag, excluding self.
 func (t *Table) hasDuplicate(bkt uint64, tag uint16, self *uint64) bool {
-	words := t.bucketWords(bkt)
-	for {
+	for words := t.bucketWords(bkt); words != nil; words = t.next(words) {
 		for i := 0; i < entriesPerBucket; i++ {
 			if &words[i] == self {
 				continue
@@ -250,34 +266,31 @@ func (t *Table) hasDuplicate(bkt uint64, tag uint16, self *uint64) bool {
 				return true
 			}
 		}
-		next := atomic.LoadUint64(&words[entriesPerBucket])
-		if next == 0 {
-			return false
-		}
-		words = t.overflowWords(next)
 	}
+	return false
 }
 
 // appendOverflow links a fresh overflow bucket after the last bucket in the
 // chain (whose words are given) and returns a pointer to its first entry
-// word. It returns (nil, nil) if another thread raced to link one first.
-func (t *Table) appendOverflow(last []uint64) (*uint64, error) {
+// word. It returns nil if another thread raced to link one first. The
+// bucket's segment is installed before the link CAS publishes its index, so
+// every reader that loads a link finds the segment.
+func (t *Table) appendOverflow(last *[wordsPerBucket]uint64) *uint64 {
 	idx := t.overflowNext.Add(1) - 1
-	if int(idx+1)*wordsPerBucket > len(t.overflow) {
-		return nil, ErrTableFull
-	}
+	k, _ := segmentOf(t.base, idx)
+	t.grow(k)
 	if !atomic.CompareAndSwapUint64(&last[entriesPerBucket], 0, idx) {
 		// Lost the race. The pre-claimed overflow bucket is leaked; this is
 		// rare and bounded by thread count, matching FASTER's behaviour of
 		// trading a small leak for latch-freedom.
-		return nil, nil
+		return nil
 	}
-	w := t.overflowWords(idx)
+	w := t.next(last)
 	t.overflowAppends.Inc()
 	if t.onGrow != nil {
 		t.onGrow(int(idx))
 	}
-	return &w[0], nil
+	return &w[0]
 }
 
 // Delete clears the entry for hash h (used by tests and PSF deregistration
@@ -301,27 +314,10 @@ type Stats struct {
 	OverflowBuckets int
 }
 
-// Stats scans the table; not linearizable, intended for reporting.
+// Stats reports Occupancy's counts.
 func (t *Table) Stats() Stats {
-	var st Stats
-	nb := t.NumBuckets()
-	for b := 0; b < nb; b++ {
-		words := t.bucketWords(uint64(b))
-		for {
-			for i := 0; i < entriesPerBucket; i++ {
-				if atomic.LoadUint64(&words[i]) != 0 {
-					st.UsedEntries++
-				}
-			}
-			next := atomic.LoadUint64(&words[entriesPerBucket])
-			if next == 0 {
-				break
-			}
-			st.OverflowBuckets++
-			words = t.overflowWords(next)
-		}
-	}
-	return st
+	oc := t.Occupancy()
+	return Stats{UsedEntries: oc.UsedEntries + oc.TentativeEntries, OverflowBuckets: oc.OverflowUsed}
 }
 
 // Occupancy describes table occupancy in the detail the introspection
@@ -332,29 +328,29 @@ type Occupancy struct {
 	UsedEntries      int // occupied, finalized (main + overflow)
 	TentativeEntries int // occupied, mid two-phase insert
 	OverflowUsed     int // overflow buckets linked into chains
-	OverflowCap      int // overflow buckets allocated
+	OverflowCap      int // overflow buckets allocated, but for index 0
 	// BucketFill[k] counts main buckets with exactly k used slots
 	// (k = 0..entriesPerBucket); overflow entries count toward their
 	// home bucket's fill, clamped at entriesPerBucket.
 	BucketFill []int
 }
 
-// Occupancy scans the table with atomic loads; like Stats it is fuzzy (not
+// Occupancy scans the table with atomic loads; it is fuzzy (not
 // linearizable) and never blocks inserters.
 func (t *Table) Occupancy() Occupancy {
 	nb := t.NumBuckets()
+	// Segments cover every index the cursor handed out but "none", 0.
+	k, _ := segmentOf(t.base, t.overflowNext.Load()-1)
 	oc := Occupancy{
 		Buckets:     nb,
-		OverflowCap: len(t.overflow)/wordsPerBucket - 1, // index 0 means "none"
+		OverflowCap: int(t.base<<(k+1)-t.base) - 1,
 		BucketFill:  make([]int, entriesPerBucket+1),
 	}
-	if oc.OverflowCap < 0 {
-		oc.OverflowCap = 0
-	}
 	for b := 0; b < nb; b++ {
-		words := t.bucketWords(uint64(b))
 		fill := 0
-		for {
+		oc.OverflowUsed-- // for the main bucket
+		for words := t.bucketWords(uint64(b)); words != nil; words = t.next(words) {
+			oc.OverflowUsed++
 			for i := 0; i < entriesPerBucket; i++ {
 				w := atomic.LoadUint64(&words[i])
 				if w == 0 {
@@ -367,12 +363,6 @@ func (t *Table) Occupancy() Occupancy {
 				}
 				fill++
 			}
-			next := atomic.LoadUint64(&words[entriesPerBucket])
-			if next == 0 {
-				break
-			}
-			oc.OverflowUsed++
-			words = t.overflowWords(next)
 		}
 		if fill > entriesPerBucket {
 			fill = entriesPerBucket
@@ -386,22 +376,13 @@ func (t *Table) Occupancy() Occupancy {
 func (t *Table) Range(fn func(hashBucket uint64, e Entry, s Slot) bool) {
 	nb := t.NumBuckets()
 	for b := 0; b < nb; b++ {
-		words := t.bucketWords(uint64(b))
-		for {
+		for words := t.bucketWords(uint64(b)); words != nil; words = t.next(words) {
 			for i := 0; i < entriesPerBucket; i++ {
-				w := atomic.LoadUint64(&words[i])
-				e := Unpack(w)
-				if e.Occupied && !e.Tentative {
-					if !fn(uint64(b), e, Slot{p: &words[i]}) {
-						return
-					}
+				e := Unpack(atomic.LoadUint64(&words[i]))
+				if e.Occupied && !e.Tentative && !fn(uint64(b), e, Slot{p: &words[i]}) {
+					return
 				}
 			}
-			next := atomic.LoadUint64(&words[entriesPerBucket])
-			if next == 0 {
-				break
-			}
-			words = t.overflowWords(next)
 		}
 	}
 }

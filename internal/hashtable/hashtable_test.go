@@ -118,18 +118,24 @@ func TestOverflowChaining(t *testing.T) {
 	_ = created
 }
 
-func TestOverflowExhaustion(t *testing.T) {
-	tbl := New(1, 2) // tiny overflow pool
-	var sawErr bool
-	for i := 0; i < 100; i++ {
-		h := HashProperty(uint16(i), []byte{byte(i), byte(i >> 8)})
-		if _, err := tbl.FindOrCreate(h); err == ErrTableFull {
-			sawErr = true
-			break
+// TestOverflowGrows: a one-bucket overflow segment doubles as chains
+// lengthen, and every entry stays findable across the segments.
+func TestOverflowGrows(t *testing.T) {
+	tbl := New(1, 2)
+	const n = 100
+	for i := 0; i < n; i++ {
+		if _, err := tbl.FindOrCreate(HashProperty(uint16(i), []byte{byte(i), byte(i >> 8)})); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawErr {
-		t.Fatal("expected ErrTableFull with a tiny overflow pool")
+	for i := 0; i < n; i++ {
+		if _, ok := tbl.FindEntry(HashProperty(uint16(i), []byte{byte(i), byte(i >> 8)})); !ok {
+			t.Fatalf("entry %d lost", i)
+		}
+	}
+	// ~14 overflow buckets fill segments 0–2 (2+4+8 buckets) and reach 3.
+	if oc := tbl.Occupancy(); oc.OverflowUsed < n/entriesPerBucket-1 || oc.OverflowCap != 2+4+8+16-1 {
+		t.Fatalf("OverflowUsed = %d, OverflowCap = %d; want ≥ %d over four segments", oc.OverflowUsed, oc.OverflowCap, n/entriesPerBucket-1)
 	}
 }
 
@@ -353,4 +359,54 @@ func TestOccupancy(t *testing.T) {
 	if st := tbl.Stats(); oc.OverflowUsed != st.OverflowBuckets {
 		t.Fatalf("OverflowUsed = %d, Stats().OverflowBuckets = %d", oc.OverflowUsed, st.OverflowBuckets)
 	}
+}
+
+// TestConcurrentGrowth: eight inserters race to link overflow buckets on
+// many chains at once, starting from a one-bucket segment, so segment
+// installs race each other and the links that publish them. Each hash is
+// inserted by two goroutines, so they also race to create the same entry.
+// Afterwards no (bucket, tag) has two entries, every hash is found and the
+// grown table's image round-trips.
+func TestConcurrentGrowth(t *testing.T) {
+	tbl := New(1<<10, 1)
+	const goroutines, n = 8, 200_000
+	hash := func(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if r := i % goroutines; r != g && r != (g+1)%goroutines {
+					continue
+				}
+				if _, err := tbl.FindOrCreate(hash(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	type key struct {
+		bucket uint64
+		tag    uint16
+	}
+	seen := make(map[key]bool)
+	tbl.Range(func(b uint64, e Entry, _ Slot) bool {
+		if seen[key{b, e.Tag}] {
+			t.Fatalf("bucket %d has two entries with tag %d", b, e.Tag)
+		}
+		seen[key{b, e.Tag}] = true
+		return true
+	})
+	for i := 0; i < n; i++ {
+		if _, ok := tbl.FindEntry(hash(i)); !ok {
+			t.Fatalf("hash %d not found", i)
+		}
+	}
+	if oc := tbl.Occupancy(); oc.OverflowCap < 1<<14 {
+		t.Fatalf("OverflowCap = %d, want the segments grown past 2^14 buckets", oc.OverflowCap)
+	}
+	roundTrip(t, tbl)
 }

@@ -13,16 +13,18 @@ import (
 // The table image is the hash-index half of a checkpoint (Appendix E). It
 // holds what the table holds, not its capacity; all words are little-endian:
 //
-//	header  imageMagic, len(buckets), len(overflow), overflowNext
+//	header  imageMagic, len(buckets), words in overflow segment 0, overflowNext
 //	body    the bucket array, then the overflow buckets the cursor has handed
-//	        out (min(overflowNext, overflow buckets) × 8 words), each as runs
-//	        of 64 words: a mask of the run's non-zero words, then those words
+//	        out (overflowNext × 8 words) segment by segment, each as runs of
+//	        64 words: a mask of the run's non-zero words, then those words
 //	seal    CRC32-C of header and body (4 bytes)
+//
+// A fixed pool's image is alike: the pool is segment 0, the cursor may pass it.
 //
 // The image before it was dense: len(buckets), len(overflow), overflowNext,
 // then every word of both arrays, unsealed. ReadFrom still decodes that
-// layout; its first word is a multiple of wordsPerBucket and imageMagic is
-// not.
+// layout as a table with one overflow segment; its first word is a multiple
+// of wordsPerBucket and imageMagic is not.
 const (
 	imageMagic   = 0x3130474d49485346 // "FSHIMG01"
 	headerWords  = 4
@@ -30,10 +32,9 @@ const (
 	sealBytes    = 4
 	chunkBytes   = 64 << 10
 	denseHdrSize = 24
-	// maxArrayWords keeps a header's overflow pool size from overflowing
-	// the arithmetic below and make's length check. It is no memory bound:
-	// only the seal vouches for the pool size, and a sealed header claiming
-	// a pool larger than memory aborts the process when the pool is made.
+	// maxArrayWords keeps a header's segment 0 size from overflowing the
+	// arithmetic below and make's length check. Only the seal vouches for
+	// it; the body's runs must reach a later segment before it is made.
 	maxArrayWords = 1 << 45
 )
 
@@ -92,12 +93,6 @@ func (iw *imageWriter) runs(arr []uint64) {
 	}
 }
 
-// usedOverflow is how many overflow words the cursor next has handed out;
-// the cursor keeps counting past ErrTableFull, the pool does not.
-func usedOverflow(next, poolWords uint64) uint64 {
-	return min(next, poolWords/wordsPerBucket) * wordsPerBucket
-}
-
 // WriteTo writes the table image (Appendix E). No insert may run
 // concurrently: the cursor is read before the arrays, so a bucket linked
 // meanwhile would lie past the image's overflow prefix, and an entry
@@ -106,12 +101,13 @@ func usedOverflow(next, poolWords uint64) uint64 {
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	iw := &imageWriter{w: w, buf: make([]byte, 0, chunkBytes+(runWords+1)*8)}
 	next := t.overflowNext.Load()
-	used := usedOverflow(next, uint64(len(t.overflow)))
-	for _, v := range [headerWords]uint64{imageMagic, uint64(len(t.buckets)), uint64(len(t.overflow)), next} {
+	for _, v := range [headerWords]uint64{imageMagic, uint64(len(t.buckets)), t.base * wordsPerBucket, next} {
 		iw.word(v)
 	}
 	iw.runs(t.buckets)
-	iw.runs(t.overflow[:used])
+	for k, start := 0, uint64(0); start < next; k, start = k+1, start+t.base<<k {
+		iw.runs((*t.overflow[k].Load())[:min(next-start, t.base<<k)*wordsPerBucket])
+	}
 	iw.flush()
 	if iw.err != nil {
 		return iw.total, iw.err
@@ -139,48 +135,66 @@ func (t *Table) ReadFrom(r io.Reader) (int64, error) {
 	} else {
 		err = d.dense(img)
 	}
+	if err == nil && d.maxLink >= d.capacity {
+		err = corrupt("chain link %d past the %d overflow buckets the image holds", d.maxLink, d.capacity)
+	}
 	if err != nil {
 		return n, err
 	}
-	t.buckets, t.overflow = d.buckets, d.overflow
+	t.buckets, t.base = d.buckets, d.base
 	t.mask = uint64(len(d.buckets)/wordsPerBucket - 1)
-	t.overflowNext.Store(max(d.next, d.maxLink+1))
+	for k := range t.overflow {
+		t.overflow[k].Store(d.segs[k])
+	}
+	// A cursor past the segments is an exhausted pool's; nothing past the
+	// pool was ever linked.
+	t.overflowNext.Store(max(min(d.next, d.capacity), d.maxLink+1))
 	return n, nil
 }
 
-// decoded is an image being restored into fresh dense arrays.
+// decoded is an image being restored into fresh arrays.
 type decoded struct {
-	buckets, overflow []uint64
-	next              uint64
-	linked            []uint64 // bitmap of overflow buckets some chain links to
-	maxLink           uint64   // highest overflow bucket a chain links to
+	buckets    []uint64
+	segs       [maxSegments]*[]uint64 // the overflow segments the image reaches
+	base, next uint64
+	capacity   uint64   // overflow buckets in segs
+	linked     []uint64 // bitmap of overflow buckets some chain links to
+	maxLink    uint64   // highest overflow bucket a chain links to
 }
 
-// shape checks the header's sizes and allocates the arrays. words bounds
-// how many words of either array the image can describe.
+// segment allocates overflow segment k and returns its words.
+func (d *decoded) segment(k int) []uint64 {
+	seg := make([]uint64, d.base<<k*wordsPerBucket)
+	d.segs[k], d.capacity = &seg, d.capacity+d.base<<k
+	return seg
+}
+
+// shape checks the header's sizes and allocates the bucket array. words
+// bounds how many words the image can describe, and with them the cursor.
 func (d *decoded) shape(nb, no, next, words uint64) error {
 	if nb < wordsPerBucket || nb%wordsPerBucket != 0 || bits.OnesCount64(nb/wordsPerBucket) != 1 {
 		return corrupt("bucket array of %d words is not a power of two of buckets", nb)
 	}
 	if no < wordsPerBucket || no%wordsPerBucket != 0 {
-		return corrupt("overflow pool of %d words is not whole buckets", no)
+		return corrupt("overflow segment of %d words is not whole buckets", no)
 	}
 	if nb > words || no > maxArrayWords {
 		return corrupt("header claims %d bucket and %d overflow words, more than the image can hold", nb, no)
 	}
-	if next < 1 {
-		return corrupt("overflow cursor %d below 1", next)
+	d.base = no / wordsPerBucket
+	if next < 1 || next > words/wordsPerBucket+d.base {
+		return corrupt("overflow cursor %d outside [1, %d]", next, words/wordsPerBucket+d.base)
 	}
 	d.buckets = make([]uint64, nb)
-	d.overflow = make([]uint64, no)
 	d.next = next
-	d.linked = make([]uint64, (no/wordsPerBucket+63)/64)
+	k, _ := segmentOf(d.base, next-1)
+	d.linked = make([]uint64, (d.base<<(k+1)-d.base+63)/64) // the segments the cursor reaches
 	return nil
 }
 
 // install stores word w at index i of arr. A bucket's last word links to an
-// overflow bucket; each link must name a bucket in the pool that no other
-// link names, so a restored chain can neither leave the pool nor loop.
+// overflow bucket; each link must name a bucket the image holds (ReadFrom
+// checks the highest) that no other link names, so chains cannot loop.
 //
 // A tentative entry is dropped, leaving its slot free: the insert that
 // claimed it did not survive the restart, so nothing would ever finalize
@@ -199,8 +213,8 @@ func (d *decoded) install(arr []uint64, i int, w uint64) error {
 	if !link || w == 0 {
 		return nil
 	}
-	if pool := uint64(len(d.overflow) / wordsPerBucket); w >= pool {
-		return corrupt("chain link %d past the %d-bucket overflow pool", w, pool)
+	if w >= uint64(len(d.linked)*64) {
+		return corrupt("chain link %d past the overflow buckets the cursor reaches", w)
 	}
 	if d.linked[w/64]&(1<<(w%64)) != 0 {
 		return corrupt("overflow bucket %d linked twice", w)
@@ -228,11 +242,18 @@ func (d *decoded) sparse(img []byte) error {
 	if err := d.shape(nb, no, next, uint64(len(body)/8)*runWords); err != nil {
 		return err
 	}
-	for _, arr := range [][]uint64{d.buckets, d.overflow[:usedOverflow(next, no)]} {
-		var err error
-		if body, err = d.runs(arr, body); err != nil {
-			return err
+	body, err := d.runs(d.buckets, body)
+	// A segment is made once the runs before it (a byte per bucket or
+	// more) decoded, so no segment but the first outgrows the image.
+	for k := 0; err == nil && d.capacity < next; k++ {
+		if k > 0 && len(body) == 0 {
+			break // an exhausted pool's cursor counted past it
 		}
+		start := d.capacity
+		body, err = d.runs(d.segment(k)[:min(next-start, d.base<<k)*wordsPerBucket], body)
+	}
+	if err != nil {
+		return err
 	}
 	if len(body) != 0 {
 		return corrupt("%d trailing bytes", len(body))
@@ -284,7 +305,7 @@ func (d *decoded) dense(img []byte) error {
 		return err
 	}
 	body := img[denseHdrSize:]
-	for _, arr := range [][]uint64{d.buckets, d.overflow} {
+	for _, arr := range [][]uint64{d.buckets, d.segment(0)} {
 		for i := range arr {
 			if err := d.install(arr, i, binary.LittleEndian.Uint64(body)); err != nil {
 				return err

@@ -12,16 +12,13 @@ import (
 )
 
 // fill creates n entries in tbl, each with a distinct chain-head address,
-// and returns their hashes. It stops early at ErrTableFull.
+// and returns their hashes.
 func fill(t testing.TB, tbl *Table, n int) []uint64 {
 	t.Helper()
 	var hashes []uint64
 	for i := 0; i < n; i++ {
 		h := HashProperty(uint16(i%5), []byte(fmt.Sprintf("v%d", i)))
 		s, err := tbl.FindOrCreate(h)
-		if errors.Is(err, ErrTableFull) {
-			return hashes
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +40,24 @@ func settled(arr []uint64) []uint64 {
 	return out
 }
 
-// requireSameTable fails unless got holds want's arrays word for word, but
-// for want's tentative entries, which a restore frees.
+// overflowOf concatenates tbl's overflow segments: the overflow buckets in
+// index order.
+func overflowOf(tbl *Table) []uint64 {
+	var out []uint64
+	for k := range tbl.overflow {
+		if seg := tbl.overflow[k].Load(); seg != nil {
+			out = append(out, *seg...)
+		}
+	}
+	return out
+}
+
+// requireSameTable fails unless got holds want's buckets and overflow
+// buckets word for word, but for want's tentative entries, which a restore
+// frees.
 func requireSameTable(t *testing.T, got, want *Table) {
 	t.Helper()
-	if !slices.Equal(got.buckets, settled(want.buckets)) || !slices.Equal(got.overflow, settled(want.overflow)) {
+	if !slices.Equal(got.buckets, settled(want.buckets)) || !slices.Equal(overflowOf(got), settled(overflowOf(want))) {
 		t.Fatal("restored arrays differ from the original")
 	}
 	if got.mask != want.mask {
@@ -94,16 +104,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			fill(t, tbl, 100)
 			return tbl
 		}},
-		{"past ErrTableFull", func(t *testing.T) *Table {
+		{"grown past segment 0", func(t *testing.T) *Table {
 			tbl := New(2, 3)
-			// Every failed append advances the cursor past the pool.
-			for i := 0; i < 100; i++ {
-				if _, err := tbl.FindOrCreate(HashProperty(9, []byte{byte(i)})); err != nil && !errors.Is(err, ErrTableFull) {
-					t.Fatal(err)
-				}
-			}
-			if next := tbl.overflowNext.Load(); next <= 3 {
-				t.Fatalf("overflowNext = %d, want past the pool of 3", next)
+			fill(t, tbl, 100)
+			// Segments of 3, 6 and 12 buckets: the cursor ends in the third.
+			if next := tbl.overflowNext.Load(); next <= 9 {
+				t.Fatalf("overflowNext = %d, want past segments 0 and 1", next)
 			}
 			return tbl
 		}},
@@ -156,7 +162,7 @@ func TestRestoredTentativeEntryIsFreed(t *testing.T) {
 	want[int(bkt)*wordsPerBucket+slot] = 0
 
 	restored, _ := roundTrip(t, tbl)
-	if !slices.Equal(restored.buckets, want) || !slices.Equal(restored.overflow, tbl.overflow) {
+	if !slices.Equal(restored.buckets, want) || !slices.Equal(overflowOf(restored), overflowOf(tbl)) {
 		t.Fatal("restore changed words other than the tentative entry")
 	}
 	done := make(chan error, 1)
@@ -192,12 +198,14 @@ func TestTableImageIsSparse(t *testing.T) {
 }
 
 // denseImage writes tbl in the unsealed layout that preceded the sparse
-// image: bucket and overflow lengths, overflowNext, then every word.
+// image: bucket and overflow lengths, overflowNext, then every word. Its
+// overflow pool is the segments in index order.
 func denseImage(tbl *Table) []byte {
+	overflow := overflowOf(tbl)
 	img := binary.LittleEndian.AppendUint64(nil, uint64(len(tbl.buckets)))
-	img = binary.LittleEndian.AppendUint64(img, uint64(len(tbl.overflow)))
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(overflow)))
 	img = binary.LittleEndian.AppendUint64(img, tbl.overflowNext.Load())
-	for _, arr := range [][]uint64{tbl.buckets, tbl.overflow} {
+	for _, arr := range [][]uint64{tbl.buckets, overflow} {
 		for _, w := range arr {
 			img = binary.LittleEndian.AppendUint64(img, w)
 		}
@@ -239,6 +247,29 @@ func TestLinkPastCursorMovesCursor(t *testing.T) {
 			t.Fatalf("%s: overflowNext = %d, want 3, past the link to bucket 2", name, next)
 		}
 	}
+}
+
+// TestExhaustedPoolImageStillReadable: a table whose overflow pool was
+// fixed kept counting its cursor past an exhausted pool, but its image holds
+// only the pool. It restores with the pool as segment 0 and the cursor at
+// its end, and grows from there.
+func TestExhaustedPoolImageStillReadable(t *testing.T) {
+	// One bucket linking to overflow bucket 1, the last of a 2-bucket pool,
+	// which holds one entry; the cursor reads 5.
+	entry := pack(3, 64, false)
+	img := sealed(le(imageMagic, 8, 2*8, 5, 1<<entriesPerBucket, 1, 1<<8, entry))
+	tbl := New(1, 1)
+	if _, err := tbl.ReadFrom(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	if next := tbl.overflowNext.Load(); next != 2 {
+		t.Fatalf("overflowNext = %d, want 2, the end of the pool", next)
+	}
+	if got := overflowOf(tbl)[8]; got != entry {
+		t.Fatalf("overflow bucket 1 holds %#x, want %#x", got, entry)
+	}
+	fill(t, tbl, 40)
+	roundTrip(t, tbl)
 }
 
 // le encodes words little-endian; sealed adds the image seal.
@@ -335,7 +366,7 @@ func FuzzTableImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := New(4, 4)
 		for b := data; len(b) >= 8; b = b[8:] {
-			if _, err := tbl.FindOrCreate(binary.LittleEndian.Uint64(b)); err != nil && !errors.Is(err, ErrTableFull) {
+			if _, err := tbl.FindOrCreate(binary.LittleEndian.Uint64(b)); err != nil {
 				t.Fatal(err)
 			}
 		}

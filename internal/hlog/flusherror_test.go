@@ -78,3 +78,33 @@ func TestTailAddressExactlyFullOddPage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlushTailLeavesFullPageToItsFlush: a checkpoint can meet a tail page
+// filled exactly to its end, not yet sealed. FlushTail writes it, but keeps
+// the durable boundary below the page end: the allocation that seals the
+// page still schedules its flush, and once the boundary passed the end
+// prepareFrame recycled the frame for the page MemPages later before that
+// flush had copied it, so the flush wrote the new page's words over the old
+// page on the device.
+func TestFlushTailLeavesFullPageToItsFlush(t *testing.T) {
+	l, em := newTestLog(t, 12, 4, storage.NewMem())
+	g := em.Acquire()
+	a, err := l.Allocate(g, 504) // page 0 starts at BeginAddress (64): 504 words fill it
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Words[0] = 0xfeed
+	g.Release()
+	if err := l.FlushTail(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.FlushedUntil(); got >= 4096 {
+		t.Fatalf("FlushTail of the full page 0 moved flushedUntil to %d, past the page end", got)
+	}
+	if words, err := l.ReadWordsFromDevice(a.Address, 1); err != nil || words[0] != 0xfeed {
+		t.Fatalf("device word %x, %v; want the page written", words, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

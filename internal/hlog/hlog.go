@@ -536,8 +536,10 @@ func (l *Log) FlushTail() error {
 		return err
 	}
 	// Extend the durable boundary into the tail page; only valid because all
-	// prior pages are contiguously durable (checked above).
-	for {
+	// prior pages are contiguously durable (checked above). Not past a full
+	// page: prepareFrame could then recycle its frame under the flush that
+	// sealing the page schedules.
+	for off < l.pageSize {
 		cur := l.flushedUntil.Load()
 		target := l.address(page, off)
 		if cur >= target || l.PageOf(cur) != page {

@@ -149,6 +149,8 @@ type session struct {
 	// within a record it is only appended to, so a decoded value is never
 	// overwritten before the next Parse.
 	arena []byte
+
+	verr valueError // the malformed-value error, valid until the next Parse
 }
 
 const (
@@ -424,28 +426,32 @@ func skipWS(b []byte, i, end int) int {
 	return i
 }
 
-// valueError reports a malformed value of a field of interest. It is
-// returned by value and formats its message only when read, so building it
-// costs the parse path nothing until a record is actually malformed.
+// valueError reports a malformed value of a field of interest. The session
+// owns one and formats its message only when read, so a malformed record
+// costs the parse path no allocation.
 type valueError struct {
 	what string
 	path string
-	err  error
+	err  error // why the number did not parse
+	c    byte  // the byte that starts no JSON value
 }
 
-func (e valueError) Error() string {
-	if e.err != nil {
+func (e *valueError) Error() string {
+	switch {
+	case e.err != nil:
 		return fmt.Sprintf("pjson: %s for %q: %v", e.what, e.path, e.err)
+	case e.c != 0:
+		return fmt.Sprintf("pjson: %s for %q: %q", e.what, e.path, e.c)
 	}
 	return fmt.Sprintf("pjson: %s for %q", e.what, e.path)
 }
 
-func (e valueError) Unwrap() error { return e.err }
+func (e *valueError) Unwrap() error { return e.err }
 
-// valueByte is the byte that starts no JSON value.
-type valueByte byte
-
-func (b valueByte) Error() string { return strconv.QuoteRune(rune(b)) }
+func (s *session) fail(e valueError) error {
+	s.verr = e
+	return &s.verr
+}
 
 // view returns payload[i:j] as a string that shares the payload's bytes.
 func (s *session) view(i, j int) string {
@@ -460,14 +466,14 @@ func (s *session) view(i, j int) string {
 func (s *session) extractValue(path string, from, bound int) error {
 	i := skipWS(s.payload, from, bound)
 	if i >= bound {
-		return valueError{what: "empty value", path: path}
+		return s.fail(valueError{what: "empty value", path: path})
 	}
 	f := parser.Field{Path: path, Offset: -1}
 	switch c := s.payload[i]; {
 	case c == '"':
 		content, end, escaped := s.scanString(i)
 		if end < 0 {
-			return valueError{what: "unterminated string", path: path}
+			return s.fail(valueError{what: "unterminated string", path: path})
 		}
 		f.Value = expr.StringVal(content)
 		if !escaped {
@@ -476,19 +482,19 @@ func (s *session) extractValue(path string, from, bound int) error {
 		}
 	case c == 't':
 		if !hasPrefix(s.payload, i, "true") {
-			return valueError{what: "bad literal", path: path}
+			return s.fail(valueError{what: "bad literal", path: path})
 		}
 		f.Value = expr.BoolVal(true)
 		f.Offset, f.Len = i, 4
 	case c == 'f':
 		if !hasPrefix(s.payload, i, "false") {
-			return valueError{what: "bad literal", path: path}
+			return s.fail(valueError{what: "bad literal", path: path})
 		}
 		f.Value = expr.BoolVal(false)
 		f.Offset, f.Len = i, 5
 	case c == 'n':
 		if !hasPrefix(s.payload, i, "null") {
-			return valueError{what: "bad literal", path: path}
+			return s.fail(valueError{what: "bad literal", path: path})
 		}
 		f.Value = expr.Null()
 		f.Offset, f.Len = i, 4
@@ -504,19 +510,19 @@ func (s *session) extractValue(path string, from, bound int) error {
 		}
 		num, err := s.number(i, j)
 		if err != nil {
-			return valueError{what: "bad number", path: path, err: err}
+			return s.fail(valueError{what: "bad number", path: path, err: err})
 		}
 		f.Value = expr.NumberVal(num)
 		f.Offset, f.Len = i, j-i
 	case c == '{' || c == '[':
 		end := s.skipComposite(i)
 		if end < 0 {
-			return valueError{what: "unterminated composite", path: path}
+			return s.fail(valueError{what: "unterminated composite", path: path})
 		}
 		f.Value = expr.StringVal(s.view(i, end))
 		f.Offset, f.Len = i, end-i
 	default:
-		return valueError{what: "unexpected value byte", path: path, err: valueByte(c)}
+		return s.fail(valueError{what: "unexpected value byte", path: path, c: c})
 	}
 	s.parsed.Add(f)
 	return nil

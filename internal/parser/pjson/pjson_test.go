@@ -454,6 +454,28 @@ func TestParseAllocs(t *testing.T) {
 	}
 }
 
+// TestMalformedValueAllocs: a malformed value of a field of interest
+// returns the session's own error, so rejecting the record allocates
+// nothing either.
+func TestMalformedValueAllocs(t *testing.T) {
+	for _, rec := range []string{
+		`{"stars": tru, "useful": 2}`,
+		`{"stars": 4, "useful": ?}`,
+		`{"stars": , "useful": 2}`,
+	} {
+		sess := mustSession(t, "stars", "useful")
+		b := []byte(rec)
+		for i := 0; i < 2; i++ {
+			if _, err := sess.Parse(b); err == nil {
+				t.Fatalf("%s parsed without error", rec)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { sess.Parse(b) }); got != 0 {
+			t.Errorf("%s: %v allocs/record, want 0", rec, got)
+		}
+	}
+}
+
 // TestEscapedFieldsShareArena decodes several escaped fields of one record,
 // long enough that the arena grows mid-record, and checks every value after
 // the parse: a decoded string must not be overwritten by a later one.

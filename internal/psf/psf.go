@@ -266,6 +266,8 @@ func ShardHash(id ID, canonical []byte, shard, shards int) uint64 {
 type Interval struct {
 	From uint64 `json:"from"`
 	To   uint64 `json:"to"`
+	// Historical marks BuildHistoricalIndex's coverage: no key pointers.
+	Historical bool `json:"historical,omitempty"`
 }
 
 // Open reports whether the interval is still being extended (PSF active).

@@ -108,8 +108,8 @@ func (r *Registry) Restore(entries []SnapshotEntry, custom map[string]func(*pars
 	return nil
 }
 
-// ExtendInterval adds a completed index interval for id (used by historical
-// index building, Appendix A). Overlapping intervals are merged.
+// ExtendInterval adds a completed historical index interval for id
+// (Appendix A). Overlapping intervals of the same kind are merged.
 func (r *Registry) ExtendInterval(id ID, iv Interval) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -117,11 +117,13 @@ func (r *Registry) ExtendInterval(id ID, iv Interval) error {
 	if !ok {
 		return fmt.Errorf("psf: unknown id %d", id)
 	}
+	iv.Historical = true
 	reg.intervals = mergeIntervals(append(reg.intervals, iv))
 	return nil
 }
 
-// mergeIntervals sorts and coalesces overlapping/adjacent intervals.
+// mergeIntervals sorts and coalesces overlapping/adjacent intervals of the
+// same kind.
 func mergeIntervals(ivs []Interval) []Interval {
 	if len(ivs) <= 1 {
 		return ivs
@@ -135,7 +137,7 @@ func mergeIntervals(ivs []Interval) []Interval {
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &out[len(out)-1]
-		if iv.From <= last.To || last.To == math.MaxUint64 {
+		if iv.Historical == last.Historical && (iv.From <= last.To || last.To == math.MaxUint64) {
 			if iv.To > last.To {
 				last.To = iv.To
 			}

@@ -93,13 +93,16 @@ func TestMergeIntervals(t *testing.T) {
 		want []Interval
 	}{
 		{nil, nil},
-		{[]Interval{{10, 20}}, []Interval{{10, 20}}},
-		{[]Interval{{10, 20}, {30, 40}}, []Interval{{10, 20}, {30, 40}}},
-		{[]Interval{{30, 40}, {10, 20}}, []Interval{{10, 20}, {30, 40}}},
-		{[]Interval{{10, 20}, {15, 30}}, []Interval{{10, 30}}},
-		{[]Interval{{10, 20}, {20, 30}}, []Interval{{10, 30}}},
-		{[]Interval{{10, 20}, {12, 14}}, []Interval{{10, 20}}},
-		{[]Interval{{10, math.MaxUint64}, {20, 30}}, []Interval{{10, math.MaxUint64}}},
+		{[]Interval{{From: 10, To: 20}}, []Interval{{From: 10, To: 20}}},
+		{[]Interval{{From: 10, To: 20}, {From: 30, To: 40}}, []Interval{{From: 10, To: 20}, {From: 30, To: 40}}},
+		{[]Interval{{From: 30, To: 40}, {From: 10, To: 20}}, []Interval{{From: 10, To: 20}, {From: 30, To: 40}}},
+		{[]Interval{{From: 10, To: 20}, {From: 15, To: 30}}, []Interval{{From: 10, To: 30}}},
+		{[]Interval{{From: 10, To: 20}, {From: 20, To: 30}}, []Interval{{From: 10, To: 30}}},
+		{[]Interval{{From: 10, To: 20}, {From: 12, To: 14}}, []Interval{{From: 10, To: 20}}},
+		{[]Interval{{From: 10, To: math.MaxUint64}, {From: 20, To: 30}}, []Interval{{From: 10, To: math.MaxUint64}}},
+		// Historical and inline coverage stay apart, even when adjacent.
+		{[]Interval{{From: 20, To: 30}, {From: 10, To: 20, Historical: true}}, []Interval{{From: 10, To: 20, Historical: true}, {From: 20, To: 30}}},
+		{[]Interval{{From: 0, To: 10, Historical: true}, {From: 10, To: 20, Historical: true}}, []Interval{{From: 0, To: 20, Historical: true}}},
 	}
 	for i, c := range cases {
 		got := mergeIntervals(append([]Interval(nil), c.in...))
@@ -129,7 +132,7 @@ func TestExtendInterval(t *testing.T) {
 	if len(ivs) != 2 {
 		t.Fatalf("intervals = %+v", ivs)
 	}
-	if ivs[0] != (Interval{0, 500}) || ivs[1].From != 1000 || !ivs[1].Open() {
+	if ivs[0] != (Interval{From: 0, To: 500, Historical: true}) || ivs[1].From != 1000 || !ivs[1].Open() {
 		t.Fatalf("intervals = %+v", ivs)
 	}
 	if err := r.ExtendInterval(99, Interval{}); err == nil {

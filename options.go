@@ -36,11 +36,8 @@ type Options struct {
 	MemPages int
 
 	// TableBuckets sets the hash table size in 64-byte buckets (default
-	// 1<<16 = 4MB). Rounded up to a power of two.
+	// 1<<16 = 4MB). Rounded up to a power of two; overflow buckets grow.
 	TableBuckets int
-
-	// OverflowBuckets caps overflow buckets (default TableBuckets/4).
-	OverflowBuckets int
 
 	// BadCAS enables the naive invalidate-and-reallocate strategy on hash
 	// chain CAS failures instead of Algorithm 1. Exists only to reproduce
@@ -130,12 +127,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.TableBuckets == 0 {
 		out.TableBuckets = 1 << 16
-	}
-	if out.OverflowBuckets == 0 {
-		out.OverflowBuckets = out.TableBuckets / 4
-		if out.OverflowBuckets < 64 {
-			out.OverflowBuckets = 64
-		}
 	}
 	if out.PageCachePages == 0 {
 		out.PageCachePages = 64

@@ -423,13 +423,16 @@ func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Proper
 }
 
 // rangeIndexComplete reports whether the PSF whose index is complete over
-// the intervals ivs covers every address in [from, to): within such a range,
+// the intervals ivs covers every address in [from, to) inline: there,
 // ingest-time evaluation produced a key pointer for exactly the records the
 // PSF matches, so scanning key pointers and re-evaluating the PSF over
-// parsed payloads give identical answers.
+// parsed payloads give identical answers. Historical coverage does not.
 func rangeIndexComplete(ivs []psf.Interval, from, to uint64) bool {
 	cur := from
 	for _, iv := range ivs {
+		if iv.Historical {
+			continue
+		}
 		if cur < iv.From {
 			return false // gap before this interval
 		}

@@ -161,7 +161,7 @@ func Open(opts Options) (*Store, error) {
 	// The store is built before its log so the flush hook can flip it into
 	// degraded mode; flushes only start once ingestion does, after Open
 	// returns with s.log assigned.
-	s := newStore(o, hashtable.New(o.TableBuckets, o.OverflowBuckets))
+	s := newStore(o, hashtable.New(o.TableBuckets, max(o.TableBuckets/4, 64)))
 	log, err := hlog.New(s.logConfig())
 	if err != nil {
 		return nil, err
